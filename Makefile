@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race fuzz-smoke overhead-smoke serve-smoke introspect-smoke cluster-smoke serve-bench cluster-bench bench-json check-bench engines-matrix vet-bench
+.PHONY: all build test check vet fmt race fuzz-smoke overhead-smoke serve-smoke introspect-smoke cluster-smoke serve-bench cluster-bench bench-json engines-matrix vet-bench
 
 all: check test
 
@@ -26,11 +26,14 @@ fmt:
 
 # check is the tier-1 verification gate. fftxvet runs with the stale-
 # suppression audit on: a //fftxvet:ignore that no longer suppresses
-# anything fails the gate like a finding would.
+# anything fails the gate like a finding would. bench/ is a nested module
+# that `./...` does not reach, so it is vetted and tested on its own: an
+# API deletion in internal/ must not break the benchmark unseen.
 check: build vet
 	$(GO) run ./cmd/fftxvet -unused-ignores ./...
 	$(MAKE) fmt
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # race runs the internal packages under the race detector without test
 # result caching. The simulator is single-goroutine-at-a-time by design;
@@ -38,11 +41,15 @@ check: build vet
 race:
 	$(GO) test -race -count=1 ./internal/...
 
-# fuzz-smoke runs a short bounded fuzz of the FFT round-trip property and
-# of the fftxd binary request decoder (malformed input must error, never
-# panic). Each package has several fuzz targets, so -fuzz must pick one.
+# fuzz-smoke runs a short bounded fuzz of the FFT round-trip property, of
+# the batch kernels against their serial reference (bit-identical across
+# layouts, rounding tolerance against the mixed-radix baseline and the naive
+# DFT) and of the fftxd binary request decoder (malformed input must error,
+# never panic). Each package has several fuzz targets, so -fuzz must pick
+# one.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s -run='^$$' ./internal/fft
+	$(GO) test -fuzz=FuzzBatchMatchesReference -fuzztime=10s -run='^$$' ./internal/fft
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
 
 # overhead-smoke measures the cost of the always-on telemetry: the
@@ -64,9 +71,8 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # introspect-smoke drives a traced fftxd load and asserts the observability
-# surface end to end: trace-ID echo, /debug/fftx/requests span trees,
-# /debug/fftx/profiles contents, fftxtrace -requests rendering and the
-# profile store's restart durability.
+# surface end to end: trace-ID echo, /debug/fftx/requests span trees and
+# fftxtrace -requests rendering.
 introspect-smoke:
 	./scripts/introspect-smoke.sh
 
@@ -97,15 +103,6 @@ serve-bench:
 # records the per-engine runtime matrix as BENCH_engines.json.
 bench-json:
 	./scripts/bench-json.sh
-
-# check-bench gates the committed BENCH_fft.json and BENCH_engines.json,
-# not a fresh run: it fails if a headline ratio was committed below its
-# floor (plan2d_60x60 >= 1.0, hostpar_real >= 1.15) or if the dataflow
-# engine no longer beats task-combined on any committed shape. Run it
-# before bench-json in CI so the check sees the checked-in files, not a
-# noisy regeneration.
-check-bench:
-	./scripts/check-bench.sh
 
 # vet-bench times a full interprocedural fftxvet run over the module and
 # writes BENCH_vet.json; it fails if the run exceeds VET_BUDGET_SECONDS

@@ -26,8 +26,6 @@
 //	                       task-combined|dataflow|auto); requests override per call
 //	-trace-sample 0.05     fraction of requests traced server-side (requests
 //	                       carrying a trace_id are always traced)
-//	-profiles PATH         persist the per-shape performance profile store
-//	                       to this JSON file across restarts ("" = memory)
 //	-log-level info        structured log level (debug|info|warn|error);
 //	                       debug logs every traced request keyed by trace ID
 //	-join URL              register with a cluster router on start and
@@ -37,8 +35,8 @@
 //
 // Endpoints: POST /fft (JSON or binary wire format), /healthz, the live
 // introspection surface /debug/fftx/requests (span timelines of traced
-// requests) and /debug/fftx/profiles (the per-shape profile store), plus the
-// standard telemetry surface /metrics, /debug/vars, /debug/pprof/*.
+// requests), plus the standard telemetry surface /metrics, /debug/vars,
+// /debug/pprof/*.
 //
 // Router flags (with -router; see README "Cluster serving"):
 //
@@ -92,7 +90,6 @@ import (
 	"repro/internal/fftx"
 	"repro/internal/metrics"
 	"repro/internal/par"
-	"repro/internal/profiles"
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
 	"repro/internal/telemetry"
@@ -114,7 +111,6 @@ func realMain() int {
 		hostpar     = flag.Bool("hostpar", true, "fan batch rows out over host cores")
 		defEngine   = flag.String("engine", "", "default engine for pipeline requests (original|task-steps|task-iter|task-combined|dataflow|auto; empty = task-iter)")
 		traceSample = flag.Float64("trace-sample", 0.05, "fraction of requests traced (server) or stamped with trace IDs (loadgen)")
-		profPath    = flag.String("profiles", "", "persist per-shape performance profiles to this JSON file (empty = memory only)")
 		logLevel    = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		joinURL     = flag.String("join", "", "cluster router base URL to register with (worker mode)")
 		execDelay   = flag.Duration("exec-delay", 0, "fixed extra service time per executed batch (cluster benchmarking)")
@@ -153,11 +149,6 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "fftxd:", err)
 		return 2
 	}
-	store, err := profiles.Open(*profPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftxd:", err)
-		return 1
-	}
 
 	if *rtMode {
 		return runRouter(*addr, *rtPeers, *rtAttempts, logger)
@@ -174,7 +165,6 @@ func realMain() int {
 		DefaultEngine: *defEngine,
 		TraceSample:   *traceSample,
 		ExecDelay:     *execDelay,
-		Profiles:      store,
 		Logger:        logger,
 	}
 
@@ -224,13 +214,13 @@ func buildLogger(level string) (*slog.Logger, error) {
 // the router ejects it from the ring ahead of any failed request.
 func runServer(cfg serve.Config, joinURL string, drainTimeout time.Duration) int {
 	cfg.Mux = telemetry.Mux(metrics.Default(), "/fft", "/healthz",
-		"/debug/fftx/requests", "/debug/fftx/profiles")
+		"/debug/fftx/requests")
 	srv := serve.New(cfg)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "fftxd:", err)
 		return 1
 	}
-	fmt.Printf("fftxd: serving /fft, /healthz, /metrics, /debug/fftx/{requests,profiles}, /debug/pprof at %s (workers=%d queue=%d max-batch=%d window=%s trace-sample=%g)\n",
+	fmt.Printf("fftxd: serving /fft, /healthz, /metrics, /debug/fftx/requests, /debug/pprof at %s (workers=%d queue=%d max-batch=%d window=%s trace-sample=%g)\n",
 		srv.URL(), srv.Workers(), cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, cfg.TraceSample)
 	if joinURL != "" {
 		if err := clusterAnnounce(joinURL, "/cluster/join", srv.Addr()); err != nil {

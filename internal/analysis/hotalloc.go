@@ -19,14 +19,11 @@ import (
 // package's, so the contract follows the type shape, not a hard-coded
 // list; the lowercase form catches the internal layout kernels
 // (transformRowsSoA, transformColsSoA, ...) that the batch drivers fan
-// out to — (b) package-level Pack*/Unpack* functions whose signature
-// mentions an SoA-named type (the planar layout boundary shims, called
-// once per batch on the serving path), and (c) the
-// graph.Stage model closures Instr, Bytes, Count and Part, which engines
-// call once per stage execution or per task-loop partition. Stage Body
-// closures are deliberately NOT roots: a Body builds the band's State
-// buffers (PrepSticks, ScatterSplit, ...), which is an allocation by
-// design, amortized by the engine's per-band reuse.
+// out to — and (b) the graph.Stage model closures Instr, Bytes, Count and
+// Part, which engines call once per stage execution or per task-loop
+// partition. Stage Body closures are deliberately NOT roots: a Body builds
+// the band's State buffers (PrepSticks, ScatterSplit, ...), which is an
+// allocation by design, amortized by the engine's per-band reuse.
 //
 // Exemptions mirror the effect summaries (summary.go): panic arguments are
 // the failure path; calls into math, math/bits, math/cmplx, sync,
@@ -34,7 +31,7 @@ import (
 // is assumed to allocate.
 var HotAllocRule = Rule{
 	Name: "hotalloc",
-	Doc:  "transform hot paths (Plan.Transform*/transform*, SoA Pack*/Unpack* shims, graph.Stage model closures) must not allocate",
+	Doc:  "transform hot paths (Plan.Transform*/transform*, graph.Stage model closures) must not allocate",
 	Run:  runHotAlloc,
 }
 
@@ -119,8 +116,7 @@ func runHotAlloc(p *Pass) []Diagnostic {
 
 	decls := packageFuncDecls(info, p.Pkg.Files)
 	for _, f := range p.Pkg.Files {
-		// (a) Transform*/transform* methods on Plan* receivers and
-		// (b) SoA Pack*/Unpack* boundary shims.
+		// (a) Transform*/transform* methods on Plan* receivers.
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -132,13 +128,6 @@ func runHotAlloc(p *Pass) []Diagnostic {
 			}
 			sig, ok := fn.Type().(*types.Signature)
 			if !ok {
-				continue
-			}
-			if fd.Recv == nil {
-				if (strings.HasPrefix(fd.Name.Name, "Pack") || strings.HasPrefix(fd.Name.Name, "Unpack")) &&
-					sigMentionsSoA(sig) {
-					scanRoot(fd.Body, fd.Name.Name)
-				}
 				continue
 			}
 			if !strings.HasPrefix(fd.Name.Name, "Transform") && !strings.HasPrefix(fd.Name.Name, "transform") {
@@ -154,7 +143,7 @@ func runHotAlloc(p *Pass) []Diagnostic {
 			scanRoot(fd.Body, fmt.Sprintf("%s.%s", named.Obj().Name(), fd.Name.Name))
 		}
 
-		// (c) graph.Stage model closures.
+		// (b) graph.Stage model closures.
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok || !isStageLit(info, lit) {
@@ -208,20 +197,4 @@ func checkStageRef(p *Pass, decls map[*types.Func]*ast.FuncDecl, scanRoot func(a
 				s.Key.Display(), callPath(p.Prog, s.Key, EffAllocates), where),
 		})
 	}
-}
-
-// sigMentionsSoA reports whether any parameter or result of sig names a
-// type whose name contains "SoA" — the shape that marks a function as a
-// planar-layout boundary shim (fft.PackSoA, fft.UnpackSoA, and whatever
-// future layouts follow the convention).
-func sigMentionsSoA(sig *types.Signature) bool {
-	mention := func(t *types.Tuple) bool {
-		for i := 0; i < t.Len(); i++ {
-			if named := namedOf(t.At(i).Type()); named != nil && strings.Contains(named.Obj().Name(), "SoA") {
-				return true
-			}
-		}
-		return false
-	}
-	return mention(sig.Params()) || mention(sig.Results())
 }

@@ -89,41 +89,6 @@ func TransformFree(n int) []float64 {
 	return make([]float64, n)
 }
 
-// VecSoA stands in for the planar layout types: the rule treats
-// package-level Pack*/Unpack* functions whose signature mentions an
-// SoA-named type as hot roots (the layout boundary shims of the batch
-// path).
-type VecSoA struct {
-	Re, Im []float64
-}
-
-// PackVecSoA violates the contract: the shim must fill caller-provided
-// planes, never grow them.
-func PackVecSoA(v VecSoA, x []complex128) VecSoA {
-	v.Re = append(v.Re, 0) // want "append allocates in PackVecSoA"
-	for i, c := range x {
-		v.Re[i], v.Im[i] = real(c), imag(c)
-	}
-	return v
-}
-
-// UnpackVecSoA is the sanctioned shape: pure loops over preallocated
-// planes (a panic argument is the failure path).
-func UnpackVecSoA(dst []complex128, v VecSoA) {
-	if len(dst) > len(v.Re) {
-		panic(fmt.Sprintf("hotalloc: short planes: %d > %d", len(dst), len(v.Re)))
-	}
-	for i := range dst {
-		dst[i] = complex(v.Re[i], v.Im[i])
-	}
-}
-
-// PackOther does not mention an SoA type, so it is not a root even though
-// it allocates.
-func PackOther(x []complex128) []float64 {
-	return make([]float64, len(x))
-}
-
 // transformRowsLocal is an internal layout kernel: lowercase transform*
 // methods on Plan* receivers are hot roots too — the batch drivers fan
 // out to them.

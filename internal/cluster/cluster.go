@@ -8,10 +8,10 @@
 // cluster subsystem applies the paper's locality argument across
 // processes: routing by shape (the batching ShapeKey for transforms, the
 // workload descriptor for pipeline simulations) means each worker sees a
-// stable shard of the shape space, so its plan cache, SoA layout policy,
-// batch coalescing and per-shape performance profiles all stay hot for
-// exactly the shapes it owns — sharding for cache affinity, in the spirit
-// of DaggerFFT's locality-aware FFT task placement across nodes.
+// stable shard of the shape space, so its plan cache, SoA layout policy
+// and batch coalescing all stay hot for exactly the shapes it owns —
+// sharding for cache affinity, in the spirit of DaggerFFT's locality-aware
+// FFT task placement across nodes.
 //
 // The subsystem has four layers:
 //

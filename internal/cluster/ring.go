@@ -15,10 +15,9 @@ import (
 // shape sharding:
 //
 //   - stability: one shape always lands on one worker (until membership
-//     changes), so that worker's plan cache, SoA layout policy and
-//     per-shape performance profiles stay hot for exactly the shard it
-//     owns — the serving-layer analogue of the paper's per-node data
-//     locality;
+//     changes), so that worker's plan cache and SoA layout policy stay
+//     hot for exactly the shard it owns — the serving-layer analogue of
+//     the paper's per-node data locality;
 //   - minimal remapping: a worker joining or leaving moves only the keys
 //     in the arcs it gains or gives up (≈1/N of the keyspace), leaving
 //     every other worker's warm shard untouched — unlike modular hashing,

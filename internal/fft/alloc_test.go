@@ -3,8 +3,6 @@ package fft
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/par"
 )
 
 func allocVec(n int) []complex128 {
@@ -48,15 +46,6 @@ func TestTransformBluesteinZeroAllocs(t *testing.T) {
 	})
 }
 
-func TestTransformStridedZeroAllocs(t *testing.T) {
-	n, stride := 60, 7
-	p := NewPlan(n)
-	data := allocVec(n * stride)
-	assertZeroAllocs(t, "TransformStrided", func() {
-		p.TransformStrided(data, 3, stride, Forward)
-	})
-}
-
 func TestTransformManyZeroAllocs(t *testing.T) {
 	n, count := 90, 16
 	p := NewPlan(n)
@@ -82,21 +71,9 @@ func TestPlan3DZeroAllocs(t *testing.T) {
 	})
 }
 
-func TestTransformSoAZeroAllocs(t *testing.T) {
-	for _, n := range []int{97, 120, 128, 486} { // Bluestein, radix-8, planar mixed, generic
-		p := NewPlanRadix(n, RadixAuto)
-		v := NewSoA(n)
-		PackSoA(v, allocVec(n))
-		assertZeroAllocs(t, "TransformSoA", func() {
-			p.TransformSoA(v, Forward)
-			p.TransformSoA(v, Backward)
-		})
-	}
-}
-
 func TestTransformRowsSoAZeroAllocs(t *testing.T) {
 	for _, n := range []int{60, 120, 128, 486} {
-		p := NewPlanRadix(n, RadixAuto)
+		p := newPlanRadix(n, radixAuto)
 		rows := soaChunkRows + 5 // full chunk plus a partial tail
 		data := allocVec(n * rows)
 		assertZeroAllocs(t, "transformRowsSoA", func() {
@@ -105,22 +82,9 @@ func TestTransformRowsSoAZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestTransformBatchSoAZeroAllocs(t *testing.T) {
-	defer par.SetEnabled(true)
-	par.SetEnabled(false) // pin the chunk kernel; the fan-out closure of
-	// par.ParallelFor allocates once per call by design
-	n, rows := 120, soaChunkRows+5
-	p := NewPlanRadix(n, RadixAuto)
-	v := NewSoA(n * rows)
-	PackSoA(v, allocVec(n*rows))
-	assertZeroAllocs(t, "TransformBatchSoA", func() {
-		p.TransformBatchSoA(v, rows, Forward)
-	})
-}
-
 func TestTransformColsSoAZeroAllocs(t *testing.T) {
 	nx, ny := 60, 45
-	p := NewPlanRadix(nx, RadixAuto)
+	p := newPlanRadix(nx, radixAuto)
 	plane := allocVec(nx * ny)
 	assertZeroAllocs(t, "transformColsSoA", func() {
 		for iy0 := 0; iy0 < ny; iy0 += soaChunkRows {
@@ -136,9 +100,9 @@ func TestTransformColsSoAZeroAllocs(t *testing.T) {
 func TestVariantPlansZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		n int
-		r Radix
-	}{{128, Radix8}, {128, RadixSplit}, {120, Radix8}} {
-		p := NewPlanRadix(tc.n, tc.r)
+		r radix
+	}{{128, radix8}, {120, radix8}} {
+		p := newPlanRadix(tc.n, tc.r)
 		x := allocVec(tc.n)
 		assertZeroAllocs(t, "Transform("+tc.r.String()+")", func() {
 			p.Transform(x, Forward)

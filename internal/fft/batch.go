@@ -14,14 +14,14 @@ import (
 // lookup and one fan-out amortized over the whole batch.
 //
 // The batch path is also where the data-layout optimization lives: when
-// host parallelism is enabled, plans whose layout policy picked LayoutSoA
+// host parallelism is enabled, plans whose layout policy picked layoutSoA
 // run each worker's rows through the stage-batched planar chunk kernel
 // (transformRowsSoA) — pack once per chunk, every combine stage across the
 // whole chunk, pooled per-worker scratch — instead of per-row Transform
 // calls. With par.SetEnabled(false) every driver reduces to the plain
 // serial reference loop (TransformMany / per-item Transform), mirroring
 // par.ParallelFor's own contract: the disabled path is the reference
-// implementation. The two paths are bit-identical — the SoA butterflies
+// implementation. The two paths are bit-identical — the planar butterflies
 // mirror the AoS arithmetic exactly — so flipping -hostpar changes wall
 // clock only, never results.
 
@@ -35,6 +35,25 @@ const grainBatchSticks = soaChunkRows
 // overhead.
 const grainBatchBoxes = 1
 
+// planar reports whether the drivers run this plan through the planar chunk
+// kernels. It is the only place the layout decision is made: host
+// parallelism is on (off means the AoS serial reference) and the policy
+// picked layoutSoA for the shape, which implies iterative stages —
+// Bluestein lengths are layoutAoS.
+func (p *Plan) planar() bool { return par.Enabled() && p.layout == layoutSoA }
+
+// transformRows is the row-batch entry every driver shares (1-D batches,
+// the row pass of Plan2D, the z pass of Plan3D): it applies the plan in
+// place to rows contiguous rows on the layout planar picks. Both sides are
+// bit-identical to TransformMany.
+func (p *Plan) transformRows(data []complex128, rows int, sign Sign) {
+	if p.planar() {
+		p.transformRowsSoA(data, rows, sign)
+		return
+	}
+	p.TransformMany(data, rows, sign)
+}
+
 // TransformBatch applies the plan in place to count contiguous rows of
 // length N starting at data[0], fanning the rows out over host cores.
 // Results are bit-identical to TransformMany.
@@ -42,36 +61,8 @@ func (p *Plan) TransformBatch(data []complex128, count int, sign Sign) {
 	if len(data) < count*p.n {
 		panic("fft: TransformBatch: slice too short")
 	}
-	if !par.Enabled() {
-		p.TransformMany(data, count, sign)
-		return
-	}
-	if p.layout == LayoutSoA {
-		par.ParallelFor(count, grainBatchSticks, func(lo, hi int) {
-			p.transformRowsSoA(data[lo*p.n:hi*p.n], hi-lo, sign)
-		})
-		return
-	}
 	par.ParallelFor(count, grainBatchSticks, func(lo, hi int) {
-		p.TransformMany(data[lo*p.n:hi*p.n], hi-lo, sign)
-	})
-}
-
-// TransformBatchSoA applies the plan in place to count contiguous planar
-// rows of length N inside v, fanning the rows out over host cores through
-// the stage-batched planar chunk kernel. Results are bit-identical to
-// packing each row and calling Transform (Bluestein and split-radix plans
-// do exactly that internally).
-func (p *Plan) TransformBatchSoA(v SoA, count int, sign Sign) {
-	if len(v.Re) < count*p.n || len(v.Im) < count*p.n {
-		panic("fft: TransformBatchSoA: planar slices too short")
-	}
-	if !par.Enabled() {
-		p.transformRowsPlanar(v, count, sign)
-		return
-	}
-	par.ParallelFor(count, grainBatchSticks, func(lo, hi int) {
-		p.transformRowsPlanar(v.Slice(lo*p.n, hi*p.n), hi-lo, sign)
+		p.transformRows(data[lo*p.n:hi*p.n], hi-lo, sign)
 	})
 }
 
@@ -84,12 +75,6 @@ func (p *Plan2D) TransformBatch(data []complex128, count int, sign Sign) {
 	sz := p.nx * p.ny
 	if len(data) < count*sz {
 		panic("fft: Plan2D.TransformBatch: slice too short")
-	}
-	if !par.Enabled() {
-		for b := 0; b < count; b++ {
-			p.Transform(data[b*sz:(b+1)*sz], sign)
-		}
-		return
 	}
 	par.ParallelFor(count, grainBatchBoxes, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
@@ -104,12 +89,6 @@ func (p *Plan3D) TransformBatch(data []complex128, count int, sign Sign) {
 	sz := p.nx * p.ny * p.nz
 	if len(data) < count*sz {
 		panic("fft: Plan3D.TransformBatch: slice too short")
-	}
-	if !par.Enabled() {
-		for b := 0; b < count; b++ {
-			p.Transform(data[b*sz:(b+1)*sz], sign)
-		}
-		return
 	}
 	par.ParallelFor(count, grainBatchBoxes, func(lo, hi int) {
 		for b := lo; b < hi; b++ {

@@ -1,41 +1,11 @@
 package fft
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// Strided and cached-plan utilities.
-
-// TransformStrided computes the in-place transform of the N elements
-// data[offset], data[offset+stride], ..., gathering into a contiguous
-// scratch buffer, transforming and scattering back. It lets callers
-// transform columns of row-major planes without managing scratch
-// themselves.
-func (p *Plan) TransformStrided(data []complex128, offset, stride int, sign Sign) {
-	if stride <= 0 {
-		panic(fmt.Sprintf("fft: invalid stride %d", stride))
-	}
-	if stride == 1 {
-		p.Transform(data[offset:offset+p.n], sign)
-		return
-	}
-	need := offset + (p.n-1)*stride
-	if need >= len(data) {
-		panic(fmt.Sprintf("fft: strided transform reads index %d of %d", need, len(data)))
-	}
-	sp := p.scratch.Get().(*[]complex128)
-	buf := *sp
-	for i := 0; i < p.n; i++ {
-		buf[i] = data[offset+i*stride]
-	}
-	p.Transform(buf, sign)
-	for i := 0; i < p.n; i++ {
-		data[offset+i*stride] = buf[i]
-	}
-	p.scratch.Put(sp)
-}
+// The plan cache.
 
 // snapGet is the lock-free read of an atomic-snapshot map: it loads the
 // current immutable snapshot and looks the key up.
@@ -95,7 +65,7 @@ type Cache struct {
 func (c *Cache) Builds() int64 { return c.builds.Load() }
 
 // Get returns the cached plan for length n, creating it on first use.
-// Cached plans are built with RadixAuto, so a lookup resolves the
+// Cached plans are built with radixAuto, so a lookup resolves the
 // per-shape layout+radix policy (PickRadix, PickLayout) exactly once —
 // the serving path never re-derives variants per request.
 func (c *Cache) Get(n int) *Plan {
@@ -107,7 +77,7 @@ func (c *Cache) Get(n int) *Plan {
 	if p, ok := snapGet(&c.plans, n); ok {
 		return p
 	}
-	p := NewPlanRadix(n, RadixAuto)
+	p := newPlanRadix(n, radixAuto)
 	c.builds.Add(1)
 	snapPut(&c.plans, n, p)
 	return p

@@ -10,7 +10,7 @@
 // digit-reversal permutation of its factorization and one twiddle table per
 // stage and direction, so the per-transform inner loops contain no modular
 // reductions, no conjugations and no recursion — only table lookups and the
-// radix butterflies (specialized for radix 2 and 4).
+// radix butterflies (specialized for radix 2, 4 and 8).
 //
 // Sign convention: Forward applies X[k] = sum_j x[j]·exp(-2πi·jk/n) and
 // Backward the conjugate kernel; neither scales, so Backward(Forward(x))
@@ -51,8 +51,8 @@ type stage struct {
 	// wr[j·r+q], used by the generic small-prime butterfly (nil for the
 	// specialized radices 2, 4 and 8).
 	wr [2][]complex128
-	// twr/twi are the planar (SoA) copies of tw for the split re/im code
-	// path. Specialized radices (2, 4, 8) store them q-major — r-1
+	// twr/twi are the planar (SoA) copies of tw for the cell-major chunk
+	// kernels. Specialized radices (2, 4, 8) store them q-major — r-1
 	// sequential streams of m values at twr[(q-1)·m + k1] — because their
 	// unrolled butterflies read one stream per input; the generic stage
 	// keeps the AoS k-major layout twr[(r-1)·k1 + q-1] because its inner
@@ -71,30 +71,27 @@ type Plan struct {
 	perm    []int   // perm[i] = digit-reversed source index of work cell i
 	stages  []stage // bottom-up combine passes (smallest sub-length first)
 	blu     *bluestein
-	sr      *splitRadix
-	radix   Radix  // the radix policy the plan was built with
-	layout  Layout // the batch-path layout the policy picked for this shape
+	radix   radix  // the radix policy the plan was built with
+	layout  layout // the batch-path layout the policy picked for this shape
 	flops   float64
 	scratch sync.Pool
-	soa     sync.Pool // *soaBuf of n planar cells (SoA per-row scratch)
 	soaRows sync.Pool // *soaBuf of soaChunkRows·n cells (batched chunk scratch)
 }
 
 // NewPlan creates a plan for transforms of length n with the legacy
 // mixed-radix (radix-4 preference) factorization — the bit-identical
 // baseline every other variant is validated against.
-func NewPlan(n int) *Plan { return NewPlanRadix(n, RadixMixed) }
+func NewPlan(n int) *Plan { return newPlanRadix(n, radixMixed) }
 
-// NewPlanRadix creates a plan for transforms of length n built with the
-// given radix policy. RadixAuto resolves per shape (see PickRadix);
-// policies a shape cannot satisfy (RadixSplit on a non-power-of-two,
-// Radix8 on an odd length) degrade to the mixed-radix factorization, so
-// every policy yields a working plan for every length.
-func NewPlanRadix(n int, r Radix) *Plan {
+// newPlanRadix creates a plan for transforms of length n built with the
+// given radix policy. radixAuto resolves per shape (see PickRadix);
+// radix8 on a length not divisible by 8 degrades to the mixed-radix
+// factorization, so every policy yields a working plan for every length.
+func newPlanRadix(n int, r radix) *Plan {
 	if n <= 0 {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
-	if r == RadixAuto {
+	if r == radixAuto {
 		r = PickRadix(n)
 	}
 	p := &Plan{n: n, radix: r, layout: PickLayout(n)}
@@ -102,19 +99,13 @@ func NewPlanRadix(n int, r Radix) *Plan {
 		s := make([]complex128, n)
 		return &s
 	}
-	p.soa.New = func() any { return newSoaBuf(n) }
 	p.soaRows.New = func() any { return newSoaBuf(soaLd(soaChunkRows) * n) }
-	if r == RadixSplit && isPow2(n) && n >= 4 {
-		p.layout = LayoutAoS // split-radix runs AoS; SoA packs through it
-		p.sr = newSplitRadix(n)
-		p.flops = p.sr.flops()
-		return p
-	}
 	fs, ok := factorize(n, r)
 	if !ok {
+		// PickLayout already answered layoutAoS: the chirp convolution
+		// runs on complex scratch.
 		p.blu = newBluestein(n)
 		p.flops = p.blu.flops()
-		p.layout = LayoutAoS // Bluestein runs AoS; SoA packs through it
 		return p
 	}
 	p.factors = fs
@@ -123,13 +114,6 @@ func NewPlanRadix(n int, r Radix) *Plan {
 	p.buildStages()
 	return p
 }
-
-// Radix returns the radix policy the plan was built with (resolved, never
-// RadixAuto).
-func (p *Plan) Radix() Radix { return p.radix }
-
-// Layout returns the data layout the batch drivers use for this plan.
-func (p *Plan) Layout() Layout { return p.layout }
 
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
@@ -223,11 +207,6 @@ func (p *Plan) buildStages() {
 	}
 }
 
-// smallFactors factorizes n into radices drawn from {4,2,3,5,7,11,13},
-// preferring radix 4 — the legacy mixed-radix factorization (the recursive
-// test baseline shares it).
-func smallFactors(n int) ([]int, bool) { return factorize(n, RadixMixed) }
-
 // ctFlops estimates the flop count of a mixed-radix transform: each stage of
 // radix r applies n/r generic r-point DFTs (r(r-1) complex mul-adds ~ 8r(r-1)
 // flops for the direct small-prime form, ~5r·log2(r)-ish for 2/4) plus n
@@ -272,10 +251,6 @@ func (p *Plan) Transform(x []complex128, sign Sign) {
 	}
 	if p.blu != nil {
 		p.blu.transform(x, sign)
-		return
-	}
-	if p.sr != nil {
-		p.sr.transform(x, sign)
 		return
 	}
 	sp := p.scratch.Get().(*[]complex128)

@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -36,6 +37,58 @@ func FuzzRoundTrip(f *testing.F) {
 		for i := range x {
 			if cmplx.Abs(y[i]-x[i]) > 1e-8*(1+cmplx.Abs(x[i]))*float64(n) {
 				t.Fatalf("n=%d: roundtrip mismatch at %d: %v vs %v", n, i, y[i], x[i])
+			}
+		}
+	})
+}
+
+// FuzzBatchMatchesReference is the differential kernel fuzz. For any
+// length, row count and direction, the policy plan's TransformBatch (the
+// plan comes from the cache, as every product caller gets it; host
+// parallelism is on by default, so planar shapes run the chunk kernels,
+// with partial tail chunks and fan-out) must equal the same plan's serial
+// AoS TransformMany bit for bit: the layout never moves a bit. Across
+// factorizations the contract is rounding tolerance: against the
+// mixed-radix baseline for every length, and against the naive DFT up to
+// 256.
+func FuzzBatchMatchesReference(f *testing.F) {
+	f.Add(4, 1, false)    // mixed/AoS
+	f.Add(64, 40, true)   // radix-8/AoS
+	f.Add(128, 33, false) // mixed/SoA, one full chunk plus one row
+	f.Add(120, 70, true)  // radix-8/SoA, fans out
+	f.Add(486, 5, false)  // generic stages, short chunk
+	f.Add(97, 3, true)    // Bluestein
+	f.Add(1000, 2, false) // radix-8 with generic tail
+	f.Fuzz(func(t *testing.T, n, rows int, backward bool) {
+		if n < 1 || n > 1024 || rows < 1 || rows > 80 {
+			t.Skip()
+		}
+		sign := Forward
+		if backward {
+			sign = Backward
+		}
+		x := randVec(rand.New(rand.NewSource(int64(n)<<8|int64(rows))), n*rows)
+		p := DefaultCache.Get(n)
+		got := append([]complex128(nil), x...)
+		p.TransformBatch(got, rows, sign)
+		same := append([]complex128(nil), x...)
+		p.TransformMany(same, rows, sign)
+		for i := range got {
+			if got[i] != same[i] {
+				t.Fatalf("n=%d rows=%d sign=%d (%v/%v) i=%d: batch %v != serial AoS %v",
+					n, rows, sign, p.radix, p.layout, i, got[i], same[i])
+			}
+		}
+		tol := 1e-9 * float64(n)
+		base := append([]complex128(nil), x...)
+		NewPlan(n).TransformMany(base, rows, sign)
+		if d := maxDiff(got, base); d > tol {
+			t.Fatalf("n=%d rows=%d sign=%d: %g from the mixed-radix baseline", n, rows, sign, d)
+		}
+		if n <= 256 {
+			last := (rows - 1) * n
+			if d := maxDiff(got[last:], DFT(x[last:], sign)); d > tol {
+				t.Fatalf("n=%d rows=%d sign=%d: %g from the naive DFT", n, rows, sign, d)
 			}
 		}
 	})

@@ -6,11 +6,9 @@ import (
 )
 
 // Benchmark pairs comparing the iterative table-driven kernel against the
-// recursive baseline it replaced (kept in recursive_test.go), and the
-// blocked 2-D column pass against the per-column strided form. The
-// Iterative/Recursive and Blocked/PerColumn name pairs are what
-// scripts/bench-json.sh turns into the kernel_speedups section of
-// BENCH_fft.json.
+// recursive baseline it replaced (kept in recursive_test.go). The
+// Iterative/Recursive name pairs are what scripts/bench-json.sh turns into
+// the kernel_speedups section of BENCH_fft.json.
 
 func benchVec(n int) []complex128 {
 	return randVec(rand.New(rand.NewSource(11)), n)
@@ -55,22 +53,6 @@ func BenchmarkPlan2D_Blocked_60x60(b *testing.B) {
 	}
 }
 
-// BenchmarkPlan2D_PerColumn_60x60 is the pre-blocking column pass: rows via
-// TransformMany, then one strided gather/transform/scatter per column.
-func BenchmarkPlan2D_PerColumn_60x60(b *testing.B) {
-	nx, ny := 60, 60
-	px, py := NewPlan(nx), NewPlan(ny)
-	plane := benchVec(nx * ny)
-	b.SetBytes(int64(16 * len(plane)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		py.TransformMany(plane, nx, Forward)
-		for iy := 0; iy < ny; iy++ {
-			px.TransformStrided(plane, iy, ny, Forward)
-		}
-	}
-}
-
 func BenchmarkPlan3D_20x18x24(b *testing.B) {
 	p := NewPlan3D(20, 18, 24)
 	box := benchVec(20 * 18 * 24)
@@ -88,8 +70,8 @@ func BenchmarkPlan3D_20x18x24(b *testing.B) {
 // were measured off this matrix (64 is the pure-pow2 shape AoS keeps, 128
 // the pow2 shape the planar mixed path wins, 120 the 8·odd shape radix-8
 // wins, 486 the generic-stage shape with the largest planar gain).
-func benchmarkBatchLayout(b *testing.B, n int, r Radix, soa bool) {
-	p := NewPlanRadix(n, r)
+func benchmarkBatchLayout(b *testing.B, n int, r radix, soa bool) {
+	p := newPlanRadix(n, r)
 	rows := soaChunkRows
 	data := randVec(rand.New(rand.NewSource(11)), n*rows)
 	b.SetBytes(int64(16 * n * rows))
@@ -103,19 +85,13 @@ func benchmarkBatchLayout(b *testing.B, n int, r Radix, soa bool) {
 	}
 }
 
-func BenchmarkBatch_AoS_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, RadixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, RadixMixed, true) }
-func BenchmarkBatch_AoS_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, RadixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, RadixMixed, true) }
-func BenchmarkBatch_AoS_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, RadixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, RadixMixed, true) }
-func BenchmarkBatch_AoS_Radix8_64(b *testing.B)  { benchmarkBatchLayout(b, 64, Radix8, false) }
-func BenchmarkBatch_SoA_Radix8_64(b *testing.B)  { benchmarkBatchLayout(b, 64, Radix8, true) }
-func BenchmarkBatch_AoS_Radix8_120(b *testing.B) { benchmarkBatchLayout(b, 120, Radix8, false) }
-func BenchmarkBatch_SoA_Radix8_120(b *testing.B) { benchmarkBatchLayout(b, 120, Radix8, true) }
-
-// BenchmarkBatch_AoS_Split_128 records the split-radix variant next to
-// the families above — the flop-count argument for split radix does not
-// survive contact with the batched iterative kernels, which is why
-// RadixSplit is never auto-picked.
-func BenchmarkBatch_AoS_Split_128(b *testing.B) { benchmarkBatchLayout(b, 128, RadixSplit, false) }
+func BenchmarkBatch_AoS_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, radixMixed, false) }
+func BenchmarkBatch_SoA_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, radixMixed, true) }
+func BenchmarkBatch_AoS_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, radixMixed, false) }
+func BenchmarkBatch_SoA_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, radixMixed, true) }
+func BenchmarkBatch_AoS_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, radixMixed, false) }
+func BenchmarkBatch_SoA_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, radixMixed, true) }
+func BenchmarkBatch_AoS_Radix8_64(b *testing.B)  { benchmarkBatchLayout(b, 64, radix8, false) }
+func BenchmarkBatch_SoA_Radix8_64(b *testing.B)  { benchmarkBatchLayout(b, 64, radix8, true) }
+func BenchmarkBatch_AoS_Radix8_120(b *testing.B) { benchmarkBatchLayout(b, 120, radix8, false) }
+func BenchmarkBatch_SoA_Radix8_120(b *testing.B) { benchmarkBatchLayout(b, 120, radix8, true) }

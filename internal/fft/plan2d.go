@@ -3,8 +3,6 @@ package fft
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/par"
 )
 
 // colBlock is the number of columns gathered per cache block of the 2-D
@@ -32,10 +30,10 @@ type Plan2D struct {
 }
 
 // NewPlan2D creates a plane transform for nx × ny grids. The per-axis
-// plans resolve the RadixAuto policy, so each axis gets the measured-best
+// plans resolve the radixAuto policy, so each axis gets the measured-best
 // butterfly family for its length.
 func NewPlan2D(nx, ny int) *Plan2D {
-	p := &Plan2D{nx: nx, ny: ny, px: NewPlanRadix(nx, RadixAuto), py: NewPlanRadix(ny, RadixAuto)}
+	p := &Plan2D{nx: nx, ny: ny, px: newPlanRadix(nx, radixAuto), py: newPlanRadix(ny, radixAuto)}
 	p.colBuf.New = func() any {
 		s := make([]complex128, nx*colBlock)
 		return &s
@@ -59,16 +57,11 @@ func (p *Plan2D) Transform(plane []complex128, sign Sign) {
 	if len(plane) != p.nx*p.ny {
 		panic(fmt.Sprintf("fft: Plan2D.Transform on %d elements, want %d", len(plane), p.nx*p.ny))
 	}
-	fast := par.Enabled()
 	// Rows (contiguous along y).
-	if fast && p.py.soaBatch() {
-		p.py.transformRowsSoA(plane, p.nx, sign)
-	} else {
-		p.py.TransformMany(plane, p.nx, sign)
-	}
+	p.py.transformRows(plane, p.nx, sign)
 	// Columns: the planar path packs straight from the plane (strided),
 	// so the transpose is free.
-	if fast && p.px.soaBatch() {
+	if p.px.planar() {
 		for iy0 := 0; iy0 < p.ny; iy0 += colBlock {
 			nb := p.ny - iy0
 			if nb > colBlock {
@@ -124,7 +117,7 @@ type Plan3D struct {
 
 // NewPlan3D creates a 3-D transform for nx × ny × nz boxes.
 func NewPlan3D(nx, ny, nz int) *Plan3D {
-	p := &Plan3D{nx: nx, ny: ny, nz: nz, pz: NewPlanRadix(nz, RadixAuto), pxy: NewPlan2D(nx, ny)}
+	p := &Plan3D{nx: nx, ny: ny, nz: nz, pz: newPlanRadix(nz, radixAuto), pxy: NewPlan2D(nx, ny)}
 	p.planes.New = func() any {
 		s := make([]complex128, nx*ny*zBlock)
 		return &s
@@ -142,13 +135,8 @@ func (p *Plan3D) Transform(box []complex128, sign Sign) {
 	if len(box) != p.nx*p.ny*p.nz {
 		panic(fmt.Sprintf("fft: Plan3D.Transform on %d elements, want %d", len(box), p.nx*p.ny*p.nz))
 	}
-	// Z sticks are contiguous; the planar chunk kernel batches them when
-	// the layout policy picked it (bit-identical to TransformMany).
-	if par.Enabled() && p.pz.soaBatch() {
-		p.pz.transformRowsSoA(box, p.nx*p.ny, sign)
-	} else {
-		p.pz.TransformMany(box, p.nx*p.ny, sign)
-	}
+	// Z sticks are contiguous: one row batch.
+	p.pz.transformRows(box, p.nx*p.ny, sign)
 	// XY planes have stride nz between xy neighbors: gather zBlock planes
 	// at a time from the pooled buffer (blocked transpose), transform, and
 	// scatter back.

@@ -5,7 +5,7 @@ import "math"
 // invSqrt2 is √2/2, the magnitude of the odd eighth roots of unity. The
 // radix-8 butterfly multiplies by (±√2/2)(1∓i) with two real
 // multiplications and two additions instead of a full complex multiply;
-// the SoA butterfly (stageRadix8SoA) mirrors the same formula so both
+// the planar butterfly (stageRadix8Rows) mirrors the same formula so both
 // layouts stay bit-identical.
 const invSqrt2 = math.Sqrt2 / 2
 

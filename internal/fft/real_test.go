@@ -100,50 +100,6 @@ func TestPropertyRealParseval(t *testing.T) {
 	}
 }
 
-func TestTransformStridedMatchesContiguous(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	p := NewPlan(12)
-	const stride, offset = 5, 3
-	data := make([]complex128, offset+12*stride+2)
-	for i := range data {
-		data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	orig := append([]complex128(nil), data...)
-	want := make([]complex128, 12)
-	for i := range want {
-		want[i] = data[offset+i*stride]
-	}
-	p.Transform(want, Forward)
-
-	p.TransformStrided(data, offset, stride, Forward)
-	for i := 0; i < 12; i++ {
-		if d := cmplx.Abs(data[offset+i*stride] - want[i]); d > 1e-12 {
-			t.Fatalf("strided element %d: %v vs %v", i, data[offset+i*stride], want[i])
-		}
-	}
-	// Untouched elements must stay untouched.
-	for i := range data {
-		touched := false
-		for j := 0; j < 12; j++ {
-			if i == offset+j*stride {
-				touched = true
-			}
-		}
-		if !touched && data[i] != orig[i] {
-			t.Fatalf("element %d outside stride set modified", i)
-		}
-	}
-}
-
-func TestTransformStridedBoundsCheck(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewPlan(8).TransformStrided(make([]complex128, 10), 0, 2, Forward)
-}
-
 func TestCacheReusesPlans(t *testing.T) {
 	var c Cache
 	a := c.Get(48)

@@ -18,7 +18,7 @@ type recursivePlan struct {
 }
 
 func newRecursivePlan(n int) *recursivePlan {
-	fs, ok := smallFactors(n)
+	fs, ok := factorize(n, radixMixed)
 	if !ok {
 		panic("recursivePlan: length needs Bluestein")
 	}

@@ -1,70 +1,27 @@
 package fft
 
-// The SoA (structure-of-arrays) code path: planar re/im transforms for the
-// batched stick drivers. The AoS kernels operate on []complex128, whose
-// 16-byte elements make the compiler shuffle real/imaginary pairs through
-// registers on every butterfly; the planar kernels run the same arithmetic
-// over two separate []float64 slices, which compiles to straight-line
-// scalar float code with simpler addressing and no pair packing.
+// The SoA (structure-of-arrays) code path: planar re/im chunk kernels for
+// the batched row and column drivers. The AoS kernels operate on
+// []complex128, whose 16-byte elements make the compiler shuffle
+// real/imaginary pairs through registers on every butterfly; the planar
+// kernels run the same arithmetic over two separate []float64 slices, which
+// compiles to straight-line scalar float code with simpler addressing and
+// no pair packing.
 //
-// Bit-identity is a hard contract: every SoA butterfly mirrors its AoS
+// Bit-identity is a hard contract: every planar butterfly mirrors its AoS
 // counterpart operation for operation (same products, same rounding points,
 // same evaluation order — the explicit float64(...) conversions pin the
-// intermediate roundings the complex arithmetic performs), so the SoA path
-// produces bit-identical spectra and the equivalence tests compare with ==,
-// not a tolerance. Lengths the iterative kernel cannot factorize (Bluestein
-// fallback) and split-radix plans pack through the AoS path instead.
+// intermediate roundings the complex arithmetic performs), so the planar
+// path produces bit-identical spectra and the equivalence tests compare
+// with ==, not a tolerance. Lengths the iterative kernel cannot factorize
+// (Bluestein fallback) stay on the AoS path.
 //
-// Layout: a SoA value is two equal-length planes. The batch drivers pack
-// AoS rows into pooled planar scratch at the chunk boundary (PackSoA /
-// UnpackSoA are the shims), run every combine stage across the whole chunk
-// — stage-major, so one stage's twiddle stream stays hot across all rows —
-// and unpack on the way out. Steady state allocates nothing: scratch comes
-// from per-plan pools (the fftxvet hotalloc rule roots the SoA entry
-// points and the shims).
-
-// SoA is a planar complex vector: element i is complex(Re[i], Im[i]).
-// The planes must be of equal length.
-type SoA struct {
-	Re, Im []float64
-}
-
-// NewSoA allocates a planar vector of n cells.
-func NewSoA(n int) SoA {
-	return SoA{Re: make([]float64, n), Im: make([]float64, n)}
-}
-
-// Len returns the number of complex cells.
-func (v SoA) Len() int { return len(v.Re) }
-
-// Slice returns the planar sub-vector [lo,hi).
-func (v SoA) Slice(lo, hi int) SoA {
-	return SoA{Re: v.Re[lo:hi:hi], Im: v.Im[lo:hi:hi]}
-}
-
-// PackSoA is the AoS→planar boundary shim: it splits src into dst's re/im
-// planes. It is allocation-free; dst must already hold len(src) cells.
-func PackSoA(dst SoA, src []complex128) {
-	if len(dst.Re) < len(src) || len(dst.Im) < len(src) {
-		panic("fft: PackSoA: planar destination too short")
-	}
-	re, im := dst.Re[:len(src)], dst.Im[:len(src)]
-	for i, v := range src {
-		re[i] = real(v)
-		im[i] = imag(v)
-	}
-}
-
-// UnpackSoA is the planar→AoS boundary shim, the inverse of PackSoA.
-func UnpackSoA(dst []complex128, src SoA) {
-	if len(src.Re) < len(dst) || len(src.Im) < len(dst) {
-		panic("fft: UnpackSoA: planar source too short")
-	}
-	re, im := src.Re[:len(dst)], src.Im[:len(dst)]
-	for i := range dst {
-		dst[i] = complex(re[i], im[i])
-	}
-}
+// Layout: the drivers pack AoS rows into pooled planar scratch at the chunk
+// boundary, run every combine stage across the whole chunk — stage-major,
+// so one stage's twiddle stream stays hot across all rows — and unpack on
+// the way out. Steady state allocates nothing: scratch comes from a
+// per-plan pool (the fftxvet hotalloc rule roots the transform* entry
+// points).
 
 // soaChunkRows is the number of batch rows one pooled chunk buffer holds:
 // the stage-batched chunk kernel packs up to this many rows at once, so
@@ -103,238 +60,6 @@ func newSoaBuf(n int) *soaBuf {
 	return &soaBuf{re: make([]float64, n), im: make([]float64, n)}
 }
 
-// TransformSoA computes the in-place transform of the planar vector v
-// (length N). It is bit-identical to Transform on the packed equivalent.
-// Bluestein and split-radix plans run AoS internally, so this entry packs
-// through pooled complex scratch for them; every path is allocation-free
-// in steady state.
-func (p *Plan) TransformSoA(v SoA, sign Sign) {
-	if len(v.Re) != p.n || len(v.Im) != p.n {
-		panic("fft: TransformSoA: planar length does not match the plan")
-	}
-	if p.n == 1 {
-		return
-	}
-	if p.stages == nil {
-		// Bluestein or split-radix: pack through the AoS path.
-		sp := p.scratch.Get().(*[]complex128)
-		x := *sp
-		UnpackSoA(x, v)
-		p.Transform(x, sign)
-		PackSoA(v, x)
-		p.scratch.Put(sp)
-		return
-	}
-	sp := p.soa.Get().(*soaBuf)
-	wr, wi := sp.re, sp.im
-	re, im := v.Re, v.Im
-	for i, s := range p.perm {
-		wr[i] = re[s]
-		wi[i] = im[s]
-	}
-	p.combineSoA(wr, wi, sign)
-	copy(re, wr)
-	copy(im, wi)
-	p.soa.Put(sp)
-}
-
-// combineSoA runs the iterative bottom-up combine passes over one
-// digit-reversed planar work row.
-func (p *Plan) combineSoA(wr, wi []float64, sign Sign) {
-	si := 0
-	if sign == Backward {
-		si = 1
-	}
-	for t := range p.stages {
-		st := &p.stages[t]
-		switch st.r {
-		case 2:
-			stageRadix2SoA(wr, wi, st.m, st.twr[si], st.twi[si])
-		case 4:
-			stageRadix4SoA(wr, wi, st.m, st.twr[si], st.twi[si], sign)
-		case 8:
-			stageRadix8SoA(wr, wi, st.m, st.twr[si], st.twi[si], sign)
-		default:
-			stageGenericSoA(wr, wi, st.r, st.m, st.twr[si], st.twi[si], st.wrr[si], st.wri[si])
-		}
-	}
-}
-
-// stageRadix2SoA is the planar mirror of stageRadix2.
-func stageRadix2SoA(wr, wi []float64, m int, twr, twi []float64) {
-	n := len(wr)
-	twr = twr[:m:m]
-	twi = twi[:m:m]
-	for o := 0; o < n; o += 2 * m {
-		lr := wr[o : o+m : o+m]
-		li := wi[o : o+m : o+m]
-		hr := wr[o+m : o+2*m : o+2*m]
-		hi := wi[o+m : o+2*m : o+2*m]
-		for k := 0; k < m; k++ {
-			ar, ai := lr[k], li[k]
-			xr, xi := hr[k], hi[k]
-			br := float64(xr*twr[k]) - float64(xi*twi[k])
-			bi := float64(xi*twr[k]) + float64(xr*twi[k])
-			lr[k], li[k] = ar+br, ai+bi
-			hr[k], hi[k] = ar-br, ai-bi
-		}
-	}
-}
-
-// stageRadix4SoA is the planar mirror of stageRadix4: same arithmetic,
-// q-major twiddle streams.
-func stageRadix4SoA(wr, wi []float64, m int, twr, twi []float64, sign Sign) {
-	n := len(wr)
-	t1r, t1i := twr[:m:m], twi[:m:m]
-	t2r, t2i := twr[m:2*m:2*m], twi[m:2*m:2*m]
-	t3r, t3i := twr[2*m:3*m:3*m], twi[2*m:3*m:3*m]
-	for o := 0; o < n; o += 4 * m {
-		b0r := wr[o : o+m : o+m]
-		b0i := wi[o : o+m : o+m]
-		b1r := wr[o+m : o+2*m : o+2*m]
-		b1i := wi[o+m : o+2*m : o+2*m]
-		b2r := wr[o+2*m : o+3*m : o+3*m]
-		b2i := wi[o+2*m : o+3*m : o+3*m]
-		b3r := wr[o+3*m : o+4*m : o+4*m]
-		b3i := wi[o+3*m : o+4*m : o+4*m]
-		if sign == Forward {
-			for k := 0; k < m; k++ {
-				ar, ai := b0r[k], b0i[k]
-				x1r, x1i := b1r[k], b1i[k]
-				br := float64(x1r*t1r[k]) - float64(x1i*t1i[k])
-				bi := float64(x1i*t1r[k]) + float64(x1r*t1i[k])
-				x2r, x2i := b2r[k], b2i[k]
-				cr := float64(x2r*t2r[k]) - float64(x2i*t2i[k])
-				ci := float64(x2i*t2r[k]) + float64(x2r*t2i[k])
-				x3r, x3i := b3r[k], b3i[k]
-				dr := float64(x3r*t3r[k]) - float64(x3i*t3i[k])
-				di := float64(x3i*t3r[k]) + float64(x3r*t3i[k])
-				s0r, s0i := ar+cr, ai+ci
-				s1r, s1i := ar-cr, ai-ci
-				s2r, s2i := br+dr, bi+di
-				s3r, s3i := br-dr, bi-di
-				// jt = -i·s3 = (s3i, -s3r)
-				b0r[k], b0i[k] = s0r+s2r, s0i+s2i
-				b1r[k], b1i[k] = s1r+s3i, s1i-s3r
-				b2r[k], b2i[k] = s0r-s2r, s0i-s2i
-				b3r[k], b3i[k] = s1r-s3i, s1i+s3r
-			}
-		} else {
-			for k := 0; k < m; k++ {
-				ar, ai := b0r[k], b0i[k]
-				x1r, x1i := b1r[k], b1i[k]
-				br := float64(x1r*t1r[k]) - float64(x1i*t1i[k])
-				bi := float64(x1i*t1r[k]) + float64(x1r*t1i[k])
-				x2r, x2i := b2r[k], b2i[k]
-				cr := float64(x2r*t2r[k]) - float64(x2i*t2i[k])
-				ci := float64(x2i*t2r[k]) + float64(x2r*t2i[k])
-				x3r, x3i := b3r[k], b3i[k]
-				dr := float64(x3r*t3r[k]) - float64(x3i*t3i[k])
-				di := float64(x3i*t3r[k]) + float64(x3r*t3i[k])
-				s0r, s0i := ar+cr, ai+ci
-				s1r, s1i := ar-cr, ai-ci
-				s2r, s2i := br+dr, bi+di
-				s3r, s3i := br-dr, bi-di
-				// jt = +i·s3 = (-s3i, s3r)
-				b0r[k], b0i[k] = s0r+s2r, s0i+s2i
-				b1r[k], b1i[k] = s1r-s3i, s1i+s3r
-				b2r[k], b2i[k] = s0r-s2r, s0i-s2i
-				b3r[k], b3i[k] = s1r+s3i, s1i-s3r
-			}
-		}
-	}
-}
-
-// stageRadix8SoA is the planar mirror of stageRadix8.
-func stageRadix8SoA(wr, wi []float64, m int, twr, twi []float64, sign Sign) {
-	n := len(wr)
-	for o := 0; o < n; o += 8 * m {
-		if sign == Forward {
-			for k := 0; k < m; k++ {
-				a0r, a0i := wr[o+k], wi[o+k]
-				a1r, a1i := cmulSoA(wr[o+m+k], wi[o+m+k], twr[k], twi[k])
-				a2r, a2i := cmulSoA(wr[o+2*m+k], wi[o+2*m+k], twr[m+k], twi[m+k])
-				a3r, a3i := cmulSoA(wr[o+3*m+k], wi[o+3*m+k], twr[2*m+k], twi[2*m+k])
-				a4r, a4i := cmulSoA(wr[o+4*m+k], wi[o+4*m+k], twr[3*m+k], twi[3*m+k])
-				a5r, a5i := cmulSoA(wr[o+5*m+k], wi[o+5*m+k], twr[4*m+k], twi[4*m+k])
-				a6r, a6i := cmulSoA(wr[o+6*m+k], wi[o+6*m+k], twr[5*m+k], twi[5*m+k])
-				a7r, a7i := cmulSoA(wr[o+7*m+k], wi[o+7*m+k], twr[6*m+k], twi[6*m+k])
-				t0r, t0i := a0r+a4r, a0i+a4i
-				t1r, t1i := a0r-a4r, a0i-a4i
-				t2r, t2i := a2r+a6r, a2i+a6i
-				t3r, t3i := a2r-a6r, a2i-a6i
-				u0r, u0i := a1r+a5r, a1i+a5i
-				u1r, u1i := a1r-a5r, a1i-a5i
-				u2r, u2i := a3r+a7r, a3i+a7i
-				u3r, u3i := a3r-a7r, a3i-a7i
-				// jt3 = -i·t3, ju3 = -i·u3
-				e0r, e0i := t0r+t2r, t0i+t2i
-				e2r, e2i := t0r-t2r, t0i-t2i
-				e1r, e1i := t1r+t3i, t1i-t3r
-				e3r, e3i := t1r-t3i, t1i+t3r
-				o0r, o0i := u0r+u2r, u0i+u2i
-				o2r, o2i := u0r-u2r, u0i-u2i
-				o1r, o1i := u1r+u3i, u1i-u3r
-				o3r, o3i := u1r-u3i, u1i+u3r
-				co1r := invSqrt2 * (o1r + o1i)
-				co1i := invSqrt2 * (o1i - o1r)
-				jo2r, jo2i := o2i, -o2r
-				do3r := invSqrt2 * (o3i - o3r)
-				do3i := -invSqrt2 * (o3r + o3i)
-				wr[o+k], wi[o+k] = e0r+o0r, e0i+o0i
-				wr[o+4*m+k], wi[o+4*m+k] = e0r-o0r, e0i-o0i
-				wr[o+m+k], wi[o+m+k] = e1r+co1r, e1i+co1i
-				wr[o+5*m+k], wi[o+5*m+k] = e1r-co1r, e1i-co1i
-				wr[o+2*m+k], wi[o+2*m+k] = e2r+jo2r, e2i+jo2i
-				wr[o+6*m+k], wi[o+6*m+k] = e2r-jo2r, e2i-jo2i
-				wr[o+3*m+k], wi[o+3*m+k] = e3r+do3r, e3i+do3i
-				wr[o+7*m+k], wi[o+7*m+k] = e3r-do3r, e3i-do3i
-			}
-		} else {
-			for k := 0; k < m; k++ {
-				a0r, a0i := wr[o+k], wi[o+k]
-				a1r, a1i := cmulSoA(wr[o+m+k], wi[o+m+k], twr[k], twi[k])
-				a2r, a2i := cmulSoA(wr[o+2*m+k], wi[o+2*m+k], twr[m+k], twi[m+k])
-				a3r, a3i := cmulSoA(wr[o+3*m+k], wi[o+3*m+k], twr[2*m+k], twi[2*m+k])
-				a4r, a4i := cmulSoA(wr[o+4*m+k], wi[o+4*m+k], twr[3*m+k], twi[3*m+k])
-				a5r, a5i := cmulSoA(wr[o+5*m+k], wi[o+5*m+k], twr[4*m+k], twi[4*m+k])
-				a6r, a6i := cmulSoA(wr[o+6*m+k], wi[o+6*m+k], twr[5*m+k], twi[5*m+k])
-				a7r, a7i := cmulSoA(wr[o+7*m+k], wi[o+7*m+k], twr[6*m+k], twi[6*m+k])
-				t0r, t0i := a0r+a4r, a0i+a4i
-				t1r, t1i := a0r-a4r, a0i-a4i
-				t2r, t2i := a2r+a6r, a2i+a6i
-				t3r, t3i := a2r-a6r, a2i-a6i
-				u0r, u0i := a1r+a5r, a1i+a5i
-				u1r, u1i := a1r-a5r, a1i-a5i
-				u2r, u2i := a3r+a7r, a3i+a7i
-				u3r, u3i := a3r-a7r, a3i-a7i
-				// jt3 = +i·t3, ju3 = +i·u3
-				e0r, e0i := t0r+t2r, t0i+t2i
-				e2r, e2i := t0r-t2r, t0i-t2i
-				e1r, e1i := t1r-t3i, t1i+t3r
-				e3r, e3i := t1r+t3i, t1i-t3r
-				o0r, o0i := u0r+u2r, u0i+u2i
-				o2r, o2i := u0r-u2r, u0i-u2i
-				o1r, o1i := u1r-u3i, u1i+u3r
-				o3r, o3i := u1r+u3i, u1i-u3r
-				co1r := invSqrt2 * (o1r - o1i)
-				co1i := invSqrt2 * (o1r + o1i)
-				jo2r, jo2i := -o2i, o2r
-				do3r := -invSqrt2 * (o3r + o3i)
-				do3i := invSqrt2 * (o3r - o3i)
-				wr[o+k], wi[o+k] = e0r+o0r, e0i+o0i
-				wr[o+4*m+k], wi[o+4*m+k] = e0r-o0r, e0i-o0i
-				wr[o+m+k], wi[o+m+k] = e1r+co1r, e1i+co1i
-				wr[o+5*m+k], wi[o+5*m+k] = e1r-co1r, e1i-co1i
-				wr[o+2*m+k], wi[o+2*m+k] = e2r+jo2r, e2i+jo2i
-				wr[o+6*m+k], wi[o+6*m+k] = e2r-jo2r, e2i-jo2i
-				wr[o+3*m+k], wi[o+3*m+k] = e3r+do3r, e3i+do3i
-				wr[o+7*m+k], wi[o+7*m+k] = e3r-do3r, e3i-do3i
-			}
-		}
-	}
-}
-
 // transformRowsSoA is the AoS-boundary chunk kernel of the batch drivers:
 // it packs up to soaChunkRows contiguous AoS rows into pooled planar
 // scratch in cell-major order — scratch cell (i, b) of chunk row b lives
@@ -345,8 +70,8 @@ func stageRadix8SoA(wr, wi []float64, m int, twr, twi []float64, sign Sign) {
 // stream contiguous and each twiddle loaded once per cell instead of once
 // per row, so twiddle traffic and loop overhead drop by the chunk width.
 // The per-row arithmetic is untouched — results stay bit-identical to
-// per-row Transform. Plans without iterative stages (Bluestein,
-// split-radix) fall back to the per-row AoS path.
+// per-row Transform. Plans without iterative stages (Bluestein) fall back
+// to the per-row AoS path.
 func (p *Plan) transformRowsSoA(data []complex128, rows int, sign Sign) {
 	if p.stages == nil || p.n == 1 {
 		p.TransformMany(data, rows, sign)
@@ -385,84 +110,16 @@ func (p *Plan) transformRowsSoA(data []complex128, rows int, sign Sign) {
 				}
 			}
 			for t := 0; t < f; t++ {
-				p.stageRowsOne(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld, sign)
+				stageRows(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld, sign)
 			}
 		}
 		// The final stage spans the whole row (r·m = n), so its butterfly
 		// results are the finished spectrum: fuse it with the planar→AoS
 		// unpack, writing the output rows directly and saving one more
 		// pass over the chunk.
-		last := &p.stages[len(p.stages)-1]
-		si := 0
-		if sign == Backward {
-			si = 1
-		}
-		p.combineRowsSoARange(wr, wi, nb, ld, sign, f, len(p.stages)-1)
-		switch last.r {
-		case 2:
-			stageRadix2RowsUnpack(wr, wi, last.m, nb, ld, last.twr[si], last.twi[si], chunk, n)
-		case 4:
-			stageRadix4RowsUnpack(wr, wi, last.m, nb, ld, last.twr[si], last.twi[si], sign, chunk, n)
-		case 8:
-			stageRadix8RowsUnpack(wr, wi, last.m, nb, ld, last.twr[si], last.twi[si], sign, chunk, n)
-		default:
-			stageGenericRowsUnpack(wr, wi, last.r, last.m, nb, ld, last.twr[si], last.twi[si], last.wrr[si], last.wri[si], chunk, n)
-		}
-		p.soaRows.Put(sp)
-	}
-}
-
-// transformRowsPlanar is the planar-boundary chunk kernel: the same
-// cell-major chunk combine as transformRowsSoA over rows that arrive
-// planar (row-major inside v).
-func (p *Plan) transformRowsPlanar(v SoA, rows int, sign Sign) {
-	if p.stages == nil || p.n == 1 {
-		for b := 0; b < rows; b++ {
-			p.TransformSoA(v.Slice(b*p.n, (b+1)*p.n), sign)
-		}
-		return
-	}
-	n := p.n
-	for r0 := 0; r0 < rows; r0 += soaChunkRows {
-		nb := rows - r0
-		if nb > soaChunkRows {
-			nb = soaChunkRows
-		}
-		ld := soaLd(nb)
-		re := v.Re[r0*n : (r0+nb)*n]
-		im := v.Im[r0*n : (r0+nb)*n]
-		sp := p.soaRows.Get().(*soaBuf)
-		wr, wi := sp.re, sp.im
-		for i0 := 0; i0 < n; i0 += soaPackTile {
-			i1 := i0 + soaPackTile
-			if i1 > n {
-				i1 = n
-			}
-			perm := p.perm[i0:i1]
-			for b := 0; b < nb; b++ {
-				rr := re[b*n : (b+1)*n : (b+1)*n]
-				ri := im[b*n : (b+1)*n : (b+1)*n]
-				for j, s := range perm {
-					wr[(i0+j)*ld+b] = rr[s]
-					wi[(i0+j)*ld+b] = ri[s]
-				}
-			}
-		}
-		p.combineRowsSoA(wr, wi, nb, ld, sign)
-		for i0 := 0; i0 < n; i0 += soaPackTile {
-			i1 := i0 + soaPackTile
-			if i1 > n {
-				i1 = n
-			}
-			for b := 0; b < nb; b++ {
-				rr := re[b*n : (b+1)*n : (b+1)*n]
-				ri := im[b*n : (b+1)*n : (b+1)*n]
-				for i := i0; i < i1; i++ {
-					rr[i] = wr[i*ld+b]
-					ri[i] = wi[i*ld+b]
-				}
-			}
-		}
+		last := len(p.stages) - 1
+		p.combineRowsSoARange(wr, wi, nb, ld, sign, f, last)
+		stageRowsUnpack(wr, wi, &p.stages[last], nb, ld, sign, chunk, n)
 		p.soaRows.Put(sp)
 	}
 }
@@ -486,11 +143,6 @@ func (p *Plan) fusedPackStages() (f, tile int) {
 	return f, tile
 }
 
-// soaBatch reports whether the batch drivers should run this plan through
-// the planar chunk kernels: the layout policy picked SoA and the plan has
-// iterative stages (Bluestein and split-radix plans run AoS).
-func (p *Plan) soaBatch() bool { return p.layout == LayoutSoA && p.stages != nil }
-
 // transformColsSoA transforms the nb columns iy0..iy0+nb-1 of a row-major
 // ·×ny plane in place: column iy holds the elements plane[i·ny+iy]. This
 // is the 2-D column pass of Plan2D on the planar path, and it is where the
@@ -502,7 +154,7 @@ func (p *Plan) soaBatch() bool { return p.layout == LayoutSoA && p.stages != nil
 // gathering each column and calling Transform on it.
 //
 // nb must be at most soaChunkRows and the plan must have iterative stages
-// (p.soaBatch); Plan2D guards both.
+// (p.planar implies it); Plan2D guards both.
 func (p *Plan) transformColsSoA(plane []complex128, ny, iy0, nb int, sign Sign) {
 	n := p.n
 	ld := soaLd(nb)
@@ -525,7 +177,7 @@ func (p *Plan) transformColsSoA(plane []complex128, ny, iy0, nb int, sign Sign) 
 			}
 		}
 		for t := 0; t < f; t++ {
-			p.stageRowsOne(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld, sign)
+			stageRows(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld, sign)
 		}
 	}
 	// Unlike the row kernel, the unpack here is not fused with the final
@@ -544,18 +196,22 @@ func (p *Plan) transformColsSoA(plane []complex128, ny, iy0, nb int, sign Sign) 
 	p.soaRows.Put(sp)
 }
 
-// combineRowsSoA runs the combine passes over nb cell-major packed rows:
-// every stage walks its butterflies once, and each butterfly's inner loop
-// sweeps the nb rows contiguously. Rows are independent and the per-row
-// operation order matches combineSoA, so the result equals per-row
-// transforms exactly.
-func (p *Plan) combineRowsSoA(wr, wi []float64, nb, ld int, sign Sign) {
-	p.combineRowsSoARange(wr, wi, nb, ld, sign, 0, len(p.stages))
+// combineRowsSoARange runs the combine passes for stages [lo, hi) over nb
+// cell-major packed rows; the fused pack and unpack kernels own the stages
+// outside that range. Every stage walks its butterflies once, and each
+// butterfly's inner loop sweeps the nb rows contiguously. Rows are
+// independent and the per-row operation order matches combine, so the
+// result equals per-row transforms exactly.
+func (p *Plan) combineRowsSoARange(wr, wi []float64, nb, ld int, sign Sign, lo, hi int) {
+	cells := p.n * ld
+	for t := lo; t < hi; t++ {
+		stageRows(wr[:cells], wi[:cells], &p.stages[t], nb, ld, sign)
+	}
 }
 
-// stageRowsOne runs a single combine stage over a cell-major region; the
-// fused pack loop uses it to combine each tile right after packing it.
-func (p *Plan) stageRowsOne(wr, wi []float64, st *stage, nb, ld int, sign Sign) {
+// stageRows is the planar stage dispatcher: it runs one combine stage over
+// a cell-major region (a whole chunk, or one tile of the fused pack loop).
+func stageRows(wr, wi []float64, st *stage, nb, ld int, sign Sign) {
 	si := 0
 	if sign == Backward {
 		si = 1
@@ -572,26 +228,23 @@ func (p *Plan) stageRowsOne(wr, wi []float64, st *stage, nb, ld int, sign Sign) 
 	}
 }
 
-// combineRowsSoARange runs the combine passes for stages [lo, hi); the
-// fused pack and unpack kernels own the stages outside that range.
-func (p *Plan) combineRowsSoARange(wr, wi []float64, nb, ld int, sign Sign, lo, hi int) {
+// stageRowsUnpack is the fused-unpack tail: the final combine stage of a
+// chunk (st.r·st.m = n) writing the finished spectrum straight into the AoS
+// output rows of chunk.
+func stageRowsUnpack(wr, wi []float64, st *stage, nb, ld int, sign Sign, chunk []complex128, n int) {
 	si := 0
 	if sign == Backward {
 		si = 1
 	}
-	cells := p.n * ld
-	for t := lo; t < hi; t++ {
-		st := &p.stages[t]
-		switch st.r {
-		case 2:
-			stageRadix2Rows(wr[:cells], wi[:cells], st.m, nb, ld, st.twr[si], st.twi[si])
-		case 4:
-			stageRadix4Rows(wr[:cells], wi[:cells], st.m, nb, ld, st.twr[si], st.twi[si], sign)
-		case 8:
-			stageRadix8Rows(wr[:cells], wi[:cells], st.m, nb, ld, st.twr[si], st.twi[si], sign)
-		default:
-			stageGenericRows(wr[:cells], wi[:cells], st.r, st.m, nb, ld, st.twr[si], st.twi[si], st.wrr[si], st.wri[si])
-		}
+	switch st.r {
+	case 2:
+		stageRadix2RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], chunk, n)
+	case 4:
+		stageRadix4RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign, chunk, n)
+	case 8:
+		stageRadix8RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign, chunk, n)
+	default:
+		stageGenericRowsUnpack(wr, wi, st.r, st.m, nb, ld, st.twr[si], st.twi[si], st.wrr[si], st.wri[si], chunk, n)
 	}
 }
 
@@ -1173,33 +826,4 @@ func stageGenericRowsUnpack(wr, wi []float64, r, m, nb, ld int, twr, twi, wrr, w
 // same intermediate roundings as the complex128 product.
 func cmulSoA(xr, xi, tr, ti float64) (float64, float64) {
 	return float64(xr*tr) - float64(xi*ti), float64(xi*tr) + float64(xr*ti)
-}
-
-// stageGenericSoA is the planar mirror of stageGeneric (dense small-prime
-// DFT matrix, k-major twiddles).
-func stageGenericSoA(wr, wi []float64, r, m int, twr, twi, wrr, wri []float64) {
-	n := len(wr)
-	var tmpR, tmpI, outR, outI [maxDirectRadix]float64
-	for o := 0; o < n; o += r * m {
-		for k := 0; k < m; k++ {
-			tmpR[0], tmpI[0] = wr[o+k], wi[o+k]
-			base := (r - 1) * k
-			for q := 1; q < r; q++ {
-				tmpR[q], tmpI[q] = cmulSoA(wr[o+q*m+k], wi[o+q*m+k], twr[base+q-1], twi[base+q-1])
-			}
-			for j := 0; j < r; j++ {
-				accR, accI := tmpR[0], tmpI[0]
-				rowR := wrr[j*r : j*r+r : j*r+r]
-				rowI := wri[j*r : j*r+r : j*r+r]
-				for q := 1; q < r; q++ {
-					accR += float64(tmpR[q]*rowR[q]) - float64(tmpI[q]*rowI[q])
-					accI += float64(tmpI[q]*rowR[q]) + float64(tmpR[q]*rowI[q])
-				}
-				outR[j], outI[j] = accR, accI
-			}
-			for j := 0; j < r; j++ {
-				wr[o+j*m+k], wi[o+j*m+k] = outR[j], outI[j]
-			}
-		}
-	}
 }

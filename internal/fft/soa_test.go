@@ -12,72 +12,11 @@ import (
 // path: its butterflies mirror the complex128 arithmetic operation for
 // operation, and float64 loads and stores are exact, so staging through
 // the planar scratch cannot change a single bit. Every equivalence check
-// in this file therefore compares with ==, not a tolerance — except the
-// split-radix variant, which reassociates the butterfly arithmetic and is
-// documented to match only to rounding error.
+// in this file therefore compares with ==, not a tolerance.
 
 // soaTestLengths covers the kernel families: trivial, pure radix-2/4,
 // radix-8 eligible, mixed with odd primes, generic-heavy, and Bluestein.
 var soaTestLengths = []int{1, 2, 4, 8, 45, 60, 64, 97, 120, 128, 486}
-
-func TestSoAPackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x := randVec(rng, 100)
-	v := NewSoA(100)
-	PackSoA(v, x)
-	if v.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", v.Len())
-	}
-	got := make([]complex128, 100)
-	UnpackSoA(got, v)
-	for i := range got {
-		if got[i] != x[i] {
-			t.Fatalf("round trip changed element %d: %v != %v", i, got[i], x[i])
-		}
-	}
-	s := v.Slice(10, 20)
-	if s.Len() != 10 || s.Re[0] != v.Re[10] || s.Im[9] != v.Im[19] {
-		t.Fatal("Slice does not alias the parent planes")
-	}
-}
-
-func TestSoAPackPanicsOnShort(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"PackSoA":   func() { PackSoA(NewSoA(3), make([]complex128, 4)) },
-		"UnpackSoA": func() { UnpackSoA(make([]complex128, 4), NewSoA(3)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on short planes did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestTransformSoAMatchesTransformExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range soaTestLengths {
-		p := NewPlan(n)
-		for _, sign := range []Sign{Forward, Backward} {
-			x := randVec(rng, n)
-			want := append([]complex128(nil), x...)
-			p.Transform(want, sign)
-			v := NewSoA(n)
-			PackSoA(v, x)
-			p.TransformSoA(v, sign)
-			got := make([]complex128, n)
-			UnpackSoA(got, v)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d sign=%d i=%d: SoA %v != AoS %v", n, sign, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
 
 // TestTransformRowsSoAMatchesTransformManyExact drives the batched planar
 // chunk kernel (the TransformBatch fast path) over randomized row counts,
@@ -86,8 +25,8 @@ func TestTransformSoAMatchesTransformExact(t *testing.T) {
 func TestTransformRowsSoAMatchesTransformManyExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range soaTestLengths {
-		for _, r := range []Radix{RadixMixed, Radix8, RadixAuto} {
-			p := NewPlanRadix(n, r)
+		for _, r := range []radix{radixMixed, radix8, radixAuto} {
+			p := newPlanRadix(n, r)
 			rows := 1 + rng.Intn(2*soaChunkRows+5)
 			data := randVec(rng, n*rows)
 			want := append([]complex128(nil), data...)
@@ -110,7 +49,7 @@ func TestTransformBatchMatchesManyExact(t *testing.T) {
 	defer par.SetEnabled(true)
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{60, 97, 120, 128, 486} {
-		p := NewPlanRadix(n, RadixAuto)
+		p := newPlanRadix(n, radixAuto)
 		rows := 2*soaChunkRows + 3
 		data := randVec(rng, n*rows)
 		want := append([]complex128(nil), data...)
@@ -137,24 +76,17 @@ func TestTransformBatchMatchesManyExact(t *testing.T) {
 	}
 }
 
-func TestTransformBatchSoAMatchesPerRowExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{45, 97, 128} {
-		p := NewPlanRadix(n, RadixAuto)
-		rows := soaChunkRows + 7
-		x := randVec(rng, n*rows)
-		v := NewSoA(n * rows)
-		PackSoA(v, x)
-		p.TransformBatchSoA(v, rows, Forward)
-		got := make([]complex128, n*rows)
-		UnpackSoA(got, v)
-		want := append([]complex128(nil), x...)
-		p.TransformMany(want, rows, Forward)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d i=%d: planar batch %v != %v", n, i, got[i], want[i])
-			}
-		}
+// transformColumn is the per-column reference of the 2-D column pass:
+// gather column iy of a row-major ·×ny plane, Transform it contiguously,
+// scatter it back.
+func transformColumn(p *Plan, plane []complex128, iy, ny int, sign Sign) {
+	col := make([]complex128, p.N())
+	for i := range col {
+		col[i] = plane[i*ny+iy]
+	}
+	p.Transform(col, sign)
+	for i, v := range col {
+		plane[i*ny+iy] = v
 	}
 }
 
@@ -165,14 +97,14 @@ func TestTransformColsSoAMatchesStridedExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, dims := range [][2]int{{45, 60}, {60, 45}, {128, 30}, {486, 33}} {
 		nx, ny := dims[0], dims[1]
-		p := NewPlanRadix(nx, RadixAuto)
-		if !p.soaBatch() {
+		p := newPlanRadix(nx, radixAuto)
+		if !p.planar() {
 			t.Fatalf("nx=%d: expected a planar-path plan", nx)
 		}
 		plane := randVec(rng, nx*ny)
 		want := append([]complex128(nil), plane...)
 		for iy := 0; iy < ny; iy++ {
-			p.TransformStrided(want, iy, ny, Forward)
+			transformColumn(p, want, iy, ny, Forward)
 		}
 		for iy0 := 0; iy0 < ny; iy0 += soaChunkRows {
 			nb := ny - iy0
@@ -221,21 +153,18 @@ func TestPlan2D3DHostParPathsExact(t *testing.T) {
 	}
 }
 
-// TestVariantPlansMatchDFT validates every radix family against the naive
-// DFT. Radix-8 and split-radix factorize differently from the mixed
-// baseline, so the check is tolerance-based.
+// TestVariantPlansMatchDFT validates the radix-8 family against the naive
+// DFT, whose summation order differs, so the check is tolerance-based.
 func TestVariantPlansMatchDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tc := range []struct {
 		n int
-		r Radix
+		r radix
 	}{
-		{64, Radix8}, {128, Radix8}, {120, Radix8}, {486, Radix8},
-		{4, RadixSplit}, {64, RadixSplit}, {128, RadixSplit},
-		{100, Radix8},    // not divisible by 8: degrades to mixed
-		{60, RadixSplit}, // not a power of two: degrades to mixed
+		{64, radix8}, {128, radix8}, {120, radix8}, {486, radix8},
+		{100, radix8}, // not divisible by 8: degrades to mixed
 	} {
-		p := NewPlanRadix(tc.n, tc.r)
+		p := newPlanRadix(tc.n, tc.r)
 		x := randVec(rng, tc.n)
 		got := append([]complex128(nil), x...)
 		p.Transform(got, Forward)
@@ -245,41 +174,6 @@ func TestVariantPlansMatchDFT(t *testing.T) {
 				t.Fatalf("n=%d radix=%v i=%d: %v != DFT %v", tc.n, tc.r, i, got[i], want[i])
 			}
 		}
-		// Within one plan the SoA path stays exact for every variant —
-		// split-radix and Bluestein pack through the AoS scratch.
-		v := NewSoA(tc.n)
-		PackSoA(v, x)
-		p.TransformSoA(v, Forward)
-		g2 := make([]complex128, tc.n)
-		UnpackSoA(g2, v)
-		for i := range g2 {
-			if g2[i] != got[i] {
-				t.Fatalf("n=%d radix=%v i=%d: SoA diverges from AoS on the same plan", tc.n, tc.r, i)
-			}
-		}
-	}
-}
-
-// TestSplitRadixToleranceDocumented pins the documented contract that
-// split-radix output differs from the mixed baseline (reassociated
-// arithmetic) but only at rounding level.
-func TestSplitRadixToleranceDocumented(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n := 256
-	x := randVec(rng, n)
-	mixed := append([]complex128(nil), x...)
-	NewPlan(n).Transform(mixed, Forward)
-	split := append([]complex128(nil), x...)
-	NewPlanRadix(n, RadixSplit).Transform(split, Forward)
-	var maxd float64
-	for i := range mixed {
-		d := mixed[i] - split[i]
-		if h := math.Hypot(real(d), imag(d)); h > maxd {
-			maxd = h
-		}
-	}
-	if maxd > 1e-10*float64(n) {
-		t.Fatalf("split-radix drifts %g from mixed, beyond rounding tolerance", maxd)
 	}
 }
 
@@ -288,14 +182,14 @@ func TestSplitRadixToleranceDocumented(t *testing.T) {
 func TestPickPolicies(t *testing.T) {
 	cases := []struct {
 		n      int
-		radix  Radix
-		layout Layout
+		radix  radix
+		layout layout
 	}{
-		{64, Radix8, LayoutAoS},      // small pow2: AoS radix-8 is L1-resident
-		{128, RadixMixed, LayoutSoA}, // large pow2: planar radix-4 + fused unpack
-		{120, Radix8, LayoutSoA},     // 8·odd: radix-8 removes passes, planar wins
-		{60, RadixMixed, LayoutSoA},  // odd factors: generic stages batch best planar
-		{97, RadixMixed, LayoutAoS},  // Bluestein: chirp convolution runs AoS
+		{64, radix8, layoutAoS},      // small pow2: AoS radix-8 is L1-resident
+		{128, radixMixed, layoutSoA}, // large pow2: planar radix-4 + fused unpack
+		{120, radix8, layoutSoA},     // 8·odd: radix-8 removes passes, planar wins
+		{60, radixMixed, layoutSoA},  // odd factors: generic stages batch best planar
+		{97, radixMixed, layoutAoS},  // Bluestein: chirp convolution runs AoS
 	}
 	for _, tc := range cases {
 		if got := PickRadix(tc.n); got != tc.radix {
@@ -305,9 +199,48 @@ func TestPickPolicies(t *testing.T) {
 			t.Errorf("PickLayout(%d) = %v, want %v", tc.n, got, tc.layout)
 		}
 		p := DefaultCache.Get(tc.n)
-		if p.Radix() != tc.radix || p.Layout() != tc.layout {
+		if p.radix != tc.radix || p.layout != tc.layout {
 			t.Errorf("DefaultCache.Get(%d) built (%v, %v), want (%v, %v)",
-				tc.n, p.Radix(), p.Layout(), tc.radix, tc.layout)
+				tc.n, p.radix, p.layout, tc.radix, tc.layout)
+		}
+	}
+}
+
+// TestPolicyReachesEveryKernel pins the set of kernels the plan policy can
+// select: over the lengths a Cache serves, the cells it builds are exactly
+// every named radix family in both layouts, plus Bluestein — five today. A
+// variant that PickRadix/PickLayout never pick fails here when its constant
+// is added, and a cell the policy stops picking fails here until its kernel
+// is deleted.
+func TestPolicyReachesEveryKernel(t *testing.T) {
+	want := map[string]bool{"bluestein": true}
+	for r := radixAuto + 1; r.String() != "unknown"; r++ {
+		for _, l := range []layout{layoutAoS, layoutSoA} {
+			want[r.String()+"/"+l.String()] = true
+		}
+	}
+	if len(want) != 5 {
+		t.Fatalf("%d kernel cells declared, want 5 (mixed, radix-8) x (AoS, SoA) + Bluestein: %v", len(want), want)
+	}
+	var c Cache
+	got := map[string]bool{}
+	for n := 1; n <= 512; n++ {
+		p := c.Get(n)
+		cell := p.radix.String() + "/" + p.layout.String()
+		if p.blu != nil {
+			if p.layout != layoutAoS || p.stages != nil {
+				t.Fatalf("n=%d: Bluestein plan with layout %v and %d stages", n, p.layout, len(p.stages))
+			}
+			cell = "bluestein" // the radix of a plan without stages selects nothing
+		}
+		if !want[cell] {
+			t.Fatalf("n=%d: the policy selected %q, not a kernel this package declares", n, cell)
+		}
+		got[cell] = true
+	}
+	for cell := range want {
+		if !got[cell] {
+			t.Errorf("no length in 1..512 selects %q: the policy cannot reach it", cell)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func TestPlan2DAgreesWithManualSeparation(t *testing.T) {
 		py.Transform(manual[ix*ny:(ix+1)*ny], Forward)
 	}
 	for iy := 0; iy < ny; iy++ {
-		px.TransformStrided(manual, iy, ny, Forward)
+		transformColumn(px, manual, iy, ny, Forward)
 	}
 	NewPlan2D(nx, ny).Transform(plane, Forward)
 	if d := maxDiff(plane, manual); d > 1e-9 {

@@ -3,122 +3,115 @@ package fft
 // Plan variants: the radix policy picks the butterfly family a plan is
 // factorized into, the layout picks the data arrangement the batch drivers
 // run their inner loops over. Both are per-shape decisions made once at
-// plan-build time — the transform entry points never branch on policy in
-// their inner loops — and both are wired through Cache so a plan lookup
-// resolves layout+radix for its shape exactly once (see Cache.Get).
+// plan-build time by PickRadix and PickLayout — nothing else selects a
+// kernel, and Cache resolves them exactly once per shape (see Cache.Get).
+// Within one plan the two layouts are bit-identical, so the layout (and
+// with it the host-parallelism switch) moves wall clock only; the two
+// radix families factorize differently and agree to rounding error.
 
-// Radix selects the butterfly family of a plan's factorization.
-type Radix int
+// radix selects the butterfly family of a plan's factorization.
+type radix int
 
 const (
-	// RadixAuto resolves to the measured-best policy for the shape at
+	// radixAuto resolves to the measured-best policy for the shape at
 	// plan-build time (PickRadix).
-	RadixAuto Radix = iota
-	// RadixMixed is the legacy mixed-radix factorization (radix-4
+	radixAuto radix = iota
+	// radixMixed is the legacy mixed-radix factorization (radix-4
 	// preference, then 2/3/5/7/11/13) — the bit-identical baseline.
-	RadixMixed
-	// Radix8 peels radix-8 stages first (then falls back to the mixed
+	radixMixed
+	// radix8 peels radix-8 stages first (then falls back to the mixed
 	// factorization of the remainder): fewer combine passes and fewer
 	// twiddle loads on lengths divisible by 8.
-	Radix8
-	// RadixSplit uses the split-radix kernel (power-of-two lengths only;
-	// other lengths degrade to RadixMixed). Split-radix reassociates the
-	// butterfly arithmetic, so results match the mixed-radix plan only to
-	// rounding tolerance — callers that require bit-identical spectra
-	// across plan variants must not select it.
-	RadixSplit
+	radix8
 )
 
 // String names the policy for benchmarks and diagnostics.
-func (r Radix) String() string {
+func (r radix) String() string {
 	switch r {
-	case RadixAuto:
+	case radixAuto:
 		return "auto"
-	case RadixMixed:
+	case radixMixed:
 		return "mixed"
-	case Radix8:
+	case radix8:
 		return "radix8"
-	case RadixSplit:
-		return "splitradix"
 	}
 	return "unknown"
 }
 
-// Layout selects the data arrangement of a batch driver's inner loops.
-type Layout int
+// layout selects the data arrangement of a batch driver's inner loops.
+type layout int
 
 const (
-	// LayoutAoS keeps rows as interleaved complex128 (array of structs).
-	LayoutAoS Layout = iota
-	// LayoutSoA runs the butterflies over separate re/im float64 planes
+	// layoutAoS keeps rows as interleaved complex128 (array of structs).
+	layoutAoS layout = iota
+	// layoutSoA runs the butterflies over separate re/im float64 planes
 	// (struct of arrays), packing at the batch boundary. Bit-identical to
-	// LayoutAoS: the planar butterflies mirror the complex arithmetic
+	// layoutAoS: the planar butterflies mirror the complex arithmetic
 	// operation for operation.
-	LayoutSoA
+	layoutSoA
 )
 
 // String names the layout for benchmarks and diagnostics.
-func (l Layout) String() string {
-	if l == LayoutSoA {
+func (l layout) String() string {
+	if l == layoutSoA {
 		return "soa"
 	}
 	return "aos"
 }
 
-// PickRadix is the per-shape radix policy RadixAuto resolves to. Measured
-// on the kernel benchmark matrix (BENCH_fft.json): radix-8 stages win on
-// lengths divisible by 8 (fewer passes over the work buffer) — except on
-// pure powers of two served by the planar batch path, where the radix-4
-// stages plus the fused final-stage unpack beat the three-pass planar
-// radix-8 butterfly (n=128: mixed 30.2µs vs radix-8 40.7µs per 32-row
-// chunk). The split-radix kernel — despite its lower flop count — loses
-// to the iterative radix-4 path at the stick/plane sizes this library
-// serves, so it is never auto-picked; it stays an explicitly selectable
-// variant.
-func PickRadix(n int) Radix {
+// PickRadix is the per-shape radix policy radixAuto resolves to. Measured
+// on this package's Batch_{AoS,SoA}_* benchmark matrix and gated by the
+// kernel_batch workload of bench/, whose fft.ns_per_nlogn.* rows time
+// every cell this policy can reach: radix-8 stages win on lengths
+// divisible by 8 (fewer passes over the work buffer) — except on pure
+// powers of two served by the planar batch path, where the radix-4 stages
+// plus the fused final-stage unpack beat the three-pass planar radix-8
+// butterfly.
+func PickRadix(n int) radix {
 	if n%8 != 0 {
-		return RadixMixed
+		return radixMixed
 	}
-	if isPow2(n) && PickLayout(n) == LayoutSoA {
-		return RadixMixed
+	if isPow2(n) && PickLayout(n) == layoutSoA {
+		return radixMixed
 	}
-	return Radix8
+	return radix8
 }
 
 // soaMinPow2 is the smallest pure power of two the layout policy sends to
 // the planar path. Below it the AoS radix-8/4 kernel is already L1-resident
-// and the planar pack/unpack never amortizes (n=64: AoS 15.1µs vs SoA
-// 19.1µs per 32-row chunk); at 128 and above the chunked planar stages win
-// or tie the best AoS variant.
+// and the planar pack/unpack never amortizes (Batch_SoA_Radix8_64 runs at
+// 0.83× of Batch_AoS_Radix8_64); at 128 and above the chunked planar
+// stages win or tie the best AoS variant. kernel_batch times one shape on
+// each side of the line (fft.ns_per_nlogn.p64 and .p4096).
 const soaMinPow2 = 128
 
 // PickLayout is the per-shape layout policy of the batch drivers: planar
 // re/im for every shape the iterative kernel handles directly, except
 // small pure powers of two (see soaMinPow2). Lengths with odd factors
 // always go planar — the generic small-prime butterfly gains the most
-// from stage batching (n=45: 1.09×, n=486: 1.30× over AoS). Bluestein
-// lengths stay AoS (the chirp convolution runs on complex scratch; the SoA
-// entry points pack through it).
-func PickLayout(n int) Layout {
-	if _, ok := factorize(n, RadixMixed); !ok {
-		return LayoutAoS
+// from stage batching (Batch_SoA_Mixed_486: 1.46× over AoS, _60: 1.30×).
+// Bluestein lengths stay AoS: the chirp convolution runs on complex
+// scratch.
+func PickLayout(n int) layout {
+	if _, ok := factorize(n, radixMixed); !ok {
+		return layoutAoS
 	}
 	if isPow2(n) && n < soaMinPow2 {
-		return LayoutAoS
+		return layoutAoS
 	}
-	return LayoutSoA
+	return layoutSoA
 }
 
 // isPow2 reports whether n is a power of two.
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // factorize factorizes n into the stage radices of the given policy,
-// preferring radix 8 (Radix8 policy only), then 4, then the small primes
+// preferring radix 8 (radix8 policy only), then 4, then the small primes
 // {2,3,5,7,11,13}. It reports false when a larger prime remains (the
 // Bluestein fallback).
-func factorize(n int, r Radix) ([]int, bool) {
+func factorize(n int, r radix) ([]int, bool) {
 	var fs []int
-	if r == Radix8 {
+	if r == radix8 {
 		for n%8 == 0 {
 			fs = append(fs, 8)
 			n /= 8

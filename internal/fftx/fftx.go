@@ -21,6 +21,10 @@
 //     de-synchronizes the compute phases and softens resource contention.
 //   - EngineTaskCombined — the future-work combination: per-band tasks
 //     with asynchronous, communication-thread-driven scatters.
+//   - EngineDataflow — the stage graph walked as futures with
+//     continuations: segment tasks released the moment their scatter
+//     resolves, a bounded lookahead window of bands in flight, and no
+//     taskwait barrier.
 //   - EngineAuto — a cost-model-driven selector: it probes the applicable
 //     engines in ModeCost against the calibrated knl model and runs the
 //     fastest for the given (grid, ranks, NTG, threads) point.
@@ -128,8 +132,8 @@ type Config struct {
 	NestedGrainZ  int
 	// Gamma enables gamma-point mode: only the Hermitian half of the
 	// G-sphere is stored and two bands are transformed per FFT (Quantum
-	// ESPRESSO's gamma_only). NB must be even. Supported by EngineOriginal
-	// and EngineTaskIter.
+	// ESPRESSO's gamma_only). NB must be even. Supported by
+	// EngineOriginal, EngineTaskIter and EngineDataflow.
 	Gamma bool
 	// UnitPotential replaces V(r) by 1, making the whole kernel the
 	// identity operator — the strongest end-to-end invariant the tests
@@ -259,18 +263,6 @@ type Result struct {
 	// Sphere and Layout expose the problem geometry of the run.
 	Sphere *pw.Sphere
 	Layout *pw.Layout
-}
-
-// StageSeconds is the engine stage-timing hook for observability layers:
-// the run's virtual seconds broken down by pipeline stage and state
-// (runtime, idle, per-phase -sync/-transfer), derived from the recorded
-// trace. fftxd's per-shape profile store persists exactly this map for
-// cost-mode runs; returns nil when the run recorded no trace.
-func (r *Result) StageSeconds() map[string]float64 {
-	if r == nil || r.Trace == nil {
-		return nil
-	}
-	return r.Trace.PhaseSeconds()
 }
 
 // kernel couples the runtime-free stage graph (problem geometry, numeric

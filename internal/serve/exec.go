@@ -8,7 +8,6 @@ import (
 	"repro/internal/fft"
 	"repro/internal/fftx"
 	"repro/internal/par"
-	"repro/internal/profiles"
 )
 
 // Batch execution on the worker pool. A transform batch performs one plan
@@ -83,8 +82,7 @@ func (s *Server) runBatch(g *group) {
 // runTransforms executes a same-shape transform batch in place and answers
 // each task with its own slice of the results. Traced tasks get an exec span
 // with plan/transform/scale children (shared batch timings: each request's
-// wall time in those phases is the batch's), and every batch records its
-// breakdown into the per-shape profile store.
+// wall time in those phases is the batch's).
 func (s *Server) runTransforms(key string, live []*task) {
 	req := live[0].req
 	sign := signOf(req.Sign)
@@ -130,18 +128,7 @@ func (s *Server) runTransforms(key string, live []*task) {
 	mPlanBuilds.Set(float64(s.cache.Builds()))
 
 	engine := fmt.Sprintf("plan%dd", len(req.Dims))
-	phases := map[string]float64{
-		"plan":      planDone.Sub(start).Seconds(),
-		"transform": transformDone.Sub(planDone).Seconds(),
-	}
-	if req.Scale {
-		phases["scale"] = end.Sub(transformDone).Seconds()
-	}
-	batchTraceID := ""
 	for _, t := range live {
-		if id := t.spans.TraceID(); id != "" && batchTraceID == "" {
-			batchTraceID = id
-		}
 		exec := t.root.BeginAt("exec", start)
 		exec.SetAttr("rows", strconv.Itoa(rows))
 		exec.SetAttr("engine", engine)
@@ -154,13 +141,6 @@ func (s *Server) runTransforms(key string, live []*task) {
 			scaleSpan.EndAt(end)
 		}
 		exec.EndAt(end)
-	}
-	s.profiles.Record(
-		profiles.Key{Shape: key, Engine: engine, Mode: "transform"},
-		end.Sub(start).Seconds(), phases, batchTraceID)
-	mProfileKeys.Set(float64(s.profiles.Len()))
-
-	for _, t := range live {
 		t.resolve(taskOutcome{resp: &Response{
 			Data:      floatData(t.data),
 			BatchSize: rows,
@@ -219,25 +199,10 @@ func (s *Server) runPipeline(t *task) {
 	mPipelineRuns.With(res.Engine.String()).Inc()
 	execSpan.SetAttr("engine", res.Engine.String())
 
-	// Pipeline profiles record the simulated runtime and the engine's
-	// per-stage virtual-second breakdown — the measured side the cost-model
-	// selector (ROADMAP item 3) compares its predictions against.
-	phases := res.StageSeconds()
-	s.profiles.Record(
-		profiles.Key{Shape: pipelineShape(p), Engine: res.Engine.String(), Mode: "cost"},
-		res.Runtime, phases, t.spans.TraceID())
-	mProfileKeys.Set(float64(s.profiles.Len()))
-
 	t.resolve(taskOutcome{resp: &Response{
 		Runtime:   res.Runtime,
 		Engine:    res.Engine.String(),
 		BatchSize: 1,
 		TraceID:   t.spans.TraceID(),
 	}})
-}
-
-// pipelineShape is the profile-store shape descriptor of a pipeline request:
-// the workload parameters that determine its cost.
-func pipelineShape(p *PipelineRequest) string {
-	return pipeRouteKey(p.Ecut, p.NB, p.Ranks, p.NTG)
 }

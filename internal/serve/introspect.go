@@ -12,10 +12,8 @@ import (
 )
 
 // Live serving introspection: the in-flight/recent request log behind
-// /debug/fftx/requests and the profile-store view behind
-// /debug/fftx/profiles. Both are JSON snapshots cheap enough to curl against
-// a loaded server; fftxtrace -requests renders the former as span-tree
-// timelines.
+// /debug/fftx/requests, a JSON snapshot cheap enough to curl against a
+// loaded server; fftxtrace -requests renders it as span-tree timelines.
 
 // reqRecord tracks one traced request from admission to response. Fields
 // past `start` are written once by requestLog.finish under the log's mutex.
@@ -134,25 +132,6 @@ func (rec *reqRecord) view() RequestView {
 // traced requests.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reqLog.dump())
-}
-
-// ProfileDump is the /debug/fftx/profiles payload.
-type ProfileDump struct {
-	// Path is the backing file ("" for memory-only stores).
-	Path string `json:"path,omitempty"`
-	// Count is the number of distinct (shape, engine, mode) keys.
-	Count int `json:"count"`
-	// Profiles is the sorted per-shape measurement table.
-	Profiles any `json:"profiles"`
-}
-
-// handleDebugProfiles serves the per-shape performance profile store.
-func (s *Server) handleDebugProfiles(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ProfileDump{
-		Path:     s.profiles.Path(),
-		Count:    s.profiles.Len(),
-		Profiles: s.profiles.Snapshot(),
-	})
 }
 
 // logRequest emits the structured completion line of a traced request: Debug

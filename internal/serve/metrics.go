@@ -37,6 +37,4 @@ var (
 		"1 while the server is draining, else 0")
 	mTraced = metrics.Default().CounterVec("fftxd_traced_requests_total",
 		"requests that recorded a span tree, by trace-ID source (client|sampled)", "source")
-	mProfileKeys = metrics.Default().Gauge("fftxd_profile_keys",
-		"distinct shape x engine x mode keys in the performance profile store")
 )

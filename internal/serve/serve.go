@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/fft"
-	"repro/internal/profiles"
 	"repro/internal/trace"
 )
 
@@ -54,13 +53,9 @@ type Config struct {
 	// initiative (0 = none, 1 = all; sampling is a deterministic 1-in-N
 	// stride, not a coin flip). Requests that arrive carrying a trace_id are
 	// always traced regardless of the rate. Traced requests build a span
-	// tree visible at /debug/fftx/requests, feed the per-shape profile
-	// store, link histogram exemplars and emit a structured log line.
+	// tree visible at /debug/fftx/requests, link histogram exemplars and
+	// emit a structured log line.
 	TraceSample float64
-	// Profiles is the per-shape performance profile store requests record
-	// into (default: a fresh memory-only store). fftxd passes a disk-backed
-	// store so measured profiles survive restarts.
-	Profiles *profiles.Store
 	// Logger receives structured request logs keyed by trace ID (default:
 	// discard). Traced requests log one line at Debug (Warn on errors);
 	// server lifecycle logs at Info.
@@ -102,10 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.Mux == nil {
 		c.Mux = http.NewServeMux()
 	}
-	if c.Profiles == nil {
-		// Open with an empty path never fails: memory-only store.
-		c.Profiles, _ = profiles.Open("")
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -138,11 +129,9 @@ type Server struct {
 	shutdownErr  error
 
 	// Observability: the in-flight/recent request log behind
-	// /debug/fftx/requests, the per-shape profile store behind
-	// /debug/fftx/profiles, the structured logger and the deterministic
+	// /debug/fftx/requests, the structured logger and the deterministic
 	// sampling counter.
 	reqLog   *requestLog
-	profiles *profiles.Store
 	logger   *slog.Logger
 	traceSeq atomic.Uint64
 
@@ -165,14 +154,12 @@ func New(cfg Config) *Server {
 		flushCh:        make(chan string, 1),
 		dispatcherDone: make(chan struct{}),
 		reqLog:         newRequestLog(cfg.RequestLogSize),
-		profiles:       cfg.Profiles,
 		logger:         cfg.Logger,
 		shapesServed:   map[string]struct{}{},
 	}
 	cfg.Mux.HandleFunc("/fft", s.handleFFT)
 	cfg.Mux.HandleFunc("/healthz", s.handleHealthz)
 	cfg.Mux.HandleFunc("/debug/fftx/requests", s.handleDebugRequests)
-	cfg.Mux.HandleFunc("/debug/fftx/profiles", s.handleDebugProfiles)
 	return s
 }
 
@@ -194,7 +181,7 @@ func (s *Server) Start() error {
 	go func() { _ = s.httpS.Serve(ln) }()
 	s.logger.Info("fftxd serving",
 		"addr", s.Addr(), "workers", s.cfg.Workers, "queue_depth", s.cfg.QueueDepth,
-		"trace_sample", s.cfg.TraceSample, "profiles", s.profiles.Path())
+		"trace_sample", s.cfg.TraceSample)
 	return nil
 }
 
@@ -234,12 +221,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return
 		}
 		s.shutdownErr = s.httpS.Shutdown(ctx)
-		if err := s.profiles.Flush(); err != nil {
-			s.logger.Warn("profile flush failed on shutdown", "err", err)
-			if s.shutdownErr == nil {
-				s.shutdownErr = err
-			}
-		}
 		s.logger.Info("drain complete", "uptime_s", time.Since(s.start).Seconds())
 	})
 	return s.shutdownErr

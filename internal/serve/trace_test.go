@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/profiles"
 	"repro/internal/trace"
 )
 
@@ -39,15 +37,9 @@ func getJSON(t *testing.T, url string, out any) {
 // checks the acceptance contract: every sampled request yields a structurally
 // valid span tree whose root duration agrees with the reported request
 // latency, trace IDs round-trip through the JSON and binary wire formats,
-// the profile store fills and survives a server restart, and the request
-// histogram carries trace-linked exemplars.
+// and the request histogram carries trace-linked exemplars.
 func TestServeTracingEndToEnd(t *testing.T) {
-	profPath := filepath.Join(t.TempDir(), "profiles.json")
-	store, err := profiles.Open(profPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startServer(t, Config{TraceSample: 1, Profiles: store})
+	s := startServer(t, Config{TraceSample: 1})
 
 	// JSON transforms with client-supplied trace IDs.
 	clientIDs := map[string]bool{}
@@ -176,27 +168,6 @@ func TestServeTracingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The profile store accumulated both transform and pipeline profiles.
-	var pd struct {
-		Path     string           `json:"path"`
-		Count    int              `json:"count"`
-		Profiles []profiles.Entry `json:"profiles"`
-	}
-	getJSON(t, s.URL()+"/debug/fftx/profiles", &pd)
-	if pd.Path != profPath || pd.Count == 0 {
-		t.Fatalf("profile dump: path %q count %d", pd.Path, pd.Count)
-	}
-	modes := map[string]bool{}
-	for _, e := range pd.Profiles {
-		modes[e.Mode] = true
-		if e.Count <= 0 || e.MeanSecond < 0 {
-			t.Errorf("profile %s: count %d mean %g", e.Key, e.Count, e.MeanSecond)
-		}
-	}
-	if !modes["transform"] || !modes["cost"] {
-		t.Errorf("profile modes %v, want both transform and cost", modes)
-	}
-
 	// The request histogram carries a trace-linked exemplar.
 	var buf bytes.Buffer
 	if err := metrics.Default().WritePrometheus(&buf); err != nil {
@@ -204,28 +175,6 @@ func TestServeTracingEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `# {trace_id="`) {
 		t.Error("no exemplar on fftxd_request_seconds buckets")
-	}
-
-	// Restart survival: shut down (flushes), reopen the same path.
-	ctx, cancel := contextWithTimeout(5 * time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	store2, err := profiles.Open(profPath)
-	if err != nil {
-		t.Fatalf("profile store did not survive restart: %v", err)
-	}
-	if store2.Len() != store.Len() {
-		t.Fatalf("reloaded store has %d keys, want %d", store2.Len(), store.Len())
-	}
-	s2 := startServer(t, Config{TraceSample: 1, Profiles: store2})
-	var pd2 struct {
-		Count int `json:"count"`
-	}
-	getJSON(t, s2.URL()+"/debug/fftx/profiles", &pd2)
-	if pd2.Count != store.Len() {
-		t.Fatalf("restarted server serves %d profile keys, want %d", pd2.Count, store.Len())
 	}
 }
 

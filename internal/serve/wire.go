@@ -89,11 +89,11 @@ const (
 // PeekRoute extracts the routing key and trace ID of an encoded request
 // without decoding (or validating) its payload — the router's half of the
 // codec. Transforms peek as their batching ShapeKey ("f3d:16x16x16"), so a
-// shape lands on the worker whose plan cache and per-shape profiles are
-// already hot for it; pipeline simulations peek as their workload descriptor
-// (pipelineShape), so identical cost-model probes share a worker the same
-// way. Malformed bodies return an error: the router forwards those to an
-// arbitrary worker, whose full decoder owns the canonical rejection.
+// shape lands on the worker whose plan cache is already hot for it;
+// pipeline simulations peek as their workload descriptor (pipeRouteKey), so
+// identical cost-model probes share a worker the same way. Malformed bodies
+// return an error: the router forwards those to an arbitrary worker, whose
+// full decoder owns the canonical rejection.
 func PeekRoute(body []byte, binary bool) (key, traceID string, err error) {
 	if binary {
 		return peekBinaryRoute(body)
@@ -128,9 +128,9 @@ func PeekRoute(body []byte, binary bool) (key, traceID string, err error) {
 	return r.ShapeKey(), peek.TraceID, nil
 }
 
-// pipeRouteKey is the routing/profile descriptor of a pipeline workload —
-// the parameters that determine its cost, and therefore which worker's
-// cost-model cache and profile store should own it.
+// pipeRouteKey is the routing descriptor of a pipeline workload — the
+// parameters that determine its cost, and therefore which worker should own
+// it.
 func pipeRouteKey(ecut float64, nb, ranks, ntg int) string {
 	return fmt.Sprintf("pipe:ecut%g:nb%d:r%dxt%d", ecut, nb, ranks, ntg)
 }

@@ -27,10 +27,9 @@ type Server struct {
 // Mux returns a fresh ServeMux with the standard telemetry surface
 // mounted: /metrics, /debug/vars, /debug/pprof/* and a plain-text index at
 // /. Servers that carry their own endpoints beside the telemetry ones (the
-// fftxd FFT service with /fft and its /debug/fftx/{requests,profiles}
-// introspection pages) build on this mux instead of running a second
-// listener; extra index lines name the additional endpoints on the front
-// page.
+// fftxd FFT service with /fft and its /debug/fftx/requests introspection
+// page) build on this mux instead of running a second listener; extra
+// index lines name the additional endpoints on the front page.
 func Mux(reg *metrics.Registry, extraIndex ...string) *http.ServeMux {
 	metrics.PublishExpvar("fftx", reg)
 

@@ -4,9 +4,7 @@ package trace
 // simulator's virtual-time intervals. Where a Trace attributes simulated
 // lane time to pipeline phases, a SpanSet attributes real time inside one
 // fftxd request to serving phases: admission wait, queue, batch coalescing,
-// plan lookup, engine execution, response encoding. The two meet in the
-// per-shape profile store (internal/profiles), which records both kinds of
-// breakdown under one shape × engine × mode key.
+// plan lookup, engine execution, response encoding.
 //
 // A SpanSet is identified by a 16-hex-character trace ID that propagates
 // through the wire codecs (the JSON trace_id field and the binary frame
@@ -24,7 +22,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	mrand "math/rand"
 	"sort"
 	"strings"
@@ -235,20 +232,6 @@ func (t *SpanTree) Find(name string) (Span, bool) {
 	return Span{}, false
 }
 
-// PhaseSecondsByName sums closed-span durations by span name, skipping root
-// spans (so the root "request" envelope does not double-count its phases).
-// This is the serving-side phase breakdown the profile store records.
-func (t *SpanTree) PhaseSecondsByName() map[string]float64 {
-	out := map[string]float64{}
-	for _, s := range t.Spans {
-		if s.Parent == 0 || s.EndNS == 0 {
-			continue
-		}
-		out[s.Name] += s.DurationSec()
-	}
-	return out
-}
-
 // ValidateSpans checks the structural invariants of the tree: a valid trace
 // ID, exactly one root, parent links resolving to earlier spans, children
 // contained in their parents (closed spans only, with tolerance for clock
@@ -337,38 +320,4 @@ func attrString(attrs map[string]string) string {
 		fmt.Fprintf(&b, "  %s=%s", k, attrs[k])
 	}
 	return b.String()
-}
-
-// PhaseSeconds aggregates a simulated Trace's lane time by phase name —
-// compute phases under their own names, MPI intervals under their call
-// names, runtime overhead and idle under "runtime" and "idle". It is the
-// engine-side stage-timing hook the per-shape profile store records for
-// pipeline requests, complementing the wall-clock span breakdown of
-// transform requests.
-func (t *Trace) PhaseSeconds() map[string]float64 {
-	out := map[string]float64{}
-	for _, iv := range t.Intervals {
-		name := iv.Phase
-		switch iv.Kind {
-		case KindRuntime:
-			name = "runtime"
-		case KindIdle:
-			name = "idle"
-		case KindMPISync:
-			name = iv.Phase + "-sync"
-		case KindMPITransfer:
-			name = iv.Phase + "-transfer"
-		}
-		if name == "" {
-			name = "unnamed"
-		}
-		out[name] += iv.Duration()
-	}
-	// Guard against NaN leaking into persisted profiles.
-	for k, v := range out {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			delete(out, k)
-		}
-	}
-	return out
 }

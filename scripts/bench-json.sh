@@ -7,7 +7,7 @@
 #   benchmarks      every benchmark result (name, iterations, ns/op)
 #   kernel_speedups the headline before/after ratios computed from the
 #                   benchmark pairs (Recursive vs Iterative 1-D kernel,
-#                   per-column vs blocked 2-D column pass, host-par off vs on)
+#                   host-par off vs on)
 #   layouts         the AoS-vs-SoA speedups of the batched stick kernel per
 #                   radix family (the Batch_AoS_*/Batch_SoA_* pairs) — the
 #                   measurements behind the PickLayout/PickRadix policy
@@ -17,7 +17,8 @@
 # pick — the record that the stage-graph refactor kept the engines'
 # simulated runtimes neutral, that "auto" tracks the per-row minimum, and
 # that the barrier-free dataflow engine beats task-combined on the
-# taskwait-heavy narrow-rank shapes (check-bench.sh pins that floor).
+# taskwait-heavy narrow-rank shapes (TestDataflowFasterThanCombinedWhenContended
+# pins that claim).
 #
 # Noise handling: the host is too noisy (frequency bimodality, sibling
 # load) for a single timing per benchmark to yield stable ratios, so each
@@ -90,7 +91,6 @@ END {
 	printf "    \"fft1d_120\": %s,\n", ratio("Kernel_Recursive_120", "Kernel_Iterative_120")
 	printf "    \"fft1d_128\": %s,\n", ratio("Kernel_Recursive_128", "Kernel_Iterative_128")
 	printf "    \"fft1d_486\": %s,\n", ratio("Kernel_Recursive_486", "Kernel_Iterative_486")
-	printf "    \"plan2d_60x60\": %s,\n", ratio("Plan2D_PerColumn_60x60", "Plan2D_Blocked_60x60")
 	printf "    \"hostpar_real\": %s\n", ratio("RunReal_HostParOff", "RunReal_HostParOn")
 	printf "  },\n"
 	printf "  \"layouts\": {\n"
