@@ -44,13 +44,15 @@ race:
 # fuzz-smoke runs a short bounded fuzz of the FFT round-trip property, of
 # the batch kernels against their serial reference (bit-identical across
 # layouts, rounding tolerance against the mixed-radix baseline and the naive
-# DFT) and of the fftxd binary request decoder (malformed input must error,
-# never panic). Each package has several fuzz targets, so -fuzz must pick
-# one.
+# DFT), of the fftxd binary request decoder (malformed input must error,
+# never panic) and of its JSON request decoder against encoding/json (equal
+# results on everything both accept, never a panic). Each package has
+# several fuzz targets, so -fuzz must pick one.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s -run='^$$' ./internal/fft
 	$(GO) test -fuzz=FuzzBatchMatchesReference -fuzztime=10s -run='^$$' ./internal/fft
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzJSONRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
 
 # overhead-smoke measures the cost of the always-on telemetry: the
 # enabled/disabled benchmark pair plus the min-of-N smoke test that fails on

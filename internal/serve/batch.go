@@ -25,10 +25,14 @@ import (
 
 // task is one admitted request travelling through the queue.
 type task struct {
-	req  *Request
-	key  string       // batching key (transforms); "" dispatches immediately
-	data []complex128 // decoded transform payload
-	rows int          // transforms carried (req.Batch for transforms, 1 otherwise)
+	req *Request
+	key string // batching key (transforms); "" dispatches immediately
+	// data is the transform payload, in a complexPool buffer: decoded into,
+	// transformed in place by a worker, rendered from by the handler. The
+	// handler releases it, and only after receiving the task's outcome (see
+	// pool.go); until then a worker may be writing to it.
+	data []complex128
+	rows int // transforms carried (req.Batch for transforms, 1 otherwise)
 
 	enq      time.Time
 	deadline time.Time // zero = none
@@ -48,10 +52,14 @@ type task struct {
 	done chan taskOutcome
 }
 
-// taskOutcome resolves one task: a response or a status error.
+// taskOutcome resolves one task. A transform's result is already where the
+// handler will render it from, task.data, so its outcome is only the size of
+// the batch it rode in; a pipeline's is its reply; a failure is a status
+// error.
 type taskOutcome struct {
-	resp *Response
-	err  *statusError
+	batchSize int
+	resp      *Response
+	err       *statusError
 }
 
 // statusError is an error with an HTTP status; RetryAfter > 0 adds a
@@ -79,24 +87,35 @@ func (g *group) rows() int {
 	return n
 }
 
-// newTask builds the task of a validated request.
-func newTask(req *Request) *task {
+// newTask builds the task of a validated request. A transform brings its
+// batching key and its payload, whose buffer the task takes over.
+func newTask(req *Request, key string, data []complex128) *task {
 	t := &task{
 		req:  req,
+		key:  key,
+		data: data,
 		enq:  time.Now(),
 		rows: 1,
 		done: make(chan taskOutcome, 1),
 	}
 	if req.Op == OpTransform {
-		t.key = req.ShapeKey()
-		t.data = req.complexData()
 		t.rows = req.Batch
-		mShapeReqs.With(t.key).Inc()
+		mShapeReqs.With(key).Inc()
 	}
 	if req.DeadlineMillis > 0 {
 		t.deadline = t.enq.Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
 	}
 	return t
+}
+
+// release returns the task's payload buffer to its pool. Only a goroutine
+// that holds the payload alone may call it: the handler once it has received
+// the task's outcome, or when admission refused the task. A task whose client
+// went away first is never released — a worker may still be transforming its
+// payload — and is left to the garbage collector.
+func (t *task) release() {
+	complexPool.put(t.data)
+	t.data = nil
 }
 
 // expired reports whether the task's deadline has passed at now.

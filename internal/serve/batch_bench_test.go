@@ -20,9 +20,8 @@ func execBenchmark(s *Server, dims []int, rows int, batched bool) func(b *testin
 		for i := 0; i < b.N; i++ {
 			tasks := make([]*task, rows)
 			for j := range tasks {
-				req := &Request{Op: OpTransform, Dims: dims, Sign: -1, Batch: 1,
-					Data: append([]float64(nil), data...)}
-				tasks[j] = newTask(req)
+				req := &Request{Op: OpTransform, Dims: dims, Sign: -1, Batch: 1}
+				tasks[j] = newTask(req, req.ShapeKey(), toComplex(data))
 				mQueueDepth.Add(1) // runBatch decrements per task
 			}
 			if batched {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -79,10 +78,12 @@ func (s *Server) runBatch(g *group) {
 	s.runTransforms(g.key, live)
 }
 
-// runTransforms executes a same-shape transform batch in place and answers
-// each task with its own slice of the results. Traced tasks get an exec span
-// with plan/transform/scale children (shared batch timings: each request's
-// wall time in those phases is the batch's).
+// runTransforms executes a same-shape transform batch in place — each
+// task's result is left in its own payload buffer — and resolves every task
+// with the batch size. A resolved task's buffer is the handler's again and is
+// not touched here afterwards. Traced tasks get an exec span with
+// plan/transform/scale children (shared batch timings: each request's wall
+// time in those phases is the batch's).
 func (s *Server) runTransforms(key string, live []*task) {
 	req := live[0].req
 	sign := signOf(req.Sign)
@@ -127,7 +128,7 @@ func (s *Server) runTransforms(key string, live []*task) {
 	mExecSeconds.With(key).Observe(end.Sub(start).Seconds())
 	mPlanBuilds.Set(float64(s.cache.Builds()))
 
-	engine := fmt.Sprintf("plan%dd", len(req.Dims))
+	engine := [...]string{"plan1d", "plan2d", "plan3d"}[len(req.Dims)-1]
 	for _, t := range live {
 		exec := t.root.BeginAt("exec", start)
 		exec.SetAttr("rows", strconv.Itoa(rows))
@@ -141,11 +142,7 @@ func (s *Server) runTransforms(key string, live []*task) {
 			scaleSpan.EndAt(end)
 		}
 		exec.EndAt(end)
-		t.resolve(taskOutcome{resp: &Response{
-			Data:      floatData(t.data),
-			BatchSize: rows,
-			TraceID:   t.spans.TraceID(),
-		}})
+		t.resolve(taskOutcome{batchSize: rows})
 	}
 }
 

@@ -12,6 +12,9 @@ var (
 
 	mReqTotal = metrics.Default().CounterVec("fftxd_requests_total",
 		"requests finished, by endpoint and HTTP status code", "endpoint", "code")
+	// mFFTOK is the series nearly every /fft request ends on, held so that
+	// its labels are not joined anew per request.
+	mFFTOK      = mReqTotal.With("fft", "200")
 	mReqSeconds = metrics.Default().HistogramVec("fftxd_request_seconds",
 		"wall-clock request latency (admission to reply), by endpoint", serveBuckets, "endpoint")
 	mRejects = metrics.Default().CounterVec("fftxd_rejects_total",

@@ -9,8 +9,10 @@
 //
 // The subsystem has four layers:
 //
-//   - request.go / wire.go — the JSON and length-prefixed binary codecs and
-//     request validation (shape limits, finiteness; decoders never panic).
+//   - request.go / wire.go / json.go — the JSON and length-prefixed binary
+//     codecs and request validation (shape limits, finiteness; decoders never
+//     panic). A transform's payload is parsed once, straight into a pooled
+//     []complex128 (pool.go), and its reply printed once from that buffer.
 //   - batch.go — admission control (bounded queue, deadline- and
 //     drain-aware rejection with Retry-After) and the batching dispatcher
 //     that groups same-shape requests inside a short window.
@@ -27,12 +29,8 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/fft"
 	"repro/internal/fftx"
@@ -167,35 +165,65 @@ func (r *Request) NumElements() int {
 // batch (same dims, direction and scaling). The key doubles as the "shape"
 // metric label, e.g. "f3d:20x20x20" for a forward 3-D transform.
 func (r *Request) ShapeKey() string {
-	var b strings.Builder
+	var buf [48]byte
+	return string(r.appendShapeKey(buf[:0]))
+}
+
+func (r *Request) appendShapeKey(b []byte) []byte {
 	// Sign is normalized to ±1 by Validate; backward is +1.
 	if r.Sign > 0 {
-		b.WriteByte('b')
+		b = append(b, 'b')
 	} else {
-		b.WriteByte('f')
+		b = append(b, 'f')
 	}
-	fmt.Fprintf(&b, "%dd:", len(r.Dims))
+	b = strconv.AppendInt(b, int64(len(r.Dims)), 10)
+	b = append(b, 'd', ':')
 	for i, d := range r.Dims {
 		if i > 0 {
-			b.WriteByte('x')
+			b = append(b, 'x')
 		}
-		b.WriteString(strconv.Itoa(d))
+		b = strconv.AppendInt(b, int64(d), 10)
 	}
 	if r.Scale {
-		b.WriteString(":s")
+		b = append(b, ':', 's')
 	}
-	return b.String()
+	return b
 }
 
 // Validate normalizes and checks a decoded request against the server's
 // element budget. It returns a client-error description (HTTP 400) on
 // violation.
 func (r *Request) Validate(maxElements int) error {
+	floats, err := r.validateHeader(maxElements)
+	if err != nil || r.Op != OpTransform {
+		return err
+	}
+	if len(r.Data) != floats {
+		return dataLengthError(len(r.Data), floats, r.Batch)
+	}
+	for i, v := range r.Data {
+		if !finite(v) {
+			return fmt.Errorf("data[%d] is not finite", i)
+		}
+	}
+	return nil
+}
+
+func dataLengthError(got, want, batch int) error {
+	return fmt.Errorf("data carries %d floats, want %d (batch %d × %d elements × re,im)",
+		got, want, batch, want/(2*batch))
+}
+
+// validateHeader is Validate without the payload: it normalizes and checks
+// every other field and returns the number of floats a transform's payload
+// must carry (0 for a pipeline request). The decoders, whose payload is not
+// in Data, finish the job themselves.
+func (r *Request) validateHeader(maxElements int) (floats int, err error) {
 	if maxElements <= 0 {
 		maxElements = DefaultMaxElements
 	}
 	if r.TraceID != "" && !trace.ValidTraceID(r.TraceID) {
-		return fmt.Errorf("malformed trace_id %q (want %d lowercase hex characters)", r.TraceID, trace.TraceIDLen)
+		return 0, fmt.Errorf("malformed trace_id %q (want %d lowercase hex characters)", r.TraceID, trace.TraceIDLen)
 	}
 	switch r.Op {
 	case "":
@@ -206,65 +234,56 @@ func (r *Request) Validate(maxElements int) error {
 		}
 	case OpTransform, OpPipeline:
 	default:
-		return fmt.Errorf("unknown op %q", r.Op)
+		return 0, fmt.Errorf("unknown op %q", r.Op)
 	}
 	if r.Op == OpPipeline {
 		p := r.Pipeline
 		if p == nil {
-			return fmt.Errorf("pipeline request without pipeline parameters")
+			return 0, fmt.Errorf("pipeline request without pipeline parameters")
 		}
 		if _, err := engineByName(p.Engine); err != nil {
-			return err
+			return 0, err
 		}
 		if p.Ecut <= 0 || p.Alat <= 0 || p.NB <= 0 || p.Ranks <= 0 || p.NTG <= 0 {
-			return fmt.Errorf("pipeline parameters must be positive (ecut=%g alat=%g nb=%d ranks=%d ntg=%d)",
+			return 0, fmt.Errorf("pipeline parameters must be positive (ecut=%g alat=%g nb=%d ranks=%d ntg=%d)",
 				p.Ecut, p.Alat, p.NB, p.Ranks, p.NTG)
 		}
 		// Per-factor bounds first, so the product cannot overflow.
 		if p.Ranks > maxPipelineLanes || p.NTG > maxPipelineLanes || p.Ranks*p.NTG > maxPipelineLanes {
-			return fmt.Errorf("pipeline occupies %d×%d lanes, limit %d", p.Ranks, p.NTG, maxPipelineLanes)
+			return 0, fmt.Errorf("pipeline occupies %d×%d lanes, limit %d", p.Ranks, p.NTG, maxPipelineLanes)
 		}
 		if p.NB > maxPipelineBands {
-			return fmt.Errorf("pipeline nb=%d exceeds the %d-band limit", p.NB, maxPipelineBands)
+			return 0, fmt.Errorf("pipeline nb=%d exceeds the %d-band limit", p.NB, maxPipelineBands)
 		}
 		if p.NB%p.NTG != 0 {
-			return fmt.Errorf("nb=%d not divisible by ntg=%d", p.NB, p.NTG)
+			return 0, fmt.Errorf("nb=%d not divisible by ntg=%d", p.NB, p.NTG)
 		}
-		return nil
+		return 0, nil
 	}
 	if len(r.Dims) < 1 || len(r.Dims) > 3 {
-		return fmt.Errorf("dims must have 1 to 3 entries, got %d", len(r.Dims))
+		return 0, fmt.Errorf("dims must have 1 to 3 entries, got %d", len(r.Dims))
 	}
 	n := r.NumElements()
 	if n == 0 {
-		return fmt.Errorf("invalid dims %v", r.Dims)
+		return 0, fmt.Errorf("invalid dims %v", r.Dims)
 	}
 	if r.Batch == 0 {
 		r.Batch = 1
 	}
 	if r.Batch < 0 {
-		return fmt.Errorf("invalid batch %d", r.Batch)
+		return 0, fmt.Errorf("invalid batch %d", r.Batch)
 	}
 	if r.Batch > maxElements/n {
-		return fmt.Errorf("request of %d×%d elements exceeds the %d-element limit", r.Batch, n, maxElements)
+		return 0, fmt.Errorf("request of %d×%d elements exceeds the %d-element limit", r.Batch, n, maxElements)
 	}
 	switch r.Sign {
 	case 0, -1:
 		r.Sign = -1
 	case 1:
 	default:
-		return fmt.Errorf("sign must be -1 (forward) or +1 (backward), got %d", r.Sign)
+		return 0, fmt.Errorf("sign must be -1 (forward) or +1 (backward), got %d", r.Sign)
 	}
-	if len(r.Data) != 2*r.Batch*n {
-		return fmt.Errorf("data carries %d floats, want %d (batch %d × %d elements × re,im)",
-			len(r.Data), 2*r.Batch*n, r.Batch, n)
-	}
-	for i, v := range r.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("data[%d] is not finite", i)
-		}
-	}
-	return nil
+	return 2 * r.Batch * n, nil
 }
 
 // engineByName maps the wire engine name — including "auto" — to the fftx
@@ -281,25 +300,6 @@ func engineByName(name string) (fftx.Engine, error) {
 	return e, nil
 }
 
-// complexData reinterprets the request payload as complex values.
-func (r *Request) complexData() []complex128 {
-	out := make([]complex128, len(r.Data)/2)
-	for i := range out {
-		out[i] = complex(r.Data[2*i], r.Data[2*i+1])
-	}
-	return out
-}
-
-// floatData flattens complex values into interleaved re,im pairs.
-func floatData(x []complex128) []float64 {
-	out := make([]float64, 2*len(x))
-	for i, v := range x {
-		out[2*i] = real(v)
-		out[2*i+1] = imag(v)
-	}
-	return out
-}
-
 // signOf converts the wire sign to the fft package direction.
 func signOf(sign int) fft.Sign {
 	if sign > 0 {
@@ -310,14 +310,21 @@ func signOf(sign int) fft.Sign {
 
 // DecodeJSONRequest parses and validates a JSON request body.
 func DecodeJSONRequest(body []byte, maxElements int) (*Request, error) {
-	var req Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("malformed JSON request: %w", err)
+	req, payload, err := decodeJSON(body, maxElements)
+	return exportPayload(req, payload), err
+}
+
+// exportPayload moves a decoded transform's payload into Request.Data, the
+// interleaved []float64 of the exported API, and recycles the decoder's
+// buffer. The server itself never does this: its payload stays complex.
+func exportPayload(req *Request, payload []complex128) *Request {
+	if payload == nil {
+		return req
 	}
-	if err := req.Validate(maxElements); err != nil {
-		return nil, err
+	req.Data = make([]float64, 2*len(payload))
+	for i, v := range payload {
+		req.Data[2*i], req.Data[2*i+1] = real(v), imag(v)
 	}
-	return &req, nil
+	complexPool.put(payload)
+	return req
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,9 +140,10 @@ type Server struct {
 	// shapeMu guards shapesServed, the bounded set of distinct transform
 	// shape keys this server has seen — the "shapes" field of the /healthz
 	// body, which tells the cluster router (and humans) what this worker's
-	// plan cache is warm for.
+	// plan cache is warm for. Each key maps to itself, so that a request of
+	// a shape seen before shares the stored string (shapeKey).
 	shapeMu      sync.Mutex
-	shapesServed map[string]struct{}
+	shapesServed map[string]string
 }
 
 // New builds a Server from cfg. Call Start to bind and serve.
@@ -155,7 +158,7 @@ func New(cfg Config) *Server {
 		dispatcherDone: make(chan struct{}),
 		reqLog:         newRequestLog(cfg.RequestLogSize),
 		logger:         cfg.Logger,
-		shapesServed:   map[string]struct{}{},
+		shapesServed:   map[string]string{},
 	}
 	cfg.Mux.HandleFunc("/fft", s.handleFFT)
 	cfg.Mux.HandleFunc("/healthz", s.handleHealthz)
@@ -266,12 +269,21 @@ func (s *Server) shouldTrace(clientID string) bool {
 // a span tree covering decode → admit → queue → coalesce → exec → encode;
 // the root span brackets the same work the fftxd_request_seconds observation
 // measures, and its trace ID becomes that observation's exemplar.
+//
+// A transform's payload is read once, parsed once, transformed in place and
+// printed once, through pooled buffers (pool.go): the body buffer is released
+// as soon as it is parsed, the payload and the rendered reply after the
+// write.
 func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	code := 0
 	var spans *trace.SpanSet
 	defer func() {
-		mReqTotal.With("fft", fmt.Sprint(code)).Inc()
+		if code == http.StatusOK {
+			mFFTOK.Inc()
+		} else {
+			mReqTotal.With("fft", strconv.Itoa(code)).Inc()
+		}
 		mReqSeconds.With("fft").ObserveExemplar(
 			time.Since(startAt).Seconds(), spans.TraceID(), time.Now().UnixNano())
 	}()
@@ -281,18 +293,23 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	binary := r.Header.Get("Content-Type") == "application/octet-stream"
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody()))
-	if err != nil {
-		code = http.StatusRequestEntityTooLarge
-		writeError(w, binary, code, 0, "request body rejected: %v", err)
+	body, serr := s.readBody(w, r)
+	if serr != nil {
+		code = serr.code
+		writeError(w, binary, code, 0, "request body rejected: %s", serr.msg)
 		return
 	}
+	readAt := time.Now()
 	var req *Request
+	var data []complex128
+	var err error
 	if binary {
-		req, err = DecodeRequest(body, s.cfg.MaxElements)
+		req, data, err = decodeBinary(body, s.cfg.MaxElements)
 	} else {
-		req, err = DecodeJSONRequest(body, s.cfg.MaxElements)
+		req, data, err = decodeJSON(body, s.cfg.MaxElements)
 	}
+	bytePool.put(body) // nothing decoded refers to it
+	parsedAt := time.Now()
 	if err != nil {
 		code = http.StatusBadRequest
 		writeError(w, binary, code, 0, "%v", err)
@@ -315,71 +332,189 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("op", req.Op)
 	shape := ""
 	if req.Op == OpTransform {
-		shape = req.ShapeKey()
+		shape = s.shapeKey(req)
 		root.SetAttr("shape", shape)
-		s.recordShape(shape)
 	}
+	// Sampling is decided by what was decoded, so the decode span and its
+	// read/parse children are stamped after the fact.
 	decodeSpan := root.BeginAt("decode", startAt)
-	decodeSpan.End()
+	readSpan := decodeSpan.BeginAt("read", startAt)
+	readSpan.EndAt(readAt)
+	parseSpan := decodeSpan.BeginAt("parse", readAt)
+	parseSpan.EndAt(parsedAt)
+	decodeSpan.EndAt(parsedAt)
 	rec := s.reqLog.start(spans, req.Op, shape, startAt)
 	defer func() {
-		root.SetAttr("status", fmt.Sprint(code))
+		if spans != nil {
+			root.SetAttr("status", strconv.Itoa(code))
+		}
 		root.End()
 		lat := time.Since(startAt)
 		s.reqLog.finish(rec, code, lat)
 		s.logRequest(spans, req.Op, shape, code, lat)
 	}()
 
-	t := newTask(req)
+	t := newTask(req, shape, data)
 	t.spans = spans
 	t.root = root
 	// The queue span opens before admit so the dispatcher can never pull the
 	// task ahead of the handle existing; on rejection it closes here.
 	admitSpan := root.Begin("admit")
 	t.queueSpan = root.Begin("queue")
-	serr := s.admit(t)
+	serr = s.admit(t)
 	admitSpan.End()
 	if serr != nil {
 		t.queueSpan.End()
 		code = serr.code
 		writeError(w, binary, serr.code, serr.retryAfter, "%s", serr.msg)
+		t.release() // never queued: still this goroutine's alone
 		return
 	}
 	select {
 	case out := <-t.done:
+		// The outcome hands the task and its payload back: no worker touches
+		// either again.
+		if out.err == nil {
+			out.err = writeReply(w, binary, t, out)
+		}
 		if out.err != nil {
 			code = out.err.code
 			writeError(w, binary, out.err.code, out.err.retryAfter, "%s", out.err.msg)
-			return
+		} else {
+			code = http.StatusOK
 		}
-		code = http.StatusOK
-		encodeSpan := root.Begin("encode")
-		if binary {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(EncodeResponse(out.resp))
-			encodeSpan.End()
-			return
-		}
-		writeJSON(w, http.StatusOK, out.resp)
-		encodeSpan.End()
+		t.release()
 	case <-r.Context().Done():
 		// The client went away; the batch still executes, the outcome
-		// lands in the buffered channel and is garbage collected.
+		// lands in the buffered channel and is garbage collected — and so
+		// are the task and its payload buffer, which a worker may yet write
+		// to and which are therefore not released.
 		code = 499 // nginx's "client closed request", for the metrics only
 	}
+}
+
+// bodyFirstRead is the most readBody sets aside before a byte of the body has
+// arrived: what a client that declares a long body and then stalls can pin.
+const bodyFirstRead = 1 << 20
+
+// readBody reads the request body into a bytePool buffer the caller owns.
+// The buffer starts at the declared length, or bodyFirstRead if that is
+// less, and from there grows only as fast as bytes arrive, so a declared
+// length is a hint and never a reservation. A body over maxBody is 413 —
+// refused before a byte is read when the length is declared, cut off at the
+// cap when it is chunked — and any other read failure (a client that resets,
+// stalls or sends less than it declared) is 400.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *statusError) {
+	limit := s.maxBody()
+	if r.ContentLength > limit {
+		// Nor is the body drained afterwards: net/http would otherwise read
+		// on before replying, in the hope of reusing the connection.
+		w.Header().Set("Connection", "close")
+		return nil, &statusError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("declared length %d exceeds the %d-byte limit", r.ContentLength, limit)}
+	}
+	// net/http ends a body of declared length there, or fails it with
+	// io.ErrUnexpectedEOF if it is shorter; the cap is for chunked bodies.
+	body := http.MaxBytesReader(w, r.Body, limit)
+	want := r.ContentLength // -1 when chunked
+	buf := bytePool.get(int(min(max(want, 0), bodyFirstRead)))[:0]
+	for {
+		if len(buf) == cap(buf) {
+			if int64(len(buf)) == want {
+				return buf, nil
+			}
+			next := 4 * int64(cap(buf))
+			if want >= 0 {
+				next = min(next, want)
+			}
+			buf = bytePool.grow(buf, int(next))
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			bytePool.put(buf)
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			return nil, &statusError{code: code, msg: err.Error()}
+		}
+	}
+}
+
+// Header values net/http only reads, shared by every reply.
+var (
+	contentTypeJSON   = []string{"application/json"}
+	contentTypeBinary = []string{"application/octet-stream"}
+)
+
+// writeReply renders a resolved task's reply into one buffer and writes it
+// with its Content-Length. A transform is rendered straight from task.data
+// into a bytePool buffer; the small pipeline replies go through
+// encoding/json and EncodeResponse.
+func writeReply(w http.ResponseWriter, binary bool, t *task, out taskOutcome) *statusError {
+	encodeSpan := t.root.Begin("encode")
+	defer encodeSpan.End()
+	renderSpan := encodeSpan.Begin("render")
+	var reply, pooled []byte
+	var err error
+	switch {
+	case out.resp == nil && binary:
+		pooled = bytePool.get(transformFrameSize(len(t.data)))
+		reply = appendTransformFrame(pooled[:0], t.data, out.batchSize, t.spans.TraceID())
+	case out.resp == nil:
+		pooled = bytePool.get(transformJSONSize(len(t.data)))
+		reply, err = appendTransformJSON(pooled[:0], t.data, out.batchSize, t.spans.TraceID())
+	case binary:
+		reply = EncodeResponse(out.resp)
+	default:
+		// json.Encoder's rendering: Marshal plus a newline.
+		reply, err = json.Marshal(out.resp)
+		reply = append(reply, '\n')
+	}
+	renderSpan.End()
+	defer bytePool.put(pooled) // after the write; a nil buffer is not kept
+	if err != nil {
+		// Only a transform that overflowed to ±Inf or NaN gets here: the
+		// request was well-formed, but its result has no JSON spelling.
+		return &statusError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("transform result not representable in JSON: %v", err)}
+	}
+	writeSpan := encodeSpan.Begin("write")
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	if binary {
+		h["Content-Type"] = contentTypeBinary
+	}
+	h.Set("Content-Length", strconv.Itoa(len(reply)))
+	_, _ = w.Write(reply) // a failed write is the client's departure; nothing to report to
+	writeSpan.End()
+	return nil
 }
 
 // maxHealthShapes bounds the shapes-served set so a shape-scanning client
 // cannot grow the /healthz body (or the server's memory) without bound.
 const maxHealthShapes = 256
 
-// recordShape adds a transform shape key to the bounded shapes-served set.
-func (s *Server) recordShape(shape string) {
+// shapeKey returns the request's ShapeKey and records it in the bounded
+// shapes-served set. The key is built once per request, and for a shape
+// already in the set not allocated at all.
+func (s *Server) shapeKey(req *Request) string {
+	var buf [48]byte
+	b := req.appendShapeKey(buf[:0])
 	s.shapeMu.Lock()
-	if len(s.shapesServed) < maxHealthShapes {
-		s.shapesServed[shape] = struct{}{}
+	defer s.shapeMu.Unlock()
+	key, ok := s.shapesServed[string(b)]
+	if !ok {
+		key = string(b)
+		if len(s.shapesServed) < maxHealthShapes {
+			s.shapesServed[key] = key
+		}
 	}
-	s.shapeMu.Unlock()
+	return key
 }
 
 // Health is the /healthz JSON body: one self-describing signal for load
@@ -431,7 +566,7 @@ func (s *Server) health() (Health, int) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h, code := s.health()
 	writeJSON(w, code, h)
-	mReqTotal.With("healthz", fmt.Sprint(code)).Inc()
+	mReqTotal.With("healthz", strconv.Itoa(code)).Inc()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -445,7 +580,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // (they only read the status line and headers on errors).
 func writeError(w http.ResponseWriter, binary bool, code, retryAfter int, format string, args ...any) {
 	if retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfter))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
 	msg := fmt.Sprintf(format, args...)
 	if binary {

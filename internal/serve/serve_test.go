@@ -68,12 +68,18 @@ func randomData(seed int64, elements int) []float64 {
 	return data
 }
 
-// referenceTransform applies the plan directly to a copy of the payload.
-func referenceTransform(dims []int, data []float64, sign fft.Sign, scale bool) []float64 {
+// toComplex pairs interleaved re,im floats into complex values.
+func toComplex(data []float64) []complex128 {
 	x := make([]complex128, len(data)/2)
 	for i := range x {
 		x[i] = complex(data[2*i], data[2*i+1])
 	}
+	return x
+}
+
+// referenceTransform applies the plan directly to a copy of the payload.
+func referenceTransform(dims []int, data []float64, sign fft.Sign, scale bool) []float64 {
+	x := toComplex(data)
 	n := 1
 	for _, d := range dims {
 		n *= d

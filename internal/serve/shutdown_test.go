@@ -132,7 +132,7 @@ func TestDrainingRejectsNewRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The listener is closed after a drain, so exercise admission directly.
-	if serr := s.admit(newTask(&Request{Op: OpTransform, Dims: []int{4}, Batch: 1, Sign: -1, Data: make([]float64, 8)})); serr == nil {
+	if serr := s.admit(newTask(&Request{Op: OpTransform, Dims: []int{4}, Batch: 1, Sign: -1}, "f1d:4", make([]complex128, 4))); serr == nil {
 		t.Fatal("admission accepted a task after drain")
 	} else if serr.code != http.StatusServiceUnavailable || serr.retryAfter <= 0 {
 		t.Errorf("post-drain rejection = %d retry %d, want 503 with Retry-After", serr.code, serr.retryAfter)

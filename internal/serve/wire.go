@@ -111,7 +111,14 @@ func PeekRoute(body []byte, binary bool) (key, traceID string, err error) {
 			NTG   int     `json:"ntg"`
 		} `json:"pipeline"`
 	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	// Only the envelope is parsed: the scanner steps over the data array
+	// without converting it, and rejects what the worker's decoder rejects
+	// in the envelope's structure (a second "data" member, trailing bytes).
+	envelope, err := splitJSONRequest(body, nil, nil)
+	if err == nil {
+		err = json.Unmarshal(envelope, &peek)
+	}
+	if err != nil {
 		return "", "", fmt.Errorf("unroutable JSON request: %w", err)
 	}
 	if peek.Pipeline != nil && (peek.Op == "" || peek.Op == OpPipeline) {
@@ -325,35 +332,48 @@ func decodePipelineRequest(data []byte, maxElements int) (*Request, error) {
 // panics: malformed lengths, truncated payloads and non-finite components
 // all return errors.
 func DecodeRequest(data []byte, maxElements int) (*Request, error) {
+	req, payload, err := decodeBinary(data, maxElements)
+	return exportPayload(req, payload), err
+}
+
+// float64ExpMask selects the exponent bits; all ones means NaN or ±Inf.
+const float64ExpMask = 0x7FF << 52
+
+// decodeBinary is DecodeRequest with a transform's payload returned as
+// complex values in a complexPool buffer the caller owns — the form the
+// server transforms in place. The buffer is sized only after the header, the
+// element budget and the frame length have been checked against each other.
+func decodeBinary(data []byte, maxElements int) (*Request, []complex128, error) {
 	if maxElements <= 0 {
 		maxElements = DefaultMaxElements
 	}
 	if len(data) >= 4 && [4]byte(data[:4]) == magicPipeRequest {
-		return decodePipelineRequest(data, maxElements)
+		req, err := decodePipelineRequest(data, maxElements)
+		return req, nil, err
 	}
 	if len(data) < wireReqHeader {
-		return nil, fmt.Errorf("request truncated: %d bytes, header is %d", len(data), wireReqHeader)
+		return nil, nil, fmt.Errorf("request truncated: %d bytes, header is %d", len(data), wireReqHeader)
 	}
 	if [4]byte(data[:4]) != magicRequest {
-		return nil, fmt.Errorf("bad magic %q", data[:4])
+		return nil, nil, fmt.Errorf("bad magic %q", data[:4])
 	}
 	sign, rank, flags, reserved := data[4], data[5], data[6], data[7]
 	if sign > 1 {
-		return nil, fmt.Errorf("bad sign byte %d", sign)
+		return nil, nil, fmt.Errorf("bad sign byte %d", sign)
 	}
 	if rank < 1 || rank > 3 {
-		return nil, fmt.Errorf("bad rank %d", rank)
+		return nil, nil, fmt.Errorf("bad rank %d", rank)
 	}
 	if flags&^byte(flagScale|flagTraceID) != 0 || reserved != 0 {
-		return nil, fmt.Errorf("unknown flags %#x / reserved %#x", flags, reserved)
+		return nil, nil, fmt.Errorf("unknown flags %#x / reserved %#x", flags, reserved)
 	}
 	batch := binary.LittleEndian.Uint32(data[8:12])
 	deadline := binary.LittleEndian.Uint32(data[12:16])
 	if batch == 0 {
-		return nil, fmt.Errorf("zero batch count")
+		return nil, nil, fmt.Errorf("zero batch count")
 	}
 	if len(data) < wireReqHeader+4*int(rank) {
-		return nil, fmt.Errorf("request truncated inside dims")
+		return nil, nil, fmt.Errorf("request truncated inside dims")
 	}
 	req := &Request{
 		Op:             OpTransform,
@@ -370,78 +390,99 @@ func DecodeRequest(data []byte, maxElements int) (*Request, error) {
 	for i := 0; i < int(rank); i++ {
 		d := binary.LittleEndian.Uint32(data[wireReqHeader+4*i:])
 		if d == 0 || int(d) > maxElements {
-			return nil, fmt.Errorf("dim %d out of range", d)
+			return nil, nil, fmt.Errorf("dim %d out of range", d)
 		}
 		if n > maxElements/int(d) {
-			return nil, fmt.Errorf("dims %v exceed the %d-element limit", data[wireReqHeader:wireReqHeader+4*int(rank)], maxElements)
+			return nil, nil, fmt.Errorf("dims %v exceed the %d-element limit", data[wireReqHeader:wireReqHeader+4*int(rank)], maxElements)
 		}
 		n *= int(d)
 		req.Dims[i] = int(d)
 	}
 	if int(batch) > maxElements/n {
-		return nil, fmt.Errorf("batch of %d×%d elements exceeds the %d-element limit", batch, n, maxElements)
+		return nil, nil, fmt.Errorf("batch of %d×%d elements exceeds the %d-element limit", batch, n, maxElements)
 	}
 	rest := data[wireReqHeader+4*int(rank):]
 	if flags&flagTraceID != 0 {
 		if len(rest) < trace.TraceIDLen {
-			return nil, fmt.Errorf("request truncated inside trace ID")
+			return nil, nil, fmt.Errorf("request truncated inside trace ID")
 		}
 		id := string(rest[:trace.TraceIDLen])
 		if !trace.ValidTraceID(id) {
-			return nil, fmt.Errorf("malformed trace ID %q", id)
+			return nil, nil, fmt.Errorf("malformed trace ID %q", id)
 		}
 		req.TraceID = id
 		rest = rest[trace.TraceIDLen:]
 	}
-	payload := rest
-	want := int(batch) * n * 16
-	if len(payload) != want {
-		return nil, fmt.Errorf("payload carries %d bytes, want %d", len(payload), want)
+	if want := int(batch) * n * 16; len(rest) != want {
+		return nil, nil, fmt.Errorf("payload carries %d bytes, want %d", len(rest), want)
 	}
-	req.Data = make([]float64, 2*int(batch)*n)
-	for i := range req.Data {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("payload component %d is not finite", i)
+	if _, err := req.validateHeader(maxElements); err != nil {
+		return nil, nil, err
+	}
+	payload := complexPool.get(int(batch) * n)
+	for i := range payload {
+		re := binary.LittleEndian.Uint64(rest[16*i:])
+		im := binary.LittleEndian.Uint64(rest[16*i+8:])
+		if re&float64ExpMask == float64ExpMask || im&float64ExpMask == float64ExpMask {
+			complexPool.put(payload)
+			return nil, nil, fmt.Errorf("payload element %d is not finite", i)
 		}
-		req.Data[i] = v
+		payload[i] = complex(math.Float64frombits(re), math.Float64frombits(im))
 	}
-	if err := req.Validate(maxElements); err != nil {
-		return nil, err
-	}
-	return req, nil
+	return req, payload, nil
 }
 
 // EncodeResponse renders a response in the binary wire format: pipeline
 // replies (recognizable by their engine label) as an "FXQ1" frame,
 // transforms as "FXR1".
 func EncodeResponse(resp *Response) []byte {
-	echo := resp.TraceID != "" && trace.ValidTraceID(resp.TraceID)
+	traceID := resp.TraceID
+	if !trace.ValidTraceID(traceID) {
+		traceID = ""
+	}
 	if resp.Engine != "" {
 		out := make([]byte, 0, wirePipeRespHeader+len(resp.Engine)+trace.TraceIDLen)
 		out = append(out, magicPipeResponse[:]...)
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(resp.Runtime))
 		out = append(out, byte(len(resp.Engine)))
 		out = append(out, resp.Engine...)
-		if echo {
-			out = append(out, resp.TraceID...)
-		}
-		return out
+		return append(out, traceID...)
 	}
+	// The exported API carries interleaved floats where the server has
+	// complex values; header and trailer are appendTransformFrame's.
 	out := make([]byte, 0, wireRespHeader+8*len(resp.Data)+trace.TraceIDLen)
-	out = append(out, magicResponse[:]...)
-	size := uint32(resp.BatchSize)
-	if echo {
-		size |= flagRespTrace
-	}
-	out = binary.LittleEndian.AppendUint32(out, size)
+	out = appendFrameHeader(out, resp.BatchSize, traceID != "")
 	for _, v := range resp.Data {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
-	if echo {
-		out = append(out, resp.TraceID...)
+	return append(out, traceID...)
+}
+
+// transformFrameSize is the length of an FXR1 frame of the given number of
+// complex values, trace echo included.
+func transformFrameSize(values int) int {
+	return wireRespHeader + 16*values + trace.TraceIDLen
+}
+
+func appendFrameHeader(out []byte, batchSize int, traced bool) []byte {
+	out = append(out, magicResponse[:]...)
+	size := uint32(batchSize)
+	if traced {
+		size |= flagRespTrace
 	}
-	return out
+	return binary.LittleEndian.AppendUint32(out, size)
+}
+
+// appendTransformFrame appends a transform's FXR1 reply frame, rendered
+// straight from the transformed payload; traceID is empty or a valid trace
+// ID.
+func appendTransformFrame(out []byte, data []complex128, batchSize int, traceID string) []byte {
+	out = appendFrameHeader(out, batchSize, traceID != "")
+	for _, v := range data {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(real(v)))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(imag(v)))
+	}
+	return append(out, traceID...)
 }
 
 // DecodeResponse parses a binary response (the loadgen's read path),
