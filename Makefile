@@ -116,11 +116,13 @@ vet-bench:
 
 # engines-matrix is the cross-engine smoke gate: the short-mode equivalence
 # matrix (all engines x modes x {complex,gamma} through the shared stage
-# graph) plus the auto-selector contract and the dataflow engine's
-# barrier-free properties, then the quick-suite runtime matrix for
-# eyeballing. It runs under the race detector: the dataflow engine and the
-# work-stealing pool are the code most exposed to scheduling races, so the
-# matrix doubles as their concurrency gate.
+# graph), the golden digests that hold every policy row of the schedule
+# executor bit-identical, the node model's bit-determinism, the
+# auto-selector contract and the dataflow row's barrier-free properties,
+# then the quick-suite runtime matrix for eyeballing. It runs under the
+# race detector: the schedule executor and the work-stealing pool are the
+# code most exposed to scheduling races, so the matrix doubles as their
+# concurrency gate.
 engines-matrix:
-	$(GO) test -race ./internal/fftx -short -count=1 -run 'TestEngineMatrix|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
+	$(GO) test -race ./internal/fftx ./internal/knl -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestRatesBitIdenticalAcrossCalls|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
 	$(GO) run ./cmd/fftxbench -quick engines

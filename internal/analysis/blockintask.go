@@ -14,19 +14,12 @@ import (
 // the worker's own Proc/Lane inside the body, and Group.Wait (which
 // executes ready group tasks while waiting) — are not flagged.
 // Runtime.Taskwait inside a task body is always flagged: the waited-for set
-// includes the waiting task itself. Future.Wait inside a task body is
-// always flagged too: the dependency belongs in SubmitAfter, not in a
-// parked worker.
-//
-// The rule also polices future/task continuation closures (Future.Then,
-// Runtime.OnComplete): they run inline on whichever process resolves the
-// event, inside the runtime's bookkeeping path, so they must never block,
-// post collectives or charge compute time — regardless of where their
-// captured state comes from. Releasing work (completing futures, submitting
-// tasks) is their job and stays legal.
+// includes the waiting task itself. Runtime.Wait inside a task body is
+// always flagged too: the dependency belongs in the task's predecessor
+// list, not in a parked worker.
 var BlockInTaskRule = Rule{
 	Name: "blockintask",
-	Doc:  "task bodies must not block through outer contexts; continuations must never block",
+	Doc:  "task bodies must not block through outer contexts",
 	Run:  runBlockInTask,
 }
 
@@ -65,13 +58,13 @@ func runBlockInTask(p *Pass) []Diagnostic {
 					})
 					return true
 				}
-				if t.pkg == "internal/ompss" && t.recv == "Future" && t.name == "Wait" {
+				if t.pkg == "internal/ompss" && t.recv == "Runtime" && t.name == "Wait" {
 					// Always wrong, whatever process it parks: the waiting
 					// task occupies a worker the release chain may need.
 					diags = append(diags, Diagnostic{
 						Pos:     p.Fset.Position(call.Pos()),
 						Rule:    "blockintask",
-						Message: "Future.Wait inside a task body parks a worker the release chain may need; express the dependency with SubmitAfter instead",
+						Message: "Runtime.Wait inside a task body parks a worker the release chain may need; name the node as a predecessor of the task instead",
 					})
 					return true
 				}
@@ -154,94 +147,6 @@ func runBlockInTask(p *Pass) []Diagnostic {
 				return true
 			})
 		}
-		diags = append(diags, checkContinuations(p, f)...)
-	}
-	return diags
-}
-
-// checkContinuations polices the continuation closures of one file: any
-// blocking call, collective post or compute charge inside them is flagged
-// unconditionally — a continuation runs inline in the runtime's completion
-// path, so blocking it wedges the release chain itself.
-func checkContinuations(p *Pass, f *ast.File) []Diagnostic {
-	info := p.Pkg.Info
-	bodies := taskBodies(info, f)
-	conts := continuationClosures(info, f)
-	var diags []Diagnostic
-	for _, lit := range conts {
-		ownUnit := func(n *ast.FuncLit) bool {
-			if n == lit {
-				return false
-			}
-			for _, b := range bodies {
-				if b == n {
-					return true
-				}
-			}
-			for _, c := range conts {
-				if c == n {
-					return true
-				}
-			}
-			return false
-		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok && ownUnit(fl) {
-				return false // nested task bodies/continuations are their own units
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(info, call)
-			if fn == nil {
-				return true
-			}
-			t := targetOf(fn)
-			var what string
-			if _, isColl := mpiCollectives[t]; isColl {
-				what = "posts an MPI collective"
-			} else if _, isBlocking := blockingCalls[t]; isBlocking {
-				what = "blocks the simulated runtime"
-			} else if computeCharges[t] {
-				what = "charges simulated compute time"
-			} else {
-				// Interprocedural: a helper that blocks, posts or charges
-				// anywhere down its chain. Task submission stays legal —
-				// releasing work is what continuations are for.
-				s := p.Prog.SummaryFor(fn)
-				if s == nil {
-					return true
-				}
-				for _, b := range [...]struct {
-					eff  Effect
-					verb string
-				}{
-					{EffCollective, "posts an MPI collective"},
-					{EffBlocks, "blocks the simulated runtime"},
-					{EffCharges, "charges simulated compute time"},
-				} {
-					if !s.Set.Has(b.eff) {
-						continue
-					}
-					diags = append(diags, Diagnostic{
-						Pos:  p.Fset.Position(call.Pos()),
-						Rule: "blockintask",
-						Message: fmt.Sprintf("call to %s %s (%s) inside a continuation closure, which runs inline in the runtime's completion path; continuations only release work — never block, post collectives or charge compute time",
-							s.Key.Display(), b.verb, callPath(p.Prog, s.Key, b.eff)),
-					})
-					break
-				}
-				return true
-			}
-			diags = append(diags, Diagnostic{
-				Pos:  p.Fset.Position(call.Pos()),
-				Rule: "blockintask",
-				Message: fmt.Sprintf("%s %s inside a continuation closure, which runs inline in the runtime's completion path; continuations only release work — never block, post collectives or charge compute time",
-					t.name, what),
-			})
-			return true
-		})
 	}
 	return diags
 }

@@ -182,7 +182,7 @@ var blockingCalls = map[callTarget]blockingCall{
 	{"internal/vtime", "Queue", "Pop"}:         {0},
 	{"internal/vtime", "Barrier", "Await"}:     {0},
 	{"internal/ompss", "Runtime", "Taskwait"}:  {0},
-	{"internal/ompss", "Future", "Wait"}:       {0},
+	{"internal/ompss", "Runtime", "Wait"}:      {0},
 }
 
 // taskSubmitters are the ompss entry points whose final argument is a task
@@ -190,41 +190,7 @@ var blockingCalls = map[callTarget]blockingCall{
 var taskSubmitters = map[callTarget]bool{
 	{"internal/ompss", "Runtime", "Submit"}:          true,
 	{"internal/ompss", "Runtime", "SubmitInGroup"}:   true,
-	{"internal/ompss", "Runtime", "TaskLoop"}:        true,
 	{"internal/ompss", "Runtime", "TaskLoopInGroup"}: true,
-	{"internal/ompss", "Runtime", "SubmitAfter"}:     true,
-}
-
-// continuationRegistrars are the ompss entry points whose final argument is
-// a continuation closure: it runs inline on whichever simulated process
-// resolves the future or completes the task, inside the runtime's
-// bookkeeping path. Continuations release work (complete futures, submit
-// tasks, count arrivals); they must never block, post collectives or charge
-// compute time, no matter where their captured state comes from.
-var continuationRegistrars = map[callTarget]bool{
-	{"internal/ompss", "Future", "Then"}:        true,
-	{"internal/ompss", "Runtime", "OnComplete"}: true,
-}
-
-// continuationClosures collects the function literals registered as
-// future/task continuations anywhere under root.
-func continuationClosures(info *types.Info, root ast.Node) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || !continuationRegistrars[targetOf(fn)] {
-			return true
-		}
-		if lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-		}
-		return true
-	})
-	return lits
 }
 
 // taskBodies collects the function literals passed as task bodies anywhere

@@ -34,7 +34,6 @@ var handleTypes = [][2]string{
 	{"internal/ompss", "Runtime"},
 	{"internal/ompss", "Group"},
 	{"internal/ompss", "Task"},
-	{"internal/ompss", "Promise"},
 }
 
 // handleType returns a display name like "mpi.Ctx" when t is a

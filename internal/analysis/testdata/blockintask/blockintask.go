@@ -15,7 +15,7 @@ func capturedCtx(p *vtime.Proc, rt *ompss.Runtime, ctx *mpi.Ctx, c *mpi.Comm) {
 }
 
 func capturedProc(p *vtime.Proc, rt *ompss.Runtime, q *vtime.Queue[int]) {
-	rt.TaskLoop(p, "loop", 4, 1, func(w *ompss.Worker, lo, hi int) {
+	rt.TaskLoopInGroup(p, rt.NewGroup(), "loop", 4, 1, func(w *ompss.Worker, lo, hi int) {
 		_, _ = q.Pop(p) // want "captured from outside"
 	})
 }

@@ -18,15 +18,15 @@ func collectiveInPoolBody(pool *par.Pool, ctx *mpi.Ctx, c *mpi.Comm, send [][]co
 	})
 }
 
-func submitAfterInPoolBody(p *vtime.Proc, rt *ompss.Runtime, pool *par.Pool) {
+func submitAfterEventInPoolBody(p *vtime.Proc, rt *ompss.Runtime, ev *ompss.Task, pool *par.Pool) {
 	pool.ParallelFor(4, 1, func(lo, hi int) {
-		rt.SubmitAfter(p, "band", nil, 0, func(w *ompss.Worker) {}) // want "submits an ompss task"
+		rt.Submit(p, "band", []*ompss.Task{ev}, 0, func(w *ompss.Worker) {}) // want "submits an ompss task"
 	})
 }
 
-func futureWaitInPoolBody(p *vtime.Proc, f *ompss.Future, pool *par.Pool) {
+func joinWaitInPoolBody(p *vtime.Proc, rt *ompss.Runtime, join *ompss.Task, pool *par.Pool) {
 	pool.ParallelFor(4, 1, func(lo, hi int) {
-		f.Wait(p) // want "blocks the simulated runtime"
+		rt.Wait(p, join) // want "blocks the simulated runtime"
 	})
 }
 

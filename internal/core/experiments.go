@@ -473,7 +473,7 @@ func (s Suite) Ablation(ranks int) (*AblationResult, error) {
 	if err := add("task-combined (async comm, future work)", s.config(fftx.EngineTaskCombined, ranks)); err != nil {
 		return nil, err
 	}
-	if err := add("dataflow (futures, bounded lookahead)", s.config(fftx.EngineDataflow, ranks)); err != nil {
+	if err := add("dataflow (no taskwait, bounded lookahead)", s.config(fftx.EngineDataflow, ranks)); err != nil {
 		return nil, err
 	}
 	if s.NB%2 == 0 && (s.NB/2)%s.NTG == 0 {

@@ -40,16 +40,6 @@ var autoCache = struct {
 	m map[autoKey]Engine
 }{m: map[autoKey]Engine{}}
 
-// autoCandidates are probed in this order; ties in simulated runtime keep
-// the earliest candidate, so selection is deterministic.
-var autoCandidates = []Engine{
-	EngineOriginal,
-	EngineTaskSteps,
-	EngineTaskIter,
-	EngineTaskCombined,
-	EngineDataflow,
-}
-
 // SelectEngine resolves EngineAuto for the given configuration: it runs
 // every applicable concrete engine in ModeCost on the same workload shape
 // and returns the one with the smallest simulated runtime. Candidates the
@@ -111,7 +101,11 @@ func probeEngines(cfg Config) (Engine, error) {
 		found    bool
 		firstErr error
 	)
-	for _, e := range autoCandidates {
+	// Every row of the policy table is a candidate, probed in table order;
+	// ties in simulated runtime keep the earliest, so selection is
+	// deterministic.
+	for i := range policies {
+		e := Engine(i)
 		pc := probe
 		pc.Engine = e
 		if err := pc.validate(); err != nil {

@@ -5,8 +5,8 @@
 // paper's Figure 1 (task-group pack/unpack + sticks→planes scatter).
 //
 // The per-band pipeline is a declarative stage graph (package
-// fftx/graph) built once from the problem geometry; the execution engines
-// are schedulers that walk that one graph under different policies:
+// fftx/graph) built once from the problem geometry. One schedule executor
+// walks it; each engine is a row of its policy table (schedule.go):
 //
 //   - EngineOriginal — the baseline: R·T single-threaded MPI ranks arranged
 //     as T FFT task groups of R positions each, statically synchronized by
@@ -19,12 +19,11 @@
 //     layer is replaced by threads (R ranks × T workers, NTG = 1); every
 //     band's whole pipeline is one task, scheduled asynchronously, which
 //     de-synchronizes the compute phases and softens resource contention.
-//   - EngineTaskCombined — the future-work combination: per-band tasks
-//     with asynchronous, communication-thread-driven scatters.
-//   - EngineDataflow — the stage graph walked as futures with
-//     continuations: segment tasks released the moment their scatter
-//     resolves, a bounded lookahead window of bands in flight, and no
-//     taskwait barrier.
+//   - EngineTaskCombined — the future-work combination: per-band segment
+//     tasks with asynchronous, communication-thread-driven scatters.
+//   - EngineDataflow — the combined schedule with critical-path-first
+//     priorities, a lookahead window of one band per worker, and no
+//     taskwait barrier: the rank's main process parks on a join event.
 //   - EngineAuto — a cost-model-driven selector: it probes the applicable
 //     engines in ModeCost against the calibrated knl model and runs the
 //     fastest for the given (grid, ranks, NTG, threads) point.
@@ -60,11 +59,12 @@ const (
 	// tasks with asynchronous, communication-thread-driven scatters, so
 	// communication overlaps computation AND phases de-synchronize.
 	EngineTaskCombined
-	// EngineDataflow walks the stage graph as dataflow futures with
-	// continuations (see dataflow.go): per-band segment tasks released by
-	// successor counting the moment their scatter future resolves,
-	// critical-path-first priorities, and no taskwait barrier anywhere —
-	// the rank's main process parks on a single join future.
+	// EngineDataflow is the combined engine's segment tasks under a
+	// different policy row (see schedule.go): each released by successor
+	// counting the moment its scatter's arrival event completes,
+	// critical-path-first priorities, at most one band per worker in
+	// flight, and no taskwait barrier anywhere — the rank's main process
+	// parks on a single join event.
 	EngineDataflow
 	// EngineAuto probes the applicable engines in ModeCost and runs the
 	// fastest for the configured workload shape (see auto.go).
@@ -173,7 +173,7 @@ func (c Config) withDefaults() Config {
 		c.Params = &p
 	}
 	if c.StepWorkers <= 0 {
-		c.StepWorkers = 2
+		c.StepWorkers = defaultStepWorkers
 	}
 	if c.NestedGrainXY <= 0 {
 		c.NestedGrainXY = 10
@@ -203,16 +203,12 @@ func (c Config) buildMachine(lanes int) (vtime.Machine, knl.Fabric) {
 
 // Lanes returns the hardware-lane count the configuration occupies.
 func (c Config) Lanes() int {
-	switch c.Engine {
-	case EngineTaskSteps:
-		sw := c.StepWorkers
-		if sw <= 0 {
-			sw = 2
-		}
-		return c.Ranks * c.NTG * sw
-	default:
+	pol, ok := policyOf(c.Engine)
+	if !ok {
 		return c.Ranks * c.NTG
 	}
+	ranks, perRank := pol.layout(c)
+	return ranks * perRank
 }
 
 func (c Config) validate() error {

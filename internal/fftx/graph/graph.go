@@ -3,10 +3,11 @@
 // the mirror legs) expressed once as a declarative list of stages, built
 // from the problem geometry by Kernel.Pipeline. Each stage carries its KNL
 // intensity class, its analytic instruction model, its communication
-// volume (scatter stages) and its pure-numeric data transform; the four
-// execution engines of package fftx are schedulers that walk this one
-// graph under different policies (static collectives, per-step tasks,
-// per-band tasks, combined async scatters).
+// volume (scatter stages) and its pure-numeric data transform. Package
+// fftx walks this one graph with one schedule executor; its five engines
+// are rows of a policy table (static collectives, per-step tasks, per-band
+// tasks, segment tasks with async scatters, and the same with a lookahead
+// window and no taskwait).
 //
 // The package is deliberately runtime-free: it imports only the numeric
 // and model layers (fft, knl, pw, par). Stage bodies must never call into
@@ -130,7 +131,9 @@ func (g *Graph) Steps() []Step {
 
 // Segments splits the pipeline at its scatter edges: segs[i] is the
 // compute run before scatters[i] (and segs[len(scatters)] the final run),
-// which is exactly the task decomposition of the combined engine.
+// which is exactly the decomposition of the segment task unit. A segment's
+// index is its depth along the pipeline: a critical-path-first scheduler
+// runs the deepest ready segment first.
 func (g *Graph) Segments() (segs [][]*Stage, scatters []*Stage) {
 	segs = [][]*Stage{nil}
 	for i := range g.Stages {

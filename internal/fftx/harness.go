@@ -12,9 +12,9 @@ import (
 	"repro/internal/vtime"
 )
 
-// harness is the shared scaffolding of every engine: the kernel, the
-// simulated machine and fabric, the virtual-time engine, the trace and the
-// MPI world. The schedulers only add their spawn/task structure on top.
+// harness is the scaffolding of a run: the kernel, the simulated machine
+// and fabric, the virtual-time engine, the trace and the MPI world. The
+// schedule executor adds the spawn/task structure of a policy row on top.
 type harness struct {
 	cfg  Config
 	k    *kernel
@@ -28,8 +28,7 @@ type harness struct {
 }
 
 // newHarness builds the run scaffolding for ranks MPI ranks of
-// lanesPerRank hardware lanes each (grouped engines: R·T ranks × 1 or
-// StepWorkers lanes; flat engines: R ranks × NTG lanes).
+// lanesPerRank hardware lanes each (see policy.layout).
 func newHarness(cfg Config, ranks, lanesPerRank int) *harness {
 	k := newKernel(cfg)
 	lanes := ranks * lanesPerRank
@@ -61,8 +60,8 @@ func (h *harness) inputBands() [][]complex128 {
 }
 
 // newRankRuntime builds the OmpSs runtime of one rank over workers lanes
-// starting at rank·workers (the flat engines) — callers spawn the rank's
-// main process right after, preserving the engine's lane ordering.
+// starting at firstLane — callers spawn the rank's main process right
+// after, preserving the lane ordering.
 func (h *harness) newRankRuntime(firstLane, workers int) *ompss.Runtime {
 	workerLanes := make([]int, workers)
 	for t := 0; t < workers; t++ {
@@ -82,7 +81,7 @@ func (h *harness) ctx(wk *ompss.Worker, rank int) *mpi.Ctx {
 // groupComms registers the two communicator layers of the grouped
 // topology for rank (p,g): the "neighboring" pack communicator over the
 // T groups of position p and the "alternating" group communicator over
-// the R positions of group g. Must be called from the rank's process.
+// the R positions of group g.
 func (h *harness) groupComms(p, g int) (packComm, grpComm *mpi.Comm) {
 	T := h.cfg.NTG
 	packRanks := make([]int, T)
@@ -121,8 +120,17 @@ func (h *harness) finish(collect func() [][]complex128) (*Result, error) {
 	return res, nil
 }
 
-// --- grouped topology (original, task-steps): P = R·T ranks, rank
-// (p,g) = p·T+g holds chunk g of position p's local coefficients ---
+// topology distributes the input bands over the ranks, moves a job's
+// coefficients into its State (pack) and back out (unpack), and gathers
+// the transformed bands (ModeReal).
+type topology interface {
+	pack(c computer, ctx *mpi.Ctx, r *rank, seq int, s *graph.State)
+	unpack(c computer, ctx *mpi.Ctx, r *rank, seq int, s *graph.State)
+	collect() [][]complex128
+}
+
+// --- grouped topology: P = R·T ranks, rank (p,g) = p·T+g holds chunk g of
+// position p's local coefficients ---
 
 type grouped struct {
 	h *harness
@@ -165,11 +173,13 @@ func (h *harness) newGrouped() *grouped {
 }
 
 // pack redistributes iteration it's NTG bands' chunks among the groups
-// over packComm, so group g assembles job it·T+g into the state: the
-// task-group pack Alltoallv plus the "pack" reassembly phase. In gamma
-// mode each chunk is the concatenation of the band pair's sub-chunks.
-func (gt *grouped) pack(c computer, ctx *mpi.Ctx, packComm *mpi.Comm, rank, p, g, it int, s *graph.State) {
+// over the pack communicator, so group g assembles job it·T+g into the
+// state: the task-group pack Alltoallv plus the "pack" reassembly phase.
+// In gamma mode each chunk is the concatenation of the band pair's
+// sub-chunks.
+func (gt *grouped) pack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.State) {
 	k, cfg := gt.h.k, gt.h.cfg
+	packComm, rank, p := r.pack, r.id, r.p
 	T := cfg.NTG
 	i := it * T
 	bd := gt.chunkBounds[p]
@@ -218,8 +228,9 @@ func (gt *grouped) pack(c computer, ctx *mpi.Ctx, packComm *mpi.Comm, rank, p, g
 
 // unpack returns each group's chunk of the transformed job to its home
 // rank: the "unpack" split phase plus the mirrored pack Alltoallv.
-func (gt *grouped) unpack(c computer, ctx *mpi.Ctx, packComm *mpi.Comm, rank, p, g, it int, s *graph.State) {
+func (gt *grouped) unpack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.State) {
 	k, cfg := gt.h.k, gt.h.cfg
+	packComm, rank, p, g := r.pack, r.id, r.p, r.g
 	T := cfg.NTG
 	i := it * T
 	bd := gt.chunkBounds[p]
@@ -283,8 +294,8 @@ func (gt *grouped) collect() [][]complex128 {
 	return bands
 }
 
-// --- flat topology (task-iter, task-combined): R ranks, rank p holds
-// every band's full position-p local coefficients ---
+// --- flat topology: R ranks, rank p holds every band's full position-p
+// local coefficients ---
 
 type flat struct {
 	h *harness
@@ -318,8 +329,8 @@ func (h *harness) newFlat() *flat {
 
 // pack copies job b's local coefficients into the state — the flat
 // topology's task-group pack degenerates to a local copy.
-func (ft *flat) pack(c computer, p, b int, s *graph.State) {
-	k, cfg := ft.h.k, ft.h.cfg
+func (ft *flat) pack(c computer, _ *mpi.Ctx, r *rank, b int, s *graph.State) {
+	k, cfg, p := ft.h.k, ft.h.cfg, r.p
 	if cfg.Gamma {
 		k.phase(c, b, p, "pack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
 			s.Coeffs = append([]complex128(nil), ft.in[p][2*b]...)
@@ -333,8 +344,8 @@ func (ft *flat) pack(c computer, p, b int, s *graph.State) {
 }
 
 // unpack stores job b's transformed coefficients.
-func (ft *flat) unpack(c computer, p, b int, s *graph.State) {
-	k, cfg := ft.h.k, ft.h.cfg
+func (ft *flat) unpack(c computer, _ *mpi.Ctx, r *rank, b int, s *graph.State) {
+	k, cfg, p := ft.h.k, ft.h.cfg, r.p
 	if cfg.Gamma {
 		k.phase(c, b, p, "unpack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
 			ft.out[p][2*b] = s.Res

@@ -9,11 +9,11 @@ import (
 	"repro/internal/vtime"
 )
 
-// The stage walkers: how a scheduler executes the nodes of the stage
+// The stage walkers: how the schedule executor runs the nodes of the stage
 // graph. Compute stages become jittered compute phases on the calling
 // lane (with the real data transform in ModeReal); scatter stages become
 // Alltoallv collectives — synchronous, cost-only or asynchronous,
-// whichever policy the engine implements.
+// whichever the policy row asks for.
 
 // runStage executes one compute stage of the graph on computer c.
 func (k *kernel) runStage(c computer, st *graph.Stage, s *graph.State, p int) {
@@ -54,8 +54,8 @@ func (k *kernel) nestedLoop(rt *ompss.Runtime, wk *ompss.Worker, it int, st *gra
 
 // runScatter executes a scatter stage synchronously on comm: real data in
 // ModeReal, the equivalent synchronization and transfer cost without
-// payload in ModeCost. seq is the scheduler's tag base (the iteration for
-// the grouped engines, the job for the flat ones).
+// payload in ModeCost. seq is the tag base (the iteration in the grouped
+// topology, the job in the flat one).
 func (k *kernel) runScatter(ctx *mpi.Ctx, comm *mpi.Comm, seq int, st *graph.Stage, s *graph.State, p int) {
 	tag := 2*seq + st.TagOff
 	if k.cfg.Mode == ModeReal {
@@ -66,9 +66,9 @@ func (k *kernel) runScatter(ctx *mpi.Ctx, comm *mpi.Comm, seq int, st *graph.Sta
 	s.Chunks = nil
 }
 
-// runScatterAsync posts a scatter stage asynchronously (the combined
-// engine's communication-thread scatters) and calls done from the
-// handling process once the exchange completes.
+// runScatterAsync posts a scatter stage asynchronously (the async rows'
+// communication-thread scatters) and calls done from the handling process
+// once the exchange completes.
 func (k *kernel) runScatterAsync(ctx *mpi.Ctx, comm *mpi.Comm, seq int, st *graph.Stage, s *graph.State, p int, done func(hp *vtime.Proc)) {
 	tag := 2*seq + st.TagOff
 	if k.cfg.Mode == ModeReal {
@@ -80,20 +80,6 @@ func (k *kernel) runScatterAsync(ctx *mpi.Ctx, comm *mpi.Comm, seq int, st *grap
 		return
 	}
 	mpi.ICollectiveCost(ctx, comm, mpi.OpAlltoallv, tag, st.Bytes(p), done)
-}
-
-// walk executes the whole pipeline in stage order on one computer, with
-// synchronous scatters on comm — the fully sequential per-job schedule of
-// the original and per-iteration engines.
-func (k *kernel) walk(c computer, ctx *mpi.Ctx, comm *mpi.Comm, seq int, s *graph.State, p int) {
-	for i := range k.pipe.Stages {
-		st := &k.pipe.Stages[i]
-		if st.Kind == graph.Scatter {
-			k.runScatter(ctx, comm, seq, st, s, p)
-			continue
-		}
-		k.runStage(c, st, s, p)
-	}
 }
 
 // Run executes the configured engine and returns its result. EngineAuto
@@ -122,21 +108,14 @@ func Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-// runEngine dispatches an already-validated, concrete-engine config.
+// runEngine runs an already-validated, concrete-engine config under the
+// engine's policy row.
 func runEngine(cfg Config) (*Result, error) {
-	switch cfg.Engine {
-	case EngineOriginal:
-		return runOriginal(cfg)
-	case EngineTaskSteps:
-		return runTaskSteps(cfg)
-	case EngineTaskIter:
-		return runTaskIter(cfg)
-	case EngineTaskCombined:
-		return runTaskCombined(cfg)
-	case EngineDataflow:
-		return runDataflow(cfg)
+	pol, ok := policyOf(cfg.Engine)
+	if !ok {
+		return nil, errUnknownEngine(cfg.Engine)
 	}
-	return nil, errUnknownEngine(cfg.Engine)
+	return execute(cfg, pol)
 }
 
 type errUnknownEngine Engine

@@ -190,15 +190,21 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	}
 	// Node-shared load: per core, bandwidth demand is reduced by the issue
 	// sharing (a half-speed thread generates half the traffic) and capped
-	// at one fully-streaming core.
+	// at one fully-streaming core. The cores are summed in job order (each at
+	// its first job, then dropped from the map), not in map order: a float
+	// sum in Go's random map order differs in the last place between runs.
 	var load float64
 	coreBW := make(map[int]float64)
 	for _, j := range jobs {
 		c := Class(j.Class)
 		coreBW[n.core[j.Lane]] += n.P.BWDemand[c] * share(j)
 	}
-	for _, bw := range coreBW {
-		load += math.Min(bw, 1)
+	for _, j := range jobs {
+		core := n.core[j.Lane]
+		if bw, ok := coreBW[core]; ok {
+			load += math.Min(bw, 1)
+			delete(coreBW, core)
+		}
 	}
 	// Optional tile level: cores 2t and 2t+1 share an L2.
 	var tileSum map[int]float64

@@ -262,6 +262,32 @@ func TestPropertyRatesBounded(t *testing.T) {
 	}
 }
 
+// Rates is a function of the job list: repeated calls on one job set give
+// bit-identical rates. The node load is a float sum over cores, so summing
+// them in map order would move the last place between calls.
+func TestRatesBitIdenticalAcrossCalls(t *testing.T) {
+	p := DefaultParams()
+	n := NewNode(p, 2*p.Cores)
+	classes := make([]Class, 2*p.Cores)
+	for i := range classes {
+		classes[i] = Class((i*i + i/3) % int(numClasses))
+	}
+	jobs := mkJobs(n, classes)
+	n.Rates(jobs)
+	want := make([]uint64, len(jobs))
+	for i, j := range jobs {
+		want[i] = math.Float64bits(j.Rate)
+	}
+	for call := 0; call < 50; call++ {
+		n.Rates(jobs)
+		for i, j := range jobs {
+			if got := math.Float64bits(j.Rate); got != want[i] {
+				t.Fatalf("call %d: job %d rate %016x, first call gave %016x", call, i, got, want[i])
+			}
+		}
+	}
+}
+
 // Property: the slowdown curve is monotone non-increasing in load.
 func TestPropertySlowdownMonotone(t *testing.T) {
 	p := DefaultParams()

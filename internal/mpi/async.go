@@ -12,7 +12,7 @@ import (
 // work points to: the collective is carried out by a helper process acting
 // on the rank's behalf, the posting thread returns immediately, and the
 // caller's completion callback runs (on the helper process) once the
-// exchange finishes — typically fulfilling an ompss dependency promise that
+// exchange finishes — typically completing an ompss event node that
 // releases the consuming compute task.
 //
 // The helper participates in the rendezvous exactly like a blocking call

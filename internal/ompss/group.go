@@ -25,12 +25,12 @@ func (rt *Runtime) NewGroup() *Group {
 }
 
 // SubmitInGroup submits a task belonging to the group.
-func (rt *Runtime) SubmitInGroup(p *vtime.Proc, g *Group, label string, deps []Dep, priority int, fn func(w *Worker)) *Task {
+func (rt *Runtime) SubmitInGroup(p *vtime.Proc, g *Group, label string, after []*Task, priority int, fn func(w *Worker)) *Task {
 	if g.rt != rt {
 		panic("ompss: group belongs to a different runtime")
 	}
 	g.pending++
-	t := rt.Submit(p, label, deps, priority, func(w *Worker) {
+	t := rt.Submit(p, label, after, priority, func(w *Worker) {
 		fn(w)
 		g.pending--
 		if g.pending == 0 {
@@ -74,52 +74,4 @@ func (g *Group) Wait(w *Worker) {
 		}
 		g.wq.Wait(w.Proc)
 	}
-}
-
-// Promise is an externally fulfilled pseudo-task: it owns write
-// dependencies on its regions from creation, so tasks submitted afterwards
-// with read dependencies on those regions wait until Fulfill is called.
-// It is the dependency-release half of asynchronous communication (a
-// communication thread completes an MPI call and fulfills the promise,
-// releasing the compute task that consumes the received data).
-type Promise struct {
-	rt   *Runtime
-	task *Task
-}
-
-// NewPromise registers a pseudo-task writing the given regions. The regions
-// must have no pending writers or readers (the promise cannot wait).
-func (rt *Runtime) NewPromise(label string, regions ...any) *Promise {
-	// Validate every region before touching any runtime state, so a panic
-	// leaves the runtime consistent.
-	for _, reg := range regions {
-		if rs := rt.regions[reg]; rs != nil {
-			if (rs.lastWriter != nil && !rs.lastWriter.done) || len(rs.readers) > 0 {
-				panic(fmt.Sprintf("ompss: promise %q on busy region %v", label, reg))
-			}
-		}
-	}
-	t := &Task{id: rt.nextID, label: label}
-	rt.nextID++
-	rt.pending++
-	rt.tasks = append(rt.tasks, t)
-	for _, reg := range regions {
-		rs := rt.regions[reg]
-		if rs == nil {
-			rs = &regionState{}
-			rt.regions[reg] = rs
-		}
-		rs.lastWriter = t
-		rs.readers = nil
-	}
-	return &Promise{rt: rt, task: t}
-}
-
-// Fulfill completes the promise, releasing every dependent task. It must be
-// called from a running simulated process.
-func (pr *Promise) Fulfill(p *vtime.Proc) {
-	if pr.task.done {
-		panic("ompss: promise fulfilled twice")
-	}
-	pr.rt.complete(p, pr.task)
 }

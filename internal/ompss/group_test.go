@@ -100,74 +100,61 @@ func TestNestedGroupsParallelizeCompute(t *testing.T) {
 	}
 }
 
+// An event without predecessors is a promise: the task after it waits
+// until another process completes it.
 func TestPromiseGatesDependentTask(t *testing.T) {
 	var taskStart float64
 	runTasks(t, 2, func(p *vtime.Proc, rt *Runtime) {
-		pr := rt.NewPromise("comm", "region")
-		rt.Submit(p, "consumer", []Dep{In("region")}, 0, func(w *Worker) {
+		pr := rt.Event(p, "comm", nil)
+		rt.Submit(p, "consumer", []*Task{pr}, 0, func(w *Worker) {
 			taskStart = w.Proc.Now()
 		})
-		// An unrelated process fulfills the promise at t=3.
+		// An unrelated process completes the event at t=3.
 		p.Engine().Spawn("fulfiller", func(fp *vtime.Proc) {
 			fp.Sleep(3)
-			pr.Fulfill(fp)
+			rt.Complete(fp, pr)
 		})
 	})
 	if taskStart < 3 {
-		t.Fatalf("consumer started at %v before promise fulfilled at 3", taskStart)
+		t.Fatalf("consumer started at %v before the event completed at 3", taskStart)
 	}
 }
 
+// A promise is completed once: a second Complete panics, and so does
+// Complete on a task, which only its worker completes.
 func TestPromiseDoubleFulfillPanics(t *testing.T) {
 	params := knl.DefaultParams()
 	node := knl.NewNode(params, 1)
 	eng := vtime.NewEngine(node)
 	rt := New(eng, nil, []int{0})
 	rt.Overhead = 0
-	var recovered bool
+	panics := 0
 	eng.Spawn("main", func(p *vtime.Proc) {
-		pr := rt.NewPromise("x", "r")
-		pr.Fulfill(p)
-		func() {
-			defer func() { recovered = recover() != nil }()
-			pr.Fulfill(p)
-		}()
+		pr := rt.Event(p, "x", nil)
+		rt.Complete(p, pr)
+		task := rt.Submit(p, "task", nil, 0, func(w *Worker) {})
+		for _, n := range []*Task{pr, task} {
+			func() {
+				defer func() {
+					if recover() != nil {
+						panics++
+					}
+				}()
+				rt.Complete(p, n)
+			}()
+		}
 		rt.Taskwait(p)
 		rt.Shutdown(p)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !recovered {
-		t.Fatal("double fulfill did not panic")
+	if panics != 2 {
+		t.Fatalf("%d of 2 misplaced Complete calls panicked", panics)
 	}
 }
 
-func TestPromiseOnBusyRegionPanics(t *testing.T) {
-	params := knl.DefaultParams()
-	node := knl.NewNode(params, 1)
-	eng := vtime.NewEngine(node)
-	rt := New(eng, nil, []int{0})
-	rt.Overhead = 0
-	var recovered bool
-	eng.Spawn("main", func(p *vtime.Proc) {
-		pr := rt.NewPromise("first", "r")
-		func() {
-			defer func() { recovered = recover() != nil }()
-			rt.NewPromise("second", "r")
-		}()
-		pr.Fulfill(p)
-		rt.Taskwait(p)
-		rt.Shutdown(p)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !recovered {
-		t.Fatal("promise on busy region did not panic")
-	}
-}
-
+// Taskwait waits for outstanding promises as well as tasks.
 func TestTaskwaitIncludesPromises(t *testing.T) {
 	var waited float64
 	params := knl.DefaultParams()
@@ -176,10 +163,10 @@ func TestTaskwaitIncludesPromises(t *testing.T) {
 	rt := New(eng, nil, []int{0})
 	rt.Overhead = 0
 	eng.Spawn("main", func(p *vtime.Proc) {
-		pr := rt.NewPromise("comm", "r")
+		pr := rt.Event(p, "comm", nil)
 		p.Engine().Spawn("fulfiller", func(fp *vtime.Proc) {
 			fp.Sleep(5)
-			pr.Fulfill(fp)
+			rt.Complete(fp, pr)
 		})
 		rt.Taskwait(p)
 		waited = p.Now()

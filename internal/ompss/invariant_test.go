@@ -8,25 +8,8 @@ import (
 	"repro/internal/vtime"
 )
 
-func TestModeString(t *testing.T) {
-	cases := []struct {
-		m    Mode
-		want string
-	}{
-		{ModeIn, "ModeIn"},
-		{ModeOut, "ModeOut"},
-		{ModeInout, "ModeInout"},
-		{Mode(9), "Mode(9)"},
-	}
-	for _, c := range cases {
-		if got := c.m.String(); got != c.want {
-			t.Errorf("Mode(%d).String() = %q, want %q", int(c.m), got, c.want)
-		}
-	}
-}
-
 // cyclicRuntime builds a runtime whose live-task graph contains a -> b -> a.
-// The public Submit API cannot produce this (edges always point old -> new),
+// The public API cannot produce this (edges always point old -> new),
 // so the tests corrupt the internal state directly.
 func cyclicRuntime(rt *Runtime) {
 	a := &Task{label: "a", npred: 1}

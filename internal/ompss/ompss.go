@@ -1,12 +1,16 @@
 // Package ompss is a task-based parallel runtime in the spirit of
-// OmpSs/Nanos++, executing inside the vtime discrete-event simulator. Tasks
-// are annotated with in/out/inout dependencies over region keys; the runtime
-// builds the dependency graph dynamically at submission time and schedules
-// ready tasks onto worker threads (hardware lanes of the KNL node model).
+// OmpSs/Nanos++, executing inside the vtime discrete-event simulator. Work
+// is a dependency graph built at submission time: every node names its
+// predecessor nodes, the runtime counts each node's unmet predecessors
+// (successor counting), and a task enqueues on a worker thread — a hardware
+// lane of the KNL node model — the moment its count reaches zero. Events
+// are body-less nodes of the same graph: completed externally (the arrival
+// of an asynchronous scatter) or by their last predecessor (a join), they
+// release their successors exactly as tasks do.
 //
 // This is the substrate for the paper's two optimizations: the per-step
-// task version (Figure 4: every FFT step is a task connected by flow
-// dependencies, overlapping communication with computation) and the
+// task version (Figure 4: every FFT step is a task chained to the step
+// before it, overlapping communication with computation) and the
 // per-iteration task version (Figure 5: every FFT is one task, scheduled
 // asynchronously to de-synchronize compute phases and soften resource
 // contention).
@@ -20,48 +24,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
-
-// Mode is a dependency direction.
-type Mode int
-
-const (
-	// ModeIn is a read dependency: the task runs after the region's last
-	// writer.
-	ModeIn Mode = iota
-	// ModeOut is a write dependency: the task runs after the region's
-	// last writer and all readers since (anti-dependency).
-	ModeOut
-	// ModeInout combines both.
-	ModeInout
-)
-
-// String returns the enumerator name (e.g. "ModeInout"), for diagnostics.
-func (m Mode) String() string {
-	switch m {
-	case ModeIn:
-		return "ModeIn"
-	case ModeOut:
-		return "ModeOut"
-	case ModeInout:
-		return "ModeInout"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// Dep is one dependency clause: a direction over a comparable region key.
-type Dep struct {
-	Region any
-	Mode   Mode
-}
-
-// In returns a read dependency on the region.
-func In(region any) Dep { return Dep{Region: region, Mode: ModeIn} }
-
-// Out returns a write dependency on the region.
-func Out(region any) Dep { return Dep{Region: region, Mode: ModeOut} }
-
-// Inout returns a read-write dependency on the region.
-func Inout(region any) Dep { return Dep{Region: region, Mode: ModeInout} }
 
 // Worker is the execution context handed to a task body: the simulated
 // process of the worker thread and its hardware lane.
@@ -89,22 +51,18 @@ func (w *Worker) Compute(phase string, class knl.Class, instr float64) {
 	pm.instr.Add(instr)
 }
 
-// Task is one schedulable unit of work.
+// Task is one node of the dependency graph: a schedulable unit of work, or
+// an event (no body) that completes externally or with its predecessors.
 type Task struct {
 	id       int
 	label    string
-	fn       func(w *Worker)
+	fn       func(w *Worker) // nil for events
 	priority int
 	npred    int
 	succs    []*Task
-	conts    []func(p *vtime.Proc) // run at completion, after successor release
 	done     bool
-	group    *Group // non-nil for group members
-}
-
-type regionState struct {
-	lastWriter *Task
-	readers    []*Task // readers since the last write
+	group    *Group           // non-nil for group members
+	waiters  *vtime.WaitQueue // processes parked in Wait; built on first use
 }
 
 // Runtime is one task runtime instance (one per MPI rank in the kernel).
@@ -114,13 +72,12 @@ type Runtime struct {
 	lanes   []int
 	ready   []*Task
 	readyWQ vtime.WaitQueue
-	regions map[any]*regionState
 	nextID  int
-	pending int
+	pending int // incomplete nodes, tasks and events alike
 	waitWQ  vtime.WaitQueue
 	closed  bool
-	tasks   []*Task // all live (not yet completed) tasks, for diagnostics
-	nDone   int     // completed tasks still in the tasks slice
+	tasks   []*Task // all live (not yet completed) nodes, for diagnostics
+	nDone   int     // completed nodes still in the tasks slice
 
 	// Overhead is the runtime cost charged per task execution (dependency
 	// upkeep and scheduling in Nanos++), recorded as trace.KindRuntime.
@@ -128,14 +85,15 @@ type Runtime struct {
 
 	// TaskwaitSec accumulates the virtual time this runtime's processes
 	// spent blocked in Taskwait — the per-runtime barrier-stall account
-	// (the package metric mTaskwaitSec aggregates across runtimes). The
-	// dataflow engine never calls Taskwait, so this stays zero there.
+	// (the package metric mTaskwaitSec aggregates across runtimes). A
+	// schedule whose main process parks on a join event instead of calling
+	// Taskwait keeps it at zero.
 	TaskwaitSec float64
 
 	// Strict enables runtime invariant checks: Taskwait verifies the
-	// dependency graph is acyclic before blocking. The public Submit API
-	// cannot create cycles (edges always point from older to newer tasks),
-	// so a detected cycle means runtime-internal state corruption.
+	// dependency graph is acyclic before blocking. The public API cannot
+	// create cycles (edges always point from existing nodes to the new
+	// one), so a detected cycle means runtime-internal state corruption.
 	Strict bool
 
 	// phaseCache holds resolved per-phase metric handles (engine is serial,
@@ -152,7 +110,6 @@ func New(eng *vtime.Engine, sink trace.Sink, lanes []int) *Runtime {
 		eng:      eng,
 		sink:     sink,
 		lanes:    lanes,
-		regions:  map[any]*regionState{},
 		Overhead: 3e-6,
 	}
 	rt.readyWQ.Describe = func() string {
@@ -173,50 +130,85 @@ func New(eng *vtime.Engine, sink trace.Sink, lanes []int) *Runtime {
 // Workers returns the number of worker threads.
 func (rt *Runtime) Workers() int { return len(rt.lanes) }
 
-// Submit creates a task with the given dependencies and priority (higher
-// runs first among ready tasks) and enqueues it once its predecessors
-// complete. It must be called from a simulated process.
-func (rt *Runtime) Submit(p *vtime.Proc, label string, deps []Dep, priority int, fn func(w *Worker)) *Task {
+// node creates a graph node depending on every incomplete node of after.
+func (rt *Runtime) node(label string, after []*Task) *Task {
 	if rt.closed {
 		panic("ompss: submit after shutdown")
 	}
-	t := &Task{id: rt.nextID, label: label, fn: fn, priority: priority}
+	t := &Task{id: rt.nextID, label: label}
 	rt.nextID++
 	rt.pending++
+	rt.tasks = append(rt.tasks, t)
+	for _, from := range after {
+		rt.addEdge(from, t)
+	}
+	return t
+}
+
+// Submit creates a task with the given priority (higher runs first among
+// ready tasks) that runs once every node of after has completed; completed
+// and nil entries contribute nothing, so with none pending the task is
+// ready at once. It must be called from a simulated process.
+func (rt *Runtime) Submit(p *vtime.Proc, label string, after []*Task, priority int, fn func(w *Worker)) *Task {
+	t := rt.node(label, after)
+	t.fn, t.priority = fn, priority
 	mTasksCreated.Inc()
 	mTasksInFlight.Add(1)
-	rt.tasks = append(rt.tasks, t)
-	for _, d := range deps {
-		rs := rt.regions[d.Region]
-		if rs == nil {
-			rs = &regionState{}
-			rt.regions[d.Region] = rs
-		}
-		switch d.Mode {
-		case ModeIn:
-			rt.addEdge(rs.lastWriter, t)
-			rs.readers = append(rs.readers, t)
-		case ModeOut, ModeInout:
-			rt.addEdge(rs.lastWriter, t)
-			for _, r := range rs.readers {
-				rt.addEdge(r, t)
-			}
-			rs.lastWriter = t
-			rs.readers = nil
-		}
-	}
 	if t.npred == 0 {
 		rt.enqueue(p, t)
 	}
 	return t
 }
 
+// Event creates a body-less node. With predecessors it is a join: it
+// completes when the last of them does (at once if they all already have).
+// Without any it completes when Complete is called — the dependency-release
+// half of asynchronous communication, where a communication thread
+// completes the event and so releases the task that consumes the received
+// data. Events never occupy a worker and are not counted as tasks by the
+// telemetry.
+func (rt *Runtime) Event(p *vtime.Proc, label string, after []*Task) *Task {
+	ev := rt.node(label, after)
+	if len(after) > 0 && ev.npred == 0 {
+		rt.complete(p, ev)
+	}
+	return ev
+}
+
+// Complete completes an event that has no predecessors, releasing its
+// successors. It must be called from a running simulated process.
+// Completing a task, a join or an already completed event panics: each
+// means the graph was mis-built, and absorbing it would hide a lost
+// release.
+func (rt *Runtime) Complete(p *vtime.Proc, ev *Task) {
+	if ev.fn != nil || ev.done || ev.npred > 0 {
+		panic(fmt.Sprintf("ompss: Complete on %q, which is not a pending external event", ev.label))
+	}
+	rt.complete(p, ev)
+}
+
+// Wait blocks the calling process until the node completes. It is the
+// sink-side primitive — a main process parks on the final join while the
+// workers drain the graph — not a task-side one: a task body waiting on a
+// node occupies a worker that the release chain may need (name the node as
+// a predecessor instead).
+func (rt *Runtime) Wait(p *vtime.Proc, t *Task) {
+	for !t.done {
+		if t.waiters == nil {
+			t.waiters = &vtime.WaitQueue{Describe: func() string {
+				return fmt.Sprintf("ompss: wait on %q (%d unmet deps)", t.label, t.npred)
+			}}
+		}
+		t.waiters.Wait(p)
+	}
+}
+
 func (rt *Runtime) addEdge(from, to *Task) {
 	if from == nil || from.done || from == to {
 		return
 	}
-	// A task may already depend on from via another region; duplicate
-	// edges are harmless but inflate npred bookkeeping, so dedupe cheaply.
+	// A duplicated predecessor would count twice in npred but release
+	// once, so dedupe cheaply.
 	for _, s := range from.succs {
 		if s == to {
 			return
@@ -304,13 +296,22 @@ func (rt *Runtime) workerLoop(w *Worker) {
 	}
 }
 
+// complete marks a node done and releases its successors: a task whose
+// last predecessor this was enqueues, an event completes in turn.
 func (rt *Runtime) complete(p *vtime.Proc, t *Task) {
 	t.done = true
-	mTasksCompleted.Inc()
-	mTasksInFlight.Add(-1)
+	if t.fn != nil {
+		mTasksCompleted.Inc()
+		mTasksInFlight.Add(-1)
+	}
 	for _, s := range t.succs {
 		s.npred--
-		if s.npred == 0 {
+		if s.npred > 0 {
+			continue
+		}
+		if s.fn == nil {
+			rt.complete(p, s)
+		} else {
 			rt.enqueue(p, s)
 		}
 	}
@@ -322,14 +323,8 @@ func (rt *Runtime) complete(p *vtime.Proc, t *Task) {
 	if rt.pending == 0 {
 		rt.waitWQ.WakeAll(p)
 	}
-	// Task continuations run last, after this task has left the pending
-	// count: a continuation that resolves the schedule's final join must
-	// observe pending == 0, so a waiter released by the join can proceed
-	// straight to Shutdown.
-	conts := t.conts
-	t.conts = nil
-	for _, fn := range conts {
-		fn(p)
+	if t.waiters != nil {
+		t.waiters.WakeAll(p)
 	}
 }
 
@@ -375,10 +370,10 @@ func (rt *Runtime) pendingSummary() string {
 }
 
 // CheckCycles verifies the live dependency graph is acyclic and returns a
-// descriptive error naming the tasks on a cycle otherwise. The public Submit
-// API cannot create cycles (edges always point from older to newer tasks),
-// so a non-nil result indicates corrupted runtime state. In strict mode
-// Taskwait runs this check before blocking.
+// descriptive error naming the tasks on a cycle otherwise. The public API
+// cannot create cycles (edges always point from existing nodes to the new
+// one), so a non-nil result indicates corrupted runtime state. In strict
+// mode Taskwait runs this check before blocking.
 func (rt *Runtime) CheckCycles() error {
 	const (
 		white = 0 // unvisited
@@ -428,8 +423,8 @@ func (rt *Runtime) CheckCycles() error {
 	return nil
 }
 
-// Taskwait blocks the calling process until every submitted task has
-// completed. In strict mode it first verifies the dependency graph is
+// Taskwait blocks the calling process until every submitted task and event
+// has completed. In strict mode it first verifies the dependency graph is
 // acyclic, panicking with the cycle (which the vtime engine converts into a
 // structured Run error) instead of blocking forever.
 func (rt *Runtime) Taskwait(p *vtime.Proc) {
@@ -451,30 +446,11 @@ func (rt *Runtime) Taskwait(p *vtime.Proc) {
 }
 
 // Shutdown lets the worker processes exit once the ready queue drains. Call
-// after the final Taskwait.
+// after the final Taskwait or join.
 func (rt *Runtime) Shutdown(p *vtime.Proc) {
 	if rt.pending > 0 {
 		panic("ompss: shutdown with pending tasks")
 	}
 	rt.closed = true
 	rt.readyWQ.WakeAll(p)
-}
-
-// TaskLoop submits one task per grain-sized chunk of [0,n), mirroring the
-// OmpSs taskloop construct with a grain size; body receives the chunk
-// bounds. The chunks share no dependencies.
-func (rt *Runtime) TaskLoop(p *vtime.Proc, label string, n, grain int, body func(w *Worker, lo, hi int)) {
-	if grain <= 0 {
-		grain = 1
-	}
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		rt.Submit(p, fmt.Sprintf("%s[%d:%d]", label, lo, hi), nil, 0, func(w *Worker) {
-			body(w, lo, hi)
-		})
-	}
 }

@@ -51,20 +51,22 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 	}
 }
 
+// A writer, two readers after it and a second writer after both: the
+// flow edges of one buffer, spelled as predecessors.
 func TestFlowDependencySerializes(t *testing.T) {
 	var order []string
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
-		rt.Submit(p, "w1", []Dep{Out("x")}, 0, func(w *Worker) {
+		w1 := rt.Submit(p, "w1", nil, 0, func(w *Worker) {
 			w.Proc.Sleep(1)
 			order = append(order, "w1")
 		})
-		rt.Submit(p, "r1", []Dep{In("x")}, 0, func(w *Worker) {
+		r1 := rt.Submit(p, "r1", []*Task{w1}, 0, func(w *Worker) {
 			order = append(order, "r1")
 		})
-		rt.Submit(p, "r2", []Dep{In("x")}, 0, func(w *Worker) {
+		r2 := rt.Submit(p, "r2", []*Task{w1}, 0, func(w *Worker) {
 			order = append(order, "r2")
 		})
-		rt.Submit(p, "w2", []Dep{Inout("x")}, 0, func(w *Worker) {
+		rt.Submit(p, "w2", []*Task{r1, r2}, 0, func(w *Worker) {
 			order = append(order, "w2")
 		})
 	})
@@ -76,12 +78,11 @@ func TestFlowDependencySerializes(t *testing.T) {
 func TestReadersRunConcurrently(t *testing.T) {
 	readerEnd := map[string]float64{}
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
-		rt.Submit(p, "w", []Dep{Out("x")}, 0, func(w *Worker) {
+		wr := rt.Submit(p, "w", nil, 0, func(w *Worker) {
 			w.Proc.Sleep(1)
 		})
 		for _, nm := range []string{"a", "b", "c"} {
-			nm := nm
-			rt.Submit(p, nm, []Dep{In("x")}, 0, func(w *Worker) {
+			rt.Submit(p, nm, []*Task{wr}, 0, func(w *Worker) {
 				w.Proc.Sleep(1)
 				readerEnd[nm] = w.Proc.Now()
 			})
@@ -97,11 +98,11 @@ func TestReadersRunConcurrently(t *testing.T) {
 func TestAntiDependencyWaitsForReaders(t *testing.T) {
 	var w2Start float64
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
-		rt.Submit(p, "w1", []Dep{Out("x")}, 0, func(w *Worker) {})
-		rt.Submit(p, "r", []Dep{In("x")}, 0, func(w *Worker) {
+		w1 := rt.Submit(p, "w1", nil, 0, func(w *Worker) {})
+		r := rt.Submit(p, "r", []*Task{w1}, 0, func(w *Worker) {
 			w.Proc.Sleep(2)
 		})
-		rt.Submit(p, "w2", []Dep{Out("x")}, 0, func(w *Worker) {
+		rt.Submit(p, "w2", []*Task{w1, r}, 0, func(w *Worker) {
 			w2Start = w.Proc.Now()
 		})
 	})
@@ -116,9 +117,9 @@ func TestIndependentChainsOverlap(t *testing.T) {
 	var total float64
 	runTasks(t, 2, func(p *vtime.Proc, rt *Runtime) {
 		for c := 0; c < 2; c++ {
-			key := c
+			var prev *Task
 			for s := 0; s < 3; s++ {
-				rt.Submit(p, "step", []Dep{Inout(key)}, 0, func(w *Worker) {
+				prev = rt.Submit(p, "step", []*Task{prev}, 0, func(w *Worker) {
 					w.Proc.Sleep(1)
 					total = w.Proc.Now()
 				})
@@ -134,7 +135,7 @@ func TestPriorityOrdering(t *testing.T) {
 	var order []string
 	runTasks(t, 1, func(p *vtime.Proc, rt *Runtime) {
 		// Block the single worker so submissions accumulate.
-		rt.Submit(p, "gate", []Dep{}, 0, func(w *Worker) { w.Proc.Sleep(1) })
+		rt.Submit(p, "gate", nil, 0, func(w *Worker) { w.Proc.Sleep(1) })
 		rt.Submit(p, "low", nil, 0, func(w *Worker) { order = append(order, "low") })
 		rt.Submit(p, "high", nil, 5, func(w *Worker) { order = append(order, "high") })
 	})
@@ -161,25 +162,6 @@ func TestTaskwaitBlocksUntilDone(t *testing.T) {
 	}
 	if waitedUntil != 5 {
 		t.Fatalf("taskwait returned at %v, want 5", waitedUntil)
-	}
-}
-
-func TestTaskLoopCoversRange(t *testing.T) {
-	covered := make([]bool, 23)
-	runTasks(t, 3, func(p *vtime.Proc, rt *Runtime) {
-		rt.TaskLoop(p, "loop", 23, 5, func(w *Worker, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					t.Errorf("index %d covered twice", i)
-				}
-				covered[i] = true
-			}
-		})
-	})
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("index %d not covered", i)
-		}
 	}
 }
 
@@ -281,87 +263,75 @@ func TestSchedulingDeterministic(t *testing.T) {
 	}
 }
 
-// Property: for random dependency graphs over random regions, the runtime
-// executes every task exactly once, respecting the sequential-consistency
-// order implied by the in/out/inout annotations: a task must observe the
-// effects of every earlier-submitted task it conflicts with (write-write,
-// write-read or read-write on a shared region).
+// Property: for random dependency graphs, the runtime executes every task
+// exactly once, and no task starts before all of its predecessors have
+// completed. Predecessor lists may repeat a node or hold nil, and some
+// predecessors are events completed by a task that runs later.
 func TestPropertyRandomDAGRespectsDependencies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		nTasks := 5 + rng.Intn(30)
-		nRegions := 1 + rng.Intn(5)
 		nWorkers := 1 + rng.Intn(4)
-		type spec struct {
-			deps []Dep
-		}
-		specs := make([]spec, nTasks)
-		for i := range specs {
-			nd := 1 + rng.Intn(3)
-			for d := 0; d < nd; d++ {
-				reg := rng.Intn(nRegions)
-				mode := []func(any) Dep{In, Out, Inout}[rng.Intn(3)]
-				specs[i].deps = append(specs[i].deps, mode(reg))
+		preds := make([][]int, nTasks) // indices of earlier tasks
+		for i := 1; i < nTasks; i++ {
+			for d := rng.Intn(4); d > 0; d-- {
+				preds[i] = append(preds[i], rng.Intn(i))
 			}
 		}
-		finished := make([]int, 0, nTasks) // completion order
+		start := make([]float64, nTasks)
+		end := make([]float64, nTasks)
 		ran := make([]int, nTasks)
 		runTasks(t, nWorkers, func(p *vtime.Proc, rt *Runtime) {
-			for i := range specs {
-				i := i
-				rt.Submit(p, "t", specs[i].deps, 0, func(w *Worker) {
+			nodes := make([]*Task, nTasks)
+			for i := range nodes {
+				after := []*Task{nil}
+				for _, j := range preds[i] {
+					after = append(after, nodes[j])
+				}
+				body := func(w *Worker) {
+					start[i] = w.Proc.Now()
 					w.Proc.Sleep(float64(1+rng.Intn(3)) * 0.125)
 					ran[i]++
-					finished = append(finished, i)
+					end[i] = w.Proc.Now()
+				}
+				if rng.Intn(4) > 0 {
+					nodes[i] = rt.Submit(p, "t", after, 0, body)
+					continue
+				}
+				// An event standing for task i: a releaser task runs
+				// the body and completes it.
+				ev := rt.Event(p, "ev", nil)
+				rt.Submit(p, "releaser", after, 0, func(w *Worker) {
+					body(w)
+					rt.Complete(w.Proc, ev)
 				})
+				nodes[i] = ev
 			}
 		})
 		for i, n := range ran {
 			if n != 1 {
 				t.Fatalf("trial %d: task %d ran %d times", trial, i, n)
 			}
-		}
-		// Verify ordering: for every conflicting pair (i<j), i finishes
-		// before j finishes... more precisely j must START after i
-		// completes; completion order is a valid witness because j cannot
-		// finish before it starts.
-		pos := make([]int, nTasks)
-		for idx, task := range finished {
-			pos[task] = idx
-		}
-		conflicts := func(a, b []Dep) bool {
-			for _, da := range a {
-				for _, db := range b {
-					if da.Region != db.Region {
-						continue
-					}
-					if da.Mode != ModeIn || db.Mode != ModeIn {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		for i := 0; i < nTasks; i++ {
-			for j := i + 1; j < nTasks; j++ {
-				if conflicts(specs[i].deps, specs[j].deps) && pos[i] > pos[j] {
-					t.Fatalf("trial %d: task %d (deps %v) finished after dependent task %d (deps %v)",
-						trial, i, specs[i].deps, j, specs[j].deps)
+			for _, j := range preds[i] {
+				if start[i] < end[j] {
+					t.Fatalf("trial %d: task %d started at %v before its predecessor %d ended at %v",
+						trial, i, start[i], j, end[j])
 				}
 			}
 		}
 	}
 }
 
-// Property: with a single region in inout mode everywhere, execution is
-// fully serial regardless of worker count — elapsed equals the sum of task
+// Property: with every task after the one before it, execution is fully
+// serial regardless of worker count — elapsed equals the sum of task
 // durations.
 func TestPropertyFullChainIsSerial(t *testing.T) {
 	var end float64
 	const n = 12
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
+		var prev *Task
 		for i := 0; i < n; i++ {
-			rt.Submit(p, "c", []Dep{Inout("x")}, 0, func(w *Worker) {
+			prev = rt.Submit(p, "c", []*Task{prev}, 0, func(w *Worker) {
 				w.Proc.Sleep(0.5)
 				end = w.Proc.Now()
 			})
