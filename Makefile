@@ -55,8 +55,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzJSONRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
 
 # overhead-smoke measures the cost of the always-on telemetry: the
-# enabled/disabled benchmark pair plus the min-of-N smoke test that fails on
-# a pathological regression (design target <5%, see README "Observability").
+# enabled/disabled benchmark pair (time; design target <5%, see README
+# "Observability") plus the smoke test that counts a cost-mode run's
+# allocations with metrics on and off and fails if telemetry adds any.
 # The serving side gets the same treatment: TestTracingOverheadSmoke serves
 # the same request stream with tracing off and fully on and fails if tracing
 # grossly slows the path (the precise <5% budget is measured by
@@ -117,12 +118,14 @@ vet-bench:
 # engines-matrix is the cross-engine smoke gate: the short-mode equivalence
 # matrix (all engines x modes x {complex,gamma} through the shared stage
 # graph), the golden digests that hold every policy row of the schedule
-# executor bit-identical, the node model's bit-determinism, the
-# auto-selector contract and the dataflow row's barrier-free properties,
-# then the quick-suite runtime matrix for eyeballing. It runs under the
+# executor bit-identical, the node model's bit-determinism and its match
+# with the map-based reference, the sphere's match with the map
+# enumeration, the auto-selector contract and the dataflow row's
+# barrier-free properties, then the quick-suite runtime matrix for
+# eyeballing. It runs under the
 # race detector: the schedule executor and the work-stealing pool are the
 # code most exposed to scheduling races, so the matrix doubles as their
 # concurrency gate.
 engines-matrix:
-	$(GO) test -race ./internal/fftx ./internal/knl -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestRatesBitIdenticalAcrossCalls|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
+	$(GO) test -race ./internal/fftx ./internal/knl ./internal/pw -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestRatesBitIdenticalAcrossCalls|TestRatesMatchesMapReference|TestSphereMatchesMapEnumeration|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
 	$(GO) run ./cmd/fftxbench -quick engines

@@ -125,6 +125,13 @@ type Node struct {
 	P     Params
 	Lanes int
 	core  []int // lane -> physical core
+
+	// Scratch of Rates, allocated once: per-core issue and bandwidth sums,
+	// whether a core's bandwidth is already in the node load, and per-tile
+	// (core/2) L2 demand sums.
+	issueSum, coreBW []float64
+	counted          []bool
+	tileSum          []float64
 }
 
 // NewNode returns a node with the given parameter set and lane count. Lanes
@@ -138,7 +145,13 @@ func NewNode(p Params, lanes int) *Node {
 	if lanes > 4*p.Cores {
 		panic(fmt.Sprintf("knl: %d lanes exceed 4-way hyper-threading on %d cores", lanes, p.Cores))
 	}
-	n := &Node{P: p, Lanes: lanes, core: make([]int, lanes)}
+	n := &Node{
+		P: p, Lanes: lanes, core: make([]int, lanes),
+		issueSum: make([]float64, p.Cores),
+		coreBW:   make([]float64, p.Cores),
+		counted:  make([]bool, p.Cores),
+		tileSum:  make([]float64, (p.Cores+1)/2),
+	}
 	for l := 0; l < lanes; l++ {
 		n.core[l] = l % p.Cores
 	}
@@ -168,12 +181,21 @@ func (p Params) Slowdown(load float64) float64 {
 // where issueShare divides a core's issue slots among its hyper-threads in
 // proportion to their demands, and load is the sum over cores of the
 // (issue-share-weighted, capped) bandwidth demands of their jobs.
+//
+// The per-core sums live in the node's scratch slices: each call zeroes only
+// the cores its jobs touch, so a rate refresh allocates nothing.
 func (n *Node) Rates(jobs []*vtime.ActiveJob) {
-	// Per-core aggregation. Jobs are few (<= lanes), so two passes suffice.
-	issueSum := make(map[int]float64)
+	tiles := n.P.TileDemand != ([numClasses]float64{})
 	for _, j := range jobs {
-		c := Class(j.Class)
-		issueSum[n.core[j.Lane]] += n.P.IssueDemand[c]
+		core := n.core[j.Lane]
+		n.issueSum[core], n.coreBW[core], n.counted[core] = 0, 0, false
+		if tiles {
+			n.tileSum[core/2] = 0
+		}
+	}
+	// Per-core aggregation, in job order.
+	for _, j := range jobs {
+		n.issueSum[n.core[j.Lane]] += n.P.IssueDemand[Class(j.Class)]
 	}
 	// Proportional issue sharing: when the demands on a core exceed its
 	// slots, thread i receives demand_i/total slots; its speed relative to
@@ -182,7 +204,7 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	// compute-intensive thread paired with a memory-bound one (demand 0.4)
 	// only drops to 1/1.4.
 	share := func(j *vtime.ActiveJob) float64 {
-		tot := issueSum[n.core[j.Lane]]
+		tot := n.issueSum[n.core[j.Lane]]
 		if tot <= 1 {
 			return 1
 		}
@@ -190,45 +212,44 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	}
 	// Node-shared load: per core, bandwidth demand is reduced by the issue
 	// sharing (a half-speed thread generates half the traffic) and capped
-	// at one fully-streaming core. The cores are summed in job order (each at
-	// its first job, then dropped from the map), not in map order: a float
-	// sum in Go's random map order differs in the last place between runs.
+	// at one fully-streaming core. The cores are summed in job order, each
+	// at its first job: the float sum must not depend on anything but the
+	// job list, or the last place moves between runs.
 	var load float64
-	coreBW := make(map[int]float64)
 	for _, j := range jobs {
-		c := Class(j.Class)
-		coreBW[n.core[j.Lane]] += n.P.BWDemand[c] * share(j)
+		n.coreBW[n.core[j.Lane]] += n.P.BWDemand[Class(j.Class)] * share(j)
 	}
 	for _, j := range jobs {
 		core := n.core[j.Lane]
-		if bw, ok := coreBW[core]; ok {
-			load += math.Min(bw, 1)
-			delete(coreBW, core)
+		if !n.counted[core] {
+			load += math.Min(n.coreBW[core], 1)
+			n.counted[core] = true
 		}
 	}
 	// Optional tile level: cores 2t and 2t+1 share an L2.
-	var tileSum map[int]float64
-	if n.P.TileDemand != ([numClasses]float64{}) {
-		tileSum = make(map[int]float64)
+	if tiles {
 		for _, j := range jobs {
-			c := Class(j.Class)
-			tileSum[n.core[j.Lane]/2] += n.P.TileDemand[c] * share(j)
+			n.tileSum[n.core[j.Lane]/2] += n.P.TileDemand[Class(j.Class)] * share(j)
 		}
 	}
 	tileShare := func(j *vtime.ActiveJob) float64 {
-		if tileSum == nil {
+		if !tiles {
 			return 1
 		}
-		tot := tileSum[n.core[j.Lane]/2]
+		tot := n.tileSum[n.core[j.Lane]/2]
 		if tot <= 1 {
 			return 1
 		}
 		return 1 / tot
 	}
 	s := n.P.Slowdown(load)
+	var slow [numClasses]float64
+	for c := range slow {
+		slow[c] = math.Pow(s, n.P.Sens[c])
+	}
 	for _, j := range jobs {
 		c := Class(j.Class)
-		ipc := n.P.BaseIPC[c] * share(j) * tileShare(j) * math.Pow(s, n.P.Sens[c])
+		ipc := n.P.BaseIPC[c] * share(j) * tileShare(j) * slow[c]
 		j.Rate = n.P.Freq * ipc
 	}
 }

@@ -116,44 +116,44 @@ func newSphere(ecut, alat float64, gamma bool) *Sphere {
 		Gamma: gamma,
 	}
 	lim := int(gmaxW) + 1
-	type ij struct{ i, j int }
-	sticks := map[ij][]int{}
+	// The k loop yields each (i,j) column's K indices in ascending order,
+	// so every column is a [lo,hi) range of one shared index list.
+	type column struct{ i, j, lo, hi int }
+	var cols []column
+	var zs []int
 	for i := -lim; i <= lim; i++ {
 		for j := -lim; j <= lim; j++ {
+			lo := len(zs)
 			for k := -lim; k <= lim; k++ {
 				g2 := float64(i*i + j*j + k*k)
 				if g2 <= gcut && (!gamma || gammaHalf(i, j, k)) {
-					sticks[ij{i, j}] = append(sticks[ij{i, j}], k)
+					zs = append(zs, k)
 				}
+			}
+			if len(zs) > lo {
+				cols = append(cols, column{i, j, lo, len(zs)})
 			}
 		}
 	}
-	keys := make([]ij, 0, len(sticks))
-	for k := range sticks {
-		keys = append(keys, k)
-	}
 	// Canonical stick order: by column norm i²+j² ascending, ties by (i,j).
-	sort.Slice(keys, func(a, b int) bool {
-		na, nb := keys[a].i*keys[a].i+keys[a].j*keys[a].j, keys[b].i*keys[b].i+keys[b].j*keys[b].j
+	sort.Slice(cols, func(a, b int) bool {
+		na, nb := cols[a].i*cols[a].i+cols[a].j*cols[a].j, cols[b].i*cols[b].i+cols[b].j*cols[b].j
 		if na != nb {
 			return na < nb
 		}
-		if keys[a].i != keys[b].i {
-			return keys[a].i < keys[b].i
+		if cols[a].i != cols[b].i {
+			return cols[a].i < cols[b].i
 		}
-		return keys[a].j < keys[b].j
+		return cols[a].j < cols[b].j
 	})
-	off := 0
-	for _, key := range keys {
-		zs := sticks[key]
-		sort.Ints(zs)
-		st := Stick{I: key.i, J: key.j, Zs: zs, Off: off}
-		s.Stick = append(s.Stick, st)
-		for _, k := range zs {
-			s.G = append(s.G, GVector{I: key.i, J: key.j, K: k,
-				G2: float64(key.i*key.i + key.j*key.j + k*k)})
+	s.Stick = make([]Stick, len(cols))
+	s.G = make([]GVector, 0, len(zs))
+	for c, col := range cols {
+		s.Stick[c] = Stick{I: col.i, J: col.j, Zs: zs[col.lo:col.hi:col.hi], Off: len(s.G)}
+		for _, k := range s.Stick[c].Zs {
+			s.G = append(s.G, GVector{I: col.i, J: col.j, K: k,
+				G2: float64(col.i*col.i + col.j*col.j + k*k)})
 		}
-		off += len(zs)
 	}
 	return s
 }

