@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race fuzz-smoke overhead-smoke serve-smoke introspect-smoke cluster-smoke serve-bench cluster-bench bench-json engines-matrix vet-bench
+.PHONY: all build test check vet fmt race fuzz-smoke overhead-smoke serve-smoke introspect-smoke cluster-smoke engines-matrix
 
 all: check test
 
@@ -58,14 +58,15 @@ fuzz-smoke:
 # enabled/disabled benchmark pair (time; design target <5%, see README
 # "Observability") plus the smoke test that counts a cost-mode run's
 # allocations with metrics on and off and fails if telemetry adds any.
-# The serving side gets the same treatment: TestTracingOverheadSmoke serves
-# the same request stream with tracing off and fully on and fails if tracing
-# grossly slows the path (the precise <5% budget is measured by
-# scripts/serve-bench.sh into BENCH_serve.json).
+# The serving side is counted too: TestHandleFFTAllocs and
+# TestTracingOverheadSmoke serve the same request untraced and fully traced
+# and pin the traced-request count, the span trees and the allocations per
+# request of each. Tracing's timing is
+# bench/'s bench.tracing_overhead_pct.
 overhead-smoke:
 	$(GO) test ./internal/fftx -run '^$$' -bench RunTelemetry -benchtime 5x
 	$(GO) test ./internal/fftx -run TestTelemetryOverheadSmoke -count=1 -v
-	$(GO) test ./internal/serve -run TestTracingOverheadSmoke -count=1 -v
+	$(GO) test ./internal/serve -run 'TestHandleFFTAllocs|TestTracingOverheadSmoke' -count=1 -v
 
 # serve-smoke is the end-to-end check CI runs: fftxbench's telemetry
 # endpoints, then the fftxd daemon (POST /fft, /healthz, fftxd_* metrics and
@@ -85,35 +86,6 @@ introspect-smoke:
 # /debug/fftx/cluster topology and fftxd_cluster_* metrics surfaces.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
-
-# cluster-bench measures router + N-worker scaling against a fixed injected
-# per-worker service time and merges the result into BENCH_serve.json as the
-# "cluster" section (target: router+2 workers >= 1.6x one fftxd).
-# DURATION=300ms gives a fast harness smoke-run.
-cluster-bench:
-	./scripts/cluster-bench.sh
-
-# serve-bench drives the fftxd load generator (closed loop with and without
-# batching, plus an open-loop pass) and writes BENCH_serve.json, the
-# machine-readable serving baseline (see README "Serving"). DURATION=200ms
-# gives a fast harness smoke-run.
-serve-bench:
-	./scripts/serve-bench.sh
-
-# bench-json runs the kernel and host-par benchmark pairs and writes
-# BENCH_fft.json, the machine-readable perf baseline (see README
-# "Performance"). BENCHTIME=1x gives a fast harness smoke-run. It also
-# records the per-engine runtime matrix as BENCH_engines.json.
-bench-json:
-	./scripts/bench-json.sh
-
-# vet-bench times a full interprocedural fftxvet run over the module and
-# writes BENCH_vet.json; it fails if the run exceeds VET_BUDGET_SECONDS
-# (default 60). The analyzer runs on every check/CI pass, so its wall
-# clock is part of the edit-compile-test loop and is pinned like any other
-# perf baseline.
-vet-bench:
-	./scripts/vet-bench.sh
 
 # engines-matrix is the cross-engine smoke gate: the short-mode equivalence
 # matrix (all engines x modes x {complex,gamma} through the shared stage

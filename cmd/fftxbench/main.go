@@ -22,9 +22,6 @@
 //	-hostpar=false                     disable host-core parallelism in the
 //	                                   real-numerics loops (wall clock only;
 //	                                   simulated results are bit-identical)
-//	-steal                             run the host-parallel loops under the
-//	                                   work-stealing pool instead of fixed
-//	                                   chunks (results are bit-identical)
 //
 // Observability (see README "Observability"):
 //
@@ -67,7 +64,6 @@ func realMain() int {
 		csvPath = flag.String("csv", "", "also write fig2/fig6 runtime data as CSV to this file")
 		strict  = flag.Bool("strict", false, "enable runtime invariant checks (collective shapes, tag discipline, task-graph cycles)")
 		hostpar = flag.Bool("hostpar", true, "fan the real-numerics loops out over host cores (simulated results are identical either way)")
-		steal   = flag.Bool("steal", false, "use the work-stealing pool for the host-parallel loops (simulated results are identical either way)")
 		serve   = flag.String("serve", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -113,7 +109,6 @@ func realMain() int {
 	}
 
 	par.SetEnabled(*hostpar)
-	par.SetStealing(*steal)
 
 	suite := core.PaperSuite()
 	if *quick {

@@ -30,8 +30,6 @@
 //	                       debug logs every traced request keyed by trace ID
 //	-join URL              register with a cluster router on start and
 //	                       announce the drain to it on shutdown
-//	-exec-delay 0          add a fixed service time per executed batch
-//	                       (cluster benchmarking on small hosts)
 //
 // Endpoints: POST /fft (JSON or binary wire format), /healthz, the live
 // introspection surface /debug/fftx/requests (span timelines of traced
@@ -65,7 +63,8 @@
 //	-binary            use the length-prefixed wire format
 //	-trace-sample 0.05 fraction of loadgen requests stamped with client
 //	                   trace IDs (report counts echoes, flags mismatches)
-//	-json              print the report as JSON (BENCH_serve.json input)
+//	-json              print the report as JSON (scripts/cluster-smoke.sh
+//	                   reads it)
 package main
 
 import (
@@ -113,7 +112,6 @@ func realMain() int {
 		traceSample = flag.Float64("trace-sample", 0.05, "fraction of requests traced (server) or stamped with trace IDs (loadgen)")
 		logLevel    = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		joinURL     = flag.String("join", "", "cluster router base URL to register with (worker mode)")
-		execDelay   = flag.Duration("exec-delay", 0, "fixed extra service time per executed batch (cluster benchmarking)")
 
 		rtMode     = flag.Bool("router", false, "route requests across a cluster of workers instead of serving")
 		rtPeers    = flag.String("peers", "", "router: comma-separated static worker addresses (host:port)")
@@ -164,7 +162,6 @@ func realMain() int {
 		Cache:         &fft.Cache{},
 		DefaultEngine: *defEngine,
 		TraceSample:   *traceSample,
-		ExecDelay:     *execDelay,
 		Logger:        logger,
 	}
 

@@ -12,6 +12,6 @@
 // discrete-event KNL node model, Extrae-style tracing and the POP
 // efficiency analysis. See README.md, DESIGN.md and EXPERIMENTS.md.
 //
-// The root package holds the benchmark harness (bench_test.go): one
-// testing.B benchmark per table and figure of the paper's evaluation.
+// Each table and figure of the paper's evaluation is regenerated by
+// cmd/fftxbench; the repository's benchmark is the nested module in bench/.
 package repro

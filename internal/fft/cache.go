@@ -38,7 +38,7 @@ type key2 struct{ nx, ny int }
 type key3 struct{ nx, ny, nz int }
 
 // Cache is a concurrency-safe plan cache keyed by transform shape — the
-// "wisdom" reuse pattern of FFTW, covering 1-D, real, 2-D plane and 3-D box
+// "wisdom" reuse pattern of FFTW, covering 1-D, 2-D plane and 3-D box
 // plans. The zero value is ready to use.
 //
 // Reads are lock-free: lookups load an immutable map snapshot through an
@@ -52,7 +52,6 @@ type Cache struct {
 	mu      sync.Mutex
 	builds  atomic.Int64
 	plans   atomic.Pointer[map[int]*Plan]
-	real    atomic.Pointer[map[int]*RealPlan]
 	plans2d atomic.Pointer[map[key2]*Plan2D]
 	plans3d atomic.Pointer[map[key3]*Plan3D]
 }
@@ -80,23 +79,6 @@ func (c *Cache) Get(n int) *Plan {
 	p := newPlanRadix(n, radixAuto)
 	c.builds.Add(1)
 	snapPut(&c.plans, n, p)
-	return p
-}
-
-// GetReal returns the cached real plan for length n, creating it on first
-// use.
-func (c *Cache) GetReal(n int) *RealPlan {
-	if p, ok := snapGet(&c.real, n); ok {
-		return p
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := snapGet(&c.real, n); ok {
-		return p
-	}
-	p := NewRealPlan(n)
-	c.builds.Add(1)
-	snapPut(&c.real, n, p)
 	return p
 }
 

@@ -15,7 +15,6 @@ import (
 func TestCacheConcurrentMiss(t *testing.T) {
 	const goroutines = 32
 	lengths := []int{8, 12, 60, 97, 120, 243}
-	realLens := []int{8, 12, 60, 120} // RealPlan requires even lengths
 	shapes2d := [][2]int{{8, 12}, {16, 16}, {20, 12}}
 	shapes3d := [][3]int{{8, 8, 8}, {12, 8, 4}}
 
@@ -26,7 +25,6 @@ func TestCacheConcurrentMiss(t *testing.T) {
 	got1d := make([][]*Plan, goroutines)
 	got2d := make([][]*Plan2D, goroutines)
 	got3d := make([][]*Plan3D, goroutines)
-	gotReal := make([][]*RealPlan, goroutines)
 	for g := 0; g < goroutines; g++ {
 		g := g
 		done.Add(1)
@@ -41,10 +39,6 @@ func TestCacheConcurrentMiss(t *testing.T) {
 			got1d[g] = make([]*Plan, len(lengths))
 			for _, i := range order {
 				got1d[g][i] = c.Get(lengths[i])
-			}
-			gotReal[g] = make([]*RealPlan, len(realLens))
-			for i, n := range realLens {
-				gotReal[g][i] = c.GetReal(n)
 			}
 			got2d[g] = make([]*Plan2D, len(shapes2d))
 			for i, s := range shapes2d {
@@ -65,11 +59,6 @@ func TestCacheConcurrentMiss(t *testing.T) {
 				t.Errorf("goroutine %d got a different plan for n=%d", g, lengths[i])
 			}
 		}
-		for i := range realLens {
-			if gotReal[g][i] != gotReal[0][i] {
-				t.Errorf("goroutine %d got a different real plan for n=%d", g, realLens[i])
-			}
-		}
 		for i := range shapes2d {
 			if got2d[g][i] != got2d[0][i] {
 				t.Errorf("goroutine %d got a different 2-D plan for %v", g, shapes2d[i])
@@ -82,7 +71,7 @@ func TestCacheConcurrentMiss(t *testing.T) {
 		}
 	}
 
-	want := int64(len(lengths) + len(realLens) + len(shapes2d) + len(shapes3d))
+	want := int64(len(lengths) + len(shapes2d) + len(shapes3d))
 	if got := c.Builds(); got != want {
 		t.Errorf("cache performed %d plan builds, want exactly %d (one per shape)", got, want)
 	}
@@ -93,6 +82,36 @@ func TestCacheConcurrentMiss(t *testing.T) {
 			t.Errorf("post-race lookup for n=%d returned a different plan", n)
 		}
 	}
+}
+
+func TestCacheReusesPlans(t *testing.T) {
+	var c Cache
+	a := c.Get(48)
+	b := c.Get(48)
+	if a != b {
+		t.Fatal("cache returned distinct plans for the same length")
+	}
+	if c.Get(32) == a {
+		t.Fatal("distinct lengths share a plan")
+	}
+}
+
+func TestCacheConcurrentAccess(t *testing.T) {
+	var c Cache
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 2; n <= 64; n += 2 {
+				p := c.Get(n)
+				x := make([]complex128, n)
+				x[0] = 1
+				p.Transform(x, Forward)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCacheBatchTransformConcurrent drives the batch execution path from

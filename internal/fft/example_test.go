@@ -32,23 +32,6 @@ func ExampleGoodSize() {
 	// 100 120 125
 }
 
-func ExampleRealPlan_Forward() {
-	// A real cosine at frequency 3 produces conjugate peaks, of which the
-	// half spectrum stores one.
-	x := make([]float64, 16)
-	for j := range x {
-		x[j] = math.Cos(2 * math.Pi * 3 * float64(j) / 16)
-	}
-	spec := fft.NewRealPlan(16).Forward(x)
-	for k, v := range spec {
-		if math.Hypot(real(v), imag(v)) > 1e-9 {
-			fmt.Printf("bin %d: %.0f\n", k, real(v))
-		}
-	}
-	// Output:
-	// bin 3: 8
-}
-
 func ExamplePlan3D_Transform() {
 	// Round trip: Backward(Forward(x)) = N·x.
 	p := fft.NewPlan3D(4, 4, 4)

@@ -94,34 +94,6 @@ func FuzzBatchMatchesReference(f *testing.F) {
 	})
 }
 
-func FuzzRealPlanConsistency(f *testing.F) {
-	f.Add(8, int64(1))
-	f.Add(30, int64(2))
-	f.Add(202, int64(3))
-	f.Fuzz(func(t *testing.T, n int, seed int64) {
-		if n < 2 || n > 512 || n%2 != 0 {
-			t.Skip()
-		}
-		rp := NewRealPlan(n)
-		cp := NewPlan(n)
-		x := make([]float64, n)
-		cx := make([]complex128, n)
-		s := uint64(seed)
-		for i := range x {
-			s = s*6364136223846793005 + 1442695040888963407
-			x[i] = float64(int64(s>>11)) / float64(1<<52)
-			cx[i] = complex(x[i], 0)
-		}
-		spec := rp.Forward(x)
-		cp.Transform(cx, Forward)
-		for k := 0; k <= n/2; k++ {
-			if cmplx.Abs(spec[k]-cx[k]) > 1e-8*float64(n) {
-				t.Fatalf("n=%d: real/complex disagree at %d", n, k)
-			}
-		}
-	})
-}
-
 func FuzzGoodSize(f *testing.F) {
 	f.Add(1)
 	f.Add(97)

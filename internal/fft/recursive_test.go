@@ -9,8 +9,7 @@ import (
 
 // recursivePlan is the pre-iterative kernel of this package, kept verbatim
 // as a test-only baseline: the correctness tests cross-check the iterative
-// kernel against it, and the BenchmarkKernel_* pairs record the speedup of
-// the rewrite in BENCH_fft.json (see scripts/bench-json.sh).
+// kernel against it.
 type recursivePlan struct {
 	n       int
 	factors []int

@@ -44,9 +44,9 @@ func TestDataflowHidesCommFromLanes(t *testing.T) {
 	}
 }
 
-// On narrow-rank shapes (the committed quick-bench points 1x4 and 2x4) the
+// On narrow-rank shapes (the quick-suite points 1x4 and 2x4) the
 // bounded-lookahead dataflow schedule must beat the combined engine's
-// greedy one — the BENCH_engines.json claim, held in-tree.
+// greedy one.
 func TestDataflowFasterThanCombinedWhenContended(t *testing.T) {
 	for _, ranks := range []int{1, 2} {
 		mk := func(e Engine) float64 {

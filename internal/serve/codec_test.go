@@ -356,44 +356,73 @@ func (d *discardResponse) Header() http.Header         { return d.header }
 func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardResponse) WriteHeader(code int)        { d.status = code }
 
-// TestHandleFFTAllocs pins the object count of one whole transform request
-// inside the server — handler, dispatcher and worker, everything but
-// net/http's own connection handling — in both formats. The parent of the
-// payload codec spent 159 objects and 1.9 MiB on the JSON one.
-func TestHandleFFTAllocs(t *testing.T) {
-	if !poolKeeps() {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
-	s := startServer(t, Config{})
-	jsonBody, binaryBody := box16(t)
-	for _, tc := range []struct {
-		name, contentType string
-		body              []byte
-		want              float64
-	}{
-		{"JSON", "application/json", jsonBody, 26},
-		{"binary", "application/octet-stream", binaryBody, 16},
-	} {
+// handleFFTCase is one row of the handler pins: a request body in one format
+// and the most objects one round trip of it may allocate.
+type handleFFTCase struct {
+	name, contentType string
+	body              []byte
+	want              float64
+}
+
+// pinHandleFFT serves each case through s.handleFFT, pins its allocations per
+// round trip and checks that fftxd_traced_requests_total rose by exactly one
+// per round trip when traced, and not at all otherwise. Under the race
+// detector sync.Pool drops items and no allocation pin holds; the counts
+// still do. It returns the number of round trips served.
+func pinHandleFFT(t *testing.T, s *Server, traced bool, cases []handleFFTCase) int {
+	t.Helper()
+	pinAllocs := poolKeeps()
+	sampled := mTraced.With("sampled")
+	total := 0
+	for _, tc := range cases {
 		body := bytes.NewReader(tc.body)
 		r := httptest.NewRequest(http.MethodPost, "/fft", body)
 		r.Header.Set("Content-Type", tc.contentType)
 		w := &discardResponse{header: http.Header{}}
+		trips := 0
 		roundTrip := func() {
 			body.Reset(tc.body)
 			clear(w.header)
 			w.status = 0
 			s.handleFFT(w, r)
+			trips++
 			if w.status != 0 || w.header.Get("Content-Length") == "" {
 				t.Fatalf("%s: status %d, headers %v", tc.name, w.status, w.header)
 			}
 		}
+		before := sampled.Value()
 		for i := 0; i < 5; i++ {
 			roundTrip()
 		}
-		if got := testing.AllocsPerRun(50, roundTrip); got > tc.want {
-			t.Errorf("%s: %.1f allocations per request, want at most %.0f", tc.name, got, tc.want)
-		} else {
-			t.Logf("%s: %.1f allocations per request", tc.name, got)
+		if pinAllocs {
+			if got := testing.AllocsPerRun(50, roundTrip); got > tc.want {
+				t.Errorf("%s: %.1f allocations per request, want at most %.0f", tc.name, got, tc.want)
+			} else {
+				t.Logf("%s: %.1f allocations per request", tc.name, got)
+			}
 		}
+		wantTraced := 0
+		if traced {
+			wantTraced = trips
+		}
+		if got := sampled.Value() - before; got != float64(wantTraced) {
+			t.Errorf("%s: fftxd_traced_requests_total += %v over %d round trips, want %d", tc.name, got, trips, wantTraced)
+		}
+		total += trips
 	}
+	return total
+}
+
+// TestHandleFFTAllocs pins the object count of one whole untraced transform
+// request inside the server — handler, dispatcher and worker, everything but
+// net/http's own connection handling — in both formats. The parent of the
+// payload codec spent 159 objects and 1.9 MiB on the JSON one. The traced
+// rows are TestTracingOverheadSmoke's.
+func TestHandleFFTAllocs(t *testing.T) {
+	s := startServer(t, Config{})
+	jsonBody, binaryBody := box16(t)
+	pinHandleFFT(t, s, false, []handleFFTCase{
+		{"JSON", "application/json", jsonBody, 26},
+		{"binary", "application/octet-stream", binaryBody, 16},
+	})
 }

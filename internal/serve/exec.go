@@ -63,11 +63,8 @@ func (s *Server) runBatch(g *group) {
 	}
 	mInflight.Add(float64(len(live)))
 	defer mInflight.Add(-float64(len(live)))
-	if s.cfg.ExecDelay > 0 {
-		// Injected service time: shutdown/overload tests use it to observe
-		// in-flight vs queued states deterministically, cluster-bench to
-		// model a fixed per-node batch cost (see Config.ExecDelay).
-		time.Sleep(s.cfg.ExecDelay)
+	if s.cfg.execDelay > 0 {
+		time.Sleep(s.cfg.execDelay)
 	}
 	if live[0].req.Op == OpPipeline {
 		for _, t := range live {

@@ -230,7 +230,7 @@ func TestAbandonedRequestKeepsItsBuffer(t *testing.T) {
 
 	// One slow worker, no coalescing: requests run one by one, in order.
 	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.cfg.ExecDelay = 20 * time.Millisecond
+	s.cfg.execDelay = 20 * time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -65,13 +65,10 @@ type Config struct {
 	// RequestLogSize bounds the recent-request ring of /debug/fftx/requests
 	// (default 64).
 	RequestLogSize int
-	// ExecDelay stretches every batch execution by this duration (default
-	// 0). Shutdown and overload tests use it to observe in-flight vs queued
-	// states deterministically, and scripts/cluster-bench.sh uses it to
-	// inject a calibrated per-node service time so router/worker scaling is
-	// measured against a fixed per-worker capacity instead of against
-	// however many host cores the bench machine happens to have.
-	ExecDelay time.Duration
+	// execDelay stretches every batch execution by this duration (default
+	// 0). Shutdown and overload tests set it to observe in-flight vs queued
+	// states deterministically.
+	execDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {

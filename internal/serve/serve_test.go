@@ -322,7 +322,7 @@ func TestServeHealthz(t *testing.T) {
 // requests still succeed.
 func TestServeOverloadBackpressure(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1})
-	s.cfg.ExecDelay = 100 * time.Millisecond
+	s.cfg.execDelay = 100 * time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestServeOverloadBackpressure(t *testing.T) {
 // met is rejected with 503 rather than served late.
 func TestServeDeadlineExpiry(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.cfg.ExecDelay = 150 * time.Millisecond
+	s.cfg.execDelay = 150 * time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// One slow worker, batching off: the first requests occupy the worker
 	// and the batch buffer, the rest stay queued when the drain begins.
 	s := New(Config{Workers: 1, QueueDepth: 8, MaxBatch: 1})
-	s.cfg.ExecDelay = 250 * time.Millisecond
+	s.cfg.execDelay = 250 * time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDrainingRejectsNewRequests(t *testing.T) {
 // is held open by a slow in-flight batch.
 func TestHealthzDraining(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.cfg.ExecDelay = 300 * time.Millisecond
+	s.cfg.execDelay = 300 * time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}

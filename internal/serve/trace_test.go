@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -212,47 +212,45 @@ func TestServeTraceValidation(t *testing.T) {
 	}
 }
 
-// TestTracingOverheadSmoke is the deadman bound behind `make overhead-smoke`:
-// full tracing must not grossly slow the serving path. The precise <5%
-// budget is measured by scripts/serve-bench.sh into BENCH_serve.json; here
-// the bound is generous (2× + scheduling slack) so CI machines under load
-// do not flake.
+// TestTracingOverheadSmoke is tracing's cost in counts, the check behind
+// `make overhead-smoke`: the rows of TestHandleFFTAllocs served by a server
+// that traces every request. Each round trip adds exactly one to
+// fftxd_traced_requests_total and leaves one valid span tree with the fixed
+// phases, for a pinned number of extra objects. Tracing's timing is
+// bench.tracing_overhead_pct.
 func TestTracingOverheadSmoke(t *testing.T) {
-	req := &Request{Dims: []int{16, 16}, Batch: 1, Data: randomData(5, 256)}
-	frame, err := EncodeRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 200
-	measure := func(sample float64) time.Duration {
-		s := startServer(t, Config{TraceSample: sample})
-		// Warm the plan cache out of the measurement.
-		for i := 0; i < 5; i++ {
-			doPost(t, s.URL(), frame)
-		}
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			doPost(t, s.URL(), frame)
-		}
-		return time.Since(start)
-	}
-	off := measure(0)
-	on := measure(1)
-	t.Logf("tracing off %v, on %v (%.1f%%)", off, on, 100*float64(on-off)/float64(off))
-	if on > 2*off+100*time.Millisecond {
-		t.Fatalf("tracing overhead out of bounds: off %v, on %v", off, on)
-	}
-}
+	s := startServer(t, Config{TraceSample: 1})
+	jsonBody, binaryBody := box16(t)
+	trips := pinHandleFFT(t, s, true, []handleFFTCase{
+		{"JSON traced", "application/json", jsonBody, 39},
+		{"binary traced", "application/octet-stream", binaryBody, 31},
+	})
 
-func doPost(t *testing.T, url string, frame []byte) {
-	t.Helper()
-	resp, err := http.Post(url+"/fft", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
+	// Every traced round trip the ring still holds is a finished 200 with a
+	// valid tree of exactly the fixed phases, in the order they begin.
+	phases := []string{"request", "decode", "read", "parse", "admit", "queue",
+		"coalesce", "exec", "plan", "transform", "encode", "render", "write"}
+	recent := s.reqLog.dump().Recent
+	if len(recent) != min(trips, s.cfg.RequestLogSize) {
+		t.Fatalf("%d recent traced requests after %d traced round trips, ring of %d",
+			len(recent), trips, s.cfg.RequestLogSize)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	for _, rv := range recent {
+		if rv.Status != http.StatusOK || rv.InFlight {
+			t.Errorf("trace %s: status %d, in flight %v", rv.TraceID, rv.Status, rv.InFlight)
+		}
+		for _, err := range rv.Spans.ValidateSpans() {
+			t.Errorf("trace %s: %v", rv.TraceID, err)
+		}
+		names := make([]string, len(rv.Spans.Spans))
+		for i, sp := range rv.Spans.Spans {
+			names[i] = sp.Name
+			if sp.EndNS == 0 {
+				t.Errorf("trace %s: span %q never ended", rv.TraceID, sp.Name)
+			}
+		}
+		if !reflect.DeepEqual(names, phases) {
+			t.Errorf("trace %s: spans %v, want %v", rv.TraceID, names, phases)
+		}
 	}
 }
