@@ -9,7 +9,7 @@
 //
 // Experiments: fig2, table1, fig3, table2, fig6, fig7, sweep, ablation,
 // engines (the per-engine runtime matrix with the auto selector's pick),
-// machines, predict, sensitivity, bandsweep, multinode, scaling, report, all.
+// sensitivity, bandsweep, report, all.
 //
 // Flags select the workload (defaults are the paper's parameters: energy
 // cutoff 80 Ry, lattice parameter 20 bohr, 128 bands, 8 task groups):
@@ -41,7 +41,6 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/fftx"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/telemetry"
@@ -70,7 +69,7 @@ func realMain() int {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fftxbench [flags] fig2|table1|fig3|table2|fig6|fig7|sweep|ablation|engines|machines|predict|sensitivity|bandsweep|multinode|scaling|report|all")
+		fmt.Fprintln(os.Stderr, "usage: fftxbench [flags] fig2|table1|fig3|table2|fig6|fig7|sweep|ablation|engines|sensitivity|bandsweep|report|all")
 		return 2
 	}
 
@@ -244,36 +243,10 @@ func realMain() int {
 				return err
 			}
 			fmt.Println(r.Format())
-		case "machines":
-			r, err := suite.Machines()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Format())
 		case "report":
 			if err := suite.WriteReport(os.Stdout); err != nil {
 				return err
 			}
-		case "scaling":
-			for _, weak := range []bool{false, true} {
-				var r *core.ScalingResult
-				var err error
-				if weak {
-					r, err = suite.WeakScaling(fftx.EngineTaskCombined, 8, []int{1, 2, 4})
-				} else {
-					r, err = suite.StrongScaling(fftx.EngineTaskCombined, 8, []int{1, 2, 4})
-				}
-				if err != nil {
-					return err
-				}
-				fmt.Println(r.Format())
-			}
-		case "multinode":
-			r, err := suite.MultiNode(*ablR, []int{1, 2, 4})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Format())
 		case "bandsweep":
 			r, err := suite.BandSweep(*ablR, []int{16, 32, 64, 128, 256})
 			if err != nil {
@@ -286,12 +259,6 @@ func realMain() int {
 				return err
 			}
 			fmt.Println(r.Format())
-		case "predict":
-			r, err := suite.PredictScaling(fftx.EngineOriginal)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Format())
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -300,7 +267,7 @@ func realMain() int {
 
 	names := []string{flag.Arg(0)}
 	if flag.Arg(0) == "all" {
-		names = []string{"fig2", "table1", "fig3", "table2", "fig6", "fig7", "sweep", "ablation", "engines", "machines", "predict", "sensitivity", "bandsweep", "multinode", "scaling"}
+		names = []string{"fig2", "table1", "fig3", "table2", "fig6", "fig7", "sweep", "ablation", "engines", "sensitivity", "bandsweep"}
 	}
 	for _, nm := range names {
 		if err := run(nm); err != nil {

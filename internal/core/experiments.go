@@ -32,8 +32,8 @@ type Suite struct {
 // PaperSuite returns the paper's experiment parameters: plane-wave energy
 // cutoff 80 Ry, lattice parameter 20 bohr, 128 bands, 8 task groups,
 // configurations 1x8 .. 32x8 (the last two hyper-threaded). Cost mode: the
-// full problem transforms ~50 GFLOP per run, which only the examples do for
-// real on small grids.
+// full problem would transform ~50 GFLOP per run; real numerics run only in
+// the tests, on small grids.
 func PaperSuite() Suite {
 	return Suite{
 		Ecut: 80, Alat: 20, NB: 128, NTG: 8,
@@ -505,123 +505,6 @@ func (s Suite) Ablation(ranks int) (*AblationResult, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// PredictionResult is the scalability-prediction experiment: the POP
-// factors measured up to 16x8 extrapolated to 32x8 and checked against the
-// actual 32x8 simulation (the methodology of the paper's reference [10]).
-type PredictionResult struct {
-	Prediction pop.Prediction
-	Measured   pop.Factors
-	Table      string
-}
-
-// PredictScaling fits the Table I factor trends over FactorRanks and
-// predicts the next doubling, then measures it for comparison.
-func (s Suite) PredictScaling(engine fftx.Engine) (*PredictionResult, error) {
-	fr, err := s.factorTable("prediction base", engine, PaperFactors{})
-	if err != nil {
-		return nil, err
-	}
-	lanes := make([]int, len(s.FactorRanks))
-	for i, r := range s.FactorRanks {
-		lanes[i] = r * s.NTG
-	}
-	target := lanes[len(lanes)-1] * 2
-	pred, err := pop.Predict(lanes, fr.Factors, target)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fftx.Run(s.config(engine, target/s.NTG))
-	if err != nil {
-		return nil, err
-	}
-	measured := pop.Analyze(res.Trace)
-	measured.AddScalability(fr.Factors[0])
-	return &PredictionResult{
-		Prediction: pred,
-		Measured:   measured,
-		Table:      pop.FormatPrediction(pred, &measured),
-	}, nil
-}
-
-// Format renders the prediction experiment.
-func (r *PredictionResult) Format() string {
-	return "Scalability prediction (POP methodology, ref. [10] of the paper)\n" + r.Table
-}
-
-// MachineRow is one (machine, engine) measurement of the machine
-// comparison.
-type MachineRow struct {
-	Machine string
-	Engine  fftx.Engine
-	Lanes   int
-	Runtime float64
-	// GainVsOriginal is the runtime reduction relative to the same
-	// machine's original version.
-	GainVsOriginal float64
-}
-
-// MachinesResult compares the engine choice across node types.
-type MachinesResult struct {
-	Rows []MachineRow
-}
-
-// Machines runs the engines on two full nodes — the calibrated KNL and the
-// contrasting Xeon-like preset — at one rank per hardware thread,
-// quantifying the paper's Section IV argument that the best task strategy
-// depends on the machine: de-synchronization pays on the contention-bound
-// KNL, communication overlap pays relatively more where compute is fast.
-func (s Suite) Machines() (*MachinesResult, error) {
-	out := &MachinesResult{}
-	machines := []struct {
-		name   string
-		params knl.Params
-		ranks  int // ranks * s.NTG lanes fill the node
-	}{
-		{"KNL (68c @ 1.4GHz)", knl.DefaultParams(), 64 / s.NTG},
-		{"Xeon (24c @ 2.6GHz)", knl.XeonParams(), 24 / s.NTG},
-	}
-	engines := []fftx.Engine{fftx.EngineOriginal, fftx.EngineTaskIter, fftx.EngineTaskCombined}
-	for _, m := range machines {
-		if m.ranks < 1 {
-			m.ranks = 1
-		}
-		var orig float64
-		for _, e := range engines {
-			cfg := s.config(e, m.ranks)
-			params := m.params
-			cfg.Params = &params
-			res, err := fftx.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: machines %s/%v: %w", m.name, e, err)
-			}
-			row := MachineRow{Machine: m.name, Engine: e, Lanes: cfg.Lanes(), Runtime: res.Runtime}
-			if e == fftx.EngineOriginal {
-				orig = res.Runtime
-			} else {
-				row.GainVsOriginal = (orig - res.Runtime) / orig
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
-}
-
-// Format renders the machine comparison.
-func (r *MachinesResult) Format() string {
-	var sb strings.Builder
-	sb.WriteString("Engine choice across machines (Section IV: the best strategy depends on the node)\n")
-	fmt.Fprintf(&sb, "%-22s %-16s %6s %12s %10s\n", "machine", "engine", "lanes", "runtime[s]", "gain")
-	for _, row := range r.Rows {
-		gain := ""
-		if row.Engine != fftx.EngineOriginal {
-			gain = fmt.Sprintf("%+.1f%%", 100*row.GainVsOriginal)
-		}
-		fmt.Fprintf(&sb, "%-22s %-16s %6d %12.4f %10s\n",
-			row.Machine, row.Engine.String(), row.Lanes, row.Runtime, gain)
-	}
-	return sb.String()
 }
 
 // Format renders the ablation table.

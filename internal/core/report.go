@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"strings"
 
-	"repro/internal/fftx"
 	"repro/internal/pop"
 )
 
@@ -118,25 +116,5 @@ func (s Suite) WriteReport(w io.Writer) error {
 		fmt.Fprintf(w, "| %s | %+.1f%% |\n", row.Name, 100*row.Gain)
 	}
 	fmt.Fprintln(w)
-
-	mach, err := s.Machines()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Machine dependence of the engine choice\n\n| machine | engine | gain vs original |\n|---|---|---|\n")
-	for _, row := range mach.Rows {
-		if row.Engine == fftx.EngineOriginal {
-			continue
-		}
-		fmt.Fprintf(w, "| %s | %s | %+.1f%% |\n", row.Machine, row.Engine, 100*row.GainVsOriginal)
-	}
-	fmt.Fprintln(w)
-
-	pr, err := s.PredictScaling(fftx.EngineOriginal)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Scalability prediction (POP methodology)\n\n```\n%s```\n",
-		strings.TrimPrefix(pr.Table, "\n"))
 	return nil
 }

@@ -19,8 +19,8 @@ import (
 
 // autoKey identifies one workload shape for the selection cache. It covers
 // exactly the inputs the ModeCost probes depend on: the problem geometry,
-// the process/thread layout, the scheduling knobs and the machine model
-// (by value — knl.Params and knl.NetParams are plain scalar structs).
+// the process/thread layout, the scheduling knobs and the node model (by
+// value — knl.Params is a plain scalar struct).
 type autoKey struct {
 	ecut, alat    float64
 	nb            int
@@ -30,9 +30,7 @@ type autoKey struct {
 	nestedGrainXY int
 	nestedGrainZ  int
 	gamma         bool
-	nodes         int
 	params        knl.Params
-	net           knl.NetParams
 }
 
 var autoCache = struct {
@@ -63,9 +61,7 @@ func selectEngine(cfg Config) (Engine, error) {
 		nestedGrainXY: cfg.NestedGrainXY,
 		nestedGrainZ:  cfg.NestedGrainZ,
 		gamma:         cfg.Gamma,
-		nodes:         cfg.NodesCount,
 		params:        *cfg.Params,
-		net:           cfg.Net,
 	}
 	autoCache.Lock()
 	cached, ok := autoCache.m[key]

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/fft"
-	"repro/internal/knl"
 	"repro/internal/pw"
 	"repro/internal/trace"
 )
@@ -208,53 +207,4 @@ func TestOperatorLinearityViaReference(t *testing.T) {
 			t.Fatalf("linearity violated at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
-}
-
-// Multi-node configurations must still match the serial reference exactly
-// (the cluster changes timing only) and be deterministic.
-func TestMultiNodeMatchesReference(t *testing.T) {
-	ref := Reference(Config{Ecut: testEcut, Alat: testAlat, NB: 8})
-	for _, engine := range []Engine{EngineOriginal, EngineTaskIter, EngineTaskCombined, EngineDataflow} {
-		cfg := testConfig(engine, 2, 2, 8)
-		cfg.NodesCount = 2
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
-		if d := maxBandDiff(t, res.Bands, ref); d > 1e-10 {
-			t.Errorf("%v on 2 nodes: deviation %g", engine, d)
-		}
-	}
-}
-
-// Spreading a fixed workload over more nodes must not slow the original
-// engine down dramatically, and the cross-node scatters must be visible as
-// increased transfer time relative to a hypothetical free interconnect.
-func TestMultiNodeTimingSane(t *testing.T) {
-	base := Config{Ecut: 20, Alat: 12, NB: 32, Ranks: 4, NTG: 4,
-		Engine: EngineOriginal, Mode: ModeCost}
-	one, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := base
-	multi.NodesCount = 4
-	four, err := Run(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if four.Runtime <= 0 {
-		t.Fatal("non-positive multi-node runtime")
-	}
-	// A slow interconnect must hurt: same split with a crippled network.
-	slow := multi
-	slow.Net = knl.NetParams{Latency: 1e-3, Bandwidth: 1e7}
-	crippled, err := Run(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crippled.Runtime <= four.Runtime {
-		t.Fatalf("crippled interconnect (%g) not slower than default (%g)", crippled.Runtime, four.Runtime)
-	}
-	_ = one
 }

@@ -42,7 +42,6 @@ import (
 	"repro/internal/knl"
 	"repro/internal/pw"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Engine selects the execution strategy.
@@ -95,7 +94,7 @@ type Mode int
 
 const (
 	// ModeReal transforms actual wavefunction data (used by the
-	// correctness tests and the examples; keep the grid small).
+	// correctness tests and ExampleRun; keep the grid small).
 	ModeReal Mode = iota
 	// ModeCost charges instruction counts and communication volumes
 	// without allocating band data (used at the paper's problem size).
@@ -145,13 +144,6 @@ type Config struct {
 	Mode Mode
 	// Params is the KNL node model; zero value means knl.DefaultParams.
 	Params *knl.Params
-	// NodesCount spreads the lanes over several nodes joined by the Net
-	// interconnect (0 or 1 = the paper's single-node setting). Lanes are
-	// block-distributed: consecutive ranks share a node.
-	NodesCount int
-	// Net is the inter-node interconnect; the zero value means
-	// knl.DefaultNet when NodesCount > 1.
-	Net knl.NetParams
 	// Seed offsets the deterministic per-phase work-variance draws, so
 	// repeated runs of one configuration (the miniapp's iterations) see
 	// different execution noise while staying fully reproducible.
@@ -181,24 +173,7 @@ func (c Config) withDefaults() Config {
 	if c.NestedGrainZ <= 0 {
 		c.NestedGrainZ = 200
 	}
-	if c.NodesCount < 1 {
-		c.NodesCount = 1
-	}
-	if c.NodesCount > 1 && c.Net == (knl.NetParams{}) {
-		c.Net = knl.DefaultNet()
-	}
 	return c
-}
-
-// buildMachine returns the compute machine and communication fabric of the
-// configuration: a single node, or a cluster when NodesCount > 1.
-func (c Config) buildMachine(lanes int) (vtime.Machine, knl.Fabric) {
-	if c.NodesCount > 1 {
-		cl := knl.NewCluster(*c.Params, c.Net, c.NodesCount, lanes)
-		return cl, cl
-	}
-	n := knl.NewNode(*c.Params, lanes)
-	return n, n
 }
 
 // Lanes returns the hardware-lane count the configuration occupies.
@@ -229,13 +204,8 @@ func (c Config) validate() error {
 			return fmt.Errorf("fftx: gamma mode not supported by engine %v", c.Engine)
 		}
 	}
-	nodes := c.NodesCount
-	if nodes < 1 {
-		nodes = 1
-	}
-	perNode := (c.Lanes() + nodes - 1) / nodes
-	if perNode > 4*c.Params.Cores {
-		return fmt.Errorf("fftx: %d lanes per node exceed 4-way hyper-threading on %d cores", perNode, c.Params.Cores)
+	if lanes := c.Lanes(); lanes > 4*c.Params.Cores {
+		return fmt.Errorf("fftx: %d lanes exceed 4-way hyper-threading on %d cores", lanes, c.Params.Cores)
 	}
 	return nil
 }

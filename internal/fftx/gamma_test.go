@@ -146,39 +146,56 @@ func TestGammaEnginesAgree(t *testing.T) {
 	}
 }
 
-// Hermiticity invariant on the output: <psi_i|V|psi_j> must be Hermitian in
-// the half-sphere inner product (2·Re(sum) - G=0 term).
-func TestGammaOutputHermitian(t *testing.T) {
-	cfg := gammaConfig(EngineTaskIter, 2, 2, 4)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// Hermiticity invariant on the output of the distributed kernel: V(r) is
+// real, so <psi_i|V|psi_j> = conj(<psi_j|V|psi_i>). The full sphere uses the
+// complex inner product; gamma mode the half-sphere one, 2·Re(sum) minus the
+// double-counted G=0 term, which is real.
+func TestOutputHermitian(t *testing.T) {
+	fullDot := func(_ *pw.Sphere, a, b []complex128) complex128 {
+		var s complex128
+		for i := range a {
+			s += cmplx.Conj(a[i]) * b[i]
+		}
+		return s
 	}
-	in := pw.WavefunctionBandsGamma(res.Sphere, cfg.NB)
-	dot := func(a, b []complex128) float64 {
-		// gamma inner product: sum over half sphere of 2*Re(conj(a)*b),
-		// minus the double-counted G=0 term.
+	gammaDot := func(sp *pw.Sphere, a, b []complex128) complex128 {
 		var s float64
 		for i := range a {
 			s += 2 * real(cmplx.Conj(a[i])*b[i])
 		}
-		// subtract the G=0 overcount (it is the first coefficient of the
-		// (0,0) stick at K=0; find it)
-		for i, g := range res.Sphere.G {
+		for i, g := range sp.G {
 			if g.I == 0 && g.J == 0 && g.K == 0 {
 				s -= real(cmplx.Conj(a[i]) * b[i])
 				break
 			}
 		}
-		return s
+		return complex(s, 0)
 	}
-	for i := 0; i < cfg.NB; i++ {
-		for j := i; j < cfg.NB; j++ {
-			mij := dot(in[i], res.Bands[j])
-			mji := dot(in[j], res.Bands[i])
-			if d := mij - mji; d > 1e-10 || d < -1e-10 {
-				t.Fatalf("<%d|V|%d> asymmetry %g", i, j, d)
+	cases := []struct {
+		name  string
+		cfg   Config
+		bands func(*pw.Sphere, int) [][]complex128
+		dot   func(sp *pw.Sphere, a, b []complex128) complex128
+	}{
+		{"gamma", gammaConfig(EngineTaskIter, 2, 2, 4), pw.WavefunctionBandsGamma, gammaDot},
+		{"full-sphere", testConfig(EngineTaskIter, 2, 2, 8), pw.WavefunctionBands, fullDot},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			in := tc.bands(res.Sphere, tc.cfg.NB)
+			for i := 0; i < tc.cfg.NB; i++ {
+				for j := i; j < tc.cfg.NB; j++ {
+					mij := tc.dot(res.Sphere, in[i], res.Bands[j])
+					mji := tc.dot(res.Sphere, in[j], res.Bands[i])
+					if d := cmplx.Abs(mij - cmplx.Conj(mji)); d > 1e-10 {
+						t.Fatalf("<%d|V|%d> asymmetry %g", i, j, d)
+					}
+				}
+			}
+		})
 	}
 }

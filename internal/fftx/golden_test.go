@@ -74,15 +74,9 @@ func goldenConfigs() []struct {
 		cfg.NestedGrainZ = 4
 		add(fmt.Sprintf("task-steps-2x2-%v-nested", modeName(m)), cfg)
 	}
-	// Uneven pack/scatter extremes and a multi-node case.
+	// Uneven pack/scatter extremes.
 	add("original-4x1-real", mk(EngineOriginal, 4, 1, 4, ModeReal))
 	add("original-1x4-real", mk(EngineOriginal, 1, 4, 8, ModeReal))
-	multi := mk(EngineTaskCombined, 2, 2, 8, ModeCost)
-	multi.NodesCount = 2
-	add("task-combined-2x2-cost-2nodes", multi)
-	dfMulti := mk(EngineDataflow, 2, 2, 8, ModeCost)
-	dfMulti.NodesCount = 2
-	add("dataflow-2x2-cost-2nodes", dfMulti)
 	seeded := mk(EngineTaskIter, 2, 2, 8, ModeCost)
 	seeded.Seed = 3
 	add("task-iter-2x2-cost-seed3", seeded)

@@ -12,8 +12,8 @@ import (
 	"repro/internal/vtime"
 )
 
-// harness is the scaffolding of a run: the kernel, the simulated machine
-// and fabric, the virtual-time engine, the trace and the MPI world. The
+// harness is the scaffolding of a run: the kernel, the simulated node, the
+// virtual-time engine, the trace and the MPI world. The
 // schedule executor adds the spawn/task structure of a policy row on top.
 type harness struct {
 	cfg  Config
@@ -32,12 +32,12 @@ type harness struct {
 func newHarness(cfg Config, ranks, lanesPerRank int) *harness {
 	k := newKernel(cfg)
 	lanes := ranks * lanesPerRank
-	machine, fabric := cfg.buildMachine(lanes)
-	eng := vtime.NewEngine(machine)
+	node := knl.NewNode(*cfg.Params, lanes)
+	eng := vtime.NewEngine(node)
 	tr := trace.New(lanes, cfg.Params.Freq)
 	tr.Meta["engine"] = cfg.Engine.String()
 	sink := cfg.traceSink(tr)
-	w := mpi.NewWorld(eng, fabric, sink, ranks, lanesPerRank)
+	w := mpi.NewWorld(eng, node, sink, ranks, lanesPerRank)
 	w.Strict = cfg.Strict
 	return &harness{cfg: cfg, k: k, eng: eng, tr: tr, sink: sink, w: w}
 }

@@ -119,8 +119,10 @@ type Params struct {
 	Jitter float64
 }
 
-// Node is a KNL node hosting a fixed number of hardware lanes. It
-// implements vtime.Machine.
+// Node is the one KNL node a run occupies, hosting a fixed number of
+// hardware lanes. It implements vtime.Machine for the compute phases and
+// prices the mpi layer's transfers (AlltoallTime, BcastTime, ReduceTime,
+// P2PTime).
 type Node struct {
 	P     Params
 	Lanes int
@@ -264,18 +266,11 @@ func (n *Node) effBW(commLanes int) float64 {
 	return bw
 }
 
-// TotalLanes implements Fabric.
-func (n *Node) TotalLanes() int { return n.Lanes }
-
-// LaneNode implements Fabric: a single node hosts every lane.
-func (n *Node) LaneNode(int) int { return 0 }
-
 // AlltoallTime models the duration of an Alltoall(v) exchange among k ranks
 // where each rank sends bytesPerRank in total, while commLanes lanes of the
 // node are engaged in communication concurrently (they share
-// NodeBandwidth, each capped by EndpointBandwidth). The nodesSpanned
-// argument exists for the Fabric interface; a single node ignores it.
-func (n *Node) AlltoallTime(k int, bytesPerRank float64, commLanes, _ int) float64 {
+// NodeBandwidth, each capped by EndpointBandwidth).
+func (n *Node) AlltoallTime(k int, bytesPerRank float64, commLanes int) float64 {
 	if k <= 1 {
 		return 0
 	}
@@ -286,7 +281,7 @@ func (n *Node) AlltoallTime(k int, bytesPerRank float64, commLanes, _ int) float
 }
 
 // BcastTime models a broadcast among k ranks of the given payload.
-func (n *Node) BcastTime(k int, bytes float64, commLanes, _ int) float64 {
+func (n *Node) BcastTime(k int, bytes float64, commLanes int) float64 {
 	if k <= 1 {
 		return 0
 	}
@@ -298,12 +293,12 @@ func (n *Node) BcastTime(k int, bytes float64, commLanes, _ int) float64 {
 }
 
 // ReduceTime models a (all)reduce among k ranks of the given payload.
-func (n *Node) ReduceTime(k int, bytes float64, commLanes, _ int) float64 {
-	return n.BcastTime(k, bytes, commLanes, 1)
+func (n *Node) ReduceTime(k int, bytes float64, commLanes int) float64 {
+	return n.BcastTime(k, bytes, commLanes)
 }
 
 // P2PTime models one point-to-point message.
-func (n *Node) P2PTime(bytes float64, commLanes, _ int) float64 {
+func (n *Node) P2PTime(bytes float64, commLanes int) float64 {
 	if commLanes < 2 {
 		commLanes = 2
 	}

@@ -211,7 +211,7 @@ func TestAlltoallTimeGrowsWithParticipants(t *testing.T) {
 	n := NewNode(DefaultParams(), 64)
 	prev := 0.0
 	for _, k := range []int{2, 4, 8, 16, 32, 64} {
-		d := n.AlltoallTime(k, 1<<20, 64, 1)
+		d := n.AlltoallTime(k, 1<<20, 64)
 		if d <= prev {
 			t.Fatalf("Alltoall time not increasing at k=%d: %v <= %v", k, d, prev)
 		}
@@ -221,14 +221,14 @@ func TestAlltoallTimeGrowsWithParticipants(t *testing.T) {
 
 func TestAlltoallSingleRankFree(t *testing.T) {
 	n := NewNode(DefaultParams(), 8)
-	if d := n.AlltoallTime(1, 1<<30, 8, 1); d != 0 {
+	if d := n.AlltoallTime(1, 1<<30, 8); d != 0 {
 		t.Fatalf("self-alltoall should be free, got %v", d)
 	}
 }
 
 func TestCommTimesPositive(t *testing.T) {
 	n := NewNode(DefaultParams(), 16)
-	if n.BcastTime(8, 4096, 16, 1) <= 0 || n.ReduceTime(8, 4096, 16, 1) <= 0 || n.P2PTime(4096, 16, 1) <= 0 {
+	if n.BcastTime(8, 4096, 16) <= 0 || n.ReduceTime(8, 4096, 16) <= 0 || n.P2PTime(4096, 16) <= 0 {
 		t.Fatal("collective times must be positive")
 	}
 }
@@ -338,23 +338,5 @@ func TestTileSharingSlowsSameTilePairs(t *testing.T) {
 	n2.Rates(ct)
 	if ipcOf(n2, st[0]) != ipcOf(n2, ct[0]) {
 		t.Fatal("tile level active despite zero demands")
-	}
-}
-
-func TestXeonParamsSane(t *testing.T) {
-	p := XeonParams()
-	if p.Cores >= DefaultParams().Cores || p.Freq <= DefaultParams().Freq {
-		t.Fatalf("Xeon preset not a fat-core node: %d cores @ %g", p.Cores, p.Freq)
-	}
-	for c := ClassMem; c <= ClassVector; c++ {
-		if p.BaseIPC[c] <= DefaultParams().BaseIPC[c] {
-			t.Fatalf("Xeon base IPC for %v not above KNL", c)
-		}
-	}
-	n := NewNode(p, 24)
-	jobs := mkJobs(n, []Class{ClassVector})
-	n.Rates(jobs)
-	if jobs[0].Rate <= 0 {
-		t.Fatal("invalid rate")
 	}
 }

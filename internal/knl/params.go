@@ -74,27 +74,3 @@ func DefaultParams() Params {
 	p.Sens[ClassVector] = 1.00
 	return p
 }
-
-// XeonParams returns a contrasting "standard CPU" node in the spirit of the
-// paper's Section IV discussion: the step-task (communication-overlap)
-// strategy targets machines where communication dominates, while the
-// per-iteration (de-synchronization) strategy targets the KNL's
-// contention-limited compute. A dual-socket Xeon-like node has far fewer
-// but faster cores (here 24 at 2.6 GHz with roughly twice the per-core
-// IPC), 2-way SMT, a gentler contention curve (large shared L3, fewer cores
-// stressing the memory system) and a similar interconnect — so compute
-// shrinks relative to communication and the trade-off flips. These values
-// are NOT fitted to any measurement; they exist to exercise the
-// machine-dependence of the engine choice.
-func XeonParams() Params {
-	p := DefaultParams()
-	p.Cores = 24
-	p.Freq = 2.6e9
-	p.BaseIPC[ClassMem] = 0.15
-	p.BaseIPC[ClassStream] = 1.6
-	p.BaseIPC[ClassVector] = 2.6
-	// Fewer cores load the shared resource less steeply.
-	p.ContA = 0.0012
-	p.ContP = 1.4
-	return p
-}

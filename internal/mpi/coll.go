@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/knl"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -58,11 +57,10 @@ func (rv *rendezvous) describe(c *Comm, op Op, tag, gen int) string {
 }
 
 // costFn computes the transfer duration of a completed collective from the
-// fabric model, the participant count k, the number of lanes currently
-// inside MPI calls (for bandwidth sharing), the number of nodes the
-// communicator spans and the gathered payloads (indexed by communicator
-// rank).
-type costFn func(fabric knl.Fabric, k, commLanes, nodesSpanned int, payloads []any) float64
+// node's cost model (through the byte meter), the participant count k, the
+// number of lanes currently inside MPI calls (for bandwidth sharing) and the
+// gathered payloads (indexed by communicator rank).
+type costFn func(m *meter, k, commLanes int, payloads []any) float64
 
 // exchange is the generic collective rendezvous: every member of c
 // contributes payload; the last arriver runs reduce over the payloads
@@ -122,10 +120,10 @@ func (c *Comm) exchange(ctx *Ctx, op Op, tag int, payload any, cost costFn, redu
 				lanes = w.Size
 			}
 			// The meter observes the byte volume the cost function charges
-			// to the fabric, feeding the bytes-moved counters.
-			meter := &meterFabric{Fabric: w.Node}
-			rv.transfer = cost(meter, rv.need, lanes, c.nodesSpanned(), rv.payload)
-			bytes = meter.bytes
+			// to the node, feeding the bytes-moved counters.
+			m := &meter{node: w.Node}
+			rv.transfer = cost(m, rv.need, lanes, rv.payload)
+			bytes = m.bytes
 		}
 		// One collective instance completed: count it and its volume once.
 		com := w.metricsFor(c.id, op)
@@ -169,7 +167,7 @@ type nonNil struct{ v any }
 // Barrier synchronizes all members of c.
 func (c *Comm) Barrier(ctx *Ctx, tag int) {
 	c.exchange(ctx, OpBarrier, tag, nonNil{},
-		func(n knl.Fabric, k, lanes, span int, _ []any) float64 { return n.BcastTime(k, 0, lanes, span) },
+		func(m *meter, k, lanes int, _ []any) float64 { return m.BcastTime(k, 0, lanes) },
 		func([]any) any { return nil })
 }
 
@@ -177,9 +175,9 @@ func (c *Comm) Barrier(ctx *Ctx, tag int) {
 // the root's data argument is consulted. elemBytes sizes the cost model.
 func Bcast[T any](ctx *Ctx, c *Comm, tag, root int, data []T, elemBytes int) []T {
 	res := c.exchange(ctx, OpBcast, tag, nonNil{data},
-		func(n knl.Fabric, k, lanes, span int, payloads []any) float64 {
+		func(m *meter, k, lanes int, payloads []any) float64 {
 			rootData := payloads[root].(nonNil).v.([]T)
-			return n.BcastTime(k, float64(len(rootData)*elemBytes), lanes, span)
+			return m.BcastTime(k, float64(len(rootData)*elemBytes), lanes)
 		},
 		func(all []any) any { return all[root].(nonNil).v })
 	return res.([]T)
@@ -189,8 +187,8 @@ func Bcast[T any](ctx *Ctx, c *Comm, tag, root int, data []T, elemBytes int) []T
 // the root (communicator rank) receives the result, others get nil.
 func (c *Comm) Reduce(ctx *Ctx, tag, root int, data []float64, op func(a, b float64) float64) []float64 {
 	res := c.exchange(ctx, OpReduce, tag, nonNil{data},
-		func(n knl.Fabric, k, lanes, span int, _ []any) float64 {
-			return n.ReduceTime(k, float64(len(data))*BytesFloat64, lanes, span)
+		func(m *meter, k, lanes int, _ []any) float64 {
+			return m.ReduceTime(k, float64(len(data))*BytesFloat64, lanes)
 		},
 		func(all []any) any { return reduceVecs(c, OpReduce, tag, all, op) })
 	if c.RankIn(ctx) == root {
@@ -203,8 +201,8 @@ func (c *Comm) Reduce(ctx *Ctx, tag, root int, data []float64, op func(a, b floa
 // returns the result on every rank.
 func (c *Comm) Allreduce(ctx *Ctx, tag int, data []float64, op func(a, b float64) float64) []float64 {
 	res := c.exchange(ctx, OpAllreduce, tag, nonNil{data},
-		func(n knl.Fabric, k, lanes, span int, _ []any) float64 {
-			return n.ReduceTime(k, float64(len(data))*BytesFloat64, lanes, span)
+		func(m *meter, k, lanes int, _ []any) float64 {
+			return m.ReduceTime(k, float64(len(data))*BytesFloat64, lanes)
 		},
 		func(all []any) any { return reduceVecs(c, OpAllreduce, tag, all, op) })
 	return res.([]float64)
@@ -257,12 +255,12 @@ func Max(a, b float64) float64 {
 // communicator rank.
 func Allgatherv[T any](ctx *Ctx, c *Comm, tag int, data []T, elemBytes int) [][]T {
 	res := c.exchange(ctx, OpAllgatherv, tag, nonNil{data},
-		func(n knl.Fabric, k, lanes, span int, payloads []any) float64 {
+		func(m *meter, k, lanes int, payloads []any) float64 {
 			var total float64
 			for _, p := range payloads {
 				total += float64(len(p.(nonNil).v.([]T)) * elemBytes)
 			}
-			return n.AlltoallTime(k, total, lanes, span)
+			return m.AlltoallTime(k, total, lanes)
 		},
 		func(all []any) any {
 			out := make([][]T, len(all))
@@ -288,12 +286,12 @@ func Gatherv[T any](ctx *Ctx, c *Comm, tag, root int, data []T, elemBytes int) [
 // Only the root's send argument is consulted; others may pass nil.
 func Scatterv[T any](ctx *Ctx, c *Comm, tag, root int, send [][]T, elemBytes int) []T {
 	res := c.exchange(ctx, OpScatterv, tag, nonNil{send},
-		func(n knl.Fabric, k, lanes, span int, payloads []any) float64 {
+		func(m *meter, k, lanes int, payloads []any) float64 {
 			var total float64
 			for _, s := range payloads[root].(nonNil).v.([][]T) {
 				total += float64(len(s) * elemBytes)
 			}
-			return n.AlltoallTime(k, total, lanes, span)
+			return m.AlltoallTime(k, total, lanes)
 		},
 		func(all []any) any { return all[root].(nonNil).v })
 	rootSend := res.([][]T)
@@ -331,7 +329,7 @@ func alltoall[T any](ctx *Ctx, c *Comm, op Op, tag int, send [][]T, elemBytes in
 			op, tag, c.id, ctx.Rank, len(send), c.Size()))
 	}
 	res := c.exchange(ctx, op, tag, nonNil{send},
-		func(n knl.Fabric, k, lanes, span int, payloads []any) float64 {
+		func(m *meter, k, lanes int, payloads []any) float64 {
 			var maxBytes float64
 			for _, p := range payloads {
 				var b float64
@@ -342,7 +340,7 @@ func alltoall[T any](ctx *Ctx, c *Comm, op Op, tag int, send [][]T, elemBytes in
 					maxBytes = b
 				}
 			}
-			return n.AlltoallTime(k, maxBytes, lanes, span)
+			return m.AlltoallTime(k, maxBytes, lanes)
 		},
 		func(all []any) any {
 			if op == OpAlltoall && c.w.Strict {
@@ -387,14 +385,14 @@ func alltoall[T any](ctx *Ctx, c *Comm, op Op, tag int, send [][]T, elemBytes in
 // identical timing behaviour.
 func (c *Comm) CollectiveCost(ctx *Ctx, op Op, tag int, bytesPerRank float64) {
 	c.exchange(ctx, op, tag, nonNil{bytesPerRank},
-		func(n knl.Fabric, k, lanes, span int, payloads []any) float64 {
+		func(m *meter, k, lanes int, payloads []any) float64 {
 			var maxBytes float64
 			for _, p := range payloads {
 				if b := p.(nonNil).v.(float64); b > maxBytes {
 					maxBytes = b
 				}
 			}
-			return n.AlltoallTime(k, maxBytes, lanes, span)
+			return m.AlltoallTime(k, maxBytes, lanes)
 		},
 		func(all []any) any { return nil })
 }
@@ -404,8 +402,8 @@ func (c *Comm) CollectiveCost(ctx *Ctx, op Op, tag int, bytesPerRank float64) {
 // (shares are as equal as possible, remainder to the low ranks).
 func (c *Comm) ReduceScatter(ctx *Ctx, tag int, data []float64, op func(a, b float64) float64) []float64 {
 	res := c.exchange(ctx, OpReduceScatter, tag, nonNil{data},
-		func(n knl.Fabric, k, lanes, span int, _ []any) float64 {
-			return n.ReduceTime(k, float64(len(data))*BytesFloat64, lanes, span)
+		func(m *meter, k, lanes int, _ []any) float64 {
+			return m.ReduceTime(k, float64(len(data))*BytesFloat64, lanes)
 		},
 		func(all []any) any { return reduceVecs(c, OpReduceScatter, tag, all, op) })
 	full := res.([]float64)
@@ -424,8 +422,8 @@ func (c *Comm) ReduceScatter(ctx *Ctx, tag int, data []float64, op func(a, b flo
 // element-wise combination of ranks 0..i's vectors.
 func (c *Comm) Scan(ctx *Ctx, tag int, data []float64, op func(a, b float64) float64) []float64 {
 	res := c.exchange(ctx, OpScan, tag, nonNil{data},
-		func(n knl.Fabric, k, lanes, span int, _ []any) float64 {
-			return n.ReduceTime(k, float64(len(data))*BytesFloat64, lanes, span)
+		func(m *meter, k, lanes int, _ []any) float64 {
+			return m.ReduceTime(k, float64(len(data))*BytesFloat64, lanes)
 		},
 		func(all []any) any {
 			// Prefix-reduce into a matrix indexed by comm rank.

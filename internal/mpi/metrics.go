@@ -78,30 +78,25 @@ func (w *World) metricsFor(comm string, op Op) *commOpMetrics {
 	return m
 }
 
-// meterFabric wraps a knl.Fabric to observe the byte volume a cost
-// function charges. The recorded volume is the aggregate the fabric moves:
-// k*bytesPerRank for an alltoall, the payload size for bcast/reduce/p2p.
-type meterFabric struct {
-	knl.Fabric
+// meter prices a collective on the node and observes the byte volume it
+// charges. The recorded volume is the aggregate the node moves:
+// k*bytesPerRank for an alltoall, the payload size for bcast/reduce.
+type meter struct {
+	node  *knl.Node
 	bytes float64
 }
 
-func (m *meterFabric) AlltoallTime(k int, bytesPerRank float64, commLanes, nodesSpanned int) float64 {
+func (m *meter) AlltoallTime(k int, bytesPerRank float64, commLanes int) float64 {
 	m.bytes += bytesPerRank * float64(k)
-	return m.Fabric.AlltoallTime(k, bytesPerRank, commLanes, nodesSpanned)
+	return m.node.AlltoallTime(k, bytesPerRank, commLanes)
 }
 
-func (m *meterFabric) BcastTime(k int, bytes float64, commLanes, nodesSpanned int) float64 {
+func (m *meter) BcastTime(k int, bytes float64, commLanes int) float64 {
 	m.bytes += bytes
-	return m.Fabric.BcastTime(k, bytes, commLanes, nodesSpanned)
+	return m.node.BcastTime(k, bytes, commLanes)
 }
 
-func (m *meterFabric) ReduceTime(k int, bytes float64, commLanes, nodesSpanned int) float64 {
+func (m *meter) ReduceTime(k int, bytes float64, commLanes int) float64 {
 	m.bytes += bytes
-	return m.Fabric.ReduceTime(k, bytes, commLanes, nodesSpanned)
-}
-
-func (m *meterFabric) P2PTime(bytes float64, commLanes, nodesSpanned int) float64 {
-	m.bytes += bytes
-	return m.Fabric.P2PTime(bytes, commLanes, nodesSpanned)
+	return m.node.ReduceTime(k, bytes, commLanes)
 }

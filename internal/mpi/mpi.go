@@ -32,7 +32,7 @@ import (
 // World is one simulated MPI job: a fixed set of ranks on one node.
 type World struct {
 	Eng  *vtime.Engine
-	Node knl.Fabric
+	Node *knl.Node
 	// Sink receives the trace intervals of MPI calls and compute phases.
 	// May be nil. A *trace.Trace accumulates everything; a trace.RingSink
 	// bounds memory; trace.Tee fans out to several.
@@ -66,14 +66,15 @@ type World struct {
 }
 
 // NewWorld creates a world of size ranks with threadsPerRank hardware lanes
-// each. The fabric (a knl.Node or knl.Cluster) must have been created with
-// size*threadsPerRank lanes. sink receives trace intervals and may be nil.
-func NewWorld(eng *vtime.Engine, node knl.Fabric, sink trace.Sink, size, threadsPerRank int) *World {
+// each on one KNL node, which must have been created with
+// size*threadsPerRank lanes and prices every transfer. A nil node makes
+// transfers free. sink receives trace intervals and may be nil.
+func NewWorld(eng *vtime.Engine, node *knl.Node, sink trace.Sink, size, threadsPerRank int) *World {
 	if threadsPerRank < 1 {
 		threadsPerRank = 1
 	}
-	if node != nil && node.TotalLanes() != size*threadsPerRank {
-		panic(fmt.Sprintf("mpi: fabric has %d lanes, world needs %d", node.TotalLanes(), size*threadsPerRank))
+	if node != nil && node.Lanes != size*threadsPerRank {
+		panic(fmt.Sprintf("mpi: node has %d lanes, world needs %d", node.Lanes, size*threadsPerRank))
 	}
 	w := &World{
 		Eng:            eng,
@@ -150,20 +151,6 @@ type Comm struct {
 	id    string
 	ranks []int       // world ranks, in communicator order
 	index map[int]int // world rank -> comm rank
-	span  int         // cached distinct-node count, 0 = not yet computed
-}
-
-// nodesSpanned returns the number of distinct nodes the communicator's
-// ranks live on (cached after the first call).
-func (c *Comm) nodesSpanned() int {
-	if c.span == 0 {
-		nodes := map[int]bool{}
-		for _, r := range c.ranks {
-			nodes[c.w.Node.LaneNode(c.w.Lane(r, 0))] = true
-		}
-		c.span = len(nodes)
-	}
-	return c.span
 }
 
 // CommWorld returns the communicator containing every rank.
@@ -224,7 +211,7 @@ func (w *World) NewSubComm(id string, ranks []int) *Comm {
 func (c *Comm) Split(ctx *Ctx, tag int, color, key int) *Comm {
 	type ck struct{ color, key, rank int }
 	res := c.exchange(ctx, OpSplit, tag, ck{color, key, ctx.Rank},
-		func(n knl.Fabric, k, lanes, span int, _ []any) float64 { return n.BcastTime(k, 64, lanes, span) },
+		func(m *meter, k, lanes int, _ []any) float64 { return m.BcastTime(k, 64, lanes) },
 		func(all []any) any {
 			groups := map[int][]ck{}
 			for _, v := range all {

@@ -19,13 +19,12 @@ type p2pKey struct {
 }
 
 type p2pMsg struct {
-	data       any
-	bytes      float64
-	sender     *vtime.Proc
-	senderLane int
-	sentAt     float64
-	readyAt    float64 // set when the pair has met
-	done       bool
+	data    any
+	bytes   float64
+	sender  *vtime.Proc
+	sentAt  float64
+	readyAt float64 // set when the pair has met
+	done    bool
 }
 
 type p2pQueue struct {
@@ -52,11 +51,10 @@ func Send[T any](ctx *Ctx, c *Comm, dst, tag int, data []T, elemBytes int) {
 	me := c.RankIn(ctx)
 	q := w.p2pQueueFor(p2pKey{c.id, me, dst, tag})
 	msg := &p2pMsg{
-		data:       data,
-		bytes:      float64(len(data) * elemBytes),
-		sender:     ctx.Proc,
-		senderLane: ctx.Lane,
-		sentAt:     ctx.Proc.Now(),
+		data:   data,
+		bytes:  float64(len(data) * elemBytes),
+		sender: ctx.Proc,
+		sentAt: ctx.Proc.Now(),
 	}
 	q.msgs = append(q.msgs, msg)
 	w.inComm++
@@ -103,11 +101,7 @@ func Recv[T any](ctx *Ctx, c *Comm, src, tag int) []T {
 		if lanes > w.Size {
 			lanes = w.Size
 		}
-		span := 1
-		if w.Node.LaneNode(msg.senderLane) != w.Node.LaneNode(ctx.Lane) {
-			span = 2
-		}
-		transfer = w.Node.P2PTime(msg.bytes, lanes, span)
+		transfer = w.Node.P2PTime(msg.bytes, lanes)
 	}
 	if transfer > 0 {
 		ctx.Proc.Sleep(transfer)
