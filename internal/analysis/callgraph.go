@@ -62,7 +62,7 @@ func keyOf(fn *types.Func) FuncKey {
 }
 
 // display renders a callTarget like FuncKey.Display (for the intrinsic
-// table's terminal path elements, e.g. "mpi.Comm.Barrier").
+// table's terminal path elements, e.g. "mpi.Alltoallv").
 func (t callTarget) display() string {
 	base := t.pkg
 	if i := strings.LastIndex(base, "/"); i >= 0 {

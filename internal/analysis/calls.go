@@ -97,8 +97,8 @@ func typeIs(t types.Type, pkgSuffix, name string) bool {
 	return obj.Pkg().Path() == pkgSuffix || strings.HasSuffix(obj.Pkg().Path(), "/"+pkgSuffix)
 }
 
-// receiverExpr returns the receiver expression of a method call (c in
-// c.Barrier(...)), or nil for package-function calls.
+// receiverExpr returns the receiver expression of a method call (rt in
+// rt.Taskwait(...)), or nil for package-function calls.
 func receiverExpr(call *ast.CallExpr) ast.Expr {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		return sel.X
@@ -138,27 +138,14 @@ type collectiveSig struct {
 // mpiCollectives are the collective entry points of internal/mpi. Every
 // member of the communicator must call them; they carry a matching tag.
 var mpiCollectives = map[callTarget]collectiveSig{
-	{"internal/mpi", "", "Bcast"}:              {2, 1},
-	{"internal/mpi", "", "Allgatherv"}:         {2, 1},
-	{"internal/mpi", "", "Gatherv"}:            {2, 1},
-	{"internal/mpi", "", "Scatterv"}:           {2, 1},
-	{"internal/mpi", "", "Alltoall"}:           {2, 1},
-	{"internal/mpi", "", "Alltoallv"}:          {2, 1},
-	{"internal/mpi", "", "IAlltoallv"}:         {2, 1},
-	{"internal/mpi", "", "ICollectiveCost"}:    {3, 1},
-	{"internal/mpi", "Comm", "Barrier"}:        {1, -1},
-	{"internal/mpi", "Comm", "Reduce"}:         {1, -1},
-	{"internal/mpi", "Comm", "Allreduce"}:      {1, -1},
-	{"internal/mpi", "Comm", "ReduceScatter"}:  {1, -1},
-	{"internal/mpi", "Comm", "Scan"}:           {1, -1},
-	{"internal/mpi", "Comm", "Split"}:          {1, -1},
-	{"internal/mpi", "Comm", "CollectiveCost"}: {2, -1},
+	{"internal/mpi", "", "Alltoallv"}:  {2, 1},
+	{"internal/mpi", "", "IAlltoallv"}: {2, 1},
 }
 
-// isAsyncCollective marks the non-blocking collective posts: they
-// participate in tag matching but never block the caller.
+// isAsyncCollective marks the non-blocking collective post: it participates
+// in tag matching but never blocks the caller.
 func isAsyncCollective(t callTarget) bool {
-	return t.name == "IAlltoallv" || t.name == "ICollectiveCost"
+	return t.name == "IAlltoallv"
 }
 
 // blockingCall describes a call that blocks the simulated process until
@@ -173,8 +160,6 @@ type blockingCall struct {
 // the lane-aware waiting entry point (the waiting worker executes ready
 // group tasks inline).
 var blockingCalls = map[callTarget]blockingCall{
-	{"internal/mpi", "", "Send"}:               {0},
-	{"internal/mpi", "", "Recv"}:               {0},
 	{"internal/vtime", "Proc", "Block"}:        {-1},
 	{"internal/vtime", "Proc", "BlockOn"}:      {-1},
 	{"internal/vtime", "WaitQueue", "Wait"}:    {0},

@@ -8,8 +8,8 @@ import (
 // DivergenceRule flags MPI collective calls that are only reachable under a
 // rank-dependent branch. Collectives are matched across every member of the
 // communicator, so a collective that only some ranks reach leaves the
-// arriving ranks blocked forever. Point-to-point Send/Recv under a rank
-// branch is the normal root/leaf pattern and is not flagged.
+// arriving ranks blocked forever. Rank-local work (compute, packing) under
+// a rank branch is the normal pattern and is not flagged.
 var DivergenceRule = Rule{
 	Name: "divergence",
 	Doc:  "MPI collectives must not be guarded by rank-dependent conditions",

@@ -10,7 +10,7 @@ import (
 
 func capturedCtx(p *vtime.Proc, rt *ompss.Runtime, ctx *mpi.Ctx, c *mpi.Comm) {
 	rt.Submit(p, "band", nil, 0, func(w *ompss.Worker) {
-		c.Barrier(ctx, 1) // want "captured from outside"
+		mpi.Alltoallv(ctx, c, 1, nil, 0) // want "captured from outside"
 	})
 }
 
@@ -20,10 +20,10 @@ func capturedProc(p *vtime.Proc, rt *ompss.Runtime, q *vtime.Queue[int]) {
 	})
 }
 
-func capturedSend(p *vtime.Proc, rt *ompss.Runtime, ctx *mpi.Ctx, c *mpi.Comm) {
+func capturedInGroupTask(p *vtime.Proc, rt *ompss.Runtime, ctx *mpi.Ctx, c *mpi.Comm) {
 	g := rt.NewGroup()
-	rt.SubmitInGroup(p, g, "send", nil, 0, func(w *ompss.Worker) {
-		mpi.Send(ctx, c, 1, 3, []float64{1}, 8) // want "captured from outside"
+	rt.SubmitInGroup(p, g, "scatter", nil, 0, func(w *ompss.Worker) {
+		mpi.Alltoallv(ctx, c, 3, nil, 0) // want "captured from outside"
 	})
 }
 
@@ -38,7 +38,7 @@ func taskwaitInTask(p *vtime.Proc, rt *ompss.Runtime) {
 func workerCtx(p *vtime.Proc, rt *ompss.Runtime, world *mpi.World, c *mpi.Comm) {
 	rt.Submit(p, "band", nil, 0, func(w *ompss.Worker) {
 		ctx := &mpi.Ctx{W: world, Proc: w.Proc, Rank: 0, Lane: w.Lane}
-		c.Barrier(ctx, 1)
+		mpi.Alltoallv(ctx, c, 1, nil, 0)
 	})
 }
 

@@ -12,7 +12,7 @@ import (
 
 func capturedCtxAfterEvent(p *vtime.Proc, rt *ompss.Runtime, ctx *mpi.Ctx, c *mpi.Comm, ev *ompss.Task) {
 	rt.Submit(p, "band", []*ompss.Task{ev}, 0, func(w *ompss.Worker) {
-		c.Barrier(ctx, 1) // want "captured from outside"
+		mpi.Alltoallv(ctx, c, 1, nil, 0) // want "captured from outside"
 	})
 }
 

@@ -9,19 +9,19 @@ import (
 	"repro/internal/vtime"
 )
 
-// waitOn blocks on a point-to-point receive at the bottom of the chain.
-func waitOn(ctx *mpi.Ctx, c *mpi.Comm) []float64 {
-	return mpi.Recv[float64](ctx, c, 1, 3)
+// waitOn blocks on an exchange at the bottom of the chain.
+func waitOn(ctx *mpi.Ctx, c *mpi.Comm) [][]complex128 {
+	return mpi.Alltoallv(ctx, c, 3, nil, 0)
 }
 
 // settle is the middle hop: it only forwards to waitOn.
-func settle(ctx *mpi.Ctx, c *mpi.Comm) []float64 {
+func settle(ctx *mpi.Ctx, c *mpi.Comm) [][]complex128 {
 	return waitOn(ctx, c)
 }
 
 func capturedThroughHelpers(p *vtime.Proc, rt *ompss.Runtime, ctx *mpi.Ctx, c *mpi.Comm) {
 	rt.Submit(p, "band", nil, 0, func(w *ompss.Worker) {
-		_ = settle(ctx, c) // want "blockintask.settle → blockintask.waitOn → mpi.Recv"
+		_ = settle(ctx, c) // want "blockintask.settle → blockintask.waitOn → mpi.Alltoallv"
 	})
 }
 

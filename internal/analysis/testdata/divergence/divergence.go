@@ -3,50 +3,53 @@
 // want comments, checked by the analysis test harness.
 package divergence
 
-import "repro/internal/mpi"
+import (
+	"repro/internal/knl"
+	"repro/internal/mpi"
+)
 
-func guardedBarrier(ctx *mpi.Ctx, c *mpi.Comm) {
+func guardedExchange(ctx *mpi.Ctx, c *mpi.Comm) {
 	if ctx.Rank == 0 {
-		c.Barrier(ctx, 1) // want "rank-dependent"
+		mpi.Alltoallv(ctx, c, 1, nil, 0) // want "rank-dependent"
 	}
 }
 
 func guardedViaLocal(ctx *mpi.Ctx, c *mpi.Comm) {
 	isRoot := c.RankIn(ctx) == 0
 	if isRoot {
-		mpi.Alltoallv(ctx, c, 3, make([][]complex128, c.Size()), 16) // want "rank-dependent"
+		mpi.Alltoallv(ctx, c, 3, make([][]complex128, c.Size()), 0) // want "rank-dependent"
 	}
 }
 
-func elseBranch(ctx *mpi.Ctx, c *mpi.Comm) []float64 {
+func elseBranch(ctx *mpi.Ctx, c *mpi.Comm) [][]complex128 {
 	if ctx.Rank%2 == 0 {
 		return nil
 	} else {
-		return c.Allreduce(ctx, 4, []float64{1}, mpi.Sum) // want "rank-dependent"
+		return mpi.Alltoallv(ctx, c, 4, nil, 0) // want "rank-dependent"
 	}
 }
 
 func switchRank(ctx *mpi.Ctx, c *mpi.Comm) {
 	switch ctx.Rank {
 	case 0:
-		c.Barrier(ctx, 6) // want "rank-dependent"
+		mpi.Alltoallv(ctx, c, 6, nil, 0) // want "rank-dependent"
 	}
 }
 
 func loopBound(ctx *mpi.Ctx, c *mpi.Comm) {
 	for i := 0; i < ctx.Rank; i++ {
-		c.Barrier(ctx, 8) // want "rank-dependent"
+		mpi.Alltoallv(ctx, c, 8, nil, 0) // want "rank-dependent"
 	}
 }
 
-// allRanks is the clean pattern: collectives on every rank, point-to-point
-// traffic under rank branches (the normal root/leaf pattern).
+// allRanks is the clean pattern: collectives on every rank, rank-local
+// work under rank branches.
 func allRanks(ctx *mpi.Ctx, c *mpi.Comm) {
-	c.Barrier(ctx, 1)
+	mpi.Alltoallv(ctx, c, 1, nil, 0)
 	if ctx.Rank == 0 {
-		mpi.Send(ctx, c, 1, 9, []float64{1}, 8)
+		ctx.Compute("pack", knl.ClassMem, 1)
 	} else if ctx.Rank == 1 {
-		_ = mpi.Recv[float64](ctx, c, 0, 9)
+		ctx.Compute("unpack", knl.ClassMem, 1)
 	}
 }
 
@@ -54,6 +57,6 @@ func allRanks(ctx *mpi.Ctx, c *mpi.Comm) {
 func suppressed(ctx *mpi.Ctx, c *mpi.Comm) {
 	if ctx.Rank < c.Size() {
 		//fftxvet:ignore divergence — every rank satisfies the guard, the branch is not divergent
-		c.Barrier(ctx, 5)
+		mpi.Alltoallv(ctx, c, 5, nil, 0)
 	}
 }

@@ -4,7 +4,10 @@ package divergence
 // conditions rank-dependent, and helpers that reach collectives are flagged
 // under rank-dependent branches with their call path.
 
-import "repro/internal/mpi"
+import (
+	"repro/internal/knl"
+	"repro/internal/mpi"
+)
 
 // myRank returns a rank-derived value: branching on it diverges.
 func myRank(ctx *mpi.Ctx, c *mpi.Comm) int {
@@ -13,7 +16,7 @@ func myRank(ctx *mpi.Ctx, c *mpi.Comm) int {
 
 func guardedByHelperRank(ctx *mpi.Ctx, c *mpi.Comm) {
 	if myRank(ctx, c) == 0 {
-		c.Barrier(ctx, 11) // want "rank-dependent"
+		mpi.Alltoallv(ctx, c, 11, nil, 0) // want "rank-dependent"
 	}
 }
 
@@ -24,13 +27,13 @@ func rankPlusOne(ctx *mpi.Ctx, c *mpi.Comm) int {
 
 func guardedByTwoLevelRank(ctx *mpi.Ctx, c *mpi.Comm) {
 	if rankPlusOne(ctx, c) > 1 {
-		c.Barrier(ctx, 12) // want "rank-dependent"
+		mpi.Alltoallv(ctx, c, 12, nil, 0) // want "rank-dependent"
 	}
 }
 
 // syncAll posts the collective at the bottom of a helper chain.
 func syncAll(ctx *mpi.Ctx, c *mpi.Comm) {
-	c.Barrier(ctx, 13)
+	mpi.Alltoallv(ctx, c, 13, nil, 0)
 }
 
 func syncViaHelper(ctx *mpi.Ctx, c *mpi.Comm) {
@@ -39,15 +42,15 @@ func syncViaHelper(ctx *mpi.Ctx, c *mpi.Comm) {
 
 func guardedHelperChain(ctx *mpi.Ctx, c *mpi.Comm) {
 	if ctx.Rank == 0 {
-		syncViaHelper(ctx, c) // want "divergence.syncViaHelper → divergence.syncAll → mpi.Comm.Barrier"
+		syncViaHelper(ctx, c) // want "divergence.syncViaHelper → divergence.syncAll → mpi.Alltoallv"
 	}
 }
 
 // helperRankEverywhere is the clean counterpart: the helper-derived rank
-// only guards point-to-point traffic and the collective runs on every rank.
+// only guards rank-local work and the collective runs on every rank.
 func helperRankEverywhere(ctx *mpi.Ctx, c *mpi.Comm) {
 	syncViaHelper(ctx, c)
 	if myRank(ctx, c) == 0 {
-		mpi.Send(ctx, c, 1, 14, []float64{1}, 8)
+		ctx.Compute("pack", knl.ClassMem, 1)
 	}
 }

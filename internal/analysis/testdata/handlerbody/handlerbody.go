@@ -22,8 +22,8 @@ type server struct {
 }
 
 // handler methods are detected by signature, however they are registered.
-func (s *server) handleBarrier(w http.ResponseWriter, r *http.Request) {
-	s.c.Barrier(s.ctx, 1) // want "calls internal/mpi inside an HTTP handler"
+func (s *server) handleExchange(w http.ResponseWriter, r *http.Request) {
+	mpi.Alltoallv(s.ctx, s.c, 1, nil, 0) // want "calls internal/mpi inside an HTTP handler"
 }
 
 func (s *server) handleCompute(w http.ResponseWriter, r *http.Request) {
@@ -54,5 +54,5 @@ func thinHandler(w http.ResponseWriter, r *http.Request) {
 // notAHandler has a different signature; simulated-runtime calls here are
 // the enclosing program's business, not this rule's.
 func notAHandler(s *server) {
-	s.c.Barrier(s.ctx, 1)
+	mpi.Alltoallv(s.ctx, s.c, 1, nil, 0)
 }

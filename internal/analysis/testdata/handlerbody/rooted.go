@@ -7,12 +7,16 @@ package handlerbody
 // the same net/http service goroutine and get the same scrutiny, including
 // interprocedurally.
 
-import "net/http"
+import (
+	"net/http"
+
+	"repro/internal/mpi"
+)
 
 // readPeer is membership-decoder shaped: extra result. Direct
 // simulated-runtime calls in it are flagged.
 func (s *server) readPeer(w http.ResponseWriter, r *http.Request) string {
-	s.c.Barrier(s.ctx, 1) // want "calls internal/mpi inside an HTTP handler"
+	mpi.Alltoallv(s.ctx, s.c, 1, nil, 0) // want "calls internal/mpi inside an HTTP handler"
 	return r.RemoteAddr
 }
 
@@ -32,5 +36,5 @@ func thinRelay(w http.ResponseWriter, r *http.Request, code int) {
 // swapped does not lead with the handler pair; it is not handler-rooted
 // and simulated-runtime calls in it are some other caller's business.
 func (s *server) swapped(r *http.Request, w http.ResponseWriter) {
-	s.c.Barrier(s.ctx, 1)
+	mpi.Alltoallv(s.ctx, s.c, 1, nil, 0)
 }

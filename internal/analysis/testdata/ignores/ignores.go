@@ -7,7 +7,7 @@ import "repro/internal/mpi"
 
 func guarded(ctx *mpi.Ctx, c *mpi.Comm) {
 	if ctx.Rank == 0 {
-		c.Barrier(ctx, 1) //fftxvet:ignore divergence — every rank satisfies the guard here
+		mpi.Alltoallv(ctx, c, 1, nil, 0) //fftxvet:ignore divergence — every rank satisfies the guard here
 	}
 }
 

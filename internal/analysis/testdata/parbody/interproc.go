@@ -12,7 +12,7 @@ import (
 
 // shuffle posts the collective at the bottom of the helper chain.
 func shuffle(ctx *mpi.Ctx, c *mpi.Comm, send [][]complex128) {
-	mpi.Alltoallv(ctx, c, 2, send, mpi.BytesComplex128)
+	mpi.Alltoallv(ctx, c, 2, send, 0)
 }
 
 // distribute is the middle hop: it only forwards to shuffle.

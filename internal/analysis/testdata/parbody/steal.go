@@ -14,7 +14,7 @@ import (
 
 func collectiveInPoolBody(pool *par.Pool, ctx *mpi.Ctx, c *mpi.Comm, send [][]complex128) {
 	pool.ParallelFor(4, 1, func(lo, hi int) {
-		mpi.Alltoallv(ctx, c, 1, send, mpi.BytesComplex128) // want "posts an MPI collective"
+		mpi.Alltoallv(ctx, c, 1, send, 0) // want "posts an MPI collective"
 	})
 }
 

@@ -32,7 +32,10 @@
 // all produce identical results (verified against a serial reference); in
 // ModeCost they charge identical instruction counts and communication
 // volumes without touching data, which is what the paper reproduction
-// benchmarks use at full problem size.
+// benchmarks use at full problem size. Both modes run the same code path:
+// every exchange charges the stage graph's volume, and ModeCost merely
+// passes no payload, so the two modes' runtimes and traces are
+// bit-identical (TestGoldenEngineDigests).
 package fftx
 
 import (

@@ -126,11 +126,9 @@ func TestCostModeMatchesRealModePhases(t *testing.T) {
 			t.Errorf("%v: cost mode runtime %v", engine, cost.Runtime)
 		}
 		// Identical modeled time: cost mode charges the same instruction
-		// counts and communication volumes.
-		rel := (cost.Runtime - real.Runtime) / real.Runtime
-		if rel > 0.02 || rel < -0.02 {
-			t.Errorf("%v: cost runtime %v deviates %.1f%% from real %v",
-				engine, cost.Runtime, 100*rel, real.Runtime)
+		// counts and communication volumes, to the last bit.
+		if cost.Runtime != real.Runtime {
+			t.Errorf("%v: cost runtime %v differs from real %v", engine, cost.Runtime, real.Runtime)
 		}
 		rp := real.Trace.Phases()
 		cp := cost.Trace.Phases()

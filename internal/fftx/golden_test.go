@@ -16,7 +16,9 @@ import (
 // pre-refactor hand-rolled engines (original.go/tasksteps.go/taskiter.go/
 // taskcombined.go before the graph package existed) and every run must
 // still reproduce them bit-for-bit: same simulated runtime, same trace
-// interval stream, same transformed bands.
+// interval stream, same transformed bands. Each config is stored once and
+// run in both modes: cost mode is real mode without the payload, so the two
+// must agree on everything but the bands.
 //
 // Regenerate (only when a behaviour change is intended and understood):
 //
@@ -34,8 +36,9 @@ type goldenDigest struct {
 	BandsHash string `json:"bands_hash,omitempty"` // ModeReal only
 }
 
-// goldenConfigs is the engine × mode × gamma × shape matrix the digests
-// cover. Every entry must stay runnable forever; names key the golden file.
+// goldenConfigs is the engine × gamma × shape matrix the digests cover, each
+// in the mode its digest was stored from. Every entry must stay runnable
+// forever; names key the golden file.
 func goldenConfigs() []struct {
 	name string
 	cfg  Config
@@ -54,26 +57,20 @@ func goldenConfigs() []struct {
 		}{name, cfg})
 	}
 	for _, e := range []Engine{EngineOriginal, EngineTaskSteps, EngineTaskIter, EngineTaskCombined, EngineDataflow} {
-		for _, m := range []Mode{ModeReal, ModeCost} {
-			for _, rt := range [][2]int{{2, 2}, {3, 2}} {
-				add(fmt.Sprintf("%v-%dx%d-%v", e, rt[0], rt[1], modeName(m)), mk(e, rt[0], rt[1], 8, m))
-			}
+		for _, rt := range [][2]int{{2, 2}, {3, 2}} {
+			add(fmt.Sprintf("%v-%dx%d-real", e, rt[0], rt[1]), mk(e, rt[0], rt[1], 8, ModeReal))
 		}
 	}
 	for _, e := range []Engine{EngineOriginal, EngineTaskIter, EngineDataflow} {
-		for _, m := range []Mode{ModeReal, ModeCost} {
-			cfg := mk(e, 2, 2, 8, m)
-			cfg.Gamma = true
-			add(fmt.Sprintf("%v-2x2-%v-gamma", e, modeName(m)), cfg)
-		}
+		cfg := mk(e, 2, 2, 8, ModeReal)
+		cfg.Gamma = true
+		add(fmt.Sprintf("%v-2x2-real-gamma", e), cfg)
 	}
-	for _, m := range []Mode{ModeReal, ModeCost} {
-		cfg := mk(EngineTaskSteps, 2, 2, 8, m)
-		cfg.NestedLoops = true
-		cfg.NestedGrainXY = 3
-		cfg.NestedGrainZ = 4
-		add(fmt.Sprintf("task-steps-2x2-%v-nested", modeName(m)), cfg)
-	}
+	nested := mk(EngineTaskSteps, 2, 2, 8, ModeReal)
+	nested.NestedLoops = true
+	nested.NestedGrainXY = 3
+	nested.NestedGrainZ = 4
+	add("task-steps-2x2-real-nested", nested)
 	// Uneven pack/scatter extremes.
 	add("original-4x1-real", mk(EngineOriginal, 4, 1, 4, ModeReal))
 	add("original-1x4-real", mk(EngineOriginal, 1, 4, 8, ModeReal))
@@ -83,11 +80,14 @@ func goldenConfigs() []struct {
 	return out
 }
 
-func modeName(m Mode) string {
-	if m == ModeCost {
-		return "cost"
+// otherMode returns cfg in the mode it was not stored from.
+func otherMode(cfg Config) Config {
+	if cfg.Mode == ModeCost {
+		cfg.Mode = ModeReal
+	} else {
+		cfg.Mode = ModeCost
 	}
-	return "real"
+	return cfg
 }
 
 func digestOf(name string, res *Result) goldenDigest {
@@ -139,8 +139,9 @@ func digestOf(name string, res *Result) goldenDigest {
 }
 
 // TestGoldenEngineDigests holds every engine to the pre-refactor goldens:
-// simulated runtime, full trace interval stream and transformed bands are
-// bit-identical in both modes.
+// simulated runtime, full trace interval stream and (in ModeReal)
+// transformed bands are bit-identical, and the run in the other mode
+// charges exactly the same runtime, interval count and trace.
 func TestGoldenEngineDigests(t *testing.T) {
 	var got []goldenDigest
 	for _, c := range goldenConfigs() {
@@ -148,7 +149,17 @@ func TestGoldenEngineDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got = append(got, digestOf(c.name, res))
+		d := digestOf(c.name, res)
+		got = append(got, d)
+		other, err := Run(otherMode(c.cfg))
+		if err != nil {
+			t.Fatalf("%s in the other mode: %v", c.name, err)
+		}
+		o := digestOf(c.name, other)
+		o.BandsHash = d.BandsHash
+		if o != d {
+			t.Errorf("%s: cost and real mode charge differently:\n stored mode %+v\n other mode  %+v", c.name, d, o)
+		}
 	}
 
 	if *updateGolden {

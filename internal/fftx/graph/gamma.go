@@ -184,7 +184,9 @@ func (k *Kernel) PlanesToScatterGamma(p int, planes []complex128) [][]complex128
 	return out
 }
 
-// BytesScatterGamma is the gamma scatter volume per rank per band pair.
-func (k *Kernel) BytesScatterGamma(p int) float64 {
-	return GammaFactor * k.BytesScatter(p)
-}
+// BytesScatterFwGamma is the gamma forward scatter volume per band pair:
+// two columns per stick.
+func (k *Kernel) BytesScatterFwGamma(p int) float64 { return GammaFactor * k.BytesScatterFw(p) }
+
+// BytesScatterBwGamma is the gamma backward scatter volume per band pair.
+func (k *Kernel) BytesScatterBwGamma(p int) float64 { return GammaFactor * k.BytesScatterBw(p) }

@@ -80,7 +80,8 @@ type Stage struct {
 	// Instr models the stage's instruction count at position p (compute
 	// stages; gamma scaling is already applied by the builder).
 	Instr func(p int) float64
-	// Bytes models the per-rank communication volume of a scatter edge.
+	// Bytes is the volume rank p sends over a scatter edge: the one figure
+	// the exchange charges in both modes.
 	Bytes func(p int) float64
 	// TagOff distinguishes the forward (0) and backward (1) scatter of
 	// one job; the scheduler adds it to its tag base.

@@ -173,14 +173,32 @@ func (k *Kernel) InstrZFill(p int) float64 {
 	return k.InstrZSplit(p)
 }
 
-// --- communication volumes (bytes per rank, one band) ---
+// --- communication volumes (bytes a rank sends, one band) ---
+//
+// These are the only byte counts the exchanges charge, in both modes; a
+// real-mode payload of any other size makes the exchange panic.
 
-// BytesPack is the task-group pack volume per rank per band.
-func (k *Kernel) BytesPack(p int) float64 {
+// BytesPack is the task-group pack volume of rank (p,g) with ntg task
+// groups: chunk g (pw.Layout.TaskChunks) of each of the ntg bands of one
+// iteration.
+func (k *Kernel) BytesPack(p, g, ntg int) float64 {
+	return float64(ntg*k.Layout.TaskChunkLen(p, g, ntg)) * 16
+}
+
+// BytesUnpack is the task-group unpack volume of a rank at position p: the
+// position's local coefficients of the band it transformed.
+func (k *Kernel) BytesUnpack(p int) float64 {
 	return float64(k.Layout.NGOf[p]) * 16
 }
 
-// BytesScatter is the sticks↔planes scatter volume per rank per band.
-func (k *Kernel) BytesScatter(p int) float64 {
+// BytesScatterFw is the forward (sticks→planes) scatter volume: the full z
+// columns of position p's sticks.
+func (k *Kernel) BytesScatterFw(p int) float64 {
 	return float64(k.Layout.NSticksOf(p)*k.Sphere.Grid.Nz) * 16
+}
+
+// BytesScatterBw is the backward (planes→sticks) scatter volume: every
+// stick's cells in position p's planes.
+func (k *Kernel) BytesScatterBw(p int) float64 {
+	return float64(len(k.GroupSticks)*k.Layout.NPlanesOf(p)) * 16
 }

@@ -32,7 +32,7 @@ func (k *Kernel) Pipeline(gamma bool) *Graph {
 			Name: "z-split", Step: "fft-z-fw", Class: knl.ClassMem, Instr: k.InstrZSplit,
 			Body: func(s *State, p int) { s.Chunks = k.ScatterSplit(p, s.ZBuf) },
 		},
-		{Name: "scatter", Step: "scatter-fw", Kind: Scatter, Bytes: k.BytesScatter, TagOff: 0},
+		{Name: "scatter", Step: "scatter-fw", Kind: Scatter, Bytes: k.BytesScatterFw, TagOff: 0},
 		{
 			Name: "xy-fill", Step: "fft-xy-fw", Class: knl.ClassMem, Instr: k.InstrXYFill,
 			Body: func(s *State, p int) { s.Planes = k.PlanesFromScatter(p, s.Chunks) },
@@ -57,7 +57,7 @@ func (k *Kernel) Pipeline(gamma bool) *Graph {
 			Name: "xy-extract", Step: "fft-xy-bw", Class: knl.ClassMem, Instr: k.InstrXYExtract,
 			Body: func(s *State, p int) { s.Chunks = k.PlanesToScatter(p, s.Planes) },
 		},
-		{Name: "scatter", Step: "scatter-bw", Kind: Scatter, Bytes: k.BytesScatter, TagOff: 1},
+		{Name: "scatter", Step: "scatter-bw", Kind: Scatter, Bytes: k.BytesScatterBw, TagOff: 1},
 		{
 			Name: "z-fill", Step: "fft-z-bw", Class: knl.ClassMem, Instr: k.InstrZFill,
 			Body: func(s *State, p int) { s.ZBuf = k.SticksFromScatter(p, s.Chunks) },
@@ -98,7 +98,7 @@ func (k *Kernel) gammaPipeline() *Graph {
 			Name: "z-split", Step: "fft-z-fw", Class: knl.ClassMem, Instr: gammaScaled(k.InstrZSplit),
 			Body: func(s *State, p int) { s.Chunks = k.ScatterSplitGamma(p, s.ZBuf) },
 		},
-		{Name: "scatter", Step: "scatter-fw", Kind: Scatter, Bytes: k.BytesScatterGamma, TagOff: 0},
+		{Name: "scatter", Step: "scatter-fw", Kind: Scatter, Bytes: k.BytesScatterFwGamma, TagOff: 0},
 		{
 			Name: "xy-fill", Step: "fft-xy-fw", Class: knl.ClassMem, Instr: gammaScaled(k.InstrXYFill),
 			Body: func(s *State, p int) { s.Planes = k.PlanesFromScatterGamma(p, s.Chunks) },
@@ -119,7 +119,7 @@ func (k *Kernel) gammaPipeline() *Graph {
 			Name: "xy-extract", Step: "fft-xy-bw", Class: knl.ClassMem, Instr: gammaScaled(k.InstrXYExtract),
 			Body: func(s *State, p int) { s.Chunks = k.PlanesToScatterGamma(p, s.Planes) },
 		},
-		{Name: "scatter", Step: "scatter-bw", Kind: Scatter, Bytes: k.BytesScatterGamma, TagOff: 1},
+		{Name: "scatter", Step: "scatter-bw", Kind: Scatter, Bytes: k.BytesScatterBwGamma, TagOff: 1},
 		{
 			Name: "z-fill", Step: "fft-z-bw", Class: knl.ClassMem, Instr: gammaScaled(k.InstrZFill),
 			Body: func(s *State, p int) { s.ZBuf = k.SticksFromScatterGamma(p, s.Chunks) },

@@ -176,102 +176,85 @@ func (h *harness) newGrouped() *grouped {
 // over the pack communicator, so group g assembles job it·T+g into the
 // state: the task-group pack Alltoallv plus the "pack" reassembly phase.
 // In gamma mode each chunk is the concatenation of the band pair's
-// sub-chunks.
+// sub-chunks. In ModeCost there is no payload: the exchange charges the
+// same volume and moves nothing.
 func (gt *grouped) pack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.State) {
 	k, cfg := gt.h.k, gt.h.cfg
-	packComm, rank, p := r.pack, r.id, r.p
-	T := cfg.NTG
+	p, T := r.p, cfg.NTG
 	i := it * T
 	bd := gt.chunkBounds[p]
+	bytes, instr := k.BytesPack(p, r.g, T), k.InstrPack(p)
 	if cfg.Gamma {
-		if cfg.Mode == ModeReal {
-			send := make([][]complex128, T)
-			for gg := 0; gg < T; gg++ {
-				pair := make([]complex128, 0, 2*len(gt.in[rank][2*(i+gg)]))
-				pair = append(pair, gt.in[rank][2*(i+gg)]...)
-				pair = append(pair, gt.in[rank][2*(i+gg)+1]...)
-				send[gg] = pair
-			}
-			recv := mpi.Alltoallv(ctx, packComm, 2*it, send, mpi.BytesComplex128)
-			k.phase(c, s.Job, p, "pack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
-				s.Coeffs = make([]complex128, 0, k.Layout.NGOf[p])
-				s.Coeffs2 = make([]complex128, 0, k.Layout.NGOf[p])
-				for gg := 0; gg < T; gg++ {
-					csz := bd[gg+1] - bd[gg]
-					s.Coeffs = append(s.Coeffs, recv[gg][:csz]...)
-					s.Coeffs2 = append(s.Coeffs2, recv[gg][csz:]...)
-				}
-			})
-		} else {
-			packComm.CollectiveCost(ctx, mpi.OpAlltoallv, 2*it, graph.GammaFactor*k.BytesPack(p))
-			k.phase(c, s.Job, p, "pack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), nil)
-		}
-		return
+		bytes, instr = graph.GammaFactor*bytes, graph.GammaFactor*instr
 	}
-	if cfg.Mode == ModeReal {
-		send := make([][]complex128, T)
-		for gg := 0; gg < T; gg++ {
-			send[gg] = gt.in[rank][i+gg]
-		}
-		recv := mpi.Alltoallv(ctx, packComm, 2*it, send, mpi.BytesComplex128)
-		k.phase(c, s.Job, p, "pack", knl.ClassMem, k.InstrPack(p), func() {
-			s.Coeffs = make([]complex128, 0, k.Layout.NGOf[p])
-			for gg := 0; gg < T; gg++ {
-				s.Coeffs = append(s.Coeffs, recv[gg]...)
+	var send [][]complex128
+	if gt.in != nil {
+		in := gt.in[r.id]
+		send = make([][]complex128, T)
+		for gg := range send {
+			if cfg.Gamma {
+				send[gg] = concat(in[2*(i+gg)], in[2*(i+gg)+1])
+			} else {
+				send[gg] = in[i+gg]
 			}
-		})
-	} else {
-		packComm.CollectiveCost(ctx, mpi.OpAlltoallv, 2*it, k.BytesPack(p))
-		k.phase(c, s.Job, p, "pack", knl.ClassMem, k.InstrPack(p), nil)
+		}
 	}
+	recv := mpi.Alltoallv(ctx, r.pack, 2*it, send, bytes)
+	k.phase(c, s.Job, p, "pack", knl.ClassMem, instr, func() {
+		s.Coeffs = make([]complex128, 0, k.Layout.NGOf[p])
+		if cfg.Gamma {
+			s.Coeffs2 = make([]complex128, 0, k.Layout.NGOf[p])
+		}
+		for gg, chunk := range recv {
+			if cfg.Gamma {
+				csz := bd[gg+1] - bd[gg]
+				s.Coeffs = append(s.Coeffs, chunk[:csz]...)
+				s.Coeffs2 = append(s.Coeffs2, chunk[csz:]...)
+			} else {
+				s.Coeffs = append(s.Coeffs, chunk...)
+			}
+		}
+	})
 }
 
 // unpack returns each group's chunk of the transformed job to its home
 // rank: the "unpack" split phase plus the mirrored pack Alltoallv.
 func (gt *grouped) unpack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.State) {
 	k, cfg := gt.h.k, gt.h.cfg
-	packComm, rank, p, g := r.pack, r.id, r.p, r.g
-	T := cfg.NTG
+	p, T := r.p, cfg.NTG
 	i := it * T
 	bd := gt.chunkBounds[p]
+	bytes, instr := k.BytesUnpack(p), k.InstrPack(p)
 	if cfg.Gamma {
-		if cfg.Mode == ModeReal {
-			send := make([][]complex128, T)
-			k.phase(c, s.Job, p, "unpack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
-				for gg := 0; gg < T; gg++ {
-					pair := make([]complex128, 0, 2*(bd[gg+1]-bd[gg]))
-					pair = append(pair, s.Res[bd[gg]:bd[gg+1]]...)
-					pair = append(pair, s.Res2[bd[gg]:bd[gg+1]]...)
-					send[gg] = pair
-				}
-			})
-			recv := mpi.Alltoallv(ctx, packComm, 2*it+1, send, mpi.BytesComplex128)
-			csz := bd[g+1] - bd[g]
-			for gg := 0; gg < T; gg++ {
-				gt.out[rank][2*(i+gg)] = recv[gg][:csz]
-				gt.out[rank][2*(i+gg)+1] = recv[gg][csz:]
-			}
-		} else {
-			k.phase(c, s.Job, p, "unpack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), nil)
-			packComm.CollectiveCost(ctx, mpi.OpAlltoallv, 2*it+1, graph.GammaFactor*k.BytesPack(p))
-		}
-		return
+		bytes, instr = graph.GammaFactor*bytes, graph.GammaFactor*instr
 	}
-	if cfg.Mode == ModeReal {
-		send := make([][]complex128, T)
-		k.phase(c, s.Job, p, "unpack", knl.ClassMem, k.InstrPack(p), func() {
-			for gg := 0; gg < T; gg++ {
+	var send [][]complex128
+	k.phase(c, s.Job, p, "unpack", knl.ClassMem, instr, func() {
+		send = make([][]complex128, T)
+		for gg := range send {
+			if cfg.Gamma {
+				send[gg] = concat(s.Res[bd[gg]:bd[gg+1]], s.Res2[bd[gg]:bd[gg+1]])
+			} else {
 				send[gg] = s.Res[bd[gg]:bd[gg+1]]
 			}
-		})
-		recv := mpi.Alltoallv(ctx, packComm, 2*it+1, send, mpi.BytesComplex128)
-		for gg := 0; gg < T; gg++ {
-			gt.out[rank][i+gg] = recv[gg]
 		}
-	} else {
-		k.phase(c, s.Job, p, "unpack", knl.ClassMem, k.InstrPack(p), nil)
-		packComm.CollectiveCost(ctx, mpi.OpAlltoallv, 2*it+1, k.BytesPack(p))
+	})
+	recv := mpi.Alltoallv(ctx, r.pack, 2*it+1, send, bytes)
+	csz := bd[r.g+1] - bd[r.g]
+	for gg, chunk := range recv {
+		if cfg.Gamma {
+			gt.out[r.id][2*(i+gg)] = chunk[:csz]
+			gt.out[r.id][2*(i+gg)+1] = chunk[csz:]
+		} else {
+			gt.out[r.id][i+gg] = chunk
+		}
 	}
+}
+
+// concat returns a new slice holding a followed by b: a gamma band pair's
+// chunks travel as one.
+func concat(a, b []complex128) []complex128 {
+	return append(append(make([]complex128, 0, len(a)+len(b)), a...), b...)
 }
 
 // collect concatenates each position's group chunks and gathers the full

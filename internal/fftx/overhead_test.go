@@ -55,6 +55,9 @@ func BenchmarkRunTelemetryOff(b *testing.B) {
 // allocations to some runs (goroutine and stack reuse), never removes any,
 // so each side is the fewest over several single runs.
 func TestTelemetryOverheadSmoke(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	cfg := overheadConfig()
 	fewest := func(enabled bool) float64 {
 		metrics.SetEnabled(enabled)

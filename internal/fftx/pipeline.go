@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/fftx/graph"
-	"repro/internal/mpi"
 	"repro/internal/ompss"
-	"repro/internal/vtime"
 )
 
 // The stage walkers: how the schedule executor runs the nodes of the stage
 // graph. Compute stages become jittered compute phases on the calling
 // lane (with the real data transform in ModeReal); scatter stages become
-// Alltoallv collectives — synchronous, cost-only or asynchronous,
-// whichever the policy row asks for.
+// Alltoallv collectives charging the stage's Bytes, synchronous or
+// asynchronous, whichever the policy row asks for (see schedule.run).
 
 // runStage executes one compute stage of the graph on computer c.
 func (k *kernel) runStage(c computer, st *graph.Stage, s *graph.State, p int) {
@@ -50,36 +48,6 @@ func (k *kernel) nestedLoop(rt *ompss.Runtime, wk *ompss.Worker, it int, st *gra
 			k.partStage(w2, st, s, p, lo, hi)
 		})
 	grp.Wait(wk)
-}
-
-// runScatter executes a scatter stage synchronously on comm: real data in
-// ModeReal, the equivalent synchronization and transfer cost without
-// payload in ModeCost. seq is the tag base (the iteration in the grouped
-// topology, the job in the flat one).
-func (k *kernel) runScatter(ctx *mpi.Ctx, comm *mpi.Comm, seq int, st *graph.Stage, s *graph.State, p int) {
-	tag := 2*seq + st.TagOff
-	if k.cfg.Mode == ModeReal {
-		s.Chunks = mpi.Alltoallv(ctx, comm, tag, s.Chunks, mpi.BytesComplex128)
-		return
-	}
-	comm.CollectiveCost(ctx, mpi.OpAlltoallv, tag, st.Bytes(p))
-	s.Chunks = nil
-}
-
-// runScatterAsync posts a scatter stage asynchronously (the async rows'
-// communication-thread scatters) and calls done from the handling process
-// once the exchange completes.
-func (k *kernel) runScatterAsync(ctx *mpi.Ctx, comm *mpi.Comm, seq int, st *graph.Stage, s *graph.State, p int, done func(hp *vtime.Proc)) {
-	tag := 2*seq + st.TagOff
-	if k.cfg.Mode == ModeReal {
-		mpi.IAlltoallv(ctx, comm, tag, s.Chunks, mpi.BytesComplex128,
-			func(hp *vtime.Proc, recv [][]complex128) {
-				s.Chunks = recv
-				done(hp)
-			})
-		return
-	}
-	mpi.ICollectiveCost(ctx, comm, mpi.OpAlltoallv, tag, st.Bytes(p), done)
 }
 
 // Run executes the configured engine and returns its result. EngineAuto

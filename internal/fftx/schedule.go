@@ -302,7 +302,9 @@ func (x *schedule) run(r *rank, u *unit, ctx *mpi.Ctx, wk *ompss.Worker, seq int
 	for _, st := range u.stages {
 		switch {
 		case st.Kind == graph.Scatter:
-			k.runScatter(ctx, r.scat, seq, st, s, r.p)
+			// Tag base 2·seq: the job's forward and backward scatters
+			// differ by TagOff. s.Chunks is nil in ModeCost.
+			s.Chunks = mpi.Alltoallv(ctx, r.scat, 2*seq+st.TagOff, s.Chunks, st.Bytes(r.p))
 		case x.nested && st.Split != graph.SplitNone:
 			k.nestedLoop(r.rt, wk, seq, st, s, r.p)
 		default:
@@ -313,6 +315,10 @@ func (x *schedule) run(r *rank, u *unit, ctx *mpi.Ctx, wk *ompss.Worker, seq int
 		x.top.unpack(c, ctx, r, seq, s)
 	}
 	if u.post != nil {
-		k.runScatterAsync(ctx, r.scat, seq, u.post, s, r.p, func(hp *vtime.Proc) { r.rt.Complete(hp, arrival) })
+		mpi.IAlltoallv(ctx, r.scat, 2*seq+u.post.TagOff, s.Chunks, u.post.Bytes(r.p),
+			func(hp *vtime.Proc, recv [][]complex128) {
+				s.Chunks = recv
+				r.rt.Complete(hp, arrival)
+			})
 	}
 }

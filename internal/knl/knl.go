@@ -121,8 +121,7 @@ type Params struct {
 
 // Node is the one KNL node a run occupies, hosting a fixed number of
 // hardware lanes. It implements vtime.Machine for the compute phases and
-// prices the mpi layer's transfers (AlltoallTime, BcastTime, ReduceTime,
-// P2PTime).
+// prices the mpi layer's transfers (AlltoallTime).
 type Node struct {
 	P     Params
 	Lanes int
@@ -278,29 +277,4 @@ func (n *Node) AlltoallTime(k int, bytesPerRank float64, commLanes int) float64 
 		commLanes = k
 	}
 	return n.P.CommLatency*float64(k-1) + bytesPerRank/n.effBW(commLanes)
-}
-
-// BcastTime models a broadcast among k ranks of the given payload.
-func (n *Node) BcastTime(k int, bytes float64, commLanes int) float64 {
-	if k <= 1 {
-		return 0
-	}
-	if commLanes < k {
-		commLanes = k
-	}
-	hops := math.Ceil(math.Log2(float64(k)))
-	return n.P.CommLatency*hops + bytes/n.effBW(commLanes)*hops
-}
-
-// ReduceTime models a (all)reduce among k ranks of the given payload.
-func (n *Node) ReduceTime(k int, bytes float64, commLanes int) float64 {
-	return n.BcastTime(k, bytes, commLanes)
-}
-
-// P2PTime models one point-to-point message.
-func (n *Node) P2PTime(bytes float64, commLanes int) float64 {
-	if commLanes < 2 {
-		commLanes = 2
-	}
-	return n.P.CommLatency + bytes/n.effBW(commLanes)
 }

@@ -228,7 +228,7 @@ func TestAlltoallSingleRankFree(t *testing.T) {
 
 func TestCommTimesPositive(t *testing.T) {
 	n := NewNode(DefaultParams(), 16)
-	if n.BcastTime(8, 4096, 16) <= 0 || n.ReduceTime(8, 4096, 16) <= 0 || n.P2PTime(4096, 16) <= 0 {
+	if n.AlltoallTime(8, 4096, 16) <= 0 || n.AlltoallTime(2, 0, 2) <= 0 {
 		t.Fatal("collective times must be positive")
 	}
 }

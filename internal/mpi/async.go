@@ -19,34 +19,15 @@ import (
 // (including the per-rank endpoint serialization), but its wait and
 // transfer time is not attributed to any compute lane.
 
-// helperCtx clones the posting context for the communication thread.
-func helperCtx(ctx *Ctx) *Ctx {
-	return &Ctx{W: ctx.W, Rank: ctx.Rank, Lane: ctx.Lane, Silent: true}
-}
-
 // IAlltoallv posts an Alltoallv without blocking the caller. When the
 // exchange completes, done runs on the helper process with the received
-// chunks.
-func IAlltoallv[T any](ctx *Ctx, c *Comm, tag int, send [][]T, elemBytes int, done func(p *vtime.Proc, recv [][]T)) {
-	hc := helperCtx(ctx)
+// chunks (nil when send is nil, as for Alltoallv).
+func IAlltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64, done func(p *vtime.Proc, recv [][]complex128)) {
+	hc := &Ctx{W: ctx.W, Rank: ctx.Rank, Lane: ctx.Lane, Silent: true}
 	ctx.W.asyncSeq++
 	name := fmt.Sprintf("commthread.r%d.%d", ctx.Rank, ctx.W.asyncSeq)
 	ctx.Proc.Engine().Spawn(name, func(p *vtime.Proc) {
 		hc.Proc = p
-		recv := Alltoallv(hc, c, tag, send, elemBytes)
-		done(p, recv)
-	})
-}
-
-// ICollectiveCost posts a data-free collective (the cost-mode counterpart
-// of IAlltoallv) and runs done on completion.
-func ICollectiveCost(ctx *Ctx, c *Comm, op Op, tag int, bytesPerRank float64, done func(p *vtime.Proc)) {
-	hc := helperCtx(ctx)
-	ctx.W.asyncSeq++
-	name := fmt.Sprintf("commthread.r%d.%d", ctx.Rank, ctx.W.asyncSeq)
-	ctx.Proc.Engine().Spawn(name, func(p *vtime.Proc) {
-		hc.Proc = p
-		c.CollectiveCost(hc, op, tag, bytesPerRank)
-		done(p)
+		done(p, Alltoallv(hc, c, tag, send, bytes))
 	})
 }

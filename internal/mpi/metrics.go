@@ -1,11 +1,9 @@
 package mpi
 
-import (
-	"repro/internal/knl"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
-// Live telemetry for the MPI layer, keyed by (communicator, operation).
+// Live telemetry for the MPI layer, keyed by communicator; the op label is
+// always "Alltoallv".
 // Calls and bytes are counted once per collective instance (by the last
 // arriver); sync and transfer seconds accumulate per non-Silent participant
 // — the same attribution rule the trace uses, so a communication thread's
@@ -44,59 +42,29 @@ func (w *World) phaseMetricsFor(phase string) *phaseMetrics {
 	return m
 }
 
-// commOpMetrics caches the resolved series handles of one (comm, op) pair
-// so the per-call hot path never touches the registry's label maps.
-type commOpMetrics struct {
+// commMetrics caches the resolved series handles of one communicator so
+// the per-call hot path never touches the registry's label maps.
+type commMetrics struct {
 	calls, bytes, sync, xfer *metrics.Counter
 	callBytes                *metrics.Histogram
 }
 
-type commOpKey struct {
-	comm string
-	op   Op
-}
-
-// metricsFor returns the cached handles for a (comm, op) pair. The engine
-// runs one process at a time, so the map needs no locking.
-func (w *World) metricsFor(comm string, op Op) *commOpMetrics {
-	if w.commOpCache == nil {
-		w.commOpCache = map[commOpKey]*commOpMetrics{}
+// metricsFor returns the cached handles for a communicator. The engine runs
+// one process at a time, so the map needs no locking.
+func (w *World) metricsFor(comm string) *commMetrics {
+	if w.commCache == nil {
+		w.commCache = map[string]*commMetrics{}
 	}
-	k := commOpKey{comm, op}
-	m := w.commOpCache[k]
+	m := w.commCache[comm]
 	if m == nil {
-		name := op.Name()
-		m = &commOpMetrics{
-			calls:     mCalls.With(comm, name),
-			bytes:     mBytes.With(comm, name),
-			sync:      mSyncSec.With(comm, name),
-			xfer:      mXferSec.With(comm, name),
-			callBytes: mCallBytes.With(name),
+		m = &commMetrics{
+			calls:     mCalls.With(comm, opName),
+			bytes:     mBytes.With(comm, opName),
+			sync:      mSyncSec.With(comm, opName),
+			xfer:      mXferSec.With(comm, opName),
+			callBytes: mCallBytes.With(opName),
 		}
-		w.commOpCache[k] = m
+		w.commCache[comm] = m
 	}
 	return m
-}
-
-// meter prices a collective on the node and observes the byte volume it
-// charges. The recorded volume is the aggregate the node moves:
-// k*bytesPerRank for an alltoall, the payload size for bcast/reduce.
-type meter struct {
-	node  *knl.Node
-	bytes float64
-}
-
-func (m *meter) AlltoallTime(k int, bytesPerRank float64, commLanes int) float64 {
-	m.bytes += bytesPerRank * float64(k)
-	return m.node.AlltoallTime(k, bytesPerRank, commLanes)
-}
-
-func (m *meter) BcastTime(k int, bytes float64, commLanes int) float64 {
-	m.bytes += bytes
-	return m.node.BcastTime(k, bytes, commLanes)
-}
-
-func (m *meter) ReduceTime(k int, bytes float64, commLanes int) float64 {
-	m.bytes += bytes
-	return m.node.ReduceTime(k, bytes, commLanes)
 }

@@ -1,10 +1,15 @@
 // Package mpi is an in-process message-passing library executing inside the
 // vtime discrete-event simulator. It provides the MPI surface the FFTXlib
-// kernel needs — communicators, sub-communicator splits, point-to-point
-// messages and the collectives (Barrier, Bcast, Reduce, Allreduce,
-// Gather(v), Allgather(v), Scatter(v), Alltoall(v)) — with real data
-// movement between rank buffers and virtual-time costs from the KNL node
-// model.
+// kernel posts and nothing more: communicators over explicit rank lists and
+// one collective, Alltoallv (blocking, or posted asynchronously through a
+// communication thread with IAlltoallv), priced by the KNL node model.
+//
+// Every Alltoallv call states the byte volume its rank sends, as the
+// caller's stage graph models it, and that volume is what the node model
+// charges. The payload is optional: with one, the call also moves the data
+// and panics if the payload's size differs from the stated volume; without
+// one (the kernel's cost mode), it synchronizes and charges exactly the
+// same, so the two modes cannot drift apart.
 //
 // Ranks (and, in MPI+tasks mode, the task-runtime worker threads that issue
 // MPI calls on a rank's behalf) are simulated processes; each MPI call is
@@ -13,16 +18,14 @@
 // recorded as trace.KindMPITransfer), which is exactly the decomposition the
 // POP efficiency model of Tables I/II needs.
 //
-// Collective calls carry an explicit matching tag so that multiple
-// collectives on the same communicator can be in flight concurrently from
-// different task threads (the per-band Alltoalls of the task-based engines);
-// calls with the same (communicator, operation, tag) match across ranks in
-// call order.
+// Calls carry an explicit matching tag so that several exchanges on the
+// same communicator can be in flight concurrently from different task
+// threads (the per-band Alltoalls of the task-based engines); calls with the
+// same (communicator, tag) match across ranks in call order.
 package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/knl"
 	"repro/internal/trace"
@@ -39,8 +42,7 @@ type World struct {
 	Sink           trace.Sink
 	Size           int
 	ThreadsPerRank int
-	// Strict enables the runtime invariant checks: cross-rank shape
-	// validation of collectives and detection of concurrent same-tag
+	// Strict enables the runtime detection of concurrent same-tag
 	// collectives. Violations panic inside the simulated process, which the
 	// vtime engine converts into a structured Run error. Set it before
 	// spawning processes.
@@ -48,14 +50,12 @@ type World struct {
 
 	rendezvous map[rvKey]*rendezvous
 	callSeq    map[seqKey]int
-	p2p        map[p2pKey]*p2pQueue
-	commSeq    int
 	asyncSeq   int // helper-process counter for asynchronous collectives
 	inComm     int // lanes currently inside an MPI call, for bandwidth sharing
-	// commOpCache and phaseCache hold resolved metric handles so hot paths
+	// commCache and phaseCache hold resolved metric handles so hot paths
 	// skip the registry's label lookup (the engine is serial, no locking).
-	commOpCache map[commOpKey]*commOpMetrics
-	phaseCache  map[string]*phaseMetrics
+	commCache  map[string]*commMetrics
+	phaseCache map[string]*phaseMetrics
 	// endpoints serialize the transfer part of concurrent MPI calls issued
 	// by different threads of the same rank (the MPI_THREAD_MULTIPLE
 	// endpoint lock). Single-threaded ranks never contend on it; in
@@ -84,7 +84,6 @@ func NewWorld(eng *vtime.Engine, node *knl.Node, sink trace.Sink, size, threadsP
 		ThreadsPerRank: threadsPerRank,
 		rendezvous:     map[rvKey]*rendezvous{},
 		callSeq:        map[seqKey]int{},
-		p2p:            map[p2pKey]*p2pQueue{},
 		endpoints:      make([]*vtime.Semaphore, size),
 	}
 	for r := range w.endpoints {
@@ -96,9 +95,6 @@ func NewWorld(eng *vtime.Engine, node *knl.Node, sink trace.Sink, size, threadsP
 	}
 	return w
 }
-
-// Lanes returns the total hardware lane count of the world.
-func (w *World) Lanes() int { return w.Size * w.ThreadsPerRank }
 
 // Lane returns the global lane index of a (rank, thread) pair.
 func (w *World) Lane(rank, thread int) int { return rank*w.ThreadsPerRank + thread }
@@ -176,14 +172,8 @@ func (w *World) newComm(id string, ranks []int) *Comm {
 	return c
 }
 
-// ID returns the communicator's unique identifier.
-func (c *Comm) ID() string { return c.id }
-
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
-
-// Ranks returns the world ranks of the communicator in order.
-func (c *Comm) Ranks() []int { return c.ranks }
 
 // RankIn returns the communicator rank of the calling context. It panics if
 // the caller is not a member.
@@ -195,58 +185,9 @@ func (c *Comm) RankIn(ctx *Ctx) int {
 	return r
 }
 
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
-
 // NewSubComm deterministically builds a sub-communicator from explicit world
 // ranks. All members must create it with identical arguments (it performs no
 // communication); the id must be unique per distinct group.
 func (w *World) NewSubComm(id string, ranks []int) *Comm {
 	return w.newComm(id, ranks)
-}
-
-// Split is the collective MPI_Comm_split: ranks passing the same color end
-// up in the same new communicator, ordered by key (ties by world rank).
-// Ranks passing a negative color receive nil.
-func (c *Comm) Split(ctx *Ctx, tag int, color, key int) *Comm {
-	type ck struct{ color, key, rank int }
-	res := c.exchange(ctx, OpSplit, tag, ck{color, key, ctx.Rank},
-		func(m *meter, k, lanes int, _ []any) float64 { return m.BcastTime(k, 64, lanes) },
-		func(all []any) any {
-			groups := map[int][]ck{}
-			for _, v := range all {
-				e := v.(ck)
-				if e.color >= 0 {
-					groups[e.color] = append(groups[e.color], e)
-				}
-			}
-			out := map[int]*Comm{} // world rank -> comm
-			colors := make([]int, 0, len(groups))
-			for col := range groups {
-				colors = append(colors, col)
-			}
-			sort.Ints(colors)
-			c.w.commSeq++
-			base := c.w.commSeq
-			for _, col := range colors {
-				g := groups[col]
-				sort.Slice(g, func(i, j int) bool {
-					if g[i].key != g[j].key {
-						return g[i].key < g[j].key
-					}
-					return g[i].rank < g[j].rank
-				})
-				ranks := make([]int, len(g))
-				for i, e := range g {
-					ranks[i] = e.rank
-				}
-				nc := c.w.newComm(fmt.Sprintf("%s/s%d.c%d", c.id, base, col), ranks)
-				for _, r := range ranks {
-					out[r] = nc
-				}
-			}
-			return out
-		})
-	m := res.(map[int]*Comm)
-	return m[ctx.Rank]
 }

@@ -30,84 +30,49 @@ func runWorld(t *testing.T, size int, fn func(ctx *Ctx)) (*World, *trace.Trace) 
 	return w, tr
 }
 
+// vol is the byte volume of a payload, the figure Alltoallv must be told.
+func vol(send [][]complex128) float64 {
+	n := 0
+	for _, s := range send {
+		n += len(s)
+	}
+	return float64(n * elemBytes)
+}
+
+// TestBarrierSynchronizes: a zero-volume Alltoallv is the kernel's barrier;
+// no rank leaves it before the last one arrives.
 func TestBarrierSynchronizes(t *testing.T) {
 	ends := make([]float64, 8)
 	runWorld(t, 8, func(ctx *Ctx) {
 		ctx.Proc.Sleep(float64(ctx.Rank)) // staggered arrivals
-		ctx.W.CommWorld().Barrier(ctx, 0)
+		Alltoallv(ctx, ctx.W.CommWorld(), 0, nil, 0)
 		ends[ctx.Rank] = ctx.Proc.Now()
 	})
 	for r, e := range ends {
 		if e < 7 {
-			t.Fatalf("rank %d left barrier at %v before last arrival at 7", r, e)
+			t.Fatalf("rank %d left the exchange at %v before the last arrival at 7", r, e)
 		}
 		if math.Abs(e-ends[0]) > 1e-9 {
-			t.Fatalf("ranks left barrier at different times: %v", ends)
-		}
-	}
-}
-
-func TestBcast(t *testing.T) {
-	got := make([][]float64, 4)
-	runWorld(t, 4, func(ctx *Ctx) {
-		var data []float64
-		if ctx.Rank == 2 {
-			data = []float64{1, 2, 3}
-		}
-		got[ctx.Rank] = Bcast(ctx, ctx.W.CommWorld(), 0, 2, data, BytesFloat64)
-	})
-	for r, g := range got {
-		if !reflect.DeepEqual(g, []float64{1, 2, 3}) {
-			t.Fatalf("rank %d got %v", r, g)
-		}
-	}
-}
-
-func TestAllreduceSum(t *testing.T) {
-	got := make([][]float64, 4)
-	runWorld(t, 4, func(ctx *Ctx) {
-		data := []float64{float64(ctx.Rank), 1}
-		got[ctx.Rank] = ctx.W.CommWorld().Allreduce(ctx, 0, data, Sum)
-	})
-	want := []float64{0 + 1 + 2 + 3, 4}
-	for r, g := range got {
-		if !reflect.DeepEqual(g, want) {
-			t.Fatalf("rank %d got %v, want %v", r, g, want)
-		}
-	}
-}
-
-func TestReduceOnlyRoot(t *testing.T) {
-	got := make([][]float64, 4)
-	runWorld(t, 4, func(ctx *Ctx) {
-		got[ctx.Rank] = ctx.W.CommWorld().Reduce(ctx, 0, 1, []float64{2}, Max)
-	})
-	for r, g := range got {
-		if r == 1 {
-			if !reflect.DeepEqual(g, []float64{2}) {
-				t.Fatalf("root got %v", g)
-			}
-		} else if g != nil {
-			t.Fatalf("non-root %d got %v", r, g)
+			t.Fatalf("ranks left the exchange at different times: %v", ends)
 		}
 	}
 }
 
 func TestAlltoallvDataMovement(t *testing.T) {
 	const n = 5
-	got := make([][][]int, n)
+	got := make([][][]complex128, n)
 	runWorld(t, n, func(ctx *Ctx) {
-		send := make([][]int, n)
+		send := make([][]complex128, n)
 		for j := 0; j < n; j++ {
-			send[j] = []int{ctx.Rank*100 + j}
+			send[j] = []complex128{complex(float64(ctx.Rank*100+j), 0)}
 		}
-		got[ctx.Rank] = Alltoallv(ctx, ctx.W.CommWorld(), 0, send, BytesInt)
+		got[ctx.Rank] = Alltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send))
 	})
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			want := j*100 + i // rank j sent (j*100+i) to rank i
+			want := complex(float64(j*100+i), 0) // rank j sent (j*100+i) to rank i
 			if got[i][j][0] != want {
-				t.Fatalf("recv[%d][%d] = %v, want %d", i, j, got[i][j], want)
+				t.Fatalf("recv[%d][%d] = %v, want %v", i, j, got[i][j], want)
 			}
 		}
 	}
@@ -115,133 +80,26 @@ func TestAlltoallvDataMovement(t *testing.T) {
 
 func TestAlltoallvUnevenCounts(t *testing.T) {
 	const n = 3
-	got := make([][][]float64, n)
+	got := make([][][]complex128, n)
 	runWorld(t, n, func(ctx *Ctx) {
-		send := make([][]float64, n)
+		send := make([][]complex128, n)
 		for j := 0; j < n; j++ {
 			// rank i sends i+1 copies of value i*10+j to rank j
 			for k := 0; k <= ctx.Rank; k++ {
-				send[j] = append(send[j], float64(ctx.Rank*10+j))
+				send[j] = append(send[j], complex(float64(ctx.Rank*10+j), 0))
 			}
 		}
-		got[ctx.Rank] = Alltoallv(ctx, ctx.W.CommWorld(), 0, send, BytesFloat64)
+		got[ctx.Rank] = Alltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send))
 	})
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if len(got[i][j]) != j+1 {
 				t.Fatalf("recv[%d][%d] has %d elems, want %d", i, j, len(got[i][j]), j+1)
 			}
-			if got[i][j][0] != float64(j*10+i) {
+			if got[i][j][0] != complex(float64(j*10+i), 0) {
 				t.Fatalf("recv[%d][%d][0] = %v", i, j, got[i][j][0])
 			}
 		}
-	}
-}
-
-func TestAllgatherv(t *testing.T) {
-	got := make([][][]int, 3)
-	runWorld(t, 3, func(ctx *Ctx) {
-		got[ctx.Rank] = Allgatherv(ctx, ctx.W.CommWorld(), 0, []int{ctx.Rank, ctx.Rank}, BytesInt)
-	})
-	for r := 0; r < 3; r++ {
-		for j := 0; j < 3; j++ {
-			if !reflect.DeepEqual(got[r][j], []int{j, j}) {
-				t.Fatalf("rank %d slot %d = %v", r, j, got[r][j])
-			}
-		}
-	}
-}
-
-func TestScatterv(t *testing.T) {
-	got := make([][]int, 3)
-	runWorld(t, 3, func(ctx *Ctx) {
-		var send [][]int
-		if ctx.Rank == 0 {
-			send = [][]int{{10}, {11, 11}, {12}}
-		}
-		got[ctx.Rank] = Scatterv(ctx, ctx.W.CommWorld(), 0, 0, send, BytesInt)
-	})
-	if !reflect.DeepEqual(got[0], []int{10}) || !reflect.DeepEqual(got[1], []int{11, 11}) || !reflect.DeepEqual(got[2], []int{12}) {
-		t.Fatalf("scatterv got %v", got)
-	}
-}
-
-func TestSplitByParity(t *testing.T) {
-	sizes := make([]int, 6)
-	ranksIn := make([]int, 6)
-	runWorld(t, 6, func(ctx *Ctx) {
-		sub := ctx.W.CommWorld().Split(ctx, 0, ctx.Rank%2, ctx.Rank)
-		sizes[ctx.Rank] = sub.Size()
-		ranksIn[ctx.Rank] = sub.RankIn(ctx)
-		// The sub-communicator must be usable for collectives.
-		res := sub.Allreduce(ctx, 1, []float64{1}, Sum)
-		if res[0] != 3 {
-			t.Errorf("rank %d: sub allreduce = %v", ctx.Rank, res[0])
-		}
-	})
-	for r := 0; r < 6; r++ {
-		if sizes[r] != 3 {
-			t.Fatalf("rank %d sub size = %d", r, sizes[r])
-		}
-		if ranksIn[r] != r/2 {
-			t.Fatalf("rank %d sub rank = %d, want %d", r, ranksIn[r], r/2)
-		}
-	}
-}
-
-func TestSplitNegativeColorExcluded(t *testing.T) {
-	runWorld(t, 4, func(ctx *Ctx) {
-		color := 0
-		if ctx.Rank == 3 {
-			color = -1
-		}
-		sub := ctx.W.CommWorld().Split(ctx, 0, color, ctx.Rank)
-		if ctx.Rank == 3 {
-			if sub != nil {
-				t.Errorf("excluded rank got comm %v", sub.ID())
-			}
-		} else if sub.Size() != 3 {
-			t.Errorf("rank %d size %d", ctx.Rank, sub.Size())
-		}
-	})
-}
-
-func TestSendRecv(t *testing.T) {
-	var got []int
-	var recvAt float64
-	runWorld(t, 2, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
-		if ctx.Rank == 0 {
-			ctx.Proc.Sleep(2)
-			Send(ctx, c, 1, 42, []int{7, 8, 9}, BytesInt)
-		} else {
-			got = Recv[int](ctx, c, 0, 42)
-			recvAt = ctx.Proc.Now()
-		}
-	})
-	if !reflect.DeepEqual(got, []int{7, 8, 9}) {
-		t.Fatalf("recv got %v", got)
-	}
-	if recvAt < 2 {
-		t.Fatalf("receive completed at %v before send at 2", recvAt)
-	}
-}
-
-func TestSendRecvOrdering(t *testing.T) {
-	var got []int
-	runWorld(t, 2, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
-		if ctx.Rank == 0 {
-			Send(ctx, c, 1, 0, []int{1}, BytesInt)
-			Send(ctx, c, 1, 0, []int{2}, BytesInt)
-		} else {
-			a := Recv[int](ctx, c, 0, 0)
-			b := Recv[int](ctx, c, 0, 0)
-			got = append(a, b...)
-		}
-	})
-	if !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("messages reordered: %v", got)
 	}
 }
 
@@ -252,7 +110,7 @@ func TestConcurrentTaggedCollectives(t *testing.T) {
 	node := knl.NewNode(p, 4)
 	eng := vtime.NewEngine(node)
 	w := NewWorld(eng, node, nil, 2, 2)
-	results := make([][][]int, 4)
+	results := make([][][]complex128, 4)
 	for r := 0; r < 2; r++ {
 		for th := 0; th < 2; th++ {
 			r, th := r, th
@@ -262,8 +120,9 @@ func TestConcurrentTaggedCollectives(t *testing.T) {
 					ctx.Proc.Sleep(0.5) // desynchronize the two threads
 				}
 				tag := 100 + th
-				send := [][]int{{ctx.Rank*10 + tag}, {ctx.Rank*10 + tag}}
-				results[ctx.Lane] = Alltoallv(ctx, c, tag, send, BytesInt)
+				v := complex(float64(ctx.Rank*10+tag), 0)
+				send := [][]complex128{{v}, {v}}
+				results[ctx.Lane] = Alltoallv(ctx, c, tag, send, vol(send))
 			})
 		}
 	}
@@ -274,7 +133,7 @@ func TestConcurrentTaggedCollectives(t *testing.T) {
 		th := lane % 2
 		tag := 100 + th
 		for j := 0; j < 2; j++ {
-			if res[j][0] != j*10+tag {
+			if res[j][0] != complex(float64(j*10+tag), 0) {
 				t.Fatalf("lane %d recv[%d] = %v, want %d", lane, j, res[j], j*10+tag)
 			}
 		}
@@ -284,9 +143,8 @@ func TestConcurrentTaggedCollectives(t *testing.T) {
 func TestTraceRecordsSyncAndTransfer(t *testing.T) {
 	_, tr := runWorld(t, 4, func(ctx *Ctx) {
 		ctx.Proc.Sleep(float64(ctx.Rank))
-		Alltoallv(ctx, ctx.W.CommWorld(), 0,
-			[][]float64{make([]float64, 1000), make([]float64, 1000), make([]float64, 1000), make([]float64, 1000)},
-			BytesFloat64)
+		send := [][]complex128{make([]complex128, 1000), make([]complex128, 1000), make([]complex128, 1000), make([]complex128, 1000)}
+		Alltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send))
 	})
 	sync := tr.TimeByKind(trace.KindMPISync)
 	xfer := tr.TimeByKind(trace.KindMPITransfer)
@@ -316,62 +174,77 @@ func TestComputeRecordsTrace(t *testing.T) {
 }
 
 func TestSequentialCollectivesSameTag(t *testing.T) {
-	// Repeated barriers with the same tag must match generation by
+	// Repeated exchanges with the same tag must match generation by
 	// generation even when ranks race ahead.
 	counts := make([]int, 3)
 	runWorld(t, 3, func(ctx *Ctx) {
 		c := ctx.W.CommWorld()
 		for i := 0; i < 10; i++ {
-			c.Barrier(ctx, 0)
+			Alltoallv(ctx, c, 0, nil, 0)
 			counts[ctx.Rank]++
 		}
 	})
 	for r, n := range counts {
 		if n != 10 {
-			t.Fatalf("rank %d completed %d barriers", r, n)
+			t.Fatalf("rank %d completed %d exchanges", r, n)
 		}
 	}
 }
 
+// TestCollectiveCost: the charge of an exchange is a function of the
+// stated volumes alone. The same uneven exchange leaves every rank at the
+// same virtual time and records the same trace with its payload as without
+// it.
 func TestCollectiveCost(t *testing.T) {
-	var elapsed float64
-	runWorld(t, 4, func(ctx *Ctx) {
-		ctx.W.CommWorld().CollectiveCost(ctx, OpAlltoallv, 0, 1<<20)
-		elapsed = ctx.Proc.Now()
-	})
-	if elapsed <= 0 {
-		t.Fatal("cost-only collective charged no time")
+	with, withTrace := unevenExchange(t, true, false)
+	none, noneTrace := unevenExchange(t, false, false)
+	if !reflect.DeepEqual(with, none) {
+		t.Errorf("completion times differ:\n with payload %v\n without      %v", with, none)
+	}
+	if !reflect.DeepEqual(withTrace, noneTrace) {
+		t.Errorf("traces differ with and without payload")
 	}
 }
 
-func TestReduceScatter(t *testing.T) {
-	got := make([][]float64, 3)
-	runWorld(t, 3, func(ctx *Ctx) {
-		// Each rank contributes [r, r, r, r, r]; the sum is [3,3,3,3,3]*...
-		data := []float64{1, 2, 3, 4, 5}
-		got[ctx.Rank] = ctx.W.CommWorld().ReduceScatter(ctx, 0, data, Sum)
+// unevenExchange runs one exchange of uneven per-rank volumes over four
+// staggered ranks, with or without its payload, blocking or posted, and
+// returns each rank's completion time and the trace.
+func unevenExchange(t *testing.T, payload, posted bool) ([]float64, []trace.Interval) {
+	const n = 4
+	ends := make([]float64, n)
+	_, tr := runWorld(t, n, func(ctx *Ctx) {
+		c := ctx.W.CommWorld()
+		ctx.Proc.Sleep(1e-4 * float64(ctx.Rank))
+		send := make([][]complex128, n)
+		for j := range send {
+			send[j] = make([]complex128, 1000*(ctx.Rank+1)+j)
+		}
+		bytes := vol(send)
+		if !payload {
+			send = nil
+		}
+		check := func(recv [][]complex128) {
+			if (recv != nil) != payload {
+				t.Errorf("rank %d: payload %v, received %d chunks", ctx.Rank, payload, len(recv))
+			}
+		}
+		if !posted {
+			check(Alltoallv(ctx, c, 0, send, bytes))
+			ends[ctx.Rank] = ctx.Proc.Now()
+			return
+		}
+		IAlltoallv(ctx, c, 0, send, bytes, func(p *vtime.Proc, recv [][]complex128) {
+			check(recv)
+			ends[ctx.Rank] = p.Now()
+		})
+		ctx.Compute("work", knl.ClassVector, 1e9)
 	})
-	// Reduced vector = [3,6,9,12,15]; shares: rank0 [3,6], rank1 [9,12], rank2 [15].
-	want := [][]float64{{3, 6}, {9, 12}, {15}}
-	for r := range want {
-		if !reflect.DeepEqual(got[r], want[r]) {
-			t.Fatalf("rank %d got %v, want %v", r, got[r], want[r])
+	for r, e := range ends {
+		if !(e > 0) {
+			t.Fatalf("rank %d: exchange never completed", r)
 		}
 	}
-}
-
-func TestScanInclusivePrefix(t *testing.T) {
-	got := make([][]float64, 4)
-	runWorld(t, 4, func(ctx *Ctx) {
-		data := []float64{float64(ctx.Rank + 1)}
-		got[ctx.Rank] = ctx.W.CommWorld().Scan(ctx, 0, data, Sum)
-	})
-	want := []float64{1, 3, 6, 10}
-	for r := range want {
-		if got[r][0] != want[r] {
-			t.Fatalf("rank %d scan = %v, want %v", r, got[r][0], want[r])
-		}
-	}
+	return ends, tr.Intervals
 }
 
 // Property: Alltoallv is its own inverse permutation — applying it twice
@@ -380,17 +253,17 @@ func TestPropertyAlltoallvTranspose(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%6 + 2
 		rng := rand.New(rand.NewSource(seed))
-		payload := make([][][]int, n) // [src][dst]
+		payload := make([][][]complex128, n) // [src][dst]
 		for i := 0; i < n; i++ {
-			payload[i] = make([][]int, n)
+			payload[i] = make([][]complex128, n)
 			for j := 0; j < n; j++ {
 				sz := rng.Intn(4)
 				for k := 0; k < sz; k++ {
-					payload[i][j] = append(payload[i][j], i*1000+j*10+k)
+					payload[i][j] = append(payload[i][j], complex(float64(i*1000+j*10+k), 0))
 				}
 			}
 		}
-		roundtrip := make([][][]int, n)
+		roundtrip := make([][][]complex128, n)
 		p := knl.DefaultParams()
 		node := knl.NewNode(p, n)
 		eng := vtime.NewEngine(node)
@@ -398,10 +271,9 @@ func TestPropertyAlltoallvTranspose(t *testing.T) {
 		for r := 0; r < n; r++ {
 			w.Spawn(r, 0, func(ctx *Ctx) {
 				c := ctx.W.CommWorld()
-				recv := Alltoallv(ctx, c, 0, payload[ctx.Rank], BytesInt)
+				recv := Alltoallv(ctx, c, 0, payload[ctx.Rank], vol(payload[ctx.Rank]))
 				// Send everything back where it came from.
-				back := Alltoallv(ctx, c, 1, recv, BytesInt)
-				roundtrip[ctx.Rank] = back
+				roundtrip[ctx.Rank] = Alltoallv(ctx, c, 1, recv, vol(recv))
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -410,48 +282,6 @@ func TestPropertyAlltoallvTranspose(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !reflect.DeepEqual(roundtrip[i][j], payload[i][j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Allreduce(Sum) equals the sequential sum for random vectors.
-func TestPropertyAllreduceMatchesSequential(t *testing.T) {
-	f := func(seed int64, nRaw, lenRaw uint8) bool {
-		n := int(nRaw)%7 + 1
-		l := int(lenRaw)%16 + 1
-		rng := rand.New(rand.NewSource(seed))
-		data := make([][]float64, n)
-		want := make([]float64, l)
-		for r := 0; r < n; r++ {
-			data[r] = make([]float64, l)
-			for i := range data[r] {
-				data[r][i] = rng.NormFloat64()
-				want[i] += data[r][i]
-			}
-		}
-		got := make([][]float64, n)
-		p := knl.DefaultParams()
-		node := knl.NewNode(p, n)
-		eng := vtime.NewEngine(node)
-		w := NewWorld(eng, node, nil, n, 1)
-		for r := 0; r < n; r++ {
-			w.Spawn(r, 0, func(ctx *Ctx) {
-				got[ctx.Rank] = ctx.W.CommWorld().Allreduce(ctx, 0, data[ctx.Rank], Sum)
-			})
-		}
-		if err := eng.Run(); err != nil {
-			return false
-		}
-		for r := 0; r < n; r++ {
-			for i := range want {
-				if math.Abs(got[r][i]-want[i]) > 1e-9 {
 					return false
 				}
 			}

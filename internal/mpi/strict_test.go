@@ -35,8 +35,8 @@ func mustContain(t *testing.T, msg string, subs ...string) {
 // used and which ranks its rendezvous is still missing.
 func TestMismatchedTagDeadlockReport(t *testing.T) {
 	eng, w := strictWorld(2, 1)
-	w.Spawn(0, 0, func(ctx *Ctx) { ctx.W.CommWorld().Barrier(ctx, 1) })
-	w.Spawn(1, 0, func(ctx *Ctx) { ctx.W.CommWorld().Barrier(ctx, 2) })
+	w.Spawn(0, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), 1, nil, 0) })
+	w.Spawn(1, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), 2, nil, 0) })
 	err := eng.Run()
 	var de *vtime.DeadlockError
 	if !errors.As(err, &de) {
@@ -52,7 +52,7 @@ func TestMismatchedTagDeadlockReport(t *testing.T) {
 	}
 	mustContain(t, err.Error(),
 		"rank0.t0", "rank1.t0",
-		"OpBarrier tag 1", "OpBarrier tag 2",
+		"Alltoallv tag 1", "Alltoallv tag 2",
 		"missing ranks")
 }
 
@@ -63,7 +63,7 @@ func TestAlltoallvChunkCountPanic(t *testing.T) {
 	eng, w := strictWorld(2, 1)
 	for r := 0; r < 2; r++ {
 		w.Spawn(r, 0, func(ctx *Ctx) {
-			Alltoallv(ctx, ctx.W.CommWorld(), 3, make([][]float64, 1), 8)
+			Alltoallv(ctx, ctx.W.CommWorld(), 3, make([][]complex128, 1), 0)
 		})
 	}
 	err := eng.Run()
@@ -73,27 +73,24 @@ func TestAlltoallvChunkCountPanic(t *testing.T) {
 	mustContain(t, err.Error(), "sends 1 chunks for comm of size 2")
 }
 
-// TestStrictAlltoallChunkMismatch: Alltoall requires equal chunks on every
-// rank; strict mode cross-checks the gathered payloads and reports the
-// per-rank sizes.
-func TestStrictAlltoallChunkMismatch(t *testing.T) {
+// TestAlltoallvVolumeMismatchPanic: a payload whose size differs from the
+// volume the caller declares is a structured error in every world, strict
+// or not — the declared volume is what both modes charge, so it must be
+// the payload's.
+func TestAlltoallvVolumeMismatchPanic(t *testing.T) {
 	eng, w := strictWorld(2, 1)
+	w.Strict = false
 	for r := 0; r < 2; r++ {
 		w.Spawn(r, 0, func(ctx *Ctx) {
-			chunks := make([][]float64, 2)
-			for j := range chunks {
-				chunks[j] = make([]float64, ctx.Rank+1) // rank 0: 1 elem, rank 1: 2
-			}
-			Alltoall(ctx, ctx.W.CommWorld(), 4, chunks, 8)
+			send := [][]complex128{make([]complex128, 1), make([]complex128, 1)}
+			Alltoallv(ctx, ctx.W.CommWorld(), 4, send, 16)
 		})
 	}
 	err := eng.Run()
 	if err == nil {
-		t.Fatal("Run() = nil, want chunk mismatch error")
+		t.Fatal("Run() = nil, want volume mismatch error")
 	}
-	mustContain(t, err.Error(),
-		"chunk size mismatch across ranks",
-		"rank 0: 1", "rank 1: 2")
+	mustContain(t, err.Error(), "Alltoallv tag 4", "sends 32 bytes but declares 16")
 }
 
 // TestStrictConcurrentTagReuse: two threads of one rank posting the same
@@ -101,14 +98,14 @@ func TestStrictAlltoallChunkMismatch(t *testing.T) {
 // strict mode turns that into an immediate diagnostic.
 func TestStrictConcurrentTagReuse(t *testing.T) {
 	eng, w := strictWorld(2, 2)
-	w.Spawn(0, 0, func(ctx *Ctx) { ctx.W.CommWorld().Barrier(ctx, 5) })
+	w.Spawn(0, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), 5, nil, 0) })
 	w.Spawn(0, 1, func(ctx *Ctx) {
 		ctx.Proc.Sleep(1e-3) // let thread 0 post first
-		ctx.W.CommWorld().Barrier(ctx, 5)
+		Alltoallv(ctx, ctx.W.CommWorld(), 5, nil, 0)
 	})
 	w.Spawn(1, 0, func(ctx *Ctx) {
 		ctx.Proc.Sleep(1) // arrives after the violation is detected
-		ctx.W.CommWorld().Barrier(ctx, 5)
+		Alltoallv(ctx, ctx.W.CommWorld(), 5, nil, 0)
 	})
 	err := eng.Run()
 	if err == nil {
@@ -119,24 +116,6 @@ func TestStrictConcurrentTagReuse(t *testing.T) {
 		"concurrent collectives need distinct tags")
 }
 
-// TestAllreduceLengthMismatch: ranks contributing different vector lengths
-// to a reduction get a per-rank length report.
-func TestAllreduceLengthMismatch(t *testing.T) {
-	eng, w := strictWorld(2, 1)
-	for r := 0; r < 2; r++ {
-		w.Spawn(r, 0, func(ctx *Ctx) {
-			ctx.W.CommWorld().Allreduce(ctx, 1, make([]float64, ctx.Rank+1), Sum)
-		})
-	}
-	err := eng.Run()
-	if err == nil {
-		t.Fatal("Run() = nil, want vector length mismatch error")
-	}
-	mustContain(t, err.Error(),
-		"vector length mismatch across ranks",
-		"rank 0: 1", "rank 1: 2")
-}
-
 // TestStrictCleanRun: a correct program passes all strict checks, including
 // sequential tag reuse and uneven (but well-formed) Alltoallv payloads.
 func TestStrictCleanRun(t *testing.T) {
@@ -144,37 +123,16 @@ func TestStrictCleanRun(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		w.Spawn(r, 0, func(ctx *Ctx) {
 			c := ctx.W.CommWorld()
-			c.Barrier(ctx, 1)
-			c.Barrier(ctx, 1) // sequential reuse is fine
-			c.Allreduce(ctx, 2, []float64{float64(ctx.Rank)}, Sum)
-			send := make([][]float64, 2)
+			Alltoallv(ctx, c, 1, nil, 0)
+			Alltoallv(ctx, c, 1, nil, 0) // sequential reuse is fine
+			send := make([][]complex128, 2)
 			for j := range send {
-				send[j] = make([]float64, ctx.Rank+j+1) // uneven is fine for the v variant
+				send[j] = make([]complex128, ctx.Rank+j+1) // uneven is fine
 			}
-			Alltoallv(ctx, c, 3, send, 8)
+			Alltoallv(ctx, c, 3, send, vol(send))
 		})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatalf("strict clean run failed: %v", err)
-	}
-}
-
-func TestOpStringAndName(t *testing.T) {
-	cases := []struct {
-		op        Op
-		str, name string
-	}{
-		{OpBarrier, "OpBarrier", "Barrier"},
-		{OpAlltoallv, "OpAlltoallv", "Alltoallv"},
-		{OpSplit, "OpSplit", "split"}, // trace name kept for saved-trace compatibility
-		{Op(99), "Op(99)", "op99"},
-	}
-	for _, c := range cases {
-		if got := c.op.String(); got != c.str {
-			t.Errorf("(%d).String() = %q, want %q", int(c.op), got, c.str)
-		}
-		if got := c.op.Name(); got != c.name {
-			t.Errorf("(%d).Name() = %q, want %q", int(c.op), got, c.name)
-		}
 	}
 }

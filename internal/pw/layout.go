@@ -150,19 +150,21 @@ func (l *Layout) Collect(locals [][]complex128) []complex128 {
 // contiguous chunks (the unit the pack/unpack Alltoallv moves between task
 // groups). It returns the ntg+1 chunk boundaries.
 func (l *Layout) TaskChunks(p, ntg int) []int {
-	n := l.NGOf[p]
 	bounds := make([]int, ntg+1)
-	base, rem := n/ntg, n%ntg
-	off := 0
 	for g := 0; g < ntg; g++ {
-		bounds[g] = off
-		off += base
-		if g < rem {
-			off++
-		}
+		bounds[g+1] = bounds[g] + l.TaskChunkLen(p, g, ntg)
 	}
-	bounds[ntg] = off
 	return bounds
+}
+
+// TaskChunkLen is the length of chunk g of TaskChunks(p, ntg): the low
+// chunks take one coefficient each of the remainder.
+func (l *Layout) TaskChunkLen(p, g, ntg int) int {
+	n := l.NGOf[p]
+	if g < n%ntg {
+		return n/ntg + 1
+	}
+	return n / ntg
 }
 
 // GroupStickOrder returns all stick indices in "group order": position 0's
