@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race fuzz-smoke overhead-smoke serve-smoke introspect-smoke cluster-smoke engines-matrix
+.PHONY: all build test check vet fmt race fuzz-smoke overhead-smoke serve-smoke introspect-smoke cluster-smoke engines-matrix experiments
 
 all: check test
 
@@ -34,6 +34,12 @@ check: build vet
 	$(MAKE) fmt
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# experiments regenerates EXPERIMENTS.md: the full paper-scale report.
+# internal/core's TestExperimentsMatchReport fails when the committed file
+# and the report differ.
+experiments:
+	$(GO) run ./cmd/fftxbench report > EXPERIMENTS.md
 
 # race runs the internal packages under the race detector without test
 # result caching. The simulator is single-goroutine-at-a-time by design;

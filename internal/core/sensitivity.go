@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/fftx"
 	"repro/internal/knl"
@@ -26,16 +25,12 @@ type SensitivityResult struct {
 	Rows  []SensitivityRow
 }
 
-// Sensitivity re-runs the original-vs-task comparison at the given rank
-// count under perturbed node models: work variance off/doubled, endpoint
-// bandwidth halved/doubled, contention coefficient ±50 %, task-runtime
-// overhead excluded (Overhead is an ompss property, approximated here by
-// the unperturbed row).
-func (s Suite) Sensitivity(ranks int) (*SensitivityResult, error) {
-	base := knl.DefaultParams()
-	if s.Params != nil {
-		base = *s.Params
-	}
+// Sensitivity re-runs the original-vs-task comparison at the largest
+// non-hyper-threaded configuration under perturbed node models: work
+// variance off/doubled, endpoint bandwidth halved/doubled, contention
+// coefficient ±50 %, node bandwidth halved, communication latency x4 and
+// the tile-L2 sharing level switched on.
+func (s *Suite) Sensitivity() (*SensitivityResult, error) {
 	variants := []struct {
 		name string
 		mod  func(p *knl.Params)
@@ -55,19 +50,11 @@ func (s Suite) Sensitivity(ranks int) (*SensitivityResult, error) {
 			p.TileDemand[knl.ClassVector] = 0.60
 		}},
 	}
-	out := &SensitivityResult{Ranks: ranks}
+	out := &SensitivityResult{Ranks: s.noHTRanks()}
 	for _, v := range variants {
-		params := base
+		params := knl.DefaultParams()
 		v.mod(&params)
-		cfgO := s.config(fftx.EngineOriginal, ranks)
-		cfgO.Params = &params
-		ro, err := fftx.Run(cfgO)
-		if err != nil {
-			return nil, fmt.Errorf("core: sensitivity %s: %w", v.name, err)
-		}
-		cfgT := s.config(fftx.EngineTaskIter, ranks)
-		cfgT.Params = &params
-		rt, err := fftx.Run(cfgT)
+		ro, rt, err := s.pair(func(c *fftx.Config) { c.Params = &params })
 		if err != nil {
 			return nil, fmt.Errorf("core: sensitivity %s: %w", v.name, err)
 		}
@@ -75,24 +62,11 @@ func (s Suite) Sensitivity(ranks int) (*SensitivityResult, error) {
 			Name:     v.name,
 			Original: ro.Runtime,
 			Task:     rt.Runtime,
-			Gain:     (ro.Runtime - rt.Runtime) / ro.Runtime,
-			XYShift: rt.Trace.PhaseAvgIPC("fft-xy", "vofr") -
-				ro.Trace.PhaseAvgIPC("fft-xy", "vofr"),
+			Gain:     gain(ro.Runtime, rt.Runtime),
+			XYShift:  mainPhaseIPC(rt) - mainPhaseIPC(ro),
 		})
 	}
 	return out, nil
-}
-
-// Format renders the sensitivity table.
-func (r *SensitivityResult) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Model sensitivity of the headline result at %d x NTG\n", r.Ranks)
-	fmt.Fprintf(&sb, "%-24s %12s %12s %8s %10s\n", "model variant", "original[s]", "task[s]", "gain", "xyIPC +")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-24s %12.4f %12.4f %+7.1f%% %+10.3f\n",
-			row.Name, row.Original, row.Task, 100*row.Gain, row.XYShift)
-	}
-	return sb.String()
 }
 
 // BandSweepRow is one band-count measurement.
@@ -111,41 +85,24 @@ type BandSweepResult struct {
 	Rows  []BandSweepRow
 }
 
-// BandSweep varies the number of bands at a fixed configuration and
-// measures the original-vs-task gain.
-func (s Suite) BandSweep(ranks int, bandCounts []int) (*BandSweepResult, error) {
-	out := &BandSweepResult{Ranks: ranks}
-	for _, nb := range bandCounts {
-		if nb%s.NTG != 0 {
+// BandSweep measures the original-vs-task gain at the largest
+// non-hyper-threaded configuration for NB/8, NB/4, NB/2, NB and 2·NB bands
+// (16 … 256 at the paper's workload), skipping counts the task groups do not
+// divide.
+func (s *Suite) BandSweep() (*BandSweepResult, error) {
+	out := &BandSweepResult{Ranks: s.noHTRanks()}
+	for _, nb := range []int{s.NB / 8, s.NB / 4, s.NB / 2, s.NB, 2 * s.NB} {
+		if nb == 0 || nb%s.NTG != 0 {
 			continue
 		}
-		cfgO := s.config(fftx.EngineOriginal, ranks)
-		cfgO.NB = nb
-		ro, err := fftx.Run(cfgO)
-		if err != nil {
-			return nil, fmt.Errorf("core: bandsweep nb=%d: %w", nb, err)
-		}
-		cfgT := s.config(fftx.EngineTaskIter, ranks)
-		cfgT.NB = nb
-		rt, err := fftx.Run(cfgT)
+		ro, rt, err := s.pair(func(c *fftx.Config) { c.NB = nb })
 		if err != nil {
 			return nil, fmt.Errorf("core: bandsweep nb=%d: %w", nb, err)
 		}
 		out.Rows = append(out.Rows, BandSweepRow{
 			NB: nb, Original: ro.Runtime, Task: rt.Runtime,
-			Gain: (ro.Runtime - rt.Runtime) / ro.Runtime,
+			Gain: gain(ro.Runtime, rt.Runtime),
 		})
 	}
 	return out, nil
-}
-
-// Format renders the band sweep.
-func (r *BandSweepResult) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Computational-load dependence at %d ranks (Section IV)\n", r.Ranks)
-	fmt.Fprintf(&sb, "%8s %12s %12s %8s\n", "bands", "original[s]", "task[s]", "gain")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%8d %12.4f %12.4f %+7.1f%%\n", row.NB, row.Original, row.Task, 100*row.Gain)
-	}
-	return sb.String()
 }
