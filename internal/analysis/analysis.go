@@ -1,38 +1,11 @@
-// Package analysis is a static analyzer for the simulated-HPC programming
-// model of this repository (the fftxvet tool). It loads the module with the
-// standard library's go/parser + go/types and enforces the correctness
-// contracts the mpi, ompss and vtime runtimes expect from their callers:
+// Package analysis is a static analyzer for this repository (the fftxvet
+// tool). It loads the module with the standard library's go/parser +
+// go/types and enforces the three request-path contracts that no test or
+// runtime check can see on every path:
 //
-//   - divergence: MPI collectives must be reached by every rank of the
-//     communicator, so a collective that is only reachable under a
-//     rank-dependent branch is a deadlock in waiting.
-//   - tags: collective matching tags must agree across ranks (no
-//     rank-dependent tags) and concurrently running collectives on one
-//     communicator must use distinct tags.
-//   - blockintask: an ompss task body must not issue blocking mpi/vtime
-//     calls through a context or process captured from outside the task;
-//     the lane-aware entry points (the worker's own context, Group.Wait)
-//     are the sanctioned ways to wait inside a task.
-//   - copyvalue: the runtime handle types (mpi.World, mpi.Ctx, vtime.Engine,
-//     ompss.Runtime, ...) carry identity and internal state; copying them
-//     by value silently forks that state.
-//   - parbody: par.ParallelFor bodies run on bare host goroutines outside
-//     the virtual-time engine, so they must stay pure numeric — no mpi
-//     collectives, no blocking vtime waits, no task submission and no
-//     simulated Compute charges.
-//   - handlerbody: HTTP handler bodies (the net/http
-//     (ResponseWriter, *Request) shape, as in internal/serve) run on
-//     service goroutines and must not call into mpi/vtime/ompss at all;
-//     handlers decode, admit and await while the worker pool does the work.
-//   - stagepure: the stage-graph IR (internal/fftx/graph) describes the FFT
-//     pipeline as data walked by interchangeable schedulers, so the Stage
-//     closures (Instr, Bytes, Count, Body, Part) and the graph package
-//     itself must never call mpi/vtime/ompss — synchronization and
-//     accounting are the scheduler's job.
 //   - hotalloc: the transform hot paths — fft Plan Transform*/transform*
-//     methods, the planar-layout Pack*/Unpack* boundary shims and
-//     the graph.Stage model closures — must not heap-allocate in steady
-//     state (PR 3's zero-alloc contract), directly or through any helper.
+//     methods and the graph.Stage model closures — must not heap-allocate
+//     in steady state, directly or through any helper.
 //   - waitleak: every send on a serve.Server admission queue must be
 //     dominated by a drain guard and a deadline check, so requests are
 //     rejected with 503 + Retry-After instead of queueing unboundedly.
@@ -41,13 +14,21 @@
 //     hand ownership off), so traced requests never publish span trees
 //     with phases that run forever.
 //
-// The contract rules are interprocedural: a call graph over every loaded
-// package (callgraph.go) carries per-function effect summaries computed by
-// fixpoint (summary.go, taint.go), so a violation buried N helpers deep is
-// reported at the offending call with its full path, e.g.
+// The contracts of the simulated runtimes (internal/mpi, internal/vtime,
+// internal/ompss) are not here: each is held by exactly one mechanism that
+// runs on every go test or go vet — the mpi rendezvous's deadlock report and
+// strict tag checks, the vtime and ompss checks on who may block, the
+// import-layering test (contracts_test.go) and go vet's copylocks check on
+// the vtime.NoCopy marker of the runtime handle types. DESIGN.md §8.1 maps
+// each former rule to its enforcement.
 //
-//	call to fftx.distribute posts an MPI collective (ParallelFor body →
-//	fftx.distribute → fftx.shuffle → mpi.Alltoallv) inside a ...
+// hotalloc and spanbalance are interprocedural: a call graph over every
+// loaded package (callgraph.go) carries per-function allocation summaries
+// computed by fixpoint (summary.go), so an allocation buried N helpers deep
+// is reported at the hot-path call with its full path, e.g.
+//
+//	call to hotalloc.scratch allocates (hotalloc.scratch → hotalloc.grow →
+//	make([]complex128)) in PlanLocal.TransformChained
 //
 // Findings can be suppressed with a trailing or preceding comment of the
 // form:
@@ -55,7 +36,7 @@
 //	//fftxvet:ignore rulename — reason
 //
 // Stale suppressions (comments that no longer match any finding) are
-// reported by UnusedIgnores / fftxvet -unused-ignores.
+// reported by RunRules / fftxvet -unused-ignores.
 package analysis
 
 import (
@@ -78,9 +59,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
-// Pass carries everything a rule run needs. Prog may be nil (a rule must
-// degrade to its direct-call checks without it); Pkg is the package under
-// analysis, always one of Prog.Pkgs when Prog is set.
+// Pass carries everything a rule run needs. Pkg is the package under
+// analysis, always one of Prog.Pkgs.
 type Pass struct {
 	Fset *token.FileSet
 	Pkg  *Package
@@ -96,31 +76,15 @@ type Rule struct {
 
 // AllRules returns every registered rule, in stable order.
 func AllRules() []Rule {
-	return []Rule{DivergenceRule, TagsRule, BlockInTaskRule, CopyValueRule, ParBodyRule, HandlerBodyRule, StagePureRule, HotAllocRule, WaitLeakRule, SpanBalanceRule}
+	return []Rule{HotAllocRule, WaitLeakRule, SpanBalanceRule}
 }
 
-// RuleByName resolves a rule name; ok is false for unknown names.
-func RuleByName(name string) (Rule, bool) {
-	for _, r := range AllRules() {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Rule{}, false
-}
-
-// RunRules executes the rules over one package of prog and returns the
-// surviving (non-suppressed) findings sorted by position.
-func RunRules(prog *Program, pkg *Package, rules []Rule) []Diagnostic {
-	diags, _ := RunRulesWithIgnores(prog, pkg, rules)
-	return diags
-}
-
-// RunRulesWithIgnores is RunRules plus the stale-suppression report: unused
-// holds one "unused-ignore" pseudo-finding per //fftxvet:ignore comment that
-// suppressed nothing, restricted to comments this rule set could have
-// exercised (an ignore naming a rule that did not run is never reported).
-func RunRulesWithIgnores(prog *Program, pkg *Package, rules []Rule) (diags, unused []Diagnostic) {
+// RunRules executes the rules over one package of prog. diags are the
+// surviving (non-suppressed) findings sorted by position; unused holds one
+// "unused-ignore" pseudo-finding per //fftxvet:ignore comment that
+// suppressed nothing, which is meaningful when rules is AllRules(): an
+// ignore naming a rule that did not run, or no longer exists, is stale.
+func RunRules(prog *Program, pkg *Package, rules []Rule) (diags, unused []Diagnostic) {
 	pass := &Pass{Fset: prog.Fset, Pkg: pkg, Prog: prog}
 	for _, r := range rules {
 		diags = append(diags, r.Run(pass)...)
@@ -129,24 +93,8 @@ func RunRulesWithIgnores(prog *Program, pkg *Package, rules []Rule) (diags, unus
 	diags = suppress(ignores, diags)
 	sortDiags(diags)
 
-	ran := map[string]bool{}
-	for _, r := range rules {
-		ran[r.Name] = true
-	}
-	allRan := len(ran) >= len(AllRules())
 	for _, ig := range ignores {
 		if ig.used {
-			continue
-		}
-		coverable := true
-		for name := range ig.rules {
-			if name == "all" && !allRan {
-				coverable = false
-			} else if name != "all" && !ran[name] {
-				coverable = false
-			}
-		}
-		if !coverable {
 			continue
 		}
 		unused = append(unused, Diagnostic{

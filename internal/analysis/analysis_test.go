@@ -72,7 +72,8 @@ func runRuleTest(t *testing.T, dir string, rule Rule) {
 	}
 
 	prog := NewProgram(ldr, []*Package{pkg})
-	for _, d := range RunRules(prog, pkg, []Rule{rule}) {
+	diags, _ := RunRules(prog, pkg, []Rule{rule})
+	for _, d := range diags {
 		claimed := false
 		for _, w := range wants {
 			if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line &&
@@ -93,13 +94,6 @@ func runRuleTest(t *testing.T, dir string, rule Rule) {
 	}
 }
 
-func TestDivergenceRule(t *testing.T)  { runRuleTest(t, "divergence", DivergenceRule) }
-func TestTagsRule(t *testing.T)        { runRuleTest(t, "tags", TagsRule) }
-func TestBlockInTaskRule(t *testing.T) { runRuleTest(t, "blockintask", BlockInTaskRule) }
-func TestCopyValueRule(t *testing.T)   { runRuleTest(t, "copyvalue", CopyValueRule) }
-func TestParBodyRule(t *testing.T)     { runRuleTest(t, "parbody", ParBodyRule) }
-func TestHandlerBodyRule(t *testing.T) { runRuleTest(t, "handlerbody", HandlerBodyRule) }
-func TestStagePureRule(t *testing.T)   { runRuleTest(t, "stagepure", StagePureRule) }
 func TestHotAllocRule(t *testing.T)    { runRuleTest(t, "hotalloc", HotAllocRule) }
 func TestWaitLeakRule(t *testing.T)    { runRuleTest(t, "waitleak", WaitLeakRule) }
 func TestSpanBalanceRule(t *testing.T) { runRuleTest(t, "spanbalance", SpanBalanceRule) }
@@ -116,7 +110,7 @@ func TestUnusedIgnores(t *testing.T) {
 		t.Fatalf("testdata/ignores does not type-check: %v", terr)
 	}
 	prog := NewProgram(ldr, []*Package{pkg})
-	diags, unused := RunRulesWithIgnores(prog, pkg, AllRules())
+	diags, unused := RunRules(prog, pkg, AllRules())
 	for _, d := range diags {
 		t.Errorf("finding not suppressed: %s", d)
 	}
@@ -156,24 +150,12 @@ func TestModuleClean(t *testing.T) {
 	}
 	prog := NewProgram(ldr, pkgs)
 	for _, pkg := range pkgs {
-		diags, unused := RunRulesWithIgnores(prog, pkg, AllRules())
+		diags, unused := RunRules(prog, pkg, AllRules())
 		for _, d := range diags {
 			t.Errorf("finding in clean tree: %s", d)
 		}
 		for _, d := range unused {
 			t.Errorf("stale suppression in clean tree: %s", d)
 		}
-	}
-}
-
-func TestRuleByName(t *testing.T) {
-	for _, r := range AllRules() {
-		got, ok := RuleByName(r.Name)
-		if !ok || got.Name != r.Name {
-			t.Errorf("RuleByName(%q) = %v, %v", r.Name, got.Name, ok)
-		}
-	}
-	if _, ok := RuleByName("nosuchrule"); ok {
-		t.Error("RuleByName accepted an unknown rule")
 	}
 }

@@ -8,15 +8,15 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide call graph that the effect summaries
-// (summary.go) propagate over. The graph's nodes are the declared functions
+// This file builds the module-wide call graph that the allocation
+// summaries (summary.go) and spanbalance's span-ender closure propagate
+// over. The graph's nodes are the declared functions
 // and methods of every loaded package; its edges are the statically
 // resolvable direct calls between them. Calls through function values,
 // interface methods and unresolvable selectors have no edge — the analysis
 // is deliberately optimistic about indirection and exact about what it can
 // see, which is the right trade for a repo-specific linter: no finding it
-// reports can be argued away, and the runtime's dynamic checks backstop the
-// rest.
+// reports can be argued away, and the AllocsPerRun tests backstop the rest.
 
 // FuncKey names a declared function or method without relying on object
 // identity. The loader type-checks a package twice — once as a plain import
@@ -61,19 +61,6 @@ func keyOf(fn *types.Func) FuncKey {
 	return k
 }
 
-// display renders a callTarget like FuncKey.Display (for the intrinsic
-// table's terminal path elements, e.g. "mpi.Alltoallv").
-func (t callTarget) display() string {
-	base := t.pkg
-	if i := strings.LastIndex(base, "/"); i >= 0 {
-		base = base[i+1:]
-	}
-	if t.recv != "" {
-		return base + "." + t.recv + "." + t.name
-	}
-	return base + "." + t.name
-}
-
 // funcNode is one call-graph node: a declared function with a body.
 type funcNode struct {
 	key  FuncKey
@@ -81,14 +68,8 @@ type funcNode struct {
 	decl *ast.FuncDecl
 }
 
-// callEdge is one direct call out of a node, in source order.
-type callEdge struct {
-	pos token.Pos
-	to  FuncKey
-}
-
 // Program is the whole-module view: every loaded package, the call graph
-// over their declared functions, and the per-function effect summaries.
+// over their declared functions, and the per-function allocation summaries.
 // Rules receive it through Pass.Prog; single-package runs (the rule unit
 // tests) build a Program over just that package, which soundly degrades the
 // interprocedural checks to what is visible.
@@ -98,27 +79,23 @@ type Program struct {
 	Pkgs    []*Package
 
 	nodes map[FuncKey]*funcNode
-	keys  []FuncKey // sorted, for deterministic fixpoint iteration
-	edges map[FuncKey][]callEdge
+	keys  []FuncKey             // sorted, for deterministic fixpoint iteration
+	edges map[FuncKey][]FuncKey // direct calls out of each node, in source order
 	sums  map[FuncKey]*Summary
 }
 
-// NewProgram builds the call graph and effect summaries over pkgs. The
-// simulated-runtime packages (internal/mpi, internal/vtime, internal/ompss)
-// contribute no nodes: their entry points are modeled by the intrinsic
-// effect table — the tables ARE the contract — so engine internals (mutexes,
-// allocation inside the scheduler) never leak effects into callers.
+// NewProgram builds the call graph and allocation summaries over pkgs.
 func NewProgram(l *Loader, pkgs []*Package) *Program {
 	p := &Program{
 		Fset:    l.Fset,
 		ModPath: l.modPath,
 		Pkgs:    pkgs,
 		nodes:   map[FuncKey]*funcNode{},
-		edges:   map[FuncKey][]callEdge{},
+		edges:   map[FuncKey][]FuncKey{},
 		sums:    map[FuncKey]*Summary{},
 	}
 	for _, pkg := range pkgs {
-		if pkg.Info == nil || isModeledRuntimePkg(pkg.Path) {
+		if pkg.Info == nil {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -151,19 +128,7 @@ func NewProgram(l *Loader, pkgs []*Package) *Program {
 		return a.Name < b.Name
 	})
 	p.computeSummaries()
-	p.computeRankTaint()
 	return p
-}
-
-// isModeledRuntimePkg reports whether path is one of the simulated-runtime
-// packages whose effects come from the intrinsic table, not from analysis.
-func isModeledRuntimePkg(path string) bool {
-	for suffix := range simulatedRuntimePkgs {
-		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
-			return true
-		}
-	}
-	return false
 }
 
 // isModuleFunc reports whether fn is declared in the analyzed module.
@@ -175,31 +140,20 @@ func (p *Program) isModuleFunc(fn *types.Func) bool {
 	return path == p.ModPath || strings.HasPrefix(path, p.ModPath+"/")
 }
 
-// SummaryFor returns the effect summary of a resolved function, or nil for
-// functions outside the program (stdlib, the modeled runtime packages,
-// interface methods, packages not loaded in this run).
+// SummaryFor returns the allocation summary of a resolved function, or nil
+// for functions outside the program (stdlib, interface methods, packages
+// not loaded in this run).
 func (p *Program) SummaryFor(fn *types.Func) *Summary {
-	if p == nil || fn == nil {
-		return nil
-	}
 	return p.sums[keyOf(fn)]
-}
-
-// SummaryByKey returns the summary of a known node key, or nil.
-func (p *Program) SummaryByKey(k FuncKey) *Summary {
-	if p == nil {
-		return nil
-	}
-	return p.sums[k]
 }
 
 // invokedLits collects the function literals under body that execute as
 // part of the enclosing function itself: immediately invoked (func(){...}())
 // and deferred-and-invoked literals. Every other literal (stored, returned,
 // passed as a callback) runs in some other context and is analyzed at its
-// consumption site by the body rules, not folded into this function's
-// summary — folding it in would, for example, brand par.ParallelFor itself
-// with every effect of every body ever passed to it.
+// consumption site, not folded into this function's summary — folding it
+// in would, for example, brand par.ParallelFor itself with every
+// allocation of every body ever passed to it.
 func invokedLits(body ast.Node) map[*ast.FuncLit]bool {
 	invoked := map[*ast.FuncLit]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {

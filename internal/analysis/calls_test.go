@@ -70,73 +70,30 @@ func TestCalleeResolution(t *testing.T) {
 	}
 }
 
-// TestSummaryPath pins the effect-summary fixpoint and path rendering on
-// the parbody testdata's two-level helper chain (helperChainInBody ->
-// distribute -> shuffle -> mpi.Alltoallv).
+// TestSummaryPath pins the allocation-summary fixpoint and path rendering
+// on the hotalloc testdata's two-level helper chain (scratch -> grow ->
+// make) and on a helper whose summary must stay clean.
 func TestSummaryPath(t *testing.T) {
 	ldr := newTestLoader(t)
-	pkg, err := ldr.Load(filepath.Join("testdata", "parbody"))
+	pkg, err := ldr.Load(filepath.Join("testdata", "hotalloc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := NewProgram(ldr, []*Package{pkg})
 
-	shuffle := FuncKey{Pkg: pkg.Path, Name: "shuffle"}
-	distribute := FuncKey{Pkg: pkg.Path, Name: "distribute"}
-
-	s := prog.SummaryByKey(distribute)
-	if s == nil {
-		t.Fatal("no summary for distribute")
+	scratch := FuncKey{Pkg: pkg.Path, Name: "scratch"}
+	if s := prog.sums[scratch]; s == nil || !s.Allocates {
+		t.Fatalf("scratch summary = %+v, want allocating", s)
 	}
-	for _, e := range []Effect{EffCollective, EffBlocks, EffRuntime} {
-		if !s.Set.Has(e) {
-			t.Errorf("distribute summary missing effect %d", e)
-		}
-	}
-	if s.Set.Has(EffCharges) || s.Set.Has(EffSubmits) {
-		t.Errorf("distribute summary has spurious effects: %016b", s.Set)
+	if got := prog.allocPath(scratch); got != "hotalloc.scratch → hotalloc.grow → make([]complex128)" {
+		t.Errorf("allocPath(scratch) = %q", got)
 	}
 
-	if got := callPath(prog, distribute, EffCollective); got != "parbody.distribute → parbody.shuffle → mpi.Alltoallv" {
-		t.Errorf("callPath(distribute) = %q", got)
-	}
-	if got := callPath(prog, shuffle, EffCollective); got != "parbody.shuffle → mpi.Alltoallv" {
-		t.Errorf("callPath(shuffle) = %q", got)
-	}
-
-	pure := prog.SummaryByKey(FuncKey{Pkg: pkg.Path, Name: "pureHelper"})
+	pure := prog.sums[FuncKey{Pkg: pkg.Path, Name: "pureHelper"}]
 	if pure == nil {
 		t.Fatal("no summary for pureHelper")
 	}
-	if pure.Set != 0 {
-		t.Errorf("pureHelper summary should be empty, got %016b", pure.Set)
-	}
-}
-
-// TestRankTaint pins the interprocedural rank-taint fixpoint on the
-// divergence testdata (myRank -> rankPlusOne, two levels).
-func TestRankTaint(t *testing.T) {
-	ldr := newTestLoader(t)
-	pkg, err := ldr.Load(filepath.Join("testdata", "divergence"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := NewProgram(ldr, []*Package{pkg})
-
-	for _, name := range []string{"myRank", "rankPlusOne"} {
-		s := prog.SummaryByKey(FuncKey{Pkg: pkg.Path, Name: name})
-		if s == nil {
-			t.Fatalf("no summary for %s", name)
-		}
-		if !s.Set.Has(EffRankReturn) {
-			t.Errorf("%s should be rank-tainted", name)
-		}
-	}
-	s := prog.SummaryByKey(FuncKey{Pkg: pkg.Path, Name: "syncAll"})
-	if s == nil {
-		t.Fatal("no summary for syncAll")
-	}
-	if s.Set.Has(EffRankReturn) {
-		t.Error("syncAll returns nothing and must not be rank-tainted")
+	if pure.Allocates {
+		t.Errorf("pureHelper must not allocate, got origin %q", pure.origin.desc)
 	}
 }

@@ -1,0 +1,160 @@
+package analysis
+
+import (
+	"fmt"
+	"go/build"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/mpi"
+	"repro/internal/ompss"
+	"repro/internal/vtime"
+)
+
+// The simulated runtimes' calling contracts that need no analyzer rule:
+// each is held by one mechanism that runs on every go test or go vet. The
+// tests below are the static half; the runtime half lives with the
+// runtimes (vtime's yield check, ompss's worker-wait check, the mpi
+// rendezvous's deadlock report and strict tag checks). DESIGN.md §8.1
+// maps each former fftxvet rule to its enforcement; the three import-
+// layering tests keep the names of the rules they replace.
+
+var simulatedRuntimes = []string{"internal/mpi", "internal/vtime", "internal/ompss"}
+
+// importsAny returns the first import of imports that is, or ends in, one
+// of the given paths.
+func importsAny(imports []string, paths []string) string {
+	for _, imp := range imports {
+		for _, p := range paths {
+			if imp == p || strings.HasSuffix(imp, "/"+p) {
+				return imp
+			}
+		}
+	}
+	return ""
+}
+
+// pkgImports is one package's import path and non-test imports.
+type pkgImports struct {
+	path    string
+	imports []string
+}
+
+// modulePackages lists every package of the module with its imports (test
+// files excluded).
+func modulePackages(t *testing.T) []pkgImports {
+	t.Helper()
+	ldr := newTestLoader(t)
+	dirs, err := ldr.Discover([]string{ldr.ModRoot() + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []pkgImports
+	for _, dir := range dirs {
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Errorf("%s: %v", dir, err)
+			continue
+		}
+		pkgs = append(pkgs, pkgImports{ldr.importPath(dir), bp.Imports})
+	}
+	return pkgs
+}
+
+// mixedImports reports each package that imports both a simulated runtime
+// and host, whose code runs on bare host goroutines with no place in the
+// discrete-event schedule. Without a runtime import such code holds no
+// runtime handle, so it cannot reach a running engine.
+func mixedImports(pkgs []pkgImports, host string) []string {
+	var bad []string
+	for _, p := range pkgs {
+		rt := importsAny(p.imports, simulatedRuntimes)
+		if h := importsAny(p.imports, []string{host}); rt != "" && h != "" {
+			bad = append(bad, fmt.Sprintf("%s imports both %s and %s", p.path, rt, h))
+		}
+	}
+	return bad
+}
+
+// runtimeInGraph reports the simulated runtimes internal/fftx/graph imports,
+// or an error if the package is not among pkgs.
+func runtimeInGraph(pkgs []pkgImports) []string {
+	for _, p := range pkgs {
+		if strings.HasSuffix(p.path, "/internal/fftx/graph") {
+			if rt := importsAny(p.imports, simulatedRuntimes); rt != "" {
+				return []string{fmt.Sprintf("%s imports %s", p.path, rt)}
+			}
+			return nil
+		}
+	}
+	return []string{"internal/fftx/graph not found"}
+}
+
+// checkLayering fails t for each violation find reports on the module, and
+// if find misses the seeded violation.
+func checkLayering(t *testing.T, find func([]pkgImports) []string, seeded pkgImports) {
+	t.Helper()
+	for _, v := range find(modulePackages(t)) {
+		t.Error(v)
+	}
+	if len(find([]pkgImports{seeded})) == 0 {
+		t.Errorf("seeded violation %s %v not reported", seeded.path, seeded.imports)
+	}
+}
+
+// TestParBodyRule keeps the simulated runtimes out of par.ParallelFor
+// bodies: no package imports both internal/par and mpi/vtime/ompss.
+func TestParBodyRule(t *testing.T) {
+	checkLayering(t, func(p []pkgImports) []string { return mixedImports(p, "internal/par") },
+		pkgImports{"repro/seeded", []string{"repro/internal/par", "repro/internal/mpi"}})
+}
+
+// TestHandlerBodyRule keeps the simulated runtimes out of HTTP handlers:
+// no package imports both net/http and mpi/vtime/ompss.
+func TestHandlerBodyRule(t *testing.T) {
+	checkLayering(t, func(p []pkgImports) []string { return mixedImports(p, "net/http") },
+		pkgImports{"repro/seeded", []string{"net/http", "repro/internal/vtime"}})
+}
+
+// TestStagePureRule keeps graph.Stage closures runtime-free: they are data
+// that every scheduler executes under its own policy, so
+// internal/fftx/graph imports none of mpi/vtime/ompss; synchronization and
+// accounting are the scheduler's job.
+func TestStagePureRule(t *testing.T) {
+	checkLayering(t, runtimeInGraph,
+		pkgImports{"repro/internal/fftx/graph", []string{"repro/internal/knl", "repro/internal/ompss"}})
+}
+
+// TestHandleTypesCarryNoCopy pins the marker go vet's copylocks check keys
+// on: every runtime handle type starts with a zero-size vtime.NoCopy field
+// whose pointer has Lock and Unlock, so go vet reports a by-value copy.
+func TestHandleTypesCarryNoCopy(t *testing.T) {
+	marker := reflect.TypeOf(vtime.NoCopy{})
+	if marker.Size() != 0 {
+		t.Errorf("vtime.NoCopy has size %d, want 0", marker.Size())
+	}
+	for _, m := range []string{"Lock", "Unlock"} {
+		if _, ok := reflect.PointerTo(marker).MethodByName(m); !ok {
+			t.Errorf("*vtime.NoCopy has no %s method; go vet's copylocks check would ignore it", m)
+		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*vtime.Engine)(nil)).Elem(),
+		reflect.TypeOf((*vtime.Proc)(nil)).Elem(),
+		reflect.TypeOf((*vtime.Semaphore)(nil)).Elem(),
+		reflect.TypeOf((*vtime.WaitQueue)(nil)).Elem(),
+		reflect.TypeOf((*vtime.Queue[int])(nil)).Elem(),
+		reflect.TypeOf((*vtime.Barrier)(nil)).Elem(),
+		reflect.TypeOf((*mpi.World)(nil)).Elem(),
+		reflect.TypeOf((*mpi.Ctx)(nil)).Elem(),
+		reflect.TypeOf((*mpi.Comm)(nil)).Elem(),
+		reflect.TypeOf((*ompss.Runtime)(nil)).Elem(),
+		reflect.TypeOf((*ompss.Group)(nil)).Elem(),
+		reflect.TypeOf((*ompss.Task)(nil)).Elem(),
+	} {
+		if typ.NumField() == 0 || typ.Field(0).Type != marker {
+			t.Errorf("%s does not start with a vtime.NoCopy field; go vet would not report copies of it", typ)
+		}
+	}
+}

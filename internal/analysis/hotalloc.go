@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -25,14 +24,45 @@ import (
 // the band's State buffers (PrepSticks, ScatterSplit, ...), which is an
 // allocation by design, amortized by the engine's per-band reuse.
 //
-// Exemptions mirror the effect summaries (summary.go): panic arguments are
-// the failure path; calls into math, math/bits, math/cmplx, sync,
-// sync/atomic and runtime are trusted; everything else outside the module
-// is assumed to allocate.
+// The rule counts allocation sites with the summaries' walker (summary.go),
+// so the exemptions are theirs: panic arguments are the failure path; calls
+// into math, math/bits, math/cmplx, sync, sync/atomic and runtime are
+// trusted; everything else outside the module is assumed to allocate.
 var HotAllocRule = Rule{
 	Name: "hotalloc",
 	Doc:  "transform hot paths (Plan.Transform*/transform*, graph.Stage model closures) must not allocate",
 	Run:  runHotAlloc,
+}
+
+// isStageLit reports whether lit builds a value of the stage-graph
+// package's Stage type.
+func isStageLit(info *types.Info, lit *ast.CompositeLit) bool {
+	tv, ok := info.Types[lit]
+	if !ok {
+		return false
+	}
+	n := namedOf(tv.Type)
+	return n != nil && n.Obj().Name() == "Stage" && n.Obj().Pkg() != nil &&
+		strings.HasSuffix(n.Obj().Pkg().Path(), "/fftx/graph")
+}
+
+// packageFuncDecls maps the package's declared functions and methods to
+// their bodies, so closures spelled as function references (Part: helper)
+// are checked like inline literals.
+func packageFuncDecls(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+				decls[fn] = fd
+			}
+		}
+	}
+	return decls
 }
 
 // hotStageFields are the Stage closures policed as hot roots (Body is
@@ -59,7 +89,6 @@ func runHotAlloc(p *Pass) []Diagnostic {
 			return
 		}
 		seen[body] = true
-		exempt := panicRanges(info, body)
 		flag := func(n ast.Node, desc string) {
 			diags = append(diags, Diagnostic{
 				Pos:  p.Fset.Position(n.Pos()),
@@ -68,50 +97,19 @@ func runHotAlloc(p *Pass) []Diagnostic {
 					desc, where),
 			})
 		}
-		ast.Inspect(body, func(nd ast.Node) bool {
-			switch x := nd.(type) {
-			case *ast.UnaryExpr:
-				if x.Op == token.AND && !inRanges(exempt, x.Pos()) {
-					if cl, ok := unparen(x.X).(*ast.CompositeLit); ok {
-						flag(x, "&"+compositeDesc(info, cl)+"{...} allocates")
-					}
+		p.Prog.walkAllocs(info, body,
+			func(*ast.FuncLit) bool { return true },
+			func(n ast.Node, desc string, assumed bool) {
+				if !assumed {
+					desc += " allocates"
 				}
-			case *ast.CompositeLit:
-				if !inRanges(exempt, x.Pos()) && allocatingLitType(info, x) {
-					flag(x, compositeDesc(info, x)+"{...} allocates")
+				flag(n, desc)
+			},
+			func(call *ast.CallExpr, fn *types.Func) {
+				if s := p.Prog.SummaryFor(fn); s != nil && s.Allocates {
+					flag(call, fmt.Sprintf("call to %s allocates (%s)", s.Key.Display(), p.Prog.allocPath(s.Key)))
 				}
-			case *ast.CallExpr:
-				if id, ok := unparen(x.Fun).(*ast.Ident); ok {
-					if b, ok := info.Uses[id].(*types.Builtin); ok {
-						switch b.Name() {
-						case "make", "new", "append":
-							if !inRanges(exempt, x.Pos()) {
-								flag(x, builtinAllocDesc(b.Name(), x)+" allocates")
-							}
-						}
-						return true
-					}
-				}
-				fn := calleeFunc(info, x)
-				if fn == nil {
-					return true
-				}
-				if _, _, intrinsic := intrinsicEffects(targetOf(fn)); intrinsic {
-					return true // runtime calls are stagepure/parbody territory
-				}
-				if p.Prog != nil && p.Prog.isModuleFunc(fn) {
-					if s := p.Prog.SummaryFor(fn); s != nil && s.Set.Has(EffAllocates) {
-						flag(x, fmt.Sprintf("call to %s allocates (%s)",
-							s.Key.Display(), callPath(p.Prog, s.Key, EffAllocates)))
-					}
-					return true
-				}
-				if pkg := fn.Pkg(); pkg != nil && !nonAllocStd[pkg.Path()] && !inRanges(exempt, x.Pos()) {
-					flag(x, targetOf(fn).display()+" (assumed to allocate)")
-				}
-			}
-			return true
-		})
+			})
 	}
 
 	decls := packageFuncDecls(info, p.Pkg.Files)
@@ -186,15 +184,12 @@ func checkStageRef(p *Pass, decls map[*types.Func]*ast.FuncDecl, scanRoot func(a
 		scanRoot(fd.Body, where)
 		return
 	}
-	if p.Prog == nil {
-		return
-	}
-	if s := p.Prog.SummaryFor(fn); s != nil && s.Set.Has(EffAllocates) {
+	if s := p.Prog.SummaryFor(fn); s != nil && s.Allocates {
 		*diags = append(*diags, Diagnostic{
 			Pos:  p.Fset.Position(pos.Pos()),
 			Rule: "hotalloc",
 			Message: fmt.Sprintf("closure %s allocates (%s) in %s; the transform hot path is allocation-free in steady state — use the plan's scratch pool or preallocated state",
-				s.Key.Display(), callPath(p.Prog, s.Key, EffAllocates), where),
+				s.Key.Display(), p.Prog.allocPath(s.Key), where),
 		})
 	}
 }

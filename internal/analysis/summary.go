@@ -7,121 +7,51 @@ import (
 	"strings"
 )
 
-// Per-function effect summaries. Each declared function gets a monotone bit
-// set of behaviours, seeded from what its body does directly (intrinsic
-// runtime calls, allocation sites) and closed under "calls a function that
-// has the effect" by fixpoint over the call graph. The lattice is the
-// powerset of the effects below ordered by inclusion; every transfer
-// function only adds bits, so the fixpoint exists and is reached in at most
-// numEffects × |nodes| rounds (in practice two or three).
+// Per-function allocation summaries. Each declared function gets one bit —
+// "may heap-allocate on the steady-state (non-panic) path" — seeded from
+// the allocation sites its body contains and closed under "calls a
+// function that may allocate" by fixpoint over the call graph. The bit only
+// ever goes from false to true, so the fixpoint exists and is reached in at
+// most |nodes| rounds (in practice two or three). hotalloc reads it.
 
-// Effect is one tracked behaviour.
-type Effect int
-
-const (
-	// EffCollective: the function (transitively) posts an MPI collective.
-	EffCollective Effect = iota
-	// EffBlocks: blocks the simulated runtime (a blocking mpi/vtime/ompss
-	// entry point, including the blocking collectives).
-	EffBlocks
-	// EffSubmits: submits an ompss task.
-	EffSubmits
-	// EffCharges: charges simulated compute time.
-	EffCharges
-	// EffAllocates: may heap-allocate on the steady-state (non-panic) path.
-	EffAllocates
-	// EffRankReturn: the return value derives from the calling rank's
-	// identity (mpi.Ctx.Rank / mpi.Comm.RankIn), so branching on it makes
-	// the branch rank-dependent. Unlike the other effects this one flows
-	// through return values, not call edges — taint.go computes it.
-	EffRankReturn
-	// EffRuntime: touches internal/mpi, internal/vtime or internal/ompss in
-	// any way (a superset of the collective/block/submit/charge effects;
-	// also set by non-table runtime entry points like constructors).
-	EffRuntime
-
-	numEffects
-)
-
-// EffectSet is a bit set of Effects.
-type EffectSet uint16
-
-// Has reports whether e is in the set.
-func (s EffectSet) Has(e Effect) bool { return s&(1<<uint(e)) != 0 }
-
-// with returns the set with e added.
-func (s EffectSet) with(e Effect) EffectSet { return s | 1<<uint(e) }
-
-// origin records, for one effect of one function, the first site that
-// introduces it: either a terminal (an intrinsic runtime call or an
-// allocation site, callee zero) or a call to a module function that already
-// has the effect (callee set). Chasing callee links rebuilds the helper
-// chain a diagnostic prints.
+// origin records the first site that makes a function allocate: either an
+// allocation site of its own body (callee zero) or a call to a module
+// function that already allocates (callee set). Chasing callee links
+// rebuilds the helper chain a diagnostic prints.
 type origin struct {
-	pos    token.Pos
-	desc   string  // e.g. "mpi.Alltoallv", "make([]complex128)", "fmt.Sprintf"
-	callee FuncKey // non-zero when the effect arrives through a module call
+	desc   string  // e.g. "make([]complex128)", "fmt.Sprintf (assumed to allocate)"
+	callee FuncKey // non-zero when the allocation arrives through a module call
 }
 
-// Summary is the effect set of one declared function.
+// Summary is the allocation summary of one declared function.
 type Summary struct {
-	Key     FuncKey
-	Set     EffectSet
-	origins [numEffects]origin
+	Key       FuncKey
+	Allocates bool
+	origin    origin
 }
 
-// add records e with its origin, first site wins.
-func (s *Summary) add(e Effect, o origin) bool {
-	if s.Set.Has(e) {
-		return false
+// add marks the function allocating with its origin, first site wins.
+func (s *Summary) add(o origin) {
+	if !s.Allocates {
+		s.Allocates = true
+		s.origin = o
 	}
-	s.Set = s.Set.with(e)
-	s.origins[e] = o
-	return true
 }
 
-// EffectPath returns the helper chain by which the function keyed k
-// exhibits effect e, excluding k itself: callee display names down to the
-// terminal site (e.g. ["shuffle", "mpi.Alltoallv"] for distribute →
-// shuffle → mpi.Alltoallv).
-func (p *Program) EffectPath(k FuncKey, e Effect) []string {
-	var path []string
-	seen := map[FuncKey]bool{}
-	for !k.IsZero() && !seen[k] {
+// allocPath renders the chain by which the function keyed k allocates,
+// "fn → helper → make([]T)", for a diagnostic about a call to it.
+func (p *Program) allocPath(k FuncKey) string {
+	parts := []string{k.Display()}
+	for seen := map[FuncKey]bool{}; !k.IsZero() && !seen[k]; {
 		seen[k] = true
 		s := p.sums[k]
-		if s == nil || !s.Set.Has(e) {
+		if s == nil || !s.Allocates {
 			break
 		}
-		o := s.origins[e]
-		path = append(path, o.desc)
-		k = o.callee
+		parts = append(parts, s.origin.desc)
+		k = s.origin.callee
 	}
-	return path
-}
-
-// callPath renders the full chain "fn → helper → mpi.X" for a diagnostic
-// about a call to the function keyed k.
-func callPath(prog *Program, k FuncKey, e Effect) string {
-	parts := append([]string{k.Display()}, prog.EffectPath(k, e)...)
 	return strings.Join(parts, " → ")
-}
-
-// firstBannedEffect returns the highest-priority host-context-banned effect
-// of set with its verb phrase — the order matches the parbody rule's direct
-// checks so interprocedural findings read the same.
-func firstBannedEffect(set EffectSet) (Effect, string, bool) {
-	switch {
-	case set.Has(EffCollective):
-		return EffCollective, "posts an MPI collective", true
-	case set.Has(EffBlocks):
-		return EffBlocks, "blocks the simulated runtime", true
-	case set.Has(EffSubmits):
-		return EffSubmits, "submits an ompss task", true
-	case set.Has(EffCharges):
-		return EffCharges, "charges simulated compute time", true
-	}
-	return 0, "", false
 }
 
 // nonAllocStd are the standard-library packages whose calls are trusted not
@@ -140,131 +70,91 @@ var nonAllocStd = map[string]bool{
 	"runtime":     true,
 }
 
-// intrinsicEffects returns the modeled effect set of a call into the
-// simulated-runtime packages. ok is false for calls outside those packages.
-func intrinsicEffects(t callTarget) (set EffectSet, desc string, ok bool) {
-	if !simulatedRuntimePkgs[t.pkg] {
-		return 0, "", false
-	}
-	if _, isColl := mpiCollectives[t]; isColl {
-		set = set.with(EffCollective)
-		if !isAsyncCollective(t) {
-			set = set.with(EffBlocks)
-		}
-	}
-	if _, isBlocking := blockingCalls[t]; isBlocking {
-		set = set.with(EffBlocks)
-	}
-	if taskSubmitters[t] {
-		set = set.with(EffSubmits)
-	}
-	if computeCharges[t] {
-		set = set.with(EffCharges)
-	}
-	if t.pkg == "internal/mpi" && t.recv == "Comm" && t.name == "RankIn" {
-		set = set.with(EffRankReturn)
-	}
-	return set.with(EffRuntime), t.display(), true
-}
-
-// computeSummaries seeds every node's direct effects and call edges, then
-// propagates effects over the edges to fixpoint. EffRankReturn does not
-// propagate here: calling a rank-returning helper only matters when the
-// result flows into the caller's own return value, which taint.go tracks.
+// computeSummaries seeds every node's own allocation sites and call edges,
+// then propagates the bit over the edges to fixpoint. Only function
+// literals that run as part of the declaring function (see invokedLits)
+// count toward its summary.
 func (p *Program) computeSummaries() {
 	for _, k := range p.keys {
 		n := p.nodes[k]
 		sum := &Summary{Key: k}
 		p.sums[k] = sum
-		p.edges[k] = p.scanDirect(n, sum)
+		invoked := invokedLits(n.decl.Body)
+		p.walkAllocs(n.pkg.Info, n.decl.Body,
+			func(lit *ast.FuncLit) bool { return invoked[lit] },
+			func(_ ast.Node, desc string, _ bool) { sum.add(origin{desc: desc}) },
+			func(_ *ast.CallExpr, fn *types.Func) { p.edges[k] = append(p.edges[k], keyOf(fn)) })
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, k := range p.keys {
 			sum := p.sums[k]
-			for _, ce := range p.edges[k] {
-				callee := p.sums[ce.to]
-				if callee == nil {
-					continue
-				}
-				for e := Effect(0); e < numEffects; e++ {
-					if e == EffRankReturn {
-						continue
-					}
-					if callee.Set.Has(e) && sum.add(e, origin{pos: ce.pos, desc: ce.to.Display(), callee: ce.to}) {
-						changed = true
-					}
+			if sum.Allocates {
+				continue
+			}
+			for _, to := range p.edges[k] {
+				if callee := p.sums[to]; callee != nil && callee.Allocates {
+					sum.add(origin{desc: to.Display(), callee: to})
+					changed = true
+					break
 				}
 			}
 		}
 	}
 }
 
-// scanDirect walks one declared body, seeding sum with the effects the body
-// exhibits directly and returning the call edges to module functions.
-// Non-invoked function literals are skipped (see invokedLits); allocation
-// inside panic arguments is exempt (failure path). Allocation sites counted:
-// make, new, append, slice/map composite literals, &T{...}, and calls to
-// non-whitelisted standard-library functions. Not counted (documented
-// scope): go statements, channel sends, string concatenation, closure
-// creation — none appear on the module's hot paths.
-func (p *Program) scanDirect(n *funcNode, sum *Summary) []callEdge {
-	info := n.pkg.Info
-	body := n.decl.Body
-	invoked := invokedLits(body)
+// walkAllocs visits the steady-state allocation sites under body and its
+// calls to module functions, in source order. Allocation sites: make, new,
+// append, slice/map composite literals, &T{...}, and calls to
+// standard-library functions outside nonAllocStd (assumed is true for
+// those). Allocation inside panic arguments is exempt: it is the failure
+// path. Not counted (documented scope): go statements, channel sends,
+// string concatenation, closure creation — none appear on the module's hot
+// paths. Calls to module functions are visited even inside panic
+// arguments. A function literal is entered only when enter reports true.
+func (p *Program) walkAllocs(info *types.Info, body ast.Node,
+	enter func(*ast.FuncLit) bool,
+	alloc func(n ast.Node, desc string, assumed bool),
+	call func(n *ast.CallExpr, fn *types.Func)) {
 	exempt := panicRanges(info, body)
-	var edges []callEdge
+	site := func(n ast.Node, desc string, assumed bool) {
+		if !inRanges(exempt, n.Pos()) {
+			alloc(n, desc, assumed)
+		}
+	}
 	ast.Inspect(body, func(nd ast.Node) bool {
 		switch x := nd.(type) {
 		case *ast.FuncLit:
-			if !invoked[x] {
-				return false
-			}
+			return enter(x)
 		case *ast.UnaryExpr:
-			if x.Op == token.AND && !inRanges(exempt, x.Pos()) {
-				if cl, ok := unparen(x.X).(*ast.CompositeLit); ok {
-					sum.add(EffAllocates, origin{pos: x.Pos(), desc: "&" + compositeDesc(info, cl) + "{...}"})
-				}
+			if cl, ok := unparen(x.X).(*ast.CompositeLit); ok && x.Op == token.AND {
+				site(x, "&"+compositeDesc(info, cl)+"{...}", false)
 			}
 		case *ast.CompositeLit:
-			if !inRanges(exempt, x.Pos()) && allocatingLitType(info, x) {
-				sum.add(EffAllocates, origin{pos: x.Pos(), desc: compositeDesc(info, x) + "{...}"})
+			if allocatingLitType(info, x) {
+				site(x, compositeDesc(info, x)+"{...}", false)
 			}
 		case *ast.CallExpr:
 			if id, ok := unparen(x.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok {
 					switch b.Name() {
 					case "make", "new", "append":
-						if !inRanges(exempt, x.Pos()) {
-							sum.add(EffAllocates, origin{pos: x.Pos(), desc: builtinAllocDesc(b.Name(), x)})
-						}
+						site(x, builtinAllocDesc(b.Name(), x), false)
 					}
 					return true
 				}
 			}
 			fn := calleeFunc(info, x)
-			if fn == nil {
-				return true
-			}
-			if set, desc, ok := intrinsicEffects(targetOf(fn)); ok {
-				for e := Effect(0); e < numEffects; e++ {
-					if set.Has(e) {
-						sum.add(e, origin{pos: x.Pos(), desc: desc})
-					}
-				}
-				return true
-			}
-			if p.isModuleFunc(fn) {
-				edges = append(edges, callEdge{pos: x.Pos(), to: keyOf(fn)})
-				return true
-			}
-			if pkg := fn.Pkg(); pkg != nil && !nonAllocStd[pkg.Path()] && !inRanges(exempt, x.Pos()) {
-				sum.add(EffAllocates, origin{pos: x.Pos(), desc: targetOf(fn).display() + " (assumed to allocate)"})
+			switch {
+			case fn == nil:
+			case p.isModuleFunc(fn):
+				call(x, fn)
+			case fn.Pkg() != nil && !nonAllocStd[fn.Pkg().Path()]:
+				site(x, keyOf(fn).Display()+" (assumed to allocate)", true)
 			}
 		}
 		return true
 	})
-	return edges
 }
 
 // allocatingLitType reports whether the composite literal allocates backing

@@ -96,3 +96,10 @@ func (p *PlanLocal) transformRowsLocal(rows int) {
 	s := make([]float64, rows) // want "make([]float64) allocates in PlanLocal.transformRowsLocal"
 	_ = s
 }
+
+// pureHelper only touches memory it is handed: its summary stays clean.
+func pureHelper(xs []float64) {
+	for i := range xs {
+		xs[i] *= 2
+	}
+}

@@ -3,16 +3,14 @@
 // unused-ignore audit must report.
 package ignores
 
-import "repro/internal/mpi"
+type PlanWarm struct{ buf []complex128 }
 
-func guarded(ctx *mpi.Ctx, c *mpi.Comm) {
-	if ctx.Rank == 0 {
-		mpi.Alltoallv(ctx, c, 1, nil, 0) //fftxvet:ignore divergence — every rank satisfies the guard here
-	}
+func (p *PlanWarm) TransformGrow(n int) {
+	p.buf = make([]complex128, n) //fftxvet:ignore hotalloc — one-time growth on the first call
 }
 
 func clean(out []float64) {
-	//fftxvet:ignore parbody — stale: the ParallelFor below was inlined away
+	//fftxvet:ignore hotalloc — stale: the scratch buffer below was hoisted away
 	for i := range out {
 		out[i] = 0
 	}

@@ -12,8 +12,9 @@
 // The package is deliberately runtime-free: it imports only the numeric
 // and model layers (fft, knl, pw, par). Stage bodies must never call into
 // mpi, vtime or ompss — synchronization, communication and compute-time
-// accounting are the scheduler's job, enforced statically by fftxvet's
-// stagepure rule.
+// accounting are the scheduler's job, enforced by internal/analysis's
+// TestStagePureRule, which keeps the three runtimes out of this package's
+// imports.
 package graph
 
 import "repro/internal/knl"

@@ -14,8 +14,8 @@ import (
 // of each phase comes from the analytic instruction model (Stage.Instr),
 // so host parallelism changes wall clock only — simulated results are
 // bit-identical with par enabled or disabled (see TestHostParEquivalence).
-// Bodies must not touch mpi/vtime/ompss state (fftxvet's parbody and
-// stagepure rules).
+// Bodies must not touch mpi/vtime/ompss state; the package imports none of
+// them (internal/analysis's TestParBodyRule).
 
 // Host-parallel grain sizes: planes are expensive (a full 2-D FFT), so
 // they split singly; flat index loops batch by the thousand to amortize

@@ -34,6 +34,7 @@ import (
 
 // World is one simulated MPI job: a fixed set of ranks on one node.
 type World struct {
+	_    vtime.NoCopy
 	Eng  *vtime.Engine
 	Node *knl.Node
 	// Sink receives the trace intervals of MPI calls and compute phases.
@@ -102,6 +103,7 @@ func (w *World) Lane(rank, thread int) int { return rank*w.ThreadsPerRank + thre
 // Ctx identifies a calling thread: the simulated process, its MPI rank and
 // its hardware lane. All MPI operations take a Ctx.
 type Ctx struct {
+	_    vtime.NoCopy
 	W    *World
 	Proc *vtime.Proc
 	Rank int
@@ -143,6 +145,7 @@ func (ctx *Ctx) Compute(phase string, class knl.Class, instr float64) {
 
 // Comm is a communicator: an ordered subset of world ranks.
 type Comm struct {
+	_     vtime.NoCopy
 	w     *World
 	id    string
 	ranks []int       // world ranks, in communicator order

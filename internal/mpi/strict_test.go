@@ -56,6 +56,32 @@ func TestMismatchedTagDeadlockReport(t *testing.T) {
 		"missing ranks")
 }
 
+// TestSkippedAlltoallvDeadlockReport: a rank that never reaches the
+// collective — a rank-dependent branch around Alltoallv — leaves the other
+// ranks blocked in the rendezvous, and the run ends with a deadlock report
+// naming the rank that is missing.
+func TestSkippedAlltoallvDeadlockReport(t *testing.T) {
+	eng, w := strictWorld(3, 1)
+	for r := 0; r < 3; r++ {
+		w.Spawn(r, 0, func(ctx *Ctx) {
+			if ctx.Rank != 2 {
+				Alltoallv(ctx, ctx.W.CommWorld(), 7, nil, 0)
+			}
+		})
+	}
+	err := eng.Run()
+	var de *vtime.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
+	}
+	if len(de.Blocked) != 2 {
+		t.Fatalf("blocked %d processes, want 2:\n%v", len(de.Blocked), err)
+	}
+	mustContain(t, err.Error(),
+		"rank0.t0", "rank1.t0",
+		"Alltoallv tag 7", "arrived 2/3", "missing ranks [2]")
+}
+
 // TestAlltoallvChunkCountPanic: handing Alltoallv fewer chunks than the
 // communicator has ranks is a structured error naming the offender, not a
 // slice-index crash or a hang.

@@ -10,6 +10,7 @@ import (
 // children (the OmpSs nested-task / taskwait-on-children idiom used by the
 // paper's nested taskloops in cft_2xy and cft_1z).
 type Group struct {
+	_       vtime.NoCopy
 	rt      *Runtime
 	pending int
 	wq      vtime.WaitQueue

@@ -54,6 +54,7 @@ func (w *Worker) Compute(phase string, class knl.Class, instr float64) {
 // Task is one node of the dependency graph: a schedulable unit of work, or
 // an event (no body) that completes externally or with its predecessors.
 type Task struct {
+	_        vtime.NoCopy
 	id       int
 	label    string
 	fn       func(w *Worker) // nil for events
@@ -67,6 +68,7 @@ type Task struct {
 
 // Runtime is one task runtime instance (one per MPI rank in the kernel).
 type Runtime struct {
+	_       vtime.NoCopy
 	eng     *vtime.Engine
 	sink    trace.Sink
 	lanes   []int
@@ -76,6 +78,7 @@ type Runtime struct {
 	pending int // incomplete nodes, tasks and events alike
 	waitWQ  vtime.WaitQueue
 	closed  bool
+	worker0 int     // process ID of worker 0; the workers' IDs are consecutive
 	tasks   []*Task // all live (not yet completed) nodes, for diagnostics
 	nDone   int     // completed nodes still in the tasks slice
 
@@ -120,9 +123,12 @@ func New(eng *vtime.Engine, sink trace.Sink, lanes []int) *Runtime {
 	}
 	for i, lane := range lanes {
 		lane := lane
-		eng.Spawn(fmt.Sprintf("worker%d.lane%d", i, lane), func(p *vtime.Proc) {
+		p := eng.Spawn(fmt.Sprintf("worker%d.lane%d", i, lane), func(p *vtime.Proc) {
 			rt.workerLoop(&Worker{Proc: p, Lane: lane, rt: rt})
 		})
+		if i == 0 {
+			rt.worker0 = p.ID()
+		}
 	}
 	return rt
 }
@@ -191,8 +197,10 @@ func (rt *Runtime) Complete(p *vtime.Proc, ev *Task) {
 // sink-side primitive — a main process parks on the final join while the
 // workers drain the graph — not a task-side one: a task body waiting on a
 // node occupies a worker that the release chain may need (name the node as
-// a predecessor instead).
+// a predecessor instead), so a call from one of the runtime's workers
+// panics.
 func (rt *Runtime) Wait(p *vtime.Proc, t *Task) {
+	rt.notWorker(p, "Wait")
 	for !t.done {
 		if t.waiters == nil {
 			t.waiters = &vtime.WaitQueue{Describe: func() string {
@@ -200,6 +208,16 @@ func (rt *Runtime) Wait(p *vtime.Proc, t *Task) {
 			}}
 		}
 		t.waiters.Wait(p)
+	}
+}
+
+// notWorker panics, inside the simulated process, when p is one of the
+// runtime's own worker threads: a task body parked in Taskwait or Wait holds
+// the lane that the tasks it waits for may need. Group.Wait is the
+// lane-aware wait for a task body.
+func (rt *Runtime) notWorker(p *vtime.Proc, op string) {
+	if i := p.ID() - rt.worker0; i >= 0 && i < len(rt.lanes) {
+		panic(fmt.Sprintf("ompss: %s called from worker %q; a task body waits with Group.Wait or names the node as a predecessor", op, p.Name()))
 	}
 }
 
@@ -424,10 +442,12 @@ func (rt *Runtime) CheckCycles() error {
 }
 
 // Taskwait blocks the calling process until every submitted task and event
-// has completed. In strict mode it first verifies the dependency graph is
+// has completed. A worker of the runtime may not call it: it would wait for
+// its own task. In strict mode it first verifies the dependency graph is
 // acyclic, panicking with the cycle (which the vtime engine converts into a
 // structured Run error) instead of blocking forever.
 func (rt *Runtime) Taskwait(p *vtime.Proc) {
+	rt.notWorker(p, "Taskwait")
 	if rt.Strict && rt.pending > 0 {
 		if err := rt.CheckCycles(); err != nil {
 			panic(err.Error())

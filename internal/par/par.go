@@ -20,8 +20,8 @@
 //
 // Bodies passed to ParallelFor run on host threads OUTSIDE the virtual-time
 // engine: they must not touch mpi.Ctx, vtime procs/waiters or the ompss
-// runtime (the fftxvet parbody rule enforces this — the same deadlock class
-// as blockintask, on a new surface).
+// runtime. internal/analysis's TestParBodyRule enforces this: no package
+// imports both this package and mpi/vtime/ompss.
 package par
 
 import (

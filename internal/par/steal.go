@@ -10,8 +10,8 @@
 //
 // The fixed-chunk mode stays the package default; SetStealing(true) routes
 // ParallelFor through a shared Pool. Bodies obey the same contract either
-// way: writes confined to [lo,hi), no mpi/vtime/ompss calls (fftxvet's
-// parbody rule covers Pool.ParallelFor too).
+// way: writes confined to [lo,hi), no mpi/vtime/ompss calls (the import
+// layering that keeps the runtimes out covers Pool.ParallelFor too).
 package par
 
 import (

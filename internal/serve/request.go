@@ -23,9 +23,10 @@
 //     drain on shutdown.
 //
 // Handlers here run on wall-clock host time and must never touch the
-// simulator's virtual-time runtimes directly; the fftxvet handlerbody rule
-// enforces that (pipeline requests reach vtime only through fftx.Run, which
-// owns a complete simulation per call).
+// simulator's virtual-time runtimes directly; internal/analysis's
+// TestHandlerBodyRule enforces that by keeping mpi/vtime/ompss out of every
+// package that imports net/http (pipeline requests reach vtime only through
+// fftx.Run, which owns a complete simulation per call).
 package serve
 
 import (

@@ -384,13 +384,14 @@ func TestServeDeadlineExpiry(t *testing.T) {
 		_ = s.Shutdown(ctx)
 	}()
 
+	inflight0 := mInflight.Value()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(1, 16)})
 	}()
-	time.Sleep(30 * time.Millisecond) // first request is in flight on the only worker
+	waitFor(t, "the first request to execute on the only worker", func() bool { return mInflight.Value()-inflight0 == 1 })
 
 	code, _, hdr := postJSON(t, s.URL(), &Request{
 		Dims: []int{16}, Data: randomData(2, 16), DeadlineMillis: 10,

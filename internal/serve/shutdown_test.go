@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +33,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	cancel()
 	http.DefaultClient.CloseIdleConnections()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "the warm-up connections to close", func() bool {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		return !strings.Contains(stacks, "net/http.(*persistConn)") && !strings.Contains(stacks, "net/http.(*conn).serve")
+	})
 	baseline := runtime.NumGoroutine()
 
 	// One slow worker, batching off: the first requests occupy the worker
@@ -44,6 +49,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 
 	const clients = 5
+	queued0, inflight0 := mQueueDepth.Value(), mInflight.Value()
 	codes := make([]int, clients)
 	retryAfter := make([]string, clients)
 	var wg sync.WaitGroup
@@ -55,9 +61,12 @@ func TestServeGracefulShutdown(t *testing.T) {
 			codes[i] = code
 			retryAfter[i] = hdr.Get("Retry-After")
 		}(i)
-		time.Sleep(20 * time.Millisecond) // stagger so admission order is stable
 	}
-	time.Sleep(30 * time.Millisecond) // all five admitted, first one executing
+	// A task counts in the queue-depth gauge from admission until a worker
+	// takes it, then in the in-flight gauge.
+	waitFor(t, "all five admitted, one executing", func() bool {
+		return mInflight.Value()-inflight0 == 1 && mQueueDepth.Value()-queued0 == clients-1
+	})
 
 	addr := s.Addr()
 	ctx, cancel = contextWithTimeout(5 * time.Second)
@@ -105,16 +114,20 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// No server goroutines survive (the par pool was warmed into the
 	// baseline; allow scheduler slack for runtime bookkeeping goroutines).
 	http.DefaultClient.CloseIdleConnections()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			break
-		}
+	waitFor(t, "server goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline+2 })
+}
+
+// waitFor polls cond until it holds and fails the test if it still does not
+// after a generous deadline: tests order their steps on server state, not
+// on guessed sleeps.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Errorf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
-			break
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -151,6 +164,7 @@ func TestHealthzDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	url := s.URL()
+	inflight0 := mInflight.Value()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -162,7 +176,7 @@ func TestHealthzDraining(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	time.Sleep(50 * time.Millisecond) // request in flight on the worker
+	waitFor(t, "the request to execute on the worker", func() bool { return mInflight.Value()-inflight0 == 1 })
 
 	done := make(chan error, 1)
 	go func() {
@@ -170,7 +184,7 @@ func TestHealthzDraining(t *testing.T) {
 		defer cancel()
 		done <- s.Shutdown(ctx)
 	}()
-	time.Sleep(50 * time.Millisecond) // drain begun, worker still busy
+	waitFor(t, "the drain to begin", s.Draining)
 
 	resp, err := http.Get(url + "/healthz")
 	if err != nil {

@@ -67,3 +67,23 @@ func TestBareBlockStillDiagnosable(t *testing.T) {
 		t.Errorf("WaitingOn = %q, want unknown placeholder", de.Blocked[0].WaitingOn)
 	}
 }
+
+// TestBlockOfAnotherProcIsError: a process that blocks a process other
+// than itself — a task body waiting through a context captured from
+// outside it — ends the run with an error naming both, raised inside the
+// running process rather than as a host panic in the engine loop.
+func TestBlockOfAnotherProcIsError(t *testing.T) {
+	e := NewEngine(nil)
+	var wq WaitQueue
+	owner := e.Spawn("owner", func(p *Proc) { p.Sleep(1) })
+	e.Spawn("intruder", func(p *Proc) { wq.Wait(owner) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run() = nil, want an error")
+	}
+	for _, want := range []string{`"intruder" panicked`, `process "owner" blocked while process "intruder" was running`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import "fmt"
 // WaitQueue is a FIFO list of blocked processes. It is the building block
 // for the higher-level primitives.
 type WaitQueue struct {
+	_       NoCopy
 	waiters []*Proc
 	// Describe, when set, labels what waiters of this queue are blocked on;
 	// it is rendered lazily into deadlock reports.
@@ -53,6 +54,7 @@ func (q *WaitQueue) Len() int { return len(q.waiters) }
 
 // Semaphore is a counting semaphore for simulated processes.
 type Semaphore struct {
+	_     NoCopy
 	count int
 	wq    WaitQueue
 }
@@ -80,6 +82,7 @@ func (s *Semaphore) Release(p *Proc) {
 
 // Queue is an unbounded FIFO channel between simulated processes.
 type Queue[T any] struct {
+	_      NoCopy
 	items  []T
 	wq     WaitQueue
 	closed bool
@@ -135,6 +138,7 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Barrier blocks n processes until all have arrived, then releases them.
 type Barrier struct {
+	_       NoCopy
 	n       int
 	arrived int
 	wq      WaitQueue

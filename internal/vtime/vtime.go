@@ -63,6 +63,22 @@ func (UnitMachine) Rates(jobs []*ActiveJob) {
 	}
 }
 
+// NoCopy is the first field, "_ vtime.NoCopy", of every handle type of the
+// simulated runtimes (Engine, Proc, the synchronization primitives, the
+// mpi World, Ctx and Comm, the ompss Runtime, Group and Task). Handles
+// carry identity and mutable state — wait queues, rendezvous maps,
+// dependency graphs — so a copy silently forks that state. Its pointer has
+// Lock and Unlock, so go vet's copylocks check reports every by-value copy
+// of a type that contains it. It is zero-size and, as a first field, adds
+// no padding.
+type NoCopy struct{}
+
+// Lock is a no-op that makes go vet treat NoCopy as a lock.
+func (*NoCopy) Lock() {}
+
+// Unlock is a no-op that makes go vet treat NoCopy as a lock.
+func (*NoCopy) Unlock() {}
+
 type procState int
 
 const (
@@ -77,6 +93,7 @@ const (
 // Proc is a simulated process. All methods must be called from within the
 // process's own body function.
 type Proc struct {
+	_         NoCopy
 	eng       *Engine
 	name      string
 	id        int
@@ -155,12 +172,14 @@ func (h eventHeap) down(i int) {
 // Engine is the discrete-event simulator. Create with NewEngine, spawn
 // processes with Spawn, then call Run.
 type Engine struct {
+	_        NoCopy
 	now      Time
 	seq      uint64
 	events   eventHeap
 	jobs     []*ActiveJob
 	machine  Machine
 	procs    []*Proc
+	running  *Proc // the process step dispatched last; the only one that may yield
 	yieldCh  chan *Proc
 	nAlive   int
 	nBlocked int
@@ -323,15 +342,13 @@ func (e *Engine) step() error {
 	}
 
 	next.state = stateRunning
+	e.running = next
 	next.resume <- struct{}{}
-	q := <-e.yieldCh
-	if q != next {
-		panic("vtime: yield from unexpected process")
-	}
-	if q.state == stateDone {
+	<-e.yieldCh // only next yields: Proc.yield rejects any other process
+	if next.state == stateDone {
 		e.nAlive--
-		if q.panicVal != nil {
-			return fmt.Errorf("vtime: process %q panicked at t=%g: %v", q.name, e.now, q.panicVal)
+		if next.panicVal != nil {
+			return fmt.Errorf("vtime: process %q panicked at t=%g: %v", next.name, e.now, next.panicVal)
 		}
 	}
 	return nil
@@ -447,8 +464,18 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Engine returns the engine the process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// yield hands control back to the engine and waits to be resumed.
+// yield hands control back to the engine and waits to be resumed. Only the
+// running process may yield: a process that sleeps, blocks or computes on
+// behalf of another — a task body waiting through a context captured from
+// outside it — panics here, inside the running process, which Run reports
+// as a structured error naming both processes.
 func (p *Proc) yield() {
+	if r := p.eng.running; r != p {
+		if r == nil {
+			panic(fmt.Sprintf("vtime: process %q blocked outside Run", p.name))
+		}
+		panic(fmt.Sprintf("vtime: process %q blocked while process %q was running; a process may only block itself", p.name, r.name))
+	}
 	p.eng.yieldCh <- p
 	<-p.resume
 }
