@@ -1,8 +1,7 @@
 // Command fftxd is the network-facing FFT daemon: it serves 1-D/2-D/3-D
-// transform requests and cost-mode pipeline simulations over HTTP, batching
-// same-shape requests to amortize plan lookup and twiddle-table reuse, with
-// bounded queueing and 503 + Retry-After backpressure (see README
-// "Serving").
+// transform requests over HTTP, batching same-shape requests to amortize
+// plan lookup and twiddle-table reuse, with bounded queueing and 503 +
+// Retry-After backpressure (see README "Serving").
 //
 // Usage:
 //
@@ -21,9 +20,6 @@
 //	-max-elems N           per-request element budget
 //	-drain-timeout 10s     graceful-drain budget on shutdown
 //	-hostpar               host-parallel kernels (default true)
-//	-engine task-iter      default fftx engine for pipeline requests that do
-//	                       not name one (original|task-steps|task-iter|
-//	                       task-combined|dataflow|auto); requests override per call
 //	-trace-sample 0.05     fraction of requests traced server-side (requests
 //	                       carrying a trace_id are always traced)
 //	-log-level info        structured log level (debug|info|warn|error);
@@ -86,7 +82,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fft"
-	"repro/internal/fftx"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/serve"
@@ -108,7 +103,6 @@ func realMain() int {
 		maxElems    = flag.Int("max-elems", serve.DefaultMaxElements, "per-request element budget")
 		drainT      = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on shutdown")
 		hostpar     = flag.Bool("hostpar", true, "fan batch rows out over host cores")
-		defEngine   = flag.String("engine", "", "default engine for pipeline requests (original|task-steps|task-iter|task-combined|dataflow|auto; empty = task-iter)")
 		traceSample = flag.Float64("trace-sample", 0.05, "fraction of requests traced (server) or stamped with trace IDs (loadgen)")
 		logLevel    = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		joinURL     = flag.String("join", "", "cluster router base URL to register with (worker mode)")
@@ -136,12 +130,6 @@ func realMain() int {
 		return 2
 	}
 	par.SetEnabled(*hostpar)
-	if *defEngine != "" {
-		if _, err := fftx.ParseEngine(*defEngine); err != nil {
-			fmt.Fprintf(os.Stderr, "fftxd: unknown engine %q\n", *defEngine)
-			return 2
-		}
-	}
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fftxd:", err)
@@ -153,16 +141,15 @@ func realMain() int {
 	}
 
 	cfg := serve.Config{
-		Addr:          *addr,
-		Workers:       *workers,
-		QueueDepth:    *queueDepth,
-		MaxBatch:      *maxBatch,
-		BatchWindow:   *batchWindow,
-		MaxElements:   *maxElems,
-		Cache:         &fft.Cache{},
-		DefaultEngine: *defEngine,
-		TraceSample:   *traceSample,
-		Logger:        logger,
+		Addr:        *addr,
+		Workers:     *workers,
+		QueueDepth:  *queueDepth,
+		MaxBatch:    *maxBatch,
+		BatchWindow: *batchWindow,
+		MaxElements: *maxElems,
+		Cache:       &fft.Cache{},
+		TraceSample: *traceSample,
+		Logger:      logger,
 	}
 
 	if *lgMode {

@@ -18,7 +18,8 @@ import (
 // runtimes (vtime's yield check, ompss's worker-wait check, the mpi
 // rendezvous's deadlock report and strict tag checks). DESIGN.md §8.1
 // maps each former fftxvet rule to its enforcement; the three import-
-// layering tests keep the names of the rules they replace.
+// layering tests that replace a rule keep its name. A fourth,
+// TestServingLinksNoSimulator, keeps the serving tier off the simulator.
 
 var simulatedRuntimes = []string{"internal/mpi", "internal/vtime", "internal/ompss"}
 
@@ -124,6 +125,62 @@ func TestHandlerBodyRule(t *testing.T) {
 func TestStagePureRule(t *testing.T) {
 	checkLayering(t, runtimeInGraph,
 		pkgImports{"repro/internal/fftx/graph", []string{"repro/internal/knl", "repro/internal/ompss"}})
+}
+
+// servingRoots are the serving tier's packages: the fftxd daemon and what
+// it is built from.
+var servingRoots = []string{"internal/serve", "internal/serve/loadgen", "internal/cluster", "cmd/fftxd"}
+
+// simulatorPackages are the packages of the simulated FFTXlib run.
+var simulatorPackages = []string{
+	"internal/fftx", "internal/fftx/graph", "internal/knl", "internal/pw", "internal/mpi",
+	"internal/vtime", "internal/ompss", "internal/pop", "internal/core",
+}
+
+// simulatorInServing reports each serving root whose transitive imports
+// within pkgs reach a simulator package, with the import chain that does.
+func simulatorInServing(pkgs []pkgImports) []string {
+	imports := map[string][]string{}
+	for _, p := range pkgs {
+		imports[p.path] = p.imports
+	}
+	var bad []string
+	for _, p := range pkgs {
+		if importsAny([]string{p.path}, servingRoots) == "" {
+			continue
+		}
+		// Breadth-first over the import graph, remembering how each package
+		// was reached.
+		from := map[string]string{p.path: ""}
+		queue := []string{p.path}
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			if cur != p.path && importsAny([]string{cur}, simulatorPackages) != "" {
+				chain := cur
+				for at := from[cur]; at != ""; at = from[at] {
+					chain = at + " → " + chain
+				}
+				bad = append(bad, chain)
+				continue
+			}
+			for _, imp := range imports[cur] {
+				if _, seen := from[imp]; !seen {
+					from[imp] = cur
+					queue = append(queue, imp)
+				}
+			}
+		}
+	}
+	return bad
+}
+
+// TestServingLinksNoSimulator keeps the serving tier free of the simulator:
+// fftxd serves transforms on host time, and nothing it is built from reaches
+// a package of the simulated run, directly or through another package.
+func TestServingLinksNoSimulator(t *testing.T) {
+	checkLayering(t, simulatorInServing,
+		pkgImports{"repro/internal/serve", []string{"repro/internal/fft", "repro/internal/fftx"}})
 }
 
 // TestHandleTypesCarryNoCopy pins the marker go vet's copylocks check keys

@@ -6,9 +6,8 @@
 // The paper's scaling story stops at one KNL node, and one fftxd's
 // admission queue is the single-node ceiling of the serving layer. The
 // cluster subsystem applies the paper's locality argument across
-// processes: routing by shape (the batching ShapeKey for transforms, the
-// workload descriptor for pipeline simulations) means each worker sees a
-// stable shard of the shape space, so its plan cache, SoA layout policy
+// processes: routing by shape (the batching ShapeKey) means each worker
+// sees a stable shard of the shape space, so its plan cache, SoA layout policy
 // and batch coalescing all stay hot for exactly the shapes it owns —
 // sharding for cache affinity, in the spirit of DaggerFFT's locality-aware
 // FFT task placement across nodes.
@@ -27,7 +26,7 @@
 //     fail over across replicas with jittered backoff, propagate trace
 //     IDs and Retry-After per the backpressure contract.
 //
-// The router speaks the existing JSON and FXP1/FXQ1 binary wire formats
+// The router speaks the existing JSON and FXD1/FXR1 binary wire formats
 // unchanged — clients cannot tell a router from a worker, except for the
 // Fftx-Worker response header naming the worker that served them. Live
 // topology is exported at /debug/fftx/cluster and the fftxd_cluster_*

@@ -9,9 +9,8 @@ import (
 // Consistent-hash ring: the shape-affinity placement policy of the router.
 //
 // Every admitted worker owns VNodes pseudo-random points on a 64-bit
-// keyspace circle; a request's route key (its transform ShapeKey or
-// pipeline workload descriptor) hashes to a point and walks clockwise to
-// the first worker point. Two properties make this the right structure for
+// keyspace circle; a request's route key (its transform ShapeKey) hashes
+// to a point and walks clockwise to the first worker point. Two properties make this the right structure for
 // shape sharding:
 //
 //   - stability: one shape always lands on one worker (until membership

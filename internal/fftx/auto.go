@@ -81,13 +81,12 @@ func selectEngine(cfg Config) (Engine, error) {
 }
 
 // probeEngines runs the ModeCost probes and returns the fastest applicable
-// engine. The probes use a fixed seed and no streaming sink, so the choice
-// depends only on the workload shape, never on the caller's run noise.
+// engine. The probes use a fixed seed, so the choice depends only on the
+// workload shape, never on the caller's run noise.
 func probeEngines(cfg Config) (Engine, error) {
 	probe := cfg
 	probe.Mode = ModeCost
 	probe.Seed = 0
-	probe.Sink = nil
 	probe.Strict = false
 	probe.UnitPotential = false
 

@@ -156,10 +156,6 @@ type Config struct {
 	// detection, dependency-cycle checks). Violations surface as structured
 	// errors from the run instead of silent mismatches or hangs.
 	Strict bool
-	// Sink, when non-nil, additionally receives every trace interval as it
-	// is recorded — a streaming tap beside the in-memory Result.Trace (e.g.
-	// a trace.RingSink to bound memory, or a trace.SampleSink to decimate).
-	Sink trace.Sink
 }
 
 func (c Config) withDefaults() Config {

@@ -16,12 +16,11 @@ import (
 // virtual-time engine, the trace and the MPI world. The
 // schedule executor adds the spawn/task structure of a policy row on top.
 type harness struct {
-	cfg  Config
-	k    *kernel
-	eng  *vtime.Engine
-	tr   *trace.Trace
-	sink trace.Sink
-	w    *mpi.World
+	cfg Config
+	k   *kernel
+	eng *vtime.Engine
+	tr  *trace.Trace
+	w   *mpi.World
 	// rts are the task runtimes built through newRankRuntime, tracked so
 	// finish can sum their barrier-stall accounts into Result.TaskwaitSec.
 	rts []*ompss.Runtime
@@ -36,10 +35,9 @@ func newHarness(cfg Config, ranks, lanesPerRank int) *harness {
 	eng := vtime.NewEngine(node)
 	tr := trace.New(lanes, cfg.Params.Freq)
 	tr.Meta["engine"] = cfg.Engine.String()
-	sink := cfg.traceSink(tr)
-	w := mpi.NewWorld(eng, node, sink, ranks, lanesPerRank)
+	w := mpi.NewWorld(eng, node, tr, ranks, lanesPerRank)
 	w.Strict = cfg.Strict
-	return &harness{cfg: cfg, k: k, eng: eng, tr: tr, sink: sink, w: w}
+	return &harness{cfg: cfg, k: k, eng: eng, tr: tr, w: w}
 }
 
 // jobs is the FFT job count: one band per job, or one band pair in gamma
@@ -67,7 +65,7 @@ func (h *harness) newRankRuntime(firstLane, workers int) *ompss.Runtime {
 	for t := 0; t < workers; t++ {
 		workerLanes[t] = firstLane + t
 	}
-	rt := ompss.New(h.eng, h.sink, workerLanes)
+	rt := ompss.New(h.eng, h.tr, workerLanes)
 	rt.Strict = h.cfg.Strict
 	h.rts = append(h.rts, rt)
 	return rt

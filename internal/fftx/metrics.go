@@ -2,7 +2,6 @@ package fftx
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Run-level telemetry. The per-phase compute counters live in the mpi and
@@ -13,12 +12,3 @@ var (
 	mFreq         = metrics.Default().Gauge("fftx_core_frequency_hz", "core frequency of the simulated node model")
 	mAutoSelected = metrics.Default().CounterVec("fftx_auto_selected_total", "engines chosen by EngineAuto cost-model selection", "engine")
 )
-
-// traceSink builds the sink the engines record into: the run's own Trace,
-// teed with the config's streaming Sink when one is set.
-func (c Config) traceSink(tr *trace.Trace) trace.Sink {
-	if c.Sink != nil {
-		return trace.Tee(tr, c.Sink)
-	}
-	return tr
-}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // TestTelemetryPopulated runs a small config of every task engine and
@@ -56,26 +55,5 @@ func TestTelemetryPopulated(t *testing.T) {
 		if ipc <= 0 || ipc > 16 {
 			t.Errorf("%v: live IPC = %g, want a sane positive value", e, ipc)
 		}
-	}
-}
-
-// TestConfigSinkTee checks that a streaming Sink on the Config receives the
-// same intervals the in-memory trace accumulates.
-func TestConfigSinkTee(t *testing.T) {
-	ring := trace.NewRingSink(1 << 16)
-	cfg := Config{Ecut: 10, Alat: 10, NB: 8, Ranks: 2, NTG: 1,
-		Engine: EngineOriginal, Mode: ModeCost, Sink: ring}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace.Intervals) == 0 {
-		t.Fatal("run recorded no intervals")
-	}
-	if ring.Len() != len(res.Trace.Intervals) {
-		t.Fatalf("ring saw %d intervals, trace has %d", ring.Len(), len(res.Trace.Intervals))
-	}
-	if ring.Snapshot()[0] != res.Trace.Intervals[0] {
-		t.Fatal("ring and trace disagree on the first interval")
 	}
 }

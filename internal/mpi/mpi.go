@@ -38,9 +38,8 @@ type World struct {
 	Eng  *vtime.Engine
 	Node *knl.Node
 	// Sink receives the trace intervals of MPI calls and compute phases.
-	// May be nil. A *trace.Trace accumulates everything; a trace.RingSink
-	// bounds memory; trace.Tee fans out to several.
-	Sink           trace.Sink
+	// May be nil.
+	Sink           *trace.Trace
 	Size           int
 	ThreadsPerRank int
 	// Strict enables the runtime detection of concurrent same-tag
@@ -70,7 +69,7 @@ type World struct {
 // each on one KNL node, which must have been created with
 // size*threadsPerRank lanes and prices every transfer. A nil node makes
 // transfers free. sink receives trace intervals and may be nil.
-func NewWorld(eng *vtime.Engine, node *knl.Node, sink trace.Sink, size, threadsPerRank int) *World {
+func NewWorld(eng *vtime.Engine, node *knl.Node, sink *trace.Trace, size, threadsPerRank int) *World {
 	if threadsPerRank < 1 {
 		threadsPerRank = 1
 	}

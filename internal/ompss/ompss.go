@@ -70,7 +70,7 @@ type Task struct {
 type Runtime struct {
 	_       vtime.NoCopy
 	eng     *vtime.Engine
-	sink    trace.Sink
+	sink    *trace.Trace
 	lanes   []int
 	ready   []*Task
 	readyWQ vtime.WaitQueue
@@ -108,7 +108,7 @@ type Runtime struct {
 // worker processes are spawned immediately; call Shutdown (usually after a
 // final Taskwait) to let them exit. sink receives trace intervals and may
 // be nil.
-func New(eng *vtime.Engine, sink trace.Sink, lanes []int) *Runtime {
+func New(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
 	rt := &Runtime{
 		eng:      eng,
 		sink:     sink,

@@ -14,8 +14,8 @@ import (
 // group flushes to the worker pool when it reaches MaxBatch rows or when
 // its BatchWindow expires, whichever comes first — the serving-side
 // analogue of the paper's per-iteration task grouping (many independent
-// same-shape kernels become one scheduled unit). Pipeline tasks and
-// servers with batching disabled dispatch immediately as singleton groups.
+// same-shape kernels become one scheduled unit). Servers with batching
+// disabled dispatch every task immediately as a singleton group.
 //
 // Admission rejects with 503 + Retry-After instead of queueing unboundedly:
 // when the queue is full, when the request's deadline cannot be met, and
@@ -26,13 +26,13 @@ import (
 // task is one admitted request travelling through the queue.
 type task struct {
 	req *Request
-	key string // batching key (transforms); "" dispatches immediately
+	key string // batching key, the request's ShapeKey
 	// data is the transform payload, in a complexPool buffer: decoded into,
 	// transformed in place by a worker, rendered from by the handler. The
 	// handler releases it, and only after receiving the task's outcome (see
 	// pool.go); until then a worker may be writing to it.
 	data []complex128
-	rows int // transforms carried (req.Batch for transforms, 1 otherwise)
+	rows int // transforms carried (req.Batch)
 
 	enq      time.Time
 	deadline time.Time // zero = none
@@ -52,13 +52,11 @@ type task struct {
 	done chan taskOutcome
 }
 
-// taskOutcome resolves one task. A transform's result is already where the
-// handler will render it from, task.data, so its outcome is only the size of
-// the batch it rode in; a pipeline's is its reply; a failure is a status
-// error.
+// taskOutcome resolves one task. Its result is already where the handler
+// will render it from, task.data, so its outcome is only the size of the
+// batch it rode in, or a status error.
 type taskOutcome struct {
 	batchSize int
-	resp      *Response
 	err       *statusError
 }
 
@@ -87,21 +85,18 @@ func (g *group) rows() int {
 	return n
 }
 
-// newTask builds the task of a validated request. A transform brings its
-// batching key and its payload, whose buffer the task takes over.
+// newTask builds the task of a validated request: its batching key and its
+// payload, whose buffer the task takes over.
 func newTask(req *Request, key string, data []complex128) *task {
 	t := &task{
 		req:  req,
 		key:  key,
 		data: data,
 		enq:  time.Now(),
-		rows: 1,
+		rows: req.Batch,
 		done: make(chan taskOutcome, 1),
 	}
-	if req.Op == OpTransform {
-		t.rows = req.Batch
-		mShapeReqs.With(key).Inc()
-	}
+	mShapeReqs.With(key).Inc()
 	if req.DeadlineMillis > 0 {
 		t.deadline = t.enq.Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
 	}
@@ -220,7 +215,7 @@ func (s *Server) dispatch() {
 			// The coalesce span covers batch-window residency plus the wait
 			// for a free worker; runBatch ends it.
 			t.coalesceSpan = t.root.Begin("coalesce")
-			if t.key == "" || !s.batching() {
+			if !s.batching() {
 				s.batches <- &group{key: t.key, tasks: []*task{t}}
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/fft"
-	"repro/internal/fftx"
 	"repro/internal/par"
 )
 
@@ -13,8 +12,7 @@ import (
 // lookup on the shared fft.Cache and fans its rows out over host cores via
 // par.ParallelFor, so N coalesced single-transform requests cost one
 // lookup plus one fan-out instead of N of each — the amortization the
-// batching layer exists to buy. Pipeline tasks run one cost-mode fftx.Run
-// per task.
+// batching layer exists to buy.
 
 // rowPlan is the shape-generic transform interface all three plan kinds
 // satisfy.
@@ -65,12 +63,6 @@ func (s *Server) runBatch(g *group) {
 	defer mInflight.Add(-float64(len(live)))
 	if s.cfg.execDelay > 0 {
 		time.Sleep(s.cfg.execDelay)
-	}
-	if live[0].req.Op == OpPipeline {
-		for _, t := range live {
-			s.runPipeline(t)
-		}
-		return
 	}
 	s.runTransforms(g.key, live)
 }
@@ -154,49 +146,4 @@ func transformContiguous(plan rowPlan, data []complex128, count int, sign fft.Si
 	case *fft.Plan3D:
 		p.TransformBatch(data, count, sign)
 	}
-}
-
-// runPipeline executes one cost-mode pipeline simulation. The request's
-// engine name wins; a request without one runs on the server's configured
-// default. The response and the fftxd_pipeline_runs_total metric report the
-// engine that actually executed — the resolved one when "auto" was asked.
-func (s *Server) runPipeline(t *task) {
-	p := t.req.Pipeline
-	name := p.Engine
-	if name == "" {
-		name = s.cfg.DefaultEngine
-	}
-	eng, err := engineByName(name)
-	if err != nil {
-		t.fail(400, 0, "%v", err)
-		return
-	}
-	start := time.Now()
-	execSpan := t.root.BeginAt("exec", start)
-	defer execSpan.End()
-	res, err := fftx.Run(fftx.Config{
-		Ecut:   p.Ecut,
-		Alat:   p.Alat,
-		NB:     p.NB,
-		Ranks:  p.Ranks,
-		NTG:    p.NTG,
-		Engine: eng,
-		Mode:   fftx.ModeCost,
-		Seed:   p.Seed,
-	})
-	if err != nil {
-		t.fail(400, 0, "pipeline run rejected: %v", err)
-		return
-	}
-	mBatches.With("pipeline").Inc()
-	mExecSeconds.With("pipeline").Observe(time.Since(start).Seconds())
-	mPipelineRuns.With(res.Engine.String()).Inc()
-	execSpan.SetAttr("engine", res.Engine.String())
-
-	t.resolve(taskOutcome{resp: &Response{
-		Runtime:   res.Runtime,
-		Engine:    res.Engine.String(),
-		BatchSize: 1,
-		TraceID:   t.spans.TraceID(),
-	}})
 }

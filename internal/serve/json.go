@@ -14,7 +14,7 @@ import (
 // scanner walks the top-level object, parses the array by hand straight into
 // a pooled []complex128 (splitJSONRequest, parseNumber) and hands
 // encoding/json only the envelope — the body with the array replaced by
-// null, a few dozen bytes — so op, dims, pipeline and trace_id keep
+// null, a few dozen bytes — so op, dims and trace_id keep
 // encoding/json's semantics to the letter (case-folded and duplicated keys,
 // unknown fields, type errors). Replies are printed the same way
 // (appendTransformJSON, appendJSONFloat), byte for byte what json.Encoder
@@ -281,9 +281,9 @@ func parseNumber(b []byte, i int) (float64, int, error) {
 	return v, j, nil
 }
 
-// decodeJSON parses and validates a JSON request. A transform's payload
-// comes back as complex values in a complexPool buffer the caller owns; any
-// other outcome returns no buffer.
+// decodeJSON parses and validates a JSON request. Its payload comes back as
+// complex values in a complexPool buffer the caller owns; an error returns
+// no buffer.
 func decodeJSON(body []byte, maxElements int) (*Request, []complex128, error) {
 	if maxElements <= 0 {
 		maxElements = DefaultMaxElements
@@ -293,11 +293,9 @@ func decodeJSON(body []byte, maxElements int) (*Request, []complex128, error) {
 	// full precision it takes about forty.
 	dst := payloadBuf{first: len(body) / 32, limit: min(maxElements, len(body)/4)}
 	req, err := decodeEnvelope(body, maxElements, &dst)
-	if err != nil || req.Op != OpTransform {
-		// A pipeline request may drag a data array along, as it always
-		// could; what was buffered of it is dropped here.
+	if err != nil {
 		complexPool.put(dst.data)
-		return req, nil, err
+		return nil, nil, err
 	}
 	return req, dst.data, nil
 }
@@ -331,7 +329,7 @@ func decodeEnvelope(body []byte, maxElements int, dst *payloadBuf) (*Request, er
 	if err != nil {
 		return nil, err
 	}
-	if req.Op == OpTransform && dst.floats != floats {
+	if dst.floats != floats {
 		return nil, dataLengthError(dst.floats, floats, req.Batch)
 	}
 	return req, nil

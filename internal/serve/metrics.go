@@ -5,8 +5,7 @@ import (
 )
 
 // fftxd_* metric families, registered on the default registry so the
-// standard telemetry mux (/metrics) exposes them beside the simulator's
-// fftx_* families. Wall-clock latencies use buckets from 10 µs to 10 s.
+// standard telemetry mux (/metrics) exposes them. Wall-clock latencies use buckets from 10 µs to 10 s.
 var (
 	serveBuckets = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
@@ -32,8 +31,6 @@ var (
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, "shape")
 	mExecSeconds = metrics.Default().HistogramVec("fftxd_batch_exec_seconds",
 		"wall-clock batch execution time, by shape key", serveBuckets, "shape")
-	mPipelineRuns = metrics.Default().CounterVec("fftxd_pipeline_runs_total",
-		"pipeline simulations executed, by the engine that actually ran (auto resolved)", "engine")
 	mPlanBuilds = metrics.Default().Gauge("fftxd_plan_builds",
 		"cumulative plan constructions of the server's shared plan cache")
 	mDrainState = metrics.Default().Gauge("fftxd_draining",

@@ -274,6 +274,11 @@ func TestAbandonedRequestKeepsItsBuffer(t *testing.T) {
 		return out.Data, referenceTransform(dims, data, fft.Forward, false), nil
 	}
 
+	// Every request of the test is one 8x8x8 task; a task exists once its
+	// payload is decoded, and from then on it is admitted and run whether or
+	// not its client stays.
+	tasks := mShapeReqs.With((&Request{Dims: dims, Sign: -1}).ShapeKey())
+	tasks0 := tasks.Value()
 	var wg sync.WaitGroup
 	for round := 0; round < 6; round++ {
 		// The abandoned request: queued behind the worker's delay, then its
@@ -286,7 +291,10 @@ func TestAbandonedRequestKeepsItsBuffer(t *testing.T) {
 				t.Error("the abandoned request was answered before its client gave up")
 			}
 		}(int64(1000 + round))
-		time.Sleep(5 * time.Millisecond)
+		// Earlier rounds sent 5 requests each; this one's is the next.
+		waitFor(t, "the abandoned request to be queued", func() bool {
+			return tasks.Value()-tasks0 >= float64(5*round+1)
+		})
 		cancel()
 		// Same-size requests keep the pool's classes in use while the
 		// abandoned batch is still to run.

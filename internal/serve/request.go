@@ -1,11 +1,10 @@
 // Package serve is the network-facing FFT serving subsystem (the fftxd
-// daemon): an HTTP service that accepts 1-D/2-D/3-D transform requests and
-// full-pipeline (fftx.Run-shaped) simulation requests, executes them on a
-// bounded worker pool, shares one fft.Cache of plans across all requests
-// and coalesces same-shape requests into batches — the paper's
-// per-iteration task grouping applied to serving: grouping transforms of
-// one shape amortizes plan lookup and twiddle-table reuse and turns many
-// small independent kernels into one host-parallel fan-out.
+// daemon): an HTTP service that accepts 1-D/2-D/3-D transform requests,
+// executes them on a bounded worker pool, shares one fft.Cache of plans
+// across all requests and coalesces same-shape requests into batches — the
+// paper's per-iteration task grouping applied to serving: grouping
+// transforms of one shape amortizes plan lookup and twiddle-table reuse and
+// turns many small independent kernels into one host-parallel fan-out.
 //
 // The subsystem has four layers:
 //
@@ -17,61 +16,43 @@
 //     drain-aware rejection with Retry-After) and the batching dispatcher
 //     that groups same-shape requests inside a short window.
 //   - exec.go — batch execution on the plan cache via the host-parallel
-//     fft batch drivers, and cost-mode fftx.Run for pipeline requests.
+//     fft batch drivers.
 //   - serve.go — the HTTP server: /fft, /healthz, plus the standard
 //     telemetry mux (/metrics, /debug/vars, /debug/pprof) and graceful
 //     drain on shutdown.
 //
-// Handlers here run on wall-clock host time and must never touch the
-// simulator's virtual-time runtimes directly; internal/analysis's
-// TestHandlerBodyRule enforces that by keeping mpi/vtime/ompss out of every
-// package that imports net/http (pipeline requests reach vtime only through
-// fftx.Run, which owns a complete simulation per call).
+// Handlers here run on wall-clock host time and link nothing of the
+// simulator: internal/analysis's TestServingLinksNoSimulator keeps every
+// simulator package out of the serving packages' import closure.
 package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/fft"
-	"repro/internal/fftx"
 	"repro/internal/trace"
 )
 
-// Op selects what a request asks the server to do.
-const (
-	// OpTransform is an in-place complex FFT of one or more equally-shaped
-	// arrays.
-	OpTransform = "transform"
-	// OpPipeline is a full FFTXlib pipeline simulation (fftx.Run in cost
-	// mode): the request carries the workload parameters, the response the
-	// simulated runtime.
-	OpPipeline = "pipeline"
-)
+// OpTransform is the one request kind: an in-place complex FFT of one or
+// more equally-shaped arrays.
+const OpTransform = "transform"
 
 // DefaultMaxElements bounds the total complex elements of one transform
 // request (dims product × batch): 2^22 elements = 64 MiB of complex128.
 const DefaultMaxElements = 1 << 22
 
-// maxPipelineLanes bounds the simulated hardware occupancy one pipeline
-// request may ask for, so a single request cannot allocate an arbitrarily
-// large simulation. maxPipelineBands bounds the band count the same way.
-const (
-	maxPipelineLanes = 1024
-	maxPipelineBands = 1 << 16
-)
-
 // Request is one FFT service request. The JSON form posts to /fft with
-// Content-Type application/json; the equivalent binary form (transforms
-// only) uses the length-prefixed wire format of wire.go with Content-Type
+// Content-Type application/json; the equivalent binary form uses the
+// length-prefixed wire format of wire.go with Content-Type
 // application/octet-stream.
 type Request struct {
-	// Op is OpTransform (default when Data is present) or OpPipeline.
+	// Op is OpTransform or empty, which means the same.
 	Op string `json:"op,omitempty"`
 
 	// Dims are the transform dimensions, outermost first: [n] for 1-D,
-	// [nx, ny] for row-major planes, [nx, ny, nz] for z-fastest boxes
-	// (OpTransform).
+	// [nx, ny] for row-major planes, [nx, ny, nz] for z-fastest boxes.
 	Dims []int `json:"dims,omitempty"`
 	// Sign is the transform direction: -1 forward, +1 backward (default
 	// forward).
@@ -85,9 +66,6 @@ type Request struct {
 	// Data holds batch × product(Dims) complex values as interleaved
 	// re,im float64 pairs.
 	Data []float64 `json:"data,omitempty"`
-
-	// Pipeline carries the workload of an OpPipeline request.
-	Pipeline *PipelineRequest `json:"pipeline,omitempty"`
 
 	// DeadlineMillis is the client's tolerance for queueing: if the request
 	// cannot start executing within this many milliseconds of arrival, the
@@ -103,37 +81,14 @@ type Request struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// PipelineRequest mirrors the fftx.Config surface exposed to the network.
-// Runs are always cost-mode: the full problem sizes of the paper simulate
-// in milliseconds without allocating band data.
-type PipelineRequest struct {
-	Ecut  float64 `json:"ecut"`
-	Alat  float64 `json:"alat"`
-	NB    int     `json:"nb"`
-	Ranks int     `json:"ranks"`
-	NTG   int     `json:"ntg"`
-	// Engine selects the scheduling per request:
-	// original|task-steps|task-iter|task-combined|dataflow|auto. Empty means the
-	// server's configured default (task-iter out of the box); "auto" asks
-	// the cost-model selector to pick, and the response's Engine field
-	// reports what actually ran.
-	Engine string `json:"engine,omitempty"`
-	Seed   int    `json:"seed,omitempty"`
-}
-
 // Response is the JSON reply of /fft.
 type Response struct {
-	// Data echoes the transformed payload of an OpTransform request
-	// (interleaved re,im).
+	// Data echoes the transformed payload (interleaved re,im).
 	Data []float64 `json:"data,omitempty"`
 	// BatchSize is the number of transforms the server coalesced into the
 	// batch this request rode in (≥ its own Batch; the batching tests and
 	// loadgen read it).
 	BatchSize int `json:"batch_size,omitempty"`
-	// Runtime is the simulated runtime in virtual seconds (OpPipeline).
-	Runtime float64 `json:"runtime,omitempty"`
-	// Engine echoes the engine that ran (OpPipeline).
-	Engine string `json:"engine,omitempty"`
 	// TraceID echoes the request's trace ID when the request was traced
 	// (client-supplied or server-sampled); loadgen joins client-observed
 	// latency to the server-side span tree through it. Traced replies also
@@ -147,14 +102,16 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// NumElements returns product(Dims), or 0 for invalid dims.
+// NumElements returns product(Dims), or 0 for invalid dims: a
+// non-positive dim, or a product that overflows an int. The element budget
+// is Validate's to enforce.
 func (r *Request) NumElements() int {
 	if len(r.Dims) == 0 {
 		return 0
 	}
 	n := 1
 	for _, d := range r.Dims {
-		if d <= 0 || n > DefaultMaxElements/d {
+		if d <= 0 || n > math.MaxInt/d {
 			return 0
 		}
 		n *= d
@@ -196,7 +153,7 @@ func (r *Request) appendShapeKey(b []byte) []byte {
 // violation.
 func (r *Request) Validate(maxElements int) error {
 	floats, err := r.validateHeader(maxElements)
-	if err != nil || r.Op != OpTransform {
+	if err != nil {
 		return err
 	}
 	if len(r.Data) != floats {
@@ -216,9 +173,8 @@ func dataLengthError(got, want, batch int) error {
 }
 
 // validateHeader is Validate without the payload: it normalizes and checks
-// every other field and returns the number of floats a transform's payload
-// must carry (0 for a pipeline request). The decoders, whose payload is not
-// in Data, finish the job themselves.
+// every other field and returns the number of floats the payload must carry.
+// The decoders, whose payload is not in Data, finish the job themselves.
 func (r *Request) validateHeader(maxElements int) (floats int, err error) {
 	if maxElements <= 0 {
 		maxElements = DefaultMaxElements
@@ -226,41 +182,10 @@ func (r *Request) validateHeader(maxElements int) (floats int, err error) {
 	if r.TraceID != "" && !trace.ValidTraceID(r.TraceID) {
 		return 0, fmt.Errorf("malformed trace_id %q (want %d lowercase hex characters)", r.TraceID, trace.TraceIDLen)
 	}
-	switch r.Op {
-	case "":
-		if r.Pipeline != nil {
-			r.Op = OpPipeline
-		} else {
-			r.Op = OpTransform
-		}
-	case OpTransform, OpPipeline:
-	default:
+	if r.Op != "" && r.Op != OpTransform {
 		return 0, fmt.Errorf("unknown op %q", r.Op)
 	}
-	if r.Op == OpPipeline {
-		p := r.Pipeline
-		if p == nil {
-			return 0, fmt.Errorf("pipeline request without pipeline parameters")
-		}
-		if _, err := engineByName(p.Engine); err != nil {
-			return 0, err
-		}
-		if p.Ecut <= 0 || p.Alat <= 0 || p.NB <= 0 || p.Ranks <= 0 || p.NTG <= 0 {
-			return 0, fmt.Errorf("pipeline parameters must be positive (ecut=%g alat=%g nb=%d ranks=%d ntg=%d)",
-				p.Ecut, p.Alat, p.NB, p.Ranks, p.NTG)
-		}
-		// Per-factor bounds first, so the product cannot overflow.
-		if p.Ranks > maxPipelineLanes || p.NTG > maxPipelineLanes || p.Ranks*p.NTG > maxPipelineLanes {
-			return 0, fmt.Errorf("pipeline occupies %d×%d lanes, limit %d", p.Ranks, p.NTG, maxPipelineLanes)
-		}
-		if p.NB > maxPipelineBands {
-			return 0, fmt.Errorf("pipeline nb=%d exceeds the %d-band limit", p.NB, maxPipelineBands)
-		}
-		if p.NB%p.NTG != 0 {
-			return 0, fmt.Errorf("nb=%d not divisible by ntg=%d", p.NB, p.NTG)
-		}
-		return 0, nil
-	}
+	r.Op = OpTransform
 	if len(r.Dims) < 1 || len(r.Dims) > 3 {
 		return 0, fmt.Errorf("dims must have 1 to 3 entries, got %d", len(r.Dims))
 	}
@@ -285,20 +210,6 @@ func (r *Request) validateHeader(maxElements int) (floats int, err error) {
 		return 0, fmt.Errorf("sign must be -1 (forward) or +1 (backward), got %d", r.Sign)
 	}
 	return 2 * r.Batch * n, nil
-}
-
-// engineByName maps the wire engine name — including "auto" — to the fftx
-// engine ("" means task-iter, the paper's best-performing version; servers
-// override that via Config.DefaultEngine).
-func engineByName(name string) (fftx.Engine, error) {
-	if name == "" {
-		return fftx.EngineTaskIter, nil
-	}
-	e, err := fftx.ParseEngine(name)
-	if err != nil {
-		return 0, fmt.Errorf("unknown engine %q", name)
-	}
-	return e, nil
 }
 
 // signOf converts the wire sign to the fft package direction.

@@ -46,11 +46,6 @@ type Config struct {
 	// mount onto — fftxd passes telemetry.Mux so one listener serves both
 	// the FFT API and /metrics + /debug/pprof.
 	Mux *http.ServeMux
-	// DefaultEngine is the fftx engine pipeline requests run on when they
-	// do not name one: original, task-steps, task-iter, task-combined, dataflow or
-	// auto (the cost-model selector). Empty means task-iter, the paper's
-	// best-performing version.
-	DefaultEngine string
 	// TraceSample is the fraction of requests the server traces on its own
 	// initiative (0 = none, 1 = all; sampling is a deterministic 1-in-N
 	// stride, not a coin flip). Requests that arrive carrying a trace_id are
@@ -260,7 +255,7 @@ func (s *Server) shouldTrace(clientID string) bool {
 	return (s.traceSeq.Add(1)-1)%stride == 0
 }
 
-// handleFFT is the transform/pipeline endpoint. The response format follows
+// handleFFT is the transform endpoint. The response format follows
 // the request format: application/octet-stream for the binary wire format,
 // JSON otherwise. Traced requests (client trace ID or server sampling) record
 // a span tree covering decode → admit → queue → coalesce → exec → encode;
@@ -327,11 +322,8 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 	}
 	root := spans.BeginAt("request", startAt)
 	root.SetAttr("op", req.Op)
-	shape := ""
-	if req.Op == OpTransform {
-		shape = s.shapeKey(req)
-		root.SetAttr("shape", shape)
-	}
+	shape := s.shapeKey(req)
+	root.SetAttr("shape", shape)
 	// Sampling is decided by what was decoded, so the decode span and its
 	// read/parse children are stamped after the fact.
 	decodeSpan := root.BeginAt("decode", startAt)
@@ -449,32 +441,23 @@ var (
 	contentTypeBinary = []string{"application/octet-stream"}
 )
 
-// writeReply renders a resolved task's reply into one buffer and writes it
-// with its Content-Length. A transform is rendered straight from task.data
-// into a bytePool buffer; the small pipeline replies go through
-// encoding/json and EncodeResponse.
+// writeReply renders a resolved task's reply straight from task.data into
+// one bytePool buffer and writes it with its Content-Length.
 func writeReply(w http.ResponseWriter, binary bool, t *task, out taskOutcome) *statusError {
 	encodeSpan := t.root.Begin("encode")
 	defer encodeSpan.End()
 	renderSpan := encodeSpan.Begin("render")
 	var reply, pooled []byte
 	var err error
-	switch {
-	case out.resp == nil && binary:
+	if binary {
 		pooled = bytePool.get(transformFrameSize(len(t.data)))
 		reply = appendTransformFrame(pooled[:0], t.data, out.batchSize, t.spans.TraceID())
-	case out.resp == nil:
+	} else {
 		pooled = bytePool.get(transformJSONSize(len(t.data)))
 		reply, err = appendTransformJSON(pooled[:0], t.data, out.batchSize, t.spans.TraceID())
-	case binary:
-		reply = EncodeResponse(out.resp)
-	default:
-		// json.Encoder's rendering: Marshal plus a newline.
-		reply, err = json.Marshal(out.resp)
-		reply = append(reply, '\n')
 	}
 	renderSpan.End()
-	defer bytePool.put(pooled) // after the write; a nil buffer is not kept
+	defer bytePool.put(pooled) // after the write
 	if err != nil {
 		// Only a transform that overflowed to ±Inf or NaN gets here: the
 		// request was well-formed, but its result has no JSON spelling.

@@ -183,79 +183,6 @@ func TestServeTransformBinary(t *testing.T) {
 	assertClose(t, dec.Data, referenceTransform(dims, req.Data, fft.Forward, false))
 }
 
-func TestServePipeline(t *testing.T) {
-	s := startServer(t, Config{})
-	code, resp, _ := postJSON(t, s.URL(), &Request{
-		Op:       OpPipeline,
-		Pipeline: &PipelineRequest{Ecut: 30, Alat: 10, NB: 8, Ranks: 2, NTG: 2},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if resp.Runtime <= 0 {
-		t.Errorf("simulated runtime %g, want > 0", resp.Runtime)
-	}
-	if resp.Engine != "task-iter" {
-		t.Errorf("engine %q, want default task-iter", resp.Engine)
-	}
-}
-
-// TestServePipelineEngineSelection drives engine choice end to end: an
-// explicit per-request engine, the auto selector resolving to a concrete
-// engine, a server-level default, and the binary FXP1/FXQ1 frames.
-func TestServePipelineEngineSelection(t *testing.T) {
-	concrete := map[string]bool{
-		"original": true, "task-steps": true, "task-iter": true, "task-combined": true,
-		"dataflow": true,
-	}
-	pipe := func(engine string) *Request {
-		return &Request{
-			Op:       OpPipeline,
-			Pipeline: &PipelineRequest{Ecut: 30, Alat: 10, NB: 8, Ranks: 2, NTG: 2, Engine: engine},
-		}
-	}
-
-	s := startServer(t, Config{})
-	code, resp, _ := postJSON(t, s.URL(), pipe("original"))
-	if code != http.StatusOK || resp.Engine != "original" {
-		t.Errorf("explicit engine: status %d engine %q, want 200 original", code, resp.Engine)
-	}
-	code, resp, _ = postJSON(t, s.URL(), pipe("auto"))
-	if code != http.StatusOK || !concrete[resp.Engine] {
-		t.Errorf("auto: status %d engine %q, want 200 and a concrete engine", code, resp.Engine)
-	}
-
-	// The same request over the binary wire format: the FXQ1 response frame
-	// carries the resolved engine too.
-	wire, err := EncodeRequest(pipe("auto"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpResp, err := http.Post(s.URL()+"/fft", "application/octet-stream", bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(httpResp.Body)
-	httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("binary auto: status %d: %s", httpResp.StatusCode, raw)
-	}
-	dec, err := DecodeResponse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !concrete[dec.Engine] || dec.Runtime <= 0 {
-		t.Errorf("binary auto: engine %q runtime %g, want a concrete engine and runtime > 0", dec.Engine, dec.Runtime)
-	}
-
-	// A server-level default applies when the request names no engine.
-	sd := startServer(t, Config{DefaultEngine: "original"})
-	code, resp, _ = postJSON(t, sd.URL(), pipe(""))
-	if code != http.StatusOK || resp.Engine != "original" {
-		t.Errorf("server default: status %d engine %q, want 200 original", code, resp.Engine)
-	}
-}
-
 func TestServeRejectsBadRequests(t *testing.T) {
 	s := startServer(t, Config{MaxElements: 256})
 	url := s.URL() + "/fft"
@@ -288,13 +215,60 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		`{"dims":[4,4,4,4],"data":[]}`,
 		`{"dims":[1024],"batch":2,"data":[]}`,
 		`{"unknown_field":1}`,
-		`{"op":"pipeline","pipeline":{"ecut":30,"alat":10,"nb":7,"ranks":2,"ntg":2}}`,
-		`{"op":"pipeline","pipeline":{"ecut":30,"alat":10,"nb":8,"ranks":2,"ntg":2,"engine":"warp"}}`,
 	}
 	for _, body := range cases {
 		if code := post(body); code != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, code)
 		}
+	}
+}
+
+// postStatus posts body to the server's /fft endpoint and returns the reply
+// status, requiring a JSON error body when a JSON request is refused.
+func postStatus(t *testing.T, s *Server, contentType string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(s.URL()+"/fft", contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK && contentType == "application/json" {
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+			t.Errorf("error reply without JSON error body (%v)", err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// TestServePipeline checks that fftxd serves transforms only: a pipeline
+// simulation body is a bad request, well-formed or not.
+func TestServePipeline(t *testing.T) {
+	s := startServer(t, Config{})
+	for _, body := range []string{
+		`{"op":"pipeline","pipeline":{"ecut":30,"alat":10,"nb":8,"ranks":2,"ntg":2}}`,
+		`{"pipeline":{"ecut":30,"alat":10,"nb":8,"ranks":2,"ntg":2}}`,
+		`{"op":"pipeline","pipeline":{"ecut":30,"alat":10,"nb":7,"ranks":2,"ntg":2}}`,
+	} {
+		if code := postStatus(t, s, "application/json", []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400", body, code)
+		}
+	}
+}
+
+// TestServePipelineEngineSelection checks that no request picks an engine:
+// a pipeline body naming one, and the FXP1 binary frame that carried one,
+// are bad requests.
+func TestServePipelineEngineSelection(t *testing.T) {
+	s := startServer(t, Config{})
+	for _, engine := range []string{"auto", "warp"} {
+		body := `{"op":"pipeline","pipeline":{"ecut":30,"alat":10,"nb":8,"ranks":2,"ntg":2,"engine":"` + engine + `"}}`
+		if code := postStatus(t, s, "application/json", []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("engine %q: status %d, want 400", engine, code)
+		}
+	}
+	if code := postStatus(t, s, "application/octet-stream", pipelineFrame("")); code != http.StatusBadRequest {
+		t.Errorf("FXP1 frame: status %d, want 400", code)
 	}
 }
 

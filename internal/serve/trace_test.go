@@ -100,34 +100,6 @@ func TestServeTracingEndToEnd(t *testing.T) {
 	}
 	clientIDs[binReq.TraceID] = true
 
-	// Binary pipeline: FXP1 in, FXQ1 out.
-	pipeReq := &Request{
-		Op:       OpPipeline,
-		TraceID:  trace.NewTraceID(),
-		Pipeline: &PipelineRequest{Ecut: 20, Alat: 10, NB: 8, Ranks: 2, NTG: 2},
-	}
-	frame, err = EncodeRequest(pipeReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpResp, err = http.Post(s.URL()+"/fft", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err = io.ReadAll(httpResp.Body)
-	httpResp.Body.Close()
-	if err != nil || httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("binary pipeline request: status %d err %v", httpResp.StatusCode, err)
-	}
-	pipeResp, err := DecodeResponse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipeResp.TraceID != pipeReq.TraceID {
-		t.Fatalf("FXQ1 trace ID %q, want %q", pipeResp.TraceID, pipeReq.TraceID)
-	}
-	clientIDs[pipeReq.TraceID] = true
-
 	// Every traced request must appear at /debug/fftx/requests with a
 	// structurally valid span tree whose root duration matches the reported
 	// latency within tolerance.

@@ -35,51 +35,20 @@ import (
 //	8       …     payload, same shape as the request
 //	…       16    ASCII trace ID, only when bit31 of the size field is set
 //
-// Pipeline request layout (the binary form of OpPipeline):
-//
-//	0       4     magic "FXP1"
-//	4       1     engine name length L (0 = the server's default engine)
-//	5       1     flags: bit0 = trace ID present
-//	6       2     reserved, must be 0
-//	8       8     f64 ecut
-//	16      8     f64 alat
-//	24      4     u32 nb
-//	28      4     u32 ranks
-//	32      4     u32 ntg
-//	36      4     u32 seed
-//	40      4     u32 deadline in milliseconds (0 = none)
-//	44      L     engine name (original|task-steps|task-iter|task-combined|dataflow|auto)
-//	44+L    16    ASCII trace ID, only when flags bit0 set
-//
-// Pipeline response layout:
-//
-//	0       4     magic "FXQ1"
-//	4       8     f64 simulated runtime in virtual seconds
-//	12      1     engine name length L
-//	13      L     the engine that actually ran (auto resolved)
-//	13+L    16    ASCII trace ID, only when the frame is exactly 16 bytes
-//	              longer than the name requires (length-discriminated)
-//
 // Decoders validate every length before allocating and return errors —
 // never panic — on malformed input (FuzzRequestDecode holds them to that).
 
 // Wire format constants.
 var (
-	magicRequest      = [4]byte{'F', 'X', 'D', '1'}
-	magicResponse     = [4]byte{'F', 'X', 'R', '1'}
-	magicPipeRequest  = [4]byte{'F', 'X', 'P', '1'}
-	magicPipeResponse = [4]byte{'F', 'X', 'Q', '1'}
+	magicRequest  = [4]byte{'F', 'X', 'D', '1'}
+	magicResponse = [4]byte{'F', 'X', 'R', '1'}
 )
 
 const (
-	wireReqHeader      = 16 // fixed transform request header bytes before dims
-	wireRespHeader     = 8
-	wirePipeReqHeader  = 44 // fixed pipeline request bytes before the engine name
-	wirePipeRespHeader = 13
-	maxEngineNameLen   = 32
-	flagScale          = 1 << 0
-	flagTraceID        = 1 << 1 // FXD1: a 16-byte trace ID follows the dims
-	pipeFlagTraceID    = 1 << 0 // FXP1 byte 5: a trace ID follows the engine name
+	wireReqHeader  = 16 // fixed request header bytes before dims
+	wireRespHeader = 8
+	flagScale      = 1 << 0
+	flagTraceID    = 1 << 1 // a 16-byte trace ID follows the dims
 	// flagRespTrace marks bit31 of the FXR1 batch-size field: a 16-byte
 	// trace ID trails the payload. Batch sizes are bounded far below 2^31
 	// (DefaultMaxElements), so the bit is never a real size.
@@ -88,28 +57,19 @@ const (
 
 // PeekRoute extracts the routing key and trace ID of an encoded request
 // without decoding (or validating) its payload — the router's half of the
-// codec. Transforms peek as their batching ShapeKey ("f3d:16x16x16"), so a
-// shape lands on the worker whose plan cache is already hot for it;
-// pipeline simulations peek as their workload descriptor (pipeRouteKey), so
-// identical cost-model probes share a worker the same way. Malformed bodies
-// return an error: the router forwards those to an arbitrary worker, whose
-// full decoder owns the canonical rejection.
+// codec. A request peeks as its batching ShapeKey ("f3d:16x16x16"), so a
+// shape lands on the worker whose plan cache is already hot for it.
+// Malformed bodies return an error: the router forwards those to an
+// arbitrary worker, whose full decoder owns the canonical rejection.
 func PeekRoute(body []byte, binary bool) (key, traceID string, err error) {
 	if binary {
 		return peekBinaryRoute(body)
 	}
 	var peek struct {
-		Op       string `json:"op"`
-		Dims     []int  `json:"dims"`
-		Sign     int    `json:"sign"`
-		Scale    bool   `json:"scale"`
-		TraceID  string `json:"trace_id"`
-		Pipeline *struct {
-			Ecut  float64 `json:"ecut"`
-			NB    int     `json:"nb"`
-			Ranks int     `json:"ranks"`
-			NTG   int     `json:"ntg"`
-		} `json:"pipeline"`
+		Dims    []int  `json:"dims"`
+		Sign    int    `json:"sign"`
+		Scale   bool   `json:"scale"`
+		TraceID string `json:"trace_id"`
 	}
 	// Only the envelope is parsed: the scanner steps over the data array
 	// without converting it, and rejects what the worker's decoder rejects
@@ -121,10 +81,6 @@ func PeekRoute(body []byte, binary bool) (key, traceID string, err error) {
 	if err != nil {
 		return "", "", fmt.Errorf("unroutable JSON request: %w", err)
 	}
-	if peek.Pipeline != nil && (peek.Op == "" || peek.Op == OpPipeline) {
-		p := peek.Pipeline
-		return pipeRouteKey(p.Ecut, p.NB, p.Ranks, p.NTG), peek.TraceID, nil
-	}
 	if len(peek.Dims) < 1 || len(peek.Dims) > 3 {
 		return "", "", fmt.Errorf("unroutable request: dims %v", peek.Dims)
 	}
@@ -135,34 +91,9 @@ func PeekRoute(body []byte, binary bool) (key, traceID string, err error) {
 	return r.ShapeKey(), peek.TraceID, nil
 }
 
-// pipeRouteKey is the routing descriptor of a pipeline workload — the
-// parameters that determine its cost, and therefore which worker should own
-// it.
-func pipeRouteKey(ecut float64, nb, ranks, ntg int) string {
-	return fmt.Sprintf("pipe:ecut%g:nb%d:r%dxt%d", ecut, nb, ranks, ntg)
-}
-
-// peekBinaryRoute reads just the FXD1/FXP1 header fields that determine
-// routing, leaving the payload untouched and unvalidated.
+// peekBinaryRoute reads just the FXD1 header fields that determine routing,
+// leaving the payload untouched and unvalidated.
 func peekBinaryRoute(body []byte) (key, traceID string, err error) {
-	if len(body) >= wirePipeReqHeader && [4]byte(body[:4]) == magicPipeRequest {
-		nameLen := int(body[4])
-		if nameLen > maxEngineNameLen || len(body) < wirePipeReqHeader+nameLen {
-			return "", "", fmt.Errorf("unroutable pipeline request")
-		}
-		ecut := math.Float64frombits(binary.LittleEndian.Uint64(body[8:16]))
-		nb := binary.LittleEndian.Uint32(body[24:28])
-		ranks := binary.LittleEndian.Uint32(body[28:32])
-		ntg := binary.LittleEndian.Uint32(body[32:36])
-		if body[5]&pipeFlagTraceID != 0 {
-			rest := body[wirePipeReqHeader+nameLen:]
-			if len(rest) < trace.TraceIDLen {
-				return "", "", fmt.Errorf("unroutable pipeline request: truncated trace ID")
-			}
-			traceID = string(rest[:trace.TraceIDLen])
-		}
-		return pipeRouteKey(ecut, int(nb), int(ranks), int(ntg)), traceID, nil
-	}
 	if len(body) < wireReqHeader || [4]byte(body[:4]) != magicRequest {
 		return "", "", fmt.Errorf("unroutable binary request")
 	}
@@ -191,14 +122,10 @@ func peekBinaryRoute(body []byte) (key, traceID string, err error) {
 	return r.ShapeKey(), traceID, nil
 }
 
-// EncodeRequest renders a validated request in the binary wire format:
-// transforms as an "FXD1" frame, pipeline simulations as an "FXP1" frame.
+// EncodeRequest renders a validated request as an "FXD1" frame.
 func EncodeRequest(r *Request) ([]byte, error) {
-	if r.Op == OpPipeline || (r.Op == "" && r.Pipeline != nil) {
-		return encodePipelineRequest(r)
-	}
 	if r.Op != "" && r.Op != OpTransform {
-		return nil, fmt.Errorf("binary wire format carries transform and pipeline requests only, not %q", r.Op)
+		return nil, fmt.Errorf("binary wire format carries transform requests only, not %q", r.Op)
 	}
 	if len(r.Dims) < 1 || len(r.Dims) > 3 {
 		return nil, fmt.Errorf("invalid rank %d", len(r.Dims))
@@ -241,95 +168,7 @@ func EncodeRequest(r *Request) ([]byte, error) {
 	return out, nil
 }
 
-// encodePipelineRequest renders an OpPipeline request as an "FXP1" frame.
-func encodePipelineRequest(r *Request) ([]byte, error) {
-	p := r.Pipeline
-	if p == nil {
-		return nil, fmt.Errorf("pipeline request without pipeline parameters")
-	}
-	if len(p.Engine) > maxEngineNameLen {
-		return nil, fmt.Errorf("engine name %q too long", p.Engine)
-	}
-	pipeFlags := byte(0)
-	if r.TraceID != "" {
-		if !trace.ValidTraceID(r.TraceID) {
-			return nil, fmt.Errorf("malformed trace_id %q", r.TraceID)
-		}
-		pipeFlags |= pipeFlagTraceID
-	}
-	out := make([]byte, 0, wirePipeReqHeader+len(p.Engine)+trace.TraceIDLen)
-	out = append(out, magicPipeRequest[:]...)
-	out = append(out, byte(len(p.Engine)), pipeFlags, 0, 0)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.Ecut))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.Alat))
-	for _, v := range []int{p.NB, p.Ranks, p.NTG, p.Seed} {
-		if v < 0 || v > math.MaxUint32 {
-			return nil, fmt.Errorf("pipeline field %d out of wire range", v)
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.DeadlineMillis))
-	out = append(out, p.Engine...)
-	if pipeFlags&pipeFlagTraceID != 0 {
-		out = append(out, r.TraceID...)
-	}
-	return out, nil
-}
-
-// decodePipelineRequest parses and validates an "FXP1" frame.
-func decodePipelineRequest(data []byte, maxElements int) (*Request, error) {
-	if len(data) < wirePipeReqHeader {
-		return nil, fmt.Errorf("pipeline request truncated: %d bytes, header is %d", len(data), wirePipeReqHeader)
-	}
-	nameLen := int(data[4])
-	pipeFlags := data[5]
-	if pipeFlags&^byte(pipeFlagTraceID) != 0 {
-		return nil, fmt.Errorf("unknown pipeline flags %#x", pipeFlags)
-	}
-	if data[6] != 0 || data[7] != 0 {
-		return nil, fmt.Errorf("reserved pipeline header bytes set")
-	}
-	want := wirePipeReqHeader + nameLen
-	if pipeFlags&pipeFlagTraceID != 0 {
-		want += trace.TraceIDLen
-	}
-	if len(data) != want {
-		return nil, fmt.Errorf("pipeline request carries %d bytes, want %d", len(data), want)
-	}
-	ecut := math.Float64frombits(binary.LittleEndian.Uint64(data[8:16]))
-	alat := math.Float64frombits(binary.LittleEndian.Uint64(data[16:24]))
-	if math.IsNaN(ecut) || math.IsInf(ecut, 0) || math.IsNaN(alat) || math.IsInf(alat, 0) {
-		return nil, fmt.Errorf("pipeline ecut/alat not finite")
-	}
-	req := &Request{
-		Op: OpPipeline,
-		Pipeline: &PipelineRequest{
-			Ecut:   ecut,
-			Alat:   alat,
-			NB:     int(binary.LittleEndian.Uint32(data[24:28])),
-			Ranks:  int(binary.LittleEndian.Uint32(data[28:32])),
-			NTG:    int(binary.LittleEndian.Uint32(data[32:36])),
-			Seed:   int(binary.LittleEndian.Uint32(data[36:40])),
-			Engine: string(data[wirePipeReqHeader : wirePipeReqHeader+nameLen]),
-		},
-		DeadlineMillis: int64(binary.LittleEndian.Uint32(data[40:44])),
-	}
-	if pipeFlags&pipeFlagTraceID != 0 {
-		id := string(data[wirePipeReqHeader+nameLen:])
-		if !trace.ValidTraceID(id) {
-			return nil, fmt.Errorf("malformed trace ID %q", id)
-		}
-		req.TraceID = id
-	}
-	if err := req.Validate(maxElements); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// DecodeRequest parses and validates a binary request, dispatching on the
-// frame magic: "FXD1" transforms, "FXP1" pipeline simulations. It never
-// panics: malformed lengths, truncated payloads and non-finite components
+// DecodeRequest parses and validates an "FXD1" frame. It never panics: malformed lengths, truncated payloads and non-finite components
 // all return errors.
 func DecodeRequest(data []byte, maxElements int) (*Request, error) {
 	req, payload, err := decodeBinary(data, maxElements)
@@ -346,10 +185,6 @@ const float64ExpMask = 0x7FF << 52
 func decodeBinary(data []byte, maxElements int) (*Request, []complex128, error) {
 	if maxElements <= 0 {
 		maxElements = DefaultMaxElements
-	}
-	if len(data) >= 4 && [4]byte(data[:4]) == magicPipeRequest {
-		req, err := decodePipelineRequest(data, maxElements)
-		return req, nil, err
 	}
 	if len(data) < wireReqHeader {
 		return nil, nil, fmt.Errorf("request truncated: %d bytes, header is %d", len(data), wireReqHeader)
@@ -413,11 +248,11 @@ func decodeBinary(data []byte, maxElements int) (*Request, []complex128, error) 
 		req.TraceID = id
 		rest = rest[trace.TraceIDLen:]
 	}
-	if want := int(batch) * n * 16; len(rest) != want {
-		return nil, nil, fmt.Errorf("payload carries %d bytes, want %d", len(rest), want)
-	}
 	if _, err := req.validateHeader(maxElements); err != nil {
 		return nil, nil, err
+	}
+	if want := int(batch) * n * 16; len(rest) != want {
+		return nil, nil, fmt.Errorf("payload carries %d bytes, want %d", len(rest), want)
 	}
 	payload := complexPool.get(int(batch) * n)
 	for i := range payload {
@@ -432,21 +267,11 @@ func decodeBinary(data []byte, maxElements int) (*Request, []complex128, error) 
 	return req, payload, nil
 }
 
-// EncodeResponse renders a response in the binary wire format: pipeline
-// replies (recognizable by their engine label) as an "FXQ1" frame,
-// transforms as "FXR1".
+// EncodeResponse renders a response as an "FXR1" frame.
 func EncodeResponse(resp *Response) []byte {
 	traceID := resp.TraceID
 	if !trace.ValidTraceID(traceID) {
 		traceID = ""
-	}
-	if resp.Engine != "" {
-		out := make([]byte, 0, wirePipeRespHeader+len(resp.Engine)+trace.TraceIDLen)
-		out = append(out, magicPipeResponse[:]...)
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(resp.Runtime))
-		out = append(out, byte(len(resp.Engine)))
-		out = append(out, resp.Engine...)
-		return append(out, traceID...)
 	}
 	// The exported API carries interleaved floats where the server has
 	// complex values; header and trailer are appendTransformFrame's.
@@ -485,32 +310,8 @@ func appendTransformFrame(out []byte, data []complex128, batchSize int, traceID 
 	return append(out, traceID...)
 }
 
-// DecodeResponse parses a binary response (the loadgen's read path),
-// dispatching on the frame magic.
+// DecodeResponse parses an "FXR1" frame (the loadgen's read path).
 func DecodeResponse(data []byte) (*Response, error) {
-	if len(data) >= 4 && [4]byte(data[:4]) == magicPipeResponse {
-		if len(data) < wirePipeRespHeader {
-			return nil, fmt.Errorf("pipeline response truncated: %d bytes", len(data))
-		}
-		nameLen := int(data[12])
-		traceID := ""
-		switch len(data) {
-		case wirePipeRespHeader + nameLen:
-		case wirePipeRespHeader + nameLen + trace.TraceIDLen:
-			traceID = string(data[wirePipeRespHeader+nameLen:])
-			if !trace.ValidTraceID(traceID) {
-				return nil, fmt.Errorf("malformed trace ID %q", traceID)
-			}
-		default:
-			return nil, fmt.Errorf("pipeline response carries %d bytes, want %d", len(data), wirePipeRespHeader+nameLen)
-		}
-		return &Response{
-			Runtime:   math.Float64frombits(binary.LittleEndian.Uint64(data[4:12])),
-			Engine:    string(data[wirePipeRespHeader : wirePipeRespHeader+nameLen]),
-			BatchSize: 1,
-			TraceID:   traceID,
-		}, nil
-	}
 	if len(data) < wireRespHeader {
 		return nil, fmt.Errorf("response truncated: %d bytes", len(data))
 	}

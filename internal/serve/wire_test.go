@@ -27,6 +27,25 @@ func validWireRequest(t *testing.T) []byte {
 	return b
 }
 
+// pipelineFrame renders an "FXP1" frame: the binary pipeline-simulation
+// request fftxd once served (magic, engine-name length, flags, two reserved
+// bytes, ecut and alat as f64, nb, ranks, ntg, seed and deadline as u32, the
+// engine name, then the trace ID when one is given). Decoders must reject it
+// by its magic.
+func pipelineFrame(traceID string) []byte {
+	b := append([]byte("FXP1"), 4, 0, 0, 0)
+	if traceID != "" {
+		b[5] = 1
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(20))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(10))
+	for _, v := range []uint32{8, 2, 2, 0, 0} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	b = append(b, "auto"...)
+	return append(b, traceID...)
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	orig := &Request{
 		Dims:           []int{5, 4},
@@ -68,58 +87,9 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWirePipelineRoundTrip(t *testing.T) {
-	orig := &Request{
-		Op: OpPipeline,
-		Pipeline: &PipelineRequest{
-			Ecut: 20, Alat: 10, NB: 8, Ranks: 2, NTG: 2,
-			Engine: "auto", Seed: 3,
-		},
-		DeadlineMillis: 125,
-	}
-	b, err := EncodeRequest(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRequest(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != OpPipeline || got.DeadlineMillis != 125 {
-		t.Errorf("header fields lost: %+v", got)
-	}
-	if *got.Pipeline != *orig.Pipeline {
-		t.Errorf("pipeline fields lost: %+v, want %+v", got.Pipeline, orig.Pipeline)
-	}
-
-	// Empty engine name (server default) survives too.
-	orig.Pipeline.Engine = ""
-	b, err = EncodeRequest(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeRequest(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Pipeline.Engine != "" {
-		t.Errorf("empty engine became %q", got.Pipeline.Engine)
-	}
-
-	resp := &Response{Runtime: 0.125, Engine: "task-iter", BatchSize: 1}
-	rt, err := DecodeResponse(EncodeResponse(resp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Runtime != 0.125 || rt.Engine != "task-iter" || rt.BatchSize != 1 {
-		t.Errorf("pipeline response round trip lost fields: %+v", rt)
-	}
-}
-
-// TestWireTraceIDRoundTrip drives the trace-ID extension through all four
-// frame types: FXD1 (flags bit1 + ID between dims and payload), FXR1 (bit31
-// of the batch field + trailing ID), FXP1 (flags byte bit0 + ID after the
-// engine name) and FXQ1 (length-discriminated trailing ID).
+// TestWireTraceIDRoundTrip drives the trace-ID extension through both
+// frame types: FXD1 (flags bit1 + ID between dims and payload) and FXR1
+// (bit31 of the batch field + trailing ID).
 func TestWireTraceIDRoundTrip(t *testing.T) {
 	const id = "00deadbeef15dead"
 
@@ -139,23 +109,6 @@ func TestWireTraceIDRoundTrip(t *testing.T) {
 		t.Errorf("FXD1 payload lost %d floats around the trace ID", len(req.Data)-len(got.Data))
 	}
 
-	pipe := &Request{
-		Op:       OpPipeline,
-		TraceID:  id,
-		Pipeline: &PipelineRequest{Ecut: 20, Alat: 10, NB: 4, Ranks: 2, NTG: 2, Engine: "auto"},
-	}
-	b, err = EncodeRequest(pipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeRequest(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TraceID != id || got.Pipeline.Engine != "auto" {
-		t.Errorf("FXP1 round trip lost fields: trace %q engine %q", got.TraceID, got.Pipeline.Engine)
-	}
-
 	resp := &Response{Data: []float64{1, 2}, BatchSize: 5, TraceID: id}
 	rt, err := DecodeResponse(EncodeResponse(resp))
 	if err != nil {
@@ -163,15 +116,6 @@ func TestWireTraceIDRoundTrip(t *testing.T) {
 	}
 	if rt.TraceID != id || rt.BatchSize != 5 || len(rt.Data) != 2 {
 		t.Errorf("FXR1 round trip lost fields: %+v", rt)
-	}
-
-	presp := &Response{Runtime: 0.5, Engine: "task-iter", BatchSize: 1, TraceID: id}
-	rt, err = DecodeResponse(EncodeResponse(presp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.TraceID != id || rt.Engine != "task-iter" {
-		t.Errorf("FXQ1 round trip lost fields: %+v", rt)
 	}
 
 	// Malformed IDs are rejected at encode time, not silently truncated.
@@ -183,63 +127,6 @@ func TestWireTraceIDRoundTrip(t *testing.T) {
 	copy(bad[len(bad)-16:], "ZZZZZZZZZZZZZZZZ")
 	if _, err := DecodeResponse(bad); err == nil {
 		t.Error("DecodeResponse accepted a malformed trace ID")
-	}
-}
-
-func TestDecodePipelineRequestErrors(t *testing.T) {
-	valid := &Request{
-		Op:       OpPipeline,
-		Pipeline: &PipelineRequest{Ecut: 20, Alat: 10, NB: 8, Ranks: 2, NTG: 2, Engine: "task-steps"},
-	}
-	base, err := EncodeRequest(valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(f func(b []byte) []byte) []byte {
-		b := append([]byte(nil), base...)
-		return f(b)
-	}
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"short header", base[:wirePipeReqHeader-1], "truncated"},
-		{"unknown flags", mutate(func(b []byte) []byte { b[5] = 0x80; return b }), "unknown pipeline flags"},
-		{"reserved set", mutate(func(b []byte) []byte { b[6] = 1; return b }), "reserved"},
-		{"name length mismatch", mutate(func(b []byte) []byte { b[4] = 3; return b }), "carries"},
-		{"trace flag without trace", mutate(func(b []byte) []byte { b[5] |= pipeFlagTraceID; return b }), "carries"},
-		{"trace flag bad trace", mutate(func(b []byte) []byte {
-			b[5] |= pipeFlagTraceID
-			return append(b, "XYZ-not-hex-----"...)
-		}), "malformed trace ID"},
-		{"NaN ecut", mutate(func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[8:], math.Float64bits(math.NaN()))
-			return b
-		}), "not finite"},
-		{"unknown engine", mutate(func(b []byte) []byte { b[wirePipeReqHeader] = 'x'; return b }), "unknown engine"},
-		{"huge ranks", mutate(func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[28:], math.MaxUint32)
-			return b
-		}), "lanes"},
-		{"huge nb", mutate(func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[24:], math.MaxUint32)
-			return b
-		}), "band limit"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			req, err := DecodeRequest(tc.data, 0)
-			if err == nil {
-				t.Fatalf("accepted malformed input: %+v", req)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-	if _, err := DecodeRequest(base, 0); err != nil {
-		t.Fatalf("valid pipeline request rejected: %v", err)
 	}
 }
 
@@ -263,6 +150,7 @@ func TestDecodeRequestErrors(t *testing.T) {
 		{"short header", base[:wireReqHeader-1], "truncated"},
 		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b }), "bad magic"},
 		{"response magic", mutate(func(b []byte) []byte { copy(b, magicResponse[:]); return b }), "bad magic"},
+		{"pipeline frame", pipelineFrame("0123456789abcdef"), "bad magic"},
 		{"bad sign", mutate(func(b []byte) []byte { b[4] = 2; return b }), "bad sign"},
 		{"rank 0", mutate(func(b []byte) []byte { b[5] = 0; return b }), "bad rank"},
 		{"rank 4", mutate(func(b []byte) []byte { b[5] = 4; return b }), "bad rank"},
@@ -321,6 +209,42 @@ func TestDecodeRequestErrors(t *testing.T) {
 	}
 }
 
+// TestElementBudget pins the element budget to the server's limit, not the
+// default one: a budget above DefaultMaxElements admits what fits inside it,
+// and a shape over the budget is reported as over it. Only headers are
+// built, so no payload of that size is allocated.
+func TestElementBudget(t *testing.T) {
+	const big = 1 << 24
+	cases := []struct {
+		dims []int
+		max  int
+		want string // error substring; "" = admitted
+	}{
+		{[]int{1 << 23}, big, ""},
+		{[]int{4096, 2048}, big, ""},
+		{[]int{1 << 23}, 0, "exceeds the 4194304-element limit"},
+		{[]int{4096, 2048}, 0, "exceeds the 4194304-element limit"},
+		{[]int{1 << 40, 1 << 40}, big, "invalid dims"}, // the product overflows
+	}
+	for _, tc := range cases {
+		r := &Request{Dims: tc.dims}
+		_, err := r.validateHeader(tc.max)
+		if tc.want == "" && err != nil {
+			t.Errorf("dims %v under budget %d: %v", tc.dims, tc.max, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("dims %v under budget %d: error %v, want one mentioning %q", tc.dims, tc.max, err, tc.want)
+		}
+	}
+
+	// An FXD1 header of dims [2^23] with no payload behind it: admitted by
+	// a 2^24 budget, so the frame fails on its length.
+	header := []byte{'F', 'X', 'D', '1', 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0}
+	if _, err := DecodeRequest(header, big); err == nil || !strings.Contains(err.Error(), "payload carries") {
+		t.Errorf("truncated FXD1 under budget %d: error %v, want a payload-length error", big, err)
+	}
+}
+
 // FuzzRequestDecode holds the binary decoder to its contract: arbitrary
 // input either decodes into a request that re-validates cleanly or returns
 // an error — it never panics and never over-allocates past the element
@@ -332,25 +256,22 @@ func FuzzRequestDecode(f *testing.F) {
 		f.Add(seed[:wireReqHeader+4])
 		f.Add(append(append([]byte(nil), seed...), 1, 2, 3))
 	}
-	pipe := &Request{Op: OpPipeline, Pipeline: &PipelineRequest{Ecut: 20, Alat: 10, NB: 4, Ranks: 2, NTG: 2, Engine: "auto"}}
-	if seed, err := EncodeRequest(pipe); err == nil {
-		f.Add(seed)
-		f.Add(seed[:wirePipeReqHeader])
-	}
+	// Pipeline frames, which no longer decode.
+	pipe := pipelineFrame("")
+	f.Add(pipe)
+	f.Add(pipe[:len(pipe)-4])
 	// Traced frames: whole, truncated mid-trace-ID, and with a duplicated
 	// trace-ID field appended (the decoder must reject the length surplus).
 	valid.TraceID = "0123456789abcdef"
-	pipe.TraceID = "fedcba9876543210"
 	if seed, err := EncodeRequest(valid); err == nil {
 		f.Add(seed)
 		f.Add(seed[:wireReqHeader+4*3+8])
 		f.Add(append(append([]byte(nil), seed...), "0123456789abcdef"...))
 	}
-	if seed, err := EncodeRequest(pipe); err == nil {
-		f.Add(seed)
-		f.Add(seed[:len(seed)-8])
-		f.Add(append(append([]byte(nil), seed...), "fedcba9876543210"...))
-	}
+	pipe = pipelineFrame("fedcba9876543210")
+	f.Add(pipe)
+	f.Add(pipe[:len(pipe)-8])
+	f.Add(append(append([]byte(nil), pipe...), "fedcba9876543210"...))
 	f.Add([]byte{})
 	f.Add([]byte("FXD1"))
 	f.Add([]byte("FXP1"))
@@ -370,18 +291,6 @@ func FuzzRequestDecode(f *testing.F) {
 		// Whatever decoded must satisfy the same contract Validate enforces.
 		if err := req.Validate(fuzzMaxElements); err != nil {
 			t.Fatalf("decoded request fails validation: %v", err)
-		}
-		if req.Op == OpPipeline {
-			// Pipeline frames carry no payload; the contract is the
-			// encode/decode fixed point.
-			b, err := EncodeRequest(req)
-			if err != nil {
-				t.Fatalf("re-encode failed: %v", err)
-			}
-			if !bytes.Equal(b, mustEncode(t, mustDecode(t, b))) {
-				t.Fatal("pipeline encode/decode is not a fixed point")
-			}
-			return
 		}
 		n := req.NumElements()
 		if n == 0 || req.Batch*n > fuzzMaxElements {
@@ -417,13 +326,4 @@ func mustEncode(t *testing.T, r *Request) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-func mustDecode(t *testing.T, b []byte) *Request {
-	t.Helper()
-	r, err := DecodeRequest(b, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
 }

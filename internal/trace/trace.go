@@ -250,12 +250,10 @@ func Load(path string) (*Trace, error) {
 }
 
 // Recorder is a convenience for emitting intervals from one lane with
-// begin/end bracketing against a virtual clock. It writes to any Sink —
-// a *Trace, a ring buffer, or a Tee of several. Zero-duration intervals
-// are dropped before reaching the sink, so every sink behind a Tee sees
-// the identical stream.
+// begin/end bracketing against a virtual clock. Zero-duration intervals are
+// dropped before they reach the trace.
 type Recorder struct {
-	S    Sink
+	S    *Trace
 	Lane int
 }
 

@@ -174,8 +174,13 @@ func TestRenderIPCHistogram(t *testing.T) {
 func TestZeroDurationDropped(t *testing.T) {
 	tr := New(1, 1e9)
 	tr.Record(Interval{Lane: 0, Start: 1, End: 1, Kind: KindCompute})
+	r := Recorder{S: tr, Lane: 0}
+	r.Compute(2, 2, "fft-z", 1, 1e9)
+	r.MPI("Alltoallv", "world", 7, 3, 3, 3)
+	r.Runtime(4, 4)
+	r.Idle(5, 5)
 	if len(tr.Intervals) != 0 {
-		t.Fatal("zero-duration interval kept")
+		t.Fatalf("zero-duration intervals kept: %+v", tr.Intervals)
 	}
 }
 
