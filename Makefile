@@ -63,7 +63,9 @@ fuzz-smoke:
 # overhead-smoke measures the cost of the always-on telemetry: the
 # enabled/disabled benchmark pair (time; design target <5%, see README
 # "Observability") plus the smoke test that counts a cost-mode run's
-# allocations with metrics on and off and fails if telemetry adds any.
+# allocations with metrics on and off and fails if telemetry adds any, and
+# TestRunAllocsPerBand, which pins the simulator's allocations per extra
+# band (nothing per task, edge, node name or posted scatter).
 # The serving side is counted too: TestHandleFFTAllocs and
 # TestTracingOverheadSmoke serve the same request untraced and fully traced
 # and pin the traced-request count, the span trees and the allocations per
@@ -71,7 +73,7 @@ fuzz-smoke:
 # bench/'s bench.tracing_overhead_pct.
 overhead-smoke:
 	$(GO) test ./internal/fftx -run '^$$' -bench RunTelemetry -benchtime 5x
-	$(GO) test ./internal/fftx -run TestTelemetryOverheadSmoke -count=1 -v
+	$(GO) test ./internal/fftx -run 'TestTelemetryOverheadSmoke|TestRunAllocsPerBand' -count=1 -v
 	$(GO) test ./internal/serve -run 'TestHandleFFTAllocs|TestTracingOverheadSmoke' -count=1 -v
 
 # serve-smoke is the end-to-end check CI runs: fftxbench's telemetry

@@ -201,8 +201,6 @@ func TestHandleTypesCarryNoCopy(t *testing.T) {
 		reflect.TypeOf((*vtime.Proc)(nil)).Elem(),
 		reflect.TypeOf((*vtime.Semaphore)(nil)).Elem(),
 		reflect.TypeOf((*vtime.WaitQueue)(nil)).Elem(),
-		reflect.TypeOf((*vtime.Queue[int])(nil)).Elem(),
-		reflect.TypeOf((*vtime.Barrier)(nil)).Elem(),
 		reflect.TypeOf((*mpi.World)(nil)).Elem(),
 		reflect.TypeOf((*mpi.Ctx)(nil)).Elem(),
 		reflect.TypeOf((*mpi.Comm)(nil)).Elem(),

@@ -71,11 +71,6 @@ func (h *harness) newRankRuntime(firstLane, workers int) *ompss.Runtime {
 	return rt
 }
 
-// ctx builds a worker's MPI context for the given rank.
-func (h *harness) ctx(wk *ompss.Worker, rank int) *mpi.Ctx {
-	return &mpi.Ctx{W: h.w, Proc: wk.Proc, Rank: rank, Lane: wk.Lane}
-}
-
 // groupComms registers the two communicator layers of the grouped
 // topology for rank (p,g): the "neighboring" pack communicator over the
 // T groups of position p and the "alternating" group communicator over

@@ -1,8 +1,6 @@
 package fftx
 
 import (
-	"fmt"
-
 	"repro/internal/fftx/graph"
 	"repro/internal/ompss"
 )
@@ -36,14 +34,14 @@ func (k *kernel) partStage(c computer, st *graph.Stage, s *graph.State, p, lo, h
 
 // nestedLoop runs a splittable stage as a nested task loop executed by all
 // of the rank's workers, waiting for the group before continuing the step.
-func (k *kernel) nestedLoop(rt *ompss.Runtime, wk *ompss.Worker, it int, st *graph.Stage, s *graph.State, p int) {
+// Its chunk tasks are named n followed by their range.
+func (k *kernel) nestedLoop(rt *ompss.Runtime, wk *ompss.Worker, n ompss.Name, st *graph.Stage, s *graph.State, p int) {
 	grain := k.cfg.NestedGrainZ
 	if st.Split == graph.SplitPlanes {
 		grain = k.cfg.NestedGrainXY
 	}
 	grp := rt.NewGroup()
-	rt.TaskLoopInGroup(wk.Proc, grp, fmt.Sprintf("%s.it%d", st.LoopName, it),
-		st.Count(p), grain,
+	rt.TaskLoopInGroup(wk.Proc, grp, n, st.Count(p), grain,
 		func(w2 *ompss.Worker, lo, hi int) {
 			k.partStage(w2, st, s, p, lo, hi)
 		})

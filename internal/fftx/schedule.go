@@ -2,11 +2,11 @@ package fftx
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fftx/graph"
 	"repro/internal/mpi"
 	"repro/internal/ompss"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -112,9 +112,12 @@ func (pol policy) layout(c Config) (ranks, perRank int) {
 
 // unit is one task's share of a job's walk.
 type unit struct {
-	label        string
-	pack, unpack bool
-	stages       []*graph.Stage
+	// name and postName are the static parts of the names of the unit's
+	// task and of its posted scatter's arrival event; the job's sequence
+	// number completes them, as in "seg0.12".
+	name, postName string
+	pack, unpack   bool
+	stages         []*graph.Stage
 	// post is the trailing scatter an async row posts without blocking;
 	// nil when the unit does not end in one or the row's scatters block.
 	post *graph.Stage
@@ -129,15 +132,15 @@ func (pol policy) units(g *graph.Graph) []unit {
 	var us []unit
 	switch pol.unit {
 	case unitStep:
-		us = append(us, unit{label: "pack", pack: true})
+		us = append(us, unit{name: "pack", pack: true})
 		for _, st := range g.Steps() {
-			us = append(us, unit{label: st.Label, stages: st.Stages})
+			us = append(us, unit{name: st.Label, stages: st.Stages})
 		}
-		us = append(us, unit{label: "unpack", unpack: true})
+		us = append(us, unit{name: "unpack", unpack: true})
 	case unitSegment:
 		segs, scatters := g.Segments()
 		for i, seg := range segs {
-			u := unit{label: fmt.Sprintf("seg%d", i), stages: seg, depth: i}
+			u := unit{name: fmt.Sprintf("seg%d", i), stages: seg, depth: i}
 			if i < len(scatters) {
 				u.stages = append(seg, scatters[i])
 			}
@@ -150,12 +153,14 @@ func (pol policy) units(g *graph.Graph) []unit {
 		for i := range g.Stages {
 			all[i] = &g.Stages[i]
 		}
-		us = []unit{{label: "job", pack: true, unpack: true, stages: all}}
+		us = []unit{{name: "job", pack: true, unpack: true, stages: all}}
 	}
 	for i := range us {
 		u := &us[i]
+		u.name += "."
 		if n := len(u.stages); pol.async && n > 0 && u.stages[n-1].Kind == graph.Scatter {
 			u.stages, u.post = u.stages[:n-1], u.stages[n-1]
+			u.postName = u.post.Step + "."
 		}
 		u.comm = u.post != nil || (pol.grouped && (u.pack || u.unpack))
 		for _, st := range u.stages {
@@ -186,6 +191,29 @@ type rank struct {
 	pack, scat *mpi.Comm
 	// rt is the rank's task runtime, nil for rows without one.
 	rt *ompss.Runtime
+	// jobs are the rank's jobs, by sequence number.
+	jobs []job
+	// arrivals[seq·len(units)+i] is the arrival event of the scatter unit
+	// i of the job at seq posts.
+	arrivals []*ompss.Task
+	// ctxs are the MPI contexts of the rank's workers, by worker index,
+	// each built on its worker's first communicating task.
+	ctxs []mpi.Ctx
+}
+
+// job is one job of a rank: the state its walk carries, and the arrival
+// event its posted scatter in flight completes (a job's next unit waits
+// for that arrival, so it has at most one in flight).
+type job struct {
+	graph.State
+	r      *rank
+	posted *ompss.Task
+}
+
+// Done implements mpi.Done: the posted scatter has landed.
+func (j *job) Done(hp *vtime.Proc, recv [][]complex128) {
+	j.Chunks = recv
+	j.r.rt.Complete(hp, j.posted)
 }
 
 // schedule is one run of the executor.
@@ -194,18 +222,38 @@ type schedule struct {
 	pol   policy
 	top   topology
 	units []unit
+	ranks []*rank
+	// lanes is the hardware-lane count of a rank: a worker on lane l
+	// serves rank l/lanes.
+	lanes int
+	// body is the body of every task: it runs the unit the task names.
+	body func(wk *ompss.Worker)
 	// nested splits the splittable stages of step units into nested task
 	// loops (Config.NestedLoops; the paper nests them in its per-step
 	// version, Figure 4).
 	nested bool
+	// loopNames are the static parts of the nested loops' task names, by
+	// stage, as in "fft-z.it" (the job's sequence number follows).
+	loopNames map[*graph.Stage]string
 }
 
 // execute runs cfg under policy row pol.
 func execute(cfg Config, pol policy) (*Result, error) {
 	ranks, lanes := pol.layout(cfg)
 	h := newHarness(cfg, ranks, lanes)
-	x := &schedule{harness: h, pol: pol, units: pol.units(h.k.pipe),
+	x := &schedule{harness: h, pol: pol, units: pol.units(h.k.pipe), lanes: lanes,
 		nested: cfg.NestedLoops && pol.unit == unitStep}
+	x.body = x.runTask
+	if x.nested {
+		x.loopNames = map[*graph.Stage]string{}
+		for _, u := range x.units {
+			for _, st := range u.stages {
+				if st.Split != graph.SplitNone {
+					x.loopNames[st] = st.LoopName + ".it"
+				}
+			}
+		}
+	}
 	// A grouped rank runs every NTG-th job, starting at its group.
 	stride := 1
 	var world *mpi.Comm
@@ -215,31 +263,84 @@ func execute(cfg Config, pol policy) (*Result, error) {
 		x.top, world = h.newFlat(), h.w.CommWorld()
 	}
 	nseq := h.jobs() / stride
-	for id := 0; id < ranks; id++ {
-		r := &rank{id: id, p: id, scat: world}
+	h.tr.Intervals = make([]trace.Interval, 0, ranks*nseq*x.intervalsPerJob())
+	x.ranks = make([]*rank, ranks)
+	for id := range x.ranks {
+		r := &rank{id: id, p: id, scat: world, jobs: make([]job, nseq)}
+		x.ranks[id] = r
 		if pol.grouped {
 			r.p, r.g = id/cfg.NTG, id%cfg.NTG
 			r.pack, r.scat = h.groupComms(r.p, r.g)
 		}
+		for seq := range r.jobs {
+			r.jobs[seq].Job, r.jobs[seq].r = seq*stride+r.g, r
+		}
 		if pol.unit == unitInline {
 			h.w.Spawn(id, 0, func(ctx *mpi.Ctx) {
 				for seq := 0; seq < nseq; seq++ {
-					x.run(r, &x.units[0], ctx, nil, seq, &graph.State{Job: seq*stride + r.g}, nil)
+					x.run(r, 0, ctx, nil, seq)
 				}
 			})
 			continue
 		}
 		r.rt = h.newRankRuntime(id*lanes, lanes)
+		r.rt.Reserve(x.nodes(nseq))
+		r.arrivals = make([]*ompss.Task, nseq*len(x.units))
+		r.ctxs = make([]mpi.Ctx, lanes)
 		h.eng.Spawn(fmt.Sprintf("rank%d.main", id), func(mp *vtime.Proc) {
-			x.submit(mp, r, nseq, stride)
+			x.submit(mp, r, nseq)
 		})
 	}
 	return h.finish(x.top.collect)
 }
 
+// intervalsPerJob bounds the trace intervals a job records on its rank:
+// one per compute phase, a wait and a transfer per blocking exchange, and
+// a runtime and an idle interval per task. Only nested loops, whose chunk
+// tasks the bound leaves out, grow the trace past it.
+func (x *schedule) intervalsPerJob() int {
+	n := 0
+	for _, u := range x.units {
+		for _, edge := range [...]bool{u.pack, u.unpack} {
+			if edge {
+				n++ // the pack or unpack phase
+				if x.pol.grouped {
+					n += 2 // and its exchange over the pack communicator
+				}
+			}
+		}
+		for _, st := range u.stages {
+			n++
+			if st.Kind == graph.Scatter {
+				n++
+			}
+		}
+		if x.pol.unit != unitInline {
+			n += 2
+		}
+	}
+	return n
+}
+
+// nodes is the graph-node count of nseq jobs on a rank: one task per unit,
+// one arrival event per posted scatter, and the join of a joining row.
+func (x *schedule) nodes(nseq int) int {
+	n := len(x.units)
+	for i := range x.units {
+		if x.units[i].post != nil {
+			n++
+		}
+	}
+	n *= nseq
+	if x.pol.join {
+		n++
+	}
+	return n
+}
+
 // submit is the main process of a rank with a task runtime: it submits
 // every job, then ends as the row says.
-func (x *schedule) submit(mp *vtime.Proc, r *rank, nseq, stride int) {
+func (x *schedule) submit(mp *vtime.Proc, r *rank, nseq int) {
 	rt, pol := r.rt, x.pol
 	window := rt.Workers()
 	last := make([]*ompss.Task, nseq) // every job's last node
@@ -248,7 +349,7 @@ func (x *schedule) submit(mp *vtime.Proc, r *rank, nseq, stride int) {
 		if pol.window && seq >= window {
 			first = last[seq-window]
 		}
-		last[seq] = x.submitJob(mp, r, seq, &graph.State{Job: seq*stride + r.g}, first)
+		last[seq] = x.submitJob(mp, r, seq, first)
 	}
 	if pol.join {
 		rt.Wait(mp, rt.Event(mp, "jobs", last))
@@ -261,15 +362,18 @@ func (x *schedule) submit(mp *vtime.Proc, r *rank, nseq, stride int) {
 // submitJob submits the units of the job at seq as tasks, each after the
 // job's previous node — the task before it, or that task's scatter
 // arrival; the first unit after prev — and returns the job's last node.
-func (x *schedule) submitJob(mp *vtime.Proc, r *rank, seq int, s *graph.State, prev *ompss.Task) *ompss.Task {
+// Every task runs the schedule's one body, which reads the job and unit
+// from the task's name.
+func (x *schedule) submitJob(mp *vtime.Proc, r *rank, seq int, prev *ompss.Task) *ompss.Task {
 	for i := range x.units {
 		u := &x.units[i]
 		var arrival *ompss.Task
 		if u.post != nil {
-			arrival = r.rt.Event(mp, nodeLabel(u.post.Step, seq), nil)
+			arrival = r.rt.EventNamed(mp, ompss.Name{Text: u.postName, Seq: seq}, nil)
+			r.arrivals[seq*len(x.units)+i] = arrival
 		}
-		prev = r.rt.Submit(mp, nodeLabel(u.label, seq), []*ompss.Task{prev}, x.pol.priority(u, seq),
-			func(wk *ompss.Worker) { x.run(r, u, nil, wk, seq, s, arrival) })
+		prev = r.rt.SubmitNamed(mp, ompss.Name{Text: u.name, Seq: seq, Unit: i}, []*ompss.Task{prev},
+			x.pol.priority(u, seq), x.body)
 		if arrival != nil {
 			prev = arrival
 		}
@@ -277,23 +381,33 @@ func (x *schedule) submitJob(mp *vtime.Proc, r *rank, seq int, s *graph.State, p
 	return prev
 }
 
-// nodeLabel names a unit's node of the job at seq, for deadlock reports.
-func nodeLabel(label string, seq int) string {
-	var buf [32]byte
-	b := append(append(buf[:0], label...), '.')
-	return string(strconv.AppendInt(b, int64(seq), 10))
+// runTask is the body of every task: it runs, on the worker, the unit and
+// job the task's name gives, for the rank the worker's lane belongs to.
+func (x *schedule) runTask(wk *ompss.Worker) {
+	n := wk.Running()
+	x.run(x.ranks[wk.Lane/x.lanes], n.Unit, nil, wk, n.Seq)
 }
 
-// run executes unit u of the job at seq: on the rank's own MPI process ctx
-// for inline rows, else on worker wk. A posted scatter completes arrival
-// once it has landed.
-func (x *schedule) run(r *rank, u *unit, ctx *mpi.Ctx, wk *ompss.Worker, seq int, s *graph.State, arrival *ompss.Task) {
-	k := x.k
+// ctx returns the MPI context of worker wk of rank r.
+func (x *schedule) ctx(r *rank, wk *ompss.Worker) *mpi.Ctx {
+	ctx := &r.ctxs[wk.Lane%x.lanes]
+	if ctx.Proc == nil {
+		ctx.W, ctx.Proc, ctx.Rank, ctx.Lane = x.w, wk.Proc, r.id, wk.Lane
+	}
+	return ctx
+}
+
+// run executes unit ui of the job at seq: on the rank's own MPI process
+// ctx for inline rows, else on worker wk. A posted scatter completes the
+// unit's arrival event once it has landed.
+func (x *schedule) run(r *rank, ui int, ctx *mpi.Ctx, wk *ompss.Worker, seq int) {
+	k, u, j := x.k, &x.units[ui], &r.jobs[seq]
+	s := &j.State
 	var c computer = ctx
 	if wk != nil {
 		c = wk
 		if u.comm {
-			ctx = x.ctx(wk, r.id)
+			ctx = x.ctx(r, wk)
 		}
 	}
 	if u.pack {
@@ -306,7 +420,7 @@ func (x *schedule) run(r *rank, u *unit, ctx *mpi.Ctx, wk *ompss.Worker, seq int
 			// differ by TagOff. s.Chunks is nil in ModeCost.
 			s.Chunks = mpi.Alltoallv(ctx, r.scat, 2*seq+st.TagOff, s.Chunks, st.Bytes(r.p))
 		case x.nested && st.Split != graph.SplitNone:
-			k.nestedLoop(r.rt, wk, seq, st, s, r.p)
+			k.nestedLoop(r.rt, wk, ompss.Name{Text: x.loopNames[st], Seq: seq}, st, s, r.p)
 		default:
 			k.runStage(c, st, s, r.p)
 		}
@@ -315,10 +429,7 @@ func (x *schedule) run(r *rank, u *unit, ctx *mpi.Ctx, wk *ompss.Worker, seq int
 		x.top.unpack(c, ctx, r, seq, s)
 	}
 	if u.post != nil {
-		mpi.IAlltoallv(ctx, r.scat, 2*seq+u.post.TagOff, s.Chunks, u.post.Bytes(r.p),
-			func(hp *vtime.Proc, recv [][]complex128) {
-				s.Chunks = recv
-				r.rt.Complete(hp, arrival)
-			})
+		j.posted = r.arrivals[seq*len(x.units)+ui]
+		mpi.IAlltoallv(ctx, r.scat, 2*seq+u.post.TagOff, s.Chunks, u.post.Bytes(r.p), j)
 	}
 }

@@ -17,17 +17,67 @@ import (
 //
 // The helper participates in the rendezvous exactly like a blocking call
 // (including the per-rank endpoint serialization), but its wait and
-// transfer time is not attributed to any compute lane.
+// transfer time is not attributed to any compute lane. Helpers are
+// reused: one that has delivered its exchange parks, and the rank's next
+// post wakes it instead of spawning a process, so a run creates as many
+// helpers per rank as it ever has exchanges in flight, not one per post.
+
+// Done receives the result of a posted exchange on the helper process.
+type Done interface {
+	Done(p *vtime.Proc, recv [][]complex128)
+}
+
+// DoneFunc adapts a function to Done.
+type DoneFunc func(p *vtime.Proc, recv [][]complex128)
+
+// Done calls f.
+func (f DoneFunc) Done(p *vtime.Proc, recv [][]complex128) { f(p, recv) }
+
+// helper is a communication thread of one rank and the exchange it
+// carries out.
+type helper struct {
+	ctx   Ctx
+	c     *Comm
+	tag   int
+	send  [][]complex128
+	bytes float64
+	done  Done
+}
 
 // IAlltoallv posts an Alltoallv without blocking the caller. When the
 // exchange completes, done runs on the helper process with the received
 // chunks (nil when send is nil, as for Alltoallv).
-func IAlltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64, done func(p *vtime.Proc, recv [][]complex128)) {
-	hc := &Ctx{W: ctx.W, Rank: ctx.Rank, Lane: ctx.Lane, Silent: true}
-	ctx.W.asyncSeq++
-	name := fmt.Sprintf("commthread.r%d.%d", ctx.Rank, ctx.W.asyncSeq)
-	ctx.Proc.Engine().Spawn(name, func(p *vtime.Proc) {
-		hc.Proc = p
-		done(p, Alltoallv(hc, c, tag, send, bytes))
-	})
+func IAlltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64, done Done) {
+	w := ctx.W
+	if w.idle == nil {
+		w.idle = make([][]*helper, w.Size)
+	}
+	var h *helper
+	if idle := w.idle[ctx.Rank]; len(idle) > 0 {
+		h, w.idle[ctx.Rank] = idle[len(idle)-1], idle[:len(idle)-1]
+		w.Eng.Unpark(h.ctx.Proc)
+	} else {
+		h = &helper{}
+		h.ctx.W, h.ctx.Rank, h.ctx.Silent = w, ctx.Rank, true
+		w.asyncSeq++
+		w.Eng.Spawn(fmt.Sprintf("commthread.r%d.%d", ctx.Rank, w.asyncSeq), func(p *vtime.Proc) {
+			h.ctx.Proc = p
+			w.serve(h)
+		})
+	}
+	h.ctx.Lane = ctx.Lane
+	h.c, h.tag, h.send, h.bytes, h.done = c, tag, send, bytes, done
+}
+
+// serve is a helper's body: carry out the posted exchange, hand the result
+// to its Done, then park on the rank's idle list until the next post.
+func (w *World) serve(h *helper) {
+	for {
+		recv := Alltoallv(&h.ctx, h.c, h.tag, h.send, h.bytes)
+		done := h.done
+		h.c, h.send, h.done = nil, nil, nil
+		done.Done(h.ctx.Proc, recv)
+		w.idle[h.ctx.Rank] = append(w.idle[h.ctx.Rank], h)
+		h.ctx.Proc.Park()
+	}
 }

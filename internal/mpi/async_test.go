@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/knl"
 	"repro/internal/trace"
@@ -24,11 +27,11 @@ func TestIAlltoallvOverlapsWithCompute(t *testing.T) {
 			send[j] = []complex128{complex(float64(ctx.Rank*10+j), 0)}
 		}
 		doneCh := false
-		IAlltoallv(ctx, c, 0, send, vol(send), func(p *vtime.Proc, recv [][]complex128) {
+		IAlltoallv(ctx, c, 0, send, vol(send), DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
 			got[ctx.Rank] = recv
 			commEnd[ctx.Rank] = p.Now()
 			doneCh = true
-		})
+		}))
 		ctx.Compute("work", knl.ClassVector, 1e9) // long compute, overlaps comm
 		computeEnd[ctx.Rank] = ctx.Proc.Now()
 		if !doneCh {
@@ -54,9 +57,9 @@ func TestIAlltoallvSilentInTrace(t *testing.T) {
 		c := ctx.W.CommWorld()
 		send := [][]complex128{make([]complex128, 100), make([]complex128, 100)}
 		fulfilled := false
-		IAlltoallv(ctx, c, 0, send, vol(send), func(p *vtime.Proc, _ [][]complex128) {
+		IAlltoallv(ctx, c, 0, send, vol(send), DoneFunc(func(p *vtime.Proc, _ [][]complex128) {
 			fulfilled = true
-		})
+		}))
 		ctx.Compute("work", knl.ClassVector, 1e8)
 		if !fulfilled {
 			t.Error("async comm incomplete")
@@ -130,10 +133,10 @@ func TestAsyncAndBlockingMixMatchByTag(t *testing.T) {
 		send := [][]complex128{{complex(float64(ctx.Rank), 0)}, {complex(float64(ctx.Rank*100), 0)}}
 		if ctx.Rank == 0 {
 			done := false
-			IAlltoallv(ctx, c, 5, send, vol(send), func(p *vtime.Proc, recv [][]complex128) {
+			IAlltoallv(ctx, c, 5, send, vol(send), DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
 				asyncGot = recv
 				done = true
-			})
+			}))
 			ctx.Compute("w", knl.ClassVector, 1e8)
 			if !done {
 				t.Error("async incomplete")
@@ -148,4 +151,85 @@ func TestAsyncAndBlockingMixMatchByTag(t *testing.T) {
 	if !reflect.DeepEqual(blockGot, [][]complex128{{0}, {100}}) {
 		t.Fatalf("blocking got %v", blockGot)
 	}
+}
+
+// goroutinesSettle polls until the process runs at most baseline
+// goroutines, failing after a deadline: a goroutine that Run has released
+// exits just after it acknowledges, so the count may lag the return.
+func goroutinesSettle(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before: Run left process goroutines behind", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
+}
+
+// postTwice spawns a world of three ranks that each post an exchange on
+// tag 0 and, once it has landed, rank 0 — or every rank, when all is set —
+// posts a second one on tag 1.
+func postTwice(all bool) (*vtime.Engine, []int) {
+	eng, w := strictWorld(3, 1)
+	landed := make([]int, 3)
+	for r := 0; r < 3; r++ {
+		w.Spawn(r, 0, func(ctx *Ctx) {
+			c := ctx.W.CommWorld()
+			for tag := 0; tag < 2; tag++ {
+				if tag == 1 && !all && ctx.Rank != 0 {
+					return
+				}
+				IAlltoallv(ctx, c, tag, nil, 64, DoneFunc(func(*vtime.Proc, [][]complex128) {
+					landed[ctx.Rank]++
+				}))
+				ctx.Proc.Sleep(1)
+			}
+		})
+	}
+	return eng, landed
+}
+
+// TestHelpersAreReused: a rank's second post is carried out by the helper
+// that delivered its first, so three ranks posting twice create three
+// helpers, not six, and the run still leaves no goroutine behind.
+func TestHelpersAreReused(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	eng, landed := postTwice(true)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(landed, []int{2, 2, 2}) {
+		t.Errorf("exchanges landed per rank = %v, want [2 2 2]", landed)
+	}
+	if got := eng.Stats().ProcsSpawned; got != 6 {
+		t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
+	}
+	goroutinesSettle(t, baseline)
+}
+
+// TestReusedHelperDeadlockReport: a post whose peers never arrive still
+// ends the run with a deadlock report that names the rendezvous and its
+// missing ranks. The reused helper of rank 0 is the one blocked process:
+// the idle helpers of ranks 1 and 2 keep no run going and are not blocked.
+// The run's goroutines are released on this error return too.
+func TestReusedHelperDeadlockReport(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	eng, _ := postTwice(false)
+	err := eng.Run()
+	var de *vtime.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
+	}
+	want := []vtime.BlockedProc{{
+		Name: "commthread.r0.1", ID: 3, Since: 1,
+		WaitingOn: "mpi: Alltoallv tag 1 (call #0) on comm world: arrived 1/3, ranks [0]; missing ranks [1 2]",
+	}}
+	if !reflect.DeepEqual(de.Blocked, want) {
+		t.Errorf("blocked = %+v\nwant      %+v", de.Blocked, want)
+	}
+	if got := eng.Stats().ProcsSpawned; got != 6 {
+		t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
+	}
+	goroutinesSettle(t, baseline)
 }

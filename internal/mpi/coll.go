@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -25,13 +26,18 @@ type seqKey struct {
 	rank int
 }
 
-// rendezvous is the meeting point of one Alltoallv call instance.
+// rendezvous is the meeting point of one Alltoallv call instance. The
+// world recycles it once every member has left, so a run allocates as
+// many as it ever has exchanges in flight.
 type rendezvous struct {
 	need, arrived, picked int
 	slots                 []slot // indexed by communicator rank
 	maxBytes              float64
 	transfer              float64
 	wq                    vtime.WaitQueue
+	// c, tag and gen name the call instance in deadlock reports.
+	c        *Comm
+	tag, gen int
 }
 
 // slot is one member's contribution to a rendezvous: its send chunks (nil
@@ -41,9 +47,28 @@ type slot struct {
 	here bool
 }
 
+// newRendezvous returns an empty rendezvous for call #gen of tag on c,
+// recycled if the world has one.
+func (w *World) newRendezvous(c *Comm, tag, gen int) *rendezvous {
+	var rv *rendezvous
+	if n := len(w.spare); n > 0 {
+		rv, w.spare = w.spare[n-1], w.spare[:n-1]
+	} else {
+		rv = &rendezvous{}
+		rv.wq.Describe = rv.describe
+	}
+	n := len(c.ranks)
+	rv.need, rv.arrived, rv.picked = n, 0, 0
+	rv.maxBytes, rv.transfer = 0, 0
+	rv.slots = slices.Grow(rv.slots[:0], n)[:n]
+	rv.c, rv.tag, rv.gen = c, tag, gen
+	return rv
+}
+
 // describe renders the rendezvous state for deadlock reports: which world
 // ranks have arrived and which are still missing.
-func (rv *rendezvous) describe(c *Comm, tag, gen int) string {
+func (rv *rendezvous) describe() string {
+	c, tag, gen := rv.c, rv.tag, rv.gen
 	var arrived, missing []int
 	for i, s := range rv.slots {
 		if s.here {
@@ -82,16 +107,17 @@ func Alltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64) [
 				opName, tag, c.id, ctx.Rank, got, bytes))
 		}
 	}
-	rv := c.exchange(ctx, tag, send, bytes)
-	if send == nil {
-		return nil
-	}
-	me := c.RankIn(ctx)
+	return c.exchange(ctx, tag, send, bytes)
+}
+
+// gather returns the chunks the members of rv sent to communicator rank
+// me, the receive side of a payload-carrying call.
+func (rv *rendezvous) gather(ctx *Ctx, me int) [][]complex128 {
 	out := make([][]complex128, len(rv.slots))
 	for j, s := range rv.slots {
 		if s.send == nil {
 			panic(fmt.Sprintf("mpi: %s tag %d on comm %s: rank %d sent no payload to rank %d's payload-carrying call",
-				opName, tag, c.id, c.ranks[j], ctx.Rank))
+				opName, rv.tag, rv.c.id, rv.c.ranks[j], ctx.Rank))
 		}
 		out[j] = s.send[me]
 	}
@@ -100,10 +126,11 @@ func Alltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64) [
 
 // exchange is the rendezvous: every member of c arrives with its send
 // chunks and volume; the last arriver prices the transfer from the largest
-// volume; everyone then pays the transfer time. Calls with the same (comm,
-// tag) match across ranks in per-rank call order, so concurrent exchanges
-// from different task threads are safe as long as they use distinct tags.
-func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) *rendezvous {
+// volume; everyone then pays the transfer time and, with a payload, leaves
+// with the chunks sent to it. Calls with the same (comm, tag) match across
+// ranks in per-rank call order, so concurrent exchanges from different
+// task threads are safe as long as they use distinct tags.
+func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) [][]complex128 {
 	w := c.w
 	me := c.RankIn(ctx)
 	sk := seqKey{c.id, tag, me}
@@ -125,8 +152,7 @@ func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) *
 	}
 	rv := w.rendezvous[key]
 	if rv == nil {
-		rv = &rendezvous{need: len(c.ranks), slots: make([]slot, len(c.ranks))}
-		rv.wq.Describe = func() string { return rv.describe(c, tag, gen) }
+		rv = w.newRendezvous(c, tag, gen)
 		w.rendezvous[key] = rv
 	}
 	if rv.slots[me].here {
@@ -179,9 +205,16 @@ func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) *
 		com.sync.Add(syncEnd - start)
 		com.xfer.Add(end - syncEnd)
 	}
+	var recv [][]complex128
+	if send != nil {
+		recv = rv.gather(ctx, me)
+	}
 	rv.picked++
 	if rv.picked == rv.need {
 		delete(w.rendezvous, key)
+		clear(rv.slots)
+		rv.c = nil
+		w.spare = append(w.spare, rv)
 	}
-	return rv
+	return recv
 }

@@ -49,9 +49,11 @@ type World struct {
 	Strict bool
 
 	rendezvous map[rvKey]*rendezvous
+	spare      []*rendezvous // recycled rendezvous, see newRendezvous
 	callSeq    map[seqKey]int
-	asyncSeq   int // helper-process counter for asynchronous collectives
-	inComm     int // lanes currently inside an MPI call, for bandwidth sharing
+	asyncSeq   int         // helper-process counter for asynchronous collectives
+	idle       [][]*helper // parked helpers, by rank
+	inComm     int         // lanes currently inside an MPI call, for bandwidth sharing
 	// commCache and phaseCache hold resolved metric handles so hot paths
 	// skip the registry's label lookup (the engine is serial, no locking).
 	commCache  map[string]*commMetrics

@@ -233,10 +233,10 @@ func unevenExchange(t *testing.T, payload, posted bool) ([]float64, []trace.Inte
 			ends[ctx.Rank] = ctx.Proc.Now()
 			return
 		}
-		IAlltoallv(ctx, c, 0, send, bytes, func(p *vtime.Proc, recv [][]complex128) {
+		IAlltoallv(ctx, c, 0, send, bytes, DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
 			check(recv)
 			ends[ctx.Rank] = p.Now()
-		})
+		}))
 		ctx.Compute("work", knl.ClassVector, 1e9)
 	})
 	for r, e := range ends {

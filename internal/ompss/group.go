@@ -27,35 +27,31 @@ func (rt *Runtime) NewGroup() *Group {
 
 // SubmitInGroup submits a task belonging to the group.
 func (rt *Runtime) SubmitInGroup(p *vtime.Proc, g *Group, label string, after []*Task, priority int, fn func(w *Worker)) *Task {
+	return rt.submitInGroup(p, g, rt.node(label, after), priority, fn)
+}
+
+// submitInGroup makes node t a task of the group; runTask counts it off
+// the group when its body returns.
+func (rt *Runtime) submitInGroup(p *vtime.Proc, g *Group, t *Task, priority int, fn func(w *Worker)) *Task {
 	if g.rt != rt {
 		panic("ompss: group belongs to a different runtime")
 	}
 	g.pending++
-	t := rt.Submit(p, label, after, priority, func(w *Worker) {
-		fn(w)
-		g.pending--
-		if g.pending == 0 {
-			g.wq.WakeAll(w.Proc)
-		}
-	})
 	t.group = g
-	return t
+	return rt.submit(p, t, priority, fn)
 }
 
-// TaskLoopInGroup submits one group task per grain-sized chunk of [0,n).
-func (rt *Runtime) TaskLoopInGroup(p *vtime.Proc, g *Group, label string, n, grain int, body func(w *Worker, lo, hi int)) {
+// TaskLoopInGroup submits one group task per grain-sized chunk of [0,n),
+// each named n followed by its chunk range, as in "fft-z.it3[0:200]".
+func (rt *Runtime) TaskLoopInGroup(p *vtime.Proc, g *Group, n Name, count, grain int, body func(w *Worker, lo, hi int)) {
 	if grain <= 0 {
 		grain = 1
 	}
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		rt.SubmitInGroup(p, g, fmt.Sprintf("%s[%d:%d]", label, lo, hi), nil, 0, func(w *Worker) {
-			body(w, lo, hi)
-		})
+	chunk := func(w *Worker) { body(w, w.task.lo, w.task.hi) }
+	for lo := 0; lo < count; lo += grain {
+		t := rt.numbered(n, nil)
+		t.lo, t.hi = lo, min(lo+grain, count)
+		rt.submitInGroup(p, g, t, 0, chunk)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestTaskLoopInGroupCoversRange(t *testing.T) {
 	runTasks(t, 2, func(p *vtime.Proc, rt *Runtime) {
 		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
 			g := rt.NewGroup()
-			rt.TaskLoopInGroup(w.Proc, g, "loop", 17, 4, func(w2 *Worker, lo, hi int) {
+			rt.TaskLoopInGroup(w.Proc, g, Name{Text: "loop.it"}, 17, 4, func(w2 *Worker, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					covered[i] = true
 				}
@@ -80,7 +80,7 @@ func TestNestedGroupsParallelizeCompute(t *testing.T) {
 		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
 			start := w.Proc.Now()
 			g := rt.NewGroup()
-			rt.TaskLoopInGroup(w.Proc, g, "chunks", 8, 2, func(w2 *Worker, lo, hi int) {
+			rt.TaskLoopInGroup(w.Proc, g, Name{Text: "chunks.it"}, 8, 2, func(w2 *Worker, lo, hi int) {
 				w2.Compute("c", knl.ClassVector, 1e6*float64(hi-lo))
 			})
 			g.Wait(w)

@@ -2,6 +2,7 @@ package ompss
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,5 +150,66 @@ func TestCompactTasks(t *testing.T) {
 	rt.compactTasks()
 	if len(rt.tasks) != 1 || rt.tasks[0] != live || rt.nDone != 0 {
 		t.Errorf("compactTasks left %d tasks (nDone %d), want the 1 live task", len(rt.tasks), rt.nDone)
+	}
+}
+
+// TestNamesRenderAsBefore: names kept in parts print exactly the strings
+// the executor and the nested loops once built eagerly with strconv and
+// fmt.Sprintf ("seg0.12", "fft-z.it3[0:200]"), in deadlock reports and in
+// CheckCycles errors alike.
+func TestNamesRenderAsBefore(t *testing.T) {
+	eng := vtime.NewEngine(nil)
+	rt := New(eng, nil, []int{0})
+	eng.Spawn("main", func(p *vtime.Proc) {
+		gate := rt.Event(p, "gate", nil)
+		rt.SubmitNamed(p, Name{Text: "seg0.", Seq: 12, Unit: 1}, []*Task{gate}, 0, func(*Worker) {})
+		rt.EventNamed(p, Name{Text: "scatter-fw.", Seq: 7}, []*Task{gate})
+		rt.Submit(p, "loop", []*Task{gate}, 0, func(w *Worker) {
+			rt.TaskLoopInGroup(w.Proc, rt.NewGroup(), Name{Text: "fft-z.it", Seq: 3}, 400, 200, func(*Worker, int, int) {})
+		})
+		rt.Taskwait(p)
+	})
+	err := eng.Run()
+	for _, want := range []string{`"gate" (0 unmet deps)`, `"seg0.12" (1 unmet deps)`, `"scatter-fw.7" (1 unmet deps)`, `"loop" (1 unmet deps)`} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report %v does not name %s", err, want)
+		}
+	}
+	chunk := &Task{label: "fft-z.it", seq: 3, numbered: true, lo: 0, hi: 200}
+	if got := chunk.name(); got != fmt.Sprintf("%s.it%d[%d:%d]", "fft-z", 3, 0, 200) {
+		t.Errorf("loop chunk name %q", got)
+	}
+	a := &Task{label: "pack.", seq: 4, numbered: true, npred: 1}
+	b := &Task{label: "b", npred: 1}
+	a.succ, b.succ = b, a
+	cyc := &Runtime{tasks: []*Task{a, b}}
+	if err := cyc.CheckCycles(); err == nil || !strings.Contains(err.Error(), `"pack.4" -> "b" -> "pack.4"`) {
+		t.Errorf("CheckCycles() = %v, want the cycle through pack.4 named", err)
+	}
+}
+
+// TestReservedNodesComeFromTheSlab: nodes submitted within a reservation
+// share one allocation, and a body shared by every task learns from
+// Worker.Running which task it runs.
+func TestReservedNodesComeFromTheSlab(t *testing.T) {
+	var ran []Name
+	body := func(w *Worker) { ran = append(ran, w.Running()) }
+	runTasks(t, 1, func(p *vtime.Proc, rt *Runtime) {
+		rt.Reserve(3)
+		slab := rt.slab
+		var prev *Task
+		for i := 0; i < 3; i++ {
+			prev = rt.SubmitNamed(p, Name{Text: "u.", Seq: 9, Unit: i}, []*Task{prev}, 0, body)
+			if prev != &slab[i] {
+				t.Errorf("node %d is not slab entry %d", i, i)
+			}
+		}
+		if extra := rt.Submit(p, "past the reservation", nil, 0, func(*Worker) {}); extra == nil {
+			t.Error("Submit past the reservation returned nil")
+		}
+	})
+	want := []Name{{"u.", 9, 0}, {"u.", 9, 1}, {"u.", 9, 2}}
+	if len(ran) != 3 || ran[0] != want[0] || ran[1] != want[1] || ran[2] != want[2] {
+		t.Errorf("shared body ran %v, want %v", ran, want)
 	}
 }

@@ -18,6 +18,8 @@ package ompss
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/knl"
@@ -31,6 +33,14 @@ type Worker struct {
 	Proc *vtime.Proc
 	Lane int
 	rt   *Runtime
+	task *Task // the task whose body runs on the worker
+}
+
+// Running returns the name of the task whose body runs on the worker: a
+// body shared by many tasks reads its Seq and Unit to learn which one.
+func (w *Worker) Running() Name {
+	t := w.task
+	return Name{Text: t.label, Seq: t.seq, Unit: t.unit}
 }
 
 // Compute runs a compute phase of the given class and instruction count on
@@ -51,19 +61,50 @@ func (w *Worker) Compute(phase string, class knl.Class, instr float64) {
 	pm.instr.Add(instr)
 }
 
+// Name is a node's name kept in parts, so naming a node allocates
+// nothing: it prints as Text followed by Seq in decimal, and only when a
+// deadlock report or CheckCycles error prints it. Unit is not printed;
+// with Seq it tells a body shared by many tasks which task it runs (see
+// Worker.Running).
+type Name struct {
+	Text      string
+	Seq, Unit int
+}
+
 // Task is one node of the dependency graph: a schedulable unit of work, or
 // an event (no body) that completes externally or with its predecessors.
 type Task struct {
-	_        vtime.NoCopy
-	id       int
-	label    string
+	_     vtime.NoCopy
+	id    int
+	label string
+	// seq and unit are a numbered node's Name; seq prints after the label
+	// when numbered is set.
+	seq, unit int
+	numbered  bool
+	// lo and hi are a loop chunk's range, printed as [lo:hi] when hi > lo.
+	lo, hi   int
 	fn       func(w *Worker) // nil for events
 	priority int
 	npred    int
-	succs    []*Task
-	done     bool
-	group    *Group           // non-nil for group members
-	waiters  *vtime.WaitQueue // processes parked in Wait; built on first use
+	// succ is the first successor, kept inline because the chain graphs
+	// of the kernel have one per node; succs holds any further ones.
+	succ    *Task
+	succs   []*Task
+	done    bool
+	group   *Group           // non-nil for group members
+	waiters *vtime.WaitQueue // processes parked in Wait; built on first use
+}
+
+// name renders the node's name for a report.
+func (t *Task) name() string {
+	b := []byte(t.label)
+	if t.numbered {
+		b = strconv.AppendInt(b, int64(t.seq), 10)
+	}
+	if t.hi > t.lo {
+		b = fmt.Appendf(b, "[%d:%d]", t.lo, t.hi)
+	}
+	return string(b)
 }
 
 // Runtime is one task runtime instance (one per MPI rank in the kernel).
@@ -81,6 +122,9 @@ type Runtime struct {
 	worker0 int     // process ID of worker 0; the workers' IDs are consecutive
 	tasks   []*Task // all live (not yet completed) nodes, for diagnostics
 	nDone   int     // completed nodes still in the tasks slice
+	// slab holds the nodes Reserve made room for; node takes them in turn
+	// and allocates one by one only past its end.
+	slab []Task
 
 	// Overhead is the runtime cost charged per task execution (dependency
 	// upkeep and scheduling in Nanos++), recorded as trace.KindRuntime.
@@ -136,12 +180,25 @@ func New(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
 // Workers returns the number of worker threads.
 func (rt *Runtime) Workers() int { return len(rt.lanes) }
 
+// Reserve makes room for n more nodes, so a caller that knows its graph's
+// size before submitting it pays one allocation instead of one per node.
+func (rt *Runtime) Reserve(n int) {
+	rt.slab = make([]Task, n)
+	rt.tasks = slices.Grow(rt.tasks, n)
+}
+
 // node creates a graph node depending on every incomplete node of after.
 func (rt *Runtime) node(label string, after []*Task) *Task {
 	if rt.closed {
 		panic("ompss: submit after shutdown")
 	}
-	t := &Task{id: rt.nextID, label: label}
+	var t *Task
+	if len(rt.slab) > 0 {
+		t, rt.slab = &rt.slab[0], rt.slab[1:]
+	} else {
+		t = new(Task)
+	}
+	t.id, t.label = rt.nextID, label
 	rt.nextID++
 	rt.pending++
 	rt.tasks = append(rt.tasks, t)
@@ -151,12 +208,28 @@ func (rt *Runtime) node(label string, after []*Task) *Task {
 	return t
 }
 
+// numbered creates a graph node named n.
+func (rt *Runtime) numbered(n Name, after []*Task) *Task {
+	t := rt.node(n.Text, after)
+	t.seq, t.unit, t.numbered = n.Seq, n.Unit, true
+	return t
+}
+
 // Submit creates a task with the given priority (higher runs first among
 // ready tasks) that runs once every node of after has completed; completed
 // and nil entries contribute nothing, so with none pending the task is
 // ready at once. It must be called from a simulated process.
 func (rt *Runtime) Submit(p *vtime.Proc, label string, after []*Task, priority int, fn func(w *Worker)) *Task {
-	t := rt.node(label, after)
+	return rt.submit(p, rt.node(label, after), priority, fn)
+}
+
+// SubmitNamed is Submit for a task named n.
+func (rt *Runtime) SubmitNamed(p *vtime.Proc, n Name, after []*Task, priority int, fn func(w *Worker)) *Task {
+	return rt.submit(p, rt.numbered(n, after), priority, fn)
+}
+
+// submit makes node t a task and enqueues it if it is ready.
+func (rt *Runtime) submit(p *vtime.Proc, t *Task, priority int, fn func(w *Worker)) *Task {
 	t.fn, t.priority = fn, priority
 	mTasksCreated.Inc()
 	mTasksInFlight.Add(1)
@@ -174,8 +247,17 @@ func (rt *Runtime) Submit(p *vtime.Proc, label string, after []*Task, priority i
 // data. Events never occupy a worker and are not counted as tasks by the
 // telemetry.
 func (rt *Runtime) Event(p *vtime.Proc, label string, after []*Task) *Task {
-	ev := rt.node(label, after)
-	if len(after) > 0 && ev.npred == 0 {
+	return rt.event(p, rt.node(label, after), len(after) > 0)
+}
+
+// EventNamed is Event for an event named n.
+func (rt *Runtime) EventNamed(p *vtime.Proc, n Name, after []*Task) *Task {
+	return rt.event(p, rt.numbered(n, after), len(after) > 0)
+}
+
+// event completes a join whose predecessors have all completed already.
+func (rt *Runtime) event(p *vtime.Proc, ev *Task, join bool) *Task {
+	if join && ev.npred == 0 {
 		rt.complete(p, ev)
 	}
 	return ev
@@ -188,7 +270,7 @@ func (rt *Runtime) Event(p *vtime.Proc, label string, after []*Task) *Task {
 // release.
 func (rt *Runtime) Complete(p *vtime.Proc, ev *Task) {
 	if ev.fn != nil || ev.done || ev.npred > 0 {
-		panic(fmt.Sprintf("ompss: Complete on %q, which is not a pending external event", ev.label))
+		panic(fmt.Sprintf("ompss: Complete on %q, which is not a pending external event", ev.name()))
 	}
 	rt.complete(p, ev)
 }
@@ -204,7 +286,7 @@ func (rt *Runtime) Wait(p *vtime.Proc, t *Task) {
 	for !t.done {
 		if t.waiters == nil {
 			t.waiters = &vtime.WaitQueue{Describe: func() string {
-				return fmt.Sprintf("ompss: wait on %q (%d unmet deps)", t.label, t.npred)
+				return fmt.Sprintf("ompss: wait on %q (%d unmet deps)", t.name(), t.npred)
 			}}
 		}
 		t.waiters.Wait(p)
@@ -227,12 +309,14 @@ func (rt *Runtime) addEdge(from, to *Task) {
 	}
 	// A duplicated predecessor would count twice in npred but release
 	// once, so dedupe cheaply.
-	for _, s := range from.succs {
-		if s == to {
-			return
-		}
+	if from.succ == to || slices.Contains(from.succs, to) {
+		return
 	}
-	from.succs = append(from.succs, to)
+	if from.succ == nil {
+		from.succ = to
+	} else {
+		from.succs = append(from.succs, to)
+	}
 	to.npred++
 }
 
@@ -285,7 +369,16 @@ func (rt *Runtime) popReady() *Task {
 // and completes it. Shared by the worker loop and inline group execution.
 func (rt *Runtime) runTask(w *Worker, t *Task) {
 	start := w.Proc.Now()
+	outer := w.task
+	w.task = t
 	t.fn(w)
+	w.task = outer
+	if g := t.group; g != nil {
+		g.pending--
+		if g.pending == 0 {
+			g.wq.WakeAll(w.Proc)
+		}
+	}
 	mTaskDuration.Observe(w.Proc.Now() - start)
 	rt.complete(w.Proc, t)
 }
@@ -314,24 +407,18 @@ func (rt *Runtime) workerLoop(w *Worker) {
 	}
 }
 
-// complete marks a node done and releases its successors: a task whose
-// last predecessor this was enqueues, an event completes in turn.
+// complete marks a node done and releases its successors.
 func (rt *Runtime) complete(p *vtime.Proc, t *Task) {
 	t.done = true
 	if t.fn != nil {
 		mTasksCompleted.Inc()
 		mTasksInFlight.Add(-1)
 	}
+	if t.succ != nil {
+		rt.release(p, t.succ)
+	}
 	for _, s := range t.succs {
-		s.npred--
-		if s.npred > 0 {
-			continue
-		}
-		if s.fn == nil {
-			rt.complete(p, s)
-		} else {
-			rt.enqueue(p, s)
-		}
+		rt.release(p, s)
 	}
 	rt.pending--
 	rt.nDone++
@@ -343,6 +430,20 @@ func (rt *Runtime) complete(p *vtime.Proc, t *Task) {
 	}
 	if t.waiters != nil {
 		t.waiters.WakeAll(p)
+	}
+}
+
+// release counts off one completed predecessor of s: a task whose last
+// predecessor this was enqueues, an event completes in turn.
+func (rt *Runtime) release(p *vtime.Proc, s *Task) {
+	s.npred--
+	if s.npred > 0 {
+		return
+	}
+	if s.fn == nil {
+		rt.complete(p, s)
+	} else {
+		rt.enqueue(p, s)
 	}
 }
 
@@ -378,7 +479,7 @@ func (rt *Runtime) pendingSummary() string {
 		if n > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "%q (%d unmet deps)", t.label, t.npred)
+		fmt.Fprintf(&sb, "%q (%d unmet deps)", t.name(), t.npred)
 		n++
 	}
 	if n == 0 {
@@ -404,7 +505,11 @@ func (rt *Runtime) CheckCycles() error {
 	visit = func(t *Task) []*Task {
 		color[t] = grey
 		path = append(path, t)
-		for _, s := range t.succs {
+		succs := t.succs
+		if t.succ != nil {
+			succs = append([]*Task{t.succ}, succs...)
+		}
+		for _, s := range succs {
 			if s.done {
 				continue
 			}
@@ -414,11 +519,7 @@ func (rt *Runtime) CheckCycles() error {
 					return cyc
 				}
 			case grey:
-				for i, p := range path {
-					if p == s {
-						return path[i:]
-					}
-				}
+				return path[slices.Index(path, s):]
 			}
 		}
 		color[t] = black
@@ -432,9 +533,9 @@ func (rt *Runtime) CheckCycles() error {
 		if cyc := visit(t); cyc != nil {
 			var sb strings.Builder
 			for _, c := range cyc {
-				fmt.Fprintf(&sb, "%q -> ", c.label)
+				fmt.Fprintf(&sb, "%q -> ", c.name())
 			}
-			fmt.Fprintf(&sb, "%q", cyc[0].label)
+			fmt.Fprintf(&sb, "%q", cyc[0].name())
 			return fmt.Errorf("ompss: dependency cycle among %d tasks: %s", len(cyc), sb.String())
 		}
 	}

@@ -7,17 +7,18 @@ import (
 )
 
 func ExampleEngine() {
-	// Two processes coordinate through a barrier in virtual time.
+	// Two processes meet in virtual time: the fast one waits on a queue
+	// until the slow one arrives and wakes it.
 	eng := vtime.NewEngine(nil)
-	b := vtime.NewBarrier(2)
+	var wq vtime.WaitQueue
 	eng.Spawn("fast", func(p *vtime.Proc) {
 		p.Sleep(1)
-		b.Await(p)
+		wq.Wait(p)
 		fmt.Printf("fast released at t=%v\n", p.Now())
 	})
 	eng.Spawn("slow", func(p *vtime.Proc) {
 		p.Sleep(5)
-		b.Await(p)
+		wq.WakeAll(p)
 		fmt.Printf("slow released at t=%v\n", p.Now())
 	})
 	if err := eng.Run(); err != nil {

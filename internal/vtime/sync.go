@@ -1,17 +1,18 @@
 package vtime
 
-import "fmt"
-
 // Synchronization primitives for simulated processes. Because exactly one
 // process runs at a time, none of these need host-level locking; they only
 // coordinate virtual-time blocking and waking. All waits are FIFO and
 // therefore deterministic.
 
 // WaitQueue is a FIFO list of blocked processes. It is the building block
-// for the higher-level primitives.
+// for the higher-level primitives. Waiters are taken from a head index and
+// the backing array is kept, so a queue that processes wait on again and
+// again stops allocating once it has held its most waiters.
 type WaitQueue struct {
 	_       NoCopy
 	waiters []*Proc
+	head    int // waiters[:head] have been woken
 	// Describe, when set, labels what waiters of this queue are blocked on;
 	// it is rendered lazily into deadlock reports.
 	Describe func() string
@@ -20,6 +21,12 @@ type WaitQueue struct {
 // Wait blocks the calling process until another process calls WakeOne or
 // WakeAll.
 func (q *WaitQueue) Wait(p *Proc) {
+	if q.head > 0 && len(q.waiters) == cap(q.waiters) {
+		// Full, with woken slots at the front: shift down, not grow.
+		n := copy(q.waiters, q.waiters[q.head:])
+		clear(q.waiters[n:])
+		q.waiters, q.head = q.waiters[:n], 0
+	}
 	q.waiters = append(q.waiters, p)
 	if q.Describe != nil {
 		p.BlockOn(q.Describe)
@@ -31,26 +38,30 @@ func (q *WaitQueue) Wait(p *Proc) {
 // WakeOne wakes the longest-waiting process, if any. It reports whether a
 // process was woken. The caller must be a running process.
 func (q *WaitQueue) WakeOne(p *Proc) bool {
-	if len(q.waiters) == 0 {
+	if q.Len() == 0 {
 		return false
 	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	w := q.waiters[q.head]
+	q.waiters[q.head] = nil
+	q.head++
+	if q.head == len(q.waiters) {
+		q.waiters, q.head = q.waiters[:0], 0
+	}
 	p.Wake(w)
 	return true
 }
 
 // WakeAll wakes every waiting process in FIFO order.
 func (q *WaitQueue) WakeAll(p *Proc) {
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
+	for _, w := range q.waiters[q.head:] {
 		p.Wake(w)
 	}
+	clear(q.waiters)
+	q.waiters, q.head = q.waiters[:0], 0
 }
 
 // Len returns the number of blocked processes.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return len(q.waiters) - q.head }
 
 // Semaphore is a counting semaphore for simulated processes.
 type Semaphore struct {
@@ -78,90 +89,4 @@ func (s *Semaphore) Acquire(p *Proc) {
 func (s *Semaphore) Release(p *Proc) {
 	s.count++
 	s.wq.WakeOne(p)
-}
-
-// Queue is an unbounded FIFO channel between simulated processes.
-type Queue[T any] struct {
-	_      NoCopy
-	items  []T
-	wq     WaitQueue
-	closed bool
-}
-
-// NewQueue returns an empty queue.
-func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
-
-// Push appends an item and wakes one waiting consumer.
-func (q *Queue[T]) Push(p *Proc, v T) {
-	if q.closed {
-		panic("vtime: push to closed queue")
-	}
-	q.items = append(q.items, v)
-	q.wq.WakeOne(p)
-}
-
-// Pop removes the oldest item, blocking while the queue is empty. The second
-// result is false if the queue was closed and drained.
-func (q *Queue[T]) Pop(p *Proc) (T, bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			var zero T
-			return zero, false
-		}
-		q.wq.Wait(p)
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// TryPop removes the oldest item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Close marks the queue closed and wakes all blocked consumers, which then
-// observe the closed state once the queue drains.
-func (q *Queue[T]) Close(p *Proc) {
-	q.closed = true
-	q.wq.WakeAll(p)
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Barrier blocks n processes until all have arrived, then releases them.
-type Barrier struct {
-	_       NoCopy
-	n       int
-	arrived int
-	wq      WaitQueue
-}
-
-// NewBarrier returns a barrier for n processes.
-func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n}
-	b.wq.Describe = func() string {
-		return fmt.Sprintf("vtime: barrier (%d of %d arrived)", b.arrived, b.n)
-	}
-	return b
-}
-
-// Await blocks until n processes have called Await, then all proceed. The
-// barrier resets for reuse. It returns true for the last arriver.
-func (b *Barrier) Await(p *Proc) bool {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.wq.WakeAll(p)
-		return true
-	}
-	b.wq.Wait(p)
-	return false
 }

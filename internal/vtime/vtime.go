@@ -17,6 +17,7 @@ package vtime
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -87,6 +88,7 @@ const (
 	stateRunning
 	stateBlocked
 	stateComputing
+	stateParked
 	stateDone
 )
 
@@ -183,9 +185,11 @@ type Engine struct {
 	yieldCh  chan *Proc
 	nAlive   int
 	nBlocked int
-	started  bool
-	err      error
-	stats    Stats
+	// releasing is set while Run unwinds the goroutines of the processes
+	// that did not finish: a process resumed then exits instead of running.
+	releasing bool
+	err       error
+	stats     Stats
 }
 
 // Stats reports engine activity counters, for tests and diagnostics.
@@ -240,23 +244,21 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	go func() {
 		// A panic inside a process body would otherwise kill its goroutine
 		// while the engine waits on yieldCh forever — a silent host-level
-		// hang. Convert it into a structured engine error instead.
+		// hang. Convert it into a structured engine error instead. The
+		// same hand-back acknowledges a release (see Run).
 		defer func() {
 			if r := recover(); r != nil {
 				p.panicVal = r
-				p.state = stateDone
-				e.yieldCh <- p
 			}
+			p.state = stateDone
+			e.yieldCh <- p
 		}()
 		<-p.resume // wait for first dispatch
+		if e.releasing {
+			return
+		}
 		fn(p)
-		p.state = stateDone
-		e.yieldCh <- p
 	}()
-	if e.started {
-		// fn starts when the event fires; nothing more to do here.
-		_ = p
-	}
 	return p
 }
 
@@ -279,12 +281,14 @@ func (e *Engine) wake(p *Proc) {
 	e.schedule(p, e.now)
 }
 
-// Run executes the simulation until every process has finished. It returns
-// a *DeadlockError on deadlock (blocked processes remain but no event or
-// job can make progress) and an error describing the panic if a process
-// body panics.
+// Run executes the simulation until every process has finished or parked.
+// It returns a *DeadlockError on deadlock (blocked processes remain but no
+// event or job can make progress) and an error describing the panic if a
+// process body panics. On every return it releases the goroutines of the
+// processes that did not finish — parked, blocked or never started — so a
+// run leaves no goroutine behind; those processes are done afterwards.
 func (e *Engine) Run() error {
-	e.started = true
+	defer e.release()
 	for e.nAlive > 0 {
 		if err := e.step(); err != nil {
 			e.err = err
@@ -292,6 +296,27 @@ func (e *Engine) Run() error {
 		}
 	}
 	return nil
+}
+
+// release ends every process that has not finished. Each one waits for a
+// resume, in yield or before its first dispatch; resumed while releasing,
+// it exits, and its goroutine's hand-back on yieldCh acknowledges that,
+// one process at a time, so no body code runs beside the caller of Run.
+func (e *Engine) release() {
+	e.releasing = true
+	for _, p := range e.procs {
+		if p.state == stateDone {
+			continue
+		}
+		if p.state == stateBlocked {
+			mProcsBlocked.Add(-1)
+		}
+		p.resume <- struct{}{}
+		<-e.yieldCh
+	}
+	e.releasing = false
+	e.nAlive, e.nBlocked = 0, 0
+	e.events, e.jobs = e.events[:0], e.jobs[:0]
 }
 
 // MustRun is Run for callers without an error path: a deadlock or process
@@ -345,7 +370,10 @@ func (e *Engine) step() error {
 	e.running = next
 	next.resume <- struct{}{}
 	<-e.yieldCh // only next yields: Proc.yield rejects any other process
-	if next.state == stateDone {
+	switch next.state {
+	case stateParked:
+		e.nAlive--
+	case stateDone:
 		e.nAlive--
 		if next.panicVal != nil {
 			return fmt.Errorf("vtime: process %q panicked at t=%g: %v", next.name, e.now, next.panicVal)
@@ -478,6 +506,9 @@ func (p *Proc) yield() {
 	}
 	p.eng.yieldCh <- p
 	<-p.resume
+	if p.eng.releasing {
+		runtime.Goexit()
+	}
 }
 
 // Sleep advances the process's clock by d seconds of virtual time.
@@ -517,6 +548,28 @@ func (p *Proc) Block() {
 func (p *Proc) BlockOn(describe func() string) {
 	p.waitDesc = describe
 	p.Block()
+}
+
+// Park suspends the running process without ending it, until Unpark: a
+// parked process is neither alive nor blocked, so it keeps no Run going and
+// appears in no deadlock report. Reusable helper processes park between
+// the jobs they carry out.
+func (p *Proc) Park() {
+	p.state = stateParked
+	p.yield()
+	p.state = stateRunning
+}
+
+// Unpark makes a parked process runnable at the current virtual time with
+// the sequence number Spawn would give a new process, so handing work to a
+// parked process instead of spawning one leaves the event order unchanged.
+// It must be called from a running process (or before Run).
+func (e *Engine) Unpark(p *Proc) {
+	if p.state != stateParked {
+		panic(fmt.Sprintf("vtime: unpark of proc %q in state %d", p.name, p.state))
+	}
+	e.nAlive++
+	e.schedule(p, e.now)
 }
 
 // Wake makes a blocked process runnable at the current virtual time.

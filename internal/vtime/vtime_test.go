@@ -1,9 +1,12 @@
 package vtime
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -162,54 +165,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	e := NewEngine(nil)
-	const n = 5
-	b := NewBarrier(n)
-	ends := make([]Time, n)
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("p", func(p *Proc) {
-			p.Sleep(float64(i)) // staggered arrivals
-			b.Await(p)
-			ends[i] = p.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range ends {
-		if got != n-1 {
-			t.Fatalf("proc %d released at %v, want %v", i, got, n-1)
-		}
-	}
-}
-
-func TestBarrierReuse(t *testing.T) {
-	e := NewEngine(nil)
-	const n, rounds = 3, 4
-	b := NewBarrier(n)
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("p", func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				p.Sleep(float64(i + 1))
-				b.Await(p)
-				counts[i]++
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counts {
-		if c != rounds {
-			t.Fatalf("proc %d completed %d rounds, want %d", i, c, rounds)
-		}
-	}
-}
-
 func TestSemaphore(t *testing.T) {
 	e := NewEngine(nil)
 	s := NewSemaphore(2)
@@ -234,39 +189,6 @@ func TestSemaphore(t *testing.T) {
 	}
 	if e.Now() != 3 {
 		t.Fatalf("finished at %v, want 3", e.Now())
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	e := NewEngine(nil)
-	q := NewQueue[int]()
-	var got []int
-	e.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Pop(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			q.Push(p, i)
-		}
-		q.Close(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("got %v", got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v, want 0..4 in order", got)
-		}
 	}
 }
 
@@ -385,5 +307,146 @@ func TestEngineStats(t *testing.T) {
 	}
 	if st.Steps == 0 || st.RateUpdates == 0 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestParkUnpark: a parked process keeps no run going and is in no
+// deadlock report; unparked, it resumes where it parked, at the
+// unparking process's time.
+func TestParkUnpark(t *testing.T) {
+	e := NewEngine(nil)
+	var resumed []Time
+	helper := e.Spawn("helper", func(p *Proc) {
+		for {
+			p.Park()
+			resumed = append(resumed, p.Now())
+		}
+	})
+	e.Spawn("poster", func(p *Proc) {
+		for _, at := range []Time{2, 5} {
+			p.Sleep(at - p.Now())
+			e.Unpark(helper)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run() = %v with only a parked process left, want nil", err)
+	}
+	if len(resumed) != 2 || resumed[0] != 2 || resumed[1] != 5 {
+		t.Fatalf("helper resumed at %v, want [2 5]", resumed)
+	}
+}
+
+// TestUnparkTakesSpawnOrder: an unparked process is ordered among the
+// processes made runnable at the same time exactly where a process spawned
+// in its place would be, so reusing a parked process for new work leaves
+// the event order unchanged.
+func TestUnparkTakesSpawnOrder(t *testing.T) {
+	order := func(reuse bool) []string {
+		e := NewEngine(nil)
+		var got []string
+		var parked *Proc
+		if reuse {
+			parked = e.Spawn("job", func(p *Proc) {
+				for {
+					p.Park()
+					got = append(got, "job")
+				}
+			})
+		}
+		e.Spawn("main", func(p *Proc) {
+			p.Sleep(1)
+			e.Spawn("before", func(*Proc) { got = append(got, "before") })
+			if reuse {
+				e.Unpark(parked)
+			} else {
+				e.Spawn("job", func(*Proc) { got = append(got, "job") })
+			}
+			e.Spawn("after", func(*Proc) { got = append(got, "after") })
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	spawned, reused := order(false), order(true)
+	if fmt.Sprint(spawned) != fmt.Sprint(reused) {
+		t.Fatalf("unparked order %v, spawned order %v", reused, spawned)
+	}
+}
+
+// TestRunReleasesGoroutines: whatever Run returns, the goroutines of the
+// processes that did not finish — parked, blocked, never dispatched — are
+// gone soon after, and those processes are done.
+func TestRunReleasesGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		last func(p *Proc)
+	}{
+		{"success", func(p *Proc) {}},
+		{"deadlock", func(p *Proc) { p.Block() }},
+		{"panic", func(p *Proc) { panic("boom") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			e := NewEngine(nil)
+			var wq WaitQueue
+			e.Spawn("parked", func(p *Proc) { p.Park() })
+			e.Spawn("waiter", func(p *Proc) { wq.Wait(p) })
+			e.Spawn("last", func(p *Proc) {
+				p.Sleep(1)
+				if tc.name == "success" {
+					wq.WakeAll(p)
+				}
+				tc.last(p)
+			})
+			e.Spawn("late", func(p *Proc) { p.Sleep(2) })
+			err := e.Run()
+			if (err == nil) != (tc.name == "success") {
+				t.Fatalf("Run() = %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), baseline)
+				}
+				runtime.Gosched()
+			}
+			for _, p := range e.procs {
+				if p.state != stateDone {
+					t.Errorf("process %q in state %d after Run", p.name, p.state)
+				}
+			}
+		})
+	}
+}
+
+// TestWaitQueueKeepsFIFOAcrossReuse: the queue reuses its backing array —
+// waking from the head, shifting down when full — and still wakes in
+// arrival order.
+func TestWaitQueueKeepsFIFOAcrossReuse(t *testing.T) {
+	e := NewEngine(nil)
+	var wq WaitQueue
+	var woken []int
+	for i := 0; i < 6; i++ {
+		e.Spawn("w", func(p *Proc) {
+			p.Sleep(float64(i)) // arrive in id order, one per second
+			wq.Wait(p)
+			woken = append(woken, i)
+		})
+	}
+	e.Spawn("waker", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			p.Sleep(1.5)
+			wq.WakeOne(p) // wakes overlap arrivals: the head moves while waiters append
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(woken) != "[0 1 2 3 4 5]" {
+		t.Fatalf("woken in order %v, want arrival order", woken)
+	}
+	if wq.Len() != 0 {
+		t.Fatalf("queue holds %d waiters after draining", wq.Len())
 	}
 }
