@@ -128,10 +128,11 @@ type Node struct {
 	core  []int // lane -> physical core
 
 	// Scratch of Rates, allocated once: per-core issue and bandwidth sums,
-	// whether a core's bandwidth is already in the node load, and per-tile
-	// (core/2) L2 demand sums.
+	// the cores the jobs run on in first-appearance order and whether a core
+	// is listed there yet, and per-tile (core/2) L2 demand sums.
 	issueSum, coreBW []float64
-	counted          []bool
+	cores            []int
+	listed           []bool
 	tileSum          []float64
 }
 
@@ -150,7 +151,8 @@ func NewNode(p Params, lanes int) *Node {
 		P: p, Lanes: lanes, core: make([]int, lanes),
 		issueSum: make([]float64, p.Cores),
 		coreBW:   make([]float64, p.Cores),
-		counted:  make([]bool, p.Cores),
+		cores:    make([]int, 0, p.Cores),
+		listed:   make([]bool, p.Cores),
 		tileSum:  make([]float64, (p.Cores+1)/2),
 	}
 	for l := 0; l < lanes; l++ {
@@ -184,19 +186,26 @@ func (p Params) Slowdown(load float64) float64 {
 // (issue-share-weighted, capped) bandwidth demands of their jobs.
 //
 // The per-core sums live in the node's scratch slices: each call zeroes only
-// the cores its jobs touch, so a rate refresh allocates nothing.
+// the cores its jobs touch, so a rate refresh allocates nothing. It makes
+// three passes over the jobs — list the cores and sum their issue demands;
+// sum bandwidth and tile demands; set the rates — and one over the distinct
+// cores, to sum the node load.
 func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	tiles := n.P.TileDemand != ([numClasses]float64{})
+	// Per-core aggregation, in job order; a core's sums are zeroed at its
+	// first job.
+	n.cores = n.cores[:0]
 	for _, j := range jobs {
 		core := n.core[j.Lane]
-		n.issueSum[core], n.coreBW[core], n.counted[core] = 0, 0, false
-		if tiles {
-			n.tileSum[core/2] = 0
+		if !n.listed[core] {
+			n.listed[core] = true
+			n.cores = append(n.cores, core)
+			n.issueSum[core], n.coreBW[core] = 0, 0
+			if tiles {
+				n.tileSum[core/2] = 0
+			}
 		}
-	}
-	// Per-core aggregation, in job order.
-	for _, j := range jobs {
-		n.issueSum[n.core[j.Lane]] += n.P.IssueDemand[Class(j.Class)]
+		n.issueSum[core] += n.P.IssueDemand[Class(j.Class)]
 	}
 	// Proportional issue sharing: when the demands on a core exceed its
 	// slots, thread i receives demand_i/total slots; its speed relative to
@@ -211,27 +220,23 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 		}
 		return 1 / tot
 	}
-	// Node-shared load: per core, bandwidth demand is reduced by the issue
-	// sharing (a half-speed thread generates half the traffic) and capped
-	// at one fully-streaming core. The cores are summed in job order, each
-	// at its first job: the float sum must not depend on anything but the
-	// job list, or the last place moves between runs.
-	var load float64
-	for _, j := range jobs {
-		n.coreBW[n.core[j.Lane]] += n.P.BWDemand[Class(j.Class)] * share(j)
-	}
+	// Per core, bandwidth demand is reduced by the issue sharing (a
+	// half-speed thread generates half the traffic). Optional tile level:
+	// cores 2t and 2t+1 share an L2.
 	for _, j := range jobs {
 		core := n.core[j.Lane]
-		if !n.counted[core] {
-			load += math.Min(n.coreBW[core], 1)
-			n.counted[core] = true
+		n.coreBW[core] += n.P.BWDemand[Class(j.Class)] * share(j)
+		if tiles {
+			n.tileSum[core/2] += n.P.TileDemand[Class(j.Class)] * share(j)
 		}
 	}
-	// Optional tile level: cores 2t and 2t+1 share an L2.
-	if tiles {
-		for _, j := range jobs {
-			n.tileSum[n.core[j.Lane]/2] += n.P.TileDemand[Class(j.Class)] * share(j)
-		}
+	// Node-shared load: each core's bandwidth capped at one fully-streaming
+	// core, summed in first-appearance order: the float sum must not depend
+	// on anything but the job list, or the last place moves between runs.
+	var load float64
+	for _, core := range n.cores {
+		load += math.Min(n.coreBW[core], 1)
+		n.listed[core] = false
 	}
 	tileShare := func(j *vtime.ActiveJob) float64 {
 		if !tiles {

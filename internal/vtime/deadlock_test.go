@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,40 @@ func TestProcPanicBecomesError(t *testing.T) {
 			t.Errorf("error %q missing %q", err, want)
 		}
 	}
+}
+
+// strandsLaneThree rates every job 1, except a job on lane 3 running alone,
+// which it gives the invalid rate 0.
+type strandsLaneThree struct{}
+
+func (strandsLaneThree) Rates(jobs []*ActiveJob) {
+	for _, j := range jobs {
+		j.Rate = 1
+		if len(jobs) == 1 && j.Lane == 3 {
+			j.Rate = 0
+		}
+	}
+}
+
+// TestInvalidRateIsRunError: a machine that sets an invalid rate ends Run
+// with an error naming the job's lane and class — here on the removal
+// path, when the job that kept the survivor company finishes — and the run
+// leaves no goroutine behind.
+func TestInvalidRateIsRunError(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEngine(strandsLaneThree{})
+	e.Spawn("short", func(p *Proc) { p.Compute(Job{Work: 1, Lane: 0}) })
+	e.Spawn("survivor", func(p *Proc) { p.Compute(Job{Work: 2, Class: 2, Lane: 3}) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run() = nil, want an invalid-rate error")
+	}
+	for _, want := range []string{"invalid rate 0", "lane 3 class 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+	checkReleased(t, e, baseline)
 }
 
 // TestBlockOnDescriptionInDump: the closure handed to BlockOn supplies the

@@ -1,13 +1,17 @@
 // Package vtime implements a deterministic discrete-event simulation (DES)
 // engine with cooperative processes and processor-sharing compute resources.
 //
-// Simulated processes are goroutines that run one at a time under the control
-// of the engine, so shared simulation state needs no locking and every run is
-// fully deterministic. A process advances virtual time by sleeping, by
-// blocking on a synchronization primitive until another process wakes it, or
-// by executing a compute Job on a Machine. Jobs progress at rates set by the
-// Machine, and the rates are re-evaluated whenever the set of active jobs
-// changes, which models processor sharing and resource contention.
+// Simulated processes are goroutines that run one at a time, so shared
+// simulation state needs no locking and every run is fully deterministic.
+// There is no scheduler goroutine: a process that sleeps, blocks, parks,
+// computes or returns books its own state, picks the next process itself and
+// resumes it directly — one goroutine switch per step, none when it picks
+// itself. A process advances virtual time by sleeping, by blocking on a
+// synchronization primitive until another process wakes it, or by executing
+// a compute Job on a Machine. Jobs progress at rates set by the Machine, which
+// models processor sharing and resource contention; after the set of active
+// jobs changes, the rates are re-evaluated once, before the clock next
+// advances.
 //
 // The engine is the substrate for the simulated MPI library
 // (internal/mpi), the OmpSs-like task runtime (internal/ompss) and the KNL
@@ -47,8 +51,10 @@ type ActiveJob struct {
 }
 
 // Machine decides execution rates for the set of jobs that are currently
-// active. It is called whenever the set changes (a job starts or finishes).
-// Implementations must set Rate > 0 for every job.
+// active. The engine calls it before the clock advances, if the set has
+// changed (a job started or finished) since the last call, so the rates must
+// be a function of the ordered job list alone. Implementations must set a
+// finite Rate > 0 for every job; any other rate ends Run with an error.
 type Machine interface {
 	Rates(jobs []*ActiveJob)
 }
@@ -104,7 +110,6 @@ type Proc struct {
 	seq       uint64 // sequence number for deterministic tie-breaking
 	blockedAt Time
 	waitDesc  func() string // what the process waits on, for deadlock dumps
-	panicVal  any           // recovered panic of the process body, if any
 	job       ActiveJob     // the in-flight job of Compute; at most one per process
 
 	// Telemetry handles resolved once at Spawn so the hot paths below pay
@@ -174,21 +179,26 @@ func (h eventHeap) down(i int) {
 // Engine is the discrete-event simulator. Create with NewEngine, spawn
 // processes with Spawn, then call Run.
 type Engine struct {
-	_        NoCopy
-	now      Time
-	seq      uint64
-	events   eventHeap
-	jobs     []*ActiveJob
-	machine  Machine
-	procs    []*Proc
-	running  *Proc // the process step dispatched last; the only one that may yield
-	yieldCh  chan *Proc
+	_       NoCopy
+	now     Time
+	seq     uint64
+	events  eventHeap
+	jobs    []*ActiveJob
+	machine Machine
+	// ratesDirty is set when the job set changes; the next step that must
+	// advance the clock has the machine refresh the rates first.
+	ratesDirty bool
+	procs      []*Proc
+	running    *Proc // the process step dispatched last; the only one that may yield
+	// done carries the outcome of a run to Run — nil when no process is
+	// left alive, or the error that ended it — and, while Run releases
+	// unfinished processes, each one's acknowledgement.
+	done     chan error
 	nAlive   int
 	nBlocked int
 	// releasing is set while Run unwinds the goroutines of the processes
 	// that did not finish: a process resumed then exits instead of running.
 	releasing bool
-	err       error
 	stats     Stats
 }
 
@@ -202,6 +212,10 @@ type Stats struct {
 	ProcsSpawned uint64
 	// RateUpdates counts Machine.Rates invocations.
 	RateUpdates uint64
+	// Handoffs counts the resumes of a process other than the one that
+	// yielded, the first dispatch included: the goroutine switches a run
+	// costs. A process that picks itself keeps running without one.
+	Handoffs uint64
 }
 
 // Stats returns a snapshot of the engine's activity counters.
@@ -215,7 +229,7 @@ func NewEngine(m Machine) *Engine {
 	}
 	return &Engine{
 		machine: m,
-		yieldCh: make(chan *Proc),
+		done:    make(chan error, 1),
 	}
 }
 
@@ -242,17 +256,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nAlive++
 	e.schedule(p, e.now)
 	go func() {
-		// A panic inside a process body would otherwise kill its goroutine
-		// while the engine waits on yieldCh forever — a silent host-level
-		// hang. Convert it into a structured engine error instead. The
-		// same hand-back acknowledges a release (see Run).
-		defer func() {
-			if r := recover(); r != nil {
-				p.panicVal = r
-			}
-			p.state = stateDone
-			e.yieldCh <- p
-		}()
+		defer p.exit()
 		<-p.resume // wait for first dispatch
 		if e.releasing {
 			return
@@ -260,6 +264,33 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	}()
 	return p
+}
+
+// exit ends a process's goroutine. A process that returned passes control
+// on like a yield. A panic of its body would otherwise kill the goroutine
+// with no process left to resume the next one — a silent host-level hang —
+// so it becomes Run's error instead, reported without a dispatch: the
+// engine state the panic left may be half-updated. A process resumed by
+// release acknowledges it.
+func (p *Proc) exit() {
+	e := p.eng
+	r := recover()
+	if e.releasing {
+		p.state = stateDone
+		e.done <- nil
+		return
+	}
+	if p.state == stateBlocked {
+		// The panic came out of the dispatch of a blocking yield.
+		mProcsBlocked.Add(-1)
+	}
+	p.state = stateDone
+	e.nAlive--
+	if r != nil {
+		e.done <- fmt.Errorf("vtime: process %q panicked at t=%g: %v", p.name, e.now, r)
+		return
+	}
+	e.handoff(nil)
 }
 
 func (e *Engine) schedule(p *Proc, at Time) {
@@ -282,26 +313,27 @@ func (e *Engine) wake(p *Proc) {
 }
 
 // Run executes the simulation until every process has finished or parked.
-// It returns a *DeadlockError on deadlock (blocked processes remain but no
-// event or job can make progress) and an error describing the panic if a
-// process body panics. On every return it releases the goroutines of the
-// processes that did not finish — parked, blocked or never started — so a
-// run leaves no goroutine behind; those processes are done afterwards.
+// It dispatches the first process and waits: from then on each process
+// hands control to the next itself, and the one that finds no process left
+// alive, or meets an error, reports to Run. Run returns a *DeadlockError on
+// deadlock (blocked processes remain but no event or job can make progress)
+// and an error describing the panic if a process body panics. On every
+// return it releases the goroutines of the processes that did not finish —
+// parked, blocked or never started — so a run leaves no goroutine behind;
+// those processes are done afterwards.
 func (e *Engine) Run() error {
 	defer e.release()
-	for e.nAlive > 0 {
-		if err := e.step(); err != nil {
-			e.err = err
-			return err
-		}
+	if e.nAlive == 0 {
+		return nil
 	}
-	return nil
+	e.handoff(nil)
+	return <-e.done
 }
 
 // release ends every process that has not finished. Each one waits for a
 // resume, in yield or before its first dispatch; resumed while releasing,
-// it exits, and its goroutine's hand-back on yieldCh acknowledges that,
-// one process at a time, so no body code runs beside the caller of Run.
+// it exits and acknowledges that on done, one process at a time, so no
+// body code runs beside the caller of Run.
 func (e *Engine) release() {
 	e.releasing = true
 	for _, p := range e.procs {
@@ -312,7 +344,7 @@ func (e *Engine) release() {
 			mProcsBlocked.Add(-1)
 		}
 		p.resume <- struct{}{}
-		<-e.yieldCh
+		<-e.done
 	}
 	e.releasing = false
 	e.nAlive, e.nBlocked = 0, 0
@@ -327,59 +359,82 @@ func (e *Engine) MustRun() {
 	}
 }
 
+// handoff takes one step on behalf of from — the process that yields, or
+// nil for Run's first dispatch and for a process that has ended — and
+// resumes the process the step picks, unless that is from itself, which
+// handoff reports so it keeps running. When no process is left alive, or
+// the step fails, it reports the outcome to Run instead. The caller must
+// touch no engine state after a resume or report: the engine belongs to
+// the resumed process, or to Run.
+func (e *Engine) handoff(from *Proc) (stay bool) {
+	next, err := e.step()
+	if err != nil || next == nil {
+		e.done <- err
+		return false
+	}
+	if next == from {
+		return true
+	}
+	e.stats.Handoffs++
+	next.resume <- struct{}{}
+	return false
+}
+
 // step advances the simulation by one event: it finds the next wake-up or
-// job completion, advances the clock, and dispatches exactly one process.
-func (e *Engine) step() error {
-	// Earliest job completion.
-	jobAt := Time(math.Inf(1))
-	var jobDone *ActiveJob
-	for _, j := range e.jobs {
-		t := e.now + j.Remaining/j.Rate
-		if t < jobAt || (t == jobAt && jobDone != nil && j.seq < jobDone.seq) {
-			jobAt = t
-			jobDone = j
+// job completion, advances the clock, and returns the one process to
+// dispatch, or nil when no process is alive.
+func (e *Engine) step() (*Proc, error) {
+	if e.nAlive == 0 {
+		return nil, nil
+	}
+	var next *Proc
+	if len(e.events) > 0 && e.events[0].at <= e.now {
+		// An event due now wins every tie with a job completion (a job
+		// wins only strictly earlier, below), so neither the rates nor
+		// the completion scan can change the answer.
+		next = e.events.pop().proc
+	} else {
+		if e.ratesDirty {
+			if err := e.refreshRates(); err != nil {
+				return nil, err
+			}
+		}
+		// Earliest job completion.
+		jobAt := Time(math.Inf(1))
+		var jobDone *ActiveJob
+		for _, j := range e.jobs {
+			t := e.now + j.Remaining/j.Rate
+			if t < jobAt || (t == jobAt && jobDone != nil && j.seq < jobDone.seq) {
+				jobAt = t
+				jobDone = j
+			}
+		}
+		evAt := Time(math.Inf(1))
+		if len(e.events) > 0 {
+			evAt = e.events[0].at
+		}
+		if math.IsInf(evAt, 1) && math.IsInf(jobAt, 1) {
+			return nil, e.deadlockError()
+		}
+		if jobAt < evAt {
+			e.advanceJobs(jobAt - e.now)
+			e.now = jobAt
+			e.removeJob(jobDone)
+			e.stats.JobsCompleted++
+			mJobsCompleted.Inc()
+			next = jobDone.proc
+		} else {
+			ev := e.events.pop()
+			e.advanceJobs(ev.at - e.now)
+			e.now = ev.at
+			next = ev.proc
 		}
 	}
-	evAt := Time(math.Inf(1))
-	if len(e.events) > 0 {
-		evAt = e.events[0].at
-	}
-	if math.IsInf(evAt, 1) && math.IsInf(jobAt, 1) {
-		return e.deadlockError()
-	}
-
 	e.stats.Steps++
 	mSteps.Inc()
-	var next *Proc
-	if jobAt < evAt {
-		e.advanceJobs(jobAt - e.now)
-		e.now = jobAt
-		e.removeJob(jobDone)
-		e.stats.JobsCompleted++
-		mJobsCompleted.Inc()
-		jobDone.proc.state = stateRunnable
-		next = jobDone.proc
-	} else {
-		ev := e.events.pop()
-		e.advanceJobs(ev.at - e.now)
-		e.now = ev.at
-		next = ev.proc
-	}
-
 	next.state = stateRunning
 	e.running = next
-	next.resume <- struct{}{}
-	<-e.yieldCh // only next yields: Proc.yield rejects any other process
-	switch next.state {
-	case stateParked:
-		e.nAlive--
-	case stateDone:
-		e.nAlive--
-		if next.panicVal != nil {
-			return fmt.Errorf("vtime: process %q panicked at t=%g: %v", next.name, e.now, next.panicVal)
-		}
-	}
-	return nil
+	return next, nil
 }
 
 func (e *Engine) advanceJobs(dt Time) {
@@ -400,31 +455,35 @@ func (e *Engine) advanceJobs(dt Time) {
 
 func (e *Engine) addJob(j *ActiveJob) {
 	e.jobs = append(e.jobs, j)
-	e.refreshRates()
+	e.ratesDirty = true
 }
 
 func (e *Engine) removeJob(j *ActiveJob) {
 	for i, k := range e.jobs {
 		if k == j {
 			e.jobs = append(e.jobs[:i], e.jobs[i+1:]...)
-			e.refreshRates()
+			e.ratesDirty = true
 			return
 		}
 	}
 	panic("vtime: removeJob: job not active")
 }
 
-func (e *Engine) refreshRates() {
+// refreshRates has the machine rate the active jobs. An invalid rate is an
+// error naming the job's lane and class, which ends Run.
+func (e *Engine) refreshRates() error {
+	e.ratesDirty = false
 	if len(e.jobs) == 0 {
-		return
+		return nil
 	}
 	e.stats.RateUpdates++
 	e.machine.Rates(e.jobs)
 	for _, j := range e.jobs {
 		if !(j.Rate > 0) || math.IsInf(j.Rate, 0) || math.IsNaN(j.Rate) {
-			panic(fmt.Sprintf("vtime: machine set invalid rate %v for lane %d class %d", j.Rate, j.Lane, j.Class))
+			return fmt.Errorf("vtime: machine set invalid rate %v for lane %d class %d at t=%g", j.Rate, j.Lane, j.Class, e.now)
 		}
 	}
+	return nil
 }
 
 // BlockedProc describes one blocked process in a deadlock report.
@@ -474,10 +533,6 @@ func (e *Engine) deadlockError() error {
 	return de
 }
 
-// ActiveJobs returns the jobs currently in flight. Intended for Machine
-// implementations and tests.
-func (e *Engine) ActiveJobs() []*ActiveJob { return e.jobs }
-
 // --- Proc API (called from inside process bodies) ---
 
 // Name returns the process name given at Spawn.
@@ -492,21 +547,26 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Engine returns the engine the process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// yield hands control back to the engine and waits to be resumed. Only the
-// running process may yield: a process that sleeps, blocks or computes on
-// behalf of another — a task body waiting through a context captured from
-// outside it — panics here, inside the running process, which Run reports
-// as a structured error naming both processes.
+// yield ends the process's turn, its state already booked by the caller:
+// it takes the engine's next step itself, resumes the process that step
+// picks and waits to be resumed in turn — or, if the step picks the process
+// itself, returns at once. Only the running process may yield: a process
+// that sleeps, blocks or computes on behalf of another — a task body
+// waiting through a context captured from outside it — panics here, inside
+// the running process, which Run reports as a structured error naming both
+// processes.
 func (p *Proc) yield() {
-	if r := p.eng.running; r != p {
+	e := p.eng
+	if r := e.running; r != p {
 		if r == nil {
 			panic(fmt.Sprintf("vtime: process %q blocked outside Run", p.name))
 		}
 		panic(fmt.Sprintf("vtime: process %q blocked while process %q was running; a process may only block itself", p.name, r.name))
 	}
-	p.eng.yieldCh <- p
-	<-p.resume
-	if p.eng.releasing {
+	if !e.handoff(p) {
+		<-p.resume
+	}
+	if e.releasing {
 		runtime.Goexit()
 	}
 }
@@ -556,6 +616,7 @@ func (p *Proc) BlockOn(describe func() string) {
 // the jobs they carry out.
 func (p *Proc) Park() {
 	p.state = stateParked
+	p.eng.nAlive--
 	p.yield()
 	p.state = stateRunning
 }

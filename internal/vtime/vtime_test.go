@@ -404,19 +404,82 @@ func TestRunReleasesGoroutines(t *testing.T) {
 			if (err == nil) != (tc.name == "success") {
 				t.Fatalf("Run() = %v", err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), baseline)
-				}
-				runtime.Gosched()
-			}
-			for _, p := range e.procs {
-				if p.state != stateDone {
-					t.Errorf("process %q in state %d after Run", p.name, p.state)
-				}
+			checkReleased(t, e, baseline)
+		})
+	}
+}
+
+// checkReleased fails the test unless the goroutine count falls back to
+// baseline soon and every process of e is done.
+func checkReleased(t *testing.T, e *Engine, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			t.Errorf("process %q in state %d after Run", p.name, p.state)
+		}
+	}
+}
+
+// TestRatesRefreshOncePerClockAdvance: jobs that start together are rated
+// once, when the clock first has to move, not once per start; each
+// completion costs one more refresh, the last none. N jobs started at t=0
+// cost N refreshes, where a refresh per job start and finish costs 2N-1.
+func TestRatesRefreshOncePerClockAdvance(t *testing.T) {
+	const n = 64
+	e := NewEngine(UnitMachine{})
+	for i := 0; i < n; i++ {
+		e.Spawn("w", func(p *Proc) { p.Compute(Job{Work: float64(i + 1)}) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.JobsCompleted != n || e.Now() != n {
+		t.Fatalf("%d jobs completed by t=%v, want %d by t=%d", st.JobsCompleted, e.Now(), n, n)
+	}
+	if st.RateUpdates > n {
+		t.Fatalf("%d rate refreshes for %d jobs started together, want at most %d", st.RateUpdates, n, n)
+	}
+}
+
+// TestHandoffCounts pins the goroutine switches of a run: a process that
+// picks itself to run next keeps running, so a lone sleeper costs one
+// handoff, its first dispatch, while two processes in strict ping-pong
+// cost one handoff per step.
+func TestHandoffCounts(t *testing.T) {
+	lone := NewEngine(nil)
+	lone.Spawn("lone", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Sleep(1)
+		}
+	})
+	if err := lone.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := lone.Stats(); st.Steps != 1001 || st.Handoffs != 1 {
+		t.Errorf("lone sleeper: %d steps, %d handoffs, want 1001 and 1", st.Steps, st.Handoffs)
+	}
+
+	pingPong := NewEngine(nil)
+	for _, name := range []string{"ping", "pong"} {
+		pingPong.Spawn(name, func(p *Proc) {
+			for i := 0; i < 500; i++ {
+				p.Sleep(1)
 			}
 		})
+	}
+	if err := pingPong.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := pingPong.Stats(); st.Steps != 1002 || st.Handoffs != st.Steps {
+		t.Errorf("ping-pong: %d steps, %d handoffs, want 1002 of each", st.Steps, st.Handoffs)
 	}
 }
 
