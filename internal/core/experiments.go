@@ -86,9 +86,6 @@ func (s *Suite) run(cfg fftx.Config) (*fftx.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The views read the runtime and the trace. Each run's problem geometry
-	// is several MiB at paper scale and would dominate the table's memory.
-	res.Sphere, res.Layout = nil, nil
 	if s.runs == nil {
 		s.runs = map[runKey]*fftx.Result{}
 	}

@@ -225,7 +225,9 @@ type Result struct {
 	// Bands holds the transformed band coefficients (full sphere ordering)
 	// in ModeReal; nil in ModeCost.
 	Bands [][]complex128
-	// Sphere and Layout expose the problem geometry of the run.
+	// Sphere and Layout expose the problem geometry of the run. They are
+	// the shape's shared geometry (graph.GeometryOf), the same pointers in
+	// every run of the shape: read-only.
 	Sphere *pw.Sphere
 	Layout *pw.Layout
 }
@@ -242,16 +244,16 @@ type kernel struct {
 }
 
 func newKernel(cfg Config) *kernel {
-	gk := graph.NewKernel(graph.Spec{
-		Ecut:          cfg.Ecut,
-		Alat:          cfg.Alat,
-		Ranks:         cfg.Ranks,
-		Gamma:         cfg.Gamma,
-		RealData:      cfg.Mode == ModeReal,
-		UnitPotential: cfg.UnitPotential,
-		InstrPerFlop:  cfg.Params.InstrPerFlop,
-		InstrPerByte:  cfg.Params.InstrPerByte,
-	})
+	gk := &graph.Kernel{
+		Geometry: graph.GeometryOf(graph.Shape{
+			Ecut: cfg.Ecut, Alat: cfg.Alat, Ranks: cfg.Ranks, Gamma: cfg.Gamma,
+		}),
+		InstrPerFlop: cfg.Params.InstrPerFlop,
+		InstrPerByte: cfg.Params.InstrPerByte,
+	}
+	if cfg.Mode == ModeReal {
+		gk.Pot = graph.PotentialOf(gk.Sphere.Grid, cfg.UnitPotential)
+	}
 	return &kernel{cfg: cfg, Kernel: gk, pipe: gk.Pipeline(cfg.Gamma)}
 }
 

@@ -32,24 +32,6 @@ const GammaFactor = 2
 // gammaCols returns the stick-buffer column count of position p.
 func (k *Kernel) gammaCols(p int) int { return 2 * k.Layout.NSticksOf(p) }
 
-// gammaMinusCellTable lazily builds the plane cell of each group stick's
-// -column (-1 for the self-conjugate zero stick).
-func (k *Kernel) gammaMinusCellTable() []int {
-	if k.gammaMinus != nil {
-		return k.gammaMinus
-	}
-	k.gammaMinus = make([]int, len(k.GroupSticks))
-	for gs, si := range k.GroupSticks {
-		st := k.Sphere.Stick[si]
-		if st.IsZeroStick() {
-			k.gammaMinus[gs] = -1
-			continue
-		}
-		k.gammaMinus[gs] = k.Sphere.MinusPlaneIndex(st)
-	}
-	return k.gammaMinus
-}
-
 // PrepSticksGamma packs a band pair into the two-columns-per-stick buffer.
 func (k *Kernel) PrepSticksGamma(p int, c1, c2 []complex128) []complex128 {
 	nz := k.Sphere.Grid.Nz
@@ -129,7 +111,6 @@ func (k *Kernel) SticksFromScatterGamma(p int, recv [][]complex128) []complex128
 func (k *Kernel) PlanesFromScatterGamma(p int, recv [][]complex128) []complex128 {
 	l := k.Layout
 	g := k.Sphere.Grid
-	minus := k.gammaMinusCellTable()
 	npl := l.NPlanesOf(p)
 	nxy := g.Nx * g.Ny
 	planes := make([]complex128, npl*nxy)
@@ -142,7 +123,7 @@ func (k *Kernel) PlanesFromScatterGamma(p int, recv [][]complex128) []complex128
 			for t := 0; t < nsq; t++ {
 				gs := k.GroupStickOffset[q] + t
 				cellP := k.StickPlaneIdx[gs]
-				cellM := minus[gs]
+				cellM := k.GammaMinus[gs]
 				for z := 0; z < npl; z++ {
 					planes[z*nxy+cellP] = recv[q][(2*t)*npl+z]
 					if cellM >= 0 {
@@ -159,7 +140,6 @@ func (k *Kernel) PlanesFromScatterGamma(p int, recv [][]complex128) []complex128
 func (k *Kernel) PlanesToScatterGamma(p int, planes []complex128) [][]complex128 {
 	l := k.Layout
 	g := k.Sphere.Grid
-	minus := k.gammaMinusCellTable()
 	npl := l.NPlanesOf(p)
 	nxy := g.Nx * g.Ny
 	out := make([][]complex128, l.R)
@@ -170,7 +150,7 @@ func (k *Kernel) PlanesToScatterGamma(p int, planes []complex128) [][]complex128
 			for t := 0; t < nsq; t++ {
 				gs := k.GroupStickOffset[q] + t
 				cellP := k.StickPlaneIdx[gs]
-				cellM := minus[gs]
+				cellM := k.GammaMinus[gs]
 				for z := 0; z < npl; z++ {
 					chunk[(2*t)*npl+z] = planes[z*nxy+cellP]
 					if cellM >= 0 {

@@ -10,11 +10,12 @@
 // window and no taskwait).
 //
 // The package is deliberately runtime-free: it imports only the numeric
-// and model layers (fft, knl, pw, par). Stage bodies must never call into
-// mpi, vtime or ompss — synchronization, communication and compute-time
-// accounting are the scheduler's job, enforced by internal/analysis's
-// TestStagePureRule, which keeps the three runtimes out of this package's
-// imports.
+// and model layers (fft, knl, pw, par) and memo, whose process-wide caches
+// hold the geometry every run of a shape shares (GeometryOf). Stage bodies
+// must never call into mpi, vtime or ompss — synchronization,
+// communication and compute-time accounting are the scheduler's job,
+// enforced by internal/analysis's TestStagePureRule, which keeps the three
+// runtimes out of this package's imports.
 package graph
 
 import "repro/internal/knl"

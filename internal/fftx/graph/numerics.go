@@ -153,7 +153,7 @@ func (k *Kernel) VOfR(p int, planes []complex128) {
 	nxy := g.Nx * g.Ny
 	par.ParallelFor(k.Layout.NPlanesOf(p), grainPlanes, func(zlo, zhi int) {
 		for z := zlo; z < zhi; z++ {
-			vp := k.PotPl[k.Layout.PlaneLo[p]+z]
+			vp := k.Pot.Planes[k.Layout.PlaneLo[p]+z]
 			pl := planes[z*nxy : (z+1)*nxy]
 			for i := range pl {
 				pl[i] *= complex(vp[i], 0)

@@ -178,12 +178,11 @@ func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) [
 			moved = rv.maxBytes * float64(rv.need)
 		}
 		// One collective instance completed: count it and its volume once.
-		com := w.metricsFor(c.id)
-		com.calls.Inc()
+		c.m.calls.Inc()
 		if moved > 0 {
-			com.bytes.Add(moved)
+			c.m.bytes.Add(moved)
 		}
-		com.callBytes.Observe(moved)
+		c.m.callBytes.Observe(moved)
 		rv.wq.WakeAll(ctx.Proc)
 	}
 	// Per-rank endpoint serialization: concurrent transfers issued by
@@ -201,9 +200,8 @@ func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) [
 		if w.Sink != nil {
 			trace.Recorder{S: w.Sink, Lane: ctx.Lane}.MPI(opName, c.id, tag, start, syncEnd, end)
 		}
-		com := w.metricsFor(c.id)
-		com.sync.Add(syncEnd - start)
-		com.xfer.Add(end - syncEnd)
+		c.m.sync.Add(syncEnd - start)
+		c.m.xfer.Add(end - syncEnd)
 	}
 	var recv [][]complex128
 	if send != nil {

@@ -1,6 +1,9 @@
 package mpi
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/memo"
+	"repro/internal/metrics"
+)
 
 // Live telemetry for the MPI layer, keyed by communicator; the op label is
 // always "Alltoallv".
@@ -30,16 +33,15 @@ type phaseMetrics struct {
 	seconds, instr *metrics.Counter
 }
 
-func (w *World) phaseMetricsFor(phase string) *phaseMetrics {
-	if w.phaseCache == nil {
-		w.phaseCache = map[string]*phaseMetrics{}
-	}
-	m := w.phaseCache[phase]
-	if m == nil {
-		m = &phaseMetrics{seconds: mPhaseSec.With(phase), instr: mPhaseInstr.With(phase)}
-		w.phaseCache[phase] = m
-	}
-	return m
+// phaseHandles and commHandles resolve each phase's and communicator's
+// handles once per process, for every world of every engine.
+var (
+	phaseHandles memo.Map[string, *phaseMetrics]
+	commHandles  memo.Map[string, *commMetrics]
+)
+
+func newPhaseMetrics(phase string) *phaseMetrics {
+	return &phaseMetrics{seconds: mPhaseSec.With(phase), instr: mPhaseInstr.With(phase)}
 }
 
 // commMetrics caches the resolved series handles of one communicator so
@@ -49,22 +51,12 @@ type commMetrics struct {
 	callBytes                *metrics.Histogram
 }
 
-// metricsFor returns the cached handles for a communicator. The engine runs
-// one process at a time, so the map needs no locking.
-func (w *World) metricsFor(comm string) *commMetrics {
-	if w.commCache == nil {
-		w.commCache = map[string]*commMetrics{}
+func newCommMetrics(comm string) *commMetrics {
+	return &commMetrics{
+		calls:     mCalls.With(comm, opName),
+		bytes:     mBytes.With(comm, opName),
+		sync:      mSyncSec.With(comm, opName),
+		xfer:      mXferSec.With(comm, opName),
+		callBytes: mCallBytes.With(opName),
 	}
-	m := w.commCache[comm]
-	if m == nil {
-		m = &commMetrics{
-			calls:     mCalls.With(comm, opName),
-			bytes:     mBytes.With(comm, opName),
-			sync:      mSyncSec.With(comm, opName),
-			xfer:      mXferSec.With(comm, opName),
-			callBytes: mCallBytes.With(opName),
-		}
-		w.commCache[comm] = m
-	}
-	return m
 }

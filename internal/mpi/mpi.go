@@ -54,10 +54,6 @@ type World struct {
 	asyncSeq   int         // helper-process counter for asynchronous collectives
 	idle       [][]*helper // parked helpers, by rank
 	inComm     int         // lanes currently inside an MPI call, for bandwidth sharing
-	// commCache and phaseCache hold resolved metric handles so hot paths
-	// skip the registry's label lookup (the engine is serial, no locking).
-	commCache  map[string]*commMetrics
-	phaseCache map[string]*phaseMetrics
 	// endpoints serialize the transfer part of concurrent MPI calls issued
 	// by different threads of the same rank (the MPI_THREAD_MULTIPLE
 	// endpoint lock). Single-threaded ranks never contend on it; in
@@ -139,7 +135,7 @@ func (ctx *Ctx) Compute(phase string, class knl.Class, instr float64) {
 			Kind: trace.KindCompute, Phase: phase, Class: int(class), Instr: instr,
 		})
 	}
-	pm := ctx.W.phaseMetricsFor(phase)
+	pm := phaseHandles.Get(phase, newPhaseMetrics)
 	pm.seconds.Add(end - start)
 	pm.instr.Add(instr)
 }
@@ -149,8 +145,9 @@ type Comm struct {
 	_     vtime.NoCopy
 	w     *World
 	id    string
-	ranks []int       // world ranks, in communicator order
-	index map[int]int // world rank -> comm rank
+	ranks []int        // world ranks, in communicator order
+	index map[int]int  // world rank -> comm rank
+	m     *commMetrics // the communicator's telemetry handles
 }
 
 // CommWorld returns the communicator containing every rank.
@@ -163,7 +160,7 @@ func (w *World) CommWorld() *Comm {
 }
 
 func (w *World) newComm(id string, ranks []int) *Comm {
-	c := &Comm{w: w, id: id, ranks: ranks, index: make(map[int]int, len(ranks))}
+	c := &Comm{w: w, id: id, ranks: ranks, index: make(map[int]int, len(ranks)), m: commHandles.Get(id, newCommMetrics)}
 	for i, r := range ranks {
 		if r < 0 || r >= w.Size {
 			panic(fmt.Sprintf("mpi: comm %s contains rank %d outside world of size %d", id, r, w.Size))

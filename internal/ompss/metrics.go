@@ -1,6 +1,7 @@
 package ompss
 
 import (
+	"repro/internal/memo"
 	"repro/internal/metrics"
 )
 
@@ -27,14 +28,10 @@ type phaseMetrics struct {
 	seconds, instr *metrics.Counter
 }
 
-func (rt *Runtime) phaseMetricsFor(phase string) *phaseMetrics {
-	if rt.phaseCache == nil {
-		rt.phaseCache = map[string]*phaseMetrics{}
-	}
-	m := rt.phaseCache[phase]
-	if m == nil {
-		m = &phaseMetrics{seconds: mPhaseSec.With(phase), instr: mPhaseInstr.With(phase)}
-		rt.phaseCache[phase] = m
-	}
-	return m
+// phaseHandles resolves each phase's handles once per process, for every
+// runtime of every engine.
+var phaseHandles memo.Map[string, *phaseMetrics]
+
+func newPhaseMetrics(phase string) *phaseMetrics {
+	return &phaseMetrics{seconds: mPhaseSec.With(phase), instr: mPhaseInstr.With(phase)}
 }

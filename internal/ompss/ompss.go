@@ -56,7 +56,7 @@ func (w *Worker) Compute(phase string, class knl.Class, instr float64) {
 			Kind: trace.KindCompute, Phase: phase, Class: int(class), Instr: instr,
 		})
 	}
-	pm := w.rt.phaseMetricsFor(phase)
+	pm := phaseHandles.Get(phase, newPhaseMetrics)
 	pm.seconds.Add(end - start)
 	pm.instr.Add(instr)
 }
@@ -142,10 +142,6 @@ type Runtime struct {
 	// create cycles (edges always point from existing nodes to the new
 	// one), so a detected cycle means runtime-internal state corruption.
 	Strict bool
-
-	// phaseCache holds resolved per-phase metric handles (engine is serial,
-	// no locking needed).
-	phaseCache map[string]*phaseMetrics
 }
 
 // New creates a runtime whose workers run on the given hardware lanes. The

@@ -1,8 +1,7 @@
 package vtime
 
 import (
-	"strings"
-
+	"repro/internal/memo"
 	"repro/internal/metrics"
 )
 
@@ -22,16 +21,33 @@ var (
 	mDeadlocks     = metrics.Default().Counter("fftx_vtime_deadlocks_total", "deadlocks detected")
 )
 
-// procRole collapses a proc name to its role by dropping digits.
-func procRole(name string) string {
-	if !strings.ContainsAny(name, "0123456789") {
-		return name
-	}
-	var b strings.Builder
-	for _, r := range name {
-		if r < '0' || r > '9' {
-			b.WriteRune(r)
+// roleMetrics are the per-role series of a process.
+type roleMetrics struct {
+	spawned, block, run *metrics.Counter
+}
+
+// roles resolves each role's series once per process, for every engine.
+var roles memo.Map[string, *roleMetrics]
+
+// roleMetricsOf returns the series of a proc name's role: the name with its
+// digits dropped. The role is assembled in a stack buffer and looked up
+// without allocating; only the first proc of a role builds its entry.
+func roleMetricsOf(name string) *roleMetrics {
+	var buf [64]byte
+	role := buf[:0]
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c < '0' || c > '9' {
+			role = append(role, c)
 		}
 	}
-	return b.String()
+	if rm, ok := roles.Snapshot()[string(role)]; ok {
+		return rm
+	}
+	return roles.Get(string(role), func(role string) *roleMetrics {
+		return &roleMetrics{
+			spawned: mProcsSpawned.With(role),
+			block:   mBlockSeconds.With(role),
+			run:     mRunSeconds.With(role),
+		}
+	})
 }

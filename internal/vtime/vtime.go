@@ -240,18 +240,18 @@ func (e *Engine) Now() Time { return e.now }
 // start at time 0; processes spawned by a running process start at the
 // current virtual time, after the spawning process yields.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	role := procRole(name)
+	rm := roleMetricsOf(name)
 	p := &Proc{
 		eng:      e,
 		name:     name,
 		id:       len(e.procs),
 		state:    stateNew,
 		resume:   make(chan struct{}),
-		blockCtr: mBlockSeconds.With(role),
-		runCtr:   mRunSeconds.With(role),
+		blockCtr: rm.block,
+		runCtr:   rm.run,
 	}
 	e.stats.ProcsSpawned++
-	mProcsSpawned.With(role).Inc()
+	rm.spawned.Inc()
 	e.procs = append(e.procs, p)
 	e.nAlive++
 	e.schedule(p, e.now)
