@@ -9,7 +9,7 @@ import (
 // graph. Compute stages become jittered compute phases on the calling
 // lane (with the real data transform in ModeReal); scatter stages become
 // Alltoallv collectives charging the stage's Bytes, synchronous or
-// asynchronous, whichever the policy row asks for (see schedule.run).
+// asynchronous, whichever the policy row asks for (see schedule.walk).
 
 // runStage executes one compute stage of the graph on computer c.
 func (k *kernel) runStage(c computer, st *graph.Stage, s *graph.State, p int) {

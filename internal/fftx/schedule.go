@@ -239,6 +239,15 @@ type schedule struct {
 
 // execute runs cfg under policy row pol.
 func execute(cfg Config, pol policy) (*Result, error) {
+	return newSchedule(cfg, pol).run()
+}
+
+// run simulates the schedule and assembles its Result.
+func (x *schedule) run() (*Result, error) { return x.finish(x.top.collect) }
+
+// newSchedule builds the run of cfg under policy row pol — its harness,
+// ranks and processes — ready to run.
+func newSchedule(cfg Config, pol policy) *schedule {
 	ranks, lanes := pol.layout(cfg)
 	h := newHarness(cfg, ranks, lanes)
 	x := &schedule{harness: h, pol: pol, units: pol.units(h.k.pipe), lanes: lanes,
@@ -278,7 +287,7 @@ func execute(cfg Config, pol policy) (*Result, error) {
 		if pol.unit == unitInline {
 			h.w.Spawn(id, 0, func(ctx *mpi.Ctx) {
 				for seq := 0; seq < nseq; seq++ {
-					x.run(r, 0, ctx, nil, seq)
+					x.walk(r, 0, ctx, nil, seq)
 				}
 			})
 			continue
@@ -291,7 +300,7 @@ func execute(cfg Config, pol policy) (*Result, error) {
 			x.submit(mp, r, nseq)
 		})
 	}
-	return h.finish(x.top.collect)
+	return x
 }
 
 // intervalsPerJob bounds the trace intervals a job records on its rank:
@@ -385,7 +394,7 @@ func (x *schedule) submitJob(mp *vtime.Proc, r *rank, seq int, prev *ompss.Task)
 // job the task's name gives, for the rank the worker's lane belongs to.
 func (x *schedule) runTask(wk *ompss.Worker) {
 	n := wk.Running()
-	x.run(x.ranks[wk.Lane/x.lanes], n.Unit, nil, wk, n.Seq)
+	x.walk(x.ranks[wk.Lane/x.lanes], n.Unit, nil, wk, n.Seq)
 }
 
 // ctx returns the MPI context of worker wk of rank r.
@@ -397,10 +406,10 @@ func (x *schedule) ctx(r *rank, wk *ompss.Worker) *mpi.Ctx {
 	return ctx
 }
 
-// run executes unit ui of the job at seq: on the rank's own MPI process
+// walk executes unit ui of the job at seq: on the rank's own MPI process
 // ctx for inline rows, else on worker wk. A posted scatter completes the
 // unit's arrival event once it has landed.
-func (x *schedule) run(r *rank, ui int, ctx *mpi.Ctx, wk *ompss.Worker, seq int) {
+func (x *schedule) walk(r *rank, ui int, ctx *mpi.Ctx, wk *ompss.Worker, seq int) {
 	k, u, j := x.k, &x.units[ui], &r.jobs[seq]
 	s := &j.State
 	var c computer = ctx
