@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/fftx/graph"
 	"repro/internal/knl"
+	"repro/internal/mpi"
 	"repro/internal/pw"
 	"repro/internal/trace"
 )
@@ -257,11 +258,6 @@ func newKernel(cfg Config) *kernel {
 	return &kernel{cfg: cfg, Kernel: gk, pipe: gk.Pipeline(cfg.Gamma)}
 }
 
-// computer abstracts the two compute contexts (mpi.Ctx and ompss.Worker).
-type computer interface {
-	Compute(phase string, class knl.Class, instr float64)
-}
-
 // fixedPhaseInstr is the fixed per-phase bookkeeping cost (loop and call
 // overhead, descriptor upkeep). It replicates with the process count, which
 // is what keeps the paper's instruction scalability slightly below 100 %.
@@ -296,10 +292,12 @@ func (k *kernel) jitter(band, p int, name string) float64 {
 
 // phase charges one compute phase of one band: the real data transform
 // (ModeReal) plus the modeled, jittered instruction count on the calling
-// lane.
-func (k *kernel) phase(c computer, band, p int, name string, class knl.Class, instr float64, work func()) {
-	if work != nil && k.cfg.Mode == ModeReal {
+// lane's context. It reports whether the phase is done; a phase that
+// suspends a callback process is called again when the process next runs,
+// and only the call that starts it runs the transform (see mpi.Ctx).
+func (k *kernel) phase(ctx *mpi.Ctx, band, p int, name string, class knl.Class, instr float64, work func()) bool {
+	if work != nil && k.cfg.Mode == ModeReal && !ctx.Busy() {
 		work()
 	}
-	c.Compute(name, class, instr*k.jitter(band, p, name)+fixedPhaseInstr)
+	return ctx.Compute(name, class, instr*k.jitter(band, p, name)+fixedPhaseInstr)
 }

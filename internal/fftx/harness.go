@@ -58,14 +58,14 @@ func (h *harness) inputBands() [][]complex128 {
 }
 
 // newRankRuntime builds the OmpSs runtime of one rank over workers lanes
-// starting at firstLane — callers spawn the rank's main process right
-// after, preserving the lane ordering.
+// starting at firstLane, its workers callback processes — callers spawn the
+// rank's main process right after, preserving the lane ordering.
 func (h *harness) newRankRuntime(firstLane, workers int) *ompss.Runtime {
 	workerLanes := make([]int, workers)
 	for t := 0; t < workers; t++ {
 		workerLanes[t] = firstLane + t
 	}
-	rt := ompss.New(h.eng, h.tr, workerLanes)
+	rt := ompss.NewCallback(h.eng, h.tr, workerLanes)
 	rt.Strict = h.cfg.Strict
 	h.rts = append(h.rts, rt)
 	return rt
@@ -114,11 +114,12 @@ func (h *harness) finish(collect func() [][]complex128) (*Result, error) {
 }
 
 // topology distributes the input bands over the ranks, moves a job's
-// coefficients into its State (pack) and back out (unpack), and gathers
-// the transformed bands (ModeReal).
+// coefficients into its State (the pack phase) and back out (the unpack
+// phase) on the walking lane's context, and gathers the transformed bands
+// (ModeReal). The phases report whether they are done, as k.phase does.
 type topology interface {
-	pack(c computer, ctx *mpi.Ctx, r *rank, seq int, s *graph.State)
-	unpack(c computer, ctx *mpi.Ctx, r *rank, seq int, s *graph.State)
+	pack(ctx *mpi.Ctx, r *rank, seq int, s *graph.State) bool
+	unpack(ctx *mpi.Ctx, r *rank, seq int, s *graph.State) bool
 	collect() [][]complex128
 }
 
@@ -165,23 +166,22 @@ func (h *harness) newGrouped() *grouped {
 	return gt
 }
 
-// pack redistributes iteration it's NTG bands' chunks among the groups
-// over the pack communicator, so group g assembles job it·T+g into the
-// state: the task-group pack Alltoallv plus the "pack" reassembly phase.
-// In gamma mode each chunk is the concatenation of the band pair's
-// sub-chunks. In ModeCost there is no payload: the exchange charges the
-// same volume and moves nothing.
-func (gt *grouped) pack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.State) {
+// packExchange redistributes iteration it's NTG bands' chunks among the
+// groups over the pack communicator, so group g receives the chunks of job
+// it·T+g into the state: the task-group pack Alltoallv. In gamma mode each
+// chunk is the concatenation of the band pair's sub-chunks. In ModeCost
+// there is no payload: the exchange charges the same volume and moves
+// nothing. It reports whether the exchange is done (see mpi.Ctx).
+func (gt *grouped) packExchange(ctx *mpi.Ctx, r *rank, it int, s *graph.State) bool {
 	k, cfg := gt.h.k, gt.h.cfg
 	p, T := r.p, cfg.NTG
 	i := it * T
-	bd := gt.chunkBounds[p]
-	bytes, instr := k.BytesPack(p, r.g, T), k.InstrPack(p)
+	bytes := k.BytesPack(p, r.g, T)
 	if cfg.Gamma {
-		bytes, instr = graph.GammaFactor*bytes, graph.GammaFactor*instr
+		bytes = graph.GammaFactor * bytes
 	}
 	var send [][]complex128
-	if gt.in != nil {
+	if gt.in != nil && !ctx.Busy() {
 		in := gt.in[r.id]
 		send = make([][]complex128, T)
 		for gg := range send {
@@ -192,13 +192,29 @@ func (gt *grouped) pack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.Stat
 			}
 		}
 	}
-	recv := mpi.Alltoallv(ctx, r.pack, 2*it, send, bytes)
-	k.phase(c, s.Job, p, "pack", knl.ClassMem, instr, func() {
+	recv, done := ctx.Exchange(r.pack, 2*it, send, bytes)
+	if done {
+		s.Chunks = recv
+	}
+	return done
+}
+
+// pack assembles the job from the chunks the pack exchange received: the
+// "pack" reassembly phase.
+func (gt *grouped) pack(ctx *mpi.Ctx, r *rank, it int, s *graph.State) bool {
+	k, cfg := gt.h.k, gt.h.cfg
+	p := r.p
+	bd := gt.chunkBounds[p]
+	instr := k.InstrPack(p)
+	if cfg.Gamma {
+		instr = graph.GammaFactor * instr
+	}
+	return k.phase(ctx, s.Job, p, "pack", knl.ClassMem, instr, func() {
 		s.Coeffs = make([]complex128, 0, k.Layout.NGOf[p])
 		if cfg.Gamma {
 			s.Coeffs2 = make([]complex128, 0, k.Layout.NGOf[p])
 		}
-		for gg, chunk := range recv {
+		for gg, chunk := range s.Chunks {
 			if cfg.Gamma {
 				csz := bd[gg+1] - bd[gg]
 				s.Coeffs = append(s.Coeffs, chunk[:csz]...)
@@ -210,20 +226,18 @@ func (gt *grouped) pack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.Stat
 	})
 }
 
-// unpack returns each group's chunk of the transformed job to its home
-// rank: the "unpack" split phase plus the mirrored pack Alltoallv.
-func (gt *grouped) unpack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.State) {
+// unpack splits the transformed job into each group's chunk, into the
+// state: the "unpack" split phase.
+func (gt *grouped) unpack(ctx *mpi.Ctx, r *rank, it int, s *graph.State) bool {
 	k, cfg := gt.h.k, gt.h.cfg
 	p, T := r.p, cfg.NTG
-	i := it * T
 	bd := gt.chunkBounds[p]
-	bytes, instr := k.BytesUnpack(p), k.InstrPack(p)
+	instr := k.InstrPack(p)
 	if cfg.Gamma {
-		bytes, instr = graph.GammaFactor*bytes, graph.GammaFactor*instr
+		instr = graph.GammaFactor * instr
 	}
-	var send [][]complex128
-	k.phase(c, s.Job, p, "unpack", knl.ClassMem, instr, func() {
-		send = make([][]complex128, T)
+	return k.phase(ctx, s.Job, p, "unpack", knl.ClassMem, instr, func() {
+		send := make([][]complex128, T)
 		for gg := range send {
 			if cfg.Gamma {
 				send[gg] = concat(s.Res[bd[gg]:bd[gg+1]], s.Res2[bd[gg]:bd[gg+1]])
@@ -231,8 +245,26 @@ func (gt *grouped) unpack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.St
 				send[gg] = s.Res[bd[gg]:bd[gg+1]]
 			}
 		}
+		s.Chunks = send
 	})
-	recv := mpi.Alltoallv(ctx, r.pack, 2*it+1, send, bytes)
+}
+
+// unpackExchange returns each group's chunk of the transformed job to its
+// home rank: the mirrored pack Alltoallv. It reports whether the exchange
+// is done (see mpi.Ctx).
+func (gt *grouped) unpackExchange(ctx *mpi.Ctx, r *rank, it int, s *graph.State) bool {
+	k, cfg := gt.h.k, gt.h.cfg
+	p := r.p
+	i := it * cfg.NTG
+	bd := gt.chunkBounds[p]
+	bytes := k.BytesUnpack(p)
+	if cfg.Gamma {
+		bytes = graph.GammaFactor * bytes
+	}
+	recv, done := ctx.Exchange(r.pack, 2*it+1, s.Chunks, bytes)
+	if !done {
+		return false
+	}
 	csz := bd[r.g+1] - bd[r.g]
 	for gg, chunk := range recv {
 		if cfg.Gamma {
@@ -242,6 +274,7 @@ func (gt *grouped) unpack(c computer, ctx *mpi.Ctx, r *rank, it int, s *graph.St
 			gt.out[r.id][i+gg] = chunk
 		}
 	}
+	return true
 }
 
 // concat returns a new slice holding a followed by b: a gamma band pair's
@@ -305,31 +338,29 @@ func (h *harness) newFlat() *flat {
 
 // pack copies job b's local coefficients into the state — the flat
 // topology's task-group pack degenerates to a local copy.
-func (ft *flat) pack(c computer, _ *mpi.Ctx, r *rank, b int, s *graph.State) {
+func (ft *flat) pack(ctx *mpi.Ctx, r *rank, b int, s *graph.State) bool {
 	k, cfg, p := ft.h.k, ft.h.cfg, r.p
 	if cfg.Gamma {
-		k.phase(c, b, p, "pack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
+		return k.phase(ctx, b, p, "pack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
 			s.Coeffs = append([]complex128(nil), ft.in[p][2*b]...)
 			s.Coeffs2 = append([]complex128(nil), ft.in[p][2*b+1]...)
 		})
-		return
 	}
-	k.phase(c, b, p, "pack", knl.ClassMem, k.InstrPack(p), func() {
+	return k.phase(ctx, b, p, "pack", knl.ClassMem, k.InstrPack(p), func() {
 		s.Coeffs = append([]complex128(nil), ft.in[p][b]...)
 	})
 }
 
 // unpack stores job b's transformed coefficients.
-func (ft *flat) unpack(c computer, _ *mpi.Ctx, r *rank, b int, s *graph.State) {
+func (ft *flat) unpack(ctx *mpi.Ctx, r *rank, b int, s *graph.State) bool {
 	k, cfg, p := ft.h.k, ft.h.cfg, r.p
 	if cfg.Gamma {
-		k.phase(c, b, p, "unpack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
+		return k.phase(ctx, b, p, "unpack", knl.ClassMem, graph.GammaFactor*k.InstrPack(p), func() {
 			ft.out[p][2*b] = s.Res
 			ft.out[p][2*b+1] = s.Res2
 		})
-		return
 	}
-	k.phase(c, b, p, "unpack", knl.ClassMem, k.InstrPack(p), func() {
+	return k.phase(ctx, b, p, "unpack", knl.ClassMem, k.InstrPack(p), func() {
 		ft.out[p][b] = s.Res
 	})
 }

@@ -2,6 +2,7 @@ package fftx
 
 import (
 	"repro/internal/fftx/graph"
+	"repro/internal/mpi"
 	"repro/internal/ompss"
 )
 
@@ -11,41 +12,44 @@ import (
 // Alltoallv collectives charging the stage's Bytes, synchronous or
 // asynchronous, whichever the policy row asks for (see schedule.walk).
 
-// runStage executes one compute stage of the graph on computer c.
-func (k *kernel) runStage(c computer, st *graph.Stage, s *graph.State, p int) {
+// runStage executes one compute stage of the graph on ctx and reports
+// whether it is done (see kernel.phase).
+func (k *kernel) runStage(ctx *mpi.Ctx, st *graph.Stage, s *graph.State, p int) bool {
 	var work func()
 	if st.Body != nil {
 		work = func() { st.Body(s, p) }
 	}
-	k.phase(c, s.Job, p, st.Name, st.Class, st.Instr(p), work)
+	return k.phase(ctx, s.Job, p, st.Name, st.Class, st.Instr(p), work)
 }
 
 // partStage executes the [lo,hi) sub-range of a splittable compute stage,
 // charging the proportional share of the stage's instructions — the body
 // of the nested task loops (paper Figure 4, cft_1z/cft_2xy).
-func (k *kernel) partStage(c computer, st *graph.Stage, s *graph.State, p, lo, hi int) {
+func (k *kernel) partStage(ctx *mpi.Ctx, st *graph.Stage, s *graph.State, p, lo, hi int) bool {
 	frac := float64(hi-lo) / float64(st.Count(p))
 	var work func()
 	if st.Part != nil {
 		work = func() { st.Part(s, p, lo, hi) }
 	}
-	k.phase(c, s.Job, p, st.Name, st.Class, st.Instr(p)*frac, work)
+	return k.phase(ctx, s.Job, p, st.Name, st.Class, st.Instr(p)*frac, work)
 }
 
-// nestedLoop runs a splittable stage as a nested task loop executed by all
-// of the rank's workers, waiting for the group before continuing the step.
-// Its chunk tasks are named n followed by their range.
-func (k *kernel) nestedLoop(rt *ompss.Runtime, wk *ompss.Worker, n ompss.Name, st *graph.Stage, s *graph.State, p int) {
+// nestedLoop submits a splittable stage as a nested task loop executed by
+// all of rank r's workers and returns its group, which worker wk waits for
+// before continuing the step. Its chunk tasks are named n followed by their
+// range.
+func (x *schedule) nestedLoop(r *rank, wk *ompss.Worker, n ompss.Name, st *graph.Stage, s *graph.State) *ompss.Group {
+	k := x.k
 	grain := k.cfg.NestedGrainZ
 	if st.Split == graph.SplitPlanes {
 		grain = k.cfg.NestedGrainXY
 	}
-	grp := rt.NewGroup()
-	rt.TaskLoopInGroup(wk.Proc, grp, n, st.Count(p), grain,
+	grp := r.rt.NewGroup()
+	r.rt.TaskLoopInGroup(wk.Proc, grp, n, st.Count(r.p), grain,
 		func(w2 *ompss.Worker, lo, hi int) {
-			k.partStage(w2, st, s, p, lo, hi)
+			k.partStage(&x.walker(r, w2).ctx, st, s, r.p, lo, hi)
 		})
-	grp.Wait(wk)
+	return grp
 }
 
 // Run executes the configured engine and returns its result. EngineAuto

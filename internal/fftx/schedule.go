@@ -116,55 +116,129 @@ type unit struct {
 	// task and of its posted scatter's arrival event; the job's sequence
 	// number completes them, as in "seg0.12".
 	name, postName string
-	pack, unpack   bool
-	stages         []*graph.Stage
+	// ops are the unit's steps, in walk order.
+	ops []op
 	// post is the trailing scatter an async row posts without blocking;
 	// nil when the unit does not end in one or the row's scatters block.
 	post *graph.Stage
-	// comm says whether the unit needs an MPI context.
-	comm bool
 	// depth is the unit's segment index, the prioDepth priority.
 	depth int
 }
 
-// units cuts a job's walk into the row's tasks.
-func (pol policy) units(g *graph.Graph) []unit {
-	var us []unit
+// op is one step of a unit's walk.
+type op struct {
+	kind opKind
+	// st is the stage of a stage, scatter, loop or post step.
+	st *graph.Stage
+	// loop is the static part of a nested loop's task names, as in
+	// "fft-z.it" (the job's sequence number follows).
+	loop string
+}
+
+// opKind says what a step of the walk does.
+type opKind uint8
+
+const (
+	// opPackExchange is the grouped topology's pack Alltoallv over the
+	// pack communicator.
+	opPackExchange opKind = iota
+	// opPack is the pack phase.
+	opPack
+	// opStage is a compute stage.
+	opStage
+	// opScatter is a scatter the lane blocks in.
+	opScatter
+	// opLoop is a splittable compute stage run as a nested task loop.
+	opLoop
+	// opUnpack is the unpack phase.
+	opUnpack
+	// opUnpackExchange is the grouped topology's unpack Alltoallv.
+	opUnpackExchange
+	// opPost is the unit's trailing scatter, posted to a communication
+	// thread.
+	opPost
+)
+
+// intervals is the number of trace intervals the step records on its lane:
+// a wait and a transfer per blocking exchange, one per compute phase, none
+// for a posted scatter.
+func (o opKind) intervals() int {
+	switch o {
+	case opPackExchange, opScatter, opUnpackExchange:
+		return 2
+	case opPost:
+		return 0
+	}
+	return 1
+}
+
+// units cuts a job's walk into the row's tasks. nested runs the splittable
+// stages as nested task loops.
+func (pol policy) units(g *graph.Graph, nested bool) []unit {
+	type cut struct {
+		name         string
+		pack, unpack bool
+		stages       []*graph.Stage
+		depth        int
+	}
+	var cs []cut
 	switch pol.unit {
 	case unitStep:
-		us = append(us, unit{name: "pack", pack: true})
+		cs = append(cs, cut{name: "pack", pack: true})
 		for _, st := range g.Steps() {
-			us = append(us, unit{name: st.Label, stages: st.Stages})
+			cs = append(cs, cut{name: st.Label, stages: st.Stages})
 		}
-		us = append(us, unit{name: "unpack", unpack: true})
+		cs = append(cs, cut{name: "unpack", unpack: true})
 	case unitSegment:
 		segs, scatters := g.Segments()
 		for i, seg := range segs {
-			u := unit{name: fmt.Sprintf("seg%d", i), stages: seg, depth: i}
+			c := cut{name: fmt.Sprintf("seg%d", i), stages: seg, depth: i}
 			if i < len(scatters) {
-				u.stages = append(seg, scatters[i])
+				c.stages = append(seg, scatters[i])
 			}
-			us = append(us, u)
+			cs = append(cs, c)
 		}
-		us[0].pack = true
-		us[len(us)-1].unpack = true
+		cs[0].pack = true
+		cs[len(cs)-1].unpack = true
 	default:
 		all := make([]*graph.Stage, len(g.Stages))
 		for i := range g.Stages {
 			all[i] = &g.Stages[i]
 		}
-		us = []unit{{name: "job", pack: true, unpack: true, stages: all}}
+		cs = []cut{{name: "job", pack: true, unpack: true, stages: all}}
 	}
-	for i := range us {
+	us := make([]unit, len(cs))
+	for i, c := range cs {
 		u := &us[i]
-		u.name += "."
-		if n := len(u.stages); pol.async && n > 0 && u.stages[n-1].Kind == graph.Scatter {
-			u.stages, u.post = u.stages[:n-1], u.stages[n-1]
+		u.name, u.depth = c.name+".", c.depth
+		if n := len(c.stages); pol.async && n > 0 && c.stages[n-1].Kind == graph.Scatter {
+			c.stages, u.post = c.stages[:n-1], c.stages[n-1]
 			u.postName = u.post.Step + "."
 		}
-		u.comm = u.post != nil || (pol.grouped && (u.pack || u.unpack))
-		for _, st := range u.stages {
-			u.comm = u.comm || st.Kind == graph.Scatter
+		if c.pack {
+			if pol.grouped {
+				u.ops = append(u.ops, op{kind: opPackExchange})
+			}
+			u.ops = append(u.ops, op{kind: opPack})
+		}
+		for _, st := range c.stages {
+			switch {
+			case st.Kind == graph.Scatter:
+				u.ops = append(u.ops, op{kind: opScatter, st: st})
+			case nested && st.Split != graph.SplitNone:
+				u.ops = append(u.ops, op{kind: opLoop, st: st, loop: st.LoopName + ".it"})
+			default:
+				u.ops = append(u.ops, op{kind: opStage, st: st})
+			}
+		}
+		if c.unpack {
+			u.ops = append(u.ops, op{kind: opUnpack})
+			if pol.grouped {
+				u.ops = append(u.ops, op{kind: opUnpackExchange})
+			}
+		}
+		if u.post != nil {
+			u.ops = append(u.ops, op{kind: opPost, st: u.post})
 		}
 	}
 	return us
@@ -181,8 +255,11 @@ func (pol policy) priority(u *unit, seq int) int {
 	return 0
 }
 
-// rank is one MPI rank of a run.
+// rank is one MPI rank of a run and, as a vtime.Resumer, the rank's own
+// process: the driver that walks every job of a row without a task
+// runtime, or the main process of a row with one.
 type rank struct {
+	x *schedule
 	// id is the world rank, p its position in the task group (the
 	// Layout's rank) and g its task group (0 in the flat topology).
 	id, p, g int
@@ -196,9 +273,26 @@ type rank struct {
 	// arrivals[seq·len(units)+i] is the arrival event of the scatter unit
 	// i of the job at seq posts.
 	arrivals []*ompss.Task
-	// ctxs are the MPI contexts of the rank's workers, by worker index,
-	// each built on its worker's first communicating task.
-	ctxs []mpi.Ctx
+	// walkers are the walk states of the rank's processes that walk units:
+	// the driver's, or the workers', by worker index, each worker's set up
+	// on its first task.
+	walkers []walker
+	// next is the job the driver walks; a main process sets it past the
+	// last job once it has submitted them.
+	next int
+	// join is the event a joining row's main process waits for.
+	join *ompss.Task
+}
+
+// walker is the walk state of one process: its MPI context, the step of
+// the unit it walks and the nested loop that unit waits for. A unit's walk
+// runs on one process from its first step to its last — a task body is
+// called again only on the worker that started it — so its program counter
+// lives with the process, in storage the rank preallocates.
+type walker struct {
+	ctx  mpi.Ctx
+	pc   int
+	loop *ompss.Group
 }
 
 // job is one job of a rank: the state its walk carries, and the arrival
@@ -221,6 +315,7 @@ type schedule struct {
 	*harness
 	pol   policy
 	top   topology
+	gt    *grouped // top in the grouped topology, else nil
 	units []unit
 	ranks []*rank
 	// lanes is the hardware-lane count of a rank: a worker on lane l
@@ -228,13 +323,6 @@ type schedule struct {
 	lanes int
 	// body is the body of every task: it runs the unit the task names.
 	body func(wk *ompss.Worker)
-	// nested splits the splittable stages of step units into nested task
-	// loops (Config.NestedLoops; the paper nests them in its per-step
-	// version, Figure 4).
-	nested bool
-	// loopNames are the static parts of the nested loops' task names, by
-	// stage, as in "fft-z.it" (the job's sequence number follows).
-	loopNames map[*graph.Stage]string
 }
 
 // execute runs cfg under policy row pol.
@@ -246,28 +334,21 @@ func execute(cfg Config, pol policy) (*Result, error) {
 func (x *schedule) run() (*Result, error) { return x.finish(x.top.collect) }
 
 // newSchedule builds the run of cfg under policy row pol — its harness,
-// ranks and processes — ready to run.
+// ranks and processes — ready to run. Every process is a callback process:
+// a run starts no goroutine.
 func newSchedule(cfg Config, pol policy) *schedule {
 	ranks, lanes := pol.layout(cfg)
 	h := newHarness(cfg, ranks, lanes)
-	x := &schedule{harness: h, pol: pol, units: pol.units(h.k.pipe), lanes: lanes,
-		nested: cfg.NestedLoops && pol.unit == unitStep}
+	// The paper nests task loops in its per-step version (Figure 4).
+	nested := cfg.NestedLoops && pol.unit == unitStep
+	x := &schedule{harness: h, pol: pol, units: pol.units(h.k.pipe, nested), lanes: lanes}
 	x.body = x.runTask
-	if x.nested {
-		x.loopNames = map[*graph.Stage]string{}
-		for _, u := range x.units {
-			for _, st := range u.stages {
-				if st.Split != graph.SplitNone {
-					x.loopNames[st] = st.LoopName + ".it"
-				}
-			}
-		}
-	}
 	// A grouped rank runs every NTG-th job, starting at its group.
 	stride := 1
 	var world *mpi.Comm
 	if pol.grouped {
-		x.top, stride = h.newGrouped(), cfg.NTG
+		x.gt, stride = h.newGrouped(), cfg.NTG
+		x.top = x.gt
 	} else {
 		x.top, world = h.newFlat(), h.w.CommWorld()
 	}
@@ -275,7 +356,7 @@ func newSchedule(cfg Config, pol policy) *schedule {
 	h.tr.Intervals = make([]trace.Interval, 0, ranks*nseq*x.intervalsPerJob())
 	x.ranks = make([]*rank, ranks)
 	for id := range x.ranks {
-		r := &rank{id: id, p: id, scat: world, jobs: make([]job, nseq)}
+		r := &rank{x: x, id: id, p: id, scat: world, jobs: make([]job, nseq)}
 		x.ranks[id] = r
 		if pol.grouped {
 			r.p, r.g = id/cfg.NTG, id%cfg.NTG
@@ -284,45 +365,28 @@ func newSchedule(cfg Config, pol policy) *schedule {
 		for seq := range r.jobs {
 			r.jobs[seq].Job, r.jobs[seq].r = seq*stride+r.g, r
 		}
+		r.walkers = make([]walker, lanes)
 		if pol.unit == unitInline {
-			h.w.Spawn(id, 0, func(ctx *mpi.Ctx) {
-				for seq := 0; seq < nseq; seq++ {
-					x.walk(r, 0, ctx, nil, seq)
-				}
-			})
+			h.w.SpawnCallback(&r.walkers[0].ctx, id, 0, r)
 			continue
 		}
 		r.rt = h.newRankRuntime(id*lanes, lanes)
 		r.rt.Reserve(x.nodes(nseq))
 		r.arrivals = make([]*ompss.Task, nseq*len(x.units))
-		r.ctxs = make([]mpi.Ctx, lanes)
-		h.eng.Spawn(fmt.Sprintf("rank%d.main", id), func(mp *vtime.Proc) {
-			x.submit(mp, r, nseq)
-		})
+		h.eng.SpawnCallback(fmt.Sprintf("rank%d.main", id), r)
 	}
 	return x
 }
 
 // intervalsPerJob bounds the trace intervals a job records on its rank:
-// one per compute phase, a wait and a transfer per blocking exchange, and
-// a runtime and an idle interval per task. Only nested loops, whose chunk
-// tasks the bound leaves out, grow the trace past it.
+// its steps' intervals, and a runtime and an idle interval per task. Only
+// nested loops, whose chunk tasks the bound leaves out, grow the trace past
+// it.
 func (x *schedule) intervalsPerJob() int {
 	n := 0
 	for _, u := range x.units {
-		for _, edge := range [...]bool{u.pack, u.unpack} {
-			if edge {
-				n++ // the pack or unpack phase
-				if x.pol.grouped {
-					n += 2 // and its exchange over the pack communicator
-				}
-			}
-		}
-		for _, st := range u.stages {
-			n++
-			if st.Kind == graph.Scatter {
-				n++
-			}
+		for _, o := range u.ops {
+			n += o.kind.intervals()
 		}
 		if x.pol.unit != unitInline {
 			n += 2
@@ -347,25 +411,51 @@ func (x *schedule) nodes(nseq int) int {
 	return n
 }
 
-// submit is the main process of a rank with a task runtime: it submits
-// every job, then ends as the row says.
-func (x *schedule) submit(mp *vtime.Proc, r *rank, nseq int) {
-	rt, pol := r.rt, x.pol
-	window := rt.Workers()
-	last := make([]*ompss.Task, nseq) // every job's last node
+// Resume is a turn of the rank's own process. A driver walks the rank's
+// jobs in order. A main process submits every job,
+// then ends as the row says: on a join event over every job's last node,
+// or at a Taskwait barrier.
+func (r *rank) Resume(p *vtime.Proc) {
+	x, rt := r.x, r.rt
+	if rt == nil {
+		for ; r.next < len(r.jobs); r.next++ {
+			if !x.walk(r, 0, r.next, &r.walkers[0], nil) {
+				return
+			}
+		}
+		return
+	}
+	if r.next < len(r.jobs) {
+		last := x.submit(p, r)
+		r.next = len(r.jobs)
+		if x.pol.join {
+			r.join = rt.Event(p, "jobs", last)
+		}
+	}
+	if r.join != nil {
+		if !rt.Wait(p, r.join) {
+			return
+		}
+	} else if !rt.Taskwait(p) {
+		return
+	}
+	rt.Shutdown(p)
+}
+
+// submit submits every job of rank r and returns each job's last node. A
+// windowed row's job also waits on the last node of the job as many places
+// earlier as the rank has workers.
+func (x *schedule) submit(mp *vtime.Proc, r *rank) []*ompss.Task {
+	window := r.rt.Workers()
+	last := make([]*ompss.Task, len(r.jobs))
 	for seq := range last {
 		var first *ompss.Task
-		if pol.window && seq >= window {
+		if x.pol.window && seq >= window {
 			first = last[seq-window]
 		}
 		last[seq] = x.submitJob(mp, r, seq, first)
 	}
-	if pol.join {
-		rt.Wait(mp, rt.Event(mp, "jobs", last))
-	} else {
-		rt.Taskwait(mp)
-	}
-	rt.Shutdown(mp)
+	return last
 }
 
 // submitJob submits the units of the job at seq as tasks, each after the
@@ -390,55 +480,76 @@ func (x *schedule) submitJob(mp *vtime.Proc, r *rank, seq int, prev *ompss.Task)
 	return prev
 }
 
-// runTask is the body of every task: it runs, on the worker, the unit and
+// runTask is the body of every task: it walks, on the worker, the unit and
 // job the task's name gives, for the rank the worker's lane belongs to.
 func (x *schedule) runTask(wk *ompss.Worker) {
 	n := wk.Running()
-	x.walk(x.ranks[wk.Lane/x.lanes], n.Unit, nil, wk, n.Seq)
+	r := x.ranks[wk.Lane/x.lanes]
+	x.walk(r, n.Unit, n.Seq, x.walker(r, wk), wk)
 }
 
-// ctx returns the MPI context of worker wk of rank r.
-func (x *schedule) ctx(r *rank, wk *ompss.Worker) *mpi.Ctx {
-	ctx := &r.ctxs[wk.Lane%x.lanes]
-	if ctx.Proc == nil {
+// walker returns the walk state of worker wk of rank r.
+func (x *schedule) walker(r *rank, wk *ompss.Worker) *walker {
+	wl := &r.walkers[wk.Lane%x.lanes]
+	if ctx := &wl.ctx; ctx.Proc == nil {
 		ctx.W, ctx.Proc, ctx.Rank, ctx.Lane = x.w, wk.Proc, r.id, wk.Lane
 	}
-	return ctx
+	return wl
 }
 
-// walk executes unit ui of the job at seq: on the rank's own MPI process
-// ctx for inline rows, else on worker wk. A posted scatter completes the
+// walk runs unit ui of the job at seq on walker wl: the rank's driver for
+// inline rows, else worker wk's. It reports whether the unit is done. A
+// step that suspends the process — or, on a worker, books the wait for a
+// nested loop — returns false, and the walk, called again when the process
+// next runs, goes on from that step (wl.pc). A posted scatter completes the
 // unit's arrival event once it has landed.
-func (x *schedule) walk(r *rank, ui int, ctx *mpi.Ctx, wk *ompss.Worker, seq int) {
-	k, u, j := x.k, &x.units[ui], &r.jobs[seq]
+func (x *schedule) walk(r *rank, ui, seq int, wl *walker, wk *ompss.Worker) bool {
+	k, u, j, ctx := x.k, &x.units[ui], &r.jobs[seq], &wl.ctx
 	s := &j.State
-	var c computer = ctx
-	if wk != nil {
-		c = wk
-		if u.comm {
-			ctx = x.ctx(r, wk)
-		}
-	}
-	if u.pack {
-		x.top.pack(c, ctx, r, seq, s)
-	}
-	for _, st := range u.stages {
-		switch {
-		case st.Kind == graph.Scatter:
+	for ; wl.pc < len(u.ops); wl.pc++ {
+		o := &u.ops[wl.pc]
+		switch o.kind {
+		case opPackExchange:
+			if !x.gt.packExchange(ctx, r, seq, s) {
+				return false
+			}
+		case opPack:
+			if !x.top.pack(ctx, r, seq, s) {
+				return false
+			}
+		case opStage:
+			if !k.runStage(ctx, o.st, s, r.p) {
+				return false
+			}
+		case opScatter:
 			// Tag base 2·seq: the job's forward and backward scatters
 			// differ by TagOff. s.Chunks is nil in ModeCost.
-			s.Chunks = mpi.Alltoallv(ctx, r.scat, 2*seq+st.TagOff, s.Chunks, st.Bytes(r.p))
-		case x.nested && st.Split != graph.SplitNone:
-			k.nestedLoop(r.rt, wk, ompss.Name{Text: x.loopNames[st], Seq: seq}, st, s, r.p)
-		default:
-			k.runStage(c, st, s, r.p)
+			recv, done := ctx.Exchange(r.scat, 2*seq+o.st.TagOff, s.Chunks, o.st.Bytes(r.p))
+			if !done {
+				return false
+			}
+			s.Chunks = recv
+		case opLoop:
+			if wl.loop == nil {
+				wl.loop = x.nestedLoop(r, wk, ompss.Name{Text: o.loop, Seq: seq}, o.st, s)
+			}
+			if !wl.loop.Wait(wk) {
+				return false
+			}
+			wl.loop = nil
+		case opUnpack:
+			if !x.top.unpack(ctx, r, seq, s) {
+				return false
+			}
+		case opUnpackExchange:
+			if !x.gt.unpackExchange(ctx, r, seq, s) {
+				return false
+			}
+		case opPost:
+			j.posted = r.arrivals[seq*len(x.units)+ui]
+			mpi.IAlltoallv(ctx, r.scat, 2*seq+o.st.TagOff, s.Chunks, o.st.Bytes(r.p), j)
 		}
 	}
-	if u.unpack {
-		x.top.unpack(c, ctx, r, seq, s)
-	}
-	if u.post != nil {
-		j.posted = r.arrivals[seq*len(x.units)+ui]
-		mpi.IAlltoallv(ctx, r.scat, 2*seq+u.post.TagOff, s.Chunks, u.post.Bytes(r.p), j)
-	}
+	wl.pc = 0
+	return true
 }

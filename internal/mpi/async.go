@@ -21,8 +21,11 @@ import (
 // reused: one that has delivered its exchange parks, and the rank's next
 // post wakes it instead of spawning a process, so a run creates as many
 // helpers per rank as it ever has exchanges in flight, not one per post.
+// A helper is a callback process whose exchange is its state: it starts no
+// goroutine, whatever kind of process posts to it.
 
-// Done receives the result of a posted exchange on the helper process.
+// Done receives the result of a posted exchange on the helper process, a
+// callback process: Done must not block.
 type Done interface {
 	Done(p *vtime.Proc, recv [][]complex128)
 }
@@ -60,24 +63,24 @@ func IAlltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64, 
 		h = &helper{}
 		h.ctx.W, h.ctx.Rank, h.ctx.Silent = w, ctx.Rank, true
 		w.asyncSeq++
-		w.Eng.Spawn(fmt.Sprintf("commthread.r%d.%d", ctx.Rank, w.asyncSeq), func(p *vtime.Proc) {
-			h.ctx.Proc = p
-			w.serve(h)
-		})
+		h.ctx.Proc = w.Eng.SpawnCallback(fmt.Sprintf("commthread.r%d.%d", ctx.Rank, w.asyncSeq), h)
 	}
 	h.ctx.Lane = ctx.Lane
 	h.c, h.tag, h.send, h.bytes, h.done = c, tag, send, bytes, done
 }
 
-// serve is a helper's body: carry out the posted exchange, hand the result
-// to its Done, then park on the rank's idle list until the next post.
-func (w *World) serve(h *helper) {
-	for {
-		recv := Alltoallv(&h.ctx, h.c, h.tag, h.send, h.bytes)
-		done := h.done
-		h.c, h.send, h.done = nil, nil, nil
-		done.Done(h.ctx.Proc, recv)
-		w.idle[h.ctx.Rank] = append(w.idle[h.ctx.Rank], h)
-		h.ctx.Proc.Park()
+// Resume is a helper's turn: go on with the posted exchange and, once it is
+// done, hand the result to its Done, then park on the rank's idle list
+// until the next post.
+func (h *helper) Resume(p *vtime.Proc) {
+	recv, ok := h.ctx.Exchange(h.c, h.tag, h.send, h.bytes)
+	if !ok {
+		return
 	}
+	done := h.done
+	h.c, h.send, h.done = nil, nil, nil
+	done.Done(p, recv)
+	w := h.ctx.W
+	w.idle[h.ctx.Rank] = append(w.idle[h.ctx.Rank], h)
+	p.Park()
 }

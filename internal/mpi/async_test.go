@@ -169,21 +169,33 @@ func goroutinesSettle(t *testing.T, baseline int) {
 
 // postTwice spawns a world of three ranks that each post an exchange on
 // tag 0 and, once it has landed, rank 0 — or every rank, when all is set —
-// posts a second one on tag 1.
-func postTwice(all bool) (*vtime.Engine, []int) {
+// posts a second one on tag 1. The ranks are goroutine processes, or
+// callback processes that post one exchange per turn.
+func postTwice(all, callback bool) (*vtime.Engine, []int) {
 	eng, w := strictWorld(3, 1)
 	landed := make([]int, 3)
 	for r := 0; r < 3; r++ {
+		tag := 0
+		// post posts the rank's next exchange and sleeps, or reports that
+		// the rank has posted all it posts.
+		post := func(ctx *Ctx) bool {
+			if tag == 2 || (tag == 1 && !all && ctx.Rank != 0) {
+				return false
+			}
+			IAlltoallv(ctx, ctx.W.CommWorld(), tag, nil, 64, DoneFunc(func(*vtime.Proc, [][]complex128) {
+				landed[ctx.Rank]++
+			}))
+			tag++
+			ctx.Proc.Sleep(1)
+			return true
+		}
+		if callback {
+			ctx := new(Ctx)
+			w.SpawnCallback(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) { post(ctx) }))
+			continue
+		}
 		w.Spawn(r, 0, func(ctx *Ctx) {
-			c := ctx.W.CommWorld()
-			for tag := 0; tag < 2; tag++ {
-				if tag == 1 && !all && ctx.Rank != 0 {
-					return
-				}
-				IAlltoallv(ctx, c, tag, nil, 64, DoneFunc(func(*vtime.Proc, [][]complex128) {
-					landed[ctx.Rank]++
-				}))
-				ctx.Proc.Sleep(1)
+			for post(ctx) {
 			}
 		})
 	}
@@ -195,7 +207,7 @@ func postTwice(all bool) (*vtime.Engine, []int) {
 // helpers, not six, and the run still leaves no goroutine behind.
 func TestHelpersAreReused(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	eng, landed := postTwice(true)
+	eng, landed := postTwice(true, false)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,22 +226,32 @@ func TestHelpersAreReused(t *testing.T) {
 // the idle helpers of ranks 1 and 2 keep no run going and are not blocked.
 // The run's goroutines are released on this error return too.
 func TestReusedHelperDeadlockReport(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	eng, _ := postTwice(false)
-	err := eng.Run()
-	var de *vtime.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
+	errs := map[bool]string{}
+	for _, callback := range []bool{false, true} {
+		baseline := runtime.NumGoroutine()
+		eng, _ := postTwice(false, callback)
+		err := eng.Run()
+		var de *vtime.DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
+		}
+		want := []vtime.BlockedProc{{
+			Name: "commthread.r0.1", ID: 3, Since: 1,
+			WaitingOn: "mpi: Alltoallv tag 1 (call #0) on comm world: arrived 1/3, ranks [0]; missing ranks [1 2]",
+		}}
+		if !reflect.DeepEqual(de.Blocked, want) {
+			t.Errorf("blocked = %+v\nwant      %+v", de.Blocked, want)
+		}
+		if got := eng.Stats().ProcsSpawned; got != 6 {
+			t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
+		}
+		if got := eng.Stats().Goroutines; callback && got != 0 {
+			t.Errorf("callback ranks: %d goroutines started, want none", got)
+		}
+		goroutinesSettle(t, baseline)
+		errs[callback] = err.Error()
 	}
-	want := []vtime.BlockedProc{{
-		Name: "commthread.r0.1", ID: 3, Since: 1,
-		WaitingOn: "mpi: Alltoallv tag 1 (call #0) on comm world: arrived 1/3, ranks [0]; missing ranks [1 2]",
-	}}
-	if !reflect.DeepEqual(de.Blocked, want) {
-		t.Errorf("blocked = %+v\nwant      %+v", de.Blocked, want)
+	if errs[false] != errs[true] {
+		t.Errorf("callback ranks: %q\ngoroutine ranks: %q", errs[true], errs[false])
 	}
-	if got := eng.Stats().ProcsSpawned; got != 6 {
-		t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
-	}
-	goroutinesSettle(t, baseline)
 }

@@ -92,7 +92,64 @@ func (rv *rendezvous) describe() string {
 // hold one chunk per member and exactly bytes of data, or the call panics.
 // The returned chunks alias the senders' buffers; receivers must not mutate
 // them (the kernel copies into its own layout).
+//
+// Alltoallv blocks the calling goroutine process; a callback process calls
+// Ctx.Exchange.
 func Alltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64) [][]complex128 {
+	recv, done := ctx.Exchange(c, tag, send, bytes)
+	if !done {
+		panic(fmt.Sprintf("mpi: %s blocks, and process %q is a callback process: it calls Ctx.Exchange", opName, ctx.Proc.Name()))
+	}
+	return recv
+}
+
+// Exchange is Alltoallv in steps, on either kind of process: it reports
+// whether the call is done, with the received chunks (see Ctx).
+//
+// The steps are the rendezvous: every member of c arrives with its send
+// chunks and volume, and the last arriver prices the transfer from the
+// largest volume; the endpoint, which every member then queues for; and the
+// transfer, which every member pays before it leaves, with a payload, with
+// the chunks sent to it. Calls with the same (comm, tag) match across ranks
+// in per-rank call order, so concurrent exchanges from different task
+// threads are safe as long as they use distinct tags.
+func (ctx *Ctx) Exchange(c *Comm, tag int, send [][]complex128, bytes float64) ([][]complex128, bool) {
+	p := ctx.Proc
+	switch ctx.at {
+	case idle:
+		ctx.arrive(c, tag, send, bytes)
+		if p.Suspended() {
+			return nil, false
+		}
+	case arrived, queued, moving:
+		ctx.goOn(opName)
+	default:
+		panic(fmt.Sprintf("mpi: %s called by process %q while its Compute is in flight", opName, p.Name()))
+	}
+	w := ctx.W
+	ep := w.endpoints[ctx.Rank]
+	if ctx.at != moving {
+		// Per-rank endpoint serialization: concurrent transfers issued by
+		// threads of the same rank queue on the rank's MPI endpoint.
+		ctx.at = queued
+		if !ep.Acquire(p) {
+			return nil, false
+		}
+		ctx.at, ctx.syncEnd = moving, p.Now()
+		if t := ctx.rv.transfer; t > 0 {
+			p.Sleep(t)
+			if p.Suspended() {
+				return nil, false
+			}
+		}
+	}
+	return ctx.leave(ep), true
+}
+
+// arrive enters the caller into the rendezvous of its call, waiting there
+// unless it is the last member to arrive, which prices the transfer and
+// wakes the others.
+func (ctx *Ctx) arrive(c *Comm, tag int, send [][]complex128, bytes float64) {
 	if send != nil {
 		if len(send) != c.Size() {
 			panic(fmt.Sprintf("mpi: %s tag %d on comm %s: rank %d sends %d chunks for comm of size %d",
@@ -107,30 +164,6 @@ func Alltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64) [
 				opName, tag, c.id, ctx.Rank, got, bytes))
 		}
 	}
-	return c.exchange(ctx, tag, send, bytes)
-}
-
-// gather returns the chunks the members of rv sent to communicator rank
-// me, the receive side of a payload-carrying call.
-func (rv *rendezvous) gather(ctx *Ctx, me int) [][]complex128 {
-	out := make([][]complex128, len(rv.slots))
-	for j, s := range rv.slots {
-		if s.send == nil {
-			panic(fmt.Sprintf("mpi: %s tag %d on comm %s: rank %d sent no payload to rank %d's payload-carrying call",
-				opName, rv.tag, rv.c.id, rv.c.ranks[j], ctx.Rank))
-		}
-		out[j] = s.send[me]
-	}
-	return out
-}
-
-// exchange is the rendezvous: every member of c arrives with its send
-// chunks and volume; the last arriver prices the transfer from the largest
-// volume; everyone then pays the transfer time and, with a payload, leaves
-// with the chunks sent to it. Calls with the same (comm, tag) match across
-// ranks in per-rank call order, so concurrent exchanges from different
-// task threads are safe as long as they use distinct tags.
-func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) [][]complex128 {
 	w := c.w
 	me := c.RankIn(ctx)
 	sk := seqKey{c.id, tag, me}
@@ -162,57 +195,72 @@ func (c *Comm) exchange(ctx *Ctx, tag int, send [][]complex128, bytes float64) [
 	rv.arrived++
 	rv.maxBytes = max(rv.maxBytes, bytes)
 	w.inComm++
-	start := ctx.Proc.Now()
+	ctx.at, ctx.start, ctx.rv, ctx.me = arrived, ctx.Proc.Now(), rv, me
 
 	if rv.arrived < rv.need {
 		rv.wq.Wait(ctx.Proc)
-	} else {
-		var moved float64
-		if w.Node != nil {
-			// Bandwidth is shared among concurrently communicating lanes,
-			// but per-rank endpoint serialization means at most one
-			// transfer per rank is in flight, so the sharing degree never
-			// exceeds the rank count (threads and communication helpers
-			// queued on their endpoint must not dilute the bandwidth).
-			rv.transfer = w.Node.AlltoallTime(rv.need, rv.maxBytes, min(w.inComm, w.Size))
-			moved = rv.maxBytes * float64(rv.need)
-		}
-		// One collective instance completed: count it and its volume once.
-		c.m.calls.Inc()
-		if moved > 0 {
-			c.m.bytes.Add(moved)
-		}
-		c.m.callBytes.Observe(moved)
-		rv.wq.WakeAll(ctx.Proc)
+		return
 	}
-	// Per-rank endpoint serialization: concurrent transfers issued by
-	// threads of the same rank queue on the rank's MPI endpoint.
-	ep := w.endpoints[ctx.Rank]
-	ep.Acquire(ctx.Proc)
-	syncEnd := ctx.Proc.Now()
-	if rv.transfer > 0 {
-		ctx.Proc.Sleep(rv.transfer)
+	var moved float64
+	if w.Node != nil {
+		// Bandwidth is shared among concurrently communicating lanes, but
+		// per-rank endpoint serialization means at most one transfer per
+		// rank is in flight, so the sharing degree never exceeds the rank
+		// count (threads and communication helpers queued on their
+		// endpoint must not dilute the bandwidth).
+		rv.transfer = w.Node.AlltoallTime(rv.need, rv.maxBytes, min(w.inComm, w.Size))
+		moved = rv.maxBytes * float64(rv.need)
 	}
+	// One collective instance completed: count it and its volume once.
+	c.m.calls.Inc()
+	if moved > 0 {
+		c.m.bytes.Add(moved)
+	}
+	c.m.callBytes.Observe(moved)
+	rv.wq.WakeAll(ctx.Proc)
+}
+
+// leave ends the caller's transfer: it frees the endpoint ep, records the
+// call and returns the chunks sent to the caller; the last member to leave
+// recycles the rendezvous.
+func (ctx *Ctx) leave(ep *vtime.Semaphore) [][]complex128 {
+	w, rv, me := ctx.W, ctx.rv, ctx.me
+	c := rv.c
 	ep.Release(ctx.Proc)
 	w.inComm--
 	if !ctx.Silent {
-		end := ctx.Proc.Now()
+		start, syncEnd, end := ctx.start, ctx.syncEnd, ctx.Proc.Now()
 		if w.Sink != nil {
-			trace.Recorder{S: w.Sink, Lane: ctx.Lane}.MPI(opName, c.id, tag, start, syncEnd, end)
+			trace.Recorder{S: w.Sink, Lane: ctx.Lane}.MPI(opName, c.id, rv.tag, start, syncEnd, end)
 		}
 		c.m.sync.Add(syncEnd - start)
 		c.m.xfer.Add(end - syncEnd)
 	}
 	var recv [][]complex128
-	if send != nil {
+	if rv.slots[me].send != nil {
 		recv = rv.gather(ctx, me)
 	}
 	rv.picked++
 	if rv.picked == rv.need {
-		delete(w.rendezvous, key)
+		delete(w.rendezvous, rvKey{c.id, rv.tag, rv.gen})
 		clear(rv.slots)
 		rv.c = nil
 		w.spare = append(w.spare, rv)
 	}
+	ctx.at, ctx.rv = idle, nil
 	return recv
+}
+
+// gather returns the chunks the members of rv sent to communicator rank
+// me, the receive side of a payload-carrying call.
+func (rv *rendezvous) gather(ctx *Ctx, me int) [][]complex128 {
+	out := make([][]complex128, len(rv.slots))
+	for j, s := range rv.slots {
+		if s.send == nil {
+			panic(fmt.Sprintf("mpi: %s tag %d on comm %s: rank %d sent no payload to rank %d's payload-carrying call",
+				opName, rv.tag, rv.c.id, rv.c.ranks[j], ctx.Rank))
+		}
+		out[j] = s.send[me]
+	}
+	return out
 }

@@ -99,6 +99,15 @@ func (w *World) Lane(rank, thread int) int { return rank*w.ThreadsPerRank + thre
 
 // Ctx identifies a calling thread: the simulated process, its MPI rank and
 // its hardware lane. All MPI operations take a Ctx.
+//
+// Compute and Exchange run on either kind of vtime process. On a goroutine
+// process they return when they are done. On a callback process a call
+// that suspends the process returns false; the process returns from its
+// turn and, when it next runs, calls the operation again — Compute with the
+// same arguments, Exchange with any: only the call that starts an exchange
+// reads them — which goes on from where it stopped, until it returns true.
+// The Ctx keeps the state of the one operation in flight; Busy reports
+// whether there is one.
 type Ctx struct {
 	_    vtime.NoCopy
 	W    *World
@@ -110,25 +119,74 @@ type Ctx struct {
 	// their wait and transfer time is hidden behind computation and must
 	// not be attributed to a compute lane.
 	Silent bool
+
+	// at is the step the operation in flight has reached; start is when it
+	// began and syncEnd when its exchange got the endpoint.
+	at             step
+	start, syncEnd vtime.Time
+	// rv and me are the exchange's rendezvous and the caller's
+	// communicator rank in it.
+	rv *rendezvous
+	me int
 }
 
-// Spawn creates the simulated process for one (rank, thread) slot and runs
+// step is how far the operation in flight on a Ctx has got.
+type step uint8
+
+const (
+	idle      step = iota // no operation in flight
+	computing             // the compute job runs
+	arrived               // in the rendezvous, waiting for the other members
+	queued                // all members arrived; waiting for the endpoint
+	moving                // holding the endpoint for the transfer
+)
+
+// Busy reports whether the context has an operation in flight: a callback
+// process that calls an operation again, to go on with it, finds it busy.
+func (ctx *Ctx) Busy() bool { return ctx.at != idle }
+
+// goOn checks that a call going on with the operation in flight comes in a
+// later turn than the call that suspended it.
+func (ctx *Ctx) goOn(op string) {
+	if ctx.Proc.Suspended() {
+		panic(fmt.Sprintf("mpi: %s called again by process %q before it resumed", op, ctx.Proc.Name()))
+	}
+}
+
+// Spawn creates the goroutine process for one (rank, thread) slot and runs
 // fn on it with a ready Ctx.
 func (w *World) Spawn(rank, thread int, fn func(ctx *Ctx)) {
-	lane := w.Lane(rank, thread)
-	name := fmt.Sprintf("rank%d.t%d", rank, thread)
-	w.Eng.Spawn(name, func(p *vtime.Proc) {
-		fn(&Ctx{W: w, Proc: p, Rank: rank, Lane: lane})
-	})
+	ctx := &Ctx{W: w, Rank: rank, Lane: w.Lane(rank, thread)}
+	ctx.Proc = w.Eng.Spawn(procName(rank, thread), func(*vtime.Proc) { fn(ctx) })
 }
+
+// SpawnCallback creates the callback process for one (rank, thread) slot,
+// resumed through r, and sets ctx up as its context.
+func (w *World) SpawnCallback(ctx *Ctx, rank, thread int, r vtime.Resumer) {
+	ctx.W, ctx.Rank, ctx.Lane = w, rank, w.Lane(rank, thread)
+	ctx.Proc = w.Eng.SpawnCallback(procName(rank, thread), r)
+}
+
+// procName names the process of a (rank, thread) slot.
+func procName(rank, thread int) string { return fmt.Sprintf("rank%d.t%d", rank, thread) }
 
 // Compute runs a compute phase of the given KNL class and instruction count
 // on the caller's lane, recording a trace interval and the per-phase
-// compute-time and instruction counters (the live-IPC inputs).
-func (ctx *Ctx) Compute(phase string, class knl.Class, instr float64) {
-	start := ctx.Proc.Now()
-	ctx.Proc.Compute(vtime.Job{Work: instr, Class: int(class), Lane: ctx.Lane})
-	end := ctx.Proc.Now()
+// compute-time and instruction counters (the live-IPC inputs). It reports
+// whether the phase is done (see Ctx).
+func (ctx *Ctx) Compute(phase string, class knl.Class, instr float64) bool {
+	if ctx.at == computing {
+		ctx.goOn("Compute")
+	} else {
+		ctx.start = ctx.Proc.Now()
+		ctx.Proc.Compute(vtime.Job{Work: instr, Class: int(class), Lane: ctx.Lane})
+		if ctx.Proc.Suspended() {
+			ctx.at = computing
+			return false
+		}
+	}
+	ctx.at = idle
+	start, end := ctx.start, ctx.Proc.Now()
 	if ctx.W.Sink != nil && end > start {
 		ctx.W.Sink.Record(trace.Interval{
 			Lane: ctx.Lane, Start: start, End: end,
@@ -138,6 +196,7 @@ func (ctx *Ctx) Compute(phase string, class knl.Class, instr float64) {
 	pm := phaseHandles.Get(phase, newPhaseMetrics)
 	pm.seconds.Add(end - start)
 	pm.instr.Add(instr)
+	return true
 }
 
 // Comm is a communicator: an ordered subset of world ranks.

@@ -34,26 +34,61 @@ func mustContain(t *testing.T, msg string, subs ...string) {
 // ends with a structured per-rank dump naming each blocked rank, the tag it
 // used and which ranks its rendezvous is still missing.
 func TestMismatchedTagDeadlockReport(t *testing.T) {
-	eng, w := strictWorld(2, 1)
-	w.Spawn(0, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), 1, nil, 0) })
-	w.Spawn(1, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), 2, nil, 0) })
-	err := eng.Run()
-	var de *vtime.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
-	}
-	if len(de.Blocked) != 2 {
-		t.Fatalf("blocked %d processes, want 2:\n%v", len(de.Blocked), err)
-	}
-	for _, b := range de.Blocked {
-		if !strings.Contains(b.WaitingOn, "arrived 1/2") {
-			t.Errorf("rank dump %q does not report arrival count", b.WaitingOn)
+	errs := map[bool]string{}
+	for _, callback := range []bool{false, true} {
+		eng, w := strictWorld(2, 1)
+		for r, tag := range []int{1, 2} {
+			if callback {
+				// The exchange in steps: the rank's one turn starts it, and
+				// the rendezvous never lets it resume.
+				ctx := new(Ctx)
+				w.SpawnCallback(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) {
+					ctx.Exchange(ctx.W.CommWorld(), tag, nil, 0)
+				}))
+				continue
+			}
+			w.Spawn(r, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), tag, nil, 0) })
 		}
+		err := eng.Run()
+		var de *vtime.DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
+		}
+		if len(de.Blocked) != 2 {
+			t.Fatalf("blocked %d processes, want 2:\n%v", len(de.Blocked), err)
+		}
+		for _, b := range de.Blocked {
+			if !strings.Contains(b.WaitingOn, "arrived 1/2") {
+				t.Errorf("rank dump %q does not report arrival count", b.WaitingOn)
+			}
+		}
+		mustContain(t, err.Error(),
+			"rank0.t0", "rank1.t0",
+			"Alltoallv tag 1", "Alltoallv tag 2",
+			"missing ranks")
+		errs[callback] = err.Error()
 	}
-	mustContain(t, err.Error(),
-		"rank0.t0", "rank1.t0",
-		"Alltoallv tag 1", "Alltoallv tag 2",
-		"missing ranks")
+	if errs[false] != errs[true] {
+		t.Errorf("callback ranks: %q\ngoroutine ranks: %q", errs[true], errs[false])
+	}
+}
+
+// TestBlockingAlltoallvOnCallbackIsError: the blocking Alltoallv cannot
+// return on a callback process, whose exchange has to go on in later
+// turns; the run ends with an error that names the process and Exchange.
+func TestBlockingAlltoallvOnCallbackIsError(t *testing.T) {
+	eng, w := strictWorld(2, 1)
+	for r := 0; r < 2; r++ {
+		ctx := new(Ctx)
+		w.SpawnCallback(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) {
+			Alltoallv(ctx, ctx.W.CommWorld(), 0, nil, 0)
+		}))
+	}
+	err := eng.Run()
+	if err == nil {
+		t.Fatal("Run() = nil, want an error")
+	}
+	mustContain(t, err.Error(), `process "rank0.t0" is a callback process`, "Ctx.Exchange")
 }
 
 // TestSkippedAlltoallvDeadlockReport: a rank that never reaches the

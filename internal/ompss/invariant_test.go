@@ -88,30 +88,50 @@ func TestTaskwaitDeadlockNamesPendingTasks(t *testing.T) {
 // TestWaitFromWorkerIsError: a task body that parks its own worker in
 // Taskwait or Wait holds the lane the awaited work may need (here: its own
 // task). Both become a structured Run error naming the worker, not a
-// deadlock.
+// deadlock — with the same text when the worker and the main process are
+// callback processes.
 func TestWaitFromWorkerIsError(t *testing.T) {
 	for _, op := range []string{"Taskwait", "Wait"} {
 		t.Run(op, func(t *testing.T) {
-			eng := vtime.NewEngine(nil)
-			rt := New(eng, nil, []int{0})
-			eng.Spawn("main", func(p *vtime.Proc) {
-				never := rt.Event(p, "never", nil)
-				rt.Submit(p, "waiter", nil, 0, func(w *Worker) {
-					if op == "Taskwait" {
-						rt.Taskwait(w.Proc)
-					} else {
-						rt.Wait(w.Proc, never)
+			errs := map[bool]string{}
+			for _, callback := range []bool{false, true} {
+				eng := vtime.NewEngine(nil)
+				newRT := New
+				if callback {
+					newRT = NewCallback
+				}
+				rt := newRT(eng, nil, []int{0})
+				var never *Task
+				main := func(p *vtime.Proc) {
+					if never == nil {
+						never = rt.Event(p, "never", nil)
+						rt.Submit(p, "waiter", nil, 0, func(w *Worker) {
+							if op == "Taskwait" {
+								rt.Taskwait(w.Proc)
+							} else {
+								rt.Wait(w.Proc, never)
+							}
+						})
 					}
-				})
-				rt.Wait(p, never)
-			})
-			err := eng.Run()
-			if err == nil {
-				t.Fatal("Run() = nil, want an error")
+					rt.Wait(p, never)
+				}
+				if callback {
+					eng.SpawnCallback("main", vtime.ResumeFunc(main))
+				} else {
+					eng.Spawn("main", main)
+				}
+				err := eng.Run()
+				if err == nil {
+					t.Fatal("Run() = nil, want an error")
+				}
+				want := "ompss: " + op + ` called from worker "worker0.lane0"`
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q missing %q", err, want)
+				}
+				errs[callback] = err.Error()
 			}
-			want := "ompss: " + op + ` called from worker "worker0.lane0"`
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q missing %q", err, want)
+			if errs[false] != errs[true] {
+				t.Errorf("callback worker: %q; goroutine worker: %q", errs[true], errs[false])
 			}
 		})
 	}

@@ -29,11 +29,43 @@ import (
 
 // Worker is the execution context handed to a task body: the simulated
 // process of the worker thread and its hardware lane.
+//
+// A worker is a state machine — idle wait, runtime overhead, task bodies
+// and the group waits they book — that runs on either kind of vtime
+// process. A task body for a callback worker (NewCallback) is a state
+// machine too: it returns after any call that suspends the worker —
+// Compute returning false, or a vtime suspension (Proc.Suspended) — or
+// books a group wait (Group.Wait returning false), and the worker calls it
+// again when the suspension is over; a body that returns with neither is
+// done. A goroutine worker (New) runs such bodies as well as bodies that
+// simply block.
 type Worker struct {
 	Proc *vtime.Proc
 	Lane int
 	rt   *Runtime
 	task *Task // the task whose body runs on the worker
+	// frames are the tasks the worker runs and the group waits they have
+	// booked, innermost last: a task under a group wait runs again once
+	// the group is done. They start in frame0, which holds the one frame
+	// of a worker that runs no nested loop.
+	frames []frame
+	frame0 [1]frame
+	// claimed is the task whose runtime overhead the worker is serving;
+	// idleStart and ovStart are when its idle wait and the overhead began.
+	claimed            *Task
+	idleStart, ovStart vtime.Time
+	// computing is set while the job of Compute runs; start is when it
+	// began.
+	computing bool
+	start     vtime.Time
+}
+
+// frame is a task a worker runs, or, with group set, a group wait of the
+// task under it.
+type frame struct {
+	task  *Task
+	start vtime.Time // when the task's body first ran
+	group *Group
 }
 
 // Running returns the name of the task whose body runs on the worker: a
@@ -45,11 +77,20 @@ func (w *Worker) Running() Name {
 
 // Compute runs a compute phase of the given class and instruction count on
 // the worker's lane, recording a trace interval and the per-phase
-// compute-time and instruction counters (the live-IPC inputs).
-func (w *Worker) Compute(phase string, class knl.Class, instr float64) {
-	start := w.Proc.Now()
-	w.Proc.Compute(vtime.Job{Work: instr, Class: int(class), Lane: w.Lane})
-	end := w.Proc.Now()
+// compute-time and instruction counters (the live-IPC inputs). It reports
+// whether the phase is done: a callback worker whose job suspends it gets
+// false, and its body calls Compute again, with the same arguments, when
+// it next runs, which records the phase.
+func (w *Worker) Compute(phase string, class knl.Class, instr float64) bool {
+	if !w.computing {
+		w.start = w.Proc.Now()
+		w.Proc.Compute(vtime.Job{Work: instr, Class: int(class), Lane: w.Lane})
+		if w.computing = w.Proc.Suspended(); w.computing {
+			return false
+		}
+	}
+	w.computing = false
+	start, end := w.start, w.Proc.Now()
 	if w.rt.sink != nil && end > start {
 		w.rt.sink.Record(trace.Interval{
 			Lane: w.Lane, Start: start, End: end,
@@ -59,6 +100,7 @@ func (w *Worker) Compute(phase string, class knl.Class, instr float64) {
 	pm := phaseHandles.Get(phase, newPhaseMetrics)
 	pm.seconds.Add(end - start)
 	pm.instr.Add(instr)
+	return true
 }
 
 // Name is a node's name kept in parts, so naming a node allocates
@@ -130,6 +172,10 @@ type Runtime struct {
 	// upkeep and scheduling in Nanos++), recorded as trace.KindRuntime.
 	Overhead float64
 
+	// stalls are the processes inside Taskwait and when each began
+	// waiting.
+	stalls []stall
+
 	// TaskwaitSec accumulates the virtual time this runtime's processes
 	// spent blocked in Taskwait — the per-runtime barrier-stall account
 	// (the package metric mTaskwaitSec aggregates across runtimes). A
@@ -144,11 +190,21 @@ type Runtime struct {
 	Strict bool
 }
 
-// New creates a runtime whose workers run on the given hardware lanes. The
-// worker processes are spawned immediately; call Shutdown (usually after a
-// final Taskwait) to let them exit. sink receives trace intervals and may
-// be nil.
+// New creates a runtime whose workers run on the given hardware lanes, as
+// goroutine processes: task bodies may block mid-body. The worker processes
+// are spawned immediately; call Shutdown (usually after a final Taskwait)
+// to let them exit. sink receives trace intervals and may be nil.
 func New(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
+	return newRuntime(eng, sink, lanes, false)
+}
+
+// NewCallback is New with workers that are callback processes: they start
+// no goroutine, and every task body must be a state machine (see Worker).
+func NewCallback(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
+	return newRuntime(eng, sink, lanes, true)
+}
+
+func newRuntime(eng *vtime.Engine, sink *trace.Trace, lanes []int, callback bool) *Runtime {
 	rt := &Runtime{
 		eng:      eng,
 		sink:     sink,
@@ -162,15 +218,25 @@ func New(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
 		return fmt.Sprintf("ompss: Taskwait (%d tasks pending: %s)", rt.pending, rt.pendingSummary())
 	}
 	for i, lane := range lanes {
-		lane := lane
-		p := eng.Spawn(fmt.Sprintf("worker%d.lane%d", i, lane), func(p *vtime.Proc) {
-			rt.workerLoop(&Worker{Proc: p, Lane: lane, rt: rt})
-		})
+		w := &Worker{Lane: lane, rt: rt, idleStart: eng.Now()}
+		w.frames = w.frame0[:0]
+		name := fmt.Sprintf("worker%d.lane%d", i, lane)
+		if callback {
+			w.Proc = eng.SpawnCallback(name, w)
+		} else {
+			w.Proc = eng.Spawn(name, func(*vtime.Proc) { w.run(0) })
+		}
 		if i == 0 {
-			rt.worker0 = p.ID()
+			rt.worker0 = w.Proc.ID()
 		}
 	}
 	return rt
+}
+
+// stall is a process waiting in Taskwait since start.
+type stall struct {
+	p     *vtime.Proc
+	start vtime.Time
 }
 
 // Workers returns the number of worker threads.
@@ -276,8 +342,10 @@ func (rt *Runtime) Complete(p *vtime.Proc, ev *Task) {
 // workers drain the graph — not a task-side one: a task body waiting on a
 // node occupies a worker that the release chain may need (name the node as
 // a predecessor instead), so a call from one of the runtime's workers
-// panics.
-func (rt *Runtime) Wait(p *vtime.Proc, t *Task) {
+// panics. It reports whether the node has completed: a callback process
+// that has to wait gets false and calls Wait again when it next runs; a
+// goroutine process always gets true.
+func (rt *Runtime) Wait(p *vtime.Proc, t *Task) bool {
 	rt.notWorker(p, "Wait")
 	for !t.done {
 		if t.waiters == nil {
@@ -286,7 +354,11 @@ func (rt *Runtime) Wait(p *vtime.Proc, t *Task) {
 			}}
 		}
 		t.waiters.Wait(p)
+		if p.Suspended() {
+			return false
+		}
 	}
+	return true
 }
 
 // notWorker panics, inside the simulated process, when p is one of the
@@ -361,45 +433,104 @@ func (rt *Runtime) popReady() *Task {
 	return t
 }
 
-// runTask executes a claimed task's body, observing its virtual duration,
-// and completes it. Shared by the worker loop and inline group execution.
-func (rt *Runtime) runTask(w *Worker, t *Task) {
-	start := w.Proc.Now()
-	outer := w.task
-	w.task = t
-	t.fn(w)
-	w.task = outer
+// Resume is a callback worker's turn.
+func (w *Worker) Resume(*vtime.Proc) { w.run(0) }
+
+// run drives the worker: the task bodies, the group waits they book and,
+// with no task on hand, the idle wait for a ready task and the runtime
+// overhead of claiming it. It returns once the frame stack is shallower
+// than base — a goroutine worker's Group.Wait runs it nested, until its
+// group wait is over — or, with base 0, once the runtime has shut down and
+// no task is ready; a callback worker also returns when it suspends.
+func (w *Worker) run(base int) {
+	rt, p := w.rt, w.Proc
+	for n := len(w.frames); n >= base; n = len(w.frames) {
+		if n == 0 {
+			if !w.claim() {
+				return
+			}
+			continue
+		}
+		if g := w.frames[n-1].group; g != nil {
+			if g.pending == 0 {
+				w.frames = w.frames[:n-1]
+			} else if t := rt.popReadyInGroup(g); t != nil {
+				w.push(t)
+			} else if g.wq.Wait(p); p.Suspended() {
+				return
+			}
+			continue
+		}
+		t := w.frames[n-1].task
+		w.task = t
+		t.fn(w)
+		if p.Suspended() {
+			return
+		}
+		if len(w.frames) == n {
+			w.finish()
+		}
+	}
+}
+
+// claim takes the next ready task, waiting while there is none, serves the
+// runtime overhead and pushes the task. It reports false when the worker
+// has no more work, or a callback worker has suspended.
+func (w *Worker) claim() bool {
+	rt, p := w.rt, w.Proc
+	if w.claimed == nil {
+		for len(rt.ready) == 0 {
+			if rt.closed {
+				return false
+			}
+			if rt.readyWQ.Wait(p); p.Suspended() {
+				return false
+			}
+		}
+		t := rt.popReady()
+		if rt.sink != nil && p.Now() > w.idleStart {
+			trace.Recorder{S: rt.sink, Lane: w.Lane}.Idle(w.idleStart, p.Now())
+		}
+		if rt.Overhead <= 0 {
+			w.push(t)
+			return true
+		}
+		w.claimed, w.ovStart = t, p.Now()
+		if p.Sleep(rt.Overhead); p.Suspended() {
+			return false
+		}
+	}
+	if rt.sink != nil {
+		trace.Recorder{S: rt.sink, Lane: w.Lane}.Runtime(w.ovStart, p.Now())
+	}
+	w.push(w.claimed)
+	w.claimed = nil
+	return true
+}
+
+// push starts running task t on the worker.
+func (w *Worker) push(t *Task) {
+	w.frames = append(w.frames, frame{task: t, start: w.Proc.Now()})
+}
+
+// finish completes the task on top of the worker's frames, whose body has
+// returned done, observing its virtual duration.
+func (w *Worker) finish() {
+	rt, p := w.rt, w.Proc
+	n := len(w.frames) - 1
+	f := w.frames[n]
+	w.frames = w.frames[:n]
+	t := f.task
 	if g := t.group; g != nil {
 		g.pending--
 		if g.pending == 0 {
-			g.wq.WakeAll(w.Proc)
+			g.wq.WakeAll(p)
 		}
 	}
-	mTaskDuration.Observe(w.Proc.Now() - start)
-	rt.complete(w.Proc, t)
-}
-
-func (rt *Runtime) workerLoop(w *Worker) {
-	for {
-		idleStart := w.Proc.Now()
-		for len(rt.ready) == 0 {
-			if rt.closed {
-				return
-			}
-			rt.readyWQ.Wait(w.Proc)
-		}
-		t := rt.popReady()
-		if rt.sink != nil && w.Proc.Now() > idleStart {
-			trace.Recorder{S: rt.sink, Lane: w.Lane}.Idle(idleStart, w.Proc.Now())
-		}
-		if rt.Overhead > 0 {
-			ovStart := w.Proc.Now()
-			w.Proc.Sleep(rt.Overhead)
-			if rt.sink != nil {
-				trace.Recorder{S: rt.sink, Lane: w.Lane}.Runtime(ovStart, w.Proc.Now())
-			}
-		}
-		rt.runTask(w, t)
+	mTaskDuration.Observe(p.Now() - f.start)
+	rt.complete(p, t)
+	if n == 0 {
+		w.idleStart = p.Now()
 	}
 }
 
@@ -542,24 +673,35 @@ func (rt *Runtime) CheckCycles() error {
 // has completed. A worker of the runtime may not call it: it would wait for
 // its own task. In strict mode it first verifies the dependency graph is
 // acyclic, panicking with the cycle (which the vtime engine converts into a
-// structured Run error) instead of blocking forever.
-func (rt *Runtime) Taskwait(p *vtime.Proc) {
-	rt.notWorker(p, "Taskwait")
-	if rt.Strict && rt.pending > 0 {
-		if err := rt.CheckCycles(); err != nil {
-			panic(err.Error())
+// structured Run error) instead of blocking forever. It reports whether the
+// wait is over: a callback process that has to wait gets false and calls
+// Taskwait again when it next runs; a goroutine process always gets true.
+func (rt *Runtime) Taskwait(p *vtime.Proc) bool {
+	i := slices.IndexFunc(rt.stalls, func(s stall) bool { return s.p == p })
+	if i < 0 {
+		rt.notWorker(p, "Taskwait")
+		if rt.Strict && rt.pending > 0 {
+			if err := rt.CheckCycles(); err != nil {
+				panic(err.Error())
+			}
 		}
-	}
-	if rt.pending > 0 {
+		if rt.pending == 0 {
+			return true
+		}
 		mTaskwaitStalls.Inc()
-		start := p.Now()
-		for rt.pending > 0 {
-			rt.waitWQ.Wait(p)
-		}
-		stall := p.Now() - start
-		mTaskwaitSec.Add(stall)
-		rt.TaskwaitSec += stall
+		rt.stalls = append(rt.stalls, stall{p, p.Now()})
 	}
+	for rt.pending > 0 {
+		if rt.waitWQ.Wait(p); p.Suspended() {
+			return false
+		}
+	}
+	i = slices.IndexFunc(rt.stalls, func(s stall) bool { return s.p == p })
+	d := p.Now() - rt.stalls[i].start
+	rt.stalls = slices.Delete(rt.stalls, i, i+1)
+	mTaskwaitSec.Add(d)
+	rt.TaskwaitSec += d
+	return true
 }
 
 // Shutdown lets the worker processes exit once the ready queue drains. Call

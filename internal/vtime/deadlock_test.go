@@ -11,20 +11,24 @@ import (
 // kill the test binary or hang the engine; Run converts it into an error
 // naming the process.
 func TestProcPanicBecomesError(t *testing.T) {
-	e := NewEngine(nil)
-	e.Spawn("victim", func(p *Proc) {
-		p.Sleep(1)
-		panic("boom")
-	})
-	e.Spawn("bystander", func(p *Proc) { p.Sleep(0.5) })
-	err := e.Run()
-	if err == nil {
-		t.Fatal("Run() = nil, want panic error")
-	}
-	for _, want := range []string{"victim", "panicked", "boom"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	errs := map[bool]string{}
+	for _, callback := range []bool{false, true} {
+		e := NewEngine(nil)
+		script(e, callback, "victim", func(p *Proc) { p.Sleep(1) }, func(p *Proc) { panic("boom") })
+		script(e, callback, "bystander", func(p *Proc) { p.Sleep(0.5) })
+		err := e.Run()
+		if err == nil {
+			t.Fatal("Run() = nil, want panic error")
 		}
+		for _, want := range []string{"victim", "panicked", "boom"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q missing %q", err, want)
+			}
+		}
+		errs[callback] = err.Error()
+	}
+	if errs[false] != errs[true] {
+		t.Errorf("callback process: %q; goroutine process: %q", errs[true], errs[false])
 	}
 }
 
@@ -108,17 +112,39 @@ func TestBareBlockStillDiagnosable(t *testing.T) {
 // outside it — ends the run with an error naming both, raised inside the
 // running process rather than as a host panic in the engine loop.
 func TestBlockOfAnotherProcIsError(t *testing.T) {
-	e := NewEngine(nil)
-	var wq WaitQueue
-	owner := e.Spawn("owner", func(p *Proc) { p.Sleep(1) })
-	e.Spawn("intruder", func(p *Proc) { wq.Wait(owner) })
-	err := e.Run()
-	if err == nil {
-		t.Fatal("Run() = nil, want an error")
-	}
-	for _, want := range []string{`"intruder" panicked`, `process "owner" blocked while process "intruder" was running`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	errs := map[bool]string{}
+	for _, callback := range []bool{false, true} {
+		e := NewEngine(nil)
+		var wq WaitQueue
+		owner := script(e, callback, "owner", func(p *Proc) { p.Sleep(1) })
+		script(e, callback, "intruder", func(p *Proc) { wq.Wait(owner) })
+		err := e.Run()
+		if err == nil {
+			t.Fatal("Run() = nil, want an error")
 		}
+		for _, want := range []string{`"intruder" panicked`, `process "owner" blocked while process "intruder" was running`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q missing %q", err, want)
+			}
+		}
+		errs[callback] = err.Error()
+	}
+	if errs[false] != errs[true] {
+		t.Errorf("callback processes: %q; goroutine processes: %q", errs[true], errs[false])
+	}
+}
+
+// TestCallbackSuspendsOncePerTurn: a callback process that books a second
+// suspension in one turn — a body written for a goroutine, which would
+// block twice — ends the run with an error naming it.
+func TestCallbackSuspendsOncePerTurn(t *testing.T) {
+	e := NewEngine(nil)
+	e.SpawnCallback("straight", ResumeFunc(func(p *Proc) {
+		p.Sleep(1)
+		p.Sleep(1)
+	}))
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `process "straight" suspended twice in one turn`) {
+		t.Fatalf("Run() = %v, want a suspended-twice error", err)
 	}
 }

@@ -77,12 +77,19 @@ func NewSemaphore(n int) *Semaphore { return &Semaphore{count: n} }
 // deadlock reports.
 func (s *Semaphore) SetDescribe(describe func() string) { s.wq.Describe = describe }
 
-// Acquire takes one unit, blocking while the count is zero.
-func (s *Semaphore) Acquire(p *Proc) {
+// Acquire takes one unit, blocking while the count is zero. It reports
+// whether it took the unit: a callback process that has to wait gets false
+// and calls Acquire again when it next runs; a goroutine process always
+// gets true.
+func (s *Semaphore) Acquire(p *Proc) bool {
 	for s.count == 0 {
 		s.wq.Wait(p)
+		if p.Suspended() {
+			return false
+		}
 	}
 	s.count--
+	return true
 }
 
 // Release returns one unit and wakes a waiter if any.

@@ -1,17 +1,27 @@
 // Package vtime implements a deterministic discrete-event simulation (DES)
 // engine with cooperative processes and processor-sharing compute resources.
 //
-// Simulated processes are goroutines that run one at a time, so shared
-// simulation state needs no locking and every run is fully deterministic.
-// There is no scheduler goroutine: a process that sleeps, blocks, parks,
-// computes or returns books its own state, picks the next process itself and
-// resumes it directly — one goroutine switch per step, none when it picks
-// itself. A process advances virtual time by sleeping, by blocking on a
-// synchronization primitive until another process wakes it, or by executing
-// a compute Job on a Machine. Jobs progress at rates set by the Machine, which
-// models processor sharing and resource contention; after the set of active
-// jobs changes, the rates are re-evaluated once, before the clock next
-// advances.
+// Simulated processes run one at a time, so shared simulation state needs no
+// locking and every run is fully deterministic. A process advances virtual
+// time by sleeping, by blocking on a synchronization primitive until another
+// process wakes it, or by executing a compute Job on a Machine. Jobs progress
+// at rates set by the Machine, which models processor sharing and resource
+// contention; after the set of active jobs changes, the rates are
+// re-evaluated once, before the clock next advances.
+//
+// A process is one of two kinds. A callback process (SpawnCallback) is a
+// state machine: the engine resumes it by calling its Resume method, and
+// Sleep, Block, Park and Compute book its wake-up and return at once, after
+// which Resume returns too; the process keeps its state in its own struct
+// between turns. A goroutine process (Spawn) runs a body that blocks
+// mid-body: Sleep and the rest return only when the process runs again. Both
+// kinds book the same events, so which kind runs a body changes neither the
+// event order nor any simulated value. There is no scheduler goroutine:
+// whichever goroutine holds the engine — Run's, or that of the goroutine
+// process that yields or returns — takes the next step itself, runs a
+// callback process it picks inline and resumes a goroutine process it picks
+// directly, one goroutine switch, none when the process picks itself. A run
+// of callback processes alone runs on Run's goroutine and starts none.
 //
 // The engine is the substrate for the simulated MPI library
 // (internal/mpi), the OmpSs-like task runtime (internal/ompss) and the KNL
@@ -48,6 +58,7 @@ type ActiveJob struct {
 	Rate      float64
 	proc      *Proc
 	seq       uint64
+	start     Time
 }
 
 // Machine decides execution rates for the set of jobs that are currently
@@ -98,16 +109,32 @@ const (
 	stateDone
 )
 
+// Resumer is the body of a callback process. The engine calls Resume each
+// time it dispatches the process: Resume runs one turn and returns, either
+// after booking exactly one suspension — a Sleep, Block, Park or Compute that
+// suspends — or, having booked none, to end the process.
+type Resumer interface {
+	Resume(p *Proc)
+}
+
+// ResumeFunc adapts a function to Resumer.
+type ResumeFunc func(p *Proc)
+
+// Resume calls f.
+func (f ResumeFunc) Resume(p *Proc) { f(p) }
+
 // Proc is a simulated process. All methods must be called from within the
-// process's own body function.
+// process's own body: its Resume method or its goroutine.
 type Proc struct {
-	_         NoCopy
-	eng       *Engine
-	name      string
-	id        int
-	state     procState
+	_     NoCopy
+	eng   *Engine
+	name  string
+	id    int
+	state procState
+	// body is a callback process's body; resume is a goroutine process's
+	// wake-up channel. Exactly one is set.
+	body      Resumer
 	resume    chan struct{}
-	seq       uint64 // sequence number for deterministic tie-breaking
 	blockedAt Time
 	waitDesc  func() string // what the process waits on, for deadlock dumps
 	job       ActiveJob     // the in-flight job of Compute; at most one per process
@@ -212,10 +239,14 @@ type Stats struct {
 	ProcsSpawned uint64
 	// RateUpdates counts Machine.Rates invocations.
 	RateUpdates uint64
-	// Handoffs counts the resumes of a process other than the one that
-	// yielded, the first dispatch included: the goroutine switches a run
-	// costs. A process that picks itself keeps running without one.
+	// Handoffs counts the resumes of a goroutine process other than the one
+	// that yielded, the first dispatch included: the goroutine switches a
+	// run costs. A process that picks itself keeps running without one, and
+	// a callback process is resumed by a call, not a switch.
 	Handoffs uint64
+	// Goroutines counts the goroutines the engine started: one per
+	// goroutine process.
+	Goroutines uint64
 }
 
 // Stats returns a snapshot of the engine's activity counters.
@@ -236,25 +267,14 @@ func NewEngine(m Machine) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Spawn registers a new process executing fn. Processes spawned before Run
-// start at time 0; processes spawned by a running process start at the
-// current virtual time, after the spawning process yields.
+// Spawn registers a new goroutine process executing fn, for a body that
+// blocks mid-body. Processes spawned before Run start at time 0; processes
+// spawned by a running process start at the current virtual time, after
+// the spawning process yields.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	rm := roleMetricsOf(name)
-	p := &Proc{
-		eng:      e,
-		name:     name,
-		id:       len(e.procs),
-		state:    stateNew,
-		resume:   make(chan struct{}),
-		blockCtr: rm.block,
-		runCtr:   rm.run,
-	}
-	e.stats.ProcsSpawned++
-	rm.spawned.Inc()
-	e.procs = append(e.procs, p)
-	e.nAlive++
-	e.schedule(p, e.now)
+	p := e.spawn(name)
+	p.resume = make(chan struct{})
+	e.stats.Goroutines++
 	go func() {
 		defer p.exit()
 		<-p.resume // wait for first dispatch
@@ -266,12 +286,39 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// exit ends a process's goroutine. A process that returned passes control
-// on like a yield. A panic of its body would otherwise kill the goroutine
-// with no process left to resume the next one — a silent host-level hang —
-// so it becomes Run's error instead, reported without a dispatch: the
-// engine state the panic left may be half-updated. A process resumed by
-// release acknowledges it.
+// SpawnCallback registers a new callback process resumed through r. It
+// starts like a process of Spawn, and no goroutine runs it.
+func (e *Engine) SpawnCallback(name string, r Resumer) *Proc {
+	p := e.spawn(name)
+	p.body = r
+	return p
+}
+
+// spawn registers a new process, runnable at the current virtual time.
+func (e *Engine) spawn(name string) *Proc {
+	rm := roleMetricsOf(name)
+	p := &Proc{
+		eng:      e,
+		name:     name,
+		id:       len(e.procs),
+		state:    stateNew,
+		blockCtr: rm.block,
+		runCtr:   rm.run,
+	}
+	e.stats.ProcsSpawned++
+	rm.spawned.Inc()
+	e.procs = append(e.procs, p)
+	e.nAlive++
+	e.schedule(p, e.now)
+	return p
+}
+
+// exit ends a goroutine process's goroutine. A process that returned passes
+// control on like a yield. A panic of its body would otherwise kill the
+// goroutine with no process left to resume the next one — a silent
+// host-level hang — so it becomes Run's error instead, reported without a
+// dispatch: the engine state the panic left may be half-updated. A process
+// resumed by release acknowledges it.
 func (p *Proc) exit() {
 	e := p.eng
 	r := recover()
@@ -280,17 +327,45 @@ func (p *Proc) exit() {
 		e.done <- nil
 		return
 	}
-	if p.state == stateBlocked {
-		// The panic came out of the dispatch of a blocking yield.
-		mProcsBlocked.Add(-1)
-	}
-	p.state = stateDone
-	e.nAlive--
 	if r != nil {
-		e.done <- fmt.Errorf("vtime: process %q panicked at t=%g: %v", p.name, e.now, r)
+		e.done <- p.panicked(r)
 		return
 	}
-	e.handoff(nil)
+	p.end()
+	e.dispatch(nil)
+}
+
+// end marks a process whose body has returned done.
+func (p *Proc) end() {
+	p.state = stateDone
+	p.eng.nAlive--
+}
+
+// panicked ends a process whose body panicked with r and returns the error
+// that ends the run.
+func (p *Proc) panicked(r any) error {
+	if p.state == stateBlocked {
+		// The panic came after the process booked a block.
+		mProcsBlocked.Add(-1)
+	}
+	p.end()
+	return fmt.Errorf("vtime: process %q panicked at t=%g: %v", p.name, p.eng.now, r)
+}
+
+// call runs one turn of callback process p: a process that returns without
+// booking a suspension has ended, and a panic becomes the run's error, as a
+// goroutine process's does.
+func (e *Engine) call(p *Proc) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = p.panicked(r)
+		}
+	}()
+	p.body.Resume(p)
+	if p.state == stateRunning {
+		p.end()
+	}
+	return nil
 }
 
 func (e *Engine) schedule(p *Proc, at Time) {
@@ -309,31 +384,33 @@ func (e *Engine) wake(p *Proc) {
 	e.nBlocked--
 	mProcsBlocked.Add(-1)
 	p.blockCtr.Add(e.now - p.blockedAt)
+	p.waitDesc = nil
 	e.schedule(p, e.now)
 }
 
 // Run executes the simulation until every process has finished or parked.
-// It dispatches the first process and waits: from then on each process
-// hands control to the next itself, and the one that finds no process left
-// alive, or meets an error, reports to Run. Run returns a *DeadlockError on
-// deadlock (blocked processes remain but no event or job can make progress)
-// and an error describing the panic if a process body panics. On every
-// return it releases the goroutines of the processes that did not finish —
-// parked, blocked or never started — so a run leaves no goroutine behind;
-// those processes are done afterwards.
+// It takes steps itself until one picks a goroutine process, which it
+// resumes and then waits: from then on the goroutine that holds the engine
+// takes the steps, and the one that finds no process left alive, or meets
+// an error, reports to Run. Run returns a *DeadlockError on deadlock
+// (blocked processes remain but no event or job can make progress) and an
+// error describing the panic if a process body panics. On every return it
+// releases the goroutines of the processes that did not finish — parked,
+// blocked or never started — so a run leaves no goroutine behind; those
+// processes, of either kind, are done afterwards.
 func (e *Engine) Run() error {
 	defer e.release()
 	if e.nAlive == 0 {
 		return nil
 	}
-	e.handoff(nil)
+	e.dispatch(nil)
 	return <-e.done
 }
 
-// release ends every process that has not finished. Each one waits for a
-// resume, in yield or before its first dispatch; resumed while releasing,
-// it exits and acknowledges that on done, one process at a time, so no
-// body code runs beside the caller of Run.
+// release ends every process that has not finished. A goroutine process
+// waits for a resume, in yield or before its first dispatch; resumed while
+// releasing, it exits and acknowledges that on done, one process at a time,
+// so no body code runs beside the caller of Run.
 func (e *Engine) release() {
 	e.releasing = true
 	for _, p := range e.procs {
@@ -343,6 +420,10 @@ func (e *Engine) release() {
 		if p.state == stateBlocked {
 			mProcsBlocked.Add(-1)
 		}
+		if p.resume == nil {
+			p.state = stateDone
+			continue
+		}
 		p.resume <- struct{}{}
 		<-e.done
 	}
@@ -351,33 +432,33 @@ func (e *Engine) release() {
 	e.events, e.jobs = e.events[:0], e.jobs[:0]
 }
 
-// MustRun is Run for callers without an error path: a deadlock or process
-// panic becomes a host panic carrying the structured report.
-func (e *Engine) MustRun() {
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
-}
-
-// handoff takes one step on behalf of from — the process that yields, or
-// nil for Run's first dispatch and for a process that has ended — and
-// resumes the process the step picks, unless that is from itself, which
-// handoff reports so it keeps running. When no process is left alive, or
-// the step fails, it reports the outcome to Run instead. The caller must
-// touch no engine state after a resume or report: the engine belongs to
-// the resumed process, or to Run.
-func (e *Engine) handoff(from *Proc) (stay bool) {
-	next, err := e.step()
-	if err != nil || next == nil {
-		e.done <- err
+// dispatch takes steps on behalf of from — the goroutine process that
+// yields, or nil for Run and for a goroutine process that has ended —
+// running each callback process a step picks inline, until a step picks a
+// goroutine process: dispatch resumes it, unless that is from itself, which
+// dispatch reports so it keeps running. When no process is left alive, or
+// a step or a callback fails, it reports the outcome to Run instead. The
+// caller must touch no engine state after a resume or report: the engine
+// belongs to the resumed process, or to Run.
+func (e *Engine) dispatch(from *Proc) (stay bool) {
+	for {
+		next, err := e.step()
+		if err == nil && next != nil && next.body != nil {
+			if err = e.call(next); err == nil {
+				continue
+			}
+		}
+		if err != nil || next == nil {
+			e.done <- err
+			return false
+		}
+		if next == from {
+			return true
+		}
+		e.stats.Handoffs++
+		next.resume <- struct{}{}
 		return false
 	}
-	if next == from {
-		return true
-	}
-	e.stats.Handoffs++
-	next.resume <- struct{}{}
-	return false
 }
 
 // step advances the simulation by one event: it finds the next wake-up or
@@ -423,6 +504,7 @@ func (e *Engine) step() (*Proc, error) {
 			e.stats.JobsCompleted++
 			mJobsCompleted.Inc()
 			next = jobDone.proc
+			next.runCtr.Add(e.now - jobDone.start)
 		} else {
 			ev := e.events.pop()
 			e.advanceJobs(ev.at - e.now)
@@ -547,15 +629,24 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Engine returns the engine the process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// yield ends the process's turn, its state already booked by the caller:
-// it takes the engine's next step itself, resumes the process that step
-// picks and waits to be resumed in turn — or, if the step picks the process
-// itself, returns at once. Only the running process may yield: a process
-// that sleeps, blocks or computes on behalf of another — a task body
-// waiting through a context captured from outside it — panics here, inside
-// the running process, which Run reports as a structured error naming both
-// processes.
-func (p *Proc) yield() {
+// Suspended reports whether the process has booked a suspension that it
+// has not served yet: true only for a callback process, after a Sleep,
+// Block, Park or Compute of its current turn that suspends it. Code that
+// runs on either kind of process — a state machine that a goroutine process
+// drives in a loop and a callback process resumes turn by turn — checks it
+// after every call that may suspend, and returns to its caller when it is
+// true, to be called again when the process next runs.
+func (p *Proc) Suspended() bool { return p.state != stateRunning }
+
+// Callback reports whether p is a callback process.
+func (p *Proc) Callback() bool { return p.body != nil }
+
+// enter checks that the process may suspend: only the running process may —
+// a process that sleeps, blocks or computes on behalf of another, such as a
+// task body waiting through a context captured from outside it, panics
+// here, inside the running process, which Run reports as a structured error
+// naming both processes — and a callback process only once per turn.
+func (p *Proc) enter() {
 	e := p.eng
 	if r := e.running; r != p {
 		if r == nil {
@@ -563,7 +654,22 @@ func (p *Proc) yield() {
 		}
 		panic(fmt.Sprintf("vtime: process %q blocked while process %q was running; a process may only block itself", p.name, r.name))
 	}
-	if !e.handoff(p) {
+	if p.state != stateRunning {
+		panic(fmt.Sprintf("vtime: process %q suspended twice in one turn; a callback process returns from Resume after each suspension", p.name))
+	}
+}
+
+// yield ends the turn of a process whose suspension enter allowed and the
+// caller booked. A callback process returns at once; the engine resumes it
+// by calling Resume. A goroutine process takes the engine's next step
+// itself, resumes the process that step picks and waits to be resumed in
+// turn — or, if the step picks the process itself, returns at once.
+func (p *Proc) yield() {
+	if p.body != nil {
+		return
+	}
+	e := p.eng
+	if !e.dispatch(p) {
 		<-p.resume
 	}
 	if e.releasing {
@@ -576,17 +682,14 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("vtime: negative sleep")
 	}
+	p.enter()
 	p.eng.schedule(p, p.eng.now+d)
 	p.yield()
-	p.state = stateRunning
 }
-
-// Yield reschedules the process at the current time, after all processes
-// already runnable at this time.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Block suspends the process until another process wakes it via Wake.
 func (p *Proc) Block() {
+	p.enter()
 	p.state = stateBlocked
 	p.blockedAt = p.eng.now
 	p.eng.nBlocked++
@@ -597,8 +700,6 @@ func (p *Proc) Block() {
 		mBlockedFrac.SetMax(float64(p.eng.nBlocked) / float64(p.eng.nAlive))
 	}
 	p.yield()
-	p.state = stateRunning
-	p.waitDesc = nil
 }
 
 // BlockOn is Block with a description of what the process is waiting on.
@@ -615,10 +716,10 @@ func (p *Proc) BlockOn(describe func() string) {
 // appears in no deadlock report. Reusable helper processes park between
 // the jobs they carry out.
 func (p *Proc) Park() {
+	p.enter()
 	p.state = stateParked
 	p.eng.nAlive--
 	p.yield()
-	p.state = stateRunning
 }
 
 // Unpark makes a parked process runnable at the current virtual time with
@@ -641,7 +742,9 @@ func (p *Proc) Wake(other *Proc) {
 
 // Compute executes a compute job and blocks until it completes under the
 // engine's Machine. Zero-work jobs complete immediately without consulting
-// the machine. It returns the virtual-time duration the job took.
+// the machine, and suspend no process. A goroutine process gets the
+// virtual-time duration the job took; a callback process gets 0 and reads
+// the clock when it next runs, once the job has completed.
 func (p *Proc) Compute(job Job) Time {
 	if job.Work < 0 {
 		panic("vtime: negative work")
@@ -649,17 +752,19 @@ func (p *Proc) Compute(job Job) Time {
 	if job.Work == 0 {
 		return 0
 	}
-	start := p.eng.now
-	p.eng.seq++
+	p.enter()
+	e := p.eng
+	start := e.now
+	e.seq++
 	// The engine removes the job before it resumes the process, so the
 	// process's one job slot is free again by the next Compute.
 	aj := &p.job
-	*aj = ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: p.eng.seq}
-	p.eng.addJob(aj)
+	*aj = ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: e.seq, start: start}
+	e.addJob(aj)
 	p.state = stateComputing
 	p.yield()
-	p.state = stateRunning
-	d := p.eng.now - start
-	p.runCtr.Add(d)
-	return d
+	if p.body != nil {
+		return 0
+	}
+	return e.now - start
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -376,7 +377,9 @@ func TestUnparkTakesSpawnOrder(t *testing.T) {
 
 // TestRunReleasesGoroutines: whatever Run returns, the goroutines of the
 // processes that did not finish — parked, blocked, never dispatched — are
-// gone soon after, and those processes are done.
+// gone soon after, and those processes are done. The callback rows run the
+// same processes as callback processes, which start no goroutine: the run
+// ends with the same error and every process done.
 func TestRunReleasesGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -387,26 +390,63 @@ func TestRunReleasesGoroutines(t *testing.T) {
 		{"panic", func(p *Proc) { panic("boom") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			e := NewEngine(nil)
-			var wq WaitQueue
-			e.Spawn("parked", func(p *Proc) { p.Park() })
-			e.Spawn("waiter", func(p *Proc) { wq.Wait(p) })
-			e.Spawn("last", func(p *Proc) {
-				p.Sleep(1)
-				if tc.name == "success" {
-					wq.WakeAll(p)
+			errs := map[bool]string{}
+			for _, callback := range []bool{false, true} {
+				baseline := runtime.NumGoroutine()
+				e := NewEngine(nil)
+				var wq WaitQueue
+				script(e, callback, "parked", func(p *Proc) { p.Park() })
+				script(e, callback, "waiter", func(p *Proc) { wq.Wait(p) })
+				script(e, callback, "last", func(p *Proc) { p.Sleep(1) }, func(p *Proc) {
+					if tc.name == "success" {
+						wq.WakeAll(p)
+					}
+					tc.last(p)
+				})
+				script(e, callback, "late", func(p *Proc) { p.Sleep(2) })
+				err := e.Run()
+				if (err == nil) != (tc.name == "success") {
+					t.Fatalf("Run() = %v", err)
 				}
-				tc.last(p)
-			})
-			e.Spawn("late", func(p *Proc) { p.Sleep(2) })
-			err := e.Run()
-			if (err == nil) != (tc.name == "success") {
-				t.Fatalf("Run() = %v", err)
+				errs[callback] = fmt.Sprint(err)
+				if g := e.Stats().Goroutines; callback && g != 0 {
+					t.Errorf("callback processes started %d goroutines", g)
+				}
+				checkReleased(t, e, baseline)
 			}
-			checkReleased(t, e, baseline)
+			if errs[false] != errs[true] {
+				t.Errorf("callback run ended with %q, goroutine run with %q", errs[true], errs[false])
+			}
 		})
 	}
+}
+
+// machine spawns a process driven by step, a state machine that reports
+// whether it is done: a goroutine process calls it in a loop, a callback
+// process until it suspends, and again when it next runs.
+func machine(e *Engine, callback bool, name string, step func(p *Proc) bool) *Proc {
+	drive := func(p *Proc) {
+		for !step(p) && !p.Suspended() {
+		}
+	}
+	if callback {
+		return e.SpawnCallback(name, ResumeFunc(drive))
+	}
+	return e.Spawn(name, drive)
+}
+
+// script spawns a process that runs steps in order, each of which suspends
+// the process at most once, as its last action.
+func script(e *Engine, callback bool, name string, steps ...func(p *Proc)) *Proc {
+	next := 0
+	return machine(e, callback, name, func(p *Proc) bool {
+		if next == len(steps) {
+			return true
+		}
+		next++
+		steps[next-1](p)
+		return false
+	})
 }
 
 // checkReleased fails the test unless the goroutine count falls back to
@@ -467,6 +507,23 @@ func TestHandoffCounts(t *testing.T) {
 		t.Errorf("lone sleeper: %d steps, %d handoffs, want 1001 and 1", st.Steps, st.Handoffs)
 	}
 
+	// As a callback process the same sleeper is resumed by a call: no
+	// handoff at all, and no goroutine.
+	callback := NewEngine(nil)
+	slept := 0
+	callback.SpawnCallback("lone", ResumeFunc(func(p *Proc) {
+		if slept < 1000 {
+			slept++
+			p.Sleep(1)
+		}
+	}))
+	if err := callback.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := callback.Stats(); st.Steps != 1001 || st.Handoffs != 0 || st.Goroutines != 0 {
+		t.Errorf("callback lone sleeper: %d steps, %d handoffs, %d goroutines, want 1001, 0 and 0", st.Steps, st.Handoffs, st.Goroutines)
+	}
+
 	pingPong := NewEngine(nil)
 	for _, name := range []string{"ping", "pong"} {
 		pingPong.Spawn(name, func(p *Proc) {
@@ -511,5 +568,83 @@ func TestWaitQueueKeepsFIFOAcrossReuse(t *testing.T) {
 	}
 	if wq.Len() != 0 {
 		t.Fatalf("queue holds %d waiters after draining", wq.Len())
+	}
+}
+
+// TestCallbackMatchesGoroutine: the same processes — sleeping, computing
+// under processor sharing, waiting on a semaphore and a queue, parking —
+// run the same events in the same order as callback processes and as
+// goroutine processes, and a mixed run matches both.
+func TestCallbackMatchesGoroutine(t *testing.T) {
+	run := func(kind func(i int) bool) (string, Stats) {
+		e := NewEngine(halveShares{})
+		var log []string
+		note := func(p *Proc) { log = append(log, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
+		sem := NewSemaphore(1)
+		var wq WaitQueue
+		arrived := 0
+		helper := script(e, kind(0), "helper", func(p *Proc) { p.Park() }, note, func(p *Proc) { p.Park() }, note)
+		for i := 1; i <= 4; i++ {
+			pc := 0
+			machine(e, kind(i), fmt.Sprintf("w%d", i), func(p *Proc) bool {
+				switch pc {
+				case 0:
+					p.Sleep(float64(i%2) * 0.5)
+				case 1:
+					if !sem.Acquire(p) {
+						return false // called again once woken
+					}
+					note(p)
+					p.Compute(Job{Work: float64(i), Lane: i})
+				case 2:
+					note(p)
+					sem.Release(p)
+					p.Compute(Job{Work: 2, Lane: i})
+				case 3:
+					// The last to arrive releases the others and the helper.
+					note(p)
+					if arrived++; arrived == 4 {
+						wq.WakeAll(p)
+						e.Unpark(helper)
+					} else {
+						wq.Wait(p)
+					}
+				default:
+					note(p)
+					return true
+				}
+				pc++
+				return false
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(log), e.Stats()
+	}
+	want, ws := run(func(int) bool { return false })
+	if n := strings.Count(want, "@"); n != 17 {
+		t.Fatalf("goroutine run logged %d events, want 17: %s", n, want)
+	}
+	for name, kind := range map[string]func(i int) bool{
+		"callback": func(int) bool { return true },
+		"mixed":    func(i int) bool { return i%2 == 0 },
+	} {
+		got, gs := run(kind)
+		if got != want {
+			t.Errorf("%s run logged\n%s\ngoroutine run\n%s", name, got, want)
+		}
+		if gs.Steps != ws.Steps || gs.JobsCompleted != ws.JobsCompleted || gs.RateUpdates != ws.RateUpdates {
+			t.Errorf("%s run stats %+v, goroutine run %+v", name, gs, ws)
+		}
+	}
+}
+
+// halveShares rates every job by the number of jobs sharing the machine.
+type halveShares struct{}
+
+func (halveShares) Rates(jobs []*ActiveJob) {
+	for _, j := range jobs {
+		j.Rate = 1 / float64(len(jobs))
 	}
 }
