@@ -56,7 +56,8 @@ type State struct {
 	Coeffs, Coeffs2 []complex128
 	// ZBuf is the stick buffer (stick-major, full Nz per stick).
 	ZBuf []complex128
-	// Chunks are the scatter send/receive chunks currently in flight.
+	// Chunks are the send/receive chunks of the exchange in flight: a
+	// scatter's, or the grouped topology's pack or unpack exchange.
 	Chunks [][]complex128
 	// Planes is the position's XY-plane block in real space.
 	Planes []complex128
