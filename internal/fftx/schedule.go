@@ -139,24 +139,14 @@ type op struct {
 type opKind uint8
 
 const (
-	// opPackExchange is the grouped topology's pack Alltoallv over the
-	// pack communicator.
-	opPackExchange opKind = iota
-	// opPack is the pack phase.
-	opPack
-	// opStage is a compute stage.
-	opStage
-	// opScatter is a scatter the lane blocks in.
-	opScatter
-	// opLoop is a splittable compute stage run as a nested task loop.
-	opLoop
-	// opUnpack is the unpack phase.
-	opUnpack
-	// opUnpackExchange is the grouped topology's unpack Alltoallv.
-	opUnpackExchange
-	// opPost is the unit's trailing scatter, posted to a communication
-	// thread.
-	opPost
+	opPackExchange   opKind = iota // the grouped pack Alltoallv
+	opPack                         // the pack phase
+	opStage                        // a compute stage
+	opScatter                      // a scatter the lane blocks in
+	opLoop                         // a splittable stage as a nested task loop
+	opUnpack                       // the unpack phase
+	opUnpackExchange               // the grouped unpack Alltoallv
+	opPost                         // the trailing scatter, posted to a communication thread
 )
 
 // intervals is the number of trace intervals the step records on its lane:
@@ -175,73 +165,66 @@ func (o opKind) intervals() int {
 // units cuts a job's walk into the row's tasks. nested runs the splittable
 // stages as nested task loops.
 func (pol policy) units(g *graph.Graph, nested bool) []unit {
-	type cut struct {
-		name         string
-		pack, unpack bool
-		stages       []*graph.Stage
-		depth        int
-	}
-	var cs []cut
 	switch pol.unit {
 	case unitStep:
-		cs = append(cs, cut{name: "pack", pack: true})
+		us := []unit{pol.cut("pack", true, false, nil, 0, nested)}
 		for _, st := range g.Steps() {
-			cs = append(cs, cut{name: st.Label, stages: st.Stages})
+			us = append(us, pol.cut(st.Label, false, false, st.Stages, 0, nested))
 		}
-		cs = append(cs, cut{name: "unpack", unpack: true})
+		return append(us, pol.cut("unpack", false, true, nil, 0, nested))
 	case unitSegment:
 		segs, scatters := g.Segments()
+		us := make([]unit, len(segs))
 		for i, seg := range segs {
-			c := cut{name: fmt.Sprintf("seg%d", i), stages: seg, depth: i}
 			if i < len(scatters) {
-				c.stages = append(seg, scatters[i])
+				seg = append(seg, scatters[i])
 			}
-			cs = append(cs, c)
+			us[i] = pol.cut(fmt.Sprintf("seg%d", i), i == 0, i == len(segs)-1, seg, i, nested)
 		}
-		cs[0].pack = true
-		cs[len(cs)-1].unpack = true
-	default:
-		all := make([]*graph.Stage, len(g.Stages))
-		for i := range g.Stages {
-			all[i] = &g.Stages[i]
-		}
-		cs = []cut{{name: "job", pack: true, unpack: true, stages: all}}
+		return us
 	}
-	us := make([]unit, len(cs))
-	for i, c := range cs {
-		u := &us[i]
-		u.name, u.depth = c.name+".", c.depth
-		if n := len(c.stages); pol.async && n > 0 && c.stages[n-1].Kind == graph.Scatter {
-			c.stages, u.post = c.stages[:n-1], c.stages[n-1]
-			u.postName = u.post.Step + "."
-		}
-		if c.pack {
-			if pol.grouped {
-				u.ops = append(u.ops, op{kind: opPackExchange})
-			}
-			u.ops = append(u.ops, op{kind: opPack})
-		}
-		for _, st := range c.stages {
-			switch {
-			case st.Kind == graph.Scatter:
-				u.ops = append(u.ops, op{kind: opScatter, st: st})
-			case nested && st.Split != graph.SplitNone:
-				u.ops = append(u.ops, op{kind: opLoop, st: st, loop: st.LoopName + ".it"})
-			default:
-				u.ops = append(u.ops, op{kind: opStage, st: st})
-			}
-		}
-		if c.unpack {
-			u.ops = append(u.ops, op{kind: opUnpack})
-			if pol.grouped {
-				u.ops = append(u.ops, op{kind: opUnpackExchange})
-			}
-		}
-		if u.post != nil {
-			u.ops = append(u.ops, op{kind: opPost, st: u.post})
+	all := make([]*graph.Stage, len(g.Stages))
+	for i := range g.Stages {
+		all[i] = &g.Stages[i]
+	}
+	return []unit{pol.cut("job", true, true, all, 0, nested)}
+}
+
+// cut makes the unit named name that walks stages — after the pack phase
+// if pack is set, before the unpack phase if unpack is — at segment index
+// depth.
+func (pol policy) cut(name string, pack, unpack bool, stages []*graph.Stage, depth int, nested bool) unit {
+	u := unit{name: name + ".", depth: depth}
+	if n := len(stages); pol.async && n > 0 && stages[n-1].Kind == graph.Scatter {
+		stages, u.post = stages[:n-1], stages[n-1]
+		u.postName = u.post.Step + "."
+	}
+	if pack && pol.grouped {
+		u.ops = append(u.ops, op{kind: opPackExchange})
+	}
+	if pack {
+		u.ops = append(u.ops, op{kind: opPack})
+	}
+	for _, st := range stages {
+		switch {
+		case st.Kind == graph.Scatter:
+			u.ops = append(u.ops, op{kind: opScatter, st: st})
+		case nested && st.Split != graph.SplitNone:
+			u.ops = append(u.ops, op{kind: opLoop, st: st, loop: st.LoopName + ".it"})
+		default:
+			u.ops = append(u.ops, op{kind: opStage, st: st})
 		}
 	}
-	return us
+	if unpack {
+		u.ops = append(u.ops, op{kind: opUnpack})
+	}
+	if unpack && pol.grouped {
+		u.ops = append(u.ops, op{kind: opUnpackExchange})
+	}
+	if u.post != nil {
+		u.ops = append(u.ops, op{kind: opPost, st: u.post})
+	}
+	return u
 }
 
 // priority is the ready-queue priority of unit u of the job at seq.
