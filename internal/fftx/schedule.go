@@ -256,9 +256,9 @@ type rank struct {
 	// arrivals[seq·len(units)+i] is the arrival event of the scatter unit
 	// i of the job at seq posts.
 	arrivals []*ompss.Task
-	// walkers are the walk states of the rank's processes that walk units:
-	// the driver's, or the workers', by worker index, each worker's set up
-	// on its first task.
+	// walkers are the walk states of the processes that walk the rank's
+	// units: the driver's, or the workers', by worker index, each worker's
+	// set up on its first task.
 	walkers []walker
 	// next is the job the driver walks; a main process sets it past the
 	// last job once it has submitted them.
@@ -395,9 +395,9 @@ func (x *schedule) nodes(nseq int) int {
 }
 
 // Resume is a turn of the rank's own process. A driver walks the rank's
-// jobs in order. A main process submits every job,
-// then ends as the row says: on a join event over every job's last node,
-// or at a Taskwait barrier.
+// jobs in order. A main process submits every job, then ends as the row
+// says: on a join event over every job's last node, or at a Taskwait
+// barrier.
 func (r *rank) Resume(p *vtime.Proc) {
 	x, rt := r.x, r.rt
 	if rt == nil {

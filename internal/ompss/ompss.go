@@ -85,7 +85,8 @@ func (w *Worker) Compute(phase string, class knl.Class, instr float64) bool {
 	if !w.computing {
 		w.start = w.Proc.Now()
 		w.Proc.Compute(vtime.Job{Work: instr, Class: int(class), Lane: w.Lane})
-		if w.computing = w.Proc.Suspended(); w.computing {
+		if w.Proc.Suspended() {
+			w.computing = true
 			return false
 		}
 	}
