@@ -52,13 +52,16 @@ race:
 # layouts, rounding tolerance against the mixed-radix baseline and the naive
 # DFT), of the fftxd binary request decoder (malformed input must error,
 # never panic) and of its JSON request decoder against encoding/json (equal
-# results on everything both accept, never a panic). Each package has
-# several fuzz targets, so -fuzz must pick one.
+# results on everything both accept, never a panic), and of the node
+# model's rates against their map-based reference (bit-identical on random
+# lanes, classes and demands). Each package has several fuzz targets, so
+# -fuzz must pick one.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s -run='^$$' ./internal/fft
 	$(GO) test -fuzz=FuzzBatchMatchesReference -fuzztime=10s -run='^$$' ./internal/fft
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzJSONRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzRatesMatchesReference -fuzztime=10s -run='^$$' ./internal/knl
 
 # overhead-smoke measures the cost of the always-on telemetry: the
 # enabled/disabled benchmark pair (time; design target <5%, see README
@@ -99,7 +102,8 @@ cluster-smoke:
 # matrix (all engines x modes x {complex,gamma} through the shared stage
 # graph), the golden digests that hold every policy row of the schedule
 # executor bit-identical, the node model's bit-determinism and its match
-# with the map-based reference, the sphere's match with the map
+# with the map-based reference (the fuzz target's seed inputs included), the
+# sphere's match with the map
 # enumeration, the auto-selector contract and the dataflow row's
 # barrier-free properties, then the quick-suite runtime matrix for
 # eyeballing. It runs under the
@@ -107,5 +111,5 @@ cluster-smoke:
 # code most exposed to scheduling races, so the matrix doubles as their
 # concurrency gate.
 engines-matrix:
-	$(GO) test -race ./internal/fftx ./internal/knl ./internal/pw -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestRatesBitIdenticalAcrossCalls|TestRatesMatchesMapReference|TestSphereMatchesMapEnumeration|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
+	$(GO) test -race ./internal/fftx ./internal/knl ./internal/pw -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestRatesBitIdenticalAcrossCalls|TestRatesMatchesMapReference|FuzzRatesMatchesReference|TestSphereMatchesMapEnumeration|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
 	$(GO) run ./cmd/fftxbench -quick engines

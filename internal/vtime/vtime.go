@@ -58,7 +58,6 @@ type ActiveJob struct {
 	Rate      float64
 	proc      *Proc
 	seq       uint64
-	start     Time
 }
 
 // Machine decides execution rates for the set of jobs that are currently
@@ -139,10 +138,9 @@ type Proc struct {
 	waitDesc  func() string // what the process waits on, for deadlock dumps
 	job       ActiveJob     // the in-flight job of Compute; at most one per process
 
-	// Telemetry handles resolved once at Spawn so the hot paths below pay
+	// Telemetry handle resolved once at Spawn so the hot path below pays
 	// only an atomic add, never a label lookup.
 	blockCtr *metrics.Counter
-	runCtr   *metrics.Counter
 }
 
 // event is a scheduled wake-up for a process.
@@ -303,7 +301,6 @@ func (e *Engine) spawn(name string) *Proc {
 		id:       len(e.procs),
 		state:    stateNew,
 		blockCtr: rm.block,
-		runCtr:   rm.run,
 	}
 	e.stats.ProcsSpawned++
 	rm.spawned.Inc()
@@ -476,14 +473,17 @@ func (e *Engine) step() (*Proc, error) {
 		next = e.events.pop().proc
 	} else {
 		if e.ratesDirty {
-			if err := e.refreshRates(); err != nil {
-				return nil, err
-			}
+			e.refreshRates()
 		}
-		// Earliest job completion.
+		// Earliest job completion. The scan also checks the rates the
+		// machine set: an invalid one ends Run with an error naming the
+		// first such job's lane and class.
 		jobAt := Time(math.Inf(1))
 		var jobDone *ActiveJob
 		for _, j := range e.jobs {
+			if !(j.Rate > 0 && j.Rate <= math.MaxFloat64) {
+				return nil, fmt.Errorf("vtime: machine set invalid rate %v for lane %d class %d at t=%g", j.Rate, j.Lane, j.Class, e.now)
+			}
 			t := e.now + j.Remaining/j.Rate
 			if t < jobAt || (t == jobAt && jobDone != nil && j.seq < jobDone.seq) {
 				jobAt = t
@@ -504,7 +504,6 @@ func (e *Engine) step() (*Proc, error) {
 			e.stats.JobsCompleted++
 			mJobsCompleted.Inc()
 			next = jobDone.proc
-			next.runCtr.Add(e.now - jobDone.start)
 		} else {
 			ev := e.events.pop()
 			e.advanceJobs(ev.at - e.now)
@@ -551,21 +550,15 @@ func (e *Engine) removeJob(j *ActiveJob) {
 	panic("vtime: removeJob: job not active")
 }
 
-// refreshRates has the machine rate the active jobs. An invalid rate is an
-// error naming the job's lane and class, which ends Run.
-func (e *Engine) refreshRates() error {
+// refreshRates has the machine rate the active jobs. The completion scan
+// that follows every refresh in step checks the rates.
+func (e *Engine) refreshRates() {
 	e.ratesDirty = false
 	if len(e.jobs) == 0 {
-		return nil
+		return
 	}
 	e.stats.RateUpdates++
 	e.machine.Rates(e.jobs)
-	for _, j := range e.jobs {
-		if !(j.Rate > 0) || math.IsInf(j.Rate, 0) || math.IsNaN(j.Rate) {
-			return fmt.Errorf("vtime: machine set invalid rate %v for lane %d class %d at t=%g", j.Rate, j.Lane, j.Class, e.now)
-		}
-	}
-	return nil
 }
 
 // BlockedProc describes one blocked process in a deadlock report.
@@ -759,7 +752,7 @@ func (p *Proc) Compute(job Job) Time {
 	// The engine removes the job before it resumes the process, so the
 	// process's one job slot is free again by the next Compute.
 	aj := &p.job
-	*aj = ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: e.seq, start: start}
+	*aj = ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: e.seq}
 	e.addJob(aj)
 	p.state = stateComputing
 	p.yield()
