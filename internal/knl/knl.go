@@ -24,6 +24,7 @@ package knl
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vtime"
 )
@@ -137,6 +138,10 @@ type Node struct {
 	share   []float64
 	cores   []int
 	tileSum []float64
+	// spill lists, per core, the classes of the jobs its code no longer
+	// holds; allocated at the first core with more jobs than the mix table
+	// covers.
+	spill [][]Class
 
 	// mixes caches a core's issue share and load contribution by its mix
 	// code; a zero share marks an entry not filled yet.
@@ -189,7 +194,8 @@ func NewNode(p Params, lanes int) *Node {
 		n.tileSum = make([]float64, (p.Cores+1)/2)
 	}
 	// A mix code holds two bits per job, so 4^HyperThreads entries cover
-	// every core running one job per lane.
+	// every core running one job per lane, and a code never needs more
+	// than 2*(HyperThreads+1) <= 10 bits.
 	n.mixes = make([]mix, 1<<(2*n.HyperThreads()))
 	for l := 0; l < lanes; l++ {
 		n.core[l] = l % p.Cores
@@ -215,24 +221,26 @@ func (p Params) Slowdown(load float64) float64 {
 
 // Rates implements vtime.Machine. For every active job it computes
 //
-//	rate = Freq * BaseIPC(class) * issueShare(core) * S(load)^Sens(class)
+//	rate = Freq * BaseIPC(class) * issueShare(core) * tileShare(tile) * S(load)^Sens(class)
 //
 // where issueShare divides a core's issue slots among its hyper-threads in
-// proportion to their demands, and load is the sum over cores of the
-// (issue-share-weighted, capped) bandwidth demands of their jobs.
+// proportion to their demands, load is the sum over cores of the
+// (issue-share-weighted, capped) bandwidth demands of their jobs, and
+// tileShare (1 unless the tile level is on) divides a tile's L2 likewise.
 //
 // A core's share and load contribution depend only on its jobs' classes in
 // job order — its mix — so one pass over the jobs encodes each core's mix as
 // a code of two bits per job (digit class+1), and the node's mix table gives
 // the share and contribution of that code, computed once on first sight. A
 // core with more jobs than the table covers (an mpi helper computing on its
-// driver's lane) is priced directly. The load sums the contributions in the
-// cores' first-appearance order, the per-class slowdowns come from a cache
-// keyed by the load's bits, and a last pass sets the rates: a job with the
-// whole of its core gets its class's rate. The optional tile level adds a
-// pass that sums each tile's demand in job order. Every cached value is the
-// float the direct computation gives, so the rates are bit-identical to it.
-// A refresh allocates nothing unless a core carries more than 8 jobs.
+// driver's lane) keeps a code of one digit more, lists its later classes in
+// the same pass, and is priced directly from both, so a refresh stays one
+// pass over the jobs however many cores overflow. The load sums the
+// contributions in the cores' first-appearance order, the per-class
+// slowdowns come from a cache keyed by the load's bits, and a last pass sets
+// the rates. Every cached value is the float the direct computation gives,
+// so the rates are bit-identical to it. A refresh allocates nothing unless a
+// core carries more than 8 jobs, or more than ever before.
 func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	coreOf, code, cores := n.core, n.code, n.cores[:0]
 	limit := uint32(len(n.mixes))
@@ -242,12 +250,13 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 		if x == 0 {
 			cores = append(cores, core)
 		}
-		// A code at or past the limit has more digits than the table
-		// covers; it keeps its value, which marks the core as priced
-		// directly. A class out of range panics in the rate pass, which
-		// indexes by it.
+		// A code at or past the limit has one digit more than the table
+		// covers and stops growing. A class out of range panics in the rate
+		// pass, which indexes by it.
 		if x < limit {
 			code[core] = x<<2 | uint32(j.Class+1)
+		} else {
+			n.spillClass(core, Class(j.Class))
 		}
 	}
 	n.cores = cores
@@ -256,15 +265,19 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	// the job list, or the last place moves between runs.
 	var load float64
 	share, mixes := n.share, n.mixes
+	var buf [8]Class
 	for _, core := range cores {
 		x := code[core]
 		code[core] = 0
 		var m mix
-		if x < limit {
+		switch {
+		case x >= limit:
+			m = n.mixOf(n.classesOf(buf[:0], x, core))
+		case mixes[x].share == 0:
+			m = n.mixOf(n.classesOf(buf[:0], x, core))
+			mixes[x] = m
+		default:
 			m = mixes[x]
-		}
-		if m.share == 0 {
-			m = n.price(jobs, core, x)
 		}
 		share[core] = m.share
 		load += m.bw
@@ -274,38 +287,45 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	}
 	slow := n.slow(load)
 	if n.tiles {
-		n.tileRates(jobs, &slow)
-		return
-	}
-	var rate [numClasses]float64
-	for c := range rate {
-		rate[c] = n.p.Freq * (n.p.BaseIPC[c] * slow[c])
+		for _, j := range jobs {
+			core := coreOf[j.Lane]
+			n.tileSum[core/2] += n.p.TileDemand[j.Class] * share[core]
+		}
 	}
 	for _, j := range jobs {
 		c := j.Class
-		if sh := share[coreOf[j.Lane]]; sh == 1 {
-			j.Rate = rate[c]
-		} else {
-			j.Rate = n.p.Freq * (n.p.BaseIPC[c] * sh * slow[c])
+		core := coreOf[j.Lane]
+		tileShare := 1.0
+		if n.tiles {
+			if tot := n.tileSum[core/2]; !(tot <= 1) {
+				tileShare = 1 / tot
+			}
 		}
+		j.Rate = n.p.Freq * (n.p.BaseIPC[c] * share[core] * tileShare * slow[c])
 	}
 }
 
-// price returns the mix of a core whose code x the table does not hold,
-// from the core's jobs, and fills the code's entry if the table covers it.
-func (n *Node) price(jobs []*vtime.ActiveJob, core int, x uint32) mix {
-	var buf [8]Class
-	classes := buf[:0]
-	for _, j := range jobs {
-		if n.core[j.Lane] == core {
-			classes = append(classes, Class(j.Class))
-		}
+// spillClass lists the class of a job its core's code no longer holds.
+func (n *Node) spillClass(core int, c Class) {
+	if n.spill == nil {
+		n.spill = make([][]Class, n.p.Cores)
 	}
-	m := n.mixOf(classes)
-	if int(x) < len(n.mixes) {
-		n.mixes[x] = m
+	n.spill[core] = append(n.spill[core], c)
+}
+
+// classesOf returns a core's classes in job order, in the storage of buf,
+// which must be empty: those its code x holds, first job in the top digit,
+// then any it spilled, which it forgets.
+func (n *Node) classesOf(buf []Class, x uint32, core int) []Class {
+	for ; x != 0; x >>= 2 {
+		buf = append(buf, Class(x&3)-1)
 	}
-	return m
+	slices.Reverse(buf)
+	if n.spill != nil {
+		buf = append(buf, n.spill[core]...)
+		n.spill[core] = n.spill[core][:0]
+	}
+	return buf
 }
 
 // mixOf prices a core from its jobs' classes in job order. Proportional
@@ -347,25 +367,6 @@ func (n *Node) slow(load float64) [numClasses]float64 {
 		}
 	}
 	return e.slow
-}
-
-// tileRates sets the rates with the tile level on: cores 2t and 2t+1 share
-// an L2, and the threads on a tile scale down proportionally when their
-// (issue-share-weighted) demands exceed it.
-func (n *Node) tileRates(jobs []*vtime.ActiveJob, slow *[numClasses]float64) {
-	for _, j := range jobs {
-		core := n.core[j.Lane]
-		n.tileSum[core/2] += n.p.TileDemand[j.Class] * n.share[core]
-	}
-	for _, j := range jobs {
-		c := j.Class
-		core := n.core[j.Lane]
-		tileShare := 1.0
-		if tot := n.tileSum[core/2]; !(tot <= 1) {
-			tileShare = 1 / tot
-		}
-		j.Rate = n.p.Freq * (n.p.BaseIPC[c] * n.share[core] * tileShare * slow[c])
-	}
 }
 
 // effBW returns the effective per-rank transfer bandwidth given commLanes

@@ -122,10 +122,11 @@ func matchesReference(n *Node, jobs []*vtime.ActiveJob) string {
 // Over seeded random job sets on nodes with 1 to 4 lanes per core, with and
 // without the tile level, Rates gives exactly the rates of the map-based
 // reference. Each node is reused across job sets, so stale scratch, a stale
-// mix table entry or a stale load cache slot would show. Half the sets put
-// 2 or 3 jobs on one lane, and some of them put more jobs on a core than the
-// mix table covers, which the test requires to happen, so the directly
-// priced path is pinned too.
+// mix table entry, a stale spilled class or a stale load cache slot would
+// show. Half the sets put 2 or 3 jobs on one lane, and some of them put more
+// jobs on a core than the mix table covers, and some two more than it
+// covers, which the test requires to happen, so the directly priced path and
+// its spilled classes are pinned too.
 func TestRatesMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tile := range []bool{false, true} {
@@ -136,21 +137,23 @@ func TestRatesMatchesMapReference(t *testing.T) {
 		}
 		for perCore := 1; perCore <= 4; perCore++ {
 			n := NewNode(p, perCore*p.Cores)
-			overflowed := 0
+			overflowed, spilled := 0, 0
 			for set := 0; set < 400; set++ {
 				jobs := randomJobs(rng, n)
 				if set%2 == 1 {
 					jobs = randomSharedJobs(rng, n)
 				}
-				if maxJobsPerCore(n, jobs) > n.HyperThreads() {
+				if most := maxJobsPerCore(n, jobs); most > n.HyperThreads()+1 {
+					spilled++
+				} else if most > n.HyperThreads() {
 					overflowed++
 				}
 				if msg := matchesReference(n, jobs); msg != "" {
 					t.Fatalf("tile %v, %d lanes/core, set %d: %s", tile, perCore, set, msg)
 				}
 			}
-			if overflowed == 0 {
-				t.Errorf("tile %v, %d lanes/core: no job set put more jobs on a core than the mix table covers", tile, perCore)
+			if overflowed == 0 || spilled == 0 {
+				t.Errorf("tile %v, %d lanes/core: %d job sets put one job more on a core than the mix table covers and %d more than one, want some of each", tile, perCore, overflowed, spilled)
 			}
 		}
 	}
@@ -234,21 +237,33 @@ func TestRatesReuseLoad(t *testing.T) {
 }
 
 // After its first call Rates allocates nothing, with the tile level on or
-// off: the simulator calls it at every job start and finish.
+// off, and with cores that carry more jobs than the mix table covers: the
+// simulator calls it at every job start and finish.
 func TestRatesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned in normal builds only")
 	}
 	for _, tile := range []bool{false, true} {
-		p := DefaultParams()
-		if tile {
-			p.TileDemand = [numClasses]float64{0.3, 0.6, 0.9}
-		}
-		n := NewNode(p, 2*p.Cores)
-		jobs := randomJobs(rand.New(rand.NewSource(2)), n)
-		n.Rates(jobs)
-		if a := testing.AllocsPerRun(100, func() { n.Rates(jobs) }); a != 0 {
-			t.Errorf("tile %v: Rates allocates %v objects per call, want 0", tile, a)
+		for _, overflow := range []bool{false, true} {
+			p := DefaultParams()
+			if tile {
+				p.TileDemand = [numClasses]float64{0.3, 0.6, 0.9}
+			}
+			n := NewNode(p, 2*p.Cores)
+			jobs := randomJobs(rand.New(rand.NewSource(2)), n)
+			if overflow {
+				// Four more jobs on each of ten cores: each carries 4 to
+				// 6 jobs, so it spills past the table's two.
+				for lane := 0; lane < 10; lane++ {
+					for k := 0; k < 4; k++ {
+						jobs = append(jobs, &vtime.ActiveJob{Job: vtime.Job{Work: 1, Class: k % int(numClasses), Lane: lane}})
+					}
+				}
+			}
+			n.Rates(jobs)
+			if a := testing.AllocsPerRun(100, func() { n.Rates(jobs) }); a != 0 {
+				t.Errorf("tile %v, overflow %v: Rates allocates %v objects per call, want 0", tile, overflow, a)
+			}
 		}
 	}
 }
