@@ -42,8 +42,9 @@ experiments:
 	$(GO) run ./cmd/fftxbench report > EXPERIMENTS.md
 
 # race runs the internal packages under the race detector without test
-# result caching. The simulator is single-goroutine-at-a-time by design;
-# this guards the engine's own handoff protocol.
+# result caching. A simulated run is one loop on its caller's goroutine;
+# this guards what runs beside it: concurrent runs sharing read-only
+# geometry and plans, and the host-parallel pools and servers.
 race:
 	$(GO) test -race -count=1 ./internal/...
 
@@ -101,7 +102,8 @@ cluster-smoke:
 # engines-matrix is the cross-engine smoke gate: the short-mode equivalence
 # matrix (all engines x modes x {complex,gamma} through the shared stage
 # graph), the golden digests that hold every policy row of the schedule
-# executor bit-identical, the node model's bit-determinism and its match
+# executor bit-identical, the pinned event counts (steps, jobs, rate
+# refreshes and processes of every engine), the node model's bit-determinism and its match
 # with the map-based reference (the fuzz target's seed inputs included), the
 # sphere's match with the map
 # enumeration, the auto-selector contract and the dataflow row's
@@ -111,5 +113,5 @@ cluster-smoke:
 # code most exposed to scheduling races, so the matrix doubles as their
 # concurrency gate.
 engines-matrix:
-	$(GO) test -race ./internal/fftx ./internal/knl ./internal/pw -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestRatesBitIdenticalAcrossCalls|TestRatesMatchesMapReference|FuzzRatesMatchesReference|TestSphereMatchesMapEnumeration|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
+	$(GO) test -race ./internal/fftx ./internal/knl ./internal/pw -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestEventCountsPinned|TestRatesBitIdenticalAcrossCalls|TestRatesMatchesMapReference|FuzzRatesMatchesReference|TestSphereMatchesMapEnumeration|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
 	$(GO) run ./cmd/fftxbench -quick engines

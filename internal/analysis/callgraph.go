@@ -33,7 +33,7 @@ type FuncKey struct {
 func (k FuncKey) IsZero() bool { return k == FuncKey{} }
 
 // Display renders the key the way diagnostics spell call paths:
-// pkgbase.Recv.Name (e.g. "graph.Kernel.FFTZPart", "mpi.Alltoallv").
+// pkgbase.Recv.Name (e.g. "graph.Kernel.FFTZPart", "mpi.IAlltoallv").
 func (k FuncKey) Display() string {
 	base := k.Pkg
 	if i := strings.LastIndex(base, "/"); i >= 0 {

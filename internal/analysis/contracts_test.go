@@ -2,7 +2,11 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,11 +19,13 @@ import (
 // The simulated runtimes' calling contracts that need no analyzer rule:
 // each is held by one mechanism that runs on every go test or go vet. The
 // tests below are the static half; the runtime half lives with the
-// runtimes (vtime's yield check, ompss's worker-wait check, the mpi
-// rendezvous's deadlock report and strict tag checks). DESIGN.md §8.1
-// maps each former fftxvet rule to its enforcement; the three import-
-// layering tests that replace a rule keep its name. A fourth,
-// TestServingLinksNoSimulator, keeps the serving tier off the simulator.
+// runtimes (vtime's check that only the running process suspends, ompss's
+// worker-wait check, the mpi rendezvous's deadlock report and strict tag
+// checks). DESIGN.md §8.1 maps each former fftxvet rule to its
+// enforcement; the three import-layering tests that replace a rule keep its
+// name. A fourth, TestServingLinksNoSimulator, keeps the serving tier off
+// the simulator, and TestSimulatorStartsNoGoroutine keeps goroutines and
+// channels out of it.
 
 var simulatedRuntimes = []string{"internal/mpi", "internal/vtime", "internal/ompss"}
 
@@ -181,6 +187,60 @@ func simulatorInServing(pkgs []pkgImports) []string {
 func TestServingLinksNoSimulator(t *testing.T) {
 	checkLayering(t, simulatorInServing,
 		pkgImports{"repro/internal/serve", []string{"repro/internal/fft", "repro/internal/fftx"}})
+}
+
+// simulatorCore are the packages a simulated run executes.
+var simulatorCore = []string{"internal/vtime", "internal/ompss", "internal/mpi", "internal/knl", "internal/fftx", "internal/fftx/graph"}
+
+// concurrencySites reports each go statement and channel type in files.
+func concurrencySites(fset *token.FileSet, files []*ast.File) []string {
+	var bad []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.GoStmt:
+				bad = append(bad, fmt.Sprintf("%s: go statement", fset.Position(n.Pos())))
+			case *ast.ChanType:
+				bad = append(bad, fmt.Sprintf("%s: channel type", fset.Position(n.Pos())))
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+// TestSimulatorStartsNoGoroutine: every simulated process is a state
+// machine that vtime.Engine.Run calls on its caller's goroutine, so the
+// non-test files of the simulator's packages hold no go statement and no
+// channel type.
+func TestSimulatorStartsNoGoroutine(t *testing.T) {
+	root := newTestLoader(t).ModRoot()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, pkg := range simulatorCore {
+		dir := filepath.Join(root, pkg)
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+	}
+	for _, v := range concurrencySites(fset, files) {
+		t.Error(v)
+	}
+	seeded, err := parser.ParseFile(fset, "seeded.go", "package seeded\n\nfunc f(c chan int) { go f(c) }\n", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(concurrencySites(fset, []*ast.File{seeded})); n != 2 {
+		t.Errorf("seeded file: %d sites reported, want 2", n)
+	}
 }
 
 // TestHandleTypesCarryNoCopy pins the marker go vet's copylocks check keys

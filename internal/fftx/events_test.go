@@ -65,20 +65,3 @@ func TestEventCountsPinned(t *testing.T) {
 		}
 	}
 }
-
-// TestPaperRunStartsNoGoroutine: every process a run creates — rank
-// drivers, main processes, ompss workers, mpi communication helpers — is a
-// callback process, so a run at the paper's 8×8 layout starts no goroutine
-// and switches none, in either mode, while the engine still counts every
-// process it spawned.
-func TestPaperRunStartsNoGoroutine(t *testing.T) {
-	for _, e := range []Engine{EngineOriginal, EngineTaskSteps, EngineTaskIter, EngineTaskCombined, EngineDataflow} {
-		for _, mode := range []Mode{ModeCost, ModeReal} {
-			st := engineStats(t, Config{Ecut: 20, Alat: 12, NB: 16, Ranks: 8, NTG: 8, Engine: e, Mode: mode})
-			if st.Goroutines != 0 || st.Handoffs != 0 || st.ProcsSpawned == 0 {
-				t.Errorf("%v mode %d: %d goroutines started, %d handoffs over %d processes; want 0 and 0",
-					e, mode, st.Goroutines, st.Handoffs, st.ProcsSpawned)
-			}
-		}
-	}
-}

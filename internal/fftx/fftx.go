@@ -293,7 +293,7 @@ func (k *kernel) jitter(band, p int, name string) float64 {
 // phase charges one compute phase of one band: the real data transform
 // (ModeReal) plus the modeled, jittered instruction count on the calling
 // lane's context. It reports whether the phase is done; a phase that
-// suspends a callback process is called again when the process next runs,
+// suspends the process is called again when the process next runs,
 // and only the call that starts it runs the transform (see mpi.Ctx).
 func (k *kernel) phase(ctx *mpi.Ctx, band, p int, name string, class knl.Class, instr float64, work func()) bool {
 	if work != nil && k.cfg.Mode == ModeReal && !ctx.Busy() {

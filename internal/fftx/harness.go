@@ -58,14 +58,14 @@ func (h *harness) inputBands() [][]complex128 {
 }
 
 // newRankRuntime builds the OmpSs runtime of one rank over workers lanes
-// starting at firstLane, its workers callback processes — callers spawn the
-// rank's main process right after, preserving the lane ordering.
+// starting at firstLane — callers spawn the rank's main process right
+// after, preserving the lane ordering.
 func (h *harness) newRankRuntime(firstLane, workers int) *ompss.Runtime {
 	workerLanes := make([]int, workers)
 	for t := 0; t < workers; t++ {
 		workerLanes[t] = firstLane + t
 	}
-	rt := ompss.NewCallback(h.eng, h.tr, workerLanes)
+	rt := ompss.New(h.eng, h.tr, workerLanes)
 	rt.Strict = h.cfg.Strict
 	h.rts = append(h.rts, rt)
 	return rt

@@ -317,8 +317,8 @@ func execute(cfg Config, pol policy) (*Result, error) {
 func (x *schedule) run() (*Result, error) { return x.finish(x.top.collect) }
 
 // newSchedule builds the run of cfg under policy row pol — its harness,
-// ranks and processes — ready to run. Every process is a callback process:
-// a run starts no goroutine.
+// ranks and processes — ready to run. Every process is a state machine
+// that the engine resumes by calling it: a run starts no goroutine.
 func newSchedule(cfg Config, pol policy) *schedule {
 	ranks, lanes := pol.layout(cfg)
 	h := newHarness(cfg, ranks, lanes)
@@ -350,13 +350,13 @@ func newSchedule(cfg Config, pol policy) *schedule {
 		}
 		r.walkers = make([]walker, lanes)
 		if pol.unit == unitInline {
-			h.w.SpawnCallback(&r.walkers[0].ctx, id, 0, r)
+			h.w.Spawn(&r.walkers[0].ctx, id, 0, r)
 			continue
 		}
 		r.rt = h.newRankRuntime(id*lanes, lanes)
 		r.rt.Reserve(x.nodes(nseq))
 		r.arrivals = make([]*ompss.Task, nseq*len(x.units))
-		h.eng.SpawnCallback(fmt.Sprintf("rank%d.main", id), r)
+		h.eng.Spawn(fmt.Sprintf("rank%d.main", id), r)
 	}
 	return x
 }

@@ -21,11 +21,10 @@ import (
 // reused: one that has delivered its exchange parks, and the rank's next
 // post wakes it instead of spawning a process, so a run creates as many
 // helpers per rank as it ever has exchanges in flight, not one per post.
-// A helper is a callback process whose exchange is its state: it starts no
-// goroutine, whatever kind of process posts to it.
+// A helper is a process whose exchange is its state.
 
-// Done receives the result of a posted exchange on the helper process, a
-// callback process: Done must not block.
+// Done receives the result of a posted exchange on the helper process:
+// Done must not suspend it.
 type Done interface {
 	Done(p *vtime.Proc, recv [][]complex128)
 }
@@ -49,7 +48,7 @@ type helper struct {
 
 // IAlltoallv posts an Alltoallv without blocking the caller. When the
 // exchange completes, done runs on the helper process with the received
-// chunks (nil when send is nil, as for Alltoallv).
+// chunks (nil when send is nil, as for Exchange).
 func IAlltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64, done Done) {
 	w := ctx.W
 	if w.idle == nil {
@@ -63,7 +62,7 @@ func IAlltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64, 
 		h = &helper{}
 		h.ctx.W, h.ctx.Rank, h.ctx.Silent = w, ctx.Rank, true
 		w.asyncSeq++
-		h.ctx.Proc = w.Eng.SpawnCallback(fmt.Sprintf("commthread.r%d.%d", ctx.Rank, w.asyncSeq), h)
+		h.ctx.Proc = w.Eng.Spawn(fmt.Sprintf("commthread.r%d.%d", ctx.Rank, w.asyncSeq), h)
 	}
 	h.ctx.Lane = ctx.Lane
 	h.c, h.tag, h.send, h.bytes, h.done = c, tag, send, bytes, done

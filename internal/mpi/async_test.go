@@ -3,9 +3,7 @@ package mpi
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/knl"
 	"repro/internal/trace"
@@ -20,23 +18,25 @@ func TestIAlltoallvOverlapsWithCompute(t *testing.T) {
 	got := make([][][]complex128, n)
 	computeEnd := make([]float64, n)
 	commEnd := make([]float64, n)
-	runWorld(t, n, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
+	runWorld(t, n, func(rank int) []action {
 		send := make([][]complex128, n)
 		for j := 0; j < n; j++ {
-			send[j] = []complex128{complex(float64(ctx.Rank*10+j), 0)}
+			send[j] = []complex128{complex(float64(rank*10+j), 0)}
 		}
 		doneCh := false
-		IAlltoallv(ctx, c, 0, send, vol(send), DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
-			got[ctx.Rank] = recv
-			commEnd[ctx.Rank] = p.Now()
-			doneCh = true
-		}))
-		ctx.Compute("work", knl.ClassVector, 1e9) // long compute, overlaps comm
-		computeEnd[ctx.Rank] = ctx.Proc.Now()
-		if !doneCh {
-			t.Errorf("rank %d: comm not complete after long compute", ctx.Rank)
-		}
+		return []action{do(func(ctx *Ctx) {
+			IAlltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send), DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
+				got[rank] = recv
+				commEnd[rank] = p.Now()
+				doneCh = true
+			}))
+		}), compute("work", knl.ClassVector, 1e9), // long compute, overlaps comm
+			do(func(ctx *Ctx) {
+				computeEnd[rank] = ctx.Proc.Now()
+				if !doneCh {
+					t.Errorf("rank %d: comm not complete after long compute", rank)
+				}
+			})}
 	})
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -53,17 +53,18 @@ func TestIAlltoallvOverlapsWithCompute(t *testing.T) {
 }
 
 func TestIAlltoallvSilentInTrace(t *testing.T) {
-	_, tr := runWorld(t, 2, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
+	_, tr := runWorld(t, 2, func(int) []action {
 		send := [][]complex128{make([]complex128, 100), make([]complex128, 100)}
 		fulfilled := false
-		IAlltoallv(ctx, c, 0, send, vol(send), DoneFunc(func(p *vtime.Proc, _ [][]complex128) {
-			fulfilled = true
-		}))
-		ctx.Compute("work", knl.ClassVector, 1e8)
-		if !fulfilled {
-			t.Error("async comm incomplete")
-		}
+		return []action{do(func(ctx *Ctx) {
+			IAlltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send), DoneFunc(func(p *vtime.Proc, _ [][]complex128) {
+				fulfilled = true
+			}))
+		}), compute("work", knl.ClassVector, 1e8), do(func(*Ctx) {
+			if !fulfilled {
+				t.Error("async comm incomplete")
+			}
+		})}
 	})
 	for _, iv := range tr.Intervals {
 		if iv.Kind == trace.KindMPISync || iv.Kind == trace.KindMPITransfer {
@@ -94,12 +95,8 @@ func TestEndpointSerializesConcurrentTransfers(t *testing.T) {
 	w := NewWorld(eng, node, tr, 2, 2)
 	for r := 0; r < 2; r++ {
 		for th := 0; th < 2; th++ {
-			r, th := r, th
-			w.Spawn(r, th, func(ctx *Ctx) {
-				c := ctx.W.CommWorld()
-				send := [][]complex128{make([]complex128, 25000), make([]complex128, 25000)}
-				Alltoallv(ctx, c, 100+th, send, vol(send))
-			})
+			send := [][]complex128{make([]complex128, 25000), make([]complex128, 25000)}
+			spawn(w, r, th, exchange(100+th, send, vol(send), nil))
 		}
 	}
 	if err := eng.Run(); err != nil {
@@ -126,24 +123,24 @@ func TestEndpointSerializesConcurrentTransfers(t *testing.T) {
 }
 
 func TestAsyncAndBlockingMixMatchByTag(t *testing.T) {
-	// Rank 0 posts async, rank 1 calls blocking — same tag, must match.
+	// Rank 0 posts async, rank 1 exchanges in place — same tag, must match.
 	var asyncGot, blockGot [][]complex128
-	runWorld(t, 2, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
-		send := [][]complex128{{complex(float64(ctx.Rank), 0)}, {complex(float64(ctx.Rank*100), 0)}}
-		if ctx.Rank == 0 {
-			done := false
-			IAlltoallv(ctx, c, 5, send, vol(send), DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
+	runWorld(t, 2, func(rank int) []action {
+		send := [][]complex128{{complex(float64(rank), 0)}, {complex(float64(rank*100), 0)}}
+		if rank != 0 {
+			return []action{exchange(5, send, vol(send), &blockGot)}
+		}
+		done := false
+		return []action{do(func(ctx *Ctx) {
+			IAlltoallv(ctx, ctx.W.CommWorld(), 5, send, vol(send), DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
 				asyncGot = recv
 				done = true
 			}))
-			ctx.Compute("w", knl.ClassVector, 1e8)
+		}), compute("w", knl.ClassVector, 1e8), do(func(*Ctx) {
 			if !done {
 				t.Error("async incomplete")
 			}
-		} else {
-			blockGot = Alltoallv(ctx, c, 5, send, vol(send))
-		}
+		})}
 	})
 	if !reflect.DeepEqual(asyncGot, [][]complex128{{0}, {1}}) {
 		t.Fatalf("async got %v", asyncGot)
@@ -153,61 +150,36 @@ func TestAsyncAndBlockingMixMatchByTag(t *testing.T) {
 	}
 }
 
-// goroutinesSettle polls until the process runs at most baseline
-// goroutines, failing after a deadline: a goroutine that Run has released
-// exits just after it acknowledges, so the count may lag the return.
-func goroutinesSettle(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Run, %d before: Run left process goroutines behind", runtime.NumGoroutine(), baseline)
-		}
-		runtime.Gosched()
-	}
-}
-
 // postTwice spawns a world of three ranks that each post an exchange on
 // tag 0 and, once it has landed, rank 0 — or every rank, when all is set —
-// posts a second one on tag 1. The ranks are goroutine processes, or
-// callback processes that post one exchange per turn.
-func postTwice(all, callback bool) (*vtime.Engine, []int) {
+// posts a second one on tag 1, one post per turn.
+func postTwice(all bool) (*vtime.Engine, []int) {
 	eng, w := strictWorld(3, 1)
 	landed := make([]int, 3)
 	for r := 0; r < 3; r++ {
 		tag := 0
-		// post posts the rank's next exchange and sleeps, or reports that
-		// the rank has posted all it posts.
-		post := func(ctx *Ctx) bool {
+		ctx := new(Ctx)
+		// The rank posts its next exchange and sleeps, unless it has posted
+		// all it posts.
+		w.Spawn(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) {
 			if tag == 2 || (tag == 1 && !all && ctx.Rank != 0) {
-				return false
+				return
 			}
 			IAlltoallv(ctx, ctx.W.CommWorld(), tag, nil, 64, DoneFunc(func(*vtime.Proc, [][]complex128) {
 				landed[ctx.Rank]++
 			}))
 			tag++
 			ctx.Proc.Sleep(1)
-			return true
-		}
-		if callback {
-			ctx := new(Ctx)
-			w.SpawnCallback(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) { post(ctx) }))
-			continue
-		}
-		w.Spawn(r, 0, func(ctx *Ctx) {
-			for post(ctx) {
-			}
-		})
+		}))
 	}
 	return eng, landed
 }
 
 // TestHelpersAreReused: a rank's second post is carried out by the helper
 // that delivered its first, so three ranks posting twice create three
-// helpers, not six, and the run still leaves no goroutine behind.
+// helpers, not six.
 func TestHelpersAreReused(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	eng, landed := postTwice(true, false)
+	eng, landed := postTwice(true)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,41 +189,31 @@ func TestHelpersAreReused(t *testing.T) {
 	if got := eng.Stats().ProcsSpawned; got != 6 {
 		t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
 	}
-	goroutinesSettle(t, baseline)
 }
 
 // TestReusedHelperDeadlockReport: a post whose peers never arrive still
 // ends the run with a deadlock report that names the rendezvous and its
 // missing ranks. The reused helper of rank 0 is the one blocked process:
 // the idle helpers of ranks 1 and 2 keep no run going and are not blocked.
-// The run's goroutines are released on this error return too.
 func TestReusedHelperDeadlockReport(t *testing.T) {
-	errs := map[bool]string{}
-	for _, callback := range []bool{false, true} {
-		baseline := runtime.NumGoroutine()
-		eng, _ := postTwice(false, callback)
-		err := eng.Run()
-		var de *vtime.DeadlockError
-		if !errors.As(err, &de) {
-			t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
-		}
-		want := []vtime.BlockedProc{{
-			Name: "commthread.r0.1", ID: 3, Since: 1,
-			WaitingOn: "mpi: Alltoallv tag 1 (call #0) on comm world: arrived 1/3, ranks [0]; missing ranks [1 2]",
-		}}
-		if !reflect.DeepEqual(de.Blocked, want) {
-			t.Errorf("blocked = %+v\nwant      %+v", de.Blocked, want)
-		}
-		if got := eng.Stats().ProcsSpawned; got != 6 {
-			t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
-		}
-		if got := eng.Stats().Goroutines; callback && got != 0 {
-			t.Errorf("callback ranks: %d goroutines started, want none", got)
-		}
-		goroutinesSettle(t, baseline)
-		errs[callback] = err.Error()
+	eng, _ := postTwice(false)
+	err := eng.Run()
+	var de *vtime.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
 	}
-	if errs[false] != errs[true] {
-		t.Errorf("callback ranks: %q\ngoroutine ranks: %q", errs[true], errs[false])
+	want := []vtime.BlockedProc{{
+		Name: "commthread.r0.1", ID: 3, Since: 1,
+		WaitingOn: "mpi: Alltoallv tag 1 (call #0) on comm world: arrived 1/3, ranks [0]; missing ranks [1 2]",
+	}}
+	if !reflect.DeepEqual(de.Blocked, want) {
+		t.Errorf("blocked = %+v\nwant      %+v", de.Blocked, want)
+	}
+	if got := eng.Stats().ProcsSpawned; got != 6 {
+		t.Errorf("spawned %d processes, want 3 ranks and 3 helpers", got)
+	}
+	wantErr := "vtime: deadlock at t=2: 1 blocked processes:\n  commthread.r0.1 (id 3, blocked since t=1): " + want[0].WaitingOn
+	if err.Error() != wantErr {
+		t.Errorf("Run() = %q, want %q", err, wantErr)
 	}
 }

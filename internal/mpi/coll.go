@@ -81,30 +81,18 @@ func (rv *rendezvous) describe() string {
 		opName, tag, gen, c.id, rv.arrived, rv.need, arrived, missing)
 }
 
-// Alltoallv is the exchange of the FFT kernel: every member sends send[j]
+// Exchange is the Alltoallv of the FFT kernel: every member sends send[j]
 // to communicator rank j and receives recv[j] from j. bytes is the volume
 // this rank sends, as the caller's model states it; every member is charged
 // the largest volume of any member, the bulk-synchronous behaviour of an
-// on-node Alltoall.
+// on-node Alltoall. It reports whether the call is done, with the received
+// chunks (see Ctx).
 //
 // send may be nil: the call then synchronizes and charges exactly what it
 // would with a payload, moves nothing and returns nil. A non-nil send must
 // hold one chunk per member and exactly bytes of data, or the call panics.
 // The returned chunks alias the senders' buffers; receivers must not mutate
 // them (the kernel copies into its own layout).
-//
-// Alltoallv blocks the calling goroutine process; a callback process calls
-// Ctx.Exchange.
-func Alltoallv(ctx *Ctx, c *Comm, tag int, send [][]complex128, bytes float64) [][]complex128 {
-	recv, done := ctx.Exchange(c, tag, send, bytes)
-	if !done {
-		panic(fmt.Sprintf("mpi: %s blocks, and process %q is a callback process: it calls Ctx.Exchange", opName, ctx.Proc.Name()))
-	}
-	return recv
-}
-
-// Exchange is Alltoallv in steps, on either kind of process: it reports
-// whether the call is done, with the received chunks (see Ctx).
 //
 // The steps are the rendezvous: every member of c arrives with its send
 // chunks and volume, and the last arriver prices the transfer from the
@@ -138,9 +126,7 @@ func (ctx *Ctx) Exchange(c *Comm, tag int, send [][]complex128, bytes float64) (
 		ctx.at, ctx.syncEnd = moving, p.Now()
 		if t := ctx.rv.transfer; t > 0 {
 			p.Sleep(t)
-			if p.Suspended() {
-				return nil, false
-			}
+			return nil, false
 		}
 	}
 	return ctx.leave(ep), true

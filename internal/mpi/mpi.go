@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing library executing inside the
 // vtime discrete-event simulator. It provides the MPI surface the FFTXlib
 // kernel posts and nothing more: communicators over explicit rank lists and
-// one collective, Alltoallv (blocking, or posted asynchronously through a
-// communication thread with IAlltoallv), priced by the KNL node model.
+// one collective, Alltoallv (Ctx.Exchange, or posted asynchronously through
+// a communication thread with IAlltoallv), priced by the KNL node model.
 //
 // Every Alltoallv call states the byte volume its rank sends, as the
 // caller's stage graph models it, and that volume is what the node model
@@ -100,14 +100,12 @@ func (w *World) Lane(rank, thread int) int { return rank*w.ThreadsPerRank + thre
 // Ctx identifies a calling thread: the simulated process, its MPI rank and
 // its hardware lane. All MPI operations take a Ctx.
 //
-// Compute and Exchange run on either kind of vtime process. On a goroutine
-// process they return when they are done. On a callback process a call
-// that suspends the process returns false; the process returns from its
-// turn and, when it next runs, calls the operation again — Compute with the
-// same arguments, Exchange with any: only the call that starts an exchange
-// reads them — which goes on from where it stopped, until it returns true.
-// The Ctx keeps the state of the one operation in flight; Busy reports
-// whether there is one.
+// A call of Compute or Exchange that suspends the process returns false;
+// the process returns from its turn and, when it next runs, calls the
+// operation again — Compute with the same arguments, Exchange with any:
+// only the call that starts an exchange reads them — which goes on from
+// where it stopped, until it returns true. The Ctx keeps the state of the
+// one operation in flight; Busy reports whether there is one.
 type Ctx struct {
 	_    vtime.NoCopy
 	W    *World
@@ -141,8 +139,8 @@ const (
 	moving                // holding the endpoint for the transfer
 )
 
-// Busy reports whether the context has an operation in flight: a callback
-// process that calls an operation again, to go on with it, finds it busy.
+// Busy reports whether the context has an operation in flight: a process
+// that calls an operation again, to go on with it, finds it busy.
 func (ctx *Ctx) Busy() bool { return ctx.at != idle }
 
 // goOn checks that a call going on with the operation in flight comes in a
@@ -153,18 +151,11 @@ func (ctx *Ctx) goOn(op string) {
 	}
 }
 
-// Spawn creates the goroutine process for one (rank, thread) slot and runs
-// fn on it with a ready Ctx.
-func (w *World) Spawn(rank, thread int, fn func(ctx *Ctx)) {
-	ctx := &Ctx{W: w, Rank: rank, Lane: w.Lane(rank, thread)}
-	ctx.Proc = w.Eng.Spawn(procName(rank, thread), func(*vtime.Proc) { fn(ctx) })
-}
-
-// SpawnCallback creates the callback process for one (rank, thread) slot,
-// resumed through r, and sets ctx up as its context.
-func (w *World) SpawnCallback(ctx *Ctx, rank, thread int, r vtime.Resumer) {
+// Spawn creates the process for one (rank, thread) slot, resumed through
+// r, and sets ctx up as its context.
+func (w *World) Spawn(ctx *Ctx, rank, thread int, r vtime.Resumer) {
 	ctx.W, ctx.Rank, ctx.Lane = w, rank, w.Lane(rank, thread)
-	ctx.Proc = w.Eng.SpawnCallback(procName(rank, thread), r)
+	ctx.Proc = w.Eng.Spawn(procName(rank, thread), r)
 }
 
 // procName names the process of a (rank, thread) slot.

@@ -12,9 +12,50 @@ import (
 	"repro/internal/vtime"
 )
 
-// runWorld spawns size single-threaded ranks running fn and drives the
-// simulation to completion.
-func runWorld(t *testing.T, size int, fn func(ctx *Ctx)) (*World, *trace.Trace) {
+// action is one step of a test rank's program. It suspends the process at
+// most once, as its last move, and reports whether it is done: an action
+// that is not is called again when the process next runs.
+type action func(ctx *Ctx) bool
+
+// spawn spawns the process of slot (rank, thread) of w, running steps in
+// order.
+func spawn(w *World, rank, thread int, steps ...action) {
+	ctx, next := new(Ctx), 0
+	w.Spawn(ctx, rank, thread, vtime.ResumeFunc(func(*vtime.Proc) {
+		for next < len(steps) && !ctx.Proc.Suspended() {
+			if steps[next](ctx) {
+				next++
+			}
+		}
+	}))
+}
+
+// do is an action that runs f.
+func do(f func(ctx *Ctx)) action { return func(ctx *Ctx) bool { f(ctx); return true } }
+
+// sleep is an action that sleeps for d.
+func sleep(d vtime.Time) action { return do(func(ctx *Ctx) { ctx.Proc.Sleep(d) }) }
+
+// compute is an action that runs a compute phase.
+func compute(phase string, class knl.Class, instr float64) action {
+	return func(ctx *Ctx) bool { return ctx.Compute(phase, class, instr) }
+}
+
+// exchange is an action that runs an Alltoallv over the world communicator
+// and, if recv is set, stores the chunks it receives there.
+func exchange(tag int, send [][]complex128, bytes float64, recv *[][]complex128) action {
+	return func(ctx *Ctx) bool {
+		got, ok := ctx.Exchange(ctx.W.CommWorld(), tag, send, bytes)
+		if ok && recv != nil {
+			*recv = got
+		}
+		return ok
+	}
+}
+
+// runWorld spawns size single-threaded ranks, each running the steps
+// program returns for it, and drives the simulation to completion.
+func runWorld(t *testing.T, size int, program func(rank int) []action) (*World, *trace.Trace) {
 	t.Helper()
 	p := knl.DefaultParams()
 	node := knl.NewNode(p, size)
@@ -22,7 +63,7 @@ func runWorld(t *testing.T, size int, fn func(ctx *Ctx)) (*World, *trace.Trace) 
 	tr := trace.New(size, p.Freq)
 	w := NewWorld(eng, node, tr, size, 1)
 	for r := 0; r < size; r++ {
-		w.Spawn(r, 0, fn)
+		spawn(w, r, 0, program(r)...)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -43,10 +84,12 @@ func vol(send [][]complex128) float64 {
 // no rank leaves it before the last one arrives.
 func TestBarrierSynchronizes(t *testing.T) {
 	ends := make([]float64, 8)
-	runWorld(t, 8, func(ctx *Ctx) {
-		ctx.Proc.Sleep(float64(ctx.Rank)) // staggered arrivals
-		Alltoallv(ctx, ctx.W.CommWorld(), 0, nil, 0)
-		ends[ctx.Rank] = ctx.Proc.Now()
+	runWorld(t, 8, func(rank int) []action {
+		return []action{
+			sleep(float64(rank)), // staggered arrivals
+			exchange(0, nil, 0, nil),
+			do(func(ctx *Ctx) { ends[rank] = ctx.Proc.Now() }),
+		}
 	})
 	for r, e := range ends {
 		if e < 7 {
@@ -61,12 +104,12 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestAlltoallvDataMovement(t *testing.T) {
 	const n = 5
 	got := make([][][]complex128, n)
-	runWorld(t, n, func(ctx *Ctx) {
+	runWorld(t, n, func(rank int) []action {
 		send := make([][]complex128, n)
 		for j := 0; j < n; j++ {
-			send[j] = []complex128{complex(float64(ctx.Rank*100+j), 0)}
+			send[j] = []complex128{complex(float64(rank*100+j), 0)}
 		}
-		got[ctx.Rank] = Alltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send))
+		return []action{exchange(0, send, vol(send), &got[rank])}
 	})
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -81,15 +124,15 @@ func TestAlltoallvDataMovement(t *testing.T) {
 func TestAlltoallvUnevenCounts(t *testing.T) {
 	const n = 3
 	got := make([][][]complex128, n)
-	runWorld(t, n, func(ctx *Ctx) {
+	runWorld(t, n, func(rank int) []action {
 		send := make([][]complex128, n)
 		for j := 0; j < n; j++ {
 			// rank i sends i+1 copies of value i*10+j to rank j
-			for k := 0; k <= ctx.Rank; k++ {
-				send[j] = append(send[j], complex(float64(ctx.Rank*10+j), 0))
+			for k := 0; k <= rank; k++ {
+				send[j] = append(send[j], complex(float64(rank*10+j), 0))
 			}
 		}
-		got[ctx.Rank] = Alltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send))
+		return []action{exchange(0, send, vol(send), &got[rank])}
 	})
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -113,17 +156,14 @@ func TestConcurrentTaggedCollectives(t *testing.T) {
 	results := make([][][]complex128, 4)
 	for r := 0; r < 2; r++ {
 		for th := 0; th < 2; th++ {
-			r, th := r, th
-			w.Spawn(r, th, func(ctx *Ctx) {
-				c := ctx.W.CommWorld()
-				if th == 1 {
-					ctx.Proc.Sleep(0.5) // desynchronize the two threads
-				}
-				tag := 100 + th
-				v := complex(float64(ctx.Rank*10+tag), 0)
-				send := [][]complex128{{v}, {v}}
-				results[ctx.Lane] = Alltoallv(ctx, c, tag, send, vol(send))
-			})
+			tag := 100 + th
+			v := complex(float64(r*10+tag), 0)
+			send := [][]complex128{{v}, {v}}
+			steps := []action{exchange(tag, send, vol(send), &results[w.Lane(r, th)])}
+			if th == 1 {
+				steps = append([]action{sleep(0.5)}, steps...) // desynchronize the two threads
+			}
+			spawn(w, r, th, steps...)
 		}
 	}
 	if err := eng.Run(); err != nil {
@@ -141,10 +181,9 @@ func TestConcurrentTaggedCollectives(t *testing.T) {
 }
 
 func TestTraceRecordsSyncAndTransfer(t *testing.T) {
-	_, tr := runWorld(t, 4, func(ctx *Ctx) {
-		ctx.Proc.Sleep(float64(ctx.Rank))
+	_, tr := runWorld(t, 4, func(rank int) []action {
 		send := [][]complex128{make([]complex128, 1000), make([]complex128, 1000), make([]complex128, 1000), make([]complex128, 1000)}
-		Alltoallv(ctx, ctx.W.CommWorld(), 0, send, vol(send))
+		return []action{sleep(float64(rank)), exchange(0, send, vol(send), nil)}
 	})
 	sync := tr.TimeByKind(trace.KindMPISync)
 	xfer := tr.TimeByKind(trace.KindMPITransfer)
@@ -160,8 +199,8 @@ func TestTraceRecordsSyncAndTransfer(t *testing.T) {
 }
 
 func TestComputeRecordsTrace(t *testing.T) {
-	_, tr := runWorld(t, 2, func(ctx *Ctx) {
-		ctx.Compute("fft-z", knl.ClassStream, 1e6)
+	_, tr := runWorld(t, 2, func(int) []action {
+		return []action{compute("fft-z", knl.ClassStream, 1e6)}
 	})
 	if got := tr.TotalInstr(); math.Abs(got-2e6) > 1 {
 		t.Fatalf("total instr %v, want 2e6", got)
@@ -177,12 +216,12 @@ func TestSequentialCollectivesSameTag(t *testing.T) {
 	// Repeated exchanges with the same tag must match generation by
 	// generation even when ranks race ahead.
 	counts := make([]int, 3)
-	runWorld(t, 3, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
+	runWorld(t, 3, func(rank int) []action {
+		var steps []action
 		for i := 0; i < 10; i++ {
-			Alltoallv(ctx, c, 0, nil, 0)
-			counts[ctx.Rank]++
+			steps = append(steps, exchange(0, nil, 0, nil), do(func(*Ctx) { counts[rank]++ }))
 		}
+		return steps
 	})
 	for r, n := range counts {
 		if n != 10 {
@@ -207,37 +246,34 @@ func TestCollectiveCost(t *testing.T) {
 }
 
 // unevenExchange runs one exchange of uneven per-rank volumes over four
-// staggered ranks, with or without its payload, blocking or posted, and
+// staggered ranks, with or without its payload, in place or posted, and
 // returns each rank's completion time and the trace.
 func unevenExchange(t *testing.T, payload, posted bool) ([]float64, []trace.Interval) {
 	const n = 4
 	ends := make([]float64, n)
-	_, tr := runWorld(t, n, func(ctx *Ctx) {
-		c := ctx.W.CommWorld()
-		ctx.Proc.Sleep(1e-4 * float64(ctx.Rank))
+	_, tr := runWorld(t, n, func(rank int) []action {
 		send := make([][]complex128, n)
 		for j := range send {
-			send[j] = make([]complex128, 1000*(ctx.Rank+1)+j)
+			send[j] = make([]complex128, 1000*(rank+1)+j)
 		}
 		bytes := vol(send)
 		if !payload {
 			send = nil
 		}
-		check := func(recv [][]complex128) {
+		done := func(p *vtime.Proc, recv [][]complex128) {
 			if (recv != nil) != payload {
-				t.Errorf("rank %d: payload %v, received %d chunks", ctx.Rank, payload, len(recv))
+				t.Errorf("rank %d: payload %v, received %d chunks", rank, payload, len(recv))
 			}
+			ends[rank] = p.Now()
 		}
 		if !posted {
-			check(Alltoallv(ctx, c, 0, send, bytes))
-			ends[ctx.Rank] = ctx.Proc.Now()
-			return
+			var recv [][]complex128
+			return []action{sleep(1e-4 * float64(rank)), exchange(0, send, bytes, &recv),
+				do(func(ctx *Ctx) { done(ctx.Proc, recv) })}
 		}
-		IAlltoallv(ctx, c, 0, send, bytes, DoneFunc(func(p *vtime.Proc, recv [][]complex128) {
-			check(recv)
-			ends[ctx.Rank] = p.Now()
-		}))
-		ctx.Compute("work", knl.ClassVector, 1e9)
+		return []action{sleep(1e-4 * float64(rank)), do(func(ctx *Ctx) {
+			IAlltoallv(ctx, ctx.W.CommWorld(), 0, send, bytes, DoneFunc(done))
+		}), compute("work", knl.ClassVector, 1e9)}
 	})
 	for r, e := range ends {
 		if !(e > 0) {
@@ -269,12 +305,10 @@ func TestPropertyAlltoallvTranspose(t *testing.T) {
 		eng := vtime.NewEngine(node)
 		w := NewWorld(eng, node, nil, n, 1)
 		for r := 0; r < n; r++ {
-			w.Spawn(r, 0, func(ctx *Ctx) {
-				c := ctx.W.CommWorld()
-				recv := Alltoallv(ctx, c, 0, payload[ctx.Rank], vol(payload[ctx.Rank]))
+			var recv [][]complex128
+			spawn(w, r, 0, exchange(0, payload[r], vol(payload[r]), &recv),
 				// Send everything back where it came from.
-				roundtrip[ctx.Rank] = Alltoallv(ctx, c, 1, recv, vol(recv))
-			})
+				func(ctx *Ctx) bool { return exchange(1, recv, vol(recv), &roundtrip[r])(ctx) })
 		}
 		if err := eng.Run(); err != nil {
 			return false

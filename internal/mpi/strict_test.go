@@ -34,61 +34,29 @@ func mustContain(t *testing.T, msg string, subs ...string) {
 // ends with a structured per-rank dump naming each blocked rank, the tag it
 // used and which ranks its rendezvous is still missing.
 func TestMismatchedTagDeadlockReport(t *testing.T) {
-	errs := map[bool]string{}
-	for _, callback := range []bool{false, true} {
-		eng, w := strictWorld(2, 1)
-		for r, tag := range []int{1, 2} {
-			if callback {
-				// The exchange in steps: the rank's one turn starts it, and
-				// the rendezvous never lets it resume.
-				ctx := new(Ctx)
-				w.SpawnCallback(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) {
-					ctx.Exchange(ctx.W.CommWorld(), tag, nil, 0)
-				}))
-				continue
-			}
-			w.Spawn(r, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), tag, nil, 0) })
-		}
-		err := eng.Run()
-		var de *vtime.DeadlockError
-		if !errors.As(err, &de) {
-			t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
-		}
-		if len(de.Blocked) != 2 {
-			t.Fatalf("blocked %d processes, want 2:\n%v", len(de.Blocked), err)
-		}
-		for _, b := range de.Blocked {
-			if !strings.Contains(b.WaitingOn, "arrived 1/2") {
-				t.Errorf("rank dump %q does not report arrival count", b.WaitingOn)
-			}
-		}
-		mustContain(t, err.Error(),
-			"rank0.t0", "rank1.t0",
-			"Alltoallv tag 1", "Alltoallv tag 2",
-			"missing ranks")
-		errs[callback] = err.Error()
-	}
-	if errs[false] != errs[true] {
-		t.Errorf("callback ranks: %q\ngoroutine ranks: %q", errs[true], errs[false])
-	}
-}
-
-// TestBlockingAlltoallvOnCallbackIsError: the blocking Alltoallv cannot
-// return on a callback process, whose exchange has to go on in later
-// turns; the run ends with an error that names the process and Exchange.
-func TestBlockingAlltoallvOnCallbackIsError(t *testing.T) {
 	eng, w := strictWorld(2, 1)
-	for r := 0; r < 2; r++ {
-		ctx := new(Ctx)
-		w.SpawnCallback(ctx, r, 0, vtime.ResumeFunc(func(*vtime.Proc) {
-			Alltoallv(ctx, ctx.W.CommWorld(), 0, nil, 0)
-		}))
+	for r, tag := range []int{1, 2} {
+		spawn(w, r, 0, exchange(tag, nil, 0, nil))
 	}
 	err := eng.Run()
-	if err == nil {
-		t.Fatal("Run() = nil, want an error")
+	var de *vtime.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run() = %v, want *vtime.DeadlockError", err)
 	}
-	mustContain(t, err.Error(), `process "rank0.t0" is a callback process`, "Ctx.Exchange")
+	if len(de.Blocked) != 2 {
+		t.Fatalf("blocked %d processes, want 2:\n%v", len(de.Blocked), err)
+	}
+	for _, b := range de.Blocked {
+		if !strings.Contains(b.WaitingOn, "arrived 1/2") {
+			t.Errorf("rank dump %q does not report arrival count", b.WaitingOn)
+		}
+	}
+	want := "vtime: deadlock at t=0: 2 blocked processes:\n" +
+		"  rank0.t0 (id 0, blocked since t=0): mpi: Alltoallv tag 1 (call #0) on comm world: arrived 1/2, ranks [0]; missing ranks [1]\n" +
+		"  rank1.t0 (id 1, blocked since t=0): mpi: Alltoallv tag 2 (call #0) on comm world: arrived 1/2, ranks [1]; missing ranks [0]"
+	if err.Error() != want {
+		t.Errorf("Run() = %q, want %q", err, want)
+	}
 }
 
 // TestSkippedAlltoallvDeadlockReport: a rank that never reaches the
@@ -97,13 +65,9 @@ func TestBlockingAlltoallvOnCallbackIsError(t *testing.T) {
 // naming the rank that is missing.
 func TestSkippedAlltoallvDeadlockReport(t *testing.T) {
 	eng, w := strictWorld(3, 1)
-	for r := 0; r < 3; r++ {
-		w.Spawn(r, 0, func(ctx *Ctx) {
-			if ctx.Rank != 2 {
-				Alltoallv(ctx, ctx.W.CommWorld(), 7, nil, 0)
-			}
-		})
-	}
+	spawn(w, 0, 0, exchange(7, nil, 0, nil))
+	spawn(w, 1, 0, exchange(7, nil, 0, nil))
+	spawn(w, 2, 0)
 	err := eng.Run()
 	var de *vtime.DeadlockError
 	if !errors.As(err, &de) {
@@ -123,9 +87,7 @@ func TestSkippedAlltoallvDeadlockReport(t *testing.T) {
 func TestAlltoallvChunkCountPanic(t *testing.T) {
 	eng, w := strictWorld(2, 1)
 	for r := 0; r < 2; r++ {
-		w.Spawn(r, 0, func(ctx *Ctx) {
-			Alltoallv(ctx, ctx.W.CommWorld(), 3, make([][]complex128, 1), 0)
-		})
+		spawn(w, r, 0, exchange(3, make([][]complex128, 1), 0, nil))
 	}
 	err := eng.Run()
 	if err == nil {
@@ -142,10 +104,7 @@ func TestAlltoallvVolumeMismatchPanic(t *testing.T) {
 	eng, w := strictWorld(2, 1)
 	w.Strict = false
 	for r := 0; r < 2; r++ {
-		w.Spawn(r, 0, func(ctx *Ctx) {
-			send := [][]complex128{make([]complex128, 1), make([]complex128, 1)}
-			Alltoallv(ctx, ctx.W.CommWorld(), 4, send, 16)
-		})
+		spawn(w, r, 0, exchange(4, [][]complex128{make([]complex128, 1), make([]complex128, 1)}, 16, nil))
 	}
 	err := eng.Run()
 	if err == nil {
@@ -159,15 +118,9 @@ func TestAlltoallvVolumeMismatchPanic(t *testing.T) {
 // strict mode turns that into an immediate diagnostic.
 func TestStrictConcurrentTagReuse(t *testing.T) {
 	eng, w := strictWorld(2, 2)
-	w.Spawn(0, 0, func(ctx *Ctx) { Alltoallv(ctx, ctx.W.CommWorld(), 5, nil, 0) })
-	w.Spawn(0, 1, func(ctx *Ctx) {
-		ctx.Proc.Sleep(1e-3) // let thread 0 post first
-		Alltoallv(ctx, ctx.W.CommWorld(), 5, nil, 0)
-	})
-	w.Spawn(1, 0, func(ctx *Ctx) {
-		ctx.Proc.Sleep(1) // arrives after the violation is detected
-		Alltoallv(ctx, ctx.W.CommWorld(), 5, nil, 0)
-	})
+	spawn(w, 0, 0, exchange(5, nil, 0, nil))
+	spawn(w, 0, 1, sleep(1e-3), exchange(5, nil, 0, nil)) // let thread 0 post first
+	spawn(w, 1, 0, sleep(1), exchange(5, nil, 0, nil))    // arrives after the violation is detected
 	err := eng.Run()
 	if err == nil {
 		t.Fatal("Run() = nil, want concurrent tag reuse error")
@@ -182,16 +135,12 @@ func TestStrictConcurrentTagReuse(t *testing.T) {
 func TestStrictCleanRun(t *testing.T) {
 	eng, w := strictWorld(2, 1)
 	for r := 0; r < 2; r++ {
-		w.Spawn(r, 0, func(ctx *Ctx) {
-			c := ctx.W.CommWorld()
-			Alltoallv(ctx, c, 1, nil, 0)
-			Alltoallv(ctx, c, 1, nil, 0) // sequential reuse is fine
-			send := make([][]complex128, 2)
-			for j := range send {
-				send[j] = make([]complex128, ctx.Rank+j+1) // uneven is fine
-			}
-			Alltoallv(ctx, c, 3, send, vol(send))
-		})
+		send := make([][]complex128, 2)
+		for j := range send {
+			send[j] = make([]complex128, r+j+1) // uneven is fine
+		}
+		// Sequential reuse of tag 1 is fine.
+		spawn(w, r, 0, exchange(1, nil, 0, nil), exchange(1, nil, 0, nil), exchange(3, send, vol(send), nil))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatalf("strict clean run failed: %v", err)

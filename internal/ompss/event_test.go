@@ -21,10 +21,15 @@ func runDataflow(t *testing.T, nWorkers int, body func(p *vtime.Proc, rt *Runtim
 	}
 	rt := New(eng, nil, lanes)
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
-		rt.Wait(p, body(p, rt))
-		rt.Shutdown(p)
-	})
+	var sink *Task
+	eng.Spawn("main", vtime.ResumeFunc(func(p *vtime.Proc) {
+		if sink == nil {
+			sink = body(p, rt)
+		}
+		if rt.Wait(p, sink) {
+			rt.Shutdown(p)
+		}
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +46,7 @@ func TestJoinCountsCompletions(t *testing.T) {
 	runDataflow(t, 2, func(p *vtime.Proc, rt *Runtime) *Task {
 		parts := make([]*Task, n)
 		for i := range parts {
-			parts[i] = rt.Submit(p, "part", nil, 0, func(w *Worker) {
-				w.Proc.Sleep(1)
-				finished++
-			})
+			parts[i] = rt.Submit(p, "part", nil, 0, task(sleep(1), func(w *Worker) { finished++ }))
 		}
 		join := rt.Event(p, "join", parts)
 		return rt.Submit(p, "after-join", []*Task{join}, 0, func(w *Worker) {
@@ -95,10 +97,7 @@ func TestSubmitAfterDiamond(t *testing.T) {
 	var order []string
 	runDataflow(t, 2, func(p *vtime.Proc, rt *Runtime) *Task {
 		step := func(name string, dur float64, after ...*Task) *Task {
-			return rt.Submit(p, name, after, 0, func(w *Worker) {
-				w.Proc.Sleep(dur)
-				order = append(order, name)
-			})
+			return rt.Submit(p, name, after, 0, task(sleep(dur), func(w *Worker) { order = append(order, name) }))
 		}
 		a := step("a", 1)
 		b := step("b", 1, a)
@@ -116,14 +115,13 @@ func TestSubmitAfterDiamond(t *testing.T) {
 // Shutdown needs no Taskwait first.
 func TestJoinWaiterSeesDrainedRuntime(t *testing.T) {
 	runDataflow(t, 1, func(p *vtime.Proc, rt *Runtime) *Task {
-		task := rt.Submit(p, "only", nil, 0, func(w *Worker) { w.Proc.Sleep(1) })
-		join := rt.Event(p, "join", []*Task{task})
-		p.Engine().Spawn("observer", func(op *vtime.Proc) {
-			rt.Wait(op, join)
-			if rt.pending != 0 {
+		only := rt.Submit(p, "only", nil, 0, task(sleep(1)))
+		join := rt.Event(p, "join", []*Task{only})
+		p.Engine().Spawn("observer", vtime.ResumeFunc(func(op *vtime.Proc) {
+			if rt.Wait(op, join) && rt.pending != 0 {
 				t.Errorf("join waiter sees pending=%d, want 0", rt.pending)
 			}
-		})
+		}))
 		return join
 	})
 }
@@ -145,14 +143,17 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 		}()
 		rt.Complete(p, ev)
 	}
-	eng.Spawn("main", func(p *vtime.Proc) {
-		task := rt.Submit(p, "task", nil, 0, func(w *Worker) {})
-		join := rt.Event(p, "join", []*Task{task})
-		complete(p, join)
-		rt.Wait(p, join)
-		complete(p, join)
-		rt.Shutdown(p)
-	})
+	var join *Task
+	eng.Spawn("main", vtime.ResumeFunc(func(p *vtime.Proc) {
+		if join == nil {
+			join = rt.Event(p, "join", []*Task{rt.Submit(p, "task", nil, 0, func(w *Worker) {})})
+			complete(p, join)
+		}
+		if rt.Wait(p, join) {
+			complete(p, join)
+			rt.Shutdown(p)
+		}
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,7 @@ func TestTaskwaitSecAccounting(t *testing.T) {
 	eng := vtime.NewEngine(node)
 	rt := New(eng, nil, []int{0})
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
-		rt.Submit(p, "slow", nil, 0, func(w *Worker) { w.Proc.Sleep(3) })
-		rt.Taskwait(p)
-		rt.Shutdown(p)
-	})
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) { rt.Submit(p, "slow", nil, 0, task(sleep(3))) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

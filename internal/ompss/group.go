@@ -61,20 +61,13 @@ func (rt *Runtime) TaskLoopInGroup(p *vtime.Proc, g *Group, n Name, count, grain
 // make progress even when every worker thread is a waiting parent. Only
 // group members are executed inline: picking up arbitrary ready tasks could
 // block the waiting worker inside an unrelated MPI call and deadlock the
-// rank. It reports whether the group is done: on a callback worker a wait
-// is a state of the worker, so Wait books it and returns false, and the
-// body returns and is called again once the group is done; a goroutine
-// worker runs the wait on the spot and gets true.
+// rank. It reports whether the group is done: a wait is a state of the
+// worker, so Wait books it and returns false, and the body returns and is
+// called again once the group is done.
 func (g *Group) Wait(w *Worker) bool {
 	if g.pending == 0 {
 		return true
 	}
 	w.frames = append(w.frames, frame{group: g})
-	if w.Proc.Callback() {
-		return false
-	}
-	outer := w.task
-	w.run(len(w.frames))
-	w.task = outer
-	return true
+	return false
 }

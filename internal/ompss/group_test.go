@@ -10,16 +10,13 @@ import (
 func TestGroupWaitBlocksUntilChildrenDone(t *testing.T) {
 	var parentEnd float64
 	runTasks(t, 3, func(p *vtime.Proc, rt *Runtime) {
-		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
+		rt.Submit(p, "parent", nil, 0, task(func(w *Worker) {
 			g := rt.NewGroup()
 			for i := 0; i < 4; i++ {
-				rt.SubmitInGroup(w.Proc, g, "child", nil, 0, func(w2 *Worker) {
-					w2.Proc.Sleep(1)
-				})
+				rt.SubmitInGroup(w.Proc, g, "child", nil, 0, task(sleep(1)))
 			}
 			g.Wait(w)
-			parentEnd = w.Proc.Now()
-		})
+		}, func(w *Worker) { parentEnd = w.Proc.Now() }))
 	})
 	// 4 children of 1s on 3 workers (parent helps): 2 rounds.
 	if parentEnd < 1 || parentEnd > 2.5 {
@@ -32,7 +29,7 @@ func TestGroupWaitExecutesTasksInline(t *testing.T) {
 	// can only run if Wait executes them inline.
 	var done int
 	runTasks(t, 1, func(p *vtime.Proc, rt *Runtime) {
-		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
+		rt.Submit(p, "parent", nil, 0, task(func(w *Worker) {
 			g := rt.NewGroup()
 			for i := 0; i < 3; i++ {
 				rt.SubmitInGroup(w.Proc, g, "child", nil, 0, func(w2 *Worker) {
@@ -40,7 +37,7 @@ func TestGroupWaitExecutesTasksInline(t *testing.T) {
 				})
 			}
 			g.Wait(w)
-		})
+		}))
 	})
 	if done != 3 {
 		t.Fatalf("children executed: %d", done)
@@ -50,7 +47,7 @@ func TestGroupWaitExecutesTasksInline(t *testing.T) {
 func TestTaskLoopInGroupCoversRange(t *testing.T) {
 	covered := make([]bool, 17)
 	runTasks(t, 2, func(p *vtime.Proc, rt *Runtime) {
-		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
+		rt.Submit(p, "parent", nil, 0, task(func(w *Worker) {
 			g := rt.NewGroup()
 			rt.TaskLoopInGroup(w.Proc, g, Name{Text: "loop.it"}, 17, 4, func(w2 *Worker, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -58,12 +55,13 @@ func TestTaskLoopInGroupCoversRange(t *testing.T) {
 				}
 			})
 			g.Wait(w)
+		}, func(w *Worker) {
 			for i, c := range covered {
 				if !c {
 					t.Errorf("index %d not covered before Wait returned", i)
 				}
 			}
-		})
+		}))
 	})
 }
 
@@ -75,19 +73,16 @@ func TestNestedGroupsParallelizeCompute(t *testing.T) {
 	eng := vtime.NewEngine(node)
 	rt := New(eng, nil, []int{0, 1, 2, 3})
 	rt.Overhead = 0
-	var elapsed float64
-	eng.Spawn("main", func(p *vtime.Proc) {
-		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
-			start := w.Proc.Now()
+	var start, elapsed float64
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) {
+		rt.Submit(p, "parent", nil, 0, task(func(w *Worker) {
+			start = w.Proc.Now()
 			g := rt.NewGroup()
 			rt.TaskLoopInGroup(w.Proc, g, Name{Text: "chunks.it"}, 8, 2, func(w2 *Worker, lo, hi int) {
 				w2.Compute("c", knl.ClassVector, 1e6*float64(hi-lo))
 			})
 			g.Wait(w)
-			elapsed = w.Proc.Now() - start
-		})
-		rt.Taskwait(p)
-		rt.Shutdown(p)
+		}, func(w *Worker) { elapsed = w.Proc.Now() - start }))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -110,10 +105,7 @@ func TestPromiseGatesDependentTask(t *testing.T) {
 			taskStart = w.Proc.Now()
 		})
 		// An unrelated process completes the event at t=3.
-		p.Engine().Spawn("fulfiller", func(fp *vtime.Proc) {
-			fp.Sleep(3)
-			rt.Complete(fp, pr)
-		})
+		p.Engine().Spawn("fulfiller", script(func(fp *vtime.Proc) { fp.Sleep(3) }, func(fp *vtime.Proc) { rt.Complete(fp, pr) }))
 	})
 	if taskStart < 3 {
 		t.Fatalf("consumer started at %v before the event completed at 3", taskStart)
@@ -129,7 +121,7 @@ func TestPromiseDoubleFulfillPanics(t *testing.T) {
 	rt := New(eng, nil, []int{0})
 	rt.Overhead = 0
 	panics := 0
-	eng.Spawn("main", func(p *vtime.Proc) {
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) {
 		pr := rt.Event(p, "x", nil)
 		rt.Complete(p, pr)
 		task := rt.Submit(p, "task", nil, 0, func(w *Worker) {})
@@ -143,8 +135,6 @@ func TestPromiseDoubleFulfillPanics(t *testing.T) {
 				rt.Complete(p, n)
 			}()
 		}
-		rt.Taskwait(p)
-		rt.Shutdown(p)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -162,15 +152,9 @@ func TestTaskwaitIncludesPromises(t *testing.T) {
 	eng := vtime.NewEngine(node)
 	rt := New(eng, nil, []int{0})
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
+	spawnMain(eng, rt, func(p *vtime.Proc) { waited = p.Now() }, func(p *vtime.Proc) {
 		pr := rt.Event(p, "comm", nil)
-		p.Engine().Spawn("fulfiller", func(fp *vtime.Proc) {
-			fp.Sleep(5)
-			rt.Complete(fp, pr)
-		})
-		rt.Taskwait(p)
-		waited = p.Now()
-		rt.Shutdown(p)
+		p.Engine().Spawn("fulfiller", script(func(fp *vtime.Proc) { fp.Sleep(5) }, func(fp *vtime.Proc) { rt.Complete(fp, pr) }))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -193,30 +177,28 @@ func TestGroupWaitDoesNotStealUnrelatedTasks(t *testing.T) {
 	eng := vtime.NewEngine(node)
 	rt := New(eng, nil, []int{0})
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
-		rt.Submit(p, "parent", nil, 0, func(w *Worker) {
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) {
+		rt.Submit(p, "parent", nil, 0, task(func(w *Worker) {
 			g := rt.NewGroup()
 			// An unrelated "poison" task that would block forever.
-			rt.Submit(w.Proc, "poison", nil, 10, func(w2 *Worker) {
-				gate.Wait(w2.Proc)
-			})
+			rt.Submit(w.Proc, "poison", nil, 10, task(func(w2 *Worker) { gate.Wait(w2.Proc) }))
 			rt.SubmitInGroup(w.Proc, g, "child", nil, 0, func(w2 *Worker) {})
 			g.Wait(w)
+		}, func(w *Worker) {
 			waitReturned = true
 			// Unblock the poison task so the run can finish.
 			rt.Submit(w.Proc, "release", nil, 0, func(w2 *Worker) {})
-		})
-		rt.Taskwait(p)
-		rt.Shutdown(p)
+		}))
 	})
 	// The poison task still blocks at the end; release it from a second
 	// process once the parent observed completion.
-	eng.Spawn("releaser", func(p *vtime.Proc) {
-		for !waitReturned {
+	eng.Spawn("releaser", vtime.ResumeFunc(func(p *vtime.Proc) {
+		if !waitReturned {
 			p.Sleep(0.1)
+			return
 		}
 		gate.WakeAll(p)
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

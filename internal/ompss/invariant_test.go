@@ -56,7 +56,7 @@ func TestStrictTaskwaitPanicsOnCycle(t *testing.T) {
 	rt.Strict = true
 	cyclicRuntime(rt)
 	rt.pending = 2
-	eng.Spawn("main", func(p *vtime.Proc) { rt.Taskwait(p) })
+	eng.Spawn("main", script(func(p *vtime.Proc) { rt.Taskwait(p) }))
 	err := eng.Run()
 	if err == nil {
 		t.Fatal("Run() = nil, want cycle error")
@@ -74,7 +74,7 @@ func TestTaskwaitDeadlockNamesPendingTasks(t *testing.T) {
 	stuck := &Task{label: "stuck", npred: 1}
 	rt.tasks = append(rt.tasks, stuck)
 	rt.pending = 1
-	eng.Spawn("main", func(p *vtime.Proc) { rt.Taskwait(p) })
+	eng.Spawn("main", script(func(p *vtime.Proc) { rt.Taskwait(p) }))
 	err := eng.Run()
 	var de *vtime.DeadlockError
 	if !errors.As(err, &de) {
@@ -88,50 +88,31 @@ func TestTaskwaitDeadlockNamesPendingTasks(t *testing.T) {
 // TestWaitFromWorkerIsError: a task body that parks its own worker in
 // Taskwait or Wait holds the lane the awaited work may need (here: its own
 // task). Both become a structured Run error naming the worker, not a
-// deadlock — with the same text when the worker and the main process are
-// callback processes.
+// deadlock.
 func TestWaitFromWorkerIsError(t *testing.T) {
 	for _, op := range []string{"Taskwait", "Wait"} {
 		t.Run(op, func(t *testing.T) {
-			errs := map[bool]string{}
-			for _, callback := range []bool{false, true} {
-				eng := vtime.NewEngine(nil)
-				newRT := New
-				if callback {
-					newRT = NewCallback
+			eng := vtime.NewEngine(nil)
+			rt := New(eng, nil, []int{0})
+			var never *Task
+			eng.Spawn("main", vtime.ResumeFunc(func(p *vtime.Proc) {
+				if never == nil {
+					never = rt.Event(p, "never", nil)
+					rt.Submit(p, "waiter", nil, 0, func(w *Worker) {
+						if op == "Taskwait" {
+							rt.Taskwait(w.Proc)
+						} else {
+							rt.Wait(w.Proc, never)
+						}
+					})
 				}
-				rt := newRT(eng, nil, []int{0})
-				var never *Task
-				main := func(p *vtime.Proc) {
-					if never == nil {
-						never = rt.Event(p, "never", nil)
-						rt.Submit(p, "waiter", nil, 0, func(w *Worker) {
-							if op == "Taskwait" {
-								rt.Taskwait(w.Proc)
-							} else {
-								rt.Wait(w.Proc, never)
-							}
-						})
-					}
-					rt.Wait(p, never)
-				}
-				if callback {
-					eng.SpawnCallback("main", vtime.ResumeFunc(main))
-				} else {
-					eng.Spawn("main", main)
-				}
-				err := eng.Run()
-				if err == nil {
-					t.Fatal("Run() = nil, want an error")
-				}
-				want := "ompss: " + op + ` called from worker "worker0.lane0"`
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q missing %q", err, want)
-				}
-				errs[callback] = err.Error()
-			}
-			if errs[false] != errs[true] {
-				t.Errorf("callback worker: %q; goroutine worker: %q", errs[true], errs[false])
+				rt.Wait(p, never)
+			}))
+			err := eng.Run()
+			want := `vtime: process "worker0.lane0" panicked at t=3e-06: ompss: ` + op +
+				` called from worker "worker0.lane0"; a task body waits with Group.Wait or names the node as a predecessor`
+			if err == nil || err.Error() != want {
+				t.Errorf("Run() = %v, want %s", err, want)
 			}
 		})
 	}
@@ -180,7 +161,7 @@ func TestCompactTasks(t *testing.T) {
 func TestNamesRenderAsBefore(t *testing.T) {
 	eng := vtime.NewEngine(nil)
 	rt := New(eng, nil, []int{0})
-	eng.Spawn("main", func(p *vtime.Proc) {
+	eng.Spawn("main", script(func(p *vtime.Proc) {
 		gate := rt.Event(p, "gate", nil)
 		rt.SubmitNamed(p, Name{Text: "seg0.", Seq: 12, Unit: 1}, []*Task{gate}, 0, func(*Worker) {})
 		rt.EventNamed(p, Name{Text: "scatter-fw.", Seq: 7}, []*Task{gate})
@@ -188,7 +169,7 @@ func TestNamesRenderAsBefore(t *testing.T) {
 			rt.TaskLoopInGroup(w.Proc, rt.NewGroup(), Name{Text: "fft-z.it", Seq: 3}, 400, 200, func(*Worker, int, int) {})
 		})
 		rt.Taskwait(p)
-	})
+	}))
 	err := eng.Run()
 	for _, want := range []string{`"gate" (0 unmet deps)`, `"seg0.12" (1 unmet deps)`, `"scatter-fw.7" (1 unmet deps)`, `"loop" (1 unmet deps)`} {
 		if err == nil || !strings.Contains(err.Error(), want) {

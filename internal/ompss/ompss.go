@@ -31,14 +31,12 @@ import (
 // process of the worker thread and its hardware lane.
 //
 // A worker is a state machine — idle wait, runtime overhead, task bodies
-// and the group waits they book — that runs on either kind of vtime
-// process. A task body for a callback worker (NewCallback) is a state
-// machine too: it returns after any call that suspends the worker —
-// Compute returning false, or a vtime suspension (Proc.Suspended) — or
-// books a group wait (Group.Wait returning false), and the worker calls it
-// again when the suspension is over; a body that returns with neither is
-// done. A goroutine worker (New) runs such bodies as well as bodies that
-// simply block.
+// and the group waits they book — that its vtime process resumes. A task
+// body is a state machine too: it returns after any call that suspends the
+// worker — Compute returning false, or a vtime suspension
+// (Proc.Suspended) — or books a group wait (Group.Wait returning false), and
+// the worker calls it again when the suspension is over; a body that
+// returns with neither is done.
 type Worker struct {
 	Proc *vtime.Proc
 	Lane int
@@ -78,8 +76,8 @@ func (w *Worker) Running() Name {
 // Compute runs a compute phase of the given class and instruction count on
 // the worker's lane, recording a trace interval and the per-phase
 // compute-time and instruction counters (the live-IPC inputs). It reports
-// whether the phase is done: a callback worker whose job suspends it gets
-// false, and its body calls Compute again, with the same arguments, when
+// whether the phase is done: a worker whose job suspends it gets false, and
+// its body calls Compute again, with the same arguments, when
 // it next runs, which records the phase.
 func (w *Worker) Compute(phase string, class knl.Class, instr float64) bool {
 	if !w.computing {
@@ -191,21 +189,11 @@ type Runtime struct {
 	Strict bool
 }
 
-// New creates a runtime whose workers run on the given hardware lanes, as
-// goroutine processes: task bodies may block mid-body. The worker processes
-// are spawned immediately; call Shutdown (usually after a final Taskwait)
-// to let them exit. sink receives trace intervals and may be nil.
+// New creates a runtime whose workers run on the given hardware lanes; every
+// task body is a state machine (see Worker). The worker processes are
+// spawned immediately; call Shutdown (usually after a final Taskwait) to let
+// them exit. sink receives trace intervals and may be nil.
 func New(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
-	return newRuntime(eng, sink, lanes, false)
-}
-
-// NewCallback is New with workers that are callback processes: they start
-// no goroutine, and every task body must be a state machine (see Worker).
-func NewCallback(eng *vtime.Engine, sink *trace.Trace, lanes []int) *Runtime {
-	return newRuntime(eng, sink, lanes, true)
-}
-
-func newRuntime(eng *vtime.Engine, sink *trace.Trace, lanes []int, callback bool) *Runtime {
 	rt := &Runtime{
 		eng:      eng,
 		sink:     sink,
@@ -221,12 +209,7 @@ func newRuntime(eng *vtime.Engine, sink *trace.Trace, lanes []int, callback bool
 	for i, lane := range lanes {
 		w := &Worker{Lane: lane, rt: rt, idleStart: eng.Now()}
 		w.frames = w.frame0[:0]
-		name := fmt.Sprintf("worker%d.lane%d", i, lane)
-		if callback {
-			w.Proc = eng.SpawnCallback(name, w)
-		} else {
-			w.Proc = eng.Spawn(name, func(*vtime.Proc) { w.run(0) })
-		}
+		w.Proc = eng.Spawn(fmt.Sprintf("worker%d.lane%d", i, lane), w)
 		if i == 0 {
 			rt.worker0 = w.Proc.ID()
 		}
@@ -343,23 +326,20 @@ func (rt *Runtime) Complete(p *vtime.Proc, ev *Task) {
 // workers drain the graph — not a task-side one: a task body waiting on a
 // node occupies a worker that the release chain may need (name the node as
 // a predecessor instead), so a call from one of the runtime's workers
-// panics. It reports whether the node has completed: a callback process
-// that has to wait gets false and calls Wait again when it next runs; a
-// goroutine process always gets true.
+// panics. It reports whether the node has completed: a process that has to
+// wait gets false and calls Wait again when it next runs.
 func (rt *Runtime) Wait(p *vtime.Proc, t *Task) bool {
 	rt.notWorker(p, "Wait")
-	for !t.done {
-		if t.waiters == nil {
-			t.waiters = &vtime.WaitQueue{Describe: func() string {
-				return fmt.Sprintf("ompss: wait on %q (%d unmet deps)", t.name(), t.npred)
-			}}
-		}
-		t.waiters.Wait(p)
-		if p.Suspended() {
-			return false
-		}
+	if t.done {
+		return true
 	}
-	return true
+	if t.waiters == nil {
+		t.waiters = &vtime.WaitQueue{Describe: func() string {
+			return fmt.Sprintf("ompss: wait on %q (%d unmet deps)", t.name(), t.npred)
+		}}
+	}
+	t.waiters.Wait(p)
+	return false
 }
 
 // notWorker panics, inside the simulated process, when p is one of the
@@ -434,18 +414,14 @@ func (rt *Runtime) popReady() *Task {
 	return t
 }
 
-// Resume is a callback worker's turn.
-func (w *Worker) Resume(*vtime.Proc) { w.run(0) }
-
-// run drives the worker: the task bodies, the group waits they book and,
-// with no task on hand, the idle wait for a ready task and the runtime
-// overhead of claiming it. It returns once the frame stack is shallower
-// than base — a goroutine worker's Group.Wait runs it nested, until its
-// group wait is over — or, with base 0, once the runtime has shut down and
-// no task is ready; a callback worker also returns when it suspends.
-func (w *Worker) run(base int) {
+// Resume is the worker's turn: it drives the task bodies, the group waits
+// they book and, with no task on hand, the idle wait for a ready task and
+// the runtime overhead of claiming it. It returns when the worker suspends,
+// or once the runtime has shut down and no task is ready.
+func (w *Worker) Resume(*vtime.Proc) {
 	rt, p := w.rt, w.Proc
-	for n := len(w.frames); n >= base; n = len(w.frames) {
+	for {
+		n := len(w.frames)
 		if n == 0 {
 			if !w.claim() {
 				return
@@ -457,7 +433,8 @@ func (w *Worker) run(base int) {
 				w.frames = w.frames[:n-1]
 			} else if t := rt.popReadyInGroup(g); t != nil {
 				w.push(t)
-			} else if g.wq.Wait(p); p.Suspended() {
+			} else {
+				g.wq.Wait(p)
 				return
 			}
 			continue
@@ -476,17 +453,15 @@ func (w *Worker) run(base int) {
 
 // claim takes the next ready task, waiting while there is none, serves the
 // runtime overhead and pushes the task. It reports false when the worker
-// has no more work, or a callback worker has suspended.
+// has no more work, or has suspended.
 func (w *Worker) claim() bool {
 	rt, p := w.rt, w.Proc
 	if w.claimed == nil {
-		for len(rt.ready) == 0 {
-			if rt.closed {
-				return false
+		if len(rt.ready) == 0 {
+			if !rt.closed {
+				rt.readyWQ.Wait(p)
 			}
-			if rt.readyWQ.Wait(p); p.Suspended() {
-				return false
-			}
+			return false
 		}
 		t := rt.popReady()
 		if rt.sink != nil && p.Now() > w.idleStart {
@@ -497,9 +472,8 @@ func (w *Worker) claim() bool {
 			return true
 		}
 		w.claimed, w.ovStart = t, p.Now()
-		if p.Sleep(rt.Overhead); p.Suspended() {
-			return false
-		}
+		p.Sleep(rt.Overhead)
+		return false
 	}
 	if rt.sink != nil {
 		trace.Recorder{S: rt.sink, Lane: w.Lane}.Runtime(w.ovStart, p.Now())
@@ -675,8 +649,8 @@ func (rt *Runtime) CheckCycles() error {
 // its own task. In strict mode it first verifies the dependency graph is
 // acyclic, panicking with the cycle (which the vtime engine converts into a
 // structured Run error) instead of blocking forever. It reports whether the
-// wait is over: a callback process that has to wait gets false and calls
-// Taskwait again when it next runs; a goroutine process always gets true.
+// wait is over: a process that has to wait gets false and calls Taskwait
+// again when it next runs.
 func (rt *Runtime) Taskwait(p *vtime.Proc) bool {
 	i := slices.IndexFunc(rt.stalls, func(s stall) bool { return s.p == p })
 	if i < 0 {
@@ -692,10 +666,9 @@ func (rt *Runtime) Taskwait(p *vtime.Proc) bool {
 		mTaskwaitStalls.Inc()
 		rt.stalls = append(rt.stalls, stall{p, p.Now()})
 	}
-	for rt.pending > 0 {
-		if rt.waitWQ.Wait(p); p.Suspended() {
-			return false
-		}
+	if rt.pending > 0 {
+		rt.waitWQ.Wait(p)
+		return false
 	}
 	i = slices.IndexFunc(rt.stalls, func(s stall) bool { return s.p == p })
 	d := p.Now() - rt.stalls[i].start

@@ -9,6 +9,49 @@ import (
 	"repro/internal/vtime"
 )
 
+// script is a process body that runs steps in order, each of which
+// suspends the process at most once, as its last action.
+func script(steps ...func(p *vtime.Proc)) vtime.ResumeFunc {
+	next := 0
+	return func(p *vtime.Proc) {
+		for next < len(steps) && !p.Suspended() {
+			next++
+			steps[next-1](p)
+		}
+	}
+}
+
+// task is a task body that runs steps in order, each of which suspends the
+// worker or books a group wait at most once, as its last action.
+func task(steps ...func(w *Worker)) func(w *Worker) {
+	next := 0
+	return func(w *Worker) {
+		for n := len(w.frames); next < len(steps) && !w.Proc.Suspended() && len(w.frames) == n; {
+			next++
+			steps[next-1](w)
+		}
+	}
+}
+
+// sleep is a task step that sleeps for d.
+func sleep(d vtime.Time) func(w *Worker) { return func(w *Worker) { w.Proc.Sleep(d) } }
+
+// spawnMain spawns a main process that runs steps as script does, waits for
+// every task of rt with Taskwait, calls waited if it is set, and shuts rt
+// down.
+func spawnMain(eng *vtime.Engine, rt *Runtime, waited func(p *vtime.Proc), steps ...func(p *vtime.Proc)) {
+	run := script(steps...)
+	eng.Spawn("main", vtime.ResumeFunc(func(p *vtime.Proc) {
+		if run(p); p.Suspended() || !rt.Taskwait(p) {
+			return
+		}
+		if waited != nil {
+			waited(p)
+		}
+		rt.Shutdown(p)
+	}))
+}
+
 // runTasks drives a main process that submits tasks via body, taskwaits and
 // shuts down, with nWorkers workers on a small node.
 func runTasks(t *testing.T, nWorkers int, body func(p *vtime.Proc, rt *Runtime)) *trace.Trace {
@@ -23,11 +66,7 @@ func runTasks(t *testing.T, nWorkers int, body func(p *vtime.Proc, rt *Runtime))
 	}
 	rt := New(eng, tr, lanes)
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
-		body(p, rt)
-		rt.Taskwait(p)
-		rt.Shutdown(p)
-	})
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) { body(p, rt) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +77,7 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 	var ends []float64
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
 		for i := 0; i < 4; i++ {
-			rt.Submit(p, "t", nil, 0, func(w *Worker) {
-				w.Proc.Sleep(1)
-				ends = append(ends, w.Proc.Now())
-			})
+			rt.Submit(p, "t", nil, 0, task(sleep(1), func(w *Worker) { ends = append(ends, w.Proc.Now()) }))
 		}
 	})
 	for _, e := range ends {
@@ -56,10 +92,7 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 func TestFlowDependencySerializes(t *testing.T) {
 	var order []string
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
-		w1 := rt.Submit(p, "w1", nil, 0, func(w *Worker) {
-			w.Proc.Sleep(1)
-			order = append(order, "w1")
-		})
+		w1 := rt.Submit(p, "w1", nil, 0, task(sleep(1), func(w *Worker) { order = append(order, "w1") }))
 		r1 := rt.Submit(p, "r1", []*Task{w1}, 0, func(w *Worker) {
 			order = append(order, "r1")
 		})
@@ -78,14 +111,9 @@ func TestFlowDependencySerializes(t *testing.T) {
 func TestReadersRunConcurrently(t *testing.T) {
 	readerEnd := map[string]float64{}
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
-		wr := rt.Submit(p, "w", nil, 0, func(w *Worker) {
-			w.Proc.Sleep(1)
-		})
+		wr := rt.Submit(p, "w", nil, 0, task(sleep(1)))
 		for _, nm := range []string{"a", "b", "c"} {
-			rt.Submit(p, nm, []*Task{wr}, 0, func(w *Worker) {
-				w.Proc.Sleep(1)
-				readerEnd[nm] = w.Proc.Now()
-			})
+			rt.Submit(p, nm, []*Task{wr}, 0, task(sleep(1), func(w *Worker) { readerEnd[nm] = w.Proc.Now() }))
 		}
 	})
 	for nm, e := range readerEnd {
@@ -99,9 +127,7 @@ func TestAntiDependencyWaitsForReaders(t *testing.T) {
 	var w2Start float64
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
 		w1 := rt.Submit(p, "w1", nil, 0, func(w *Worker) {})
-		r := rt.Submit(p, "r", []*Task{w1}, 0, func(w *Worker) {
-			w.Proc.Sleep(2)
-		})
+		r := rt.Submit(p, "r", []*Task{w1}, 0, task(sleep(2)))
 		rt.Submit(p, "w2", []*Task{w1, r}, 0, func(w *Worker) {
 			w2Start = w.Proc.Now()
 		})
@@ -119,10 +145,7 @@ func TestIndependentChainsOverlap(t *testing.T) {
 		for c := 0; c < 2; c++ {
 			var prev *Task
 			for s := 0; s < 3; s++ {
-				prev = rt.Submit(p, "step", []*Task{prev}, 0, func(w *Worker) {
-					w.Proc.Sleep(1)
-					total = w.Proc.Now()
-				})
+				prev = rt.Submit(p, "step", []*Task{prev}, 0, task(sleep(1), func(w *Worker) { total = w.Proc.Now() }))
 			}
 		}
 	})
@@ -135,7 +158,7 @@ func TestPriorityOrdering(t *testing.T) {
 	var order []string
 	runTasks(t, 1, func(p *vtime.Proc, rt *Runtime) {
 		// Block the single worker so submissions accumulate.
-		rt.Submit(p, "gate", nil, 0, func(w *Worker) { w.Proc.Sleep(1) })
+		rt.Submit(p, "gate", nil, 0, task(sleep(1)))
 		rt.Submit(p, "low", nil, 0, func(w *Worker) { order = append(order, "low") })
 		rt.Submit(p, "high", nil, 5, func(w *Worker) { order = append(order, "high") })
 	})
@@ -151,11 +174,8 @@ func TestTaskwaitBlocksUntilDone(t *testing.T) {
 	eng := vtime.NewEngine(node)
 	rt := New(eng, nil, []int{0, 1})
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
-		rt.Submit(p, "slow", nil, 0, func(w *Worker) { w.Proc.Sleep(5) })
-		rt.Taskwait(p)
-		waitedUntil = p.Now()
-		rt.Shutdown(p)
+	spawnMain(eng, rt, func(p *vtime.Proc) { waitedUntil = p.Now() }, func(p *vtime.Proc) {
+		rt.Submit(p, "slow", nil, 0, task(sleep(5)))
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -200,12 +220,10 @@ func TestOverheadRecordedAsRuntime(t *testing.T) {
 	tr := trace.New(1, params.Freq)
 	rt := New(eng, tr, []int{0})
 	rt.Overhead = 1e-3
-	eng.Spawn("main", func(p *vtime.Proc) {
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) {
 		for i := 0; i < 3; i++ {
 			rt.Submit(p, "t", nil, 0, func(w *Worker) {})
 		}
-		rt.Taskwait(p)
-		rt.Shutdown(p)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -223,12 +241,8 @@ func TestIdleRecordedWhileStarved(t *testing.T) {
 	tr := trace.New(2, params.Freq)
 	rt := New(eng, tr, []int{0, 1})
 	rt.Overhead = 0
-	eng.Spawn("main", func(p *vtime.Proc) {
-		p.Sleep(2) // workers idle for 2s
-		rt.Submit(p, "t", nil, 0, func(w *Worker) {})
-		rt.Taskwait(p)
-		rt.Shutdown(p)
-	})
+	spawnMain(eng, rt, nil, func(p *vtime.Proc) { p.Sleep(2) }, // workers idle for 2s
+		func(p *vtime.Proc) { rt.Submit(p, "t", nil, 0, func(w *Worker) {}) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +258,7 @@ func TestSchedulingDeterministic(t *testing.T) {
 		runTasks(t, 3, func(p *vtime.Proc, rt *Runtime) {
 			for i := 0; i < 9; i++ {
 				d := float64(i%3+1) * 0.25
-				rt.Submit(p, "t", nil, 0, func(w *Worker) {
-					w.Proc.Sleep(d)
-					ends = append(ends, w.Proc.Now())
-				})
+				rt.Submit(p, "t", nil, 0, task(sleep(d), func(w *Worker) { ends = append(ends, w.Proc.Now()) }))
 			}
 		})
 		return ends
@@ -288,23 +299,22 @@ func TestPropertyRandomDAGRespectsDependencies(t *testing.T) {
 				for _, j := range preds[i] {
 					after = append(after, nodes[j])
 				}
-				body := func(w *Worker) {
+				begin := func(w *Worker) {
 					start[i] = w.Proc.Now()
 					w.Proc.Sleep(float64(1+rng.Intn(3)) * 0.125)
+				}
+				finish := func(w *Worker) {
 					ran[i]++
 					end[i] = w.Proc.Now()
 				}
 				if rng.Intn(4) > 0 {
-					nodes[i] = rt.Submit(p, "t", after, 0, body)
+					nodes[i] = rt.Submit(p, "t", after, 0, task(begin, finish))
 					continue
 				}
 				// An event standing for task i: a releaser task runs
 				// the body and completes it.
 				ev := rt.Event(p, "ev", nil)
-				rt.Submit(p, "releaser", after, 0, func(w *Worker) {
-					body(w)
-					rt.Complete(w.Proc, ev)
-				})
+				rt.Submit(p, "releaser", after, 0, task(begin, finish, func(w *Worker) { rt.Complete(w.Proc, ev) }))
 				nodes[i] = ev
 			}
 		})
@@ -331,10 +341,7 @@ func TestPropertyFullChainIsSerial(t *testing.T) {
 	runTasks(t, 4, func(p *vtime.Proc, rt *Runtime) {
 		var prev *Task
 		for i := 0; i < n; i++ {
-			prev = rt.Submit(p, "c", []*Task{prev}, 0, func(w *Worker) {
-				w.Proc.Sleep(0.5)
-				end = w.Proc.Now()
-			})
+			prev = rt.Submit(p, "c", []*Task{prev}, 0, task(sleep(0.5), func(w *Worker) { end = w.Proc.Now() }))
 		}
 	})
 	if end != n*0.5 {

@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -11,24 +10,15 @@ import (
 // kill the test binary or hang the engine; Run converts it into an error
 // naming the process.
 func TestProcPanicBecomesError(t *testing.T) {
-	errs := map[bool]string{}
-	for _, callback := range []bool{false, true} {
-		e := NewEngine(nil)
-		script(e, callback, "victim", func(p *Proc) { p.Sleep(1) }, func(p *Proc) { panic("boom") })
-		script(e, callback, "bystander", func(p *Proc) { p.Sleep(0.5) })
-		err := e.Run()
-		if err == nil {
-			t.Fatal("Run() = nil, want panic error")
-		}
-		for _, want := range []string{"victim", "panicked", "boom"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q missing %q", err, want)
-			}
-		}
-		errs[callback] = err.Error()
+	e := NewEngine(nil)
+	script(e, "victim", func(p *Proc) { p.Sleep(1) }, func(p *Proc) { panic("boom") })
+	script(e, "bystander", func(p *Proc) { p.Sleep(0.5) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run() = nil, want panic error")
 	}
-	if errs[false] != errs[true] {
-		t.Errorf("callback process: %q; goroutine process: %q", errs[true], errs[false])
+	if want := `vtime: process "victim" panicked at t=1: boom`; err.Error() != want {
+		t.Errorf("Run() = %q, want %q", err, want)
 	}
 }
 
@@ -47,13 +37,12 @@ func (strandsLaneThree) Rates(jobs []*ActiveJob) {
 
 // TestInvalidRateIsRunError: a machine that sets an invalid rate ends Run
 // with an error naming the job's lane and class — here on the removal
-// path, when the job that kept the survivor company finishes — and the run
-// leaves no goroutine behind.
+// path, when the job that kept the survivor company finishes — and every
+// process is done after the run.
 func TestInvalidRateIsRunError(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	e := NewEngine(strandsLaneThree{})
-	e.Spawn("short", func(p *Proc) { p.Compute(Job{Work: 1, Lane: 0}) })
-	e.Spawn("survivor", func(p *Proc) { p.Compute(Job{Work: 2, Class: 2, Lane: 3}) })
+	script(e, "short", func(p *Proc) { p.Compute(Job{Work: 1, Lane: 0}) })
+	script(e, "survivor", func(p *Proc) { p.Compute(Job{Work: 2, Class: 2, Lane: 3}) })
 	err := e.Run()
 	if err == nil {
 		t.Fatal("Run() = nil, want an invalid-rate error")
@@ -63,7 +52,7 @@ func TestInvalidRateIsRunError(t *testing.T) {
 			t.Errorf("error %q missing %q", err, want)
 		}
 	}
-	checkReleased(t, e, baseline)
+	checkReleased(t, e)
 }
 
 // TestBlockOnDescriptionInDump: the closure handed to BlockOn supplies the
@@ -71,8 +60,7 @@ func TestInvalidRateIsRunError(t *testing.T) {
 // time.
 func TestBlockOnDescriptionInDump(t *testing.T) {
 	e := NewEngine(nil)
-	e.Spawn("estragon", func(p *Proc) {
-		p.Sleep(2)
+	script(e, "estragon", func(p *Proc) { p.Sleep(2) }, func(p *Proc) {
 		p.BlockOn(func() string { return "waiting for godot" })
 	})
 	err := e.Run()
@@ -96,7 +84,7 @@ func TestBlockOnDescriptionInDump(t *testing.T) {
 // a placeholder rather than an empty waits-on line.
 func TestBareBlockStillDiagnosable(t *testing.T) {
 	e := NewEngine(nil)
-	e.Spawn("mute", func(p *Proc) { p.Block() })
+	script(e, "mute", func(p *Proc) { p.Block() })
 	err := e.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
@@ -112,34 +100,26 @@ func TestBareBlockStillDiagnosable(t *testing.T) {
 // outside it — ends the run with an error naming both, raised inside the
 // running process rather than as a host panic in the engine loop.
 func TestBlockOfAnotherProcIsError(t *testing.T) {
-	errs := map[bool]string{}
-	for _, callback := range []bool{false, true} {
-		e := NewEngine(nil)
-		var wq WaitQueue
-		owner := script(e, callback, "owner", func(p *Proc) { p.Sleep(1) })
-		script(e, callback, "intruder", func(p *Proc) { wq.Wait(owner) })
-		err := e.Run()
-		if err == nil {
-			t.Fatal("Run() = nil, want an error")
-		}
-		for _, want := range []string{`"intruder" panicked`, `process "owner" blocked while process "intruder" was running`} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q missing %q", err, want)
-			}
-		}
-		errs[callback] = err.Error()
+	e := NewEngine(nil)
+	var wq WaitQueue
+	owner := script(e, "owner", func(p *Proc) { p.Sleep(1) })
+	script(e, "intruder", func(p *Proc) { wq.Wait(owner) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run() = nil, want an error")
 	}
-	if errs[false] != errs[true] {
-		t.Errorf("callback processes: %q; goroutine processes: %q", errs[true], errs[false])
+	want := `vtime: process "intruder" panicked at t=0: vtime: process "owner" blocked while process "intruder" was running; a process may only block itself`
+	if err.Error() != want {
+		t.Errorf("Run() = %q, want %q", err, want)
 	}
 }
 
-// TestCallbackSuspendsOncePerTurn: a callback process that books a second
-// suspension in one turn — a body written for a goroutine, which would
-// block twice — ends the run with an error naming it.
+// TestCallbackSuspendsOncePerTurn: a process that books a second suspension
+// in one turn — a body written as if Sleep blocked — ends the run with an
+// error naming it.
 func TestCallbackSuspendsOncePerTurn(t *testing.T) {
 	e := NewEngine(nil)
-	e.SpawnCallback("straight", ResumeFunc(func(p *Proc) {
+	e.Spawn("straight", ResumeFunc(func(p *Proc) {
 		p.Sleep(1)
 		p.Sleep(1)
 	}))

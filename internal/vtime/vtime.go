@@ -9,19 +9,13 @@
 // contention; after the set of active jobs changes, the rates are
 // re-evaluated once, before the clock next advances.
 //
-// A process is one of two kinds. A callback process (SpawnCallback) is a
-// state machine: the engine resumes it by calling its Resume method, and
-// Sleep, Block, Park and Compute book its wake-up and return at once, after
-// which Resume returns too; the process keeps its state in its own struct
-// between turns. A goroutine process (Spawn) runs a body that blocks
-// mid-body: Sleep and the rest return only when the process runs again. Both
-// kinds book the same events, so which kind runs a body changes neither the
-// event order nor any simulated value. There is no scheduler goroutine:
-// whichever goroutine holds the engine — Run's, or that of the goroutine
-// process that yields or returns — takes the next step itself, runs a
-// callback process it picks inline and resumes a goroutine process it picks
-// directly, one goroutine switch, none when the process picks itself. A run
-// of callback processes alone runs on Run's goroutine and starts none.
+// A process is a state machine (Spawn): the engine resumes it by calling its
+// Resume method, and Sleep, Block, Park and Compute book its wake-up and
+// return at once, after which Resume returns too; the process keeps its
+// state in its own struct between turns and reads the clock when it next
+// runs. Run is a plain loop on the caller's goroutine: it takes a step,
+// which picks the one process to resume, and calls it, so a run starts no
+// goroutine.
 //
 // The engine is the substrate for the simulated MPI library
 // (internal/mpi), the OmpSs-like task runtime (internal/ompss) and the KNL
@@ -31,7 +25,6 @@ package vtime
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -108,7 +101,7 @@ const (
 	stateDone
 )
 
-// Resumer is the body of a callback process. The engine calls Resume each
+// Resumer is the body of a process. The engine calls Resume each
 // time it dispatches the process: Resume runs one turn and returns, either
 // after booking exactly one suspension — a Sleep, Block, Park or Compute that
 // suspends — or, having booked none, to end the process.
@@ -123,17 +116,14 @@ type ResumeFunc func(p *Proc)
 func (f ResumeFunc) Resume(p *Proc) { f(p) }
 
 // Proc is a simulated process. All methods must be called from within the
-// process's own body: its Resume method or its goroutine.
+// process's own body, its Resume method.
 type Proc struct {
-	_     NoCopy
-	eng   *Engine
-	name  string
-	id    int
-	state procState
-	// body is a callback process's body; resume is a goroutine process's
-	// wake-up channel. Exactly one is set.
+	_         NoCopy
+	eng       *Engine
+	name      string
+	id        int
+	state     procState
 	body      Resumer
-	resume    chan struct{}
 	blockedAt Time
 	waitDesc  func() string // what the process waits on, for deadlock dumps
 	job       ActiveJob     // the in-flight job of Compute; at most one per process
@@ -214,17 +204,10 @@ type Engine struct {
 	// advance the clock has the machine refresh the rates first.
 	ratesDirty bool
 	procs      []*Proc
-	running    *Proc // the process step dispatched last; the only one that may yield
-	// done carries the outcome of a run to Run — nil when no process is
-	// left alive, or the error that ended it — and, while Run releases
-	// unfinished processes, each one's acknowledgement.
-	done     chan error
-	nAlive   int
-	nBlocked int
-	// releasing is set while Run unwinds the goroutines of the processes
-	// that did not finish: a process resumed then exits instead of running.
-	releasing bool
-	stats     Stats
+	running    *Proc // the process step dispatched last; the only one that may suspend
+	nAlive     int
+	nBlocked   int
+	stats      Stats
 }
 
 // Stats reports engine activity counters, for tests and diagnostics.
@@ -237,14 +220,6 @@ type Stats struct {
 	ProcsSpawned uint64
 	// RateUpdates counts Machine.Rates invocations.
 	RateUpdates uint64
-	// Handoffs counts the resumes of a goroutine process other than the one
-	// that yielded, the first dispatch included: the goroutine switches a
-	// run costs. A process that picks itself keeps running without one, and
-	// a callback process is resumed by a call, not a switch.
-	Handoffs uint64
-	// Goroutines counts the goroutines the engine started: one per
-	// goroutine process.
-	Goroutines uint64
 }
 
 // Stats returns a snapshot of the engine's activity counters.
@@ -256,50 +231,23 @@ func NewEngine(m Machine) *Engine {
 	if m == nil {
 		m = UnitMachine{}
 	}
-	return &Engine{
-		machine: m,
-		done:    make(chan error, 1),
-	}
+	return &Engine{machine: m}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Spawn registers a new goroutine process executing fn, for a body that
-// blocks mid-body. Processes spawned before Run start at time 0; processes
-// spawned by a running process start at the current virtual time, after
-// the spawning process yields.
-func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := e.spawn(name)
-	p.resume = make(chan struct{})
-	e.stats.Goroutines++
-	go func() {
-		defer p.exit()
-		<-p.resume // wait for first dispatch
-		if e.releasing {
-			return
-		}
-		fn(p)
-	}()
-	return p
-}
-
-// SpawnCallback registers a new callback process resumed through r. It
-// starts like a process of Spawn, and no goroutine runs it.
-func (e *Engine) SpawnCallback(name string, r Resumer) *Proc {
-	p := e.spawn(name)
-	p.body = r
-	return p
-}
-
-// spawn registers a new process, runnable at the current virtual time.
-func (e *Engine) spawn(name string) *Proc {
+// Spawn registers a new process resumed through r. Processes spawned
+// before Run start at time 0; processes spawned by a running process start
+// at the current virtual time, after the spawning process's turn.
+func (e *Engine) Spawn(name string, r Resumer) *Proc {
 	rm := roleMetricsOf(name)
 	p := &Proc{
 		eng:      e,
 		name:     name,
 		id:       len(e.procs),
 		state:    stateNew,
+		body:     r,
 		blockCtr: rm.block,
 	}
 	e.stats.ProcsSpawned++
@@ -308,28 +256,6 @@ func (e *Engine) spawn(name string) *Proc {
 	e.nAlive++
 	e.schedule(p, e.now)
 	return p
-}
-
-// exit ends a goroutine process's goroutine. A process that returned passes
-// control on like a yield. A panic of its body would otherwise kill the
-// goroutine with no process left to resume the next one — a silent
-// host-level hang — so it becomes Run's error instead, reported without a
-// dispatch: the engine state the panic left may be half-updated. A process
-// resumed by release acknowledges it.
-func (p *Proc) exit() {
-	e := p.eng
-	r := recover()
-	if e.releasing {
-		p.state = stateDone
-		e.done <- nil
-		return
-	}
-	if r != nil {
-		e.done <- p.panicked(r)
-		return
-	}
-	p.end()
-	e.dispatch(nil)
 }
 
 // end marks a process whose body has returned done.
@@ -349,9 +275,8 @@ func (p *Proc) panicked(r any) error {
 	return fmt.Errorf("vtime: process %q panicked at t=%g: %v", p.name, p.eng.now, r)
 }
 
-// call runs one turn of callback process p: a process that returns without
-// booking a suspension has ended, and a panic becomes the run's error, as a
-// goroutine process's does.
+// call runs one turn of process p: a process that returns without booking
+// a suspension has ended, and a panic of its body becomes the run's error.
 func (e *Engine) call(p *Proc) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -385,77 +310,35 @@ func (e *Engine) wake(p *Proc) {
 	e.schedule(p, e.now)
 }
 
-// Run executes the simulation until every process has finished or parked.
-// It takes steps itself until one picks a goroutine process, which it
-// resumes and then waits: from then on the goroutine that holds the engine
-// takes the steps, and the one that finds no process left alive, or meets
-// an error, reports to Run. Run returns a *DeadlockError on deadlock
-// (blocked processes remain but no event or job can make progress) and an
-// error describing the panic if a process body panics. On every return it
-// releases the goroutines of the processes that did not finish — parked,
-// blocked or never started — so a run leaves no goroutine behind; those
-// processes, of either kind, are done afterwards.
+// Run executes the simulation until every process has finished or parked:
+// it takes a step, calls the process the step picks, and repeats. Run
+// returns a *DeadlockError on deadlock (blocked processes remain but no
+// event or job can make progress) and an error describing the panic if a
+// process body panics. On every return the processes that did not finish —
+// parked, blocked or never started — are done.
 func (e *Engine) Run() error {
 	defer e.release()
-	if e.nAlive == 0 {
-		return nil
+	for {
+		next, err := e.step()
+		if err != nil || next == nil {
+			return err
+		}
+		if err := e.call(next); err != nil {
+			return err
+		}
 	}
-	e.dispatch(nil)
-	return <-e.done
 }
 
-// release ends every process that has not finished. A goroutine process
-// waits for a resume, in yield or before its first dispatch; resumed while
-// releasing, it exits and acknowledges that on done, one process at a time,
-// so no body code runs beside the caller of Run.
+// release marks every process that has not finished done.
 func (e *Engine) release() {
-	e.releasing = true
 	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
 		if p.state == stateBlocked {
 			mProcsBlocked.Add(-1)
 		}
-		if p.resume == nil {
-			p.state = stateDone
-			continue
-		}
-		p.resume <- struct{}{}
-		<-e.done
+		p.state = stateDone
 	}
-	e.releasing = false
 	e.nAlive, e.nBlocked = 0, 0
 	e.events, e.jobs = e.events[:0], e.jobs[:0]
-}
-
-// dispatch takes steps on behalf of from — the goroutine process that
-// yields, or nil for Run and for a goroutine process that has ended —
-// running each callback process a step picks inline, until a step picks a
-// goroutine process: dispatch resumes it, unless that is from itself, which
-// dispatch reports so it keeps running. When no process is left alive, or
-// a step or a callback fails, it reports the outcome to Run instead. The
-// caller must touch no engine state after a resume or report: the engine
-// belongs to the resumed process, or to Run.
-func (e *Engine) dispatch(from *Proc) (stay bool) {
-	for {
-		next, err := e.step()
-		if err == nil && next != nil && next.body != nil {
-			if err = e.call(next); err == nil {
-				continue
-			}
-		}
-		if err != nil || next == nil {
-			e.done <- err
-			return false
-		}
-		if next == from {
-			return true
-		}
-		e.stats.Handoffs++
-		next.resume <- struct{}{}
-		return false
-	}
 }
 
 // step advances the simulation by one event: it finds the next wake-up or
@@ -622,23 +505,17 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Engine returns the engine the process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Suspended reports whether the process has booked a suspension that it
-// has not served yet: true only for a callback process, after a Sleep,
-// Block, Park or Compute of its current turn that suspends it. Code that
-// runs on either kind of process — a state machine that a goroutine process
-// drives in a loop and a callback process resumes turn by turn — checks it
-// after every call that may suspend, and returns to its caller when it is
-// true, to be called again when the process next runs.
+// Suspended reports whether the process has booked a suspension in its
+// current turn: a Sleep, Block, Park or Compute that suspends it. Code that
+// may suspend checks it after every such call and returns to its caller
+// when it is true, to be called again when the process next runs.
 func (p *Proc) Suspended() bool { return p.state != stateRunning }
-
-// Callback reports whether p is a callback process.
-func (p *Proc) Callback() bool { return p.body != nil }
 
 // enter checks that the process may suspend: only the running process may —
 // a process that sleeps, blocks or computes on behalf of another, such as a
 // task body waiting through a context captured from outside it, panics
 // here, inside the running process, which Run reports as a structured error
-// naming both processes — and a callback process only once per turn.
+// naming both processes — and only once per turn.
 func (p *Proc) enter() {
 	e := p.eng
 	if r := e.running; r != p {
@@ -648,25 +525,7 @@ func (p *Proc) enter() {
 		panic(fmt.Sprintf("vtime: process %q blocked while process %q was running; a process may only block itself", p.name, r.name))
 	}
 	if p.state != stateRunning {
-		panic(fmt.Sprintf("vtime: process %q suspended twice in one turn; a callback process returns from Resume after each suspension", p.name))
-	}
-}
-
-// yield ends the turn of a process whose suspension enter allowed and the
-// caller booked. A callback process returns at once; the engine resumes it
-// by calling Resume. A goroutine process takes the engine's next step
-// itself, resumes the process that step picks and waits to be resumed in
-// turn — or, if the step picks the process itself, returns at once.
-func (p *Proc) yield() {
-	if p.body != nil {
-		return
-	}
-	e := p.eng
-	if !e.dispatch(p) {
-		<-p.resume
-	}
-	if e.releasing {
-		runtime.Goexit()
+		panic(fmt.Sprintf("vtime: process %q suspended twice in one turn; a process returns from Resume after each suspension", p.name))
 	}
 }
 
@@ -677,7 +536,6 @@ func (p *Proc) Sleep(d Time) {
 	}
 	p.enter()
 	p.eng.schedule(p, p.eng.now+d)
-	p.yield()
 }
 
 // Block suspends the process until another process wakes it via Wake.
@@ -692,7 +550,6 @@ func (p *Proc) Block() {
 	if p.eng.nAlive > 0 {
 		mBlockedFrac.SetMax(float64(p.eng.nBlocked) / float64(p.eng.nAlive))
 	}
-	p.yield()
 }
 
 // BlockOn is Block with a description of what the process is waiting on.
@@ -712,7 +569,6 @@ func (p *Proc) Park() {
 	p.enter()
 	p.state = stateParked
 	p.eng.nAlive--
-	p.yield()
 }
 
 // Unpark makes a parked process runnable at the current virtual time with
@@ -733,21 +589,19 @@ func (p *Proc) Wake(other *Proc) {
 	p.eng.wake(other)
 }
 
-// Compute executes a compute job and blocks until it completes under the
-// engine's Machine. Zero-work jobs complete immediately without consulting
-// the machine, and suspend no process. A goroutine process gets the
-// virtual-time duration the job took; a callback process gets 0 and reads
-// the clock when it next runs, once the job has completed.
-func (p *Proc) Compute(job Job) Time {
+// Compute starts a compute job and suspends the process until it completes
+// under the engine's Machine; the process reads the clock when it next
+// runs. Zero-work jobs complete immediately without consulting the machine,
+// and suspend no process.
+func (p *Proc) Compute(job Job) {
 	if job.Work < 0 {
 		panic("vtime: negative work")
 	}
 	if job.Work == 0 {
-		return 0
+		return
 	}
 	p.enter()
 	e := p.eng
-	start := e.now
 	e.seq++
 	// The engine removes the job before it resumes the process, so the
 	// process's one job slot is free again by the next Compute.
@@ -755,9 +609,4 @@ func (p *Proc) Compute(job Job) Time {
 	*aj = ActiveJob{Job: job, Remaining: job.Work, proc: p, seq: e.seq}
 	e.addJob(aj)
 	p.state = stateComputing
-	p.yield()
-	if p.body != nil {
-		return 0
-	}
-	return e.now - start
 }

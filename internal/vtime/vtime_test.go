@@ -3,21 +3,14 @@ package vtime
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
 	e := NewEngine(nil)
 	var end Time
-	e.Spawn("a", func(p *Proc) {
-		p.Sleep(1.5)
-		p.Sleep(2.5)
-		end = p.Now()
-	})
+	script(e, "a", func(p *Proc) { p.Sleep(1.5) }, func(p *Proc) { p.Sleep(2.5) }, func(p *Proc) { end = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +27,9 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		e := NewEngine(nil)
 		var order []string
 		for _, nm := range []string{"a", "b", "c"} {
-			nm := nm
-			e.Spawn(nm, func(p *Proc) {
-				for i := 0; i < 3; i++ {
-					p.Sleep(1)
-					order = append(order, nm)
-				}
-			})
+			tick := func(p *Proc) { p.Sleep(1) }
+			note := func(p *Proc) { order = append(order, nm) }
+			script(e, nm, tick, note, tick, note, tick, note)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -67,9 +56,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 func TestComputeUnitMachine(t *testing.T) {
 	e := NewEngine(nil)
 	var d Time
-	e.Spawn("w", func(p *Proc) {
-		d = p.Compute(Job{Work: 10})
-	})
+	script(e, "w", func(p *Proc) { p.Compute(Job{Work: 10}) }, func(p *Proc) { d = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +81,8 @@ func TestProcessorSharingRates(t *testing.T) {
 	// together they share and both finish at t=2.
 	e := NewEngine(halfShare{})
 	var endA, endB Time
-	e.Spawn("a", func(p *Proc) {
-		p.Compute(Job{Work: 2})
-		endA = p.Now()
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Compute(Job{Work: 2})
-		endB = p.Now()
-	})
+	script(e, "a", func(p *Proc) { p.Compute(Job{Work: 2}) }, func(p *Proc) { endA = p.Now() })
+	script(e, "b", func(p *Proc) { p.Compute(Job{Work: 2}) }, func(p *Proc) { endB = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +96,8 @@ func TestProcessorSharingStaggered(t *testing.T) {
 	// At t=1 a has 1 unit left; both share rate 1 each. Both finish at t=2.
 	e := NewEngine(halfShare{})
 	var endA, endB Time
-	e.Spawn("a", func(p *Proc) {
-		p.Compute(Job{Work: 3})
-		endA = p.Now()
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(1)
-		p.Compute(Job{Work: 1})
-		endB = p.Now()
-	})
+	script(e, "a", func(p *Proc) { p.Compute(Job{Work: 3}) }, func(p *Proc) { endA = p.Now() })
+	script(e, "b", func(p *Proc) { p.Sleep(1) }, func(p *Proc) { p.Compute(Job{Work: 1}) }, func(p *Proc) { endB = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +113,8 @@ func TestBlockWake(t *testing.T) {
 	e := NewEngine(nil)
 	var wq WaitQueue
 	var woken Time
-	e.Spawn("waiter", func(p *Proc) {
-		wq.Wait(p)
-		woken = p.Now()
-	})
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(3)
-		wq.WakeOne(p)
-	})
+	script(e, "waiter", func(p *Proc) { wq.Wait(p) }, func(p *Proc) { woken = p.Now() })
+	script(e, "waker", func(p *Proc) { p.Sleep(3) }, func(p *Proc) { wq.WakeOne(p) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +126,7 @@ func TestBlockWake(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine(nil)
 	var wq WaitQueue
-	e.Spawn("stuck", func(p *Proc) {
-		wq.Wait(p)
-	})
+	script(e, "stuck", func(p *Proc) { wq.Wait(p) })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected deadlock error")
 	}
@@ -171,15 +137,19 @@ func TestSemaphore(t *testing.T) {
 	s := NewSemaphore(2)
 	active, maxActive := 0, 0
 	for i := 0; i < 6; i++ {
-		e.Spawn("p", func(p *Proc) {
-			s.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
+		holding := false
+		machine(e, "p", func(p *Proc) bool {
+			if holding {
+				active--
+				s.Release(p)
+				return true
 			}
-			p.Sleep(1)
-			active--
-			s.Release(p)
+			if holding = s.Acquire(p); holding {
+				active++
+				maxActive = max(maxActive, active)
+				p.Sleep(1)
+			}
+			return false
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -196,12 +166,8 @@ func TestSemaphore(t *testing.T) {
 func TestSpawnDuringRun(t *testing.T) {
 	e := NewEngine(nil)
 	var childEnd Time
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(2)
-		p.Engine().Spawn("child", func(c *Proc) {
-			c.Sleep(1)
-			childEnd = c.Now()
-		})
+	script(e, "parent", func(p *Proc) { p.Sleep(2) }, func(p *Proc) {
+		script(p.Engine(), "child", func(c *Proc) { c.Sleep(1) }, func(c *Proc) { childEnd = c.Now() })
 		p.Sleep(5)
 	})
 	if err := e.Run(); err != nil {
@@ -214,9 +180,9 @@ func TestSpawnDuringRun(t *testing.T) {
 
 func TestZeroWorkComputeIsFree(t *testing.T) {
 	e := NewEngine(nil)
-	e.Spawn("w", func(p *Proc) {
-		if d := p.Compute(Job{Work: 0}); d != 0 {
-			t.Errorf("zero work took %v", d)
+	script(e, "w", func(p *Proc) {
+		if p.Compute(Job{Work: 0}); p.Suspended() {
+			t.Error("zero work suspended the process")
 		}
 		if p.Now() != 0 {
 			t.Errorf("clock moved to %v", p.Now())
@@ -236,11 +202,15 @@ func TestPropertyComputeAdditive(t *testing.T) {
 		}
 		e := NewEngine(nil)
 		var total float64
-		e.Spawn("w", func(p *Proc) {
-			for _, w := range parts {
-				p.Compute(Job{Work: float64(w)})
-				total += float64(w)
+		next := 0
+		machine(e, "w", func(p *Proc) bool {
+			if next == len(parts) {
+				return true
 			}
+			p.Compute(Job{Work: float64(parts[next])})
+			total += float64(parts[next])
+			next++
+			return false
 		})
 		if err := e.Run(); err != nil {
 			return false
@@ -269,11 +239,8 @@ func TestPropertyWorkConserving(t *testing.T) {
 		e := NewEngine(halfShare{})
 		var total float64
 		for _, w := range jobs {
-			w := w
 			total += w
-			e.Spawn("w", func(p *Proc) {
-				p.Compute(Job{Work: w})
-			})
+			script(e, "w", func(p *Proc) { p.Compute(Job{Work: w}) })
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -291,10 +258,7 @@ func TestPropertyWorkConserving(t *testing.T) {
 func TestEngineStats(t *testing.T) {
 	e := NewEngine(nil)
 	for i := 0; i < 3; i++ {
-		e.Spawn("w", func(p *Proc) {
-			p.Compute(Job{Work: 1})
-			p.Sleep(1)
-		})
+		script(e, "w", func(p *Proc) { p.Compute(Job{Work: 1}) }, func(p *Proc) { p.Sleep(1) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -317,18 +281,11 @@ func TestEngineStats(t *testing.T) {
 func TestParkUnpark(t *testing.T) {
 	e := NewEngine(nil)
 	var resumed []Time
-	helper := e.Spawn("helper", func(p *Proc) {
-		for {
-			p.Park()
-			resumed = append(resumed, p.Now())
-		}
-	})
-	e.Spawn("poster", func(p *Proc) {
-		for _, at := range []Time{2, 5} {
-			p.Sleep(at - p.Now())
-			e.Unpark(helper)
-		}
-	})
+	helper := parker(e, "helper", func(p *Proc) { resumed = append(resumed, p.Now()) })
+	script(e, "poster", func(p *Proc) { p.Sleep(2) }, func(p *Proc) {
+		e.Unpark(helper)
+		p.Sleep(3)
+	}, func(p *Proc) { e.Unpark(helper) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run() = %v with only a parked process left, want nil", err)
 	}
@@ -346,23 +303,18 @@ func TestUnparkTakesSpawnOrder(t *testing.T) {
 		e := NewEngine(nil)
 		var got []string
 		var parked *Proc
+		note := func(name string) ResumeFunc { return func(*Proc) { got = append(got, name) } }
 		if reuse {
-			parked = e.Spawn("job", func(p *Proc) {
-				for {
-					p.Park()
-					got = append(got, "job")
-				}
-			})
+			parked = parker(e, "job", note("job"))
 		}
-		e.Spawn("main", func(p *Proc) {
-			p.Sleep(1)
-			e.Spawn("before", func(*Proc) { got = append(got, "before") })
+		script(e, "main", func(p *Proc) { p.Sleep(1) }, func(p *Proc) {
+			e.Spawn("before", note("before"))
 			if reuse {
 				e.Unpark(parked)
 			} else {
-				e.Spawn("job", func(*Proc) { got = append(got, "job") })
+				e.Spawn("job", note("job"))
 			}
-			e.Spawn("after", func(*Proc) { got = append(got, "after") })
+			e.Spawn("after", note("after"))
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -375,71 +327,55 @@ func TestUnparkTakesSpawnOrder(t *testing.T) {
 	}
 }
 
-// TestRunReleasesGoroutines: whatever Run returns, the goroutines of the
-// processes that did not finish — parked, blocked, never dispatched — are
-// gone soon after, and those processes are done. The callback rows run the
-// same processes as callback processes, which start no goroutine: the run
-// ends with the same error and every process done.
+// TestRunReleasesGoroutines: whatever Run returns, the processes that did
+// not finish — parked, blocked, never dispatched — are done after it, and
+// each row ends with its error text.
 func TestRunReleasesGoroutines(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		last func(p *Proc)
+		name, err string
+		last      func(p *Proc)
 	}{
-		{"success", func(p *Proc) {}},
-		{"deadlock", func(p *Proc) { p.Block() }},
-		{"panic", func(p *Proc) { panic("boom") }},
+		{"success", "<nil>", func(p *Proc) {}},
+		{"deadlock", "vtime: deadlock at t=2: 2 blocked processes:\n" +
+			"  last (id 2, blocked since t=1): unknown (Block without a wait description)\n" +
+			"  waiter (id 1, blocked since t=0): unknown (Block without a wait description)", func(p *Proc) { p.Block() }},
+		{"panic", `vtime: process "last" panicked at t=1: boom`, func(p *Proc) { panic("boom") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			errs := map[bool]string{}
-			for _, callback := range []bool{false, true} {
-				baseline := runtime.NumGoroutine()
-				e := NewEngine(nil)
-				var wq WaitQueue
-				script(e, callback, "parked", func(p *Proc) { p.Park() })
-				script(e, callback, "waiter", func(p *Proc) { wq.Wait(p) })
-				script(e, callback, "last", func(p *Proc) { p.Sleep(1) }, func(p *Proc) {
-					if tc.name == "success" {
-						wq.WakeAll(p)
-					}
-					tc.last(p)
-				})
-				script(e, callback, "late", func(p *Proc) { p.Sleep(2) })
-				err := e.Run()
-				if (err == nil) != (tc.name == "success") {
-					t.Fatalf("Run() = %v", err)
+			e := NewEngine(nil)
+			var wq WaitQueue
+			script(e, "parked", func(p *Proc) { p.Park() })
+			script(e, "waiter", func(p *Proc) { wq.Wait(p) })
+			script(e, "last", func(p *Proc) { p.Sleep(1) }, func(p *Proc) {
+				if tc.name == "success" {
+					wq.WakeAll(p)
 				}
-				errs[callback] = fmt.Sprint(err)
-				if g := e.Stats().Goroutines; callback && g != 0 {
-					t.Errorf("callback processes started %d goroutines", g)
-				}
-				checkReleased(t, e, baseline)
+				tc.last(p)
+			})
+			script(e, "late", func(p *Proc) { p.Sleep(2) })
+			if err := e.Run(); fmt.Sprint(err) != tc.err {
+				t.Errorf("Run() = %v, want %s", err, tc.err)
 			}
-			if errs[false] != errs[true] {
-				t.Errorf("callback run ended with %q, goroutine run with %q", errs[true], errs[false])
-			}
+			checkReleased(t, e)
 		})
 	}
 }
 
 // machine spawns a process driven by step, a state machine that reports
-// whether it is done: a goroutine process calls it in a loop, a callback
-// process until it suspends, and again when it next runs.
-func machine(e *Engine, callback bool, name string, step func(p *Proc) bool) *Proc {
-	drive := func(p *Proc) {
+// whether it is done: the process calls it until it suspends, and again
+// when it next runs.
+func machine(e *Engine, name string, step func(p *Proc) bool) *Proc {
+	return e.Spawn(name, ResumeFunc(func(p *Proc) {
 		for !step(p) && !p.Suspended() {
 		}
-	}
-	if callback {
-		return e.SpawnCallback(name, ResumeFunc(drive))
-	}
-	return e.Spawn(name, drive)
+	}))
 }
 
 // script spawns a process that runs steps in order, each of which suspends
 // the process at most once, as its last action.
-func script(e *Engine, callback bool, name string, steps ...func(p *Proc)) *Proc {
+func script(e *Engine, name string, steps ...func(p *Proc)) *Proc {
 	next := 0
-	return machine(e, callback, name, func(p *Proc) bool {
+	return machine(e, name, func(p *Proc) bool {
 		if next == len(steps) {
 			return true
 		}
@@ -449,17 +385,22 @@ func script(e *Engine, callback bool, name string, steps ...func(p *Proc)) *Proc
 	})
 }
 
-// checkReleased fails the test unless the goroutine count falls back to
-// baseline soon and every process of e is done.
-func checkReleased(t *testing.T, e *Engine, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), baseline)
+// parker spawns a process that parks and, each time it is unparked, runs
+// woken and parks again.
+func parker(e *Engine, name string, woken func(p *Proc)) *Proc {
+	parked := false
+	return e.Spawn(name, ResumeFunc(func(p *Proc) {
+		if parked {
+			woken(p)
 		}
-		runtime.Gosched()
-	}
+		parked = true
+		p.Park()
+	}))
+}
+
+// checkReleased fails the test unless every process of e is done.
+func checkReleased(t *testing.T, e *Engine) {
+	t.Helper()
 	for _, p := range e.procs {
 		if p.state != stateDone {
 			t.Errorf("process %q in state %d after Run", p.name, p.state)
@@ -475,7 +416,7 @@ func TestRatesRefreshOncePerClockAdvance(t *testing.T) {
 	const n = 64
 	e := NewEngine(UnitMachine{})
 	for i := 0; i < n; i++ {
-		e.Spawn("w", func(p *Proc) { p.Compute(Job{Work: float64(i + 1)}) })
+		script(e, "w", func(p *Proc) { p.Compute(Job{Work: float64(i + 1)}) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -489,54 +430,32 @@ func TestRatesRefreshOncePerClockAdvance(t *testing.T) {
 	}
 }
 
-// TestHandoffCounts pins the goroutine switches of a run: a process that
-// picks itself to run next keeps running, so a lone sleeper costs one
-// handoff, its first dispatch, while two processes in strict ping-pong
-// cost one handoff per step.
-func TestHandoffCounts(t *testing.T) {
-	lone := NewEngine(nil)
-	lone.Spawn("lone", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.Sleep(1)
-		}
-	})
-	if err := lone.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := lone.Stats(); st.Steps != 1001 || st.Handoffs != 1 {
-		t.Errorf("lone sleeper: %d steps, %d handoffs, want 1001 and 1", st.Steps, st.Handoffs)
-	}
-
-	// As a callback process the same sleeper is resumed by a call: no
-	// handoff at all, and no goroutine.
-	callback := NewEngine(nil)
-	slept := 0
-	callback.SpawnCallback("lone", ResumeFunc(func(p *Proc) {
-		if slept < 1000 {
-			slept++
-			p.Sleep(1)
-		}
-	}))
-	if err := callback.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := callback.Stats(); st.Steps != 1001 || st.Handoffs != 0 || st.Goroutines != 0 {
-		t.Errorf("callback lone sleeper: %d steps, %d handoffs, %d goroutines, want 1001, 0 and 0", st.Steps, st.Handoffs, st.Goroutines)
-	}
-
-	pingPong := NewEngine(nil)
-	for _, name := range []string{"ping", "pong"} {
-		pingPong.Spawn(name, func(p *Proc) {
-			for i := 0; i < 500; i++ {
+// TestStepCounts pins the dispatch steps of a run: one per wake-up, the
+// first dispatch included, so a lone sleeper costs 1 001 steps for 1 000
+// sleeps, and two processes in ping-pong 1 002.
+func TestStepCounts(t *testing.T) {
+	for _, tc := range []struct {
+		procs, sleeps int
+		steps         uint64
+	}{{1, 1000, 1001}, {2, 500, 1002}} {
+		e := NewEngine(nil)
+		for i := 0; i < tc.procs; i++ {
+			slept := 0
+			machine(e, "sleeper", func(p *Proc) bool {
+				if slept == tc.sleeps {
+					return true
+				}
+				slept++
 				p.Sleep(1)
-			}
-		})
-	}
-	if err := pingPong.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := pingPong.Stats(); st.Steps != 1002 || st.Handoffs != st.Steps {
-		t.Errorf("ping-pong: %d steps, %d handoffs, want 1002 of each", st.Steps, st.Handoffs)
+				return false
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.Steps != tc.steps {
+			t.Errorf("%d processes of %d sleeps: %d steps, want %d", tc.procs, tc.sleeps, st.Steps, tc.steps)
+		}
 	}
 }
 
@@ -548,18 +467,14 @@ func TestWaitQueueKeepsFIFOAcrossReuse(t *testing.T) {
 	var wq WaitQueue
 	var woken []int
 	for i := 0; i < 6; i++ {
-		e.Spawn("w", func(p *Proc) {
-			p.Sleep(float64(i)) // arrive in id order, one per second
-			wq.Wait(p)
-			woken = append(woken, i)
-		})
+		script(e, "w", func(p *Proc) { p.Sleep(float64(i)) }, // arrive in id order, one per second
+			func(p *Proc) { wq.Wait(p) }, func(p *Proc) { woken = append(woken, i) })
 	}
-	e.Spawn("waker", func(p *Proc) {
-		for i := 0; i < 6; i++ {
-			p.Sleep(1.5)
-			wq.WakeOne(p) // wakes overlap arrivals: the head moves while waiters append
-		}
-	})
+	wake := func(p *Proc) {
+		wq.WakeOne(p) // wakes overlap arrivals: the head moves while waiters append
+		p.Sleep(1.5)
+	}
+	script(e, "waker", func(p *Proc) { p.Sleep(1.5) }, wake, wake, wake, wake, wake, wake)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -571,72 +486,61 @@ func TestWaitQueueKeepsFIFOAcrossReuse(t *testing.T) {
 	}
 }
 
-// TestCallbackMatchesGoroutine: the same processes — sleeping, computing
-// under processor sharing, waiting on a semaphore and a queue, parking —
-// run the same events in the same order as callback processes and as
-// goroutine processes, and a mixed run matches both.
+// TestCallbackMatchesGoroutine: processes sleeping, computing under
+// processor sharing, waiting on a semaphore and a queue, and parking run
+// the events that the same processes ran as goroutine processes, a kind
+// since removed, in the same order: the log and counters below are that
+// run's.
 func TestCallbackMatchesGoroutine(t *testing.T) {
-	run := func(kind func(i int) bool) (string, Stats) {
-		e := NewEngine(halveShares{})
-		var log []string
-		note := func(p *Proc) { log = append(log, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
-		sem := NewSemaphore(1)
-		var wq WaitQueue
-		arrived := 0
-		helper := script(e, kind(0), "helper", func(p *Proc) { p.Park() }, note, func(p *Proc) { p.Park() }, note)
-		for i := 1; i <= 4; i++ {
-			pc := 0
-			machine(e, kind(i), fmt.Sprintf("w%d", i), func(p *Proc) bool {
-				switch pc {
-				case 0:
-					p.Sleep(float64(i%2) * 0.5)
-				case 1:
-					if !sem.Acquire(p) {
-						return false // called again once woken
-					}
-					note(p)
-					p.Compute(Job{Work: float64(i), Lane: i})
-				case 2:
-					note(p)
-					sem.Release(p)
-					p.Compute(Job{Work: 2, Lane: i})
-				case 3:
-					// The last to arrive releases the others and the helper.
-					note(p)
-					if arrived++; arrived == 4 {
-						wq.WakeAll(p)
-						e.Unpark(helper)
-					} else {
-						wq.Wait(p)
-					}
-				default:
-					note(p)
-					return true
+	e := NewEngine(halveShares{})
+	var log []string
+	note := func(p *Proc) { log = append(log, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
+	sem := NewSemaphore(1)
+	var wq WaitQueue
+	arrived := 0
+	helper := script(e, "helper", func(p *Proc) { p.Park() }, note, func(p *Proc) { p.Park() }, note)
+	for i := 1; i <= 4; i++ {
+		pc := 0
+		machine(e, fmt.Sprintf("w%d", i), func(p *Proc) bool {
+			switch pc {
+			case 0:
+				p.Sleep(float64(i%2) * 0.5)
+			case 1:
+				if !sem.Acquire(p) {
+					return false // called again once woken
 				}
-				pc++
-				return false
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprint(log), e.Stats()
+				note(p)
+				p.Compute(Job{Work: float64(i), Lane: i})
+			case 2:
+				note(p)
+				sem.Release(p)
+				p.Compute(Job{Work: 2, Lane: i})
+			case 3:
+				// The last to arrive releases the others and the helper.
+				note(p)
+				if arrived++; arrived == 4 {
+					wq.WakeAll(p)
+					e.Unpark(helper)
+				} else {
+					wq.Wait(p)
+				}
+			default:
+				note(p)
+				return true
+			}
+			pc++
+			return false
+		})
 	}
-	want, ws := run(func(int) bool { return false })
-	if n := strings.Count(want, "@"); n != 17 {
-		t.Fatalf("goroutine run logged %d events, want 17: %s", n, want)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	for name, kind := range map[string]func(i int) bool{
-		"callback": func(int) bool { return true },
-		"mixed":    func(i int) bool { return i%2 == 0 },
-	} {
-		got, gs := run(kind)
-		if got != want {
-			t.Errorf("%s run logged\n%s\ngoroutine run\n%s", name, got, want)
-		}
-		if gs.Steps != ws.Steps || gs.JobsCompleted != ws.JobsCompleted || gs.RateUpdates != ws.RateUpdates {
-			t.Errorf("%s run stats %+v, goroutine run %+v", name, gs, ws)
-		}
+	const want = "[w2@0 w2@2 w4@2 w2@6 w4@8 w1@8 w1@10 w3@10 w4@13 w1@15 w3@16 w3@18 w3@18 w2@18 w4@18 w1@18 helper@18]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("logged\n%s\nwant\n%s", got, want)
+	}
+	if st := e.Stats(); st.Steps != 24 || st.JobsCompleted != 8 || st.RateUpdates != 8 {
+		t.Errorf("stats %+v, want 24 steps, 8 jobs and 8 rate updates", st)
 	}
 }
 
