@@ -53,7 +53,9 @@ race:
 # layouts, rounding tolerance against the mixed-radix baseline and the naive
 # DFT), of the fftxd binary request decoder (malformed input must error,
 # never panic) and of its JSON request decoder against encoding/json (equal
-# results on everything both accept, never a panic), and of the node
+# results on everything both accept, never a panic), of its float codec
+# against strconv.ParseFloat and encoding/json (bit- and byte-identical in
+# both directions, malformed tokens rejected alike), and of the node
 # model's rates against their map-based reference (bit-identical on random
 # lanes, classes and demands). Each package has several fuzz targets, so
 # -fuzz must pick one.
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzBatchMatchesReference -fuzztime=10s -run='^$$' ./internal/fft
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzJSONRequestDecode -fuzztime=10s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzJSONFloat -fuzztime=10s -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzRatesMatchesReference -fuzztime=10s -run='^$$' ./internal/knl
 
 # overhead-smoke measures the cost of the always-on telemetry: the

@@ -125,6 +125,10 @@ func FuzzJSONRequestDecode(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// The float codec's boundary tokens, each beside a zero.
+	for _, c := range floatBoundaries {
+		f.Add([]byte(`{"dims":[1],"data":[` + c.tok + `,0]}`))
+	}
 
 	const maxElements = 1 << 10
 	f.Fuzz(func(t *testing.T, body []byte) {

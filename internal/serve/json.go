@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -19,6 +21,17 @@ import (
 // unknown fields, type errors). Replies are printed the same way
 // (appendTransformJSON, appendJSONFloat), byte for byte what json.Encoder
 // would emit.
+//
+// The floats themselves are the cost left, so both directions have an exact
+// fast path in integer arithmetic and keep strconv only as the fallback for
+// what lies outside it. parseDecimal takes a plain decimal token of at most
+// 19 significant and 19 fraction digits — Clinger's single division, or one
+// 128-by-64-bit division rounded half to even — and appendDecimal prints
+// 1e-3 ≤ |v| < 1e15 by scaling v and its rounding interval exactly by a power
+// of ten and picking the shortest digits in it, as strconv's shortest
+// formatting (Ryū) does. Neither changes a bit: FuzzJSONFloat holds them to
+// strconv.ParseFloat and encoding/json, and TestFloatFastPathsCoverBox16
+// pins that they, not strconv, handle the benchmark's payload.
 //
 // Against encoding/json the scanner narrows the accepted input twice, and
 // only for requests that would otherwise have been accepted: anything but
@@ -239,9 +252,14 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // index just past it. It is the package's one float parser: the token must
 // match the RFC 8259 grammar, and its value is strconv.ParseFloat's — the two
 // steps encoding/json takes, so every float is bit-identical to what it
-// would have decoded. Out-of-range numbers (1e400) are errors; JSON has no
-// spelling for NaN or Inf, so what is returned is finite.
+// would have decoded. Most tokens take parseDecimal's exact fast path, whose
+// value is the same; the rest are scanned again here, and a well-formed one
+// goes to strconv.ParseFloat. Out-of-range numbers (1e400) are errors; JSON
+// has no spelling for NaN or Inf, so what is returned is finite.
 func parseNumber(b []byte, i int) (float64, int, error) {
+	if v, j, ok := parseDecimal(b, i); ok {
+		return v, j, nil
+	}
 	j := i
 	if j < len(b) && b[j] == '-' {
 		j++
@@ -279,6 +297,129 @@ func parseNumber(b []byte, i int) (float64, int, error) {
 		return 0, 0, fmt.Errorf("number at offset %d does not fit a float64", i)
 	}
 	return v, j, nil
+}
+
+// pow10 holds 10^k for k ≤ 19, the powers a uint64 holds; pow10f the same
+// powers as float64s, each exact (every power up to 10^22 is).
+var (
+	pow10  [20]uint64
+	pow10f [20]float64
+)
+
+func init() {
+	pow10[0], pow10f[0] = 1, 1
+	for k := 1; k < len(pow10); k++ {
+		pow10[k], pow10f[k] = 10*pow10[k-1], 10*pow10f[k-1]
+	}
+}
+
+// parseDecimal is parseNumber's fast path: it checks the grammar and gathers
+// the digits in one pass, and takes a token only if it has no exponent part,
+// at most 19 significant digits (those from the first non-zero one on) and
+// at most 19 fraction digits. The token's value is then m/10^k for the digits
+// m < 10^19 < 2^64 and the fraction-digit count k, and that quotient is
+// rounded exactly once:
+//   - for m < 2^53, m and 10^k are both exact float64s, so one IEEE division
+//     is the correctly rounded quotient (Clinger's fast path);
+//   - otherwise divWide divides in integers and rounds half to even.
+//
+// Anything else, a malformed token included, reports ok false and is
+// parseNumber's to judge.
+func parseDecimal(b []byte, i int) (v float64, end int, ok bool) {
+	var sign uint64 // the sign bit of the result
+	if i < len(b) && b[i] == '-' {
+		sign = 1 << 63
+	}
+	j := i + int(sign>>63)
+	var m uint64
+	digits := 0 // significant digits
+	if j < len(b) && b[j] == '0' {
+		j++
+	} else {
+		start := j
+		if j, m = digitRun(b, j, 0); j == start {
+			return 0, 0, false
+		}
+		digits = j - start
+	}
+	k := 0
+	if j < len(b) && b[j] == '.' {
+		j++
+		start := j
+		if m == 0 {
+			for j < len(b) && b[j] == '0' {
+				j++
+			}
+		}
+		first := j
+		j, m = digitRun(b, j, m)
+		digits += j - first
+		if k = j - start; k == 0 {
+			return 0, 0, false
+		}
+	}
+	if digits > 19 || k >= len(pow10) || j < len(b) && b[j]|0x20 == 'e' {
+		return 0, 0, false
+	}
+	if m < 1<<53 {
+		v = float64(m) / pow10f[k]
+	} else {
+		v = divWide(m, pow10[k])
+	}
+	return math.Float64frombits(math.Float64bits(v) | sign), j, true
+}
+
+// digitRun appends the run of decimal digits at b[j] to m and returns the
+// index past the run with the new m, which wraps past 19 digits. Eight
+// digits at a time are tested and converted in one 64-bit word (Lemire's
+// SWAR method), the rest one by one.
+func digitRun(b []byte, j int, m uint64) (int, uint64) {
+	for ; j+8 <= len(b); j += 8 {
+		w := binary.LittleEndian.Uint64(b[j:])
+		// Every byte is in '0'…'9' when its high nibble is 3 and adding 6
+		// carries into no high nibble.
+		if w&0xf0f0f0f0f0f0f0f0|(w+0x0606060606060606)&0xf0f0f0f0f0f0f0f0>>4 != 0x3333333333333333 {
+			break
+		}
+		w = (w & 0x0f0f0f0f0f0f0f0f) * 2561 >> 8
+		w = (w & 0x00ff00ff00ff00ff) * 6553601 >> 16
+		m = m*100000000 + (w&0x0000ffff0000ffff)*42949672960001>>32
+	}
+	for ; j < len(b) && isDigit(b[j]); j++ {
+		m = m*10 + uint64(b[j]-'0')
+	}
+	return j, m
+}
+
+// divWide returns m/d rounded to the nearest float64, ties to even, for
+// 2^53 ≤ m and 1 ≤ d ≤ 10^19: a quotient between 2^53/10^19 and 2^64, so
+// never subnormal. Both operands are shifted to their top bit, and one
+// 128-by-64-bit division yields a 64-bit quotient q with the exact
+// remainder: q's top 53 bits are the mantissa, its next bit the rounding
+// bit, and the bits below with the remainder say whether the discarded part
+// is more than half.
+func divWide(m, d uint64) float64 {
+	lm, ld := bits.LeadingZeros64(m), bits.LeadingZeros64(d)
+	x, y := m<<lm, d<<ld
+	// m/d = x/y · 2^(ld-lm), and x/y lies in (1/2, 2).
+	e := ld - lm - 64
+	hi, lo := x, uint64(0)
+	if x >= y {
+		hi, lo = x>>1, x<<63
+		e++
+	}
+	q, r := bits.Div64(hi, lo, y) // m/d = (q + r/y) · 2^e, q ≥ 2^63
+	mant, rest := q>>11, q&(1<<11-1)
+	e += 11
+	if rest > 1<<10 || rest == 1<<10 && (r != 0 || mant&1 == 1) {
+		mant++
+		if mant == 1<<53 {
+			mant >>= 1
+			e++
+		}
+	}
+	// mant · 2^e with mant in [2^52, 2^53): the biased exponent is e+52+1023.
+	return math.Float64frombits(uint64(e+1075)<<52 | mant&(1<<52-1))
 }
 
 // decodeJSON parses and validates a JSON request. Its payload comes back as
@@ -336,8 +477,14 @@ func decodeEnvelope(body []byte, maxElements int, dst *payloadBuf) (*Request, er
 }
 
 // appendJSONFloat appends the finite v exactly as encoding/json renders a
-// float64 — the package's one float printer.
+// float64 — the package's one float printer: strconv.AppendFloat's shortest
+// round-trip digits, in 'e' format below 1e-6 and from 1e21 up, in 'f'
+// format between. Most values take appendDecimal's exact fast path; the
+// rest go to strconv.AppendFloat.
 func appendJSONFloat(b []byte, v float64) []byte {
+	if out, ok := appendDecimal(b, v); ok {
+		return out
+	}
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -351,6 +498,123 @@ func appendJSONFloat(b []byte, v float64) []byte {
 		}
 	}
 	return b
+}
+
+// pow10from3 holds 10^-3 … 10^15 as float64s. The negative powers are not
+// exact, but each rounds up and no float64 lies between it and the power it
+// stands for, so |v| >= pow10from3[e+3] is |v| >= 10^e exactly.
+var pow10from3 = [...]float64{1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendDecimal is appendJSONFloat's fast path, for 1e-3 ≤ |v| < 1e15 and a
+// mantissa that is not a power of two; it reports ok false for every other
+// v. Such a v is M·2^-s with M < 2^53 and 3 ≤ s ≤ 62, and its rounding
+// interval — every real that parses back to v — is v ± 2^-s/2 (a power-of-two
+// mantissa would make it lopsided), closed when M is even (round half to
+// even parses a tie to the even mantissa). For the power 10^k (k ≤ 19) that
+// gives v 17 integer digits, v·10^k and the interval's ends are exact in
+// 128 bits: (2M ± 1)·10^k over 2^(s+1). The shortest decimal that parses
+// back to v is then the one with the most trailing zeros in the integer
+// interval, and where two of those fit, the nearer to v, half to even — what
+// strconv's shortest formatting picks.
+func appendDecimal(b []byte, v float64) ([]byte, bool) {
+	vb := math.Float64bits(v)
+	abs := math.Abs(v)
+	if vb&(1<<52-1) == 0 || !(abs >= 1e-3 && abs < 1e15) {
+		return b, false
+	}
+	exp := int(vb>>52&0x7ff) - 1023 // 2^exp ≤ |v| < 2^(exp+1)
+	// e10 = floor(log10 |v|) is floor(exp·log10 2) or one more.
+	e10 := exp * 78913 >> 18
+	if abs >= pow10from3[e10+4] {
+		e10++
+	}
+	k := 16 - e10
+	sh := uint(52 - exp + 1) // fraction bits of 2M·10^k
+	mant := vb&(1<<52-1) | 1<<52
+	hi, lo := bits.Mul64(2*mant, pow10[k])
+	mask := uint64(1)<<sh - 1
+	// v·10^k: integer part x, fraction xf over 2^sh.
+	x, xf := hi<<(64-sh)|lo>>sh, lo&mask
+	// The interval's ends, as the least and greatest integers in it.
+	llo, borrow := bits.Sub64(lo, pow10[k], 0)
+	low := (hi-borrow)<<(64-sh) | llo>>sh
+	if llo&mask != 0 || mant&1 == 1 {
+		low++
+	}
+	ulo, carry := bits.Add64(lo, pow10[k], 0)
+	high := (hi+carry)<<(64-sh) | ulo>>sh
+	if ulo&mask == 0 && mant&1 == 1 {
+		high--
+	}
+	// The most trailing zeros: the largest j with a multiple of 10^j in
+	// [low, high].
+	j, q := 0, x // q = x / 10^j
+	for a, z := low-1, high; z/10 > a/10; a, z = a/10, z/10 {
+		j++
+		q /= 10
+	}
+	// Round to the multiple of 10^j nearest to v·10^k, half to even; the
+	// interval is symmetric about v, so that multiple lies in it.
+	if j == 0 {
+		if half := uint64(1) << (sh - 1); xf > half || xf == half && q&1 == 1 {
+			q++
+		}
+	} else {
+		p := pow10[j]
+		if r := x - q*p; r > p/2 || r == p/2 && (xf != 0 || q&1 == 1) {
+			q++
+		}
+	}
+	return appendDigits(b, v < 0, q, j-k), true
+}
+
+// digitPairs holds "00" … "99", for printing two digits at a time.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendDigits appends q·10^e in 'f' format, negative when neg is set, for
+// q·10^e < 10^17 and e ≥ -19. The digits are written from the right, two at
+// a time, into one buffer that is appended whole.
+func appendDigits(b []byte, neg bool, q uint64, e int) []byte {
+	if e > 0 {
+		q, e = q*pow10[e], 0
+	}
+	var buf [24]byte
+	n := len(buf)
+	put2 := func(d uint64) {
+		n -= 2
+		buf[n], buf[n+1] = digitPairs[2*d], digitPairs[2*d+1]
+	}
+	// The -e fraction digits, with the zeros that lead them when q has
+	// fewer, then the point.
+	f := -e
+	for ; f >= 2; f -= 2 {
+		put2(q % 100)
+		q /= 100
+	}
+	if f == 1 {
+		n--
+		buf[n] = byte('0' + q%10)
+		q /= 10
+	}
+	if e < 0 {
+		n--
+		buf[n] = '.'
+	}
+	// The integer digits, "0" if there are none.
+	for ; q >= 100; q /= 100 {
+		put2(q % 100)
+	}
+	if q >= 10 {
+		put2(q)
+	} else {
+		n--
+		buf[n] = byte('0' + q)
+	}
+	if neg {
+		n--
+		buf[n] = '-'
+	}
+	return append(b, buf[n:]...)
 }
 
 // jsonFloatMax is the longest rendering of one float64 (sign, 17 digits and
