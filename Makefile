@@ -44,9 +44,13 @@ experiments:
 # race runs the internal packages under the race detector without test
 # result caching. A simulated run is one loop on its caller's goroutine;
 # this guards what runs beside it: concurrent runs sharing read-only
-# geometry and plans, and the host-parallel pools and servers.
+# geometry and plans, and the host-parallel pools and servers. The
+# dispatcher's, backpressure, drain and deadline tests of fftxd then run 20
+# times over: they order their steps on server state, so each run must pass.
+DISPATCH_TESTS = TestDispatch|TestServeBatchingCoalesces|Backpressure|TestServeGracefulShutdown|TestDrainingRejectsNewRequests|TestHealthzDraining|TestServeDeadlineExpiry|TestAbandonedRequestKeepsItsBuffer
 race:
 	$(GO) test -race -count=1 ./internal/...
+	$(GO) test -race -count=20 -run '$(DISPATCH_TESTS)' ./internal/serve
 
 # fuzz-smoke runs a short bounded fuzz of the FFT round-trip property, of
 # the batch kernels against their serial reference (bit-identical across

@@ -15,8 +15,9 @@
 //	-addr 127.0.0.1:8472   listen address (use :0 for an ephemeral port)
 //	-workers N             batch-executing goroutines (default GOMAXPROCS)
 //	-queue 256             admission queue depth (full => 503 + Retry-After)
-//	-max-batch 32          transforms coalesced per batch (1 disables)
-//	-batch-window 500us    how long a partial batch waits for company
+//	-max-batch 32          transforms coalesced per batch (1 disables); a
+//	                       batch goes to the first free worker, so requests
+//	                       coalesce only while every worker is busy
 //	-max-elems N           per-request element budget
 //	-drain-timeout 10s     graceful-drain budget on shutdown
 //	-hostpar               host-parallel kernels (default true)
@@ -99,7 +100,6 @@ func realMain() int {
 		workers     = flag.Int("workers", 0, "batch-executing goroutines (0 = GOMAXPROCS)")
 		queueDepth  = flag.Int("queue", 256, "admission queue depth")
 		maxBatch    = flag.Int("max-batch", 32, "max transforms coalesced per batch (1 disables batching)")
-		batchWindow = flag.Duration("batch-window", 500*time.Microsecond, "batch coalescing window")
 		maxElems    = flag.Int("max-elems", serve.DefaultMaxElements, "per-request element budget")
 		drainT      = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on shutdown")
 		hostpar     = flag.Bool("hostpar", true, "fan batch rows out over host cores")
@@ -145,7 +145,6 @@ func realMain() int {
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
 		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
 		MaxElements: *maxElems,
 		Cache:       &fft.Cache{},
 		TraceSample: *traceSample,
@@ -204,8 +203,8 @@ func runServer(cfg serve.Config, joinURL string, drainTimeout time.Duration) int
 		fmt.Fprintln(os.Stderr, "fftxd:", err)
 		return 1
 	}
-	fmt.Printf("fftxd: serving /fft, /healthz, /metrics, /debug/fftx/requests, /debug/pprof at %s (workers=%d queue=%d max-batch=%d window=%s trace-sample=%g)\n",
-		srv.URL(), srv.Workers(), cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, cfg.TraceSample)
+	fmt.Printf("fftxd: serving /fft, /healthz, /metrics, /debug/fftx/requests, /debug/pprof at %s (workers=%d queue=%d max-batch=%d trace-sample=%g)\n",
+		srv.URL(), srv.Workers(), cfg.QueueDepth, cfg.MaxBatch, cfg.TraceSample)
 	if joinURL != "" {
 		if err := clusterAnnounce(joinURL, "/cluster/join", srv.Addr()); err != nil {
 			fmt.Fprintln(os.Stderr, "fftxd: join:", err)

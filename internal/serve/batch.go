@@ -9,19 +9,20 @@ import (
 
 // Admission control and the batching dispatcher.
 //
-// Every admitted request becomes a task on the bounded queue. A dispatcher
-// goroutine pulls tasks and coalesces same-shape transforms into groups: a
-// group flushes to the worker pool when it reaches MaxBatch rows or when
-// its BatchWindow expires, whichever comes first — the serving-side
-// analogue of the paper's per-iteration task grouping (many independent
-// same-shape kernels become one scheduled unit). Servers with batching
-// disabled dispatch every task immediately as a singleton group.
+// Every admitted request becomes a task on the queue. A dispatcher goroutine
+// pulls tasks and coalesces same-shape transforms into groups, and hands the
+// oldest group to a worker the moment one is free: no timer holds a group
+// back. While every worker is busy, arrivals coalesce, so a group's size
+// follows the queue's depth, up to MaxBatch rows — the serving-side analogue
+// of the paper's per-iteration task grouping (many independent same-shape
+// kernels become one scheduled unit, and a unit starts as soon as a core is
+// free for it). MaxBatch 1 makes every task a group of its own.
 //
 // Admission rejects with 503 + Retry-After instead of queueing unboundedly:
-// when the queue is full, when the request's deadline cannot be met, and
-// while the server drains. On drain, tasks already handed to the worker
-// pool complete; everything still queued or pending in a batch window is
-// rejected.
+// when QueueDepth admitted tasks are still waiting for a worker (on the queue
+// or in a pending group alike), when the request's deadline cannot be met,
+// and while the server drains. On drain, groups a worker has taken complete;
+// everything still queued or pending is rejected.
 
 // task is one admitted request travelling through the queue.
 type task struct {
@@ -50,6 +51,12 @@ type task struct {
 	// done receives exactly one outcome; it is buffered so resolution
 	// never blocks on a departed client.
 	done chan taskOutcome
+
+	// own is the group this task opens when no group of its key is taking
+	// tasks; its task list starts on solo, so a group of one allocates
+	// nothing.
+	own  group
+	solo [1]*task
 }
 
 // taskOutcome resolves one task. Its result is already where the handler
@@ -74,15 +81,14 @@ func (e *statusError) Error() string { return e.msg }
 type group struct {
 	key   string
 	tasks []*task
+	rows  int // transforms of the whole group
 }
 
-// rows counts the transforms of the whole group.
-func (g *group) rows() int {
-	n := 0
-	for _, t := range g.tasks {
-		n += t.rows
-	}
-	return n
+// openGroup makes t the first task of its own group.
+func (t *task) openGroup() *group {
+	t.solo[0] = t
+	t.own = group{key: t.key, tasks: t.solo[:], rows: t.rows}
+	return &t.own
 }
 
 // newTask builds the task of a validated request: its batching key and its
@@ -121,124 +127,131 @@ func (t *task) expired(now time.Time) bool {
 // resolve delivers the outcome (exactly once per task).
 func (t *task) resolve(out taskOutcome) { t.done <- out }
 
-func (t *task) fail(code int, retryAfter int, format string, args ...any) {
-	t.resolve(taskOutcome{err: &statusError{code: code, retryAfter: retryAfter, msg: fmt.Sprintf(format, args...)}})
+// fail resolves the task with a 503.
+func (t *task) fail(msg string) { t.resolve(taskOutcome{err: unavailable(msg)}) }
+
+// retryAfterSeconds is the backoff every 503 advises: a hint, not a
+// promise.
+const retryAfterSeconds = 1
+
+// unavailable is the 503 + Retry-After of every refusal.
+func unavailable(msg string) *statusError {
+	return &statusError{code: 503, retryAfter: retryAfterSeconds, msg: msg}
 }
 
-// admit places a task on the bounded queue, or explains the rejection.
+// admit places a task on the queue, or explains the rejection. At most
+// QueueDepth admitted tasks wait for a worker at once, whether on the queue
+// or in a pending group, so the send never blocks.
 func (s *Server) admit(t *task) *statusError {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining {
 		mRejects.With("draining").Inc()
-		return &statusError{code: 503, retryAfter: s.retryAfter(), msg: "server is draining"}
+		return unavailable("server is draining")
 	}
 	if t.expired(time.Now()) {
 		mRejects.With("deadline").Inc()
-		return &statusError{code: 503, retryAfter: s.retryAfter(), msg: "deadline expired before admission"}
+		return unavailable("deadline expired before admission")
 	}
-	select {
-	case s.queue <- t:
-		mQueueDepth.Add(1)
-		return nil
-	default:
+	if s.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+		s.waiting.Add(-1)
 		mRejects.With("full").Inc()
-		return &statusError{code: 503, retryAfter: s.retryAfter(),
-			msg: fmt.Sprintf("queue full (%d requests waiting)", s.cfg.QueueDepth)}
+		return unavailable(fmt.Sprintf("queue full (%d requests waiting)", s.cfg.QueueDepth))
 	}
+	mQueueDepth.Add(1)
+	s.queue <- t
+	return nil
 }
 
-// retryAfter estimates how long a rejected client should back off, in whole
-// seconds: one batch window per queued request spread over the workers,
-// floored at 1 s — deliberately coarse, it is a hint, not a promise.
-func (s *Server) retryAfter() int {
-	est := time.Duration(s.cfg.QueueDepth/s.cfg.Workers+1) * s.cfg.BatchWindow
-	if sec := int(est / time.Second); sec > 1 {
-		return sec
-	}
-	return 1
+// taken removes n tasks from the admitted ones waiting for a worker: a
+// worker took them, or the dispatcher rejected them.
+func (s *Server) taken(n int) {
+	s.waiting.Add(-int64(n))
+	mQueueDepth.Add(-float64(n))
 }
 
-// batching reports whether the server coalesces transform requests at all.
-func (s *Server) batching() bool {
-	return s.cfg.MaxBatch > 1 && s.cfg.BatchWindow > 0
+// reject fails a task that no worker has taken.
+func (s *Server) reject(t *task, reason, msg string) {
+	s.taken(1)
+	mRejects.With(reason).Inc()
+	t.fail(msg)
 }
 
-// dispatch is the dispatcher goroutine: it owns the pending-group map and
-// is the only sender on s.batches.
+// dispatch is the dispatcher goroutine and the only sender on s.batches. It
+// keeps the pending groups in arrival order and, by key, the one group of
+// each key still taking tasks. While tasks are queued it only receives, so
+// every task already queued joins its group before the oldest group is
+// offered; s.batches is unbuffered, so the offer succeeds only when a worker
+// is idle.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
-	pending := map[string]*group{}
-
-	flush := func(key string) {
-		g := pending[key]
-		if g == nil {
-			return
-		}
-		delete(pending, key)
-		s.batches <- g
-	}
-
+	var pending []*group
+	open := map[string]*group{}
 	for {
+		var out chan<- *group // nil, so never ready, while nothing is offered
+		var head *group
+		if len(pending) > 0 && len(s.queue) == 0 {
+			out, head = s.batches, pending[0]
+		}
 		select {
 		case t, ok := <-s.queue:
 			if !ok {
-				// Drain: everything not yet handed to the workers is
-				// rejected; batches already queued for execution complete.
-				for key, g := range pending {
-					delete(pending, key)
-					for _, t := range g.tasks {
-						mQueueDepth.Add(-1)
-						mRejects.With("draining").Inc()
-						t.coalesceSpan.End()
-						t.fail(503, s.retryAfter(), "server is draining")
-					}
-				}
-				close(s.batches)
+				s.drainPending(pending)
 				return
 			}
-			t.queueSpan.End()
-			if s.Draining() {
-				// Admitted before the drain began but not yet handed to the
-				// worker pool: rejected, like everything still queued.
-				mQueueDepth.Add(-1)
-				mRejects.With("draining").Inc()
-				t.fail(503, s.retryAfter(), "server is draining")
-				continue
+			pending = s.place(t, pending, open)
+		case out <- head:
+			if open[head.key] == head {
+				delete(open, head.key)
 			}
-			if t.expired(time.Now()) {
-				mQueueDepth.Add(-1)
-				mRejects.With("deadline").Inc()
-				t.fail(503, s.retryAfter(), "deadline expired while queued")
-				continue
-			}
-			// The coalesce span covers batch-window residency plus the wait
-			// for a free worker; runBatch ends it.
-			t.coalesceSpan = t.root.Begin("coalesce")
-			if !s.batching() {
-				s.batches <- &group{key: t.key, tasks: []*task{t}}
-				continue
-			}
-			g := pending[t.key]
-			if g == nil {
-				g = &group{key: t.key}
-				pending[t.key] = g
-				// Arm the window timer for this group. The timer goroutine
-				// abandons the send once the dispatcher has exited.
-				key := t.key
-				time.AfterFunc(s.cfg.BatchWindow, func() {
-					select {
-					case s.flushCh <- key:
-					case <-s.dispatcherDone:
-					}
-				})
-			}
-			g.tasks = append(g.tasks, t)
-			if g.rows() >= s.cfg.MaxBatch {
-				flush(t.key)
-			}
-		case key := <-s.flushCh:
-			flush(key)
+			n := copy(pending, pending[1:])
+			pending[n] = nil
+			pending = pending[:n]
 		}
 	}
+}
+
+// place puts a task the dispatcher received into the open group of its key,
+// or opens a group for it; a group seals once it holds MaxBatch rows. It
+// returns the pending list with any new group appended.
+func (s *Server) place(t *task, pending []*group, open map[string]*group) []*group {
+	t.queueSpan.End()
+	if s.Draining() {
+		// Admitted before the drain began but not yet handed to a worker:
+		// rejected, like everything still queued.
+		s.reject(t, "draining", "server is draining")
+		return pending
+	}
+	if t.expired(time.Now()) {
+		s.reject(t, "deadline", "deadline expired while queued")
+		return pending
+	}
+	// The coalesce span covers the wait for company and for a free worker;
+	// runBatch ends it.
+	t.coalesceSpan = t.root.Begin("coalesce")
+	g := open[t.key]
+	if g == nil {
+		g = t.openGroup()
+		pending = append(pending, g)
+		open[t.key] = g
+	} else {
+		g.tasks = append(g.tasks, t)
+		g.rows += t.rows
+	}
+	if g.rows >= s.cfg.MaxBatch {
+		delete(open, t.key)
+	}
+	return pending
+}
+
+// drainPending rejects every pending group once the queue has closed, and
+// ends the workers' loop: groups they have taken complete.
+func (s *Server) drainPending(pending []*group) {
+	for _, g := range pending {
+		for _, t := range g.tasks {
+			t.coalesceSpan.End()
+			s.reject(t, "draining", "server is draining")
+		}
+	}
+	close(s.batches)
 }

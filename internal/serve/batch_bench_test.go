@@ -19,7 +19,8 @@ func execRows(s *Server, key string, payload []complex128, rows int, batched boo
 	for j := range tasks {
 		req := &Request{Op: OpTransform, Dims: batchDims, Sign: -1, Batch: 1}
 		tasks[j] = newTask(req, key, append([]complex128(nil), payload...))
-		mQueueDepth.Add(1) // runBatch decrements per task
+		s.waiting.Add(1) // as admission would; runBatch takes it off
+		mQueueDepth.Add(1)
 	}
 	if batched {
 		s.runBatch(&group{key: key, tasks: tasks})
@@ -51,6 +52,9 @@ func TestBatchedExecCounts(t *testing.T) {
 	payload := toComplex(randomData(1, 16*16*16))
 
 	const batchedKey, unbatchedKey = "exec-counts-batched", "exec-counts-unbatched"
+	batches0, unbatches0 := mBatches.With(batchedKey).Value(), mBatches.With(unbatchedKey).Value()
+	h := mBatchRows.With(batchedKey)
+	groups0, rows0 := h.Count(), h.Sum()
 	batched, err := execRows(s, batchedKey, payload, batchRows, true)
 	if err != nil {
 		t.Fatal(err)
@@ -60,15 +64,14 @@ func TestBatchedExecCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := mBatches.With(batchedKey).Value(); got != 1 {
+	if got := mBatches.With(batchedKey).Value() - batches0; got != 1 {
 		t.Errorf("batched path: fftxd_batches_total += %v, want 1", got)
 	}
-	h := mBatchRows.With(batchedKey)
-	if h.Count() != 1 || h.Sum() != batchRows {
+	if groups, rows := h.Count()-groups0, h.Sum()-rows0; groups != 1 || rows != batchRows {
 		t.Errorf("batched path: fftxd_batch_rows got %d observations summing to %v, want 1 of %d",
-			h.Count(), h.Sum(), batchRows)
+			groups, rows, batchRows)
 	}
-	if got := mBatches.With(unbatchedKey).Value(); got != batchRows {
+	if got := mBatches.With(unbatchedKey).Value() - unbatches0; got != batchRows {
 		t.Errorf("unbatched path: fftxd_batches_total += %v, want %d", got, batchRows)
 	}
 	if b := s.cache.Builds(); b > 1 {

@@ -45,13 +45,13 @@ func (s *Server) worker() {
 // kernel and resolves every survivor.
 func (s *Server) runBatch(g *group) {
 	now := time.Now()
+	s.taken(len(g.tasks))
 	live := g.tasks[:0]
 	for _, t := range g.tasks {
-		mQueueDepth.Add(-1)
 		t.coalesceSpan.EndAt(now)
 		if t.expired(now) {
 			mRejects.With("deadline").Inc()
-			t.fail(503, s.retryAfter(), "deadline expired while batched")
+			t.fail("deadline expired while batched")
 			continue
 		}
 		live = append(live, t)
@@ -61,8 +61,8 @@ func (s *Server) runBatch(g *group) {
 	}
 	mInflight.Add(float64(len(live)))
 	defer mInflight.Add(-float64(len(live)))
-	if s.cfg.execDelay > 0 {
-		time.Sleep(s.cfg.execDelay)
+	if s.execHold != nil {
+		<-s.execHold
 	}
 	s.runTransforms(g.key, live)
 }

@@ -226,19 +226,13 @@ func TestAbandonedRequestKeepsItsBuffer(t *testing.T) {
 			s[i] = 0xFF
 		}
 	}
-	defer func() { complexPool.poison, bytePool.poison = nil, nil }()
+	// A cleanup, not a defer: it must run after the server's shutdown, once
+	// no handler releases a buffer any more.
+	t.Cleanup(func() { complexPool.poison, bytePool.poison = nil, nil })
 
-	// One slow worker, no coalescing: requests run one by one, in order.
-	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.cfg.execDelay = 20 * time.Millisecond
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := contextWithTimeout(5 * time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
+	// One held worker, no coalescing: every request waits until the last
+	// round is sent, then they run one by one, in order.
+	s, release := startHeld(t, Config{Workers: 1, MaxBatch: 1})
 
 	dims := []int{8, 8, 8}
 	post := func(ctx context.Context, seed int64, binary bool) ([]float64, []float64, error) {
@@ -281,7 +275,7 @@ func TestAbandonedRequestKeepsItsBuffer(t *testing.T) {
 	tasks0 := tasks.Value()
 	var wg sync.WaitGroup
 	for round := 0; round < 6; round++ {
-		// The abandoned request: queued behind the worker's delay, then its
+		// The abandoned request: queued behind the held worker, then its
 		// client goes away.
 		ctx, cancel := context.WithCancel(context.Background())
 		wg.Add(1)
@@ -311,6 +305,7 @@ func TestAbandonedRequestKeepsItsBuffer(t *testing.T) {
 			}(int64(10*round + i))
 		}
 	}
+	release()
 	wg.Wait()
 }
 

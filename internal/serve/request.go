@@ -14,7 +14,8 @@
 //     []complex128 (pool.go), and its reply printed once from that buffer.
 //   - batch.go — admission control (bounded queue, deadline- and
 //     drain-aware rejection with Retry-After) and the batching dispatcher
-//     that groups same-shape requests inside a short window.
+//     that hands the oldest group to the first free worker, so same-shape
+//     requests coalesce while every worker is busy.
 //   - exec.go — batch execution on the plan cache via the host-parallel
 //     fft batch drivers.
 //   - serve.go — the HTTP server: /fft, /healthz, plus the standard

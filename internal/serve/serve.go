@@ -28,15 +28,15 @@ type Config struct {
 	// Workers is the number of batch-executing goroutines (default
 	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue; a full queue rejects with 503
-	// + Retry-After (default 256).
+	// QueueDepth bounds the admitted requests no worker has taken yet,
+	// queued or pending in a batch alike; beyond it admission rejects with
+	// 503 + Retry-After (default 256).
 	QueueDepth int
 	// MaxBatch is the most transform rows coalesced into one batch; 1
-	// disables batching (default 32).
+	// disables batching (default 32). Same-shape requests coalesce only
+	// while every worker is busy: a batch goes to the first free worker
+	// without waiting for company.
 	MaxBatch int
-	// BatchWindow is how long a partial batch waits for same-shape company
-	// before flushing; 0 disables batching (default 500 µs).
-	BatchWindow time.Duration
 	// MaxElements bounds one request's total complex elements (default
 	// DefaultMaxElements).
 	MaxElements int
@@ -60,10 +60,6 @@ type Config struct {
 	// RequestLogSize bounds the recent-request ring of /debug/fftx/requests
 	// (default 64).
 	RequestLogSize int
-	// execDelay stretches every batch execution by this duration (default
-	// 0). Shutdown and overload tests set it to observe in-flight vs queued
-	// states deterministically.
-	execDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -78,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 500 * time.Microsecond
 	}
 	if c.MaxElements <= 0 {
 		c.MaxElements = DefaultMaxElements
@@ -105,9 +98,18 @@ type Server struct {
 	cfg   Config
 	cache *fft.Cache
 
+	// queue carries admitted tasks to the dispatcher and batches carries
+	// groups from it to the workers. waiting counts the admitted tasks no
+	// worker has taken yet — on queue or in a pending group — and bounds
+	// them at QueueDepth.
 	queue   chan *task
 	batches chan *group
-	flushCh chan string
+	waiting atomic.Int64
+
+	// execHold, when non-nil, holds every batch execution until it is
+	// closed. Tests set it before Start to observe executing, pending and
+	// queued states without timing them.
+	execHold chan struct{}
 
 	admitMu  sync.RWMutex
 	draining bool
@@ -145,8 +147,7 @@ func New(cfg Config) *Server {
 		cfg:            cfg,
 		cache:          cfg.Cache,
 		queue:          make(chan *task, cfg.QueueDepth),
-		batches:        make(chan *group, cfg.Workers),
-		flushCh:        make(chan string, 1),
+		batches:        make(chan *group),
 		dispatcherDone: make(chan struct{}),
 		reqLog:         newRequestLog(cfg.RequestLogSize),
 		logger:         cfg.Logger,
@@ -191,9 +192,9 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 
 // Shutdown drains gracefully: admission closes immediately (new requests
 // get 503 + Retry-After), batches already handed to the worker pool
-// complete, everything still queued is rejected with 503, then the
-// listener closes once the in-flight HTTP exchanges finish. It is
-// idempotent and bounded by ctx.
+// complete, everything still queued or pending in a group is rejected with
+// 503, then the listener closes once the in-flight HTTP exchanges finish.
+// It is idempotent and bounded by ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		s.admitMu.Lock()
@@ -506,7 +507,8 @@ type Health struct {
 	Status string `json:"status"`
 	// Workers is the batch-executing goroutine count.
 	Workers int `json:"workers"`
-	// Queue and QueueCap are the admission queue's current depth and bound.
+	// Queue and QueueCap are the admitted requests no worker has taken yet
+	// and their bound.
 	Queue    int `json:"queue"`
 	QueueCap int `json:"queue_cap"`
 	// Shapes lists the distinct transform shape keys this server has seen
@@ -521,7 +523,7 @@ func (s *Server) health() (Health, int) {
 	h := Health{
 		Status:   "ok",
 		Workers:  s.cfg.Workers,
-		Queue:    len(s.queue),
+		Queue:    int(s.waiting.Load()),
 		QueueCap: s.cfg.QueueDepth,
 		UptimeS:  time.Since(s.start).Seconds(),
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,16 +21,56 @@ import (
 // test.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return start(t, New(cfg), func() {})
+}
+
+// startHeld is startServer with every batch execution held until the
+// returned release runs, so a test orders its steps on executing, pending
+// and queued states instead of timing them. release is idempotent and also
+// runs at cleanup, ahead of the shutdown, which would otherwise wait on the
+// held worker.
+func startHeld(t *testing.T, cfg Config) (*Server, func()) {
+	t.Helper()
 	s := New(cfg)
+	s.execHold = make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(s.execHold) }) }
+	return start(t, s, release), release
+}
+
+// start starts s and, when the test ends, runs release and shuts s down.
+func start(t *testing.T, s *Server, release func()) *Server {
+	t.Helper()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		release()
+		// A connection the client dialed but never sent a request on would
+		// hold the shutdown for net/http's 5 s grace of a new connection.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := contextWithTimeout(5 * time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
 	return s
+}
+
+// plugWorker sends one request of a shape the test uses for nothing else and
+// waits until it executes on a held server's only worker. The returned wait
+// blocks until the request is answered.
+func plugWorker(t *testing.T, s *Server) (wait func()) {
+	t.Helper()
+	inflight0 := mInflight.Value()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if code, _, _ := postJSON(t, s.URL(), &Request{Dims: []int{8}, Data: randomData(1, 8)}); code != http.StatusOK {
+			t.Errorf("plug request: status %d", code)
+		}
+	}()
+	waitFor(t, "the plug request to hold the only worker", func() bool { return mInflight.Value()-inflight0 == 1 })
+	return func() { <-done }
 }
 
 // postJSON posts a request and returns status, parsed body and headers.
@@ -295,16 +336,8 @@ func TestServeHealthz(t *testing.T) {
 // checks the overflow is rejected with 503 + Retry-After while the admitted
 // requests still succeed.
 func TestServeOverloadBackpressure(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 1})
-	s.cfg.execDelay = 100 * time.Millisecond
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := contextWithTimeout(5 * time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
+	s, release := startHeld(t, Config{Workers: 1, QueueDepth: 1, MaxBatch: 1})
+	full, full0, inflight0 := mRejects.With("full"), mRejects.With("full").Value(), mInflight.Value()
 
 	const clients = 8
 	dims := []int{16}
@@ -320,6 +353,10 @@ func TestServeOverloadBackpressure(t *testing.T) {
 			retryAfter[i] = hdr.Get("Retry-After")
 		}(i)
 	}
+	waitFor(t, "every client executing, waiting or refused", func() bool {
+		return full.Value()-full0+float64(s.waiting.Load())+mInflight.Value()-inflight0 == clients
+	})
+	release()
 	wg.Wait()
 
 	ok, rejected := 0, 0
@@ -344,47 +381,111 @@ func TestServeOverloadBackpressure(t *testing.T) {
 	}
 }
 
+// TestServeBackpressureExact holds the only worker and offers more requests
+// than the queue's depth: exactly QueueDepth are admitted — the dispatcher
+// holds them in a pending group, and they count against the depth all the
+// same — and every other one is refused with 503 + Retry-After.
+func TestServeBackpressureExact(t *testing.T) {
+	const depth, clients = 4, 10
+	s, release := startHeld(t, Config{Workers: 1, QueueDepth: depth})
+	plugged := plugWorker(t, s)
+	full, full0 := mRejects.With("full"), mRejects.With("full").Value()
+
+	var wg sync.WaitGroup
+	codes := make([]int, clients)
+	retryAfter := make([]string, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			code, _, hdr := postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(int64(i), 16)})
+			codes[i] = code
+			retryAfter[i] = hdr.Get("Retry-After")
+		}(i)
+	}
+	waitFor(t, "every client admitted or refused", func() bool {
+		return s.waiting.Load()+int64(full.Value()-full0) == clients
+	})
+	if got := s.waiting.Load(); got != depth {
+		t.Errorf("%d requests admitted behind the held worker, want exactly %d", got, depth)
+	}
+	var h Health
+	getJSON(t, s.URL()+"/healthz", &h)
+	if h.Queue != depth || h.QueueCap != depth {
+		t.Errorf("healthz queue %d of %d, want %d of %d", h.Queue, h.QueueCap, depth, depth)
+	}
+	release()
+	wg.Wait()
+	plugged()
+
+	ok, rejected := 0, 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusOK:
+			ok++
+		case http.StatusServiceUnavailable:
+			rejected++
+			if retryAfter[i] != "1" {
+				t.Errorf("503 reply %d with Retry-After %q, want 1", i, retryAfter[i])
+			}
+		default:
+			t.Errorf("client %d: unexpected status %d", i, code)
+		}
+	}
+	if ok != depth || rejected != clients-depth {
+		t.Errorf("%d served and %d refused, want %d and %d", ok, rejected, depth, clients-depth)
+	}
+}
+
 // TestServeDeadlineExpiry checks a request whose queueing deadline cannot be
 // met is rejected with 503 rather than served late.
 func TestServeDeadlineExpiry(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.cfg.execDelay = 150 * time.Millisecond
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
+	s, release := startHeld(t, Config{Workers: 1, MaxBatch: 1})
+	plugged := plugWorker(t, s)
+
+	type reply struct {
+		code int
+		hdr  http.Header
 	}
-	defer func() {
-		ctx, cancel := contextWithTimeout(5 * time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-
-	inflight0 := mInflight.Value()
-	var wg sync.WaitGroup
-	wg.Add(1)
+	doomed := make(chan reply, 1)
 	go func() {
-		defer wg.Done()
-		postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(1, 16)})
+		code, _, hdr := postJSON(t, s.URL(), &Request{
+			Dims: []int{16}, Data: randomData(2, 16), DeadlineMillis: 10,
+		})
+		doomed <- reply{code, hdr}
 	}()
-	waitFor(t, "the first request to execute on the only worker", func() bool { return mInflight.Value()-inflight0 == 1 })
+	waitFor(t, "the deadline-doomed request to wait behind the held worker", func() bool { return s.waiting.Load() == 1 })
+	admitted := time.Now() // the deadline runs from a moment before this
+	waitFor(t, "the deadline to pass", func() bool { return time.Since(admitted) > 10*time.Millisecond })
+	release()
 
-	code, _, hdr := postJSON(t, s.URL(), &Request{
-		Dims: []int{16}, Data: randomData(2, 16), DeadlineMillis: 10,
-	})
-	if code != http.StatusServiceUnavailable {
-		t.Errorf("deadline-doomed request: status %d, want 503", code)
-	} else if hdr.Get("Retry-After") == "" {
+	if r := <-doomed; r.code != http.StatusServiceUnavailable {
+		t.Errorf("deadline-doomed request: status %d, want 503", r.code)
+	} else if r.hdr.Get("Retry-After") == "" {
 		t.Error("503 reply without Retry-After")
 	}
-	wg.Wait()
+	plugged()
 }
 
-// TestServeBatchingCoalesces fires same-shape requests into one batch window
-// and checks (a) at least some were coalesced and (b) every client still
-// got the transform of its own payload — no cross-request aliasing.
+// batchCounts reads the executed-batch counters of one shape key: batches,
+// and the count and sum of their row histogram.
+func batchCounts(key string) (batches float64, groups uint64, rows float64) {
+	h := mBatchRows.With(key)
+	return mBatches.With(key).Value(), h.Count(), h.Sum()
+}
+
+// TestServeBatchingCoalesces holds the only worker, admits eight same-shape
+// requests behind it and releases it: the eight run as exactly one group of
+// eight rows, and every client still gets the transform of its own payload —
+// no cross-request aliasing.
 func TestServeBatchingCoalesces(t *testing.T) {
-	s := startServer(t, Config{Workers: 1, MaxBatch: 16, BatchWindow: 50 * time.Millisecond})
+	s, release := startHeld(t, Config{Workers: 1, MaxBatch: 16})
+	plugged := plugWorker(t, s)
 	const clients = 8
 	dims := []int{4, 4, 4}
+	key := (&Request{Dims: dims, Sign: -1}).ShapeKey()
+	batches0, groups0, rows0 := batchCounts(key)
+
 	var wg sync.WaitGroup
 	batchSizes := make([]int, clients)
 	for i := 0; i < clients; i++ {
@@ -401,17 +502,98 @@ func TestServeBatchingCoalesces(t *testing.T) {
 			assertClose(t, resp.Data, referenceTransform(dims, data, fft.Forward, false))
 		}(i)
 	}
+	waitFor(t, "all eight admitted behind the held worker", func() bool { return s.waiting.Load() == clients })
+	release()
 	wg.Wait()
+	plugged()
 
-	max := 0
-	for _, b := range batchSizes {
-		if b > max {
-			max = b
+	batches, groups, rows := batchCounts(key)
+	if batches-batches0 != 1 || groups-groups0 != 1 || rows-rows0 != clients {
+		t.Errorf("fftxd_batches_total += %v, fftxd_batch_rows += %d groups of %v rows; want 1 group of %d",
+			batches-batches0, groups-groups0, rows-rows0, clients)
+	}
+	for i, b := range batchSizes {
+		if b != clients {
+			t.Errorf("client %d: batch size %d, want %d", i, b, clients)
 		}
 	}
-	if max < 2 {
-		t.Errorf("no coalescing observed: batch sizes %v", batchSizes)
+}
+
+// queuedDispatcher admits one single-row task per shape in dims, in that
+// order, and only then starts the dispatcher, so that every task is queued
+// when it starts. No worker runs: the test takes the groups from s.batches
+// itself, in the order they are offered, and runs them.
+func queuedDispatcher(t *testing.T, cfg Config, dims ...[]int) (*Server, []*task) {
+	t.Helper()
+	s := New(cfg)
+	tasks := make([]*task, len(dims))
+	for i, d := range dims {
+		req := &Request{Op: OpTransform, Dims: d, Sign: -1, Batch: 1}
+		tasks[i] = newTask(req, req.ShapeKey(), make([]complex128, req.NumElements()))
+		if serr := s.admit(tasks[i]); serr != nil {
+			t.Fatalf("task %d: %v", i, serr)
+		}
 	}
+	go s.dispatch()
+	t.Cleanup(func() {
+		s.admitMu.Lock()
+		s.draining = true
+		close(s.queue)
+		s.admitMu.Unlock()
+		<-s.dispatcherDone
+	})
+	return s, tasks
+}
+
+// takeGroups receives len(want) groups as a worker would, runs them, and
+// checks that each holds the next tasks of want in order, nothing else.
+func takeGroups(t *testing.T, s *Server, want ...[]*task) {
+	t.Helper()
+	for i, tasks := range want {
+		g := <-s.batches
+		if !slices.Equal(g.tasks, tasks) || g.rows != len(tasks) {
+			t.Errorf("group %d: %d tasks (%d rows), want %d in admission order", i, len(g.tasks), g.rows, len(tasks))
+		}
+		s.runBatch(g)
+	}
+	select {
+	case g := <-s.batches:
+		t.Errorf("an extra group of %d rows", g.rows)
+		s.runBatch(g)
+	default:
+	}
+}
+
+// TestDispatchSealsAtMaxBatch: 40 single-row requests of one shape, queued
+// before a worker is free, with MaxBatch 16 — they leave as groups of 16, 16
+// and 8, in admission order. A dispatcher that offered a group before taking
+// every queued task would hand out a smaller first group.
+func TestDispatchSealsAtMaxBatch(t *testing.T) {
+	dims := make([][]int, 40)
+	for i := range dims {
+		dims[i] = []int{4}
+	}
+	s, tasks := queuedDispatcher(t, Config{Workers: 1, MaxBatch: 16}, dims...)
+	takeGroups(t, s, tasks[:16], tasks[16:32], tasks[32:])
+}
+
+// TestDispatchInterleavedShapes: two shapes queued interleaved before a
+// worker is free make one group each, the shape that arrived first first.
+func TestDispatchInterleavedShapes(t *testing.T) {
+	var dims [][]int
+	for i := 0; i < 4; i++ {
+		dims = append(dims, []int{6}, []int{3, 2})
+	}
+	s, tasks := queuedDispatcher(t, Config{Workers: 1, MaxBatch: 16}, dims...)
+	var first, second []*task
+	for i, tk := range tasks {
+		if i%2 == 0 {
+			first = append(first, tk)
+		} else {
+			second = append(second, tk)
+		}
+	}
+	takeGroups(t, s, first, second)
 }
 
 // TestServeMetricsExposed checks the per-endpoint and per-shape fftxd_*

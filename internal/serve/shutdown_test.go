@@ -40,13 +40,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 	})
 	baseline := runtime.NumGoroutine()
 
-	// One slow worker, batching off: the first requests occupy the worker
-	// and the batch buffer, the rest stay queued when the drain begins.
-	s := New(Config{Workers: 1, QueueDepth: 8, MaxBatch: 1})
-	s.cfg.execDelay = 250 * time.Millisecond
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
+	// One held worker, batching off: the first request occupies the
+	// worker, the rest wait in pending groups when the drain begins.
+	s, release := startHeld(t, Config{Workers: 1, QueueDepth: 8, MaxBatch: 1})
 
 	const clients = 5
 	queued0, inflight0 := mQueueDepth.Value(), mInflight.Value()
@@ -71,7 +67,14 @@ func TestServeGracefulShutdown(t *testing.T) {
 	addr := s.Addr()
 	ctx, cancel = contextWithTimeout(5 * time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(ctx) }()
+	// The drain rejects the pending four while the fifth still executes.
+	waitFor(t, "the drain to reject every pending request", func() bool {
+		return mQueueDepth.Value() == queued0
+	})
+	release()
+	if err := <-drained; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	wg.Wait()
@@ -156,13 +159,9 @@ func TestDrainingRejectsNewRequests(t *testing.T) {
 }
 
 // TestHealthzDraining drives the healthz flip through a server whose drain
-// is held open by a slow in-flight batch.
+// is held open by a held in-flight batch.
 func TestHealthzDraining(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.cfg.execDelay = 300 * time.Millisecond
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
+	s, release := startHeld(t, Config{Workers: 1, MaxBatch: 1})
 	url := s.URL()
 	inflight0 := mInflight.Value()
 
@@ -195,6 +194,7 @@ func TestHealthzDraining(t *testing.T) {
 		t.Errorf("healthz during drain: status %d, want 503", resp.StatusCode)
 	}
 
+	release()
 	if err := <-done; err != nil {
 		t.Errorf("shutdown: %v", err)
 	}
