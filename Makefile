@@ -100,9 +100,11 @@ introspect-smoke:
 	./scripts/introspect-smoke.sh
 
 # cluster-smoke stands up a router + two workers (one static peer, one
-# dynamic -join), drives mixed JSON/binary load through the router, runs the
-# kill-one-worker drill (zero failed requests) and checks the
-# /debug/fftx/cluster topology and fftxd_cluster_* metrics surfaces.
+# dynamic -join), curls a mixed-shape JSON request set through the router
+# (replies from both workers), runs the kill-one-worker drill under a curl
+# loop (zero failed requests) and checks the /debug/fftx/cluster topology
+# and fftxd_cluster_* metrics surfaces. Binary bodies through the router are
+# TestEndToEndFailover's.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 

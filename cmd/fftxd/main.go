@@ -7,8 +7,6 @@
 //
 //	fftxd [flags]            serve until SIGINT/SIGTERM, then drain
 //	fftxd -router [flags]    route requests across a cluster of workers
-//	fftxd -loadgen [flags]   drive load against -target (or a self-hosted
-//	                         in-process server) and print a report
 //
 // Server flags:
 //
@@ -20,7 +18,6 @@
 //	                       coalesce only while every worker is busy
 //	-max-elems N           per-request element budget
 //	-drain-timeout 10s     graceful-drain budget on shutdown
-//	-hostpar               host-parallel kernels (default true)
 //	-trace-sample 0.05     fraction of requests traced server-side (requests
 //	                       carrying a trace_id are always traced)
 //	-log-level info        structured log level (debug|info|warn|error);
@@ -46,22 +43,8 @@
 // Topology lives at /debug/fftx/cluster, health at /healthz, metrics in the
 // fftxd_cluster_* families.
 //
-// Loadgen flags (with -loadgen):
-//
-//	-target URL        server to load (default: self-host in process)
-//	-concurrency 8     client goroutines (closed loop keeps one request
-//	                   in flight per client)
-//	-duration 2s       run length (or -requests N for a fixed count)
-//	-rate 0            open-loop arrival rate in req/s (0 = closed loop)
-//	-dims 16x16x16     transform shape mix; comma-separate for multiple
-//	                   classes (e.g. 8x8,16x16x16) — the report breaks
-//	                   quantiles down per class
-//	-batch 1           transforms per request
-//	-binary            use the length-prefixed wire format
-//	-trace-sample 0.05 fraction of loadgen requests stamped with client
-//	                   trace IDs (report counts echoes, flags mismatches)
-//	-json              print the report as JSON (scripts/cluster-smoke.sh
-//	                   reads it)
+// fftxd generates no load of its own: bench/ (bash bench/run.sh) drives and
+// measures it, and the smoke scripts under scripts/ drive it with curl.
 package main
 
 import (
@@ -75,8 +58,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -84,9 +65,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fft"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/serve"
-	"repro/internal/serve/loadgen"
 	"repro/internal/telemetry"
 )
 
@@ -102,34 +81,19 @@ func realMain() int {
 		maxBatch    = flag.Int("max-batch", 32, "max transforms coalesced per batch (1 disables batching)")
 		maxElems    = flag.Int("max-elems", serve.DefaultMaxElements, "per-request element budget")
 		drainT      = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on shutdown")
-		hostpar     = flag.Bool("hostpar", true, "fan batch rows out over host cores")
-		traceSample = flag.Float64("trace-sample", 0.05, "fraction of requests traced (server) or stamped with trace IDs (loadgen)")
+		traceSample = flag.Float64("trace-sample", 0.05, "fraction of requests traced server-side")
 		logLevel    = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
 		joinURL     = flag.String("join", "", "cluster router base URL to register with (worker mode)")
 
 		rtMode     = flag.Bool("router", false, "route requests across a cluster of workers instead of serving")
 		rtPeers    = flag.String("peers", "", "router: comma-separated static worker addresses (host:port)")
 		rtAttempts = flag.Int("max-attempts", 3, "router: replica attempts per request before giving up")
-
-		lgMode    = flag.Bool("loadgen", false, "drive load instead of serving")
-		lgTarget  = flag.String("target", "", "loadgen: server base URL (default: self-host in process)")
-		lgConc    = flag.Int("concurrency", 8, "loadgen: client goroutines")
-		lgReqs    = flag.Int("requests", 0, "loadgen: stop after this many requests (0 = -duration)")
-		lgDur     = flag.Duration("duration", 2*time.Second, "loadgen: run length")
-		lgRate    = flag.Float64("rate", 0, "loadgen: open-loop arrival rate in req/s (0 = closed loop)")
-		lgDims    = flag.String("dims", "16x16x16", "loadgen: transform shape, e.g. 256 or 64x64 or 16x16x16")
-		lgBatch   = flag.Int("batch", 1, "loadgen: transforms per request")
-		lgBinary  = flag.Bool("binary", false, "loadgen: use the binary wire format")
-		lgJSON    = flag.Bool("json", false, "loadgen: print the report as JSON")
-		lgDeadl   = flag.Duration("deadline", 0, "loadgen: per-request queueing deadline")
-		lgBackwrd = flag.Bool("backward", false, "loadgen: request backward transforms")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: fftxd [flags] | fftxd -loadgen [flags]")
+		fmt.Fprintln(os.Stderr, "usage: fftxd [flags] | fftxd -router [flags]")
 		return 2
 	}
-	par.SetEnabled(*hostpar)
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fftxd:", err)
@@ -149,26 +113,6 @@ func realMain() int {
 		Cache:       &fft.Cache{},
 		TraceSample: *traceSample,
 		Logger:      logger,
-	}
-
-	if *lgMode {
-		shapes, err := parseShapeMix(*lgDims, *lgBatch, *lgBackwrd)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftxd:", err)
-			return 2
-		}
-		opts := loadgen.Options{
-			Target:      *lgTarget,
-			Concurrency: *lgConc,
-			Requests:    *lgReqs,
-			Duration:    *lgDur,
-			Rate:        *lgRate,
-			Shapes:      shapes,
-			Binary:      *lgBinary,
-			Deadline:    *lgDeadl,
-			TraceSample: *traceSample,
-		}
-		return runLoadgen(cfg, opts, *lgJSON, *drainT)
 	}
 	return runServer(cfg, *joinURL, *drainT)
 }
@@ -292,78 +236,6 @@ func runRouter(addr, peers string, maxAttempts int, logger *slog.Logger) int {
 	return 0
 }
 
-// runLoadgen drives load, self-hosting a server when no target is given.
-func runLoadgen(cfg serve.Config, opts loadgen.Options, asJSON bool, drainTimeout time.Duration) int {
-	var srv *serve.Server
-	if opts.Target == "" {
-		cfg.Addr = "127.0.0.1:0"
-		srv = serve.New(cfg)
-		if err := srv.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, "fftxd:", err)
-			return 1
-		}
-		opts.Target = srv.URL()
-		fmt.Fprintf(os.Stderr, "fftxd: self-hosted server at %s (workers=%d max-batch=%d)\n",
-			opts.Target, srv.Workers(), cfg.MaxBatch)
-	}
-	rep, err := loadgen.Run(context.Background(), opts)
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if derr := srv.Shutdown(ctx); derr != nil && err == nil {
-			err = derr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftxd:", err)
-		return 1
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-		return 0
-	}
-	fmt.Printf("fftxd loadgen: %s %s, %d clients: %d sent, %d ok, %d errors in %.2fs\n",
-		rep.Mode, rep.Shape, rep.Concurrency, rep.Sent, rep.OK, rep.Errors, rep.ElapsedSec)
-	fmt.Printf("  throughput %.1f req/s, mean batch %.2f rows\n", rep.Throughput, rep.MeanBatchRows)
-	fmt.Printf("  latency mean %.3fms p50 %.3fms p90 %.3fms p99 %.3fms max %.3fms\n",
-		rep.MeanSec*1e3, rep.P50Sec*1e3, rep.P90Sec*1e3, rep.P99Sec*1e3, rep.MaxSec*1e3)
-	if len(rep.PerShape) > 1 {
-		keys := make([]string, 0, len(rep.PerShape))
-		for k := range rep.PerShape {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			sr := rep.PerShape[k]
-			fmt.Printf("  shape %-20s %6d ok, mean %.3fms p50 %.3fms p90 %.3fms p99 %.3fms\n",
-				k+":", sr.OK, sr.MeanSec*1e3, sr.P50Sec*1e3, sr.P90Sec*1e3, sr.P99Sec*1e3)
-		}
-	}
-	if len(rep.PerWorker) > 0 {
-		keys := make([]string, 0, len(rep.PerWorker))
-		for k := range rep.PerWorker {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			wr := rep.PerWorker[k]
-			fmt.Printf("  worker %-28s %6d ok, %d errors, mean %.3fms p50 %.3fms p99 %.3fms\n",
-				k+":", wr.OK, wr.Errors, wr.MeanSec*1e3, wr.P50Sec*1e3, wr.P99Sec*1e3)
-		}
-	}
-	if rep.TraceSent > 0 {
-		fmt.Printf("  tracing: %d stamped, %d echoed, %d mismatched\n",
-			rep.TraceSent, rep.TraceEchoed, rep.TraceMismatch)
-		if rep.SlowestTraceID != "" {
-			fmt.Printf("  slowest traced request %.3fms: trace %s (see /debug/fftx/requests)\n",
-				rep.SlowestSec*1e3, rep.SlowestTraceID)
-		}
-	}
-	return 0
-}
-
 // printLatencySummary renders p50/p99 of the /fft latency histogram from
 // the default registry — what the server actually observed, bucketed.
 func printLatencySummary(w *os.File) {
@@ -379,35 +251,4 @@ func printLatencySummary(w *os.File) {
 		fmt.Fprintf(w, "fftxd: served %d /fft requests, latency ~p50 %.3fms ~p99 %.3fms (bucketed)\n",
 			s.Count, s.Quantile(0.50)*1e3, s.Quantile(0.99)*1e3)
 	}
-}
-
-// parseShapeMix parses a comma-separated -dims mix like "8x8,16x16x16" into
-// loadgen shape classes; batch and backward apply to every class.
-func parseShapeMix(s string, batch int, backward bool) ([]loadgen.Shape, error) {
-	var shapes []loadgen.Shape
-	for _, part := range strings.Split(s, ",") {
-		dims, err := parseDims(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		shapes = append(shapes, loadgen.Shape{Dims: dims, Batch: batch, Backward: backward})
-	}
-	return shapes, nil
-}
-
-// parseDims parses "256", "64x64" or "16x16x16".
-func parseDims(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) < 1 || len(parts) > 3 {
-		return nil, fmt.Errorf("dims %q: want 1 to 3 x-separated sizes", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		d, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("dims %q: bad size %q", s, p)
-		}
-		dims[i] = d
-	}
-	return dims, nil
 }

@@ -135,7 +135,7 @@ func TestStagePureRule(t *testing.T) {
 
 // servingRoots are the serving tier's packages: the fftxd daemon and what
 // it is built from.
-var servingRoots = []string{"internal/serve", "internal/serve/loadgen", "internal/cluster", "cmd/fftxd"}
+var servingRoots = []string{"internal/serve", "internal/cluster", "cmd/fftxd"}
 
 // simulatorPackages are the packages of the simulated FFTXlib run.
 var simulatorPackages = []string{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -405,8 +406,9 @@ func TestUnroutableBodyStillProxies(t *testing.T) {
 }
 
 // TestEndToEndFailover is the cluster drill against real fftxd workers:
-// mixed-shape load through a router while one worker drains mid-run. Zero
-// request failures, and the topology reflects the ejection.
+// mixed-shape load in both wire formats through a router, answered by both
+// workers, while one worker drains mid-run. Zero request failures, and the
+// topology reflects the ejection.
 func TestEndToEndFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster drill")
@@ -453,78 +455,155 @@ func TestEndToEndFailover(t *testing.T) {
 		}
 		return n
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for upCount() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("workers never came up: %+v", rt.Topology().Members)
+	waitUp := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for upCount() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("up members never reached %d: %+v", want, rt.Topology().Members)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	waitUp(2)
+
+	// The mix: each shape in both wire formats. The ring must make each
+	// worker the primary of some shape, so that replies name both; twelve
+	// shapes nearly always do, and up to eight 1-D shapes are added until
+	// they do.
+	mix := [][]int{{4, 4}, {8, 8}, {4, 4, 4}, {16}, {8, 4}, {32}, {2, 4, 4}, {16, 4}, {4, 16}, {64}, {8, 2}, {2, 2, 2}}
+	owners := map[string]bool{}
+	for _, d := range mix {
+		owners[orderFor(t, rt, transformBody(t, d))[0]] = true
+	}
+	for n := 128; len(owners) < 2 && n <= 1<<14; n *= 2 {
+		mix = append(mix, []int{n})
+		owners[orderFor(t, rt, transformBody(t, []int{n}))[0]] = true
+	}
+	if len(owners) < 2 {
+		t.Fatalf("the ring makes %v the primary of all %d shapes", owners, len(mix))
+	}
+	type body struct {
+		contentType string
+		data        []byte
+	}
+	var bodies []body
+	for _, d := range mix {
+		n := 1
+		for _, x := range d {
+			n *= x
+		}
+		bin, err := serve.EncodeRequest(&serve.Request{Dims: d, Batch: 1, Data: make([]float64, 2*n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies,
+			body{"application/json", transformBody(t, d)},
+			body{"application/octet-stream", bin})
 	}
 
-	// Mixed-shape closed-loop load through the router; one worker drains
-	// 300 ms in. The router must absorb the loss: every request answered.
-	var failErr error
+	// Closed-loop load through the router: each client cycles through the
+	// whole mix. Progress is counted in replies, not waited out.
+	type reply struct {
+		code   int
+		worker string
+		err    error
+	}
+	const clients = 4
+	replies := make(chan reply, 64)
 	done := make(chan struct{})
-	results := make(chan int, 4096)
 	client := &http.Client{Timeout: 10 * time.Second}
 	var wg sync.WaitGroup
-	bodies := [][]byte{
-		transformBody(t, []int{8, 8}),
-		transformBody(t, []int{4, 4, 4}),
-		transformBody(t, []int{16, 4}),
-		transformBody(t, []int{32}),
-	}
-	for c := 0; c < 4; c++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := c; ; i++ {
+				b := bodies[i%len(bodies)]
+				var r reply
+				resp, err := client.Post(rt.URL()+"/fft", b.contentType, bytes.NewReader(b.data))
+				if err != nil {
+					r.err = err
+				} else {
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					r.code, r.worker = resp.StatusCode, resp.Header.Get("Fftx-Worker")
+				}
 				select {
+				case replies <- r:
 				case <-done:
 					return
-				default:
 				}
-				resp, err := client.Post(rt.URL()+"/fft", "application/json",
-					bytes.NewReader(bodies[(c+i)%len(bodies)]))
 				if err != nil {
-					failErr = err
 					return
 				}
-				resp.Body.Close()
-				results <- resp.StatusCode
 			}
 		}(c)
 	}
+	// stop ends the load and closes the clients' idle connections: a
+	// connection dialled but never used would hold the router's Shutdown
+	// for net/http's 5 s grace of a new connection.
+	stop := sync.OnceFunc(func() {
+		close(done)
+		wg.Wait()
+		close(replies)
+		client.CloseIdleConnections()
+	})
+	defer stop()
 
-	time.Sleep(300 * time.Millisecond)
+	served := 0
+	check := func(r reply) {
+		t.Helper()
+		if r.err != nil {
+			t.Fatalf("request failed during the drill after %d replies: %v", served, r.err)
+		}
+		if r.code != http.StatusOK {
+			t.Fatalf("reply %d: status %d, want 200", served, r.code)
+		}
+		served++
+	}
+	// collect checks the next n replies. One client runs through the whole
+	// mix within any clients·len(bodies) replies.
+	collect := func(n int) map[string]int {
+		t.Helper()
+		workers := map[string]int{}
+		timeout := time.After(10 * time.Second)
+		for i := 0; i < n; i++ {
+			select {
+			case r := <-replies:
+				check(r)
+				workers[r.worker]++
+			case <-timeout:
+				t.Fatalf("only %d of %d replies within 10s", i, n)
+			}
+		}
+		return workers
+	}
+	phase := clients * len(bodies)
+
+	// Before the drain both workers answer.
+	before := collect(phase)
+	for _, s := range []*serve.Server{s1, s2} {
+		if before["http://"+s.Addr()] == 0 {
+			t.Errorf("no reply named worker %s before the drain: %v", s.Addr(), before)
+		}
+	}
+
+	// One worker drains under load. The router must absorb the loss: every
+	// request is answered, through the drain and the ring's ejection.
 	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if err := s1.Shutdown(drainCtx); err != nil {
 		t.Errorf("worker drain: %v", err)
 	}
 	cancel()
-	time.Sleep(300 * time.Millisecond)
-	close(done)
-	wg.Wait()
-	close(results)
-
-	if failErr != nil {
-		t.Fatalf("request failed during the drill: %v", failErr)
-	}
-	total, ok := 0, 0
-	for code := range results {
-		total++
-		if code == http.StatusOK {
-			ok++
-		}
-	}
-	if total == 0 || ok != total {
-		t.Fatalf("drill served %d/%d OK, want all of a non-zero load", ok, total)
+	collect(phase)
+	waitUp(1)
+	stop()
+	for r := range replies {
+		check(r)
 	}
 
 	// The ring must have ejected the drained worker...
-	if n := upCount(); n != 1 {
-		t.Errorf("up members after drain = %d, want 1", n)
-	}
 	rt.mu.RLock()
 	s1state := rt.members["http://"+s1.Addr()].state
 	rt.mu.RUnlock()

@@ -148,7 +148,7 @@ func (rt *Router) attempt(parent trace.SpanRef, r *http.Request, addr string, bo
 }
 
 // relay streams a worker reply to the client, stamping Fftx-Worker so
-// clients (and the cluster loadgen's per-worker report) can attribute it.
+// clients (and the cluster smoke's both-workers check) can attribute it.
 // A final 503 additionally carries the failover-wide Retry-After.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, addr string, maxRetryAfter int) {
 	defer resp.Body.Close()

@@ -87,12 +87,12 @@ type Response struct {
 	// Data echoes the transformed payload (interleaved re,im).
 	Data []float64 `json:"data,omitempty"`
 	// BatchSize is the number of transforms the server coalesced into the
-	// batch this request rode in (≥ its own Batch; the batching tests and
-	// loadgen read it).
+	// batch this request rode in (≥ its own Batch; the batching tests read
+	// it).
 	BatchSize int `json:"batch_size,omitempty"`
 	// TraceID echoes the request's trace ID when the request was traced
-	// (client-supplied or server-sampled); loadgen joins client-observed
-	// latency to the server-side span tree through it. Traced replies also
+	// (client-supplied or server-sampled); a client joins the latency it
+	// observed to the server-side span tree through it. Traced replies also
 	// carry it in the Fftx-Trace-Id response header, which is how
 	// binary-transform clients read it.
 	TraceID string `json:"trace_id,omitempty"`

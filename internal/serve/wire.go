@@ -310,7 +310,7 @@ func appendTransformFrame(out []byte, data []complex128, batchSize int, traceID 
 	return append(out, traceID...)
 }
 
-// DecodeResponse parses an "FXR1" frame (the loadgen's read path).
+// DecodeResponse parses an "FXR1" frame (a binary client's read path).
 func DecodeResponse(data []byte) (*Response, error) {
 	if len(data) < wireRespHeader {
 		return nil, fmt.Errorf("response truncated: %d bytes", len(data))
