@@ -47,10 +47,14 @@ experiments:
 # geometry and plans, and the host-parallel pools and servers. The
 # dispatcher's, backpressure, drain and deadline tests of fftxd then run 20
 # times over: they order their steps on server state, so each run must pass.
+# So do par's pooled-job tests: concurrent callers (with the go fallback)
+# and a panicking call followed by a clean one must never share a job.
 DISPATCH_TESTS = TestDispatch|TestServeBatchingCoalesces|Backpressure|TestServeGracefulShutdown|TestDrainingRejectsNewRequests|TestHealthzDraining|TestServeDeadlineExpiry|TestAbandonedRequestKeepsItsBuffer
+PAR_TESTS = TestParallelForConcurrentCallers|TestParallelForPanicThenReuse
 race:
 	$(GO) test -race -count=1 ./internal/...
 	$(GO) test -race -count=20 -run '$(DISPATCH_TESTS)' ./internal/serve
+	$(GO) test -race -count=20 -run '$(PAR_TESTS)' ./internal/par
 
 # fuzz-smoke runs a short bounded fuzz of the FFT round-trip property, of
 # the batch kernels against their serial reference (bit-identical across

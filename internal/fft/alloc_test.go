@@ -2,7 +2,10 @@ package fft
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/par"
 )
 
 func allocVec(n int) []complex128 {
@@ -17,12 +20,26 @@ func allocVec(n int) []complex128 {
 
 func assertZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
+	assertAllocsAtMost(t, name, 0, 1, fn)
+}
+
+// assertAllocsAtMost pins fn to at most max allocations per run, reading
+// the lowest of tries measurements. More than one try is for calls that
+// fan out: a par helper that is off its CPU when the call hands out work
+// sends it down the go fallback, which allocates. Such a miss only ever
+// adds, so the lowest reading is the steady state.
+func assertAllocsAtMost(t *testing.T, name string, max float64, tries int, fn func()) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the pins only hold in normal builds")
 	}
 	fn() // warm the scratch pools
-	if avg := testing.AllocsPerRun(20, fn); avg != 0 {
-		t.Errorf("%s: %v allocs per run, want 0", name, avg)
+	avg := testing.AllocsPerRun(20, fn)
+	for i := 1; i < tries && avg > max; i++ {
+		avg = min(avg, testing.AllocsPerRun(20, fn))
+	}
+	if avg > max {
+		t.Errorf("%s: %v allocs per run, want at most %v", name, avg, max)
 	}
 }
 
@@ -108,5 +125,51 @@ func TestVariantPlansZeroAllocs(t *testing.T) {
 			p.Transform(x, Forward)
 			p.Transform(x, Backward)
 		})
+	}
+}
+
+// batchTransformer is the TransformBatch surface Plan, Plan2D and Plan3D
+// share.
+type batchTransformer interface {
+	TransformBatch(data []complex128, count int, sign Sign)
+}
+
+// TransformBatch at two workers, over the batches bench's kernel_batch
+// transforms plus serve_json's 16³ box. A batch that fits one chunk runs
+// on the caller and must allocate nothing; a batch that fans out costs
+// exactly the closure it hands to par.ParallelFor, whose own per-call
+// state is pooled. hotalloc counts closure creation as free, so these
+// pins, not the analyzer, guard the batch path.
+func TestTransformBatchAllocs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the helper pool is empty below GOMAXPROCS 2: every fan-out starts a goroutine")
+	}
+	par.SetWorkers(2)
+	t.Cleanup(func() { par.SetWorkers(0) })
+	for _, tc := range []struct {
+		name string
+		p    batchTransformer
+		size int
+		rows int
+		fans bool // count exceeds the plan's grain at two workers
+	}{
+		{"z120", NewPlan(120), 120, 128, true},
+		{"xy120", NewPlan2D(120, 120), 120 * 120, 1, false},
+		{"box32", NewPlan3D(32, 32, 32), 32 * 32 * 32, 1, false},
+		{"p4096", NewPlan(4096), 4096, 4, false},
+		{"p64", NewPlan(64), 64, 128, true},
+		{"b1009", NewPlan(1009), 1009, 2, false},
+		{"box16", NewPlan3D(16, 16, 16), 16 * 16 * 16, 1, false},
+	} {
+		data := allocVec(tc.size * tc.rows)
+		fn := func() {
+			tc.p.TransformBatch(data, tc.rows, Forward)
+			tc.p.TransformBatch(data, tc.rows, Backward)
+		}
+		if tc.fans {
+			assertAllocsAtMost(t, "TransformBatch("+tc.name+")", 2, 5, fn)
+		} else {
+			assertZeroAllocs(t, "TransformBatch("+tc.name+")", fn)
+		}
 	}
 }

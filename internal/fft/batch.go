@@ -56,10 +56,15 @@ func (p *Plan) transformRows(data []complex128, rows int, sign Sign) {
 
 // TransformBatch applies the plan in place to count contiguous rows of
 // length N starting at data[0], fanning the rows out over host cores.
-// Results are bit-identical to TransformMany.
+// Results are bit-identical to TransformMany. A batch that fits one chunk
+// runs on the caller and builds no closure, so it allocates nothing.
 func (p *Plan) TransformBatch(data []complex128, count int, sign Sign) {
 	if len(data) < count*p.n {
 		panic("fft: TransformBatch: slice too short")
+	}
+	if count <= grainBatchSticks {
+		p.transformRows(data, count, sign)
+		return
 	}
 	par.ParallelFor(count, grainBatchSticks, func(lo, hi int) {
 		p.transformRows(data[lo*p.n:hi*p.n], hi-lo, sign)
@@ -70,31 +75,50 @@ func (p *Plan) TransformBatch(data []complex128, count int, sign Sign) {
 // row-major planes. With host parallelism enabled the planes fan out over
 // cores and each worker runs the layout-optimized plane kernel (batched
 // planar row pass, blocked planar column pass); disabled, it is the plain
-// per-plane reference loop.
+// per-plane reference loop. A single plane runs on the caller.
 func (p *Plan2D) TransformBatch(data []complex128, count int, sign Sign) {
-	sz := p.nx * p.ny
-	if len(data) < count*sz {
+	if len(data) < count*p.Size() {
 		panic("fft: Plan2D.TransformBatch: slice too short")
 	}
+	if count <= grainBatchBoxes {
+		p.transformItems(data, 0, count, sign)
+		return
+	}
 	par.ParallelFor(count, grainBatchBoxes, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			p.Transform(data[b*sz:(b+1)*sz], sign)
-		}
+		p.transformItems(data, lo, hi, sign)
 	})
 }
 
+// transformItems transforms planes [lo,hi) of a TransformBatch.
+func (p *Plan2D) transformItems(data []complex128, lo, hi int, sign Sign) {
+	sz := p.Size()
+	for b := lo; b < hi; b++ {
+		p.Transform(data[b*sz:(b+1)*sz], sign)
+	}
+}
+
 // TransformBatch applies the 3-D transform in place to count contiguous
-// z-fastest boxes, one host-parallel item per box.
+// z-fastest boxes, one host-parallel item per box. A single box runs on
+// the caller.
 func (p *Plan3D) TransformBatch(data []complex128, count int, sign Sign) {
-	sz := p.nx * p.ny * p.nz
-	if len(data) < count*sz {
+	if len(data) < count*p.Size() {
 		panic("fft: Plan3D.TransformBatch: slice too short")
 	}
+	if count <= grainBatchBoxes {
+		p.transformItems(data, 0, count, sign)
+		return
+	}
 	par.ParallelFor(count, grainBatchBoxes, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			p.Transform(data[b*sz:(b+1)*sz], sign)
-		}
+		p.transformItems(data, lo, hi, sign)
 	})
+}
+
+// transformItems transforms boxes [lo,hi) of a TransformBatch.
+func (p *Plan3D) transformItems(data []complex128, lo, hi int, sign Sign) {
+	sz := p.Size()
+	for b := lo; b < hi; b++ {
+		p.Transform(data[b*sz:(b+1)*sz], sign)
+	}
 }
 
 // Size returns the number of elements of one transform (nx·ny).

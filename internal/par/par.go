@@ -64,12 +64,13 @@ func SetWorkers(n int) {
 // Workers returns the current per-call concurrency target.
 func Workers() int { return int(workers.Load()) }
 
-// pool is the lazily started persistent helper pool. Helpers beyond the
-// pool size (e.g. SetWorkers above GOMAXPROCS in tests) fall back to fresh
+// pool is the lazily started persistent helper pool. Helpers receive the
+// call's job itself, so a hand-off builds no thunk. Helpers beyond the pool
+// size (e.g. SetWorkers above GOMAXPROCS in tests) fall back to fresh
 // goroutines, so submit never blocks behind a busy pool.
 var (
 	poolOnce sync.Once
-	poolCh   chan func()
+	poolCh   chan *job
 )
 
 func startPool() {
@@ -77,21 +78,71 @@ func startPool() {
 	if size < 0 {
 		size = 0
 	}
-	poolCh = make(chan func())
+	poolCh = make(chan *job)
 	for i := 0; i < size; i++ {
 		go func() {
-			for f := range poolCh {
-				f()
+			for j := range poolCh {
+				j.help()
 			}
 		}()
 	}
 }
 
-func submit(f func()) {
+func submit(j *job) {
 	select {
-	case poolCh <- f:
+	case poolCh <- j:
 	default:
-		go f()
+		go j.help()
+	}
+}
+
+// job is the state of one fanned-out ParallelFor call. Jobs are pooled, so
+// a call in steady state allocates nothing: the claim counter, the
+// WaitGroup and the panic slot all live in the recycled struct. A job goes
+// back to the pool only after Wait has seen every helper's Done, and with
+// fn and the panic slot cleared, so the next call neither pins the old
+// body's captures nor re-raises its panic.
+type job struct {
+	fn       func(lo, hi int)
+	n, chunk int
+	nc       int
+	next     atomic.Int32
+	wg       sync.WaitGroup
+	panicked atomic.Bool // guards the panic slot: the first panic wins
+	pv       any         // the panic slot
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// help runs the claim loop on a helper and signals the caller.
+func (j *job) help() {
+	defer j.wg.Done()
+	j.run()
+}
+
+// run claims chunks off the shared counter until none is left. The first
+// panic goes into the job's slot (the CAS winner writes it; the write
+// happens-before the caller's read via the WaitGroup) and ends this
+// executor's loop; the others drain the remaining chunks.
+func (j *job) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if j.panicked.CompareAndSwap(false, true) {
+				j.pv = r
+			}
+		}
+	}()
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.nc {
+			return
+		}
+		lo := c * j.chunk
+		hi := lo + j.chunk
+		if hi > j.n {
+			hi = j.n
+		}
+		j.fn(lo, hi)
 	}
 }
 
@@ -99,6 +150,9 @@ func submit(f func()) {
 // grain indices. fn must confine its writes to data indexed by its [lo,hi)
 // range and must not touch the simulation runtimes (mpi/vtime/ompss). A
 // panic in any chunk is re-raised on the caller after all chunks finish.
+// In steady state a call allocates nothing itself (a helper that falls
+// back to a fresh goroutine aside); a closure passed as fn is the caller's
+// one allocation, since it escapes into the job the helpers share.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -133,45 +187,24 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	}
 	poolOnce.Do(startPool)
 
-	var next atomic.Int32
-	var panicked atomic.Pointer[panicValue]
-	body := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &panicValue{r})
-			}
-		}()
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= nc {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
+	j := jobs.Get().(*job)
+	j.fn, j.n, j.chunk, j.nc = fn, n, chunk, nc
+	j.next.Store(0)
 	helpers := w - 1
 	if nc-1 < helpers {
 		helpers = nc - 1
 	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
+	j.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
-		submit(func() {
-			defer wg.Done()
-			body()
-		})
+		submit(j)
 	}
-	body()
-	wg.Wait()
-	if pv := panicked.Load(); pv != nil {
-		panic(fmt.Sprintf("par: panic in ParallelFor body: %v", pv.v))
+	j.run()
+	j.wg.Wait()
+	pv := j.pv
+	j.fn, j.pv = nil, nil
+	j.panicked.Store(false)
+	jobs.Put(j)
+	if pv != nil {
+		panic(fmt.Sprintf("par: panic in ParallelFor body: %v", pv))
 	}
 }
-
-// panicValue boxes the first recovered panic of a ParallelFor call.
-type panicValue struct{ v any }

@@ -1,7 +1,10 @@
 package par
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -121,5 +124,111 @@ func TestSetWorkersRestoresDefault(t *testing.T) {
 	SetWorkers(0)
 	if Workers() < 1 {
 		t.Fatalf("Workers() = %d after reset", Workers())
+	}
+}
+
+// A fan-out allocates nothing of its own: the claim counter, WaitGroup and
+// panic slot live in a pooled job, and helpers receive the job itself. A
+// prebuilt body therefore makes the whole call allocation-free.
+func TestParallelForAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the pin only holds in normal builds")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the helper pool is empty below GOMAXPROCS 2: every fan-out starts a goroutine")
+	}
+	resetState(t)
+	SetWorkers(2)
+	out := make([]int, 64)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i]++
+		}
+	}
+	call := func() { ParallelFor(len(out), 1, body) }
+	call() // start the pool and fill the job pool
+	if avg := lowestAllocsPerRun(5, 100, call); avg != 0 {
+		t.Fatalf("ParallelFor fan-out: %v allocs per call, want 0", avg)
+	}
+}
+
+// lowestAllocsPerRun is the lowest of tries testing.AllocsPerRun readings.
+// A pool helper that is off its CPU when a call hands out work (the box is
+// shared, or the collector holds the other P) sends the call down the go
+// fallback, which allocates. Such a miss only ever adds, so the lowest
+// reading is the steady state.
+func lowestAllocsPerRun(tries, runs int, fn func()) float64 {
+	low := testing.AllocsPerRun(runs, fn)
+	for i := 1; i < tries && low > 0; i++ {
+		low = min(low, testing.AllocsPerRun(runs, fn))
+	}
+	return low
+}
+
+// Concurrent callers each get their own pooled job. Three workers on a
+// two-core box also drive the go fallback for helpers beyond the pool.
+func TestParallelForConcurrentCallers(t *testing.T) {
+	resetState(t)
+	SetWorkers(3)
+	const callers, calls, n = 4, 200, 97
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]int, n)
+			for c := 0; c < calls; c++ {
+				ParallelFor(n, 1, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						out[i] = g*100000 + c*n + i
+					}
+				})
+				for i, v := range out {
+					if want := g*100000 + c*n + i; v != want {
+						errs <- fmt.Errorf("caller %d call %d: index %d = %d, want %d", g, c, i, v, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// A pooled job that carried a panic must come back clean: the next call
+// covers its whole range and does not re-raise the old panic.
+func TestParallelForPanicThenReuse(t *testing.T) {
+	resetState(t)
+	SetWorkers(4)
+	const n = 64
+	for round := 0; round < 20; round++ {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("round %d: panic in body was swallowed", round)
+				}
+			}()
+			ParallelFor(n, 1, func(lo, hi int) {
+				if lo == 0 {
+					panic("boom")
+				}
+			})
+		}()
+		var visits [n]int32
+		ParallelFor(n, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&visits[i], 1)
+			}
+		})
+		for i, v := range visits {
+			if v != 1 {
+				t.Fatalf("round %d: index %d visited %d times after a panicking call", round, i, v)
+			}
+		}
 	}
 }

@@ -74,8 +74,8 @@ func rebuildSharedPool() {
 // stealCall is the shared state of one Pool.ParallelFor invocation. The
 // pool owns a single record (invocations are not concurrent) and reuses it,
 // so the transform hot path through Pool.ParallelFor stays allocation-free
-// in steady state — the same zero-alloc contract hotalloc enforces on the
-// fixed-chunk mode. The done channel is allocated once in NewPool; the last
+// in steady state — the same contract TestParallelForAllocs pins on the
+// fixed-chunk mode's pooled job. The done channel is allocated once in NewPool; the last
 // finisher sends one token instead of closing it.
 type stealCall struct {
 	n, chunk  int
@@ -84,6 +84,9 @@ type stealCall struct {
 	done      chan struct{}
 	panicked  atomic.Pointer[panicValue]
 }
+
+// panicValue boxes the first recovered panic of a Pool.ParallelFor call.
+type panicValue struct{ v any }
 
 // stealTask is one deque entry: a chunk index bound to its call, so a
 // worker draining the tail of one invocation can safely pick up entries

@@ -422,7 +422,7 @@ func TestHandleFFTAllocs(t *testing.T) {
 	s := startServer(t, Config{})
 	jsonBody, binaryBody := box16(t)
 	pinHandleFFT(t, s, false, []handleFFTCase{
-		{"JSON", "application/json", jsonBody, 16},
-		{"binary", "application/octet-stream", binaryBody, 8},
+		{"JSON", "application/json", jsonBody, 15},
+		{"binary", "application/octet-stream", binaryBody, 7},
 	})
 }

@@ -194,8 +194,8 @@ func TestTracingOverheadSmoke(t *testing.T) {
 	s := startServer(t, Config{TraceSample: 1})
 	jsonBody, binaryBody := box16(t)
 	trips := pinHandleFFT(t, s, true, []handleFFTCase{
-		{"JSON traced", "application/json", jsonBody, 33},
-		{"binary traced", "application/octet-stream", binaryBody, 25},
+		{"JSON traced", "application/json", jsonBody, 32},
+		{"binary traced", "application/octet-stream", binaryBody, 24},
 	})
 
 	// Every traced round trip the ring still holds is a finished 200 with a
