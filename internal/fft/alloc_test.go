@@ -89,7 +89,9 @@ func TestPlan3DZeroAllocs(t *testing.T) {
 }
 
 func TestTransformRowsSoAZeroAllocs(t *testing.T) {
-	for _, n := range []int{60, 120, 128, 486} {
+	// 15, 75, 135 and 225 end on radix 3 and 125 on radix 5: their final
+	// stage runs in place before the copy-out.
+	for _, n := range []int{15, 60, 75, 120, 125, 128, 135, 225, 486} {
 		p := newPlanRadix(n, radixAuto)
 		rows := soaChunkRows + 5 // full chunk plus a partial tail
 		data := allocVec(n * rows)

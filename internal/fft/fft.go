@@ -10,7 +10,8 @@
 // digit-reversal permutation of its factorization and one twiddle table per
 // stage and direction, so the per-transform inner loops contain no modular
 // reductions, no conjugations and no recursion — only table lookups and the
-// radix butterflies (specialized for radix 2, 4 and 8).
+// radix butterflies (specialized for radix 2, 3, 4, 5 and 8; the dense
+// r-point DFT matrix serves only the rarer primes 7, 11 and 13).
 //
 // Sign convention: Forward applies X[k] = sum_j x[j]·exp(-2πi·jk/n) and
 // Backward the conjugate kernel; neither scales, so Backward(Forward(x))
@@ -48,11 +49,11 @@ type stage struct {
 	// consecutively. Index 0 selects Forward, 1 Backward.
 	tw [2][]complex128
 	// wr is the dense r-point DFT matrix exp(∓2πi·(j·q mod r)/r) at
-	// wr[j·r+q], used by the generic small-prime butterfly (nil for the
-	// specialized radices 2, 4 and 8).
+	// wr[j·r+q], used by the generic small-prime butterfly of the radices
+	// 7, 11 and 13 (nil for the specialized radices 2, 3, 4, 5 and 8).
 	wr [2][]complex128
 	// twr/twi are the planar (SoA) copies of tw for the cell-major chunk
-	// kernels. Specialized radices (2, 4, 8) store them q-major — r-1
+	// kernels. Specialized radices (2, 3, 4, 5, 8) store them q-major — r-1
 	// sequential streams of m values at twr[(q-1)·m + k1] — because their
 	// unrolled butterflies read one stream per input; the generic stage
 	// keeps the AoS k-major layout twr[(r-1)·k1 + q-1] because its inner
@@ -169,7 +170,8 @@ func (p *Plan) buildStages() {
 				}
 			}
 			st.tw[si] = tw
-			specialized := r == 2 || r == 4 || r == 8
+			// The other small primes (7, 11, 13) run the dense stage.
+			specialized := r == 2 || r == 3 || r == 4 || r == 5 || r == 8
 			if !specialized {
 				wr := make([]complex128, r*r)
 				for j := 0; j < r; j++ {
@@ -208,10 +210,14 @@ func (p *Plan) buildStages() {
 }
 
 // ctFlops estimates the flop count of a mixed-radix transform: each stage of
-// radix r applies n/r generic r-point DFTs (r(r-1) complex mul-adds ~ 8r(r-1)
-// flops for the direct small-prime form, ~5r·log2(r)-ish for 2/4) plus n
-// twiddle multiplications (6 flops each). The constants match the classic
-// 5·n·log2(n) for pure powers of two within a few percent.
+// radix r applies n/r r-point butterflies plus n twiddle multiplications
+// (6 flops each). The per-butterfly charges are model constants, not counts
+// of what the kernels run: 4, 16 and 60 for radix 2, 4 and 8, 14 and 34 for
+// radix 3 and 5, and 8r(r-1) — the r(r-1) complex mul-adds of the dense
+// matrix — for the primes 7, 11 and 13 that stageGeneric serves. The
+// constants match the classic 5·n·log2(n) for pure powers of two within a
+// few percent; the simulator's cost mode reads them, and
+// TestFlopsModelPinned holds them fixed.
 func ctFlops(n int, factors []int) float64 {
 	var fl float64
 	for _, r := range factors {
@@ -275,8 +281,12 @@ func (p *Plan) combine(w []complex128, sign Sign) {
 		switch st.r {
 		case 2:
 			stageRadix2(w, st.m, st.tw[si])
+		case 3:
+			stageRadix3(w, st.m, st.tw[si], sign)
 		case 4:
 			stageRadix4(w, st.m, st.tw[si], sign)
+		case 5:
+			stageRadix5(w, st.m, st.tw[si], sign)
 		case 8:
 			stageRadix8(w, st.m, st.tw[si], sign)
 		default:
@@ -343,7 +353,7 @@ func stageRadix4(w []complex128, m int, tw []complex128, sign Sign) {
 }
 
 // stageGeneric merges groups of r length-m sub-transforms with the dense
-// precomputed r-point DFT matrix (odd radices 3/5/7/11/13).
+// precomputed r-point DFT matrix (odd radices 7/11/13).
 func stageGeneric(w []complex128, r, m int, tw, wr []complex128) {
 	n := len(w)
 	var tmp, out [maxDirectRadix]complex128

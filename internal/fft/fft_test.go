@@ -266,6 +266,38 @@ func TestFlopsPositiveAndGrowing(t *testing.T) {
 	}
 }
 
+// TestFlopsModelPinned pins the analytic flop model at its values from
+// before radix 3 and 5 had their own butterflies. The simulator's cost mode
+// charges instructions from these counts, so a kernel change that moved
+// them would move every simulated number; the model is a cost estimate,
+// not a count of the operations the kernels happen to run.
+func TestFlopsModelPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n           int
+		mixed, auto float64 // NewPlan, and the policy plan a Cache builds
+	}{
+		{3, 32, 32},
+		{5, 64, 64},
+		{10, 208, 208},
+		{60, 2008, 2008},
+		{120, 4976, 4436},
+		{1009, 388880, 388880},
+	} {
+		if got := NewPlan(tc.n).Flops(); got != tc.mixed {
+			t.Errorf("NewPlan(%d).Flops() = %v, want %v", tc.n, got, tc.mixed)
+		}
+		if got := DefaultCache.Get(tc.n).Flops(); got != tc.auto {
+			t.Errorf("DefaultCache.Get(%d).Flops() = %v, want %v", tc.n, got, tc.auto)
+		}
+	}
+	if got := NewPlan2D(120, 120).Flops(); got != 1064640 {
+		t.Errorf("NewPlan2D(120, 120).Flops() = %v, want 1064640", got)
+	}
+	if got := NewPlan3D(32, 32, 32).Flops(); got != 2310144 {
+		t.Errorf("NewPlan3D(32, 32, 32).Flops() = %v, want 2310144", got)
+	}
+}
+
 func TestPlanPanicsOnBadLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {

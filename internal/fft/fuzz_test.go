@@ -59,6 +59,14 @@ func FuzzBatchMatchesReference(f *testing.F) {
 	f.Add(486, 5, false)  // generic stages, short chunk
 	f.Add(97, 3, true)    // Bluestein
 	f.Add(1000, 2, false) // radix-8 with generic tail
+	f.Add(3, 40, true)    // one radix-3 stage, final: in place, then copy-out
+	f.Add(25, 7, false)   // radix-5 fused into the pack, radix-5 final
+	f.Add(75, 33, true)   // radix-3 final after two fused radix-5 stages
+	f.Add(135, 3, false)  // radix-3 as a middle stage
+	f.Add(225, 65, true)  // radix-3 middle and final, fans out
+	f.Add(250, 1, true)   // radix-5 as a middle stage
+	f.Add(375, 9, false)  // radix-5 middle, radix-3 final
+	f.Add(1001, 4, true)  // the dense generic stage: 7·11·13
 	f.Fuzz(func(t *testing.T, n, rows int, backward bool) {
 		if n < 1 || n > 1024 || rows < 1 || rows > 80 {
 			t.Skip()

@@ -10,7 +10,8 @@ import (
 // family. It is PickLayout's evidence: the PickLayout/PickRadix policy
 // constants were measured off this matrix (64 is the pure-pow2 shape AoS
 // keeps, 128 the pow2 shape the planar mixed path wins, 120 the 8·odd shape
-// radix-8 wins, 486 the generic-stage shape with the largest planar gain).
+// radix-8 wins, 60 and 486 = 2·3⁵ the radix-3/5-heavy shapes, 75 = 3·5²
+// the shape whose final stage is radix 3: in place, then a copy-out).
 // Re-measure it with
 //
 //	go test ./internal/fft -run '^$' -bench 'Batch_' -count 5
@@ -33,6 +34,8 @@ func benchmarkBatchLayout(b *testing.B, n int, r radix, soa bool) {
 
 func BenchmarkBatch_AoS_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, radixMixed, false) }
 func BenchmarkBatch_SoA_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, radixMixed, true) }
+func BenchmarkBatch_AoS_Mixed_75(b *testing.B)   { benchmarkBatchLayout(b, 75, radixMixed, false) }
+func BenchmarkBatch_SoA_Mixed_75(b *testing.B)   { benchmarkBatchLayout(b, 75, radixMixed, true) }
 func BenchmarkBatch_AoS_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, radixMixed, false) }
 func BenchmarkBatch_SoA_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, radixMixed, true) }
 func BenchmarkBatch_AoS_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, radixMixed, false) }

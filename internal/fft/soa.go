@@ -116,7 +116,8 @@ func (p *Plan) transformRowsSoA(data []complex128, rows int, sign Sign) {
 		// The final stage spans the whole row (r·m = n), so its butterfly
 		// results are the finished spectrum: fuse it with the planar→AoS
 		// unpack, writing the output rows directly and saving one more
-		// pass over the chunk.
+		// pass over the chunk (radix 2, 4 and 8; a final odd-radix stage
+		// runs in place, then a plain copy-out).
 		last := len(p.stages) - 1
 		p.combineRowsSoARange(wr, wi, nb, ld, sign, f, last)
 		stageRowsUnpack(wr, wi, &p.stages[last], nb, ld, sign, chunk, n)
@@ -219,8 +220,12 @@ func stageRows(wr, wi []float64, st *stage, nb, ld int, sign Sign) {
 	switch st.r {
 	case 2:
 		stageRadix2Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si])
+	case 3:
+		stageRadix3Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
 	case 4:
 		stageRadix4Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
+	case 5:
+		stageRadix5Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
 	case 8:
 		stageRadix8Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
 	default:
@@ -228,9 +233,10 @@ func stageRows(wr, wi []float64, st *stage, nb, ld int, sign Sign) {
 	}
 }
 
-// stageRowsUnpack is the fused-unpack tail: the final combine stage of a
-// chunk (st.r·st.m = n) writing the finished spectrum straight into the AoS
-// output rows of chunk.
+// stageRowsUnpack is the unpack tail: the final combine stage of a chunk
+// (st.r·st.m = n) writing the finished spectrum into the AoS output rows of
+// chunk. Radix 2, 4 and 8 fuse the stage with the unpack; the odd radices
+// run their stage in place and unpackRows copies the chunk out.
 func stageRowsUnpack(wr, wi []float64, st *stage, nb, ld int, sign Sign, chunk []complex128, n int) {
 	si := 0
 	if sign == Backward {
@@ -244,7 +250,24 @@ func stageRowsUnpack(wr, wi []float64, st *stage, nb, ld int, sign Sign, chunk [
 	case 8:
 		stageRadix8RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign, chunk, n)
 	default:
-		stageGenericRowsUnpack(wr, wi, st.r, st.m, nb, ld, st.twr[si], st.twi[si], st.wrr[si], st.wri[si], chunk, n)
+		// No fused variant: the stage runs in place and a plain copy-out
+		// follows. Copies are exact, so the spectrum is the same.
+		stageRows(wr[:n*ld], wi[:n*ld], st, nb, ld, sign)
+		unpackRows(wr, wi, nb, ld, chunk, n)
+	}
+}
+
+// unpackRows copies a finished cell-major chunk back into its AoS rows,
+// tiled over cells like the pack.
+func unpackRows(wr, wi []float64, nb, ld int, chunk []complex128, n int) {
+	for i0 := 0; i0 < n; i0 += soaPackTile {
+		i1 := min(i0+soaPackTile, n)
+		for b := 0; b < nb; b++ {
+			row := chunk[b*n : (b+1)*n : (b+1)*n]
+			for i := i0; i < i1; i++ {
+				row[i] = complex(wr[i*ld+b], wi[i*ld+b])
+			}
+		}
 	}
 }
 
@@ -755,68 +778,6 @@ func stageRadix8RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, 
 				row := chunk[b*n : (b+1)*n : (b+1)*n]
 				row[lo+k] = complex(er+or, ei+oi)
 				row[hi+k] = complex(er-or, ei-oi)
-			}
-		}
-	}
-}
-
-// stageGenericRowsUnpack is the final generic combine pass fused with the
-// planar→AoS unpack (r·m = n): the twiddle pass of stageGenericRows, then
-// the dense-matrix accumulation writing the finished spectrum straight
-// into the AoS output rows.
-func stageGenericRowsUnpack(wr, wi []float64, r, m, nb, ld int, twr, twi, wrr, wri []float64, chunk []complex128, n int) {
-	var tmpR, tmpI [maxDirectRadix][soaChunkRows]float64
-	for k := 0; k < m; k++ {
-		base := (r - 1) * k
-		c0 := k * ld
-		step := m * ld
-		copy(tmpR[0][:nb], wr[c0:c0+nb])
-		copy(tmpI[0][:nb], wi[c0:c0+nb])
-		for q := 1; q < r; q++ {
-			tr, ti := twr[base+q-1], twi[base+q-1]
-			c := c0 + q*step
-			sr := wr[c : c+nb : c+nb]
-			si := wi[c : c+nb : c+nb]
-			dR := tmpR[q][:nb]
-			dI := tmpI[q][:nb]
-			for b := 0; b < nb; b++ {
-				dR[b], dI[b] = cmulSoA(sr[b], si[b], tr, ti)
-			}
-		}
-		for j := 0; j < r; j++ {
-			rowR := wrr[j*r : j*r+r : j*r+r]
-			rowI := wri[j*r : j*r+r : j*r+r]
-			o := j * m
-			b := 0
-			for ; b+4 <= nb; b += 4 { // four independent chains, as in stageGenericRows
-				a0r, a0i := tmpR[0][b], tmpI[0][b]
-				a1r, a1i := tmpR[0][b+1], tmpI[0][b+1]
-				a2r, a2i := tmpR[0][b+2], tmpI[0][b+2]
-				a3r, a3i := tmpR[0][b+3], tmpI[0][b+3]
-				for q := 1; q < r; q++ {
-					cr, ci := rowR[q], rowI[q]
-					tR, tI := &tmpR[q], &tmpI[q]
-					a0r += float64(tR[b]*cr) - float64(tI[b]*ci)
-					a0i += float64(tI[b]*cr) + float64(tR[b]*ci)
-					a1r += float64(tR[b+1]*cr) - float64(tI[b+1]*ci)
-					a1i += float64(tI[b+1]*cr) + float64(tR[b+1]*ci)
-					a2r += float64(tR[b+2]*cr) - float64(tI[b+2]*ci)
-					a2i += float64(tI[b+2]*cr) + float64(tR[b+2]*ci)
-					a3r += float64(tR[b+3]*cr) - float64(tI[b+3]*ci)
-					a3i += float64(tI[b+3]*cr) + float64(tR[b+3]*ci)
-				}
-				chunk[b*n+o+k] = complex(a0r, a0i)
-				chunk[(b+1)*n+o+k] = complex(a1r, a1i)
-				chunk[(b+2)*n+o+k] = complex(a2r, a2i)
-				chunk[(b+3)*n+o+k] = complex(a3r, a3i)
-			}
-			for ; b < nb; b++ {
-				accR, accI := tmpR[0][b], tmpI[0][b]
-				for q := 1; q < r; q++ {
-					accR += float64(tmpR[q][b]*rowR[q]) - float64(tmpI[q][b]*rowI[q])
-					accI += float64(tmpI[q][b]*rowR[q]) + float64(tmpR[q][b]*rowI[q])
-				}
-				chunk[b*n+o+k] = complex(accR, accI)
 			}
 		}
 	}

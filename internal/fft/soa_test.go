@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,8 +16,14 @@ import (
 // in this file therefore compares with ==, not a tolerance.
 
 // soaTestLengths covers the kernel families: trivial, pure radix-2/4,
-// radix-8 eligible, mixed with odd primes, generic-heavy, and Bluestein.
-var soaTestLengths = []int{1, 2, 4, 8, 45, 60, 64, 97, 120, 128, 486}
+// radix-8 eligible, mixed with odd primes, the dense generic stage (7, 11,
+// 13), and Bluestein. The radix-3 and radix-5 butterflies appear in every
+// position a stage can take: fused into the pack (15, 45, 60, 120, 486),
+// as a middle stage run over the whole chunk (135, 225 and 486 for radix 3;
+// 250 and 375 for radix 5), and as the final stage that runs in place
+// before the plain copy-out (3, 5, 15, 25, 45, 75, 125, 135, 225, 375).
+var soaTestLengths = []int{1, 2, 3, 4, 5, 8, 15, 25, 45, 60, 64, 75, 77, 90, 97,
+	120, 125, 128, 135, 143, 225, 250, 375, 486}
 
 // TestTransformRowsSoAMatchesTransformManyExact drives the batched planar
 // chunk kernel (the TransformBatch fast path) over randomized row counts,
@@ -27,18 +34,16 @@ func TestTransformRowsSoAMatchesTransformManyExact(t *testing.T) {
 	for _, n := range soaTestLengths {
 		for _, r := range []radix{radixMixed, radix8, radixAuto} {
 			p := newPlanRadix(n, r)
-			rows := 1 + rng.Intn(2*soaChunkRows+5)
-			data := randVec(rng, n*rows)
-			want := append([]complex128(nil), data...)
-			sign := Forward
-			if rng.Intn(2) == 1 {
-				sign = Backward
-			}
-			p.TransformMany(want, rows, sign)
-			p.transformRowsSoA(data, rows, sign)
-			for i := range data {
-				if data[i] != want[i] {
-					t.Fatalf("n=%d radix=%v rows=%d i=%d: %v != %v", n, r, rows, i, data[i], want[i])
+			for _, sign := range []Sign{Forward, Backward} {
+				rows := 1 + rng.Intn(2*soaChunkRows+5)
+				data := randVec(rng, n*rows)
+				want := append([]complex128(nil), data...)
+				p.TransformMany(want, rows, sign)
+				p.transformRowsSoA(data, rows, sign)
+				for i := range data {
+					if data[i] != want[i] {
+						t.Fatalf("n=%d radix=%v sign=%d rows=%d i=%d: %v != %v", n, r, sign, rows, i, data[i], want[i])
+					}
 				}
 			}
 		}
@@ -95,27 +100,30 @@ func transformColumn(p *Plan, plane []complex128, iy, ny int, sign Sign) {
 // and transforming it contiguously.
 func TestTransformColsSoAMatchesStridedExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, dims := range [][2]int{{45, 60}, {60, 45}, {128, 30}, {486, 33}} {
+	for _, dims := range [][2]int{{45, 60}, {60, 45}, {128, 30}, {486, 33},
+		{3, 7}, {5, 40}, {15, 9}, {75, 33}, {90, 20}, {120, 36}, {135, 5}, {225, 34}, {250, 3}} {
 		nx, ny := dims[0], dims[1]
 		p := newPlanRadix(nx, radixAuto)
 		if !p.planar() {
 			t.Fatalf("nx=%d: expected a planar-path plan", nx)
 		}
-		plane := randVec(rng, nx*ny)
-		want := append([]complex128(nil), plane...)
-		for iy := 0; iy < ny; iy++ {
-			transformColumn(p, want, iy, ny, Forward)
-		}
-		for iy0 := 0; iy0 < ny; iy0 += soaChunkRows {
-			nb := ny - iy0
-			if nb > soaChunkRows {
-				nb = soaChunkRows
+		for _, sign := range []Sign{Forward, Backward} {
+			plane := randVec(rng, nx*ny)
+			want := append([]complex128(nil), plane...)
+			for iy := 0; iy < ny; iy++ {
+				transformColumn(p, want, iy, ny, sign)
 			}
-			p.transformColsSoA(plane, ny, iy0, nb, Forward)
-		}
-		for i := range plane {
-			if plane[i] != want[i] {
-				t.Fatalf("nx=%d ny=%d i=%d: cols %v != strided %v", nx, ny, i, plane[i], want[i])
+			for iy0 := 0; iy0 < ny; iy0 += soaChunkRows {
+				nb := ny - iy0
+				if nb > soaChunkRows {
+					nb = soaChunkRows
+				}
+				p.transformColsSoA(plane, ny, iy0, nb, sign)
+			}
+			for i := range plane {
+				if plane[i] != want[i] {
+					t.Fatalf("nx=%d ny=%d sign=%d i=%d: cols %v != strided %v", nx, ny, sign, i, plane[i], want[i])
+				}
 			}
 		}
 	}
@@ -127,29 +135,30 @@ func TestTransformColsSoAMatchesStridedExact(t *testing.T) {
 func TestPlan2D3DHostParPathsExact(t *testing.T) {
 	defer par.SetEnabled(true)
 	rng := rand.New(rand.NewSource(9))
-	p2 := NewPlan2D(60, 45)
-	plane := randVec(rng, 60*45)
-	ref2 := append([]complex128(nil), plane...)
-	par.SetEnabled(false)
-	p2.Transform(ref2, Forward)
-	par.SetEnabled(true)
-	p2.Transform(plane, Forward)
-	for i := range plane {
-		if plane[i] != ref2[i] {
-			t.Fatalf("Plan2D planar path diverges at %d: %v != %v", i, plane[i], ref2[i])
+	// exact compares the planar path (par on) with the AoS reference (off).
+	exact := func(name string, size int, transform func([]complex128, Sign)) {
+		t.Helper()
+		for _, sign := range []Sign{Forward, Backward} {
+			got := randVec(rng, size)
+			ref := append([]complex128(nil), got...)
+			par.SetEnabled(false)
+			transform(ref, sign)
+			par.SetEnabled(true)
+			transform(got, sign)
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("%s sign=%d: planar path diverges at %d: %v != %v", name, sign, i, got[i], ref[i])
+				}
+			}
 		}
 	}
-	p3 := NewPlan3D(20, 18, 24)
-	box := randVec(rng, 20*18*24)
-	ref3 := append([]complex128(nil), box...)
-	par.SetEnabled(false)
-	p3.Transform(ref3, Backward)
-	par.SetEnabled(true)
-	p3.Transform(box, Backward)
-	for i := range box {
-		if box[i] != ref3[i] {
-			t.Fatalf("Plan3D planar path diverges at %d: %v != %v", i, box[i], ref3[i])
-		}
+	for _, d := range [][2]int{{60, 45}, {75, 15}, {120, 120}, {135, 25}, {225, 3}, {5, 90}} {
+		p := NewPlan2D(d[0], d[1])
+		exact(fmt.Sprintf("Plan2D(%d,%d)", d[0], d[1]), d[0]*d[1], p.Transform)
+	}
+	for _, d := range [][3]int{{20, 18, 24}, {15, 25, 9}, {3, 5, 75}} {
+		p := NewPlan3D(d[0], d[1], d[2])
+		exact(fmt.Sprintf("Plan3D(%d,%d,%d)", d[0], d[1], d[2]), d[0]*d[1]*d[2], p.Transform)
 	}
 }
 

@@ -80,16 +80,20 @@ func PickRadix(n int) radix {
 // soaMinPow2 is the smallest pure power of two the layout policy sends to
 // the planar path. Below it the AoS radix-8/4 kernel is already L1-resident
 // and the planar pack/unpack never amortizes (Batch_SoA_Radix8_64 runs at
-// 0.83× of Batch_AoS_Radix8_64); at 128 and above the chunked planar
-// stages win or tie the best AoS variant. kernel_batch times one shape on
+// 0.73× the speed of Batch_AoS_Radix8_64, range 0.68–0.85 over five
+// alternating rounds); at 128 and above the chunked planar stages win or
+// tie the best AoS variant. kernel_batch times one shape on
 // each side of the line (fft.ns_per_nlogn.p64 and .p4096).
 const soaMinPow2 = 128
 
 // PickLayout is the per-shape layout policy of the batch drivers: planar
 // re/im for every shape the iterative kernel handles directly, except
-// small pure powers of two (see soaMinPow2). Lengths with odd factors
-// always go planar — the generic small-prime butterfly gains the most
-// from stage batching (Batch_SoA_Mixed_486: 1.46× over AoS, _60: 1.30×).
+// small pure powers of two (see soaMinPow2). Lengths with odd factors go
+// planar, on a tie: with radix 3 and 5 specialized the two layouts are
+// level there (AoS time over SoA time, median of five alternating rounds:
+// Mixed_60 1.04, Mixed_486 1.02, Radix8_120 1.00, Mixed_75 0.88), and
+// every one of those pairs spreads across 1 (0.87–1.37, 0.80–1.33,
+// 0.89–1.18, 0.76–1.61).
 // Bluestein lengths stay AoS: the chirp convolution runs on complex
 // scratch.
 func PickLayout(n int) layout {
