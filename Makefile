@@ -24,13 +24,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# check is the tier-1 verification gate. fftxvet runs with the stale-
-# suppression audit on: a //fftxvet:ignore that no longer suppresses
-# anything fails the gate like a finding would. bench/ is a nested module
-# that `./...` does not reach, so it is vetted and tested on its own: an
-# API deletion in internal/ must not break the benchmark unseen.
+# check is the tier-1 verification gate. bench/ is a nested module that
+# `./...` does not reach, so it is vetted and tested on its own: an API
+# deletion in internal/ must not break the benchmark unseen.
 check: build vet
-	$(GO) run ./cmd/fftxvet -unused-ignores ./...
+	$(GO) run ./cmd/fftxvet ./...
 	$(MAKE) fmt
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -121,10 +119,11 @@ cluster-smoke:
 # sphere's match with the map
 # enumeration, the auto-selector contract and the dataflow row's
 # barrier-free properties, then the quick-suite runtime matrix for
-# eyeballing. It runs under the
-# race detector: the schedule executor and the work-stealing pool are the
-# code most exposed to scheduling races, so the matrix doubles as their
-# concurrency gate.
+# eyeballing. It runs under the race detector, so the matrix doubles as the
+# concurrency gate of the schedule executor and of the stage bodies' par
+# fan-out. It does not gate the work-stealing pool: nothing in fftx, knl or
+# pw turns stealing on (only bench/ calls par.SetStealing); the pool's own
+# tests run in `make race`.
 engines-matrix:
 	$(GO) test -race ./internal/fftx ./internal/knl ./internal/pw -short -count=1 -run 'TestEngineMatrix|TestGoldenEngineDigests|TestEventCountsPinned|TestRatesBitIdenticalAcrossCalls|TestRatesMatchesMapReference|FuzzRatesMatchesReference|TestSphereMatchesMapEnumeration|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
 	$(GO) run ./cmd/fftxbench -quick engines

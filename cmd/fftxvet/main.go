@@ -1,31 +1,20 @@
-// Command fftxvet statically checks the three request-path contracts of
-// this repository that no test or runtime check sees on every path:
-// allocation on the zero-alloc transform hot paths (hotalloc),
-// admission-queue sends missing their drain or deadline guards (waitleak)
-// and request-span Begins without a balancing End (spanbalance).
-//
-// The checks are interprocedural: fftxvet builds a call graph with
-// per-function allocation summaries over every package it loads, so an
-// allocation buried behind helper functions is reported at the hot-path
-// call with its full path (Plan.Transform → scratch → make). Full precision
-// therefore needs the whole module in one run — the default "./..." —
-// since helpers in packages outside the loaded set have no summaries.
+// Command fftxvet statically checks the one request-path contract of this
+// repository that no test sees on every path: every send on a fftxd
+// admission queue must be dominated by a drain guard and a deadline check
+// (waitleak), so requests are rejected with 503 + Retry-After instead of
+// queueing unboundedly. The rule is lexical within one function, so each
+// package is analyzed on its own.
 //
 // Usage:
 //
-//	fftxvet [-github] [-unused-ignores] [patterns...]
+//	fftxvet [-github] [patterns...]
 //
 // Patterns follow the go tool's convention: "./..." (the default) analyzes
 // every package of the enclosing module; plain directories name single
 // packages. Findings print as file:line:col: [rule] message; the exit code
 // is 1 when there are findings, 2 on usage or load errors.
 //
-//	-github          additionally emit GitHub Actions ::error annotations
-//	-unused-ignores  report //fftxvet:ignore comments that suppress nothing
-//
-// Suppress a finding with a trailing or preceding comment:
-//
-//	//fftxvet:ignore rulename — reason
+//	-github  additionally emit GitHub Actions ::error annotations
 package main
 
 import (
@@ -40,7 +29,6 @@ import (
 
 func main() {
 	github := flag.Bool("github", false, "additionally emit GitHub Actions ::error annotations")
-	unusedIgnores := flag.Bool("unused-ignores", false, "report //fftxvet:ignore comments that suppress nothing")
 	flag.Parse()
 
 	patterns := flag.Args()
@@ -69,10 +57,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Load everything first: the call graph and allocation summaries span every
-	// package of the run, so helper chains crossing package boundaries
-	// resolve.
-	var pkgs []*analysis.Package
+	var all []analysis.Diagnostic
 	for _, dir := range dirs {
 		pkg, err := ldr.Load(dir)
 		if err != nil {
@@ -85,17 +70,7 @@ func main() {
 			}
 			os.Exit(2)
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	prog := analysis.NewProgram(ldr, pkgs)
-
-	var all []analysis.Diagnostic
-	for _, pkg := range pkgs {
-		diags, unused := analysis.RunRules(prog, pkg, analysis.AllRules())
-		all = append(all, diags...)
-		if *unusedIgnores {
-			all = append(all, unused...)
-		}
+		all = append(all, analysis.RunRules(ldr.Fset, pkg, analysis.AllRules())...)
 	}
 	for i := range all {
 		all[i].Pos.Filename = rel(all[i].Pos.Filename)

@@ -71,8 +71,7 @@ func runRuleTest(t *testing.T, dir string, rule Rule) {
 		t.Fatalf("testdata/%s has no want comments", dir)
 	}
 
-	prog := NewProgram(ldr, []*Package{pkg})
-	diags, _ := RunRules(prog, pkg, []Rule{rule})
+	diags := RunRules(ldr.Fset, pkg, []Rule{rule})
 	for _, d := range diags {
 		claimed := false
 		for _, w := range wants {
@@ -94,36 +93,10 @@ func runRuleTest(t *testing.T, dir string, rule Rule) {
 	}
 }
 
-func TestHotAllocRule(t *testing.T)    { runRuleTest(t, "hotalloc", HotAllocRule) }
-func TestWaitLeakRule(t *testing.T)    { runRuleTest(t, "waitleak", WaitLeakRule) }
-func TestSpanBalanceRule(t *testing.T) { runRuleTest(t, "spanbalance", SpanBalanceRule) }
-
-// TestUnusedIgnores checks the //fftxvet:ignore bookkeeping: a comment that
-// suppresses a real finding is consumed silently, a stale one is reported.
-func TestUnusedIgnores(t *testing.T) {
-	ldr := newTestLoader(t)
-	pkg, err := ldr.Load(filepath.Join("testdata", "ignores"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Fatalf("testdata/ignores does not type-check: %v", terr)
-	}
-	prog := NewProgram(ldr, []*Package{pkg})
-	diags, unused := RunRules(prog, pkg, AllRules())
-	for _, d := range diags {
-		t.Errorf("finding not suppressed: %s", d)
-	}
-	if len(unused) != 1 {
-		t.Fatalf("got %d unused-ignore reports, want 1: %v", len(unused), unused)
-	}
-	if unused[0].Rule != "unused-ignore" || !strings.Contains(unused[0].Message, "stale") {
-		t.Errorf("unexpected unused-ignore report: %s", unused[0])
-	}
-}
+func TestWaitLeakRule(t *testing.T) { runRuleTest(t, "waitleak", WaitLeakRule) }
 
 // TestModuleClean is the dogfooding gate: every package in the module must
-// pass every rule with zero findings (modulo in-tree suppressions).
+// pass every rule with zero findings.
 func TestModuleClean(t *testing.T) {
 	ldr := newTestLoader(t)
 	dirs, err := ldr.Discover([]string{ldr.ModRoot() + "/..."})
@@ -133,7 +106,6 @@ func TestModuleClean(t *testing.T) {
 	if len(dirs) == 0 {
 		t.Fatal("no packages discovered")
 	}
-	var pkgs []*Package
 	for _, dir := range dirs {
 		pkg, err := ldr.Load(dir)
 		if err != nil {
@@ -143,19 +115,8 @@ func TestModuleClean(t *testing.T) {
 		for _, terr := range pkg.TypeErrors {
 			t.Errorf("%s: type error: %v", dir, terr)
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	prog := NewProgram(ldr, pkgs)
-	for _, pkg := range pkgs {
-		diags, unused := RunRules(prog, pkg, AllRules())
-		for _, d := range diags {
+		for _, d := range RunRules(ldr.Fset, pkg, AllRules()) {
 			t.Errorf("finding in clean tree: %s", d)
-		}
-		for _, d := range unused {
-			t.Errorf("stale suppression in clean tree: %s", d)
 		}
 	}
 }

@@ -69,9 +69,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 // ModRoot returns the loader's module root directory.
 func (l *Loader) ModRoot() string { return l.modRoot }
 
-// ModPath returns the loader's module import path.
-func (l *Loader) ModPath() string { return l.modPath }
-
 // Import implements types.Importer: module-internal packages are
 // type-checked from source, everything else resolves through the compiler's
 // export data.
@@ -145,14 +142,7 @@ func (l *Loader) load(path, dir string, wantInfo bool) (*Package, error) {
 	}
 	pkg := &Package{Path: path, Dir: dir, Files: files}
 	if wantInfo {
-		pkg.Info = &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Scopes:     map[ast.Node]*types.Scope{},
-			Implicits:  map[ast.Node]types.Object{},
-		}
+		pkg.Info = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 	}
 	conf := types.Config{
 		Importer: l,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -106,4 +107,31 @@ func guardsBefore(body *ast.BlockStmt, pos token.Pos) (drain, deadline bool) {
 		return true
 	})
 	return drain, deadline
+}
+
+// unparen strips redundant parentheses.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// namedOf returns the named type behind pointers and aliases, or nil.
+func namedOf(t types.Type) *types.Named {
+	for {
+		switch tt := t.(type) {
+		case *types.Pointer:
+			t = tt.Elem()
+		case *types.Alias:
+			t = types.Unalias(tt)
+		case *types.Named:
+			return tt
+		default:
+			return nil
+		}
+	}
 }

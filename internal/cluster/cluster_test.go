@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // fakeWorker is a scriptable worker: /healthz and /fft replies swap under
@@ -86,7 +87,70 @@ func testRouterConfig(peers ...string) Config {
 	}
 }
 
-// transformBody renders a minimal routable JSON transform request.
+// newTestRouter builds a router whose routes the test's end checks: by
+// then every traced route (and every attempt it made) must have closed its
+// spans. The route log is sized to keep every route a test sends.
+func newTestRouter(t *testing.T, cfg Config) *Router {
+	t.Helper()
+	if cfg.RecentRoutes == 0 {
+		cfg.RecentRoutes = 1 << 12
+	}
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		routes := rt.routeLog.dump()
+		if len(routes) == rt.cfg.RecentRoutes {
+			t.Errorf("the route log is full at %d routes: older ones went unchecked", len(routes))
+		}
+		for _, v := range routes {
+			for _, msg := range openSpans(v.Spans) {
+				t.Errorf("route of %s (status %d): %s", v.Key, v.Status, msg)
+			}
+		}
+	})
+	return rt
+}
+
+// openSpans lists the spans of a traced request's tree that never ended.
+func openSpans(tree *trace.SpanTree) []string {
+	var open []string
+	for _, sp := range tree.Spans {
+		if sp.EndNS == 0 {
+			open = append(open, fmt.Sprintf("trace %s: span %q never ended", tree.TraceID, sp.Name))
+		}
+	}
+	return open
+}
+
+// workerOpenSpans is the span check of a real worker, read after its
+// shutdown from the worker's own /debug/fftx/requests record on mux. It
+// also reports requests still in flight and records the log dropped.
+func workerOpenSpans(t *testing.T, mux *http.ServeMux) []string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/fftx/requests", nil))
+	var dump serve.RequestDump
+	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
+		t.Fatalf("worker request log: %v", err)
+	}
+	var open []string
+	for _, v := range dump.Inflight {
+		open = append(open, fmt.Sprintf("trace %s: still in flight after shutdown", v.TraceID))
+	}
+	if n := len(dump.Recent); n > 0 && uint64(n) < dump.Recent[0].Seq {
+		open = append(open, fmt.Sprintf("%d traced requests fell out of the request log unchecked", dump.Recent[0].Seq-uint64(n)))
+	}
+	for _, v := range dump.Recent {
+		open = append(open, openSpans(v.Spans)...)
+	}
+	return open
+}
+
+// transformBody renders a minimal routable JSON transform request. It
+// carries a fresh client trace ID, so the router records the request's
+// route and attempt spans for the span check of newTestRouter.
 func transformBody(t *testing.T, dims []int) []byte {
 	t.Helper()
 	n := 1
@@ -94,7 +158,7 @@ func transformBody(t *testing.T, dims []int) []byte {
 		n *= d
 	}
 	body, err := json.Marshal(map[string]any{
-		"op": "transform", "dims": dims, "data": make([]float64, 2*n),
+		"op": "transform", "dims": dims, "data": make([]float64, 2*n), "trace_id": trace.NewTraceID(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +205,7 @@ func workerByAddr(t *testing.T, addr string, ws ...*fakeWorker) *fakeWorker {
 // Retry-After header.
 func TestFailoverOn503(t *testing.T) {
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
-	rt, err := NewRouter(testRouterConfig(w1.addr(), w2.addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig(w1.addr(), w2.addr()))
 	rt.probeAll()
 
 	body := transformBody(t, []int{4, 4})
@@ -168,10 +229,7 @@ func TestFailoverOn503(t *testing.T) {
 // worker asked for.
 func TestRetryAfterOnExhaustion(t *testing.T) {
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
-	rt, err := NewRouter(testRouterConfig(w1.addr(), w2.addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig(w1.addr(), w2.addr()))
 	rt.probeAll()
 
 	body := transformBody(t, []int{4, 4})
@@ -195,10 +253,7 @@ func TestRetryAfterOnExhaustion(t *testing.T) {
 // over without the client noticing.
 func TestFailoverOnTransportError(t *testing.T) {
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
-	rt, err := NewRouter(testRouterConfig(w1.addr(), w2.addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig(w1.addr(), w2.addr()))
 	rt.probeAll()
 
 	body := transformBody(t, []int{4, 4})
@@ -219,10 +274,7 @@ func TestFailoverOnTransportError(t *testing.T) {
 // and different shapes spread.
 func TestShapeAffinity(t *testing.T) {
 	w1, w2, w3 := newFakeWorker(t), newFakeWorker(t), newFakeWorker(t)
-	rt, err := NewRouter(testRouterConfig(w1.addr(), w2.addr(), w3.addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig(w1.addr(), w2.addr(), w3.addr()))
 	rt.probeAll()
 
 	owners := map[string]string{}
@@ -247,10 +299,7 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
 	cfg := testRouterConfig(w1.addr(), w2.addr())
 	cfg.FailAfter = 2
-	rt, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, cfg)
 
 	stateOf := func(addr string) State {
 		rt.mu.RLock()
@@ -306,10 +355,7 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 // TestJoinLeaveEndpoints drives the membership endpoints end to end.
 func TestJoinLeaveEndpoints(t *testing.T) {
 	w1 := newFakeWorker(t)
-	rt, err := NewRouter(testRouterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig())
 
 	do := func(path, addr string) *httptest.ResponseRecorder {
 		body, _ := json.Marshal(map[string]string{"addr": addr})
@@ -347,10 +393,7 @@ func TestJoinLeaveEndpoints(t *testing.T) {
 
 // TestRouterHealthz checks the router's own health body.
 func TestRouterHealthz(t *testing.T) {
-	rt, err := NewRouter(testRouterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig())
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	rec := httptest.NewRecorder()
 	rt.cfg.Mux.ServeHTTP(rec, req)
@@ -371,10 +414,7 @@ func TestRouterHealthz(t *testing.T) {
 
 // TestNoWorkers: a router with an empty ring sheds immediately with a 503.
 func TestNoWorkers(t *testing.T) {
-	rt, err := NewRouter(testRouterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig())
 	rec := post(rt, transformBody(t, []int{4, 4}))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 with no workers", rec.Code)
@@ -391,10 +431,7 @@ func TestNoWorkers(t *testing.T) {
 // round-robin so a worker's full decoder owns the canonical 400.
 func TestUnroutableBodyStillProxies(t *testing.T) {
 	w1 := newFakeWorker(t)
-	rt, err := NewRouter(testRouterConfig(w1.addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, testRouterConfig(w1.addr()))
 	rt.probeAll()
 	rec := post(rt, []byte(`{"op":"transform","dims":`)) // truncated JSON
 	if rec.Code != http.StatusOK {
@@ -413,11 +450,20 @@ func TestEndToEndFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster drill")
 	}
+	// Every body carries a trace ID, so the router and the workers trace
+	// every request; the workers' request logs keep them all for the span
+	// check after shutdown.
 	newWorker := func() *serve.Server {
-		s := serve.New(serve.Config{Addr: "127.0.0.1:0", Workers: 2, TraceSample: 0})
+		mux := http.NewServeMux()
+		s := serve.New(serve.Config{Addr: "127.0.0.1:0", Workers: 2, TraceSample: 0, Mux: mux, RequestLogSize: 1 << 12})
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() {
+			for _, msg := range workerOpenSpans(t, mux) {
+				t.Errorf("worker %s: %s", s.Addr(), msg)
+			}
+		})
 		return s
 	}
 	s1, s2 := newWorker(), newWorker()
@@ -433,10 +479,7 @@ func TestEndToEndFailover(t *testing.T) {
 		ProbeInterval: 20 * time.Millisecond,
 		ReadmitAfter:  1,
 	}
-	rt, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRouter(t, cfg)
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +536,7 @@ func TestEndToEndFailover(t *testing.T) {
 		for _, x := range d {
 			n *= x
 		}
-		bin, err := serve.EncodeRequest(&serve.Request{Dims: d, Batch: 1, Data: make([]float64, 2*n)})
+		bin, err := serve.EncodeRequest(&serve.Request{Dims: d, Batch: 1, Data: make([]float64, 2*n), TraceID: trace.NewTraceID()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -33,100 +34,175 @@ func assertAllocsAtMost(t *testing.T, name string, max float64, tries int, fn fu
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the pins only hold in normal builds")
 	}
+	if avg := fewestAllocs(max, tries, fn); avg > max {
+		t.Errorf("%s: %v allocs per run, want at most %v", name, avg, max)
+	}
+}
+
+// fewestAllocs is the lowest of up to tries AllocsPerRun readings of fn
+// after a warm-up call, stopping at the first at or below max.
+func fewestAllocs(max float64, tries int, fn func()) float64 {
 	fn() // warm the scratch pools
 	avg := testing.AllocsPerRun(20, fn)
 	for i := 1; i < tries && avg > max; i++ {
 		avg = min(avg, testing.AllocsPerRun(20, fn))
 	}
-	if avg > max {
-		t.Errorf("%s: %v allocs per run, want at most %v", name, avg, max)
+	return avg
+}
+
+// allocSink keeps TestAllocPinCanFail's allocation on the heap.
+var allocSink []complex128
+
+// TestAllocPinCanFail is the seeded violation of the pins: a call that
+// allocates once per run reads one allocation, however many tries it gets.
+func TestAllocPinCanFail(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if got := fewestAllocs(0, 5, func() { allocSink = make([]complex128, 8) }); got != 1 {
+		t.Errorf("a call that allocates once reads %v allocations per run, want 1", got)
 	}
 }
 
+// zeroAllocPlan is a 1-D plan of the zero-allocation pins, built with
+// newPlanRadix.
+type zeroAllocPlan struct {
+	n int
+	r radix
+}
+
+// autoZeroAllocPlans reach every radix family PickRadix returns on every
+// layout PickLayout returns, short of Bluestein: powers of two, lengths
+// with 3 and 5, and the generic radices 7, 11 and 13.
+var autoZeroAllocPlans = []zeroAllocPlan{
+	{4, radixAuto},    // mixed × AoS: small power of two
+	{64, radixAuto},   // radix8 × AoS: small power of two
+	{128, radixAuto},  // mixed × SoA: power of two
+	{120, radixAuto},  // radix8 × SoA: with 3 and 5
+	{56, radixAuto},   // radix8 × SoA: with the generic radix 7
+	{1001, radixAuto}, // mixed × SoA: generic radices 7, 11 and 13
+	// mixed × SoA with 3 and 5; 15, 75, 135 and 225 end on a radix-3
+	// stage and 125 on a radix-5 one, which runs in place before the
+	// copy-out.
+	{15, radixAuto}, {60, radixAuto}, {75, radixAuto}, {90, radixAuto},
+	{125, radixAuto}, {135, radixAuto}, {225, radixAuto}, {486, radixAuto},
+}
+
+// zeroAllocRows transforms fill a full batch chunk plus a partial tail;
+// the column kernel runs on planes of zeroAllocCols columns.
+const zeroAllocRows, zeroAllocCols = soaChunkRows + 5, 45
+
+// zeroAllocEntry is a 1-D transform entry point. data holds zeroAllocRows
+// transforms of the plan's length, plane one n × zeroAllocCols plane.
+type zeroAllocEntry struct {
+	name string
+	run  func(p *Plan, data, plane []complex128, s Sign)
+}
+
+var (
+	transformEntry = zeroAllocEntry{"Transform", func(p *Plan, data, _ []complex128, s Sign) {
+		p.Transform(data[:p.n], s)
+	}}
+	transformManyEntry = zeroAllocEntry{"TransformMany", func(p *Plan, data, _ []complex128, s Sign) {
+		p.TransformMany(data, zeroAllocRows, s)
+	}}
+	oneChunkBatchEntry = zeroAllocEntry{"TransformBatch", func(p *Plan, data, _ []complex128, s Sign) {
+		p.TransformBatch(data, soaChunkRows, s)
+	}}
+	rowsSoAEntry = zeroAllocEntry{"transformRowsSoA", func(p *Plan, data, _ []complex128, s Sign) {
+		p.transformRowsSoA(data, zeroAllocRows, s)
+	}}
+	// The column kernel has no Bluestein fallback.
+	colsSoAEntry = zeroAllocEntry{"transformColsSoA", func(p *Plan, _, plane []complex128, s Sign) {
+		for iy0 := 0; iy0 < zeroAllocCols; iy0 += soaChunkRows {
+			p.transformColsSoA(plane, zeroAllocCols, iy0, min(zeroAllocCols-iy0, soaChunkRows), s)
+		}
+	}}
+)
+
+// pinBothSigns pins run to zero allocations forward and backward.
+func pinBothSigns(t *testing.T, name string, run func(Sign)) {
+	t.Helper()
+	assertZeroAllocs(t, name+" forward", func() { run(Forward) })
+	assertZeroAllocs(t, name+" backward", func() { run(Backward) })
+}
+
+// pinPlans pins every entry on every plan in both directions.
+func pinPlans(t *testing.T, plans []zeroAllocPlan, entries ...zeroAllocEntry) {
+	t.Helper()
+	for _, pc := range plans {
+		p := newPlanRadix(pc.n, pc.r)
+		data, plane := allocVec(pc.n*zeroAllocRows), allocVec(pc.n*zeroAllocCols)
+		for _, e := range entries {
+			pinBothSigns(t, fmt.Sprintf("%s %d/%s", e.name, pc.n, p.radix), func(s Sign) { e.run(p, data, plane, s) })
+		}
+	}
+}
+
+// TestTransformZeroAllocs pins Plan.Transform on autoZeroAllocPlans and
+// checks that those plans reach every radix family on both layouts. None
+// of the entry points may allocate once the scratch pools are warm.
 func TestTransformZeroAllocs(t *testing.T) {
-	for _, n := range []int{120, 128, 486} { // mixed radix, pure 4/2, with radix 3
-		p := NewPlan(n)
-		x := allocVec(n)
-		assertZeroAllocs(t, "Transform", func() {
-			p.Transform(x, Forward)
-			p.Transform(x, Backward)
-		})
+	families := map[string]bool{}
+	for _, pc := range autoZeroAllocPlans {
+		p := newPlanRadix(pc.n, pc.r)
+		families[p.radix.String()+"×"+p.layout.String()] = true
 	}
-}
-
-func TestTransformBluesteinZeroAllocs(t *testing.T) {
-	p := NewPlan(97) // prime > maxDirectRadix: Bluestein path
-	x := allocVec(97)
-	assertZeroAllocs(t, "Transform(bluestein)", func() {
-		p.Transform(x, Forward)
-		p.Transform(x, Backward)
-	})
+	if len(families) != 4 {
+		t.Errorf("the radixAuto plans reach %v, want every radix family on both layouts", families)
+	}
+	pinPlans(t, autoZeroAllocPlans, transformEntry)
 }
 
 func TestTransformManyZeroAllocs(t *testing.T) {
-	n, count := 90, 16
-	p := NewPlan(n)
-	data := allocVec(n * count)
-	assertZeroAllocs(t, "TransformMany", func() {
-		p.TransformMany(data, count, Forward)
-	})
-}
-
-func TestPlan2DZeroAllocs(t *testing.T) {
-	p := NewPlan2D(48, 45)
-	plane := allocVec(48 * 45)
-	assertZeroAllocs(t, "Plan2D.Transform", func() {
-		p.Transform(plane, Forward)
-	})
-}
-
-func TestPlan3DZeroAllocs(t *testing.T) {
-	p := NewPlan3D(20, 18, 24)
-	box := allocVec(20 * 18 * 24)
-	assertZeroAllocs(t, "Plan3D.Transform", func() {
-		p.Transform(box, Backward)
-	})
+	pinPlans(t, autoZeroAllocPlans, transformManyEntry, oneChunkBatchEntry)
 }
 
 func TestTransformRowsSoAZeroAllocs(t *testing.T) {
-	// 15, 75, 135 and 225 end on radix 3 and 125 on radix 5: their final
-	// stage runs in place before the copy-out.
-	for _, n := range []int{15, 60, 75, 120, 125, 128, 135, 225, 486} {
-		p := newPlanRadix(n, radixAuto)
-		rows := soaChunkRows + 5 // full chunk plus a partial tail
-		data := allocVec(n * rows)
-		assertZeroAllocs(t, "transformRowsSoA", func() {
-			p.transformRowsSoA(data, rows, Forward)
-		})
-	}
+	pinPlans(t, autoZeroAllocPlans, rowsSoAEntry)
 }
 
 func TestTransformColsSoAZeroAllocs(t *testing.T) {
-	nx, ny := 60, 45
-	p := newPlanRadix(nx, radixAuto)
-	plane := allocVec(nx * ny)
-	assertZeroAllocs(t, "transformColsSoA", func() {
-		for iy0 := 0; iy0 < ny; iy0 += soaChunkRows {
-			nb := ny - iy0
-			if nb > soaChunkRows {
-				nb = soaChunkRows
-			}
-			p.transformColsSoA(plane, ny, iy0, nb, Forward)
-		}
-	})
+	pinPlans(t, autoZeroAllocPlans, colsSoAEntry)
 }
 
+func TestTransformBluesteinZeroAllocs(t *testing.T) {
+	bluestein := []zeroAllocPlan{{97, radixAuto}} // prime > maxDirectRadix, mixed × AoS
+	if p := newPlanRadix(97, radixAuto); p.blu == nil {
+		t.Fatalf("plan 97 has no Bluestein path")
+	}
+	pinPlans(t, bluestein, transformEntry, transformManyEntry, oneChunkBatchEntry, rowsSoAEntry)
+}
+
+// TestVariantPlansZeroAllocs pins the plans NewPlan and the radix-8
+// variant build where radixAuto would pick otherwise.
 func TestVariantPlansZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		n int
-		r radix
-	}{{128, radix8}, {120, radix8}} {
-		p := newPlanRadix(tc.n, tc.r)
-		x := allocVec(tc.n)
-		assertZeroAllocs(t, "Transform("+tc.r.String()+")", func() {
-			p.Transform(x, Forward)
-			p.Transform(x, Backward)
-		})
+	variants := []zeroAllocPlan{
+		{120, radixMixed}, // NewPlan(120)
+		{128, radix8},     // the radix-8 variant of a planar power of two
+	}
+	pinPlans(t, variants, transformEntry, transformManyEntry, oneChunkBatchEntry, rowsSoAEntry, colsSoAEntry)
+}
+
+// TestPlan2DZeroAllocs pins Plan2D.Transform and a one-item TransformBatch.
+func TestPlan2DZeroAllocs(t *testing.T) {
+	for _, d := range [][2]int{{48, 45}, {120, 120}} {
+		p := NewPlan2D(d[0], d[1])
+		plane := allocVec(p.Size())
+		shape := fmt.Sprintf("%dx%d", d[0], d[1])
+		pinBothSigns(t, "Plan2D.Transform "+shape, func(s Sign) { p.Transform(plane, s) })
+		pinBothSigns(t, "Plan2D.TransformBatch "+shape, func(s Sign) { p.TransformBatch(plane, 1, s) })
+	}
+}
+
+// TestPlan3DZeroAllocs pins Plan3D.Transform and a one-item TransformBatch.
+func TestPlan3DZeroAllocs(t *testing.T) {
+	for _, d := range [][3]int{{20, 18, 24}, {16, 16, 16}} {
+		p := NewPlan3D(d[0], d[1], d[2])
+		box := allocVec(p.Size())
+		shape := fmt.Sprintf("%dx%dx%d", d[0], d[1], d[2])
+		pinBothSigns(t, "Plan3D.Transform "+shape, func(s Sign) { p.Transform(box, s) })
+		pinBothSigns(t, "Plan3D.TransformBatch "+shape, func(s Sign) { p.TransformBatch(box, 1, s) })
 	}
 }
 
@@ -140,8 +216,7 @@ type batchTransformer interface {
 // transforms plus serve_json's 16³ box. A batch that fits one chunk runs
 // on the caller and must allocate nothing; a batch that fans out costs
 // exactly the closure it hands to par.ParallelFor, whose own per-call
-// state is pooled. hotalloc counts closure creation as free, so these
-// pins, not the analyzer, guard the batch path.
+// state is pooled.
 func TestTransformBatchAllocs(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("the helper pool is empty below GOMAXPROCS 2: every fan-out starts a goroutine")

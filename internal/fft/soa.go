@@ -20,8 +20,7 @@ package fft
 // boundary, run every combine stage across the whole chunk — stage-major,
 // so one stage's twiddle stream stays hot across all rows — and unpack on
 // the way out. Steady state allocates nothing: scratch comes from a
-// per-plan pool (the fftxvet hotalloc rule roots the transform* entry
-// points).
+// per-plan pool (TestTransformZeroAllocs pins every entry point).
 
 // soaChunkRows is the number of batch rows one pooled chunk buffer holds:
 // the stage-batched chunk kernel packs up to this many rows at once, so

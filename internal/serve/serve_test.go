@@ -4,24 +4,27 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fft"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // startServer boots a server on an ephemeral port and tears it down with the
 // test.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	return start(t, New(cfg), func() {})
+	return start(t, New(keepTraces(cfg)), func() {})
 }
 
 // startHeld is startServer with every batch execution held until the
@@ -31,14 +34,24 @@ func startServer(t *testing.T, cfg Config) *Server {
 // held worker.
 func startHeld(t *testing.T, cfg Config) (*Server, func()) {
 	t.Helper()
-	s := New(cfg)
+	s := New(keepTraces(cfg))
 	s.execHold = make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(s.execHold) }) }
 	return start(t, s, release), release
 }
 
-// start starts s and, when the test ends, runs release and shuts s down.
+// keepTraces sizes the request log to hold every traced request a test
+// sends, so the span check at shutdown sees them all.
+func keepTraces(cfg Config) Config {
+	if cfg.RequestLogSize == 0 {
+		cfg.RequestLogSize = 1 << 12
+	}
+	return cfg
+}
+
+// start starts s and, when the test ends, runs release, shuts s down and
+// fails the test for every span a traced request left open (openSpans).
 func start(t *testing.T, s *Server, release func()) *Server {
 	t.Helper()
 	if err := s.Start(); err != nil {
@@ -51,9 +64,74 @@ func start(t *testing.T, s *Server, release func()) *Server {
 		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := contextWithTimeout(5 * time.Second)
 		defer cancel()
-		_ = s.Shutdown(ctx)
+		if err := s.Shutdown(ctx); err != nil {
+			t.Logf("shutdown: %v; spans not checked", err)
+			return
+		}
+		for _, msg := range openSpans(s.reqLog) {
+			t.Error(msg)
+		}
 	})
 	return s
+}
+
+// openSpans is the span check of the test servers. Read after shutdown,
+// when every handler, the dispatcher and every worker have returned, it
+// lists each span a traced request began and no goroutine ended, each
+// request still in flight, and the records the log dropped unchecked.
+func openSpans(l *requestLog) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var open []string
+	if dropped := int(l.seq) - len(l.recent) - len(l.inflight); dropped > 0 {
+		open = append(open, fmt.Sprintf("%d traced requests fell out of the request log (capacity %d) unchecked", dropped, l.capacity))
+	}
+	for _, rec := range l.inflight {
+		open = append(open, fmt.Sprintf("trace %s: still in flight after shutdown", rec.spans.TraceID()))
+	}
+	for _, rec := range l.recent {
+		for _, sp := range rec.spans.Tree().Spans {
+			if sp.EndNS == 0 {
+				open = append(open, fmt.Sprintf("trace %s (status %d): span %q never ended", rec.spans.TraceID(), rec.status, sp.Name))
+			}
+		}
+	}
+	return open
+}
+
+// TestOpenSpansCheck checks the span check itself: a span begun and never
+// ended is reported, one handed to another goroutine and ended there is
+// not, and a record that fell out of the log is counted.
+func TestOpenSpansCheck(t *testing.T) {
+	l := newRequestLog(2)
+	traced := func(body func(root trace.SpanRef)) {
+		spans := trace.NewSpanSet("")
+		rec := l.start(spans, OpTransform, "f1d:4", time.Now())
+		root := spans.Begin("request")
+		body(root)
+		root.End()
+		l.finish(rec, http.StatusOK, time.Millisecond)
+	}
+	traced(func(root trace.SpanRef) {
+		queue := root.Begin("queue")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			queue.End()
+		}()
+		<-done
+	})
+	if open := openSpans(l); len(open) != 0 {
+		t.Errorf("a span ended by the goroutine it was handed to: reported %q", open)
+	}
+	traced(func(root trace.SpanRef) { root.Begin("admit") })
+	if open := openSpans(l); len(open) != 1 || !strings.Contains(open[0], `span "admit" never ended`) {
+		t.Errorf("a span never ended: reported %q, want the admit span", open)
+	}
+	traced(func(trace.SpanRef) {})
+	if open := openSpans(l); len(open) != 2 || !strings.Contains(open[0], "1 traced requests fell out") {
+		t.Errorf("a record dropped by a log of 2: reported %q", open)
+	}
 }
 
 // plugWorker sends one request of a shape the test uses for nothing else and
@@ -256,6 +334,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		`{"dims":[4,4,4,4],"data":[]}`,
 		`{"dims":[1024],"batch":2,"data":[]}`,
 		`{"unknown_field":1}`,
+		`{"dims":[4],"data":[1],"trace_id":"0123456789abcdef"}`, // traced: no span opens before decode
 	}
 	for _, body := range cases {
 		if code := post(body); code != http.StatusBadRequest {
@@ -398,7 +477,7 @@ func TestServeBackpressureExact(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, _, hdr := postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(int64(i), 16)})
+			code, _, hdr := postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(int64(i), 16), TraceID: trace.NewTraceID()})
 			codes[i] = code
 			retryAfter[i] = hdr.Get("Retry-After")
 		}(i)
@@ -450,7 +529,7 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	doomed := make(chan reply, 1)
 	go func() {
 		code, _, hdr := postJSON(t, s.URL(), &Request{
-			Dims: []int{16}, Data: randomData(2, 16), DeadlineMillis: 10,
+			Dims: []int{16}, Data: randomData(2, 16), DeadlineMillis: 10, TraceID: trace.NewTraceID(),
 		})
 		doomed <- reply{code, hdr}
 	}()

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // TestServeGracefulShutdown exercises the drain contract end to end:
@@ -53,7 +55,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, _, hdr := postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(int64(i), 16)})
+			code, _, hdr := postJSON(t, s.URL(), &Request{Dims: []int{16}, Data: randomData(int64(i), 16), TraceID: trace.NewTraceID()})
 			codes[i] = code
 			retryAfter[i] = hdr.Get("Retry-After")
 		}(i)
@@ -192,6 +194,12 @@ func TestHealthzDraining(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz during drain: status %d, want 503", resp.StatusCode)
+	}
+	// The listener still accepts while the drain waits on the worker, and
+	// admission refuses: a traced refusal must close its admit and queue
+	// spans.
+	if code, _, _ := postJSON(t, url, &Request{Dims: []int{16}, Data: randomData(2, 16), TraceID: trace.NewTraceID()}); code != http.StatusServiceUnavailable {
+		t.Errorf("transform during drain: status %d, want 503", code)
 	}
 
 	release()

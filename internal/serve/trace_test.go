@@ -199,7 +199,8 @@ func TestTracingOverheadSmoke(t *testing.T) {
 	})
 
 	// Every traced round trip the ring still holds is a finished 200 with a
-	// valid tree of exactly the fixed phases, in the order they begin.
+	// valid tree of exactly the fixed phases, in the order they begin; the
+	// server's span check at shutdown requires each of them ended.
 	phases := []string{"request", "decode", "read", "parse", "admit", "queue",
 		"coalesce", "exec", "plan", "transform", "encode", "render", "write"}
 	recent := s.reqLog.dump().Recent
@@ -217,9 +218,6 @@ func TestTracingOverheadSmoke(t *testing.T) {
 		names := make([]string, len(rv.Spans.Spans))
 		for i, sp := range rv.Spans.Spans {
 			names[i] = sp.Name
-			if sp.EndNS == 0 {
-				t.Errorf("trace %s: span %q never ended", rv.TraceID, sp.Name)
-			}
 		}
 		if !reflect.DeepEqual(names, phases) {
 			t.Errorf("trace %s: spans %v, want %v", rv.TraceID, names, phases)

@@ -12,9 +12,9 @@ package trace
 // observed latency can be joined with the server-side span tree at
 // /debug/fftx/requests.
 //
-// The Begin/End discipline is enforced statically: the fftxvet spanbalance
-// rule requires every Begin in internal/serve to be balanced by a deferred
-// or all-paths End.
+// The Begin/End discipline is checked by the serve and cluster test
+// servers: once a server has shut down, every span a traced request began
+// must have ended, on whichever goroutine it was handed to.
 
 import (
 	"crypto/rand"
