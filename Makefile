@@ -46,13 +46,16 @@ experiments:
 # dispatcher's, backpressure, drain and deadline tests of fftxd then run 20
 # times over: they order their steps on server state, so each run must pass.
 # So do par's pooled-job tests: concurrent callers (with the go fallback)
-# and a panicking call followed by a clean one must never share a job.
+# and a panicking call followed by a clean one must never share a job; the
+# helper hand-off (back-to-back calls start no goroutine, idle helpers
+# park); and one-item 2-D/3-D batches, whose passes fan out, bit-identical
+# to Transform. They run at 4 Ps and at 2, so the pool has three helpers.
 DISPATCH_TESTS = TestDispatch|TestServeBatchingCoalesces|Backpressure|TestServeGracefulShutdown|TestDrainingRejectsNewRequests|TestHealthzDraining|TestServeDeadlineExpiry|TestAbandonedRequestKeepsItsBuffer
-PAR_TESTS = TestParallelForConcurrentCallers|TestParallelForPanicThenReuse
+PAR_TESTS = TestParallelForConcurrentCallers|TestParallelForPanicThenReuse|TestParallelForBackToBackStartsNoGoroutine|TestParallelForHelpersParkWhenIdle|TestOneItemBatchBitIdentical
 race:
 	$(GO) test -race -count=1 ./internal/...
 	$(GO) test -race -count=20 -run '$(DISPATCH_TESTS)' ./internal/serve
-	$(GO) test -race -count=20 -run '$(PAR_TESTS)' ./internal/par
+	$(GO) test -race -count=20 -cpu 4,2 -run '$(PAR_TESTS)' ./internal/par ./internal/fft
 
 # fuzz-smoke runs a short bounded fuzz of the FFT round-trip property, of
 # the batch kernels against their serial reference (bit-identical across

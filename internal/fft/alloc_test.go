@@ -21,45 +21,30 @@ func allocVec(n int) []complex128 {
 
 func assertZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
-	assertAllocsAtMost(t, name, 0, 1, fn)
-}
-
-// assertAllocsAtMost pins fn to at most max allocations per run, reading
-// the lowest of tries measurements. More than one try is for calls that
-// fan out: a par helper that is off its CPU when the call hands out work
-// sends it down the go fallback, which allocates. Such a miss only ever
-// adds, so the lowest reading is the steady state.
-func assertAllocsAtMost(t *testing.T, name string, max float64, tries int, fn func()) {
-	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the pins only hold in normal builds")
 	}
-	if avg := fewestAllocs(max, tries, fn); avg > max {
-		t.Errorf("%s: %v allocs per run, want at most %v", name, avg, max)
+	if avg := allocsPerRun(fn); avg != 0 {
+		t.Errorf("%s: %v allocs per run, want 0", name, avg)
 	}
 }
 
-// fewestAllocs is the lowest of up to tries AllocsPerRun readings of fn
-// after a warm-up call, stopping at the first at or below max.
-func fewestAllocs(max float64, tries int, fn func()) float64 {
+// allocsPerRun is one AllocsPerRun reading of fn after a warm-up call.
+func allocsPerRun(fn func()) float64 {
 	fn() // warm the scratch pools
-	avg := testing.AllocsPerRun(20, fn)
-	for i := 1; i < tries && avg > max; i++ {
-		avg = min(avg, testing.AllocsPerRun(20, fn))
-	}
-	return avg
+	return testing.AllocsPerRun(20, fn)
 }
 
 // allocSink keeps TestAllocPinCanFail's allocation on the heap.
 var allocSink []complex128
 
 // TestAllocPinCanFail is the seeded violation of the pins: a call that
-// allocates once per run reads one allocation, however many tries it gets.
+// allocates once per run reads one allocation.
 func TestAllocPinCanFail(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	if got := fewestAllocs(0, 5, func() { allocSink = make([]complex128, 8) }); got != 1 {
+	if got := allocsPerRun(func() { allocSink = make([]complex128, 8) }); got != 1 {
 		t.Errorf("a call that allocates once reads %v allocations per run, want 1", got)
 	}
 }
@@ -213,10 +198,11 @@ type batchTransformer interface {
 }
 
 // TransformBatch at two workers, over the batches bench's kernel_batch
-// transforms plus serve_json's 16³ box. A batch that fits one chunk runs
-// on the caller and must allocate nothing; a batch that fans out costs
-// exactly the closure it hands to par.ParallelFor, whose own per-call
-// state is pooled.
+// transforms plus serve_json's 16³ box, allocates nothing: a batch that
+// fits one chunk runs on the caller, and a fan-out hands par.ParallelFor a
+// pooled call record's body and par pools its own per-call state. One
+// reading holds because the pool helper marks itself spinning before it
+// signals the caller, so a back-to-back fan-out never starts a goroutine.
 func TestTransformBatchAllocs(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("the helper pool is empty below GOMAXPROCS 2: every fan-out starts a goroutine")
@@ -228,25 +214,21 @@ func TestTransformBatchAllocs(t *testing.T) {
 		p    batchTransformer
 		size int
 		rows int
-		fans bool // count exceeds the plan's grain at two workers
 	}{
-		{"z120", NewPlan(120), 120, 128, true},
-		{"xy120", NewPlan2D(120, 120), 120 * 120, 1, false},
-		{"box32", NewPlan3D(32, 32, 32), 32 * 32 * 32, 1, false},
-		{"p4096", NewPlan(4096), 4096, 4, false},
-		{"p64", NewPlan(64), 64, 128, true},
-		{"b1009", NewPlan(1009), 1009, 2, false},
-		{"box16", NewPlan3D(16, 16, 16), 16 * 16 * 16, 1, false},
+		{"z120", NewPlan(120), 120, 128},
+		{"xy120", NewPlan2D(120, 120), 120 * 120, 1},
+		{"box32", NewPlan3D(32, 32, 32), 32 * 32 * 32, 1},
+		{"p4096", NewPlan(4096), 4096, 4},
+		{"p64", NewPlan(64), 64, 128},
+		{"b1009", NewPlan(1009), 1009, 2},
+		{"box16", NewPlan3D(16, 16, 16), 16 * 16 * 16, 1},
+		{"xy60x4", NewPlan2D(60, 60), 60 * 60, 4},
+		{"box16x4", NewPlan3D(16, 16, 16), 16 * 16 * 16, 4},
 	} {
 		data := allocVec(tc.size * tc.rows)
-		fn := func() {
+		assertZeroAllocs(t, "TransformBatch("+tc.name+")", func() {
 			tc.p.TransformBatch(data, tc.rows, Forward)
 			tc.p.TransformBatch(data, tc.rows, Backward)
-		}
-		if tc.fans {
-			assertAllocsAtMost(t, "TransformBatch("+tc.name+")", 2, 5, fn)
-		} else {
-			assertZeroAllocs(t, "TransformBatch("+tc.name+")", fn)
-		}
+		})
 	}
 }

@@ -77,6 +77,7 @@ type Plan struct {
 	flops   float64
 	scratch sync.Pool
 	soaRows sync.Pool // *soaBuf of soaChunkRows·n cells (batched chunk scratch)
+	rows    fan       // the row fan-out of TransformBatch
 }
 
 // NewPlan creates a plan for transforms of length n with the legacy
@@ -101,6 +102,7 @@ func newPlanRadix(n int, r radix) *Plan {
 		return &s
 	}
 	p.soaRows.New = func() any { return newSoaBuf(soaLd(soaChunkRows) * n) }
+	p.rows.init(p.rowRange)
 	fs, ok := factorize(n, r)
 	if !ok {
 		// PickLayout already answered layoutAoS: the chirp convolution

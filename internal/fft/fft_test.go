@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 func randVec(rng *rand.Rand, n int) []complex128 {
@@ -314,4 +316,45 @@ func TestTransformPanicsOnWrongLength(t *testing.T) {
 		}
 	}()
 	NewPlan(8).Transform(make([]complex128, 7), Forward)
+}
+
+// A one-item TransformBatch fans its own passes out over par: the rows (z
+// sticks) as a row batch, then the column blocks (plane groups). It must
+// match the serial Transform bit for bit at every worker count, on shapes
+// whose row, block and group counts do not divide by the worker count.
+func TestOneItemBatchBitIdentical(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	var plans []batchPlan
+	for _, d := range [][2]int{{120, 120}, {60, 60}, {48, 45}, {7, 13}} {
+		plans = append(plans, NewPlan2D(d[0], d[1]))
+	}
+	for _, d := range [][3]int{{32, 32, 32}, {16, 16, 16}, {20, 18, 24}, {9, 10, 11}} {
+		plans = append(plans, NewPlan3D(d[0], d[1], d[2]))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, w := range []int{2, 3, 4} {
+		par.SetWorkers(w)
+		for _, p := range plans {
+			x := randVec(rng, p.Size())
+			for _, sign := range []Sign{Forward, Backward} {
+				want := append([]complex128(nil), x...)
+				p.Transform(want, sign)
+				got := append([]complex128(nil), x...)
+				p.TransformBatch(got, 1, sign)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers %d, %T of %d, sign %d: element %d = %v, Transform gives %v",
+							w, p, p.Size(), sign, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// batchPlan is the surface Plan2D and Plan3D share.
+type batchPlan interface {
+	batchTransformer
+	Transform(data []complex128, sign Sign)
+	Size() int
 }

@@ -27,6 +27,9 @@ type Plan2D struct {
 	nx, ny int
 	px, py *Plan
 	colBuf sync.Pool // *[]complex128 of nx*colBlock
+	// items fans out a multi-plane TransformBatch, cols the column blocks
+	// of a one-plane one.
+	items, cols fan
 }
 
 // NewPlan2D creates a plane transform for nx × ny grids. The per-axis
@@ -38,6 +41,8 @@ func NewPlan2D(nx, ny int) *Plan2D {
 		s := make([]complex128, nx*colBlock)
 		return &s
 	}
+	p.items.init(p.itemRange)
+	p.cols.init(p.colRange)
 	return p
 }
 
@@ -59,28 +64,31 @@ func (p *Plan2D) Transform(plane []complex128, sign Sign) {
 	}
 	// Rows (contiguous along y).
 	p.py.transformRows(plane, p.nx, sign)
-	// Columns: the planar path packs straight from the plane (strided),
-	// so the transpose is free.
+	p.colRange(plane, sign, 0, p.colBlocks())
+}
+
+// colBlocks is the number of colBlock-column blocks of the column pass.
+func (p *Plan2D) colBlocks() int { return (p.ny + colBlock - 1) / colBlock }
+
+// colRange runs the column pass over column blocks [lo,hi) of a plane.
+func (p *Plan2D) colRange(plane []complex128, sign Sign, lo, hi int) {
+	// The planar path packs straight from the plane (strided), so the
+	// transpose is free.
 	if p.px.planar() {
-		for iy0 := 0; iy0 < p.ny; iy0 += colBlock {
-			nb := p.ny - iy0
-			if nb > colBlock {
-				nb = colBlock
-			}
-			p.px.transformColsSoA(plane, p.ny, iy0, nb, sign)
+		for b := lo; b < hi; b++ {
+			iy0 := b * colBlock
+			p.px.transformColsSoA(plane, p.ny, iy0, min(colBlock, p.ny-iy0), sign)
 		}
 		return
 	}
-	// AoS fallback, blocked: each pass transposes up to colBlock columns
+	// AoS fallback, blocked: each block transposes up to colBlock columns
 	// into the contiguous buffer (rows are read sequentially), transforms
 	// them as a batch and transposes back.
 	sp := p.colBuf.Get().(*[]complex128)
 	buf := *sp
-	for iy0 := 0; iy0 < p.ny; iy0 += colBlock {
-		nb := p.ny - iy0
-		if nb > colBlock {
-			nb = colBlock
-		}
+	for b := lo; b < hi; b++ {
+		iy0 := b * colBlock
+		nb := min(colBlock, p.ny-iy0)
 		for ix := 0; ix < p.nx; ix++ {
 			row := plane[ix*p.ny+iy0 : ix*p.ny+iy0+nb]
 			for c, v := range row {
@@ -113,6 +121,9 @@ type Plan3D struct {
 	pz         *Plan
 	pxy        *Plan2D
 	planes     sync.Pool // *[]complex128 of nx*ny*zBlock
+	// items fans out a multi-box TransformBatch, groups the plane groups
+	// of a one-box one.
+	items, groups fan
 }
 
 // NewPlan3D creates a 3-D transform for nx × ny × nz boxes.
@@ -122,6 +133,8 @@ func NewPlan3D(nx, ny, nz int) *Plan3D {
 		s := make([]complex128, nx*ny*zBlock)
 		return &s
 	}
+	p.items.init(p.itemRange)
+	p.groups.init(p.groupRange)
 	return p
 }
 
@@ -137,17 +150,23 @@ func (p *Plan3D) Transform(box []complex128, sign Sign) {
 	}
 	// Z sticks are contiguous: one row batch.
 	p.pz.transformRows(box, p.nx*p.ny, sign)
-	// XY planes have stride nz between xy neighbors: gather zBlock planes
-	// at a time from the pooled buffer (blocked transpose), transform, and
-	// scatter back.
+	p.groupRange(box, sign, 0, p.zGroups())
+}
+
+// zGroups is the number of zBlock-plane groups of the xy pass.
+func (p *Plan3D) zGroups() int { return (p.nz + zBlock - 1) / zBlock }
+
+// groupRange runs the xy pass over plane groups [lo,hi) of a box. XY
+// planes have stride nz between xy neighbors: each group gathers up to
+// zBlock planes into the pooled buffer (blocked transpose), transforms
+// them and scatters them back.
+func (p *Plan3D) groupRange(box []complex128, sign Sign, lo, hi int) {
 	nxy := p.nx * p.ny
 	sp := p.planes.Get().(*[]complex128)
 	buf := *sp
-	for iz0 := 0; iz0 < p.nz; iz0 += zBlock {
-		nb := p.nz - iz0
-		if nb > zBlock {
-			nb = zBlock
-		}
+	for g := lo; g < hi; g++ {
+		iz0 := g * zBlock
+		nb := min(zBlock, p.nz-iz0)
 		for ixy := 0; ixy < nxy; ixy++ {
 			src := box[ixy*p.nz+iz0 : ixy*p.nz+iz0+nb]
 			for dz, v := range src {

@@ -17,10 +17,11 @@ import (
 // Bodies must not touch mpi/vtime/ompss state; the package imports none of
 // them (internal/analysis's TestParBodyRule).
 
-// Host-parallel grain sizes: planes are expensive (a full 2-D FFT), so
-// they split singly; flat index loops batch by the thousand to amortize
-// dispatch. Sticks fan out inside the fft batch drivers (one planar chunk
-// per worker batch — see fft.TransformBatch).
+// Host-parallel grain sizes: planes are expensive, so they split singly;
+// flat index loops batch by the thousand to amortize dispatch. Sticks and
+// the fft-xy planes fan out inside the fft batch drivers (one planar chunk
+// per worker batch, one plane per item — see fft.TransformBatch), whose
+// plane grain is this one.
 const (
 	grainPlanes = 1
 	grainIndex  = 4096
@@ -123,27 +124,17 @@ func (k *Kernel) PlanesFromScatter(p int, recv [][]complex128) []complex128 {
 	return planes
 }
 
-// FFTXY transforms every owned plane in place, one host task per plane.
+// FFTXY transforms every owned plane in place, one host task per plane
+// (a single plane fans out its own row and column passes).
 func (k *Kernel) FFTXY(p int, planes []complex128, sign fft.Sign) {
-	g := k.Sphere.Grid
-	nxy := g.Nx * g.Ny
-	par.ParallelFor(k.Layout.NPlanesOf(p), grainPlanes, func(lo, hi int) {
-		for z := lo; z < hi; z++ {
-			k.Plan2D.Transform(planes[z*nxy:(z+1)*nxy], sign)
-		}
-	})
+	k.FFTXYPart(planes, sign, 0, k.Layout.NPlanesOf(p))
 }
 
 // FFTXYPart transforms the plane range [lo,hi) of position p — the body
 // of the nested task loop over cft_2xy calls.
 func (k *Kernel) FFTXYPart(planes []complex128, sign fft.Sign, lo, hi int) {
-	g := k.Sphere.Grid
-	nxy := g.Nx * g.Ny
-	par.ParallelFor(hi-lo, grainPlanes, func(zlo, zhi int) {
-		for z := lo + zlo; z < lo+zhi; z++ {
-			k.Plan2D.Transform(planes[z*nxy:(z+1)*nxy], sign)
-		}
-	})
+	nxy := k.Sphere.Grid.Nx * k.Sphere.Grid.Ny
+	k.Plan2D.TransformBatch(planes[lo*nxy:hi*nxy], hi-lo, sign)
 }
 
 // VOfR multiplies the owned real-space planes by the local potential — the

@@ -6,7 +6,8 @@
 //
 // ParallelFor(n, grain, fn) splits [0,n) into fixed contiguous chunks and
 // runs fn(lo, hi) over them on a pool of worker goroutines sized by
-// GOMAXPROCS (the caller participates). The chunk boundaries depend only on
+// GOMAXPROCS (the caller participates); a helper spins for a while after
+// each job before it parks (see pool). The chunk boundaries depend only on
 // the arguments and the configured worker count — never on scheduling — and
 // the contract is that fn writes only data indexed by [lo,hi), so results
 // are bit-identical to the serial loop regardless of execution order.
@@ -29,6 +30,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // enabled is the process-wide host-parallelism switch.
@@ -64,36 +66,104 @@ func SetWorkers(n int) {
 // Workers returns the current per-call concurrency target.
 func Workers() int { return int(workers.Load()) }
 
-// pool is the lazily started persistent helper pool. Helpers receive the
-// call's job itself, so a hand-off builds no thunk. Helpers beyond the pool
-// size (e.g. SetWorkers above GOMAXPROCS in tests) fall back to fresh
-// goroutines, so submit never blocks behind a busy pool.
+// pool is the lazily started persistent helper pool, GOMAXPROCS-1
+// goroutines. Helpers receive the call's job itself, so a hand-off builds
+// no thunk. Helpers beyond the pool size (e.g. SetWorkers above GOMAXPROCS
+// in tests, or a pool busy with another caller's job) fall back to fresh
+// goroutines, so submit never blocks.
+//
+// A helper that finishes a job spins for spinWindow before it parks, and
+// it marks itself spinning before its wg.Done, so a back-to-back call
+// always finds it. Waking a parked helper is slow: the woken goroutine
+// sits in the waker P's runnext slot, which an idle P may steal only after
+// a usleep(3) that the kernel's 50 µs timer slack stretches, so the helper
+// starts 60–100 µs after the send while the caller computes alone. The
+// spin is how OpenMP runtimes bound the same cost (KMP_BLOCKTIME); it
+// yields with runtime.Gosched, so other runnable goroutines still get the
+// helper's P. A helper's state lives in one atomic slot, so submit wins a
+// spinning or a parked helper with one CAS and never races its park.
 var (
 	poolOnce sync.Once
-	poolCh   chan *job
+	helpers  []*helper
 )
 
+// spinWindow is how long a helper waits for the next hand-off before it
+// parks: about one park/wake (60–100 µs on a two-core host, above), so a
+// spinning helper burns no more than the hand-off it saves.
+const spinWindow = 60 * time.Microsecond
+
+// The markers a helper's slot holds while it waits: spinning for a
+// hand-off through the slot, parked on its wake channel. A nil slot means
+// the helper is busy.
+var spinning, parked = new(job), new(job)
+
+// helper is one pool goroutine. submit hands it a job by swapping its slot
+// from spinning to the job, or from parked to busy and sending the job on
+// wake, whose buffer takes it even before the helper blocks on it.
+type helper struct {
+	slot atomic.Pointer[job]
+	wake chan *job
+}
+
+// goStarts counts the fresh goroutines submit started because no pool
+// helper was free.
+var goStarts atomic.Int64
+
 func startPool() {
-	size := runtime.GOMAXPROCS(0) - 1
-	if size < 0 {
-		size = 0
-	}
-	poolCh = make(chan *job)
-	for i := 0; i < size; i++ {
-		go func() {
-			for j := range poolCh {
-				j.help()
-			}
-		}()
+	helpers = make([]*helper, max(runtime.GOMAXPROCS(0)-1, 0))
+	for i := range helpers {
+		h := &helper{wake: make(chan *job, 1)}
+		h.slot.Store(spinning) // takes a hand-off before it first runs
+		helpers[i] = h
+		go h.loop()
 	}
 }
 
-func submit(j *job) {
-	select {
-	case poolCh <- j:
-	default:
-		go j.help()
+// loop runs jobs for good: each comes from the spin, else from wake.
+func (h *helper) loop() {
+	for {
+		j := h.spin()
+		if j == nil {
+			j = <-h.wake
+		}
+		j.run()
+		h.slot.Store(spinning) // before Done: the caller's next call finds it
+		j.wg.Done()
 	}
+}
+
+// spin waits up to spinWindow for submit to hand over a job and returns
+// it, or nil once the helper has marked itself parked.
+func (h *helper) spin() *job {
+	deadline := time.Now().Add(spinWindow)
+	for {
+		if j := h.slot.Load(); j != spinning {
+			h.slot.Store(nil)
+			return j
+		}
+		if time.Now().After(deadline) && h.slot.CompareAndSwap(spinning, parked) {
+			return nil
+		}
+		runtime.Gosched()
+	}
+}
+
+// submit gives j to a spinning helper, else to a parked one, else to a
+// fresh goroutine.
+func submit(j *job) {
+	for _, h := range helpers {
+		if h.slot.CompareAndSwap(spinning, j) {
+			return
+		}
+	}
+	for _, h := range helpers {
+		if h.slot.CompareAndSwap(parked, nil) {
+			h.wake <- j
+			return
+		}
+	}
+	goStarts.Add(1)
+	go j.help()
 }
 
 // job is the state of one fanned-out ParallelFor call. Jobs are pooled, so
@@ -114,7 +184,7 @@ type job struct {
 
 var jobs = sync.Pool{New: func() any { return new(job) }}
 
-// help runs the claim loop on a helper and signals the caller.
+// help runs the claim loop on a fresh goroutine and signals the caller.
 func (j *job) help() {
 	defer j.wg.Done()
 	j.run()
@@ -151,8 +221,8 @@ func (j *job) run() {
 // range and must not touch the simulation runtimes (mpi/vtime/ompss). A
 // panic in any chunk is re-raised on the caller after all chunks finish.
 // In steady state a call allocates nothing itself (a helper that falls
-// back to a fresh goroutine aside); a closure passed as fn is the caller's
-// one allocation, since it escapes into the job the helpers share.
+// back to a fresh goroutine aside); a closure built per call as fn is the
+// caller's allocation, since it escapes into the job the helpers share.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

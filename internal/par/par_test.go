@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // resetState restores the package defaults after a test that toggles them.
@@ -147,22 +148,84 @@ func TestParallelForAllocs(t *testing.T) {
 	}
 	call := func() { ParallelFor(len(out), 1, body) }
 	call() // start the pool and fill the job pool
-	if avg := lowestAllocsPerRun(5, 100, call); avg != 0 {
+	if avg := testing.AllocsPerRun(100, call); avg != 0 {
 		t.Fatalf("ParallelFor fan-out: %v allocs per call, want 0", avg)
 	}
 }
 
-// lowestAllocsPerRun is the lowest of tries testing.AllocsPerRun readings.
-// A pool helper that is off its CPU when a call hands out work (the box is
-// shared, or the collector holds the other P) sends the call down the go
-// fallback, which allocates. Such a miss only ever adds, so the lowest
-// reading is the steady state.
-func lowestAllocsPerRun(tries, runs int, fn func()) float64 {
-	low := testing.AllocsPerRun(runs, fn)
-	for i := 1; i < tries && low > 0; i++ {
-		low = min(low, testing.AllocsPerRun(runs, fn))
+// A helper marks itself spinning before it signals the caller, so a
+// back-to-back call always finds it and starts no goroutine.
+func TestParallelForBackToBackStartsNoGoroutine(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the helper pool is empty below GOMAXPROCS 2: every fan-out starts a goroutine")
 	}
-	return low
+	resetState(t)
+	SetWorkers(2)
+	var visits [64]int32
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&visits[i], 1)
+		}
+	}
+	ParallelFor(len(visits), 1, body) // start the pool
+	const calls = 1000
+	before := goStarts.Load()
+	for c := 0; c < calls; c++ {
+		ParallelFor(len(visits), 1, body)
+	}
+	if n := goStarts.Load() - before; n != 0 {
+		t.Errorf("%d back-to-back calls started %d goroutines, want 0", calls, n)
+	}
+	for i, v := range visits {
+		if v != calls+1 {
+			t.Fatalf("index %d visited %d times, want %d", i, v, calls+1)
+		}
+	}
+}
+
+// After an idle gap every helper stops spinning and parks, and a parked
+// helper takes the next call without a fresh goroutine. The wait polls
+// under a deadline of seconds instead of sleeping for the spin window.
+func TestParallelForHelpersParkWhenIdle(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the helper pool is empty below GOMAXPROCS 2")
+	}
+	resetState(t)
+	SetWorkers(2)
+	var visits [64]int32
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&visits[i], 1)
+		}
+	}
+	ParallelFor(len(visits), 1, body)
+	deadline := time.Now().Add(5 * time.Second)
+	for !allParked() {
+		if time.Now().After(deadline) {
+			t.Fatal("helpers still not parked 5 s after the last call")
+		}
+		runtime.Gosched()
+	}
+	before := goStarts.Load()
+	ParallelFor(len(visits), 1, body)
+	if n := goStarts.Load() - before; n != 0 {
+		t.Errorf("a call after the helpers parked started %d goroutines, want 0", n)
+	}
+	for i, v := range visits {
+		if v != 2 {
+			t.Fatalf("index %d visited %d times, want 2", i, v)
+		}
+	}
+}
+
+// allParked reports whether every pool helper is parked.
+func allParked() bool {
+	for _, h := range helpers {
+		if h.slot.Load() != parked {
+			return false
+		}
+	}
+	return true
 }
 
 // Concurrent callers each get their own pooled job. Three workers on a
