@@ -8,7 +8,10 @@ import (
 
 // bluestein implements the chirp-z transform for arbitrary lengths,
 // expressing a length-n DFT as a cyclic convolution of size m (the next
-// power of two >= 2n-1) computed with radix-2 FFTs.
+// power of two >= 2n-1) computed with radix-2 FFTs. It is the one place
+// that keeps a kernel per direction: running Backward as Forward on
+// swapped parts would swap the order of the inner forward/backward pair
+// of the convolution, which moves bits.
 type bluestein struct {
 	n, m  int
 	inner *Plan // power-of-two plan of length m

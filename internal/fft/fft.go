@@ -7,11 +7,23 @@
 // operation counts that feed the KNL cost model.
 //
 // The hot kernel is iterative and table-driven: a plan precomputes the
-// digit-reversal permutation of its factorization and one twiddle table per
-// stage and direction, so the per-transform inner loops contain no modular
-// reductions, no conjugations and no recursion — only table lookups and the
-// radix butterflies (specialized for radix 2, 3, 4, 5 and 8; the dense
-// r-point DFT matrix serves only the rarer primes 7, 11 and 13).
+// digit-reversal permutation of its factorization and one forward twiddle
+// table per stage, so the per-transform inner loops contain no modular
+// reductions and no recursion — only table lookups and the radix
+// butterflies (specialized for radix 2, 3, 4, 5 and 8; the dense r-point
+// DFT matrix serves only the rarer primes 7, 11 and 13).
+//
+// Every kernel runs one direction, Forward. Backward is the forward
+// transform on swapped parts: with swap(a+ib) = b+ia, Backward(x) =
+// swap(Forward(swap(x))) holds exactly, bit for bit (Duhamel, Piron &
+// Etcheto, IEEE TASSP 1988), because swapping the parts of an operand
+// conjugates its product with a twiddle without rounding anything. The
+// swap happens only at the boundary: in Plan.Transform's permuting gather
+// and copy-out, in the planar pack and unpack (which exchange the re/im
+// planes they write and read, for free), and in the store of the fused
+// final-stage unpack. Bluestein lengths are the exception: the chirp
+// convolution keeps its own backward chirp kernel, because swapping around
+// it would reorder its inner forward/backward pair and move bits.
 //
 // Sign convention: Forward applies X[k] = sum_j x[j]·exp(-2πi·jk/n) and
 // Backward the conjugate kernel; neither scales, so Backward(Forward(x))
@@ -42,16 +54,17 @@ const maxDirectRadix = 13
 
 // stage is one iterative combine pass: it merges groups of r sub-transforms
 // of length m into transforms of length r·m, for every block of the buffer.
+// Its tables are forward only; Backward reaches them through the swap.
 type stage struct {
 	r, m int
-	// tw holds the input twiddles w^(q·k1), w = exp(∓2πi/(r·m)), laid out
+	// tw holds the input twiddles w^(q·k1), w = exp(-2πi/(r·m)), laid out
 	// as tw[(r-1)·k1 + q-1] for q in [1,r) so the inner loop over q reads
-	// consecutively. Index 0 selects Forward, 1 Backward.
-	tw [2][]complex128
-	// wr is the dense r-point DFT matrix exp(∓2πi·(j·q mod r)/r) at
+	// consecutively.
+	tw []complex128
+	// wr is the dense r-point DFT matrix exp(-2πi·(j·q mod r)/r) at
 	// wr[j·r+q], used by the generic small-prime butterfly of the radices
 	// 7, 11 and 13 (nil for the specialized radices 2, 3, 4, 5 and 8).
-	wr [2][]complex128
+	wr []complex128
 	// twr/twi are the planar (SoA) copies of tw for the cell-major chunk
 	// kernels. Specialized radices (2, 3, 4, 5, 8) store them q-major — r-1
 	// sequential streams of m values at twr[(q-1)·m + k1] — because their
@@ -59,9 +72,9 @@ type stage struct {
 	// keeps the AoS k-major layout twr[(r-1)·k1 + q-1] because its inner
 	// loop runs over q. The values are identical to tw either way, so the
 	// SoA path is bit-identical to the AoS path.
-	twr, twi [2][]float64
+	twr, twi []float64
 	// wrr/wri are the planar copies of wr (generic radices only).
-	wrr, wri [2][]float64
+	wrr, wri []float64
 }
 
 // Plan is a reusable transform of one length. A Plan is safe for concurrent
@@ -146,10 +159,9 @@ func (p *Plan) buildPerm() {
 	rec(0, 0, p.n, 1, 0)
 }
 
-// buildStages precomputes the twiddle tables of every combine pass for both
-// directions. Stage t (bottom-up) merges radix factors[k-1-t]; the forward
-// tables hold exp(-2πi·q·k1/L) and the backward tables their conjugates, so
-// Transform never conjugates at run time.
+// buildStages precomputes the forward twiddle tables of every combine
+// pass. Stage t (bottom-up) merges radix factors[k-1-t] with the tables
+// exp(-2πi·q·k1/L); Backward uses the same tables on swapped parts.
 func (p *Plan) buildStages() {
 	m := 1
 	for i := len(p.factors) - 1; i >= 0; i-- {
@@ -158,53 +170,35 @@ func (p *Plan) buildStages() {
 			continue
 		}
 		L := r * m
-		st := stage{r: r, m: m}
-		for si := range st.tw {
-			sgn := float64(Forward)
-			if si == 1 {
-				sgn = float64(Backward)
+		// The other small primes (7, 11, 13) run the dense stage.
+		specialized := r == 2 || r == 3 || r == 4 || r == 5 || r == 8
+		st := stage{r: r, m: m, tw: make([]complex128, (r-1)*m),
+			twr: make([]float64, (r-1)*m), twi: make([]float64, (r-1)*m)}
+		for k1 := 0; k1 < m; k1++ {
+			for q := 1; q < r; q++ {
+				ang := -2 * math.Pi * float64(q*k1%L) / float64(L)
+				v := cmplx.Exp(complex(0, ang))
+				i := (r-1)*k1 + q - 1
+				st.tw[i] = v
+				// Planar copies: q-major streams for the specialized
+				// radices, the AoS layout for the generic stage.
+				if specialized {
+					i = (q-1)*m + k1
+				}
+				st.twr[i], st.twi[i] = real(v), imag(v)
 			}
-			tw := make([]complex128, (r-1)*m)
-			for k1 := 0; k1 < m; k1++ {
-				for q := 1; q < r; q++ {
-					ang := sgn * 2 * math.Pi * float64(q*k1%L) / float64(L)
-					tw[(r-1)*k1+q-1] = cmplx.Exp(complex(0, ang))
+		}
+		if !specialized {
+			st.wr = make([]complex128, r*r)
+			st.wrr, st.wri = make([]float64, r*r), make([]float64, r*r)
+			for j := 0; j < r; j++ {
+				for q := 0; q < r; q++ {
+					ang := -2 * math.Pi * float64(j*q%r) / float64(r)
+					v := cmplx.Exp(complex(0, ang))
+					st.wr[j*r+q] = v
+					st.wrr[j*r+q], st.wri[j*r+q] = real(v), imag(v)
 				}
 			}
-			st.tw[si] = tw
-			// The other small primes (7, 11, 13) run the dense stage.
-			specialized := r == 2 || r == 3 || r == 4 || r == 5 || r == 8
-			if !specialized {
-				wr := make([]complex128, r*r)
-				for j := 0; j < r; j++ {
-					for q := 0; q < r; q++ {
-						ang := sgn * 2 * math.Pi * float64(j*q%r) / float64(r)
-						wr[j*r+q] = cmplx.Exp(complex(0, ang))
-					}
-				}
-				st.wr[si] = wr
-				wrr := make([]float64, r*r)
-				wri := make([]float64, r*r)
-				for i, v := range wr {
-					wrr[i], wri[i] = real(v), imag(v)
-				}
-				st.wrr[si], st.wri[si] = wrr, wri
-			}
-			// Planar twiddle copies for the SoA path: q-major streams for
-			// the specialized radices, AoS layout for the generic stage.
-			twrP := make([]float64, (r-1)*m)
-			twiP := make([]float64, (r-1)*m)
-			for k1 := 0; k1 < m; k1++ {
-				for q := 1; q < r; q++ {
-					v := tw[(r-1)*k1+q-1]
-					i := (r-1)*k1 + q - 1
-					if specialized {
-						i = (q-1)*m + k1
-					}
-					twrP[i], twiP[i] = real(v), imag(v)
-				}
-			}
-			st.twr[si], st.twi[si] = twrP, twiP
 		}
 		p.stages = append(p.stages, st)
 		m = L
@@ -249,7 +243,8 @@ func ctFlops(n int, factors []int) float64 {
 }
 
 // Transform computes the in-place transform of x (length N) in the given
-// direction.
+// direction. Backward gathers swapped parts, runs the forward stages and
+// swaps them back on the way out.
 func (p *Plan) Transform(x []complex128, sign Sign) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: Transform on slice of length %d, plan is %d", len(x), p.n))
@@ -263,38 +258,71 @@ func (p *Plan) Transform(x []complex128, sign Sign) {
 	}
 	sp := p.scratch.Get().(*[]complex128)
 	w := *sp
-	for i, s := range p.perm {
-		w[i] = x[s]
+	if sign == Forward {
+		for i, s := range p.perm {
+			w[i] = x[s]
+		}
+		p.combine(w)
+		copy(x, w)
+	} else {
+		for i, s := range p.perm {
+			w[i] = swap(x[s])
+		}
+		p.combine(w)
+		for i, v := range w {
+			x[i] = swap(v)
+		}
 	}
-	p.combine(w, sign)
-	copy(x, w)
 	p.scratch.Put(sp)
 }
 
+// swap exchanges the real and imaginary parts of v.
+func swap(v complex128) complex128 { return complex(imag(v), real(v)) }
+
 // combine runs the iterative bottom-up combine passes over the
 // digit-reversed work buffer.
-func (p *Plan) combine(w []complex128, sign Sign) {
-	si := 0
-	if sign == Backward {
-		si = 1
-	}
+func (p *Plan) combine(w []complex128) {
 	for t := range p.stages {
 		st := &p.stages[t]
 		switch st.r {
 		case 2:
-			stageRadix2(w, st.m, st.tw[si])
+			stageRadix2(w, st.m, st.tw)
 		case 3:
-			stageRadix3(w, st.m, st.tw[si], sign)
+			stageRadix3(w, st.m, st.tw)
 		case 4:
-			stageRadix4(w, st.m, st.tw[si], sign)
+			stageRadix4(w, st.m, st.tw)
 		case 5:
-			stageRadix5(w, st.m, st.tw[si], sign)
+			stageRadix5(w, st.m, st.tw)
 		case 8:
-			stageRadix8(w, st.m, st.tw[si], sign)
+			stageRadix8(w, st.m, st.tw)
 		default:
-			stageGeneric(w, st.r, st.m, st.tw[si], st.wr[si])
+			stageGeneric(w, st.r, st.m, st.tw, st.wr)
 		}
 	}
+}
+
+// cmul is the twiddle product (xr+i·xi)·(tr+i·ti) with the same
+// intermediate roundings as the complex128 product; every specialized
+// stage, AoS or planar, multiplies through it.
+func cmul(xr, xi, tr, ti float64) (float64, float64) {
+	return float64(xr*tr) - float64(xi*ti), float64(xi*tr) + float64(xr*ti)
+}
+
+// bfly2 is the 2-point DFT of a and the twiddled b.
+func bfly2(ar, ai, br, bi float64) (x0r, x0i, x1r, x1i float64) {
+	return ar + br, ai + bi, ar - br, ai - bi
+}
+
+// bfly4 is the 4-point DFT of a and the twiddled b, c, d. It returns
+// x0, x2, x1, x3: each pair is finished from the same two sums, so fewer
+// values are live at once and the planar loops spill less.
+func bfly4(ar, ai, br, bi, cr, ci, dr, di float64) (x0r, x0i, x2r, x2i, x1r, x1i, x3r, x3i float64) {
+	t0r, t0i := ar+cr, ai+ci
+	t1r, t1i := ar-cr, ai-ci
+	t2r, t2i := br+dr, bi+di
+	t3r, t3i := br-dr, bi-di
+	// x1 = t1 - i·t3, x3 = t1 + i·t3.
+	return t0r + t2r, t0i + t2i, t0r - t2r, t0i - t2i, t1r + t3i, t1i - t3r, t1r - t3i, t1i + t3r
 }
 
 // stageRadix2 merges pairs of length-m sub-transforms across the buffer.
@@ -304,52 +332,31 @@ func stageRadix2(w []complex128, m int, tw []complex128) {
 		lo := w[o : o+m : o+m]
 		hi := w[o+m : o+2*m : o+2*m]
 		for k := 0; k < m; k++ {
-			a := lo[k]
-			b := hi[k] * tw[k]
-			lo[k] = a + b
-			hi[k] = a - b
+			a, h, t := lo[k], hi[k], tw[k]
+			br, bi := cmul(real(h), imag(h), real(t), imag(t))
+			x0r, x0i, x1r, x1i := bfly2(real(a), imag(a), br, bi)
+			lo[k], hi[k] = complex(x0r, x0i), complex(x1r, x1i)
 		}
 	}
 }
 
-// stageRadix4 merges quadruples of length-m sub-transforms. The ±i rotation
-// of the radix-4 butterfly is the only direction-dependent operation, so it
-// branches once per stage, not per butterfly.
-func stageRadix4(w []complex128, m int, tw []complex128, sign Sign) {
+// stageRadix4 merges quadruples of length-m sub-transforms.
+func stageRadix4(w []complex128, m int, tw []complex128) {
 	n := len(w)
 	for o := 0; o < n; o += 4 * m {
 		b0 := w[o : o+m : o+m]
 		b1 := w[o+m : o+2*m : o+2*m]
 		b2 := w[o+2*m : o+3*m : o+3*m]
 		b3 := w[o+3*m : o+4*m : o+4*m]
-		if sign == Forward {
-			for k := 0; k < m; k++ {
-				a := b0[k]
-				b := b1[k] * tw[3*k]
-				c := b2[k] * tw[3*k+1]
-				d := b3[k] * tw[3*k+2]
-				t0, t1 := a+c, a-c
-				t2, t3 := b+d, b-d
-				jt := complex(imag(t3), -real(t3)) // -i·t3
-				b0[k] = t0 + t2
-				b1[k] = t1 + jt
-				b2[k] = t0 - t2
-				b3[k] = t1 - jt
-			}
-		} else {
-			for k := 0; k < m; k++ {
-				a := b0[k]
-				b := b1[k] * tw[3*k]
-				c := b2[k] * tw[3*k+1]
-				d := b3[k] * tw[3*k+2]
-				t0, t1 := a+c, a-c
-				t2, t3 := b+d, b-d
-				jt := complex(-imag(t3), real(t3)) // +i·t3
-				b0[k] = t0 + t2
-				b1[k] = t1 + jt
-				b2[k] = t0 - t2
-				b3[k] = t1 - jt
-			}
+		for k := 0; k < m; k++ {
+			t := tw[3*k : 3*k+3 : 3*k+3]
+			a, x1, x2, x3 := b0[k], b1[k], b2[k], b3[k]
+			br, bi := cmul(real(x1), imag(x1), real(t[0]), imag(t[0]))
+			cr, ci := cmul(real(x2), imag(x2), real(t[1]), imag(t[1]))
+			dr, di := cmul(real(x3), imag(x3), real(t[2]), imag(t[2]))
+			y0r, y0i, y2r, y2i, y1r, y1i, y3r, y3i := bfly4(real(a), imag(a), br, bi, cr, ci, dr, di)
+			b0[k], b2[k] = complex(y0r, y0i), complex(y2r, y2i)
+			b1[k], b3[k] = complex(y1r, y1i), complex(y3r, y3i)
 		}
 	}
 }

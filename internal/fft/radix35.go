@@ -6,14 +6,13 @@ package fft
 // its re/im streams. Radix 3 is one function (bfly3); a whole 5-point body
 // exceeds Go's inlining budget, so radix 5 is three (cos5, sin5, turnPair)
 // that both stages call in the same order. The twiddle products go through
-// cmulSoA on both sides. Same functions, same operations, same order, so
+// cmul on both sides. Same functions, same operations, same order, so
 // the two layouts stay bit-identical by construction. The explicit
 // float64(...) conversions pin every product's rounding, so no platform may
 // fuse one into the following addition.
 //
-// The direction enters only through the sign of the sine constants: the
-// outputs are X = m ∓ i·s·d, and negating s negates the product exactly, so
-// one body serves both directions without a branch.
+// Like every stage, these run forward only (sine constants +sin); Backward
+// reaches them on swapped parts (see the package doc).
 
 // sin3 is sin(2π/3) = √3/2, the imaginary part of the cube roots of unity.
 const sin3 = 0.86602540378443864676372317075293618347140262690519
@@ -28,22 +27,12 @@ const (
 	sin5b = 0.58778525229247312916870595463907276859765243764315 // sin(4π/5)
 )
 
-// signedSine returns the sine constant s signed for a direction: +s for
-// Forward, -s for Backward.
-func signedSine(sign Sign, s float64) float64 {
-	if sign == Backward {
-		return -s
-	}
-	return s
-}
-
-// bfly3 is the 3-point DFT of the twiddled inputs a, b, c with the signed
-// sine s = ±sin(2π/3).
-func bfly3(ar, ai, br, bi, cr, ci, s float64) (x0r, x0i, x1r, x1i, x2r, x2i float64) {
+// bfly3 is the 3-point DFT of a and the twiddled b, c.
+func bfly3(ar, ai, br, bi, cr, ci float64) (x0r, x0i, x1r, x1i, x2r, x2i float64) {
 	tr, ti := br+cr, bi+ci
 	mr := ar - float64(0.5*tr)
 	mi := ai - float64(0.5*ti)
-	x1r, x1i, x2r, x2i = turnPair(mr, mi, float64(s*(br-cr)), float64(s*(bi-ci)))
+	x1r, x1i, x2r, x2i = turnPair(mr, mi, float64(sin3*(br-cr)), float64(sin3*(bi-ci)))
 	return ar + tr, ai + ti, x1r, x1i, x2r, x2i
 }
 
@@ -64,16 +53,15 @@ func cos5(a0r, a0i, t1r, t1i, t2r, t2i float64) (m1r, m1i, m2r, m2i float64) {
 }
 
 // sin5 returns the radix-5 sine mixes n1 = s1·t3 + s2·t4 and
-// n2 = s2·t3 - s1·t4 of t3 = a1 - a4 and t4 = a2 - a3, with the signed
-// sines s1 = ±sin(2π/5) and s2 = ±sin(4π/5).
-func sin5(t3r, t3i, t4r, t4i, s1, s2 float64) (n1r, n1i, n2r, n2i float64) {
-	return float64(s1*t3r) + float64(s2*t4r), float64(s1*t3i) + float64(s2*t4i),
-		float64(s2*t3r) - float64(s1*t4r), float64(s2*t3i) - float64(s1*t4i)
+// n2 = s2·t3 - s1·t4 of t3 = a1 - a4 and t4 = a2 - a3, with the sines
+// s1 = sin(2π/5) and s2 = sin(4π/5).
+func sin5(t3r, t3i, t4r, t4i float64) (n1r, n1i, n2r, n2i float64) {
+	return float64(sin5a*t3r) + float64(sin5b*t4r), float64(sin5a*t3i) + float64(sin5b*t4i),
+		float64(sin5b*t3r) - float64(sin5a*t4r), float64(sin5b*t3i) - float64(sin5a*t4i)
 }
 
 // stageRadix3 merges triples of length-m sub-transforms.
-func stageRadix3(w []complex128, m int, tw []complex128, sign Sign) {
-	s := signedSine(sign, sin3)
+func stageRadix3(w []complex128, m int, tw []complex128) {
 	n := len(w)
 	for o := 0; o < n; o += 3 * m {
 		b0 := w[o : o+m : o+m]
@@ -82,9 +70,9 @@ func stageRadix3(w []complex128, m int, tw []complex128, sign Sign) {
 		for k := 0; k < m; k++ {
 			t1, t2 := tw[2*k], tw[2*k+1]
 			a := b0[k]
-			br, bi := cmulSoA(real(b1[k]), imag(b1[k]), real(t1), imag(t1))
-			cr, ci := cmulSoA(real(b2[k]), imag(b2[k]), real(t2), imag(t2))
-			x0r, x0i, x1r, x1i, x2r, x2i := bfly3(real(a), imag(a), br, bi, cr, ci, s)
+			br, bi := cmul(real(b1[k]), imag(b1[k]), real(t1), imag(t1))
+			cr, ci := cmul(real(b2[k]), imag(b2[k]), real(t2), imag(t2))
+			x0r, x0i, x1r, x1i, x2r, x2i := bfly3(real(a), imag(a), br, bi, cr, ci)
 			b0[k] = complex(x0r, x0i)
 			b1[k] = complex(x1r, x1i)
 			b2[k] = complex(x2r, x2i)
@@ -93,8 +81,7 @@ func stageRadix3(w []complex128, m int, tw []complex128, sign Sign) {
 }
 
 // stageRadix5 merges quintuples of length-m sub-transforms.
-func stageRadix5(w []complex128, m int, tw []complex128, sign Sign) {
-	s1, s2 := signedSine(sign, sin5a), signedSine(sign, sin5b)
+func stageRadix5(w []complex128, m int, tw []complex128) {
 	n := len(w)
 	for o := 0; o < n; o += 5 * m {
 		b0 := w[o : o+m : o+m]
@@ -105,14 +92,14 @@ func stageRadix5(w []complex128, m int, tw []complex128, sign Sign) {
 		for k := 0; k < m; k++ {
 			t := tw[4*k : 4*k+4 : 4*k+4]
 			a0r, a0i := real(b0[k]), imag(b0[k])
-			a1r, a1i := cmulSoA(real(b1[k]), imag(b1[k]), real(t[0]), imag(t[0]))
-			a2r, a2i := cmulSoA(real(b2[k]), imag(b2[k]), real(t[1]), imag(t[1]))
-			a3r, a3i := cmulSoA(real(b3[k]), imag(b3[k]), real(t[2]), imag(t[2]))
-			a4r, a4i := cmulSoA(real(b4[k]), imag(b4[k]), real(t[3]), imag(t[3]))
+			a1r, a1i := cmul(real(b1[k]), imag(b1[k]), real(t[0]), imag(t[0]))
+			a2r, a2i := cmul(real(b2[k]), imag(b2[k]), real(t[1]), imag(t[1]))
+			a3r, a3i := cmul(real(b3[k]), imag(b3[k]), real(t[2]), imag(t[2]))
+			a4r, a4i := cmul(real(b4[k]), imag(b4[k]), real(t[3]), imag(t[3]))
 			t1r, t1i := a1r+a4r, a1i+a4i
 			t2r, t2i := a2r+a3r, a2i+a3i
 			m1r, m1i, m2r, m2i := cos5(a0r, a0i, t1r, t1i, t2r, t2i)
-			n1r, n1i, n2r, n2i := sin5(a1r-a4r, a1i-a4i, a2r-a3r, a2i-a3i, s1, s2)
+			n1r, n1i, n2r, n2i := sin5(a1r-a4r, a1i-a4i, a2r-a3r, a2i-a3i)
 			x1r, x1i, x4r, x4i := turnPair(m1r, m1i, n1r, n1i)
 			x2r, x2i, x3r, x3i := turnPair(m2r, m2i, n2r, n2i)
 			b0[k] = complex(a0r+(t1r+t2r), a0i+(t1i+t2i))
@@ -126,8 +113,7 @@ func stageRadix5(w []complex128, m int, tw []complex128, sign Sign) {
 
 // stageRadix3Rows is the cell-major radix-3 butterfly: the twiddles of cell
 // k1 are loaded once (q-major streams) and applied to all nb rows.
-func stageRadix3Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign Sign) {
-	s := signedSine(sign, sin3)
+func stageRadix3Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64) {
 	cells := len(wr)
 	for o := 0; o < cells; o += 3 * m * ld {
 		for k := 0; k < m; k++ {
@@ -136,24 +122,20 @@ func stageRadix3Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign S
 			c0 := o + k*ld
 			c1 := c0 + m*ld
 			c2 := c1 + m*ld
-			b0r := wr[c0 : c0+nb : c0+nb]
-			b0i := wi[c0 : c0+nb : c0+nb]
-			b1r := wr[c1 : c1+nb : c1+nb]
-			b1i := wi[c1 : c1+nb : c1+nb]
-			b2r := wr[c2 : c2+nb : c2+nb]
-			b2i := wi[c2 : c2+nb : c2+nb]
+			b0r, b0i := wr[c0:c0+nb:c0+nb], wi[c0:c0+nb:c0+nb]
+			b1r, b1i := wr[c1:c1+nb:c1+nb], wi[c1:c1+nb:c1+nb]
+			b2r, b2i := wr[c2:c2+nb:c2+nb], wi[c2:c2+nb:c2+nb]
 			for b := 0; b < nb; b++ {
-				br, bi := cmulSoA(b1r[b], b1i[b], t1r, t1i)
-				cr, ci := cmulSoA(b2r[b], b2i[b], t2r, t2i)
-				b0r[b], b0i[b], b1r[b], b1i[b], b2r[b], b2i[b] = bfly3(b0r[b], b0i[b], br, bi, cr, ci, s)
+				br, bi := cmul(b1r[b], b1i[b], t1r, t1i)
+				cr, ci := cmul(b2r[b], b2i[b], t2r, t2i)
+				b0r[b], b0i[b], b1r[b], b1i[b], b2r[b], b2i[b] = bfly3(b0r[b], b0i[b], br, bi, cr, ci)
 			}
 		}
 	}
 }
 
 // stageRadix5Rows is the cell-major radix-5 butterfly.
-func stageRadix5Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign Sign) {
-	s1, s2 := signedSine(sign, sin5a), signedSine(sign, sin5b)
+func stageRadix5Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64) {
 	cells := len(wr)
 	step := m * ld
 	for o := 0; o < cells; o += 5 * step {
@@ -163,26 +145,21 @@ func stageRadix5Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign S
 			t3r, t3i := twr[2*m+k], twi[2*m+k]
 			t4r, t4i := twr[3*m+k], twi[3*m+k]
 			c0 := o + k*ld
-			b0r := wr[c0:][:nb:nb]
-			b0i := wi[c0:][:nb:nb]
-			b1r := wr[c0+step:][:nb:nb]
-			b1i := wi[c0+step:][:nb:nb]
-			b2r := wr[c0+2*step:][:nb:nb]
-			b2i := wi[c0+2*step:][:nb:nb]
-			b3r := wr[c0+3*step:][:nb:nb]
-			b3i := wi[c0+3*step:][:nb:nb]
-			b4r := wr[c0+4*step:][:nb:nb]
-			b4i := wi[c0+4*step:][:nb:nb]
+			b0r, b0i := wr[c0:][:nb:nb], wi[c0:][:nb:nb]
+			b1r, b1i := wr[c0+step:][:nb:nb], wi[c0+step:][:nb:nb]
+			b2r, b2i := wr[c0+2*step:][:nb:nb], wi[c0+2*step:][:nb:nb]
+			b3r, b3i := wr[c0+3*step:][:nb:nb], wi[c0+3*step:][:nb:nb]
+			b4r, b4i := wr[c0+4*step:][:nb:nb], wi[c0+4*step:][:nb:nb]
 			for b := 0; b < nb; b++ {
 				a0r, a0i := b0r[b], b0i[b]
-				a1r, a1i := cmulSoA(b1r[b], b1i[b], t1r, t1i)
-				a2r, a2i := cmulSoA(b2r[b], b2i[b], t2r, t2i)
-				a3r, a3i := cmulSoA(b3r[b], b3i[b], t3r, t3i)
-				a4r, a4i := cmulSoA(b4r[b], b4i[b], t4r, t4i)
+				a1r, a1i := cmul(b1r[b], b1i[b], t1r, t1i)
+				a2r, a2i := cmul(b2r[b], b2i[b], t2r, t2i)
+				a3r, a3i := cmul(b3r[b], b3i[b], t3r, t3i)
+				a4r, a4i := cmul(b4r[b], b4i[b], t4r, t4i)
 				t1r, t1i := a1r+a4r, a1i+a4i
 				t2r, t2i := a2r+a3r, a2i+a3i
 				m1r, m1i, m2r, m2i := cos5(a0r, a0i, t1r, t1i, t2r, t2i)
-				n1r, n1i, n2r, n2i := sin5(a1r-a4r, a1i-a4i, a2r-a3r, a2i-a3i, s1, s2)
+				n1r, n1i, n2r, n2i := sin5(a1r-a4r, a1i-a4i, a2r-a3r, a2i-a3i)
 				b0r[b], b0i[b] = a0r+(t1r+t2r), a0i+(t1i+t2i)
 				b1r[b], b1i[b], b4r[b], b4i[b] = turnPair(m1r, m1i, n1r, n1i)
 				b2r[b], b2i[b], b3r[b], b3i[b] = turnPair(m2r, m2i, n2r, n2i)

@@ -8,19 +8,22 @@ package fft
 // compiles to straight-line scalar float code with simpler addressing and
 // no pair packing.
 //
-// Bit-identity is a hard contract: every planar butterfly mirrors its AoS
-// counterpart operation for operation (same products, same rounding points,
-// same evaluation order — the explicit float64(...) conversions pin the
-// intermediate roundings the complex arithmetic performs), so the planar
-// path produces bit-identical spectra and the equivalence tests compare
-// with ==, not a tolerance. Lengths the iterative kernel cannot factorize
-// (Bluestein fallback) stay on the AoS path.
+// Bit-identity is a hard contract: the planar stages call the same
+// butterfly bodies as the AoS stages (cmul, bfly2, bfly4, rot8, bfly3,
+// cos5/sin5/turnPair), in the same order, and float64 loads and stores are
+// exact, so the planar path produces bit-identical spectra and the
+// equivalence tests compare bit patterns, not a tolerance. Lengths the
+// iterative kernel cannot factorize (Bluestein fallback) stay on the AoS
+// path.
 //
 // Layout: the drivers pack AoS rows into pooled planar scratch at the chunk
 // boundary, run every combine stage across the whole chunk — stage-major,
 // so one stage's twiddle stream stays hot across all rows — and unpack on
-// the way out. Steady state allocates nothing: scratch comes from a
-// per-plan pool (TestTransformZeroAllocs pins every entry point).
+// the way out. The stages run forward only: Backward packs each cell's
+// parts into the opposite planes and unpacks them the same way, which
+// costs nothing (see the package doc); the fused unpack of the row kernel
+// stores swapped parts. Steady state allocates nothing: scratch comes from
+// a per-plan pool (TestTransformZeroAllocs pins every entry point).
 
 // soaChunkRows is the number of batch rows one pooled chunk buffer holds:
 // the stage-batched chunk kernel packs up to this many rows at once, so
@@ -69,8 +72,9 @@ func newSoaBuf(n int) *soaBuf {
 // stream contiguous and each twiddle loaded once per cell instead of once
 // per row, so twiddle traffic and loop overhead drop by the chunk width.
 // The per-row arithmetic is untouched — results stay bit-identical to
-// per-row Transform. Plans without iterative stages (Bluestein) fall back
-// to the per-row AoS path.
+// per-row Transform. Backward packs real parts into wi and imaginary parts
+// into wr and unpacks them the same way round. Plans without iterative
+// stages (Bluestein) fall back to the per-row AoS path.
 func (p *Plan) transformRowsSoA(data []complex128, rows int, sign Sign) {
 	if p.stages == nil || p.n == 1 {
 		p.TransformMany(data, rows, sign)
@@ -78,38 +82,23 @@ func (p *Plan) transformRowsSoA(data []complex128, rows int, sign Sign) {
 	}
 	n := p.n
 	for r0 := 0; r0 < rows; r0 += soaChunkRows {
-		nb := rows - r0
-		if nb > soaChunkRows {
-			nb = soaChunkRows
-		}
+		nb := min(rows-r0, soaChunkRows)
 		ld := soaLd(nb)
 		chunk := data[r0*n : (r0+nb)*n]
 		sp := p.soaRows.Get().(*soaBuf)
 		wr, wi := sp.re, sp.im
-		// Pack fused with the leading combine stages. Stage block sizes
-		// nest (stage t works on blocks of r·m = m_{t+1} cell columns), so
-		// every leading stage whose whole block fits inside one pack tile
-		// can run on the tile right after packing it, while the cells are
-		// still L1-hot — each fused stage saves one full pass over the
-		// chunk. The tile is the block size of the deepest fused stage, so
-		// it always divides n and tiles cover whole blocks.
+		pr, pi := wr, wi // the planes real and imaginary parts pack into
+		if sign == Backward {
+			pr, pi = wi, wr
+		}
+		// Pack fused with the leading combine stages (fusedPackStages):
+		// each fused stage saves one full pass over the chunk.
 		f, tile := p.fusedPackStages()
 		for i0 := 0; i0 < n; i0 += tile {
-			i1 := i0 + tile
-			if i1 > n {
-				i1 = n
-			}
-			perm := p.perm[i0:i1]
-			for b := 0; b < nb; b++ {
-				row := chunk[b*n : (b+1)*n : (b+1)*n]
-				for j, s := range perm {
-					v := row[s]
-					wr[(i0+j)*ld+b] = real(v)
-					wi[(i0+j)*ld+b] = imag(v)
-				}
-			}
+			i1 := min(i0+tile, n)
+			packRows(pr, pi, chunk, p.perm[i0:i1], i0, nb, ld, n)
 			for t := 0; t < f; t++ {
-				stageRows(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld, sign)
+				stageRows(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld)
 			}
 		}
 		// The final stage spans the whole row (r·m = n), so its butterfly
@@ -118,9 +107,38 @@ func (p *Plan) transformRowsSoA(data []complex128, rows int, sign Sign) {
 		// pass over the chunk (radix 2, 4 and 8; a final odd-radix stage
 		// runs in place, then a plain copy-out).
 		last := len(p.stages) - 1
-		p.combineRowsSoARange(wr, wi, nb, ld, sign, f, last)
-		stageRowsUnpack(wr, wi, &p.stages[last], nb, ld, sign, chunk, n)
+		p.combineRowsSoARange(wr, wi, nb, ld, f, last)
+		st := &p.stages[last]
+		switch st.r {
+		case 2:
+			stageRadix2RowsUnpack(wr, wi, st.m, nb, ld, st.twr, st.twi, chunk, n, sign == Backward)
+		case 4:
+			stageRadix4RowsUnpack(wr, wi, st.m, nb, ld, st.twr, st.twi, chunk, n, sign == Backward)
+		case 8:
+			stageRadix8RowsUnpack(wr, wi, st.m, nb, ld, st.twr, st.twi, chunk, n, sign == Backward)
+		default:
+			// No fused variant: the stage runs in place and a plain
+			// copy-out follows. Copies are exact, so the spectrum is the
+			// same.
+			stageRows(wr[:n*ld], wi[:n*ld], st, nb, ld)
+			unpackRows(pr, pi, nb, ld, chunk, n)
+		}
 		p.soaRows.Put(sp)
+	}
+}
+
+// packRows packs the cells perm of the nb AoS rows of chunk into the
+// planes pr, pi from cell column i0 on: cell perm[j] of row b lands at
+// [(i0+j)·ld + b].
+func packRows(pr, pi []float64, chunk []complex128, perm []int, i0, nb, ld, n int) {
+	for b := 0; b < nb; b++ {
+		row := chunk[b*n : (b+1)*n : (b+1)*n]
+		d := i0*ld + b
+		for _, s := range perm {
+			v := row[s]
+			pr[d], pi[d] = real(v), imag(v)
+			d += ld
+		}
 	}
 }
 
@@ -150,8 +168,9 @@ func (p *Plan) fusedPackStages() (f, tile int) {
 // column i of the chunk reads the contiguous row segment
 // plane[perm[i]·ny+iy0 : +nb] and splits it into the re/im planes, and the
 // unpack writes contiguous segments back — both directions stream, no
-// intermediate complex buffer, no scatter. Results are bit-identical to
-// gathering each column and calling Transform on it.
+// intermediate complex buffer, no scatter. Backward exchanges the planes
+// of the pack and the unpack. Results are bit-identical to gathering each
+// column and calling Transform on it.
 //
 // nb must be at most soaChunkRows and the plan must have iterative stages
 // (p.planar implies it); Plan2D guards both.
@@ -160,34 +179,35 @@ func (p *Plan) transformColsSoA(plane []complex128, ny, iy0, nb int, sign Sign) 
 	ld := soaLd(nb)
 	sp := p.soaRows.Get().(*soaBuf)
 	wr, wi := sp.re, sp.im
+	pr, pi := wr, wi // the planes real and imaginary parts pack into
+	if sign == Backward {
+		pr, pi = wi, wr
+	}
 	f, tile := p.fusedPackStages()
 	for i0 := 0; i0 < n; i0 += tile {
-		i1 := i0 + tile
-		if i1 > n {
-			i1 = n
-		}
+		i1 := min(i0+tile, n)
 		perm := p.perm[i0:i1]
 		for j, src := range perm {
 			row := plane[src*ny+iy0 : src*ny+iy0+nb : src*ny+iy0+nb]
-			dstR := wr[(i0+j)*ld:][:nb:nb]
-			dstI := wi[(i0+j)*ld:][:nb:nb]
+			dstR := pr[(i0+j)*ld:][:nb:nb]
+			dstI := pi[(i0+j)*ld:][:nb:nb]
 			for b, v := range row {
 				dstR[b] = real(v)
 				dstI[b] = imag(v)
 			}
 		}
 		for t := 0; t < f; t++ {
-			stageRows(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld, sign)
+			stageRows(wr[i0*ld:i1*ld], wi[i0*ld:i1*ld], &p.stages[t], nb, ld)
 		}
 	}
 	// Unlike the row kernel, the unpack here is not fused with the final
 	// stage: the final combine stage writes cell-major while the plane
 	// wants contiguous row segments, and the segment copies below stream
 	// both sides — the extra pass costs less than scattering the stores.
-	p.combineRowsSoARange(wr, wi, nb, ld, sign, f, len(p.stages))
+	p.combineRowsSoARange(wr, wi, nb, ld, f, len(p.stages))
 	for i := 0; i < n; i++ {
-		srcR := wr[i*ld:][:nb:nb]
-		srcI := wi[i*ld:][:nb:nb]
+		srcR := pr[i*ld:][:nb:nb]
+		srcI := pi[i*ld:][:nb:nb]
 		row := plane[i*ny+iy0 : i*ny+iy0+nb : i*ny+iy0+nb]
 		for b := range row {
 			row[b] = complex(srcR[b], srcI[b])
@@ -202,57 +222,29 @@ func (p *Plan) transformColsSoA(plane []complex128, ny, iy0, nb int, sign Sign) 
 // butterfly's inner loop sweeps the nb rows contiguously. Rows are
 // independent and the per-row operation order matches combine, so the
 // result equals per-row transforms exactly.
-func (p *Plan) combineRowsSoARange(wr, wi []float64, nb, ld int, sign Sign, lo, hi int) {
+func (p *Plan) combineRowsSoARange(wr, wi []float64, nb, ld int, lo, hi int) {
 	cells := p.n * ld
 	for t := lo; t < hi; t++ {
-		stageRows(wr[:cells], wi[:cells], &p.stages[t], nb, ld, sign)
+		stageRows(wr[:cells], wi[:cells], &p.stages[t], nb, ld)
 	}
 }
 
 // stageRows is the planar stage dispatcher: it runs one combine stage over
 // a cell-major region (a whole chunk, or one tile of the fused pack loop).
-func stageRows(wr, wi []float64, st *stage, nb, ld int, sign Sign) {
-	si := 0
-	if sign == Backward {
-		si = 1
-	}
+func stageRows(wr, wi []float64, st *stage, nb, ld int) {
 	switch st.r {
 	case 2:
-		stageRadix2Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si])
+		stageRadix2Rows(wr, wi, st.m, nb, ld, st.twr, st.twi)
 	case 3:
-		stageRadix3Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
+		stageRadix3Rows(wr, wi, st.m, nb, ld, st.twr, st.twi)
 	case 4:
-		stageRadix4Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
+		stageRadix4Rows(wr, wi, st.m, nb, ld, st.twr, st.twi)
 	case 5:
-		stageRadix5Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
+		stageRadix5Rows(wr, wi, st.m, nb, ld, st.twr, st.twi)
 	case 8:
-		stageRadix8Rows(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign)
+		stageRadix8Rows(wr, wi, st.m, nb, ld, st.twr, st.twi)
 	default:
-		stageGenericRows(wr, wi, st.r, st.m, nb, ld, st.twr[si], st.twi[si], st.wrr[si], st.wri[si])
-	}
-}
-
-// stageRowsUnpack is the unpack tail: the final combine stage of a chunk
-// (st.r·st.m = n) writing the finished spectrum into the AoS output rows of
-// chunk. Radix 2, 4 and 8 fuse the stage with the unpack; the odd radices
-// run their stage in place and unpackRows copies the chunk out.
-func stageRowsUnpack(wr, wi []float64, st *stage, nb, ld int, sign Sign, chunk []complex128, n int) {
-	si := 0
-	if sign == Backward {
-		si = 1
-	}
-	switch st.r {
-	case 2:
-		stageRadix2RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], chunk, n)
-	case 4:
-		stageRadix4RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign, chunk, n)
-	case 8:
-		stageRadix8RowsUnpack(wr, wi, st.m, nb, ld, st.twr[si], st.twi[si], sign, chunk, n)
-	default:
-		// No fused variant: the stage runs in place and a plain copy-out
-		// follows. Copies are exact, so the spectrum is the same.
-		stageRows(wr[:n*ld], wi[:n*ld], st, nb, ld, sign)
-		unpackRows(wr, wi, nb, ld, chunk, n)
+		stageGenericRows(wr, wi, st.r, st.m, nb, ld, st.twr, st.twi, st.wrr, st.wri)
 	}
 }
 
@@ -280,26 +272,19 @@ func stageRadix2Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64) {
 			tr, ti := twr[k], twi[k]
 			lo := o + k*ld
 			hi := o + (m+k)*ld
-			lr := wr[lo : lo+nb : lo+nb]
-			li := wi[lo : lo+nb : lo+nb]
-			hr := wr[hi : hi+nb : hi+nb]
-			hh := wi[hi : hi+nb : hi+nb]
+			lr, li := wr[lo:lo+nb:lo+nb], wi[lo:lo+nb:lo+nb]
+			hr, hh := wr[hi:hi+nb:hi+nb], wi[hi:hi+nb:hi+nb]
 			for b := 0; b < nb; b++ {
-				ar, ai := lr[b], li[b]
-				xr, xi := hr[b], hh[b]
-				br := float64(xr*tr) - float64(xi*ti)
-				bi := float64(xi*tr) + float64(xr*ti)
-				lr[b], li[b] = ar+br, ai+bi
-				hr[b], hh[b] = ar-br, ai-bi
+				br, bi := cmul(hr[b], hh[b], tr, ti)
+				lr[b], li[b], hr[b], hh[b] = bfly2(lr[b], li[b], br, bi)
 			}
 		}
 	}
 }
 
 // stageRadix4Rows is the cell-major radix-4 butterfly.
-func stageRadix4Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign Sign) {
+func stageRadix4Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64) {
 	cells := len(wr)
-	fwd := sign == Forward
 	for o := 0; o < cells; o += 4 * m * ld {
 		for k := 0; k < m; k++ {
 			t1r, t1i := twr[k], twi[k]
@@ -309,191 +294,16 @@ func stageRadix4Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign S
 			c1 := o + (m+k)*ld
 			c2 := o + (2*m+k)*ld
 			c3 := o + (3*m+k)*ld
-			b0r := wr[c0 : c0+nb : c0+nb]
-			b0i := wi[c0 : c0+nb : c0+nb]
-			b1r := wr[c1 : c1+nb : c1+nb]
-			b1i := wi[c1 : c1+nb : c1+nb]
-			b2r := wr[c2 : c2+nb : c2+nb]
-			b2i := wi[c2 : c2+nb : c2+nb]
-			b3r := wr[c3 : c3+nb : c3+nb]
-			b3i := wi[c3 : c3+nb : c3+nb]
-			if fwd {
-				for b := 0; b < nb; b++ {
-					ar, ai := b0r[b], b0i[b]
-					br, bi := cmulSoA(b1r[b], b1i[b], t1r, t1i)
-					cr, ci := cmulSoA(b2r[b], b2i[b], t2r, t2i)
-					dr, di := cmulSoA(b3r[b], b3i[b], t3r, t3i)
-					s0r, s0i := ar+cr, ai+ci
-					s1r, s1i := ar-cr, ai-ci
-					s2r, s2i := br+dr, bi+di
-					s3r, s3i := br-dr, bi-di
-					// jt = -i·s3 = (s3i, -s3r)
-					b0r[b], b0i[b] = s0r+s2r, s0i+s2i
-					b1r[b], b1i[b] = s1r+s3i, s1i-s3r
-					b2r[b], b2i[b] = s0r-s2r, s0i-s2i
-					b3r[b], b3i[b] = s1r-s3i, s1i+s3r
-				}
-			} else {
-				for b := 0; b < nb; b++ {
-					ar, ai := b0r[b], b0i[b]
-					br, bi := cmulSoA(b1r[b], b1i[b], t1r, t1i)
-					cr, ci := cmulSoA(b2r[b], b2i[b], t2r, t2i)
-					dr, di := cmulSoA(b3r[b], b3i[b], t3r, t3i)
-					s0r, s0i := ar+cr, ai+ci
-					s1r, s1i := ar-cr, ai-ci
-					s2r, s2i := br+dr, bi+di
-					s3r, s3i := br-dr, bi-di
-					// jt = +i·s3 = (-s3i, s3r)
-					b0r[b], b0i[b] = s0r+s2r, s0i+s2i
-					b1r[b], b1i[b] = s1r-s3i, s1i+s3r
-					b2r[b], b2i[b] = s0r-s2r, s0i-s2i
-					b3r[b], b3i[b] = s1r+s3i, s1i-s3r
-				}
-			}
-		}
-	}
-}
-
-// stageRadix8Rows is the cell-major radix-8 butterfly, the planar mirror
-// of stageRadix8 with the row sweep innermost. The 8-point butterfly
-// touches 16 planar streams at once — double what the register file can
-// hold — so the kernel runs in three passes per cell column (even-half
-// 4-point DFT, odd-half 4-point DFT plus the eighth-root rotations, then
-// the final radix-2 combine) staged through L1-resident scratch columns.
-// float64 stores are exact, so the per-element arithmetic order is the
-// same as stageRadix8 and results stay bit-identical.
-func stageRadix8Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign Sign) {
-	cells := len(wr)
-	fwd := sign == Forward
-	var eR, eI, vR, vI [4][soaChunkRows]float64
-	for o := 0; o < cells; o += 8 * m * ld {
-		for k := 0; k < m; k++ {
-			base := o + k*ld
-			step := m * ld
-			// Even half: a0 + twiddled a2, a4, a6 -> e0..e3.
-			{
-				t2r, t2i := twr[m+k], twi[m+k]
-				t4r, t4i := twr[3*m+k], twi[3*m+k]
-				t6r, t6i := twr[5*m+k], twi[5*m+k]
-				s0r := wr[base:][:nb:nb]
-				s0i := wi[base:][:nb:nb]
-				s2r := wr[base+2*step:][:nb:nb]
-				s2i := wi[base+2*step:][:nb:nb]
-				s4r := wr[base+4*step:][:nb:nb]
-				s4i := wi[base+4*step:][:nb:nb]
-				s6r := wr[base+6*step:][:nb:nb]
-				s6i := wi[base+6*step:][:nb:nb]
-				e0r, e0i := eR[0][:nb], eI[0][:nb]
-				e1r, e1i := eR[1][:nb], eI[1][:nb]
-				e2r, e2i := eR[2][:nb], eI[2][:nb]
-				e3r, e3i := eR[3][:nb], eI[3][:nb]
-				if fwd {
-					for b := 0; b < nb; b++ {
-						a0r, a0i := s0r[b], s0i[b]
-						a2r, a2i := cmulSoA(s2r[b], s2i[b], t2r, t2i)
-						a4r, a4i := cmulSoA(s4r[b], s4i[b], t4r, t4i)
-						a6r, a6i := cmulSoA(s6r[b], s6i[b], t6r, t6i)
-						t0r, t0i := a0r+a4r, a0i+a4i
-						t1r, t1i := a0r-a4r, a0i-a4i
-						p2r, p2i := a2r+a6r, a2i+a6i
-						t3r, t3i := a2r-a6r, a2i-a6i
-						e0r[b], e0i[b] = t0r+p2r, t0i+p2i
-						e2r[b], e2i[b] = t0r-p2r, t0i-p2i
-						e1r[b], e1i[b] = t1r+t3i, t1i-t3r
-						e3r[b], e3i[b] = t1r-t3i, t1i+t3r
-					}
-				} else {
-					for b := 0; b < nb; b++ {
-						a0r, a0i := s0r[b], s0i[b]
-						a2r, a2i := cmulSoA(s2r[b], s2i[b], t2r, t2i)
-						a4r, a4i := cmulSoA(s4r[b], s4i[b], t4r, t4i)
-						a6r, a6i := cmulSoA(s6r[b], s6i[b], t6r, t6i)
-						t0r, t0i := a0r+a4r, a0i+a4i
-						t1r, t1i := a0r-a4r, a0i-a4i
-						p2r, p2i := a2r+a6r, a2i+a6i
-						t3r, t3i := a2r-a6r, a2i-a6i
-						e0r[b], e0i[b] = t0r+p2r, t0i+p2i
-						e2r[b], e2i[b] = t0r-p2r, t0i-p2i
-						e1r[b], e1i[b] = t1r-t3i, t1i+t3r
-						e3r[b], e3i[b] = t1r+t3i, t1i-t3r
-					}
-				}
-			}
-			// Odd half: twiddled a1, a3, a5, a7 -> o0, then the rotated
-			// co1, jo2, do3 -> v0..v3.
-			{
-				t1r, t1i := twr[k], twi[k]
-				t3r, t3i := twr[2*m+k], twi[2*m+k]
-				t5r, t5i := twr[4*m+k], twi[4*m+k]
-				t7r, t7i := twr[6*m+k], twi[6*m+k]
-				s1r := wr[base+step:][:nb:nb]
-				s1i := wi[base+step:][:nb:nb]
-				s3r := wr[base+3*step:][:nb:nb]
-				s3i := wi[base+3*step:][:nb:nb]
-				s5r := wr[base+5*step:][:nb:nb]
-				s5i := wi[base+5*step:][:nb:nb]
-				s7r := wr[base+7*step:][:nb:nb]
-				s7i := wi[base+7*step:][:nb:nb]
-				v0r, v0i := vR[0][:nb], vI[0][:nb]
-				v1r, v1i := vR[1][:nb], vI[1][:nb]
-				v2r, v2i := vR[2][:nb], vI[2][:nb]
-				v3r, v3i := vR[3][:nb], vI[3][:nb]
-				if fwd {
-					for b := 0; b < nb; b++ {
-						a1r, a1i := cmulSoA(s1r[b], s1i[b], t1r, t1i)
-						a3r, a3i := cmulSoA(s3r[b], s3i[b], t3r, t3i)
-						a5r, a5i := cmulSoA(s5r[b], s5i[b], t5r, t5i)
-						a7r, a7i := cmulSoA(s7r[b], s7i[b], t7r, t7i)
-						u0r, u0i := a1r+a5r, a1i+a5i
-						u1r, u1i := a1r-a5r, a1i-a5i
-						u2r, u2i := a3r+a7r, a3i+a7i
-						u3r, u3i := a3r-a7r, a3i-a7i
-						o1r, o1i := u1r+u3i, u1i-u3r
-						o2r, o2i := u0r-u2r, u0i-u2i
-						o3r, o3i := u1r-u3i, u1i+u3r
-						v0r[b], v0i[b] = u0r+u2r, u0i+u2i
-						v1r[b] = invSqrt2 * (o1r + o1i)
-						v1i[b] = invSqrt2 * (o1i - o1r)
-						v2r[b], v2i[b] = o2i, -o2r
-						v3r[b] = invSqrt2 * (o3i - o3r)
-						v3i[b] = -invSqrt2 * (o3r + o3i)
-					}
-				} else {
-					for b := 0; b < nb; b++ {
-						a1r, a1i := cmulSoA(s1r[b], s1i[b], t1r, t1i)
-						a3r, a3i := cmulSoA(s3r[b], s3i[b], t3r, t3i)
-						a5r, a5i := cmulSoA(s5r[b], s5i[b], t5r, t5i)
-						a7r, a7i := cmulSoA(s7r[b], s7i[b], t7r, t7i)
-						u0r, u0i := a1r+a5r, a1i+a5i
-						u1r, u1i := a1r-a5r, a1i-a5i
-						u2r, u2i := a3r+a7r, a3i+a7i
-						u3r, u3i := a3r-a7r, a3i-a7i
-						o1r, o1i := u1r-u3i, u1i+u3r
-						o2r, o2i := u0r-u2r, u0i-u2i
-						o3r, o3i := u1r+u3i, u1i-u3r
-						v0r[b], v0i[b] = u0r+u2r, u0i+u2i
-						v1r[b] = invSqrt2 * (o1r - o1i)
-						v1i[b] = invSqrt2 * (o1r + o1i)
-						v2r[b], v2i[b] = -o2i, o2r
-						v3r[b] = -invSqrt2 * (o3r + o3i)
-						v3i[b] = invSqrt2 * (o3r - o3i)
-					}
-				}
-			}
-			// Final radix-2 layer: output pair j, j+4 from e_j +/- v_j.
-			for j := 0; j < 4; j++ {
-				lr := wr[base+j*step:][:nb:nb]
-				li := wi[base+j*step:][:nb:nb]
-				hr := wr[base+(j+4)*step:][:nb:nb]
-				hi := wi[base+(j+4)*step:][:nb:nb]
-				ejr, eji := eR[j][:nb], eI[j][:nb]
-				vjr, vji := vR[j][:nb], vI[j][:nb]
-				for b := 0; b < nb; b++ {
-					er, ei := ejr[b], eji[b]
-					or, oi := vjr[b], vji[b]
-					lr[b], li[b] = er+or, ei+oi
-					hr[b], hi[b] = er-or, ei-oi
-				}
+			b0r, b0i := wr[c0:c0+nb:c0+nb], wi[c0:c0+nb:c0+nb]
+			b1r, b1i := wr[c1:c1+nb:c1+nb], wi[c1:c1+nb:c1+nb]
+			b2r, b2i := wr[c2:c2+nb:c2+nb], wi[c2:c2+nb:c2+nb]
+			b3r, b3i := wr[c3:c3+nb:c3+nb], wi[c3:c3+nb:c3+nb]
+			for b := 0; b < nb; b++ {
+				ar, ai := b0r[b], b0i[b]
+				br, bi := cmul(b1r[b], b1i[b], t1r, t1i)
+				cr, ci := cmul(b2r[b], b2i[b], t2r, t2i)
+				dr, di := cmul(b3r[b], b3i[b], t3r, t3i)
+				b0r[b], b0i[b], b2r[b], b2i[b], b1r[b], b1i[b], b3r[b], b3i[b] = bfly4(ar, ai, br, bi, cr, ci, dr, di)
 			}
 		}
 	}
@@ -520,7 +330,7 @@ func stageGenericRows(wr, wi []float64, r, m, nb, ld int, twr, twi, wrr, wri []f
 				dR := tmpR[q][:nb]
 				dI := tmpI[q][:nb]
 				for b := 0; b < nb; b++ {
-					dR[b], dI[b] = cmulSoA(sr[b], si[b], tr, ti)
+					dR[b], dI[b] = cmul(sr[b], si[b], tr, ti)
 				}
 			}
 			// Dense pass with register accumulators: the q-sum of each
@@ -577,33 +387,38 @@ func stageGenericRows(wr, wi []float64, r, m, nb, ld int, twr, twi, wrr, wri []f
 // planar→AoS unpack: the last stage of a length-n plan spans the whole row
 // (2m = n), so its butterfly results are the finished spectrum and can be
 // written straight into the AoS output rows, saving one full pass over the
-// chunk. The arithmetic is exactly stageRadix2Rows.
-func stageRadix2RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, chunk []complex128, n int) {
+// chunk. swap (Backward) stores swapped parts; the choice is made once per
+// cell column, outside the row loop.
+func stageRadix2RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, chunk []complex128, n int, swap bool) {
 	for k := 0; k < m; k++ {
 		tr, ti := twr[k], twi[k]
-		lr := wr[k*ld:][:nb:nb]
-		li := wi[k*ld:][:nb:nb]
-		hr := wr[(m+k)*ld:][:nb:nb]
-		hi := wi[(m+k)*ld:][:nb:nb]
+		lr, li := wr[k*ld:][:nb:nb], wi[k*ld:][:nb:nb]
+		hr, hi := wr[(m+k)*ld:][:nb:nb], wi[(m+k)*ld:][:nb:nb]
+		if swap {
+			for b := 0; b < nb; b++ {
+				br, bi := cmul(hr[b], hi[b], tr, ti)
+				x0r, x0i, x1r, x1i := bfly2(lr[b], li[b], br, bi)
+				row := chunk[b*n : (b+1)*n : (b+1)*n]
+				row[k], row[m+k] = complex(x0i, x0r), complex(x1i, x1r)
+			}
+			continue
+		}
 		for b := 0; b < nb; b++ {
-			ar, ai := lr[b], li[b]
-			xr, xi := hr[b], hi[b]
-			br := float64(xr*tr) - float64(xi*ti)
-			bi := float64(xi*tr) + float64(xr*ti)
+			br, bi := cmul(hr[b], hi[b], tr, ti)
+			x0r, x0i, x1r, x1i := bfly2(lr[b], li[b], br, bi)
 			row := chunk[b*n : (b+1)*n : (b+1)*n]
-			row[k] = complex(ar+br, ai+bi)
-			row[m+k] = complex(ar-br, ai-bi)
+			row[k], row[m+k] = complex(x0r, x0i), complex(x1r, x1i)
 		}
 	}
 }
 
 // stageRadix4RowsUnpack is the final radix-4 combine pass fused with the
-// planar→AoS unpack (4m = n). The arithmetic is exactly stageRadix4Rows.
-func stageRadix4RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign Sign, chunk []complex128, n int) {
+// planar→AoS unpack (4m = n). swap (Backward) stores swapped parts; the
+// choice is made once per row, outside the cell loop.
+func stageRadix4RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, chunk []complex128, n int, swap bool) {
 	t1rs, t1is := twr[:m:m], twi[:m:m]
 	t2rs, t2is := twr[m:2*m:2*m], twi[m:2*m:2*m]
 	t3rs, t3is := twr[2*m:3*m:3*m], twi[2*m:3*m:3*m]
-	fwd := sign == Forward
 	for b := 0; b < nb; b++ {
 		row := chunk[b*n : (b+1)*n : (b+1)*n]
 		o0 := row[:m:m]
@@ -611,179 +426,26 @@ func stageRadix4RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, 
 		o2 := row[2*m : 3*m : 3*m]
 		o3 := row[3*m : 4*m : 4*m]
 		wrb, wib := wr[b:], wi[b:]
-		if fwd {
+		if swap {
 			for k := 0; k < m; k++ {
 				ar, ai := wrb[k*ld], wib[k*ld]
-				br, bi := cmulSoA(wrb[(m+k)*ld], wib[(m+k)*ld], t1rs[k], t1is[k])
-				cr, ci := cmulSoA(wrb[(2*m+k)*ld], wib[(2*m+k)*ld], t2rs[k], t2is[k])
-				dr, di := cmulSoA(wrb[(3*m+k)*ld], wib[(3*m+k)*ld], t3rs[k], t3is[k])
-				s0r, s0i := ar+cr, ai+ci
-				s1r, s1i := ar-cr, ai-ci
-				s2r, s2i := br+dr, bi+di
-				s3r, s3i := br-dr, bi-di
-				// jt = -i·s3 = (s3i, -s3r)
-				o0[k] = complex(s0r+s2r, s0i+s2i)
-				o1[k] = complex(s1r+s3i, s1i-s3r)
-				o2[k] = complex(s0r-s2r, s0i-s2i)
-				o3[k] = complex(s1r-s3i, s1i+s3r)
+				br, bi := cmul(wrb[(m+k)*ld], wib[(m+k)*ld], t1rs[k], t1is[k])
+				cr, ci := cmul(wrb[(2*m+k)*ld], wib[(2*m+k)*ld], t2rs[k], t2is[k])
+				dr, di := cmul(wrb[(3*m+k)*ld], wib[(3*m+k)*ld], t3rs[k], t3is[k])
+				x0r, x0i, x2r, x2i, x1r, x1i, x3r, x3i := bfly4(ar, ai, br, bi, cr, ci, dr, di)
+				o0[k], o2[k] = complex(x0i, x0r), complex(x2i, x2r)
+				o1[k], o3[k] = complex(x1i, x1r), complex(x3i, x3r)
 			}
-		} else {
-			for k := 0; k < m; k++ {
-				ar, ai := wrb[k*ld], wib[k*ld]
-				br, bi := cmulSoA(wrb[(m+k)*ld], wib[(m+k)*ld], t1rs[k], t1is[k])
-				cr, ci := cmulSoA(wrb[(2*m+k)*ld], wib[(2*m+k)*ld], t2rs[k], t2is[k])
-				dr, di := cmulSoA(wrb[(3*m+k)*ld], wib[(3*m+k)*ld], t3rs[k], t3is[k])
-				s0r, s0i := ar+cr, ai+ci
-				s1r, s1i := ar-cr, ai-ci
-				s2r, s2i := br+dr, bi+di
-				s3r, s3i := br-dr, bi-di
-				// jt = +i·s3 = (-s3i, s3r)
-				o0[k] = complex(s0r+s2r, s0i+s2i)
-				o1[k] = complex(s1r-s3i, s1i+s3r)
-				o2[k] = complex(s0r-s2r, s0i-s2i)
-				o3[k] = complex(s1r+s3i, s1i-s3r)
-			}
+			continue
+		}
+		for k := 0; k < m; k++ {
+			ar, ai := wrb[k*ld], wib[k*ld]
+			br, bi := cmul(wrb[(m+k)*ld], wib[(m+k)*ld], t1rs[k], t1is[k])
+			cr, ci := cmul(wrb[(2*m+k)*ld], wib[(2*m+k)*ld], t2rs[k], t2is[k])
+			dr, di := cmul(wrb[(3*m+k)*ld], wib[(3*m+k)*ld], t3rs[k], t3is[k])
+			x0r, x0i, x2r, x2i, x1r, x1i, x3r, x3i := bfly4(ar, ai, br, bi, cr, ci, dr, di)
+			o0[k], o2[k] = complex(x0r, x0i), complex(x2r, x2i)
+			o1[k], o3[k] = complex(x1r, x1i), complex(x3r, x3i)
 		}
 	}
-}
-
-// stageRadix8RowsUnpack is the final radix-8 combine pass fused with the
-// planar→AoS unpack (8m = n): stageRadix8Rows with its last radix-2 layer
-// writing the finished spectrum straight into the AoS output rows.
-func stageRadix8RowsUnpack(wr, wi []float64, m, nb, ld int, twr, twi []float64, sign Sign, chunk []complex128, n int) {
-	fwd := sign == Forward
-	var eR, eI, vR, vI [4][soaChunkRows]float64
-	for k := 0; k < m; k++ {
-		base := k * ld
-		step := m * ld
-		// Even half: a0 + twiddled a2, a4, a6 -> e0..e3.
-		{
-			t2r, t2i := twr[m+k], twi[m+k]
-			t4r, t4i := twr[3*m+k], twi[3*m+k]
-			t6r, t6i := twr[5*m+k], twi[5*m+k]
-			s0r := wr[base:][:nb:nb]
-			s0i := wi[base:][:nb:nb]
-			s2r := wr[base+2*step:][:nb:nb]
-			s2i := wi[base+2*step:][:nb:nb]
-			s4r := wr[base+4*step:][:nb:nb]
-			s4i := wi[base+4*step:][:nb:nb]
-			s6r := wr[base+6*step:][:nb:nb]
-			s6i := wi[base+6*step:][:nb:nb]
-			e0r, e0i := eR[0][:nb], eI[0][:nb]
-			e1r, e1i := eR[1][:nb], eI[1][:nb]
-			e2r, e2i := eR[2][:nb], eI[2][:nb]
-			e3r, e3i := eR[3][:nb], eI[3][:nb]
-			if fwd {
-				for b := 0; b < nb; b++ {
-					a0r, a0i := s0r[b], s0i[b]
-					a2r, a2i := cmulSoA(s2r[b], s2i[b], t2r, t2i)
-					a4r, a4i := cmulSoA(s4r[b], s4i[b], t4r, t4i)
-					a6r, a6i := cmulSoA(s6r[b], s6i[b], t6r, t6i)
-					t0r, t0i := a0r+a4r, a0i+a4i
-					t1r, t1i := a0r-a4r, a0i-a4i
-					p2r, p2i := a2r+a6r, a2i+a6i
-					t3r, t3i := a2r-a6r, a2i-a6i
-					e0r[b], e0i[b] = t0r+p2r, t0i+p2i
-					e2r[b], e2i[b] = t0r-p2r, t0i-p2i
-					e1r[b], e1i[b] = t1r+t3i, t1i-t3r
-					e3r[b], e3i[b] = t1r-t3i, t1i+t3r
-				}
-			} else {
-				for b := 0; b < nb; b++ {
-					a0r, a0i := s0r[b], s0i[b]
-					a2r, a2i := cmulSoA(s2r[b], s2i[b], t2r, t2i)
-					a4r, a4i := cmulSoA(s4r[b], s4i[b], t4r, t4i)
-					a6r, a6i := cmulSoA(s6r[b], s6i[b], t6r, t6i)
-					t0r, t0i := a0r+a4r, a0i+a4i
-					t1r, t1i := a0r-a4r, a0i-a4i
-					p2r, p2i := a2r+a6r, a2i+a6i
-					t3r, t3i := a2r-a6r, a2i-a6i
-					e0r[b], e0i[b] = t0r+p2r, t0i+p2i
-					e2r[b], e2i[b] = t0r-p2r, t0i-p2i
-					e1r[b], e1i[b] = t1r-t3i, t1i+t3r
-					e3r[b], e3i[b] = t1r+t3i, t1i-t3r
-				}
-			}
-		}
-		// Odd half: twiddled a1, a3, a5, a7 -> o0, co1, jo2, do3 -> v0..v3.
-		{
-			t1r, t1i := twr[k], twi[k]
-			t3r, t3i := twr[2*m+k], twi[2*m+k]
-			t5r, t5i := twr[4*m+k], twi[4*m+k]
-			t7r, t7i := twr[6*m+k], twi[6*m+k]
-			s1r := wr[base+step:][:nb:nb]
-			s1i := wi[base+step:][:nb:nb]
-			s3r := wr[base+3*step:][:nb:nb]
-			s3i := wi[base+3*step:][:nb:nb]
-			s5r := wr[base+5*step:][:nb:nb]
-			s5i := wi[base+5*step:][:nb:nb]
-			s7r := wr[base+7*step:][:nb:nb]
-			s7i := wi[base+7*step:][:nb:nb]
-			v0r, v0i := vR[0][:nb], vI[0][:nb]
-			v1r, v1i := vR[1][:nb], vI[1][:nb]
-			v2r, v2i := vR[2][:nb], vI[2][:nb]
-			v3r, v3i := vR[3][:nb], vI[3][:nb]
-			if fwd {
-				for b := 0; b < nb; b++ {
-					a1r, a1i := cmulSoA(s1r[b], s1i[b], t1r, t1i)
-					a3r, a3i := cmulSoA(s3r[b], s3i[b], t3r, t3i)
-					a5r, a5i := cmulSoA(s5r[b], s5i[b], t5r, t5i)
-					a7r, a7i := cmulSoA(s7r[b], s7i[b], t7r, t7i)
-					u0r, u0i := a1r+a5r, a1i+a5i
-					u1r, u1i := a1r-a5r, a1i-a5i
-					u2r, u2i := a3r+a7r, a3i+a7i
-					u3r, u3i := a3r-a7r, a3i-a7i
-					o1r, o1i := u1r+u3i, u1i-u3r
-					o2r, o2i := u0r-u2r, u0i-u2i
-					o3r, o3i := u1r-u3i, u1i+u3r
-					v0r[b], v0i[b] = u0r+u2r, u0i+u2i
-					v1r[b] = invSqrt2 * (o1r + o1i)
-					v1i[b] = invSqrt2 * (o1i - o1r)
-					v2r[b], v2i[b] = o2i, -o2r
-					v3r[b] = invSqrt2 * (o3i - o3r)
-					v3i[b] = -invSqrt2 * (o3r + o3i)
-				}
-			} else {
-				for b := 0; b < nb; b++ {
-					a1r, a1i := cmulSoA(s1r[b], s1i[b], t1r, t1i)
-					a3r, a3i := cmulSoA(s3r[b], s3i[b], t3r, t3i)
-					a5r, a5i := cmulSoA(s5r[b], s5i[b], t5r, t5i)
-					a7r, a7i := cmulSoA(s7r[b], s7i[b], t7r, t7i)
-					u0r, u0i := a1r+a5r, a1i+a5i
-					u1r, u1i := a1r-a5r, a1i-a5i
-					u2r, u2i := a3r+a7r, a3i+a7i
-					u3r, u3i := a3r-a7r, a3i-a7i
-					o1r, o1i := u1r-u3i, u1i+u3r
-					o2r, o2i := u0r-u2r, u0i-u2i
-					o3r, o3i := u1r+u3i, u1i-u3r
-					v0r[b], v0i[b] = u0r+u2r, u0i+u2i
-					v1r[b] = invSqrt2 * (o1r - o1i)
-					v1i[b] = invSqrt2 * (o1r + o1i)
-					v2r[b], v2i[b] = -o2i, o2r
-					v3r[b] = -invSqrt2 * (o3r + o3i)
-					v3i[b] = invSqrt2 * (o3r - o3i)
-				}
-			}
-		}
-		// Final radix-2 layer straight into the output rows.
-		for j := 0; j < 4; j++ {
-			ejr, eji := eR[j][:nb], eI[j][:nb]
-			vjr, vji := vR[j][:nb], vI[j][:nb]
-			lo := j * m
-			hi := (j + 4) * m
-			for b := 0; b < nb; b++ {
-				er, ei := ejr[b], eji[b]
-				or, oi := vjr[b], vji[b]
-				row := chunk[b*n : (b+1)*n : (b+1)*n]
-				row[lo+k] = complex(er+or, ei+oi)
-				row[hi+k] = complex(er-or, ei-oi)
-			}
-		}
-	}
-}
-
-// cmulSoA is the planar complex multiply (xr+i·xi)·(tr+i·ti) with the
-// same intermediate roundings as the complex128 product.
-func cmulSoA(xr, xi, tr, ti float64) (float64, float64) {
-	return float64(xr*tr) - float64(xi*ti), float64(xi*tr) + float64(xr*ti)
 }

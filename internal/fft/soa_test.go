@@ -10,10 +10,11 @@ import (
 )
 
 // The planar (SoA) code path promises bit-identical results to the AoS
-// path: its butterflies mirror the complex128 arithmetic operation for
-// operation, and float64 loads and stores are exact, so staging through
-// the planar scratch cannot change a single bit. Every equivalence check
-// in this file therefore compares with ==, not a tolerance.
+// path: both layouts run the same butterfly bodies, and float64 loads and
+// stores are exact, so staging through the planar scratch cannot change a
+// single bit. Every equivalence check in this file therefore compares bit
+// patterns (sameBits), not a tolerance and not ==, which would take -0 for
+// +0; the inputs hold exact zeros so signed zeros occur.
 
 // soaTestLengths covers the kernel families: trivial, pure radix-2/4,
 // radix-8 eligible, mixed with odd primes, the dense generic stage (7, 11,
@@ -36,14 +37,12 @@ func TestTransformRowsSoAMatchesTransformManyExact(t *testing.T) {
 			p := newPlanRadix(n, r)
 			for _, sign := range []Sign{Forward, Backward} {
 				rows := 1 + rng.Intn(2*soaChunkRows+5)
-				data := randVec(rng, n*rows)
+				data := randVecZeros(rng, n*rows)
 				want := append([]complex128(nil), data...)
 				p.TransformMany(want, rows, sign)
 				p.transformRowsSoA(data, rows, sign)
-				for i := range data {
-					if data[i] != want[i] {
-						t.Fatalf("n=%d radix=%v sign=%d rows=%d i=%d: %v != %v", n, r, sign, rows, i, data[i], want[i])
-					}
+				if i := firstBitDiff(data, want); i >= 0 {
+					t.Fatalf("n=%d radix=%v sign=%d rows=%d i=%d: %v != %v", n, r, sign, rows, i, data[i], want[i])
 				}
 			}
 		}
@@ -56,15 +55,13 @@ func TestTransformBatchMatchesManyExact(t *testing.T) {
 	for _, n := range []int{60, 97, 120, 128, 486} {
 		p := newPlanRadix(n, radixAuto)
 		rows := 2*soaChunkRows + 3
-		data := randVec(rng, n*rows)
+		data := randVecZeros(rng, n*rows)
 		want := append([]complex128(nil), data...)
 		p.TransformMany(want, rows, Forward)
 		par.SetEnabled(true)
 		p.TransformBatch(data, rows, Forward)
-		for i := range data {
-			if data[i] != want[i] {
-				t.Fatalf("n=%d i=%d: batch %v != many %v", n, i, data[i], want[i])
-			}
+		if i := firstBitDiff(data, want); i >= 0 {
+			t.Fatalf("n=%d i=%d: batch %v != many %v", n, i, data[i], want[i])
 		}
 		// The disabled path is the serial reference; results must not move.
 		data2 := append([]complex128(nil), want...)
@@ -73,10 +70,8 @@ func TestTransformBatchMatchesManyExact(t *testing.T) {
 		want2 := append([]complex128(nil), want...)
 		p.TransformBatch(want2, rows, Backward)
 		par.SetEnabled(true)
-		for i := range data2 {
-			if data2[i] != want2[i] {
-				t.Fatalf("n=%d i=%d: hostpar on/off differ: %v != %v", n, i, data2[i], want2[i])
-			}
+		if i := firstBitDiff(data2, want2); i >= 0 {
+			t.Fatalf("n=%d i=%d: hostpar on/off differ: %v != %v", n, i, data2[i], want2[i])
 		}
 	}
 }
@@ -108,7 +103,7 @@ func TestTransformColsSoAMatchesStridedExact(t *testing.T) {
 			t.Fatalf("nx=%d: expected a planar-path plan", nx)
 		}
 		for _, sign := range []Sign{Forward, Backward} {
-			plane := randVec(rng, nx*ny)
+			plane := randVecZeros(rng, nx*ny)
 			want := append([]complex128(nil), plane...)
 			for iy := 0; iy < ny; iy++ {
 				transformColumn(p, want, iy, ny, sign)
@@ -120,10 +115,8 @@ func TestTransformColsSoAMatchesStridedExact(t *testing.T) {
 				}
 				p.transformColsSoA(plane, ny, iy0, nb, sign)
 			}
-			for i := range plane {
-				if plane[i] != want[i] {
-					t.Fatalf("nx=%d ny=%d sign=%d i=%d: cols %v != strided %v", nx, ny, sign, i, plane[i], want[i])
-				}
+			if i := firstBitDiff(plane, want); i >= 0 {
+				t.Fatalf("nx=%d ny=%d sign=%d i=%d: cols %v != strided %v", nx, ny, sign, i, plane[i], want[i])
 			}
 		}
 	}
@@ -139,16 +132,14 @@ func TestPlan2D3DHostParPathsExact(t *testing.T) {
 	exact := func(name string, size int, transform func([]complex128, Sign)) {
 		t.Helper()
 		for _, sign := range []Sign{Forward, Backward} {
-			got := randVec(rng, size)
+			got := randVecZeros(rng, size)
 			ref := append([]complex128(nil), got...)
 			par.SetEnabled(false)
 			transform(ref, sign)
 			par.SetEnabled(true)
 			transform(got, sign)
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("%s sign=%d: planar path diverges at %d: %v != %v", name, sign, i, got[i], ref[i])
-				}
+			if i := firstBitDiff(got, ref); i >= 0 {
+				t.Fatalf("%s sign=%d: planar path diverges at %d: %v != %v", name, sign, i, got[i], ref[i])
 			}
 		}
 	}
