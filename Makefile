@@ -58,9 +58,9 @@ race:
 	$(GO) test -race -count=20 -cpu 4,2 -run '$(PAR_TESTS)' ./internal/par ./internal/fft
 
 # fuzz-smoke runs a short bounded fuzz of the FFT round-trip property, of
-# the batch kernels against their serial reference (bit-identical across
-# layouts, rounding tolerance against the mixed-radix baseline and the naive
-# DFT), of the fftxd binary request decoder (malformed input must error,
+# the batch drivers against their serial reference (bit-identical to the
+# serial loop, rounding tolerance against the mixed-radix baseline and the
+# naive DFT), of the fftxd binary request decoder (malformed input must error,
 # never panic) and of its JSON request decoder against encoding/json (equal
 # results on everything both accept, never a panic), of its float codec
 # against strconv.ParseFloat and encoding/json (bit- and byte-identical in

@@ -7,7 +7,7 @@
 // admission queue is the single-node ceiling of the serving layer. The
 // cluster subsystem applies the paper's locality argument across
 // processes: routing by shape (the batching ShapeKey) means each worker
-// sees a stable shard of the shape space, so its plan cache, SoA layout policy
+// sees a stable shard of the shape space, so its plan cache, scratch pools
 // and batch coalescing all stay hot for exactly the shapes it owns —
 // sharding for cache affinity, in the spirit of DaggerFFT's locality-aware
 // FFT task placement across nodes.

@@ -14,7 +14,7 @@ import (
 // shape sharding:
 //
 //   - stability: one shape always lands on one worker (until membership
-//     changes), so that worker's plan cache and SoA layout policy stay
+//     changes), so that worker's plan cache and scratch pools stay
 //     hot for exactly the shard it owns — the serving-layer analogue of
 //     the paper's per-node data locality;
 //   - minimal remapping: a worker joining or leaving moves only the keys

@@ -56,52 +56,41 @@ type zeroAllocPlan struct {
 	r radix
 }
 
-// autoZeroAllocPlans reach every radix family PickRadix returns on every
-// layout PickLayout returns, short of Bluestein: powers of two, lengths
-// with 3 and 5, and the generic radices 7, 11 and 13.
+// autoZeroAllocPlans reach both radix families PickRadix returns, short
+// of Bluestein: powers of two, lengths with 3 and 5, and the generic
+// radices 7, 11 and 13.
 var autoZeroAllocPlans = []zeroAllocPlan{
-	{4, radixAuto},    // mixed × AoS: small power of two
-	{64, radixAuto},   // radix8 × AoS: small power of two
-	{128, radixAuto},  // mixed × SoA: power of two
-	{120, radixAuto},  // radix8 × SoA: with 3 and 5
-	{56, radixAuto},   // radix8 × SoA: with the generic radix 7
-	{1001, radixAuto}, // mixed × SoA: generic radices 7, 11 and 13
-	// mixed × SoA with 3 and 5; 15, 75, 135 and 225 end on a radix-3
-	// stage and 125 on a radix-5 one, which runs in place before the
-	// copy-out.
+	{4, radixAuto},    // mixed: small power of two
+	{64, radixAuto},   // radix8: small power of two
+	{128, radixAuto},  // mixed: power of two from mixedMinPow2 on
+	{120, radixAuto},  // radix8: with 3 and 5
+	{56, radixAuto},   // radix8: with the generic radix 7
+	{1001, radixAuto}, // mixed: generic radices 7, 11 and 13
+	// mixed with 3 and 5; 15, 75, 135 and 225 end on a radix-3 stage and
+	// 125 on a radix-5 one.
 	{15, radixAuto}, {60, radixAuto}, {75, radixAuto}, {90, radixAuto},
 	{125, radixAuto}, {135, radixAuto}, {225, radixAuto}, {486, radixAuto},
 }
 
-// zeroAllocRows transforms fill a full batch chunk plus a partial tail;
-// the column kernel runs on planes of zeroAllocCols columns.
-const zeroAllocRows, zeroAllocCols = soaChunkRows + 5, 45
+// zeroAllocRows transforms fill a full fan-out grain plus a partial tail.
+const zeroAllocRows = grainBatchSticks + 5
 
 // zeroAllocEntry is a 1-D transform entry point. data holds zeroAllocRows
-// transforms of the plan's length, plane one n × zeroAllocCols plane.
+// transforms of the plan's length.
 type zeroAllocEntry struct {
 	name string
-	run  func(p *Plan, data, plane []complex128, s Sign)
+	run  func(p *Plan, data []complex128, s Sign)
 }
 
 var (
-	transformEntry = zeroAllocEntry{"Transform", func(p *Plan, data, _ []complex128, s Sign) {
+	transformEntry = zeroAllocEntry{"Transform", func(p *Plan, data []complex128, s Sign) {
 		p.Transform(data[:p.n], s)
 	}}
-	transformManyEntry = zeroAllocEntry{"TransformMany", func(p *Plan, data, _ []complex128, s Sign) {
+	transformManyEntry = zeroAllocEntry{"TransformMany", func(p *Plan, data []complex128, s Sign) {
 		p.TransformMany(data, zeroAllocRows, s)
 	}}
-	oneChunkBatchEntry = zeroAllocEntry{"TransformBatch", func(p *Plan, data, _ []complex128, s Sign) {
-		p.TransformBatch(data, soaChunkRows, s)
-	}}
-	rowsSoAEntry = zeroAllocEntry{"transformRowsSoA", func(p *Plan, data, _ []complex128, s Sign) {
-		p.transformRowsSoA(data, zeroAllocRows, s)
-	}}
-	// The column kernel has no Bluestein fallback.
-	colsSoAEntry = zeroAllocEntry{"transformColsSoA", func(p *Plan, _, plane []complex128, s Sign) {
-		for iy0 := 0; iy0 < zeroAllocCols; iy0 += soaChunkRows {
-			p.transformColsSoA(plane, zeroAllocCols, iy0, min(zeroAllocCols-iy0, soaChunkRows), s)
-		}
+	oneChunkBatchEntry = zeroAllocEntry{"TransformBatch", func(p *Plan, data []complex128, s Sign) {
+		p.TransformBatch(data, grainBatchSticks, s)
 	}}
 )
 
@@ -117,24 +106,23 @@ func pinPlans(t *testing.T, plans []zeroAllocPlan, entries ...zeroAllocEntry) {
 	t.Helper()
 	for _, pc := range plans {
 		p := newPlanRadix(pc.n, pc.r)
-		data, plane := allocVec(pc.n*zeroAllocRows), allocVec(pc.n*zeroAllocCols)
+		data := allocVec(pc.n * zeroAllocRows)
 		for _, e := range entries {
-			pinBothSigns(t, fmt.Sprintf("%s %d/%s", e.name, pc.n, p.radix), func(s Sign) { e.run(p, data, plane, s) })
+			pinBothSigns(t, fmt.Sprintf("%s %d/%s", e.name, pc.n, p.radix), func(s Sign) { e.run(p, data, s) })
 		}
 	}
 }
 
 // TestTransformZeroAllocs pins Plan.Transform on autoZeroAllocPlans and
-// checks that those plans reach every radix family on both layouts. None
-// of the entry points may allocate once the scratch pools are warm.
+// checks that those plans reach both radix families. None of the entry
+// points may allocate once the scratch pools are warm.
 func TestTransformZeroAllocs(t *testing.T) {
-	families := map[string]bool{}
+	families := map[radix]bool{}
 	for _, pc := range autoZeroAllocPlans {
-		p := newPlanRadix(pc.n, pc.r)
-		families[p.radix.String()+"×"+p.layout.String()] = true
+		families[newPlanRadix(pc.n, pc.r).radix] = true
 	}
-	if len(families) != 4 {
-		t.Errorf("the radixAuto plans reach %v, want every radix family on both layouts", families)
+	if !families[radixMixed] || !families[radix8] || len(families) != 2 {
+		t.Errorf("the radixAuto plans reach %v, want both radix families", families)
 	}
 	pinPlans(t, autoZeroAllocPlans, transformEntry)
 }
@@ -143,20 +131,12 @@ func TestTransformManyZeroAllocs(t *testing.T) {
 	pinPlans(t, autoZeroAllocPlans, transformManyEntry, oneChunkBatchEntry)
 }
 
-func TestTransformRowsSoAZeroAllocs(t *testing.T) {
-	pinPlans(t, autoZeroAllocPlans, rowsSoAEntry)
-}
-
-func TestTransformColsSoAZeroAllocs(t *testing.T) {
-	pinPlans(t, autoZeroAllocPlans, colsSoAEntry)
-}
-
 func TestTransformBluesteinZeroAllocs(t *testing.T) {
-	bluestein := []zeroAllocPlan{{97, radixAuto}} // prime > maxDirectRadix, mixed × AoS
+	bluestein := []zeroAllocPlan{{97, radixAuto}} // prime > maxDirectRadix
 	if p := newPlanRadix(97, radixAuto); p.blu == nil {
 		t.Fatalf("plan 97 has no Bluestein path")
 	}
-	pinPlans(t, bluestein, transformEntry, transformManyEntry, oneChunkBatchEntry, rowsSoAEntry)
+	pinPlans(t, bluestein, transformEntry, transformManyEntry, oneChunkBatchEntry)
 }
 
 // TestVariantPlansZeroAllocs pins the plans NewPlan and the radix-8
@@ -164,9 +144,9 @@ func TestTransformBluesteinZeroAllocs(t *testing.T) {
 func TestVariantPlansZeroAllocs(t *testing.T) {
 	variants := []zeroAllocPlan{
 		{120, radixMixed}, // NewPlan(120)
-		{128, radix8},     // the radix-8 variant of a planar power of two
+		{128, radix8},     // the radix-8 variant of a mixed power of two
 	}
-	pinPlans(t, variants, transformEntry, transformManyEntry, oneChunkBatchEntry, rowsSoAEntry, colsSoAEntry)
+	pinPlans(t, variants, transformEntry, transformManyEntry, oneChunkBatchEntry)
 }
 
 // TestPlan2DZeroAllocs pins Plan2D.Transform and a one-item TransformBatch.

@@ -13,48 +13,23 @@ import (
 // fans out its own row and column passes. Plans are safe for
 // concurrent use (per-call scratch comes from a pool), which makes these
 // the thread-safe batch execution path the fftxd server leans on: one plan
-// lookup and one fan-out amortized over the whole batch.
-//
-// The batch path is also where the data-layout optimization lives: when
-// host parallelism is enabled, plans whose layout policy picked layoutSoA
-// run each worker's rows through the stage-batched planar chunk kernel
-// (transformRowsSoA) — pack once per chunk, every combine stage across the
-// whole chunk, pooled per-worker scratch — instead of per-row Transform
-// calls. With par.SetEnabled(false) every driver reduces to the plain
-// serial reference loop (TransformMany / per-item Transform), mirroring
-// par.ParallelFor's own contract: the disabled path is the reference
-// implementation. The two paths are bit-identical — the planar butterflies
-// mirror the AoS arithmetic exactly — so flipping -hostpar changes wall
-// clock only, never results.
+// lookup and one fan-out amortized over the whole batch. Every worker runs
+// the same per-row Transform a serial loop runs, so with
+// par.SetEnabled(false) every driver reduces to the serial reference
+// (TransformMany / per-item Transform), mirroring par.ParallelFor's own
+// contract, and flipping -hostpar changes wall clock only, never a bit.
 
-// grainBatchSticks is the fan-out grain of 1-D row batches: one chunk of
-// the planar kernel per worker chunk, so stage batching amortizes over a
-// full soaChunkRows pack.
-const grainBatchSticks = soaChunkRows
+// grainBatchSticks is the fan-out grain of 1-D row batches: a chunk holds
+// at least 32 whole transforms, so the fan-out's dispatch stays a small
+// share of its time, while kernel_batch's 128-row z120 and p64 batches
+// still split into four chunks for the cores to share. A batch of
+// 32 rows or fewer runs on the caller.
+const grainBatchSticks = 32
 
 // grainBatchBoxes is the fan-out grain of 2-D/3-D batches: every item is
 // a full plane or box transform — already far more work than the fan-out
 // overhead.
 const grainBatchBoxes = 1
-
-// planar reports whether the drivers run this plan through the planar chunk
-// kernels. It is the only place the layout decision is made: host
-// parallelism is on (off means the AoS serial reference) and the policy
-// picked layoutSoA for the shape, which implies iterative stages —
-// Bluestein lengths are layoutAoS.
-func (p *Plan) planar() bool { return par.Enabled() && p.layout == layoutSoA }
-
-// transformRows is the row-batch entry every driver shares (1-D batches,
-// the row pass of Plan2D, the z pass of Plan3D): it applies the plan in
-// place to rows contiguous rows on the layout planar picks. Both sides are
-// bit-identical to TransformMany.
-func (p *Plan) transformRows(data []complex128, rows int, sign Sign) {
-	if p.planar() {
-		p.transformRowsSoA(data, rows, sign)
-		return
-	}
-	p.TransformMany(data, rows, sign)
-}
 
 // fan runs one pass of a plan over par.ParallelFor without allocating. Its
 // pooled call records carry the pass's arguments, and each record binds
@@ -101,15 +76,14 @@ func (p *Plan) TransformBatch(data []complex128, count int, sign Sign) {
 
 // rowRange transforms rows [lo,hi) of a TransformBatch.
 func (p *Plan) rowRange(data []complex128, sign Sign, lo, hi int) {
-	p.transformRows(data[lo*p.n:hi*p.n], hi-lo, sign)
+	p.TransformMany(data[lo*p.n:hi*p.n], hi-lo, sign)
 }
 
 // TransformBatch applies the plane transform in place to count contiguous
 // row-major planes. With host parallelism enabled the planes fan out over
-// cores and each worker runs the layout-optimized plane kernel (batched
-// planar row pass, blocked planar column pass); disabled, it is the plain
-// per-plane reference loop. A single plane fans out its own passes
-// instead: the rows as one row batch, then the column blocks.
+// cores, each worker running the serial plane Transform; disabled, it is
+// the plain per-plane reference loop. A single plane fans out its own
+// passes instead: the rows as one row batch, then the column blocks.
 func (p *Plan2D) TransformBatch(data []complex128, count int, sign Sign) {
 	if len(data) < count*p.Size() {
 		panic("fft: Plan2D.TransformBatch: slice too short")

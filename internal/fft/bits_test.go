@@ -78,8 +78,8 @@ func bitsInput(seed int64, n, rows int) []complex128 {
 	return x
 }
 
-// bitsRows is the row count of the pinned batch and planar-kernel runs:
-// one full planar chunk plus a partial one.
+// bitsRows is the row count of the pinned batch runs: one full fan-out
+// grain plus a partial one.
 const bitsRows = 37
 
 // bitsShapes2D and bitsShapes3D are the pinned plane and box shapes.
@@ -92,8 +92,8 @@ var (
 // entry point, per host-parallelism setting, length or shape and
 // direction, to testdata/transform_bits.txt. Each line holds the first 8
 // bytes of a SHA-256 over the outputs: for a length n, Transform on four
-// rows, a bitsRows-row TransformBatch and transformRowsSoA under the mixed,
-// radix-8 and auto policies; for a plane or box shape, one-item and
+// rows, then a bitsRows-row TransformBatch and TransformMany under the
+// mixed, radix-8 and auto policies; for a plane or box shape, one-item and
 // three-item TransformBatch calls. The inputs (bitsInput) hold exact
 // zeros, all-zero rows, impulses and real-valued rows, so the outputs hold
 // exact zeros whose signs are pinned too. A kernel rewrite that claims to
@@ -127,9 +127,9 @@ func TestTransformBitsPinned(t *testing.T) {
 				batch := append([]complex128(nil), x...)
 				p.TransformBatch(batch, bitsRows, sign)
 				hashCells(h, batch)
-				soa := append([]complex128(nil), x...)
-				p.transformRowsSoA(soa, bitsRows, sign)
-				hashCells(h, soa)
+				many := append([]complex128(nil), x...)
+				p.TransformMany(many, bitsRows, sign)
+				hashCells(h, many)
 			}
 		})
 	}

@@ -34,8 +34,8 @@ func (c *Cache) Builds() int64 {
 
 // Get returns the cached plan for length n, creating it on first use.
 // Cached plans are built with radixAuto, so a lookup resolves the
-// per-shape layout+radix policy (PickRadix, PickLayout) exactly once —
-// the serving path never re-derives variants per request.
+// per-shape radix policy (PickRadix) exactly once — the serving path
+// never re-derives variants per request.
 func (c *Cache) Get(n int) *Plan { return c.plans.Get(n, buildPlan) }
 
 // Get2D returns the cached plane plan for nx × ny grids, creating it on

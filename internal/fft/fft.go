@@ -18,10 +18,8 @@
 // swap(Forward(swap(x))) holds exactly, bit for bit (Duhamel, Piron &
 // Etcheto, IEEE TASSP 1988), because swapping the parts of an operand
 // conjugates its product with a twiddle without rounding anything. The
-// swap happens only at the boundary: in Plan.Transform's permuting gather
-// and copy-out, in the planar pack and unpack (which exchange the re/im
-// planes they write and read, for free), and in the store of the fused
-// final-stage unpack. Bluestein lengths are the exception: the chirp
+// swap happens only at the boundary, in Plan.Transform's permuting gather
+// and copy-out. Bluestein lengths are the exception: the chirp
 // convolution keeps its own backward chirp kernel, because swapping around
 // it would reorder its inner forward/backward pair and move bits.
 //
@@ -65,16 +63,6 @@ type stage struct {
 	// wr[j·r+q], used by the generic small-prime butterfly of the radices
 	// 7, 11 and 13 (nil for the specialized radices 2, 3, 4, 5 and 8).
 	wr []complex128
-	// twr/twi are the planar (SoA) copies of tw for the cell-major chunk
-	// kernels. Specialized radices (2, 3, 4, 5, 8) store them q-major — r-1
-	// sequential streams of m values at twr[(q-1)·m + k1] — because their
-	// unrolled butterflies read one stream per input; the generic stage
-	// keeps the AoS k-major layout twr[(r-1)·k1 + q-1] because its inner
-	// loop runs over q. The values are identical to tw either way, so the
-	// SoA path is bit-identical to the AoS path.
-	twr, twi []float64
-	// wrr/wri are the planar copies of wr (generic radices only).
-	wrr, wri []float64
 }
 
 // Plan is a reusable transform of one length. A Plan is safe for concurrent
@@ -85,12 +73,10 @@ type Plan struct {
 	perm    []int   // perm[i] = digit-reversed source index of work cell i
 	stages  []stage // bottom-up combine passes (smallest sub-length first)
 	blu     *bluestein
-	radix   radix  // the radix policy the plan was built with
-	layout  layout // the batch-path layout the policy picked for this shape
+	radix   radix // the radix policy the plan was built with
 	flops   float64
 	scratch sync.Pool
-	soaRows sync.Pool // *soaBuf of soaChunkRows·n cells (batched chunk scratch)
-	rows    fan       // the row fan-out of TransformBatch
+	rows    fan // the row fan-out of TransformBatch
 }
 
 // NewPlan creates a plan for transforms of length n with the legacy
@@ -109,17 +95,14 @@ func newPlanRadix(n int, r radix) *Plan {
 	if r == radixAuto {
 		r = PickRadix(n)
 	}
-	p := &Plan{n: n, radix: r, layout: PickLayout(n)}
+	p := &Plan{n: n, radix: r}
 	p.scratch.New = func() any {
 		s := make([]complex128, n)
 		return &s
 	}
-	p.soaRows.New = func() any { return newSoaBuf(soaLd(soaChunkRows) * n) }
 	p.rows.init(p.rowRange)
 	fs, ok := factorize(n, r)
 	if !ok {
-		// PickLayout already answered layoutAoS: the chirp convolution
-		// runs on complex scratch.
 		p.blu = newBluestein(n)
 		p.flops = p.blu.flops()
 		return p
@@ -170,33 +153,20 @@ func (p *Plan) buildStages() {
 			continue
 		}
 		L := r * m
-		// The other small primes (7, 11, 13) run the dense stage.
-		specialized := r == 2 || r == 3 || r == 4 || r == 5 || r == 8
-		st := stage{r: r, m: m, tw: make([]complex128, (r-1)*m),
-			twr: make([]float64, (r-1)*m), twi: make([]float64, (r-1)*m)}
+		st := stage{r: r, m: m, tw: make([]complex128, (r-1)*m)}
 		for k1 := 0; k1 < m; k1++ {
 			for q := 1; q < r; q++ {
 				ang := -2 * math.Pi * float64(q*k1%L) / float64(L)
-				v := cmplx.Exp(complex(0, ang))
-				i := (r-1)*k1 + q - 1
-				st.tw[i] = v
-				// Planar copies: q-major streams for the specialized
-				// radices, the AoS layout for the generic stage.
-				if specialized {
-					i = (q-1)*m + k1
-				}
-				st.twr[i], st.twi[i] = real(v), imag(v)
+				st.tw[(r-1)*k1+q-1] = cmplx.Exp(complex(0, ang))
 			}
 		}
-		if !specialized {
+		// The other small primes (7, 11, 13) run the dense stage.
+		if r != 2 && r != 3 && r != 4 && r != 5 && r != 8 {
 			st.wr = make([]complex128, r*r)
-			st.wrr, st.wri = make([]float64, r*r), make([]float64, r*r)
 			for j := 0; j < r; j++ {
 				for q := 0; q < r; q++ {
 					ang := -2 * math.Pi * float64(j*q%r) / float64(r)
-					v := cmplx.Exp(complex(0, ang))
-					st.wr[j*r+q] = v
-					st.wrr[j*r+q], st.wri[j*r+q] = real(v), imag(v)
+					st.wr[j*r+q] = cmplx.Exp(complex(0, ang))
 				}
 			}
 		}
@@ -303,7 +273,7 @@ func (p *Plan) combine(w []complex128) {
 
 // cmul is the twiddle product (xr+i·xi)·(tr+i·ti) with the same
 // intermediate roundings as the complex128 product; every specialized
-// stage, AoS or planar, multiplies through it.
+// stage multiplies through it.
 func cmul(xr, xi, tr, ti float64) (float64, float64) {
 	return float64(xr*tr) - float64(xi*ti), float64(xi*tr) + float64(xr*ti)
 }
@@ -315,7 +285,7 @@ func bfly2(ar, ai, br, bi float64) (x0r, x0i, x1r, x1i float64) {
 
 // bfly4 is the 4-point DFT of a and the twiddled b, c, d. It returns
 // x0, x2, x1, x3: each pair is finished from the same two sums, so fewer
-// values are live at once and the planar loops spill less.
+// values are live at once.
 func bfly4(ar, ai, br, bi, cr, ci, dr, di float64) (x0r, x0i, x2r, x2i, x1r, x1i, x3r, x3i float64) {
 	t0r, t0i := ar+cr, ai+ci
 	t1r, t1i := ar-cr, ai-ci

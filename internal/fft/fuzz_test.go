@@ -45,31 +45,30 @@ func FuzzRoundTrip(f *testing.F) {
 // FuzzBatchMatchesReference is the differential kernel fuzz. For any
 // length, row count and direction, the policy plan's TransformBatch (the
 // plan comes from the cache, as every product caller gets it; host
-// parallelism is on by default, so planar shapes run the chunk kernels,
-// with partial tail chunks and fan-out) must equal the same plan's serial
-// AoS TransformMany bit for bit (sign of zero included; every third input
-// cell is zero): the layout never moves a bit. Across
-// factorizations the contract is rounding tolerance: against the
-// mixed-radix baseline for every length, and against the naive DFT up to
-// 256.
+// parallelism is on by default, so batches above one grain fan out, with
+// partial tail chunks) must equal the same plan's serial TransformMany bit
+// for bit (sign of zero included; every third input cell is zero): the
+// fan-out never moves a bit. Across factorizations the contract is
+// rounding tolerance: against the mixed-radix baseline for every length,
+// and against the naive DFT up to 256.
 func FuzzBatchMatchesReference(f *testing.F) {
-	f.Add(4, 1, false)    // mixed/AoS
-	f.Add(64, 40, true)   // radix-8/AoS
-	f.Add(128, 33, false) // mixed/SoA, one full chunk plus one row
-	f.Add(120, 70, true)  // radix-8/SoA, fans out
-	f.Add(486, 5, false)  // generic stages, short chunk
+	f.Add(4, 1, false)    // mixed, one row
+	f.Add(64, 40, true)   // radix-8, fans out
+	f.Add(128, 33, false) // mixed power of two, one full grain plus one row
+	f.Add(120, 70, true)  // radix-8 with 3 and 5, fans out
+	f.Add(486, 5, false)  // radix-3 stages, below one grain
 	f.Add(97, 3, true)    // Bluestein
 	f.Add(1000, 2, false) // radix-8 with generic tail
-	f.Add(3, 40, true)    // one radix-3 stage, final: in place, then copy-out
-	f.Add(25, 7, false)   // radix-5 fused into the pack, radix-5 final
-	f.Add(75, 33, true)   // radix-3 final after two fused radix-5 stages
+	f.Add(3, 40, true)    // one radix-3 stage
+	f.Add(25, 7, false)   // two radix-5 stages
+	f.Add(75, 33, true)   // radix-3 final after two radix-5 stages
 	f.Add(135, 3, false)  // radix-3 as a middle stage
 	f.Add(225, 65, true)  // radix-3 middle and final, fans out
 	f.Add(250, 1, true)   // radix-5 as a middle stage
 	f.Add(375, 9, false)  // radix-5 middle, radix-3 final
 	f.Add(1001, 4, true)  // the dense generic stage: 7·11·13
-	f.Add(128, 33, true)  // mixed/SoA backward: swapped pack, swapped fused radix-4 unpack
-	f.Add(120, 70, false) // radix-8/SoA forward, fans out
+	f.Add(128, 33, true)  // mixed power of two backward: swapped gather and copy-out
+	f.Add(120, 70, false) // radix-8 with 3 and 5 forward, fans out
 	f.Fuzz(func(t *testing.T, n, rows int, backward bool) {
 		if n < 1 || n > 1024 || rows < 1 || rows > 80 {
 			t.Skip()
@@ -85,8 +84,8 @@ func FuzzBatchMatchesReference(f *testing.F) {
 		same := append([]complex128(nil), x...)
 		p.TransformMany(same, rows, sign)
 		if i := firstBitDiff(got, same); i >= 0 {
-			t.Fatalf("n=%d rows=%d sign=%d (%v/%v) i=%d: batch %v != serial AoS %v",
-				n, rows, sign, p.radix, p.layout, i, got[i], same[i])
+			t.Fatalf("n=%d rows=%d sign=%d (%v) i=%d: batch %v != serial %v",
+				n, rows, sign, p.radix, i, got[i], same[i])
 		}
 		tol := 1e-9 * float64(n)
 		base := append([]complex128(nil), x...)

@@ -5,25 +5,23 @@ import (
 	"testing"
 )
 
-// Layout matrix: the batched stick transform (32 rows, one planar chunk)
-// with the AoS reference loop vs the planar (SoA) chunk kernel, per radix
-// family, each in both directions (fwd/bwd sub-benchmarks: Backward runs
-// the forward kernels on swapped parts, swapping at the pack and unpack,
-// so its boundary cost differs). It is PickLayout's evidence: the
-// PickLayout/PickRadix policy constants were measured off this matrix (64
-// is the pure-pow2 shape AoS keeps, 128 the pow2 shape the planar mixed
-// path wins, 120 the 8·odd shape radix-8 wins, 60 and 486 = 2·3⁵ the
+// Radix matrix: the batched stick transform (32 rows, one fan-out grain,
+// run serially through TransformMany) per radix family and length, each
+// in both directions (fwd/bwd sub-benchmarks: Backward runs the forward
+// kernels on swapped parts, swapping at the gather and the copy-out, so
+// its boundary cost differs). 64 is the pure power of two PickRadix gives
+// radix 8, 128 and 4096 the ones it keeps mixed (mixedMinPow2, timed in
+// both families), 120 the 8·odd shape radix 8 wins, 60 and 486 = 2·3⁵ the
 // radix-3/5-heavy shapes, 75 = 3·5² the shape whose final stage is radix
-// 3: in place, then a copy-out, 4096 the large pow2 stick of kernel_batch).
-// Re-measure it with
+// 3. Every pass starts from the same input, so the timed data stays
+// finite. Re-measure it with
 //
 //	go test ./internal/fft -run '^$' -bench 'Batch_' -count 5
-//
-// and compare each Batch_AoS_*/Batch_SoA_* pair per direction.
-func benchmarkBatchLayout(b *testing.B, n int, r radix, soa bool) {
+func benchmarkBatch(b *testing.B, n int, r radix) {
 	p := newPlanRadix(n, r)
-	rows := soaChunkRows
-	data := randVec(rand.New(rand.NewSource(11)), n*rows)
+	rows := grainBatchSticks
+	src := randVec(rand.New(rand.NewSource(11)), n*rows)
+	data := make([]complex128, len(src))
 	for _, d := range []struct {
 		name string
 		sign Sign
@@ -31,27 +29,19 @@ func benchmarkBatchLayout(b *testing.B, n int, r radix, soa bool) {
 		b.Run(d.name, func(b *testing.B) {
 			b.SetBytes(int64(16 * n * rows))
 			for i := 0; i < b.N; i++ {
-				if soa {
-					p.transformRowsSoA(data, rows, d.sign)
-				} else {
-					p.TransformMany(data, rows, d.sign)
-				}
+				copy(data, src)
+				p.TransformMany(data, rows, d.sign)
 			}
 		})
 	}
 }
 
-func BenchmarkBatch_AoS_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, radixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_60(b *testing.B)   { benchmarkBatchLayout(b, 60, radixMixed, true) }
-func BenchmarkBatch_AoS_Mixed_75(b *testing.B)   { benchmarkBatchLayout(b, 75, radixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_75(b *testing.B)   { benchmarkBatchLayout(b, 75, radixMixed, true) }
-func BenchmarkBatch_AoS_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, radixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_128(b *testing.B)  { benchmarkBatchLayout(b, 128, radixMixed, true) }
-func BenchmarkBatch_AoS_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, radixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_486(b *testing.B)  { benchmarkBatchLayout(b, 486, radixMixed, true) }
-func BenchmarkBatch_AoS_Mixed_4096(b *testing.B) { benchmarkBatchLayout(b, 4096, radixMixed, false) }
-func BenchmarkBatch_SoA_Mixed_4096(b *testing.B) { benchmarkBatchLayout(b, 4096, radixMixed, true) }
-func BenchmarkBatch_AoS_Radix8_64(b *testing.B)  { benchmarkBatchLayout(b, 64, radix8, false) }
-func BenchmarkBatch_SoA_Radix8_64(b *testing.B)  { benchmarkBatchLayout(b, 64, radix8, true) }
-func BenchmarkBatch_AoS_Radix8_120(b *testing.B) { benchmarkBatchLayout(b, 120, radix8, false) }
-func BenchmarkBatch_SoA_Radix8_120(b *testing.B) { benchmarkBatchLayout(b, 120, radix8, true) }
+func BenchmarkBatch_Mixed_60(b *testing.B)    { benchmarkBatch(b, 60, radixMixed) }
+func BenchmarkBatch_Mixed_75(b *testing.B)    { benchmarkBatch(b, 75, radixMixed) }
+func BenchmarkBatch_Mixed_128(b *testing.B)   { benchmarkBatch(b, 128, radixMixed) }
+func BenchmarkBatch_Mixed_486(b *testing.B)   { benchmarkBatch(b, 486, radixMixed) }
+func BenchmarkBatch_Mixed_4096(b *testing.B)  { benchmarkBatch(b, 4096, radixMixed) }
+func BenchmarkBatch_Radix8_64(b *testing.B)   { benchmarkBatch(b, 64, radix8) }
+func BenchmarkBatch_Radix8_120(b *testing.B)  { benchmarkBatch(b, 120, radix8) }
+func BenchmarkBatch_Radix8_128(b *testing.B)  { benchmarkBatch(b, 128, radix8) }
+func BenchmarkBatch_Radix8_4096(b *testing.B) { benchmarkBatch(b, 4096, radix8) }

@@ -13,16 +13,9 @@ const colBlock = 32
 
 // Plan2D transforms nx × ny planes stored row-major (index ix*ny + iy),
 // the cft_2xy equivalent: a 1-D transform along y for every row followed by
-// a 1-D transform along x for every column. Both passes follow the per-axis
-// layout policy: when it picks the planar path (and host parallelism is on,
-// matching the batch drivers' contract that the disabled path is the plain
-// AoS reference), rows run through the stage-batched planar chunk kernel
-// and columns through the strided planar pack (transformColsSoA), which
-// absorbs the column transpose into the pack/unpack — contiguous row
-// segments both directions, no intermediate buffer. Otherwise columns are
-// transposed colBlock at a time into a pooled contiguous buffer,
-// transformed with TransformMany and transposed back. All variants are
-// bit-identical.
+// a 1-D transform along x for every column. The rows are one TransformMany
+// batch; the columns are transposed colBlock at a time into a pooled
+// contiguous buffer, transformed with TransformMany and transposed back.
 type Plan2D struct {
 	nx, ny int
 	px, py *Plan
@@ -63,27 +56,18 @@ func (p *Plan2D) Transform(plane []complex128, sign Sign) {
 		panic(fmt.Sprintf("fft: Plan2D.Transform on %d elements, want %d", len(plane), p.nx*p.ny))
 	}
 	// Rows (contiguous along y).
-	p.py.transformRows(plane, p.nx, sign)
+	p.py.TransformMany(plane, p.nx, sign)
 	p.colRange(plane, sign, 0, p.colBlocks())
 }
 
 // colBlocks is the number of colBlock-column blocks of the column pass.
 func (p *Plan2D) colBlocks() int { return (p.ny + colBlock - 1) / colBlock }
 
-// colRange runs the column pass over column blocks [lo,hi) of a plane.
+// colRange runs the column pass over column blocks [lo,hi) of a plane:
+// each block transposes up to colBlock columns into the contiguous buffer
+// (rows are read sequentially), transforms them as a batch and transposes
+// back.
 func (p *Plan2D) colRange(plane []complex128, sign Sign, lo, hi int) {
-	// The planar path packs straight from the plane (strided), so the
-	// transpose is free.
-	if p.px.planar() {
-		for b := lo; b < hi; b++ {
-			iy0 := b * colBlock
-			p.px.transformColsSoA(plane, p.ny, iy0, min(colBlock, p.ny-iy0), sign)
-		}
-		return
-	}
-	// AoS fallback, blocked: each block transposes up to colBlock columns
-	// into the contiguous buffer (rows are read sequentially), transforms
-	// them as a batch and transposes back.
 	sp := p.colBuf.Get().(*[]complex128)
 	buf := *sp
 	for b := lo; b < hi; b++ {
@@ -149,7 +133,7 @@ func (p *Plan3D) Transform(box []complex128, sign Sign) {
 		panic(fmt.Sprintf("fft: Plan3D.Transform on %d elements, want %d", len(box), p.nx*p.ny*p.nz))
 	}
 	// Z sticks are contiguous: one row batch.
-	p.pz.transformRows(box, p.nx*p.ny, sign)
+	p.pz.TransformMany(box, p.nx*p.ny, sign)
 	p.groupRange(box, sign, 0, p.zGroups())
 }
 

@@ -1,13 +1,10 @@
 package fft
 
-// Radix-3 and radix-5 butterflies. Each small DFT is written once, as
-// functions of real scalars, and both layouts call them: the AoS stage on
-// the real and imaginary parts of its complex128 cells, the planar stage on
-// its re/im streams. Radix 3 is one function (bfly3); a whole 5-point body
-// exceeds Go's inlining budget, so radix 5 is three (cos5, sin5, turnPair)
-// that both stages call in the same order. The twiddle products go through
-// cmul on both sides. Same functions, same operations, same order, so
-// the two layouts stay bit-identical by construction. The explicit
+// Radix-3 and radix-5 butterflies. Each small DFT is written as functions
+// of real scalars that the stage calls on the real and imaginary parts of
+// its complex128 cells. Radix 3 is one function (bfly3); a whole 5-point
+// body exceeds Go's inlining budget, so radix 5 is three (cos5, sin5,
+// turnPair). The twiddle products go through cmul. The explicit
 // float64(...) conversions pin every product's rounding, so no platform may
 // fuse one into the following addition.
 //
@@ -107,63 +104,6 @@ func stageRadix5(w []complex128, m int, tw []complex128) {
 			b2[k] = complex(x2r, x2i)
 			b3[k] = complex(x3r, x3i)
 			b4[k] = complex(x4r, x4i)
-		}
-	}
-}
-
-// stageRadix3Rows is the cell-major radix-3 butterfly: the twiddles of cell
-// k1 are loaded once (q-major streams) and applied to all nb rows.
-func stageRadix3Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64) {
-	cells := len(wr)
-	for o := 0; o < cells; o += 3 * m * ld {
-		for k := 0; k < m; k++ {
-			t1r, t1i := twr[k], twi[k]
-			t2r, t2i := twr[m+k], twi[m+k]
-			c0 := o + k*ld
-			c1 := c0 + m*ld
-			c2 := c1 + m*ld
-			b0r, b0i := wr[c0:c0+nb:c0+nb], wi[c0:c0+nb:c0+nb]
-			b1r, b1i := wr[c1:c1+nb:c1+nb], wi[c1:c1+nb:c1+nb]
-			b2r, b2i := wr[c2:c2+nb:c2+nb], wi[c2:c2+nb:c2+nb]
-			for b := 0; b < nb; b++ {
-				br, bi := cmul(b1r[b], b1i[b], t1r, t1i)
-				cr, ci := cmul(b2r[b], b2i[b], t2r, t2i)
-				b0r[b], b0i[b], b1r[b], b1i[b], b2r[b], b2i[b] = bfly3(b0r[b], b0i[b], br, bi, cr, ci)
-			}
-		}
-	}
-}
-
-// stageRadix5Rows is the cell-major radix-5 butterfly.
-func stageRadix5Rows(wr, wi []float64, m, nb, ld int, twr, twi []float64) {
-	cells := len(wr)
-	step := m * ld
-	for o := 0; o < cells; o += 5 * step {
-		for k := 0; k < m; k++ {
-			t1r, t1i := twr[k], twi[k]
-			t2r, t2i := twr[m+k], twi[m+k]
-			t3r, t3i := twr[2*m+k], twi[2*m+k]
-			t4r, t4i := twr[3*m+k], twi[3*m+k]
-			c0 := o + k*ld
-			b0r, b0i := wr[c0:][:nb:nb], wi[c0:][:nb:nb]
-			b1r, b1i := wr[c0+step:][:nb:nb], wi[c0+step:][:nb:nb]
-			b2r, b2i := wr[c0+2*step:][:nb:nb], wi[c0+2*step:][:nb:nb]
-			b3r, b3i := wr[c0+3*step:][:nb:nb], wi[c0+3*step:][:nb:nb]
-			b4r, b4i := wr[c0+4*step:][:nb:nb], wi[c0+4*step:][:nb:nb]
-			for b := 0; b < nb; b++ {
-				a0r, a0i := b0r[b], b0i[b]
-				a1r, a1i := cmul(b1r[b], b1i[b], t1r, t1i)
-				a2r, a2i := cmul(b2r[b], b2i[b], t2r, t2i)
-				a3r, a3i := cmul(b3r[b], b3i[b], t3r, t3i)
-				a4r, a4i := cmul(b4r[b], b4i[b], t4r, t4i)
-				t1r, t1i := a1r+a4r, a1i+a4i
-				t2r, t2i := a2r+a3r, a2i+a3i
-				m1r, m1i, m2r, m2i := cos5(a0r, a0i, t1r, t1i, t2r, t2i)
-				n1r, n1i, n2r, n2i := sin5(a1r-a4r, a1i-a4i, a2r-a3r, a2i-a3i)
-				b0r[b], b0i[b] = a0r+(t1r+t2r), a0i+(t1i+t2i)
-				b1r[b], b1i[b], b4r[b], b4i[b] = turnPair(m1r, m1i, n1r, n1i)
-				b2r[b], b2i[b], b3r[b], b3i[b] = turnPair(m2r, m2i, n2r, n2i)
-			}
 		}
 	}
 }

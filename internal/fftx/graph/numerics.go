@@ -19,9 +19,9 @@ import (
 
 // Host-parallel grain sizes: planes are expensive, so they split singly;
 // flat index loops batch by the thousand to amortize dispatch. Sticks and
-// the fft-xy planes fan out inside the fft batch drivers (one planar chunk
-// per worker batch, one plane per item — see fft.TransformBatch), whose
-// plane grain is this one.
+// the fft-xy planes fan out inside the fft batch drivers (one grain of
+// sticks per worker chunk, one plane per item — see fft.TransformBatch),
+// whose plane grain is this one.
 const (
 	grainPlanes = 1
 	grainIndex  = 4096
@@ -43,8 +43,8 @@ func (k *Kernel) PrepSticks(p int, coeffs []complex128) []complex128 {
 
 // FFTZ transforms every local stick along z in place through the plan's
 // batch driver, which fans the sticks out over host cores and runs each
-// worker's rows through the layout the policy picked for Nz (the planar
-// chunk kernel on SoA shapes) — bit-identical to TransformMany.
+// worker's rows through TransformMany — bit-identical to one serial
+// TransformMany over all of them.
 func (k *Kernel) FFTZ(p int, buf []complex128, sign fft.Sign) {
 	k.PlanZ.TransformBatch(buf, k.Layout.NSticksOf(p), sign)
 }
